@@ -790,6 +790,29 @@ mod tests {
     }
 
     #[test]
+    fn memoized_pass_on_a_dirtied_tape_matches_fresh_batch() {
+        let (mut est, db) = make_estimator();
+        let plans = executed_plans(&db, 24);
+        est.fit(&plans);
+        let encoded: Vec<EncodedPlan> = plans.iter().map(|p| est.encode(p)).collect();
+        let small = &encoded[..3];
+        let want = est.estimate_encoded_batch(small);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // A larger, all-hit memo pass leaves wide, non-zero buffers
+                // in this thread's tape pool where its injected states sat.
+                // The cold pass below records its zero states first, so it
+                // draws exactly those buffers.
+                est.estimate_encoded_batch_memo(&encoded);
+                est.estimate_encoded_batch_memo(&encoded);
+                est.subtree_cache().clear();
+                let got = est.estimate_encoded_batch_memo(small);
+                assert_eq!(bits(&got), bits(&want), "memoized pass on a reused tape diverged from the fresh batch");
+            });
+        });
+    }
+
+    #[test]
     fn tiered_serving_escalates_top_k_to_full_precision() {
         let (mut est, db) = make_estimator();
         let plans = executed_plans(&db, 16);

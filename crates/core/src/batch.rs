@@ -121,6 +121,11 @@ pub fn estimate_batch_refs(
 /// thread's tape is parked here when the thread exits (see [`TapeSlot`]) and
 /// adopted by the next thread whose thread-local slot is still empty.  Only
 /// touched on a thread's first and last use — never per estimate.
+///
+/// Bounded: a tape is created only when none is parked, so tapes never
+/// outnumber the peak count of threads estimating at once (one per hardware
+/// thread for a parallel batch, plus each caller's own), and each tape's
+/// buffer pool holds at most one pass's high-water mark ([`Graph::reset`]).
 static PARKED_TAPES: std::sync::Mutex<Vec<Graph>> = std::sync::Mutex::new(Vec::new());
 
 /// Thread-local tape holder whose `Drop` parks the tape in [`PARKED_TAPES`],

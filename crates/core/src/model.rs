@@ -15,7 +15,7 @@
 
 use featurize::{EncodedPlan, EncodingConfig, NodeFeatures, PredicateEncoding};
 use nn::cells::CellOutput;
-use nn::{Graph, Linear, Matrix, NodeId, ParamStore, QuantWeights, TreeLstmCell, TreeNnCell};
+use nn::{Graph, Linear, NodeId, ParamStore, QuantWeights, TreeLstmCell, TreeNnCell};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -182,9 +182,9 @@ impl TreeModel {
     ) -> NodeId {
         let d = self.config.feature_embed_dim;
         match pred {
-            PredicateEncoding::None => g.input(Matrix::zeros(d, 1)),
+            PredicateEncoding::None => g.zeros(d, 1),
             PredicateEncoding::Atom(v) => {
-                let x = g.input(Matrix::column(v));
+                let x = g.input_columns(v.len(), &[v]);
                 self.pred_leaf.forward_relu_q(g, store, quant, x)
             }
             PredicateEncoding::And(l, r) | PredicateEncoding::Or(l, r) => {
@@ -220,7 +220,7 @@ impl TreeModel {
         match pred {
             PredicateEncoding::None => self.pred_lstm.zero_state(g, 1),
             PredicateEncoding::Atom(v) => {
-                let x = g.input(Matrix::column(v));
+                let x = g.input_columns(v.len(), &[v]);
                 let e = self.pred_leaf.forward_relu_q(g, store, quant, x);
                 let zero = self.pred_lstm.zero_state(g, 1);
                 self.pred_lstm.forward_q(g, store, quant, e, zero, zero)
@@ -228,7 +228,7 @@ impl TreeModel {
             PredicateEncoding::And(l, r) | PredicateEncoding::Or(l, r) => {
                 let left = self.pred_lstm_forward_q(g, store, quant, l);
                 let right = self.pred_lstm_forward_q(g, store, quant, r);
-                let x = g.input(Matrix::zeros(d, 1));
+                let x = g.zeros(d, 1);
                 self.pred_lstm.forward_q(g, store, quant, x, left, right)
             }
         }
@@ -247,11 +247,12 @@ impl TreeModel {
         quant: Option<&QuantWeights>,
         features: &NodeFeatures,
     ) -> NodeId {
-        let op_in = g.input(Matrix::column(features.operation()));
+        let column = |g: &mut Graph, v: &[f32]| g.input_columns(v.len(), &[v]);
+        let op_in = column(g, features.operation());
         let op = self.op_embed.forward_relu_q(g, store, quant, op_in);
-        let meta_in = g.input(Matrix::column(features.metadata()));
+        let meta_in = column(g, features.metadata());
         let meta = self.meta_embed.forward_relu_q(g, store, quant, meta_in);
-        let samp_in = g.input(Matrix::column(features.sample_bitmap()));
+        let samp_in = column(g, features.sample_bitmap());
         let samp = self.sample_embed.forward_relu_q(g, store, quant, samp_in);
         let pred = self.embed_predicate_q(g, store, quant, &features.predicate);
         g.concat_rows(&[op, meta, samp, pred])
@@ -279,15 +280,11 @@ impl TreeModel {
         features: &[&NodeFeatures],
     ) -> NodeId {
         assert!(!features.is_empty(), "embed_nodes_batch needs at least one node");
-        let n = features.len();
-        let stack = |g: &mut Graph, dim: usize, pick: &dyn Fn(&NodeFeatures) -> &[f32]| -> NodeId {
-            let mut m = Matrix::zeros(dim, n);
-            for (col, f) in features.iter().enumerate() {
-                for (row, &v) in pick(f).iter().enumerate() {
-                    m.set(row, col, v);
-                }
-            }
-            g.input(m)
+        let mut columns: Vec<&[f32]> = Vec::with_capacity(features.len());
+        let mut stack = |g: &mut Graph, dim: usize, pick: &dyn Fn(&NodeFeatures) -> &[f32]| -> NodeId {
+            columns.clear();
+            columns.extend(features.iter().map(|&f| pick(f)));
+            g.input_columns(dim, &columns)
         };
         let op_in = stack(g, self.op_embed.in_dim(), &|f| f.operation());
         let op = self.op_embed.forward_relu_q(g, store, quant, op_in);
@@ -369,19 +366,17 @@ impl TreeModel {
         let atom_embeds = if atoms.is_empty() {
             None
         } else {
-            let mut m = Matrix::zeros(self.pred_leaf.in_dim(), atoms.len());
+            let mut columns: Vec<&[f32]> = Vec::with_capacity(atoms.len());
             for (col, &i) in atoms.iter().enumerate() {
                 atom_col[i] = col;
                 if let PKind::Atom(v) = flat[i].kind {
-                    for (row, &x) in v.iter().enumerate() {
-                        m.set(row, col, x);
-                    }
+                    columns.push(v);
                 }
             }
-            let x = g.input(m);
+            let x = g.input_columns(self.pred_leaf.in_dim(), &columns);
             Some(self.pred_leaf.forward_relu_q(g, store, quant, x))
         };
-        let zero_col = g.input(Matrix::zeros(d, 1));
+        let zero_col = g.zeros(d, 1);
 
         // (node, column) source of each flat predicate node's d-vector.
         let mut vref: Vec<(NodeId, usize)> = vec![(zero_col, 0); flat.len()];
@@ -454,7 +449,7 @@ impl TreeModel {
                     }
                     let left = nn::cells::CellOutput { g: g.gather_cols(&lg), r: g.gather_cols(&lr) };
                     let right = nn::cells::CellOutput { g: g.gather_cols(&rg), r: g.gather_cols(&rr) };
-                    let x = g.input(Matrix::zeros(d, inner.len()));
+                    let x = g.zeros(d, inner.len());
                     let out = self.pred_lstm.forward_q(g, store, quant, x, left, right);
                     for (col, &i) in inner.iter().enumerate() {
                         sref[i] = ((out.g, col), (out.r, col));

@@ -12,7 +12,6 @@
 
 use crate::graph::{Graph, NodeId};
 use crate::layers::Linear;
-use crate::matrix::Matrix;
 use crate::params::ParamStore;
 use crate::quant::QuantWeights;
 use rand::Rng;
@@ -73,8 +72,8 @@ impl TreeLstmCell {
 
     /// Zero child state for leaf nodes, shaped for a batch of `batch` columns.
     pub fn zero_state(&self, g: &mut Graph, batch: usize) -> CellOutput {
-        let zg = g.input(Matrix::zeros(self.hidden_dim, batch));
-        let zr = g.input(Matrix::zeros(self.hidden_dim, batch));
+        let zg = g.zeros(self.hidden_dim, batch);
+        let zr = g.zeros(self.hidden_dim, batch);
         CellOutput { g: zg, r: zr }
     }
 
@@ -168,8 +167,8 @@ impl TreeNnCell {
 
     /// Zero child state for leaf nodes.
     pub fn zero_state(&self, g: &mut Graph, batch: usize) -> CellOutput {
-        let zg = g.input(Matrix::zeros(self.hidden_dim, batch));
-        let zr = g.input(Matrix::zeros(self.hidden_dim, batch));
+        let zg = g.zeros(self.hidden_dim, batch);
+        let zr = g.zeros(self.hidden_dim, batch);
         CellOutput { g: zg, r: zr }
     }
 
@@ -204,6 +203,7 @@ impl TreeNnCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
     use crate::optim::{Adam, Optimizer};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;

@@ -21,9 +21,15 @@
 //!
 //! In both modes, node values are computed with the `_into` kernels of
 //! [`Matrix`] into buffers drawn from an internal pool; [`Graph::reset`]
-//! clears the tape but keeps the buffers, so steady-state forward passes
-//! (one per plan, thousands per optimizer run) are allocation-free once the
-//! pool is warm.  The backward pass multiplies by transposed operands with
+//! clears the tape and recycles the buffers.  Constants are pooled too:
+//! [`Graph::zeros`] and [`Graph::input_columns`] draw their buffers from the
+//! pool, so a warm f32 inference pass built from them and the op methods
+//! makes no tape allocation.  [`Graph::input`] copies a caller-owned matrix
+//! into a pooled buffer once the pool is warm.  Gradients are not
+//! pool-drawn, so `reset` trims the pool to the most buffers (values plus
+//! gradients) any single pass has held: a reused tape holds at most one
+//! pass's high-water mark of buffers, however many passes it serves.  The
+//! backward pass multiplies by transposed operands with
 //! [`Matrix::matmul_nt_into`]-style kernels instead of materializing
 //! transposes.
 
@@ -93,6 +99,9 @@ pub struct Graph {
     eager: bool,
     /// Recycled value/grad buffers, refilled by [`Graph::reset`].
     pool: Vec<Vec<f32>>,
+    /// Most buffers (values plus gradients) any single pass has held: the
+    /// cap [`Graph::reset`] trims `pool` to.
+    pool_limit: usize,
     /// Parameter id -> already-recorded node, so a tape copies each weight
     /// matrix once per forward pass no matter how many times the layer is
     /// applied (the shared-weight tree cell applies each one per node).
@@ -144,16 +153,27 @@ impl Graph {
         self.nodes.is_empty()
     }
 
-    /// Clear the tape for a fresh forward pass, keeping (and recycling) every
-    /// buffer the previous pass allocated.  After a few passes the pool is
-    /// warm and node values stop hitting the allocator.
+    /// Clear the tape for a fresh forward pass, recycling the buffers the
+    /// previous pass held.  After a few passes the pool is warm and node
+    /// values stop hitting the allocator.  The pool keeps at most as many
+    /// buffers as the largest single pass held, so buffers that were never
+    /// drawn from it (gradients, `seed_compat` copies) cannot grow it
+    /// without bound.
     pub fn reset(&mut self) {
-        for node in self.nodes.drain(..) {
-            self.pool.push(node.value.into_vec());
-            if let Some(g) = node.grad {
-                self.pool.push(g.into_vec());
-            }
+        let mut held = self.nodes.len();
+        for g in self.nodes.iter_mut().filter_map(|n| n.grad.take()) {
+            self.pool.push(g.into_vec());
+            held += 1;
         }
+        // Values go on top, in reverse: the next pass draws in node order,
+        // so a pass shaped like this one gets every buffer back at the size
+        // it already has.
+        for node in self.nodes.drain(..).rev() {
+            self.pool.push(node.value.into_vec());
+        }
+        self.pool_limit = self.pool_limit.max(held);
+        let excess = self.pool.len().saturating_sub(self.pool_limit);
+        self.pool.drain(..excess);
         self.param_cache.clear();
         self.quant_pack = None;
     }
@@ -203,9 +223,25 @@ impl Graph {
         self.nodes[id.0].grad.as_ref()
     }
 
-    /// Record a constant input.
+    /// Record a constant input.  A warm tape copies it into a pooled buffer
+    /// (a cold one adopts it), so the caller's allocation never joins the
+    /// pool; still, it is one allocation per pass, which is why hot paths use
+    /// [`Graph::zeros`] or [`Graph::input_columns`] instead.
     pub fn input(&mut self, value: Matrix) -> NodeId {
+        let value = match self.pool.pop() {
+            Some(buf) => Matrix::from_pooled_copy(&value, buf),
+            None => value,
+        };
         self.push(value, Op::Input)
+    }
+
+    /// Record a constant all-zero `rows x cols` input (leaf child states,
+    /// zero features), backed by a pooled buffer.  Pooled buffers hold stale
+    /// values, so the fill is explicit.
+    pub fn zeros(&mut self, rows: usize, cols: usize) -> NodeId {
+        let mut out = self.alloc(rows, cols);
+        out.data_mut().fill(0.0);
+        self.push(out, Op::Input)
     }
 
     /// Record (a copy of) a trainable parameter.  Repeated requests for the
@@ -1221,6 +1257,75 @@ mod tests {
         let mut g = Graph::new();
         let z = g.input(Matrix::column(&[0.1, 0.2]));
         let _ = g.lstm_gates_approx(z, z, z, z);
+    }
+
+    fn pool_capacity(g: &Graph) -> usize {
+        g.pool.iter().map(Vec::capacity).sum()
+    }
+
+    #[test]
+    fn pool_stays_bounded_with_caller_owned_inputs() {
+        // Each pass mixes pooled ops and pooled constants with caller-owned
+        // inputs, which allocate afresh every pass; none of those
+        // allocations may accumulate in the pool.
+        let (store, w, v) = two_params();
+        let pass = |g: &mut Graph| -> (NodeId, usize) {
+            let x = g.input(Matrix::column(&[0.4, -0.6]));
+            let wp = g.param(&store, w);
+            let h = g.matmul(wp, x);
+            let z = g.input(Matrix::zeros(2, 1));
+            let h = g.add(h, z);
+            let pooled = g.zeros(2, 1);
+            let h = g.add(h, pooled);
+            let wide = g.input(Matrix::zeros(2, 3));
+            let wide = g.tanh(wide);
+            let both = g.concat_cols(&[h, wide]);
+            let vp = g.param(&store, v);
+            (g.matmul(vp, both), g.len())
+        };
+        for mut g in [Graph::inference(), Graph::new()] {
+            let (out, nodes_per_pass) = pass(&mut g);
+            let want = g.value(out).clone();
+            g.reset();
+            let settled = pool_capacity(&g);
+            for _ in 0..10_000 {
+                let (out, _) = pass(&mut g);
+                assert_eq!(g.value(out), &want);
+                g.reset();
+                assert!(g.pool.len() <= nodes_per_pass, "pool grew past one pass: {}", g.pool.len());
+                assert_eq!(pool_capacity(&g), settled, "pooled capacity kept changing");
+            }
+        }
+    }
+
+    #[test]
+    fn reset_bounds_pool_by_buffers_one_pass_held() {
+        // The seed-compatible tape allocates a gradient per node and a fresh
+        // copy per parameter request, none of them pool-drawn.
+        let (store, w, v) = two_params();
+        let mut g = Graph::seed_compat();
+        let mut held_per_pass = 0;
+        for _ in 0..1_000 {
+            let _ = two_head_forward(&mut g, &store, w, v);
+            held_per_pass = g.len() + g.nodes.iter().filter(|n| n.grad.is_some()).count();
+            g.reset();
+            assert!(g.pool.len() <= held_per_pass, "pool grew past one pass: {}", g.pool.len());
+        }
+        assert!(held_per_pass > 0);
+    }
+
+    #[test]
+    fn zeros_overwrites_stale_pooled_buffers() {
+        // Dirty the pool with larger, non-zero buffers first.
+        let mut g = Graph::inference();
+        let big = g.input(Matrix::full(8, 8, 3.5));
+        let _ = g.scale(big, -2.0);
+        g.reset();
+        let pooled = g.pool.len();
+        let z = g.zeros(3, 2);
+        assert_eq!(g.pool.len(), pooled - 1, "zeros must draw its buffer from the pool");
+        assert_eq!((g.value(z).rows(), g.value(z).cols()), (3, 2));
+        assert!(g.value(z).data().iter().all(|x| x.to_bits() == 0), "stale pool contents leaked");
     }
 
     #[test]
