@@ -31,9 +31,7 @@ use featurize::{EncodedPlan, EncodingConfig, FeatureExtractor};
 use imdb::{generate_imdb, Database, GeneratorConfig};
 use metrics::q_error;
 use query::PlanNode;
-use serving::{
-    FeedbackConfig, ModelCatalog, RefreshConfig, RefreshController, RefreshOutcome, ServedTier, Session, TenantBackend,
-};
+use serving::{FeedbackConfig, ModelCatalog, RefreshConfig, RefreshController, RefreshOutcome, Session, TenantBackend};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use strembed::HashBitmapEncoder;
@@ -183,8 +181,10 @@ fn main() {
         recovery * 100.0
     );
     let published = catalog.current("loop").expect("published");
-    assert!(published.tree().expect("tree").has_quantized_weights(), "republish must re-quantize");
-    assert!(published.tiered_aggregator().is_some(), "republished model must offer the tiered path");
+    assert!(
+        published.tree().expect("tree").has_quantized_weights(),
+        "the republished v3 checkpoint must carry the int8 weights"
+    );
 
     // --- Capture overhead: serve cost vs the marginal record cost. ---
     // An A/B throughput comparison (feedback on vs off) is hopeless here:
@@ -215,8 +215,8 @@ fn main() {
         capture_reps.max(50),
         || (),
         || {
-            probe.log().record_batch(phase0_encoded.iter().map(|p| &p.signature).zip(&estimates0), ServedTier::Full);
-            probe.log().record_batch(drifted_encoded.iter().map(|p| &p.signature).zip(&estimates_d), ServedTier::Full);
+            probe.log().record_batch(phase0_encoded.iter().map(|p| &p.signature).zip(&estimates0));
+            probe.log().record_batch(drifted_encoded.iter().map(|p| &p.signature).zip(&estimates_d));
         },
     );
     let plans_served = (phase0_encoded.len() + drifted_encoded.len()) as f64;

@@ -28,16 +28,6 @@
 //!   effect — aggregate throughput still rises because a subtree any
 //!   session embedded is served to every other session from the cache.
 //!
-//! * **Worker runtime** — the enumeration stream routed through a
-//!   [`serving::BatchAggregator`] attached to a pinned
-//!   [`serving::WorkerPool`] of 1/2/4/8 workers, every oversized wave
-//!   split across the pool's per-worker cache shards (with sibling work
-//!   stealing).  Records aggregate plans/s per pool size, chunk/steal
-//!   counters and scaling efficiency.  On a single-core host (the `cpus`
-//!   field says which) the aggregate cannot rise with pool size — the
-//!   floor there is **anti-collapse**: splitting must not destroy
-//!   throughput against the 1-worker pool.
-//!
 //! * **Warm start** — time-to-first-estimate of a cold fit vs a
 //!   `load_checkpoint` of the same model (the startup path of a serving
 //!   process).  Set `E2E_SERVING_CHECKPOINT=<path>` to persist the trained
@@ -48,19 +38,14 @@
 //! memoization speedup ≥ 3x, node-level hit rate ≥ 0.85, memoized encode
 //! ≥ 3x the fresh featurization with a bitmap-memo hit rate ≥ 0.8 and a
 //! live end-to-end `estimate_plans` measurement, ≥ 1.5x aggregate
-//! throughput at 4 threads, checkpoint warm start ≥ 5x faster than a
-//! cold fit, the tiered int8 section's quant ≥ 0.3x / tiered ≥ 0.1x
-//! of the memoized f32 stream, and every worker-pool row ≥ 0.4x of the
-//! 1-worker aggregate with at least one wave actually split — the guards
-//! CI's smoke job runs.
+//! throughput at 4 threads and checkpoint warm start ≥ 5x faster than a
+//! cold fit — the guards CI's smoke job runs.
 
 use bench::{time_reps, Pipeline};
 use estimator_core::{PredicateModelKind, RepresentationCellKind, TaskMode};
 use featurize::EncodedPlan;
 use query::PlanNode;
-use serving::{BatchAggregator, WorkerPool};
 use std::fmt::Write as _;
-use std::sync::Arc;
 use workloads::{generate_enumeration_workload, EnumerationConfig, WorkloadKind};
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -114,9 +99,6 @@ fn main() {
             }
         }
     }
-    // Publish posture: derive the int8 tier (a no-op when the checkpoint
-    // already carried it).  The f32 paths below are untouched by this.
-    est.ensure_quantized();
     let est = est;
 
     // The enumeration stream: per query, all connected left-deep candidate
@@ -284,62 +266,6 @@ fn main() {
         );
     }
 
-    // --- Tiered int8 serving: quantized pass + top-k f32 escalation. ---
-    // The quantized pass scores every candidate through the int8 tier
-    // (its own memo cache); the tiered path additionally re-scores the
-    // `top_k` cheapest-looking candidates per batch at full precision —
-    // the optimizer keeps exact costs exactly where the plan choice is
-    // made.  Both streams are compared against the all-f32 memoized
-    // stream above (identical stream shape, cold caches at start).
-    let top_k = env_usize("E2E_SERVING_TOPK", 8);
-    assert!(serving.has_quantized_weights(), "quantized tier must be available for the tiered bench");
-    let run_stream_quant = || {
-        for _ in 0..rounds {
-            for q in &encoded {
-                let refs: Vec<&EncodedPlan> = q.iter().collect();
-                serving.estimate_encoded_batch_quant(&refs);
-            }
-        }
-    };
-    let run_stream_tiered = || {
-        for _ in 0..rounds {
-            for q in &encoded {
-                let refs: Vec<&EncodedPlan> = q.iter().collect();
-                serving.estimate_encoded_batch_tiered(&refs, top_k);
-            }
-        }
-    };
-    let secs_quant = time_reps(reps, || serving.quant_cache().clear(), run_stream_quant);
-    let secs_tiered = time_reps(
-        reps,
-        || {
-            serving.cache().clear();
-            serving.quant_cache().clear();
-        },
-        run_stream_tiered,
-    );
-    let quant_speedup = secs_memo / secs_quant;
-    let tiered_speedup = secs_memo / secs_tiered;
-    let escalated_per_round: usize = encoded.iter().map(|q| top_k.min(q.len())).sum();
-    let escalation_fraction = escalated_per_round as f64 / plans_per_round as f64;
-    println!(
-        "tiered: quant pass {:.1} plans/s ({quant_speedup:.2}x f32 memo), tiered top-{top_k} {:.1} plans/s \
-         ({tiered_speedup:.2}x f32 memo, {:.1}% escalated)",
-        plans_per_session as f64 / secs_quant,
-        plans_per_session as f64 / secs_tiered,
-        escalation_fraction * 100.0
-    );
-    // The escalated candidates must carry f32-tier bits.
-    {
-        serving.cache().clear();
-        serving.quant_cache().clear();
-        let refs: Vec<&EncodedPlan> = encoded[0].iter().collect();
-        let tiered = serving.estimate_encoded_batch_tiered(&refs, top_k);
-        let full = est.estimate_encoded_batch(&encoded[0]);
-        let exact = tiered.iter().zip(&full).filter(|(t, f)| t == f).count();
-        assert!(exact >= top_k.min(refs.len()), "tiered wave escalated only {exact} candidates to full precision");
-    }
-
     // --- Concurrent sessions: 1/2/4/8 threads over the shared cache. ---
     struct ThreadRow {
         threads: usize,
@@ -368,67 +294,6 @@ fn main() {
             speedup / threads as f64
         );
         thread_rows.push(ThreadRow { threads, aggregate_plans_per_sec: aggregate, speedup_vs_1: speedup });
-    }
-
-    // --- Worker runtime: waves split across a pinned pool. ---
-    // The same enumeration stream, but each query's candidate set goes
-    // through a BatchAggregator attached to a WorkerPool: waves larger
-    // than the split threshold are chunked across the pool (leader chunk
-    // inline, the rest on per-worker cache shards, idle workers stealing).
-    struct WorkerRow {
-        workers: usize,
-        pinned: usize,
-        aggregate_plans_per_sec: f64,
-        speedup_vs_1: f64,
-        chunks_executed: u64,
-        chunks_stolen: u64,
-        waves: u64,
-        waves_split: u64,
-    }
-    let largest_wave = encoded.iter().map(|q| q.len()).max().unwrap_or(0);
-    let split_threshold = env_usize("E2E_SERVING_SPLIT", 16.min(largest_wave.saturating_sub(1)).max(1));
-    let mut worker_rows: Vec<WorkerRow> = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        let pool = Arc::new(WorkerPool::new(workers));
-        let agg = BatchAggregator::new(est.serving()).with_workers(Arc::clone(&pool), split_threshold);
-        // Split waves must serve the bits of the unsplit path.
-        {
-            let direct = est.estimate_encoded_batch(&encoded[0]);
-            assert_eq!(agg.estimate(&encoded[0]), direct, "split wave diverged from the unsplit serving path");
-        }
-        let secs = time_reps(
-            reps,
-            || {
-                agg.serving().cache().clear();
-                pool.clear_caches();
-            },
-            || {
-                for _ in 0..rounds {
-                    for q in &encoded {
-                        agg.estimate(q);
-                    }
-                }
-            },
-        );
-        let aggregate = plans_per_session as f64 / secs;
-        let speedup = worker_rows.first().map(|base| aggregate / base.aggregate_plans_per_sec).unwrap_or(1.0);
-        let pool_stats = pool.stats();
-        let waves = agg.wave_stats();
-        println!(
-            "worker pool x{workers} ({} pinned): {aggregate:>12.1} plans/s   ({speedup:.2}x vs 1 worker)   \
-             {} chunks ({} stolen), {}/{} waves split",
-            pool_stats.pinned, pool_stats.executed, pool_stats.stolen, waves.waves_split, waves.waves
-        );
-        worker_rows.push(WorkerRow {
-            workers,
-            pinned: pool_stats.pinned,
-            aggregate_plans_per_sec: aggregate,
-            speedup_vs_1: speedup,
-            chunks_executed: pool_stats.executed,
-            chunks_stolen: pool_stats.stolen,
-            waves: waves.waves,
-            waves_split: waves.waves_split,
-        });
     }
 
     // --- Warm start: cold fit vs checkpoint load to first estimate. ---
@@ -494,14 +359,6 @@ fn main() {
     let _ = writeln!(json, "    \"bitmap_memo_hit_rate\": {bitmap_hit_rate:.4},");
     let _ = writeln!(json, "    \"end_to_end_plans_per_sec\": {end_to_end_plans_per_sec:.1}");
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"tiered\": {{");
-    let _ = writeln!(json, "    \"top_k\": {top_k},");
-    let _ = writeln!(json, "    \"escalation_fraction\": {escalation_fraction:.4},");
-    let _ = writeln!(json, "    \"quant_plans_per_sec\": {:.1},", plans_per_session as f64 / secs_quant);
-    let _ = writeln!(json, "    \"quant_speedup_vs_f32\": {quant_speedup:.3},");
-    let _ = writeln!(json, "    \"tiered_plans_per_sec\": {:.1},", plans_per_session as f64 / secs_tiered);
-    let _ = writeln!(json, "    \"tiered_speedup_vs_f32\": {tiered_speedup:.3}");
-    let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"warm_start\": {{");
     let _ = match cold_fit_secs {
         Some(cold) => writeln!(json, "    \"cold_fit_secs\": {cold:.6},"),
@@ -526,31 +383,7 @@ fn main() {
             r.speedup_vs_1 / r.threads as f64
         );
     }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"worker_runtime\": {{");
-    let _ = writeln!(json, "    \"split_threshold\": {split_threshold},");
-    let _ = writeln!(json, "    \"largest_wave\": {largest_wave},");
-    let _ = writeln!(json, "    \"pools\": [");
-    for (i, r) in worker_rows.iter().enumerate() {
-        let comma = if i + 1 < worker_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "      {{ \"workers\": {}, \"pinned\": {}, \"aggregate_plans_per_sec\": {:.1}, \
-             \"speedup_vs_1\": {:.3}, \"scaling_efficiency\": {:.3}, \"chunks_executed\": {}, \
-             \"chunks_stolen\": {}, \"waves\": {}, \"waves_split\": {} }}{comma}",
-            r.workers,
-            r.pinned,
-            r.aggregate_plans_per_sec,
-            r.speedup_vs_1,
-            r.speedup_vs_1 / r.workers as f64,
-            r.chunks_executed,
-            r.chunks_stolen,
-            r.waves,
-            r.waves_split
-        );
-    }
-    let _ = writeln!(json, "    ]");
-    let _ = writeln!(json, "  }}");
+    let _ = writeln!(json, "  ]");
     json.push_str("}\n");
 
     let out_dir = std::env::var("E2E_BENCH_OUT").unwrap_or_else(|_| ".".to_string());
@@ -579,42 +412,9 @@ fn main() {
         assert!(encode_speedup >= 3.0, "memoized encode speedup {encode_speedup:.2}x below the 3x regression floor");
         assert!(bitmap_hit_rate >= 0.8, "bitmap memo hit rate {bitmap_hit_rate:.3} below the 0.8 floor");
         assert!(end_to_end_plans_per_sec > 0.0, "end-to-end estimate_plans produced no throughput measurement");
-        // The f32 baseline here is the *memoized* stream (92%+ subtree hit
-        // rate), so the int8 tier competes against cache lookups rather
-        // than raw inference; the floors guard against the quant tier or
-        // the escalation merge becoming pathologically slow, not against
-        // it beating memoized f32.  Typical ratios on the 1-cpu dev VM are
-        // ~3.5-4x (quant) and ~0.9x (tiered), but both dip several-fold
-        // under host contention, so the floors keep a wide margin.
-        assert!(quant_speedup >= 0.3, "quant pass {quant_speedup:.2}x of memoized f32 below the 0.3x regression floor");
-        assert!(
-            tiered_speedup >= 0.1,
-            "tiered top-{top_k} pass {tiered_speedup:.2}x of memoized f32 below the 0.1x regression floor"
-        );
-        // Worker-runtime floors.  True scaling demands multiple cores, so
-        // the portable floor is anti-collapse: chunking waves across any
-        // pool size must keep at least 0.4x of the 1-worker aggregate
-        // (a lost wakeup, a serializing lock or a stealing livelock lands
-        // far below that).  Splitting itself must actually engage whenever
-        // the stream has a splittable wave.
-        for r in &worker_rows {
-            assert!(
-                r.speedup_vs_1 >= 0.4,
-                "{}-worker pool aggregate collapsed to {:.2}x of the 1-worker pool (floor 0.4x)",
-                r.workers,
-                r.speedup_vs_1
-            );
-            if largest_wave > split_threshold {
-                assert!(
-                    r.waves_split >= 1,
-                    "no wave split despite a {largest_wave}-plan wave (threshold {split_threshold})"
-                );
-            }
-        }
         println!(
             "check mode: serving floors hold (memo >= 3x, hit rate >= 0.85, encode memo >= 3x, bitmap memo >= 0.8, \
-             4-session >= 1.5x, warm start >= 5x, quant >= 0.3x memo, tiered >= 0.1x memo, worker pools >= 0.4x \
-             anti-collapse with waves splitting)"
+             4-session >= 1.5x, warm start >= 5x)"
         );
     }
 }

@@ -262,7 +262,7 @@ fn main() {
             // the explicit AVX2+FMA GEMM tier (the int8 rows kept their
             // absolute throughput; their *relative* edge over f32 shrank
             // because f32 got ~4-5x faster).  The int8 tier must still
-            // never lose to the f32 batch it escalates from.
+            // never lose to the f32 batch it approximates.
             assert!(*q8_vs_batch >= 1.0, "{label}: q8_vs_batch {q8_vs_batch:.2}x below the 1x regression floor");
             assert!(
                 *qerr_shift <= 0.10,

@@ -7,7 +7,7 @@
 //! cardinality)` of new physical plans.
 
 use crate::backend::{Estimator, EstimatorCapabilities, PlanEstimate, TrainableEstimator};
-use crate::batch::{estimate_batch, estimate_batch_memo, estimate_batch_memo_quant, estimate_batch_quant};
+use crate::batch::{estimate_batch, estimate_batch_memo, estimate_batch_quant};
 use crate::checkpoint;
 use crate::memory::{EncodedSubtreeCache, RepresentationMemoryPool, SubtreeStateCache};
 use crate::model::{ModelConfig, TaskMode, TreeModel};
@@ -32,12 +32,9 @@ pub struct CostEstimator {
     /// Memoized subtree *encodings* (the featurize front of the serving
     /// path); swapped together with `subtree_cache` on every invalidation.
     encode_cache: Arc<EncodedSubtreeCache>,
-    /// Per-channel int8 form of the fitted weights (the cheap serving tier);
+    /// Per-channel int8 form of the fitted weights (the Table-12 Q8 rows);
     /// derived on demand or restored from a v3 checkpoint.
     quant: Option<Arc<QuantWeights>>,
-    /// Subtree-state cache dedicated to the quantized tier — int8 states are
-    /// not bit-compatible with the f32 tier's, so the tiers never share one.
-    quant_cache: Arc<SubtreeStateCache>,
 }
 
 impl CostEstimator {
@@ -52,7 +49,6 @@ impl CostEstimator {
             subtree_cache: Arc::new(SubtreeStateCache::new()),
             encode_cache: Arc::new(EncodedSubtreeCache::new()),
             quant: None,
-            quant_cache: Arc::new(SubtreeStateCache::new()),
         }
     }
 
@@ -62,9 +58,9 @@ impl CostEstimator {
     /// its consistent (old model, old cache) pair while this estimator's
     /// next handle starts empty — nothing computed under the old parameters
     /// can ever serve the new ones, in either direction.  The quantized
-    /// weights and their tier cache are dropped too: both derive from the
-    /// parameters that just changed.  The encoded-subtree cache is swapped
-    /// under the same rule — its entries would actually stay *valid* (they
+    /// weights are dropped too: they derive from the parameters that just
+    /// changed.  The encoded-subtree cache is swapped under the same
+    /// rule — its entries would actually stay *valid* (they
     /// depend only on the extractor, which survives refits), but one
     /// invalidation rule for every serving cache is cheaper to reason about
     /// than a carve-out, and re-encoding a working set is a few
@@ -74,7 +70,6 @@ impl CostEstimator {
         self.subtree_cache = Arc::new(SubtreeStateCache::new());
         self.encode_cache = Arc::new(EncodedSubtreeCache::new());
         self.quant = None;
-        self.quant_cache = Arc::new(SubtreeStateCache::new());
     }
 
     /// Derive the per-channel int8 weights for the fitted model if not
@@ -91,7 +86,7 @@ impl CostEstimator {
         self.quant.as_ref().is_some_and(|q| q.n_quantized() > 0)
     }
 
-    /// True when the int8 serving tier is available.
+    /// True when the int8 weights are available.
     pub fn has_quantized_weights(&self) -> bool {
         self.quant.as_ref().is_some_and(|q| q.n_quantized() > 0)
     }
@@ -283,8 +278,6 @@ impl CostEstimator {
             extractor: Arc::clone(&self.extractor),
             cache: Arc::clone(&self.subtree_cache),
             encode_cache: Arc::clone(&self.encode_cache),
-            quant: self.quant.clone(),
-            quant_cache: Arc::clone(&self.quant_cache),
         }
     }
 
@@ -333,7 +326,7 @@ impl CostEstimator {
     /// when the model was trained in this process; see
     /// [`CostEstimator::resume_from_checkpoint`].  Format v3 appends the
     /// per-channel int8 quantized weights — quantized on the fly here if
-    /// not already derived — so a loaded checkpoint serves the two-tier
+    /// not already derived — so a loaded checkpoint serves the int8 batch
     /// path without re-quantizing; see
     /// [`CostEstimator::save_checkpoint_full_precision`] to opt out.)
     pub fn save_checkpoint(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
@@ -343,7 +336,7 @@ impl CostEstimator {
     /// [`CostEstimator::save_checkpoint`] without the v3 quantized-weights
     /// block: the file stays format v3 but carries only the f32 parameters,
     /// and loading it serves full-precision only (until
-    /// [`CostEstimator::ensure_quantized`] re-derives the int8 tier).
+    /// [`CostEstimator::ensure_quantized`] re-derives the int8 weights).
     pub fn save_checkpoint_full_precision(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
         self.save_checkpoint_impl(path.as_ref(), false, true)
     }
@@ -542,12 +535,6 @@ pub struct ServingEstimator {
     /// invalidation so a handle always holds a consistent (model, caches)
     /// set.
     encode_cache: Arc<EncodedSubtreeCache>,
-    /// The int8 serving tier, when the source estimator had one derived
-    /// ([`CostEstimator::ensure_quantized`]) or loaded from a v3 checkpoint.
-    quant: Option<Arc<QuantWeights>>,
-    /// Subtree cache for the quantized tier — never shared with `cache`,
-    /// because int8 states are not bit-compatible with f32 states.
-    quant_cache: Arc<SubtreeStateCache>,
 }
 
 impl ServingEstimator {
@@ -577,93 +564,9 @@ impl ServingEstimator {
         estimate_batch_memo(&self.model, &self.model.params, &self.normalization, plans, self.cache.as_ref())
     }
 
-    /// [`ServingEstimator::estimate_encoded_batch`] memoizing against a
-    /// caller-supplied cache instead of the handle's own — the worker
-    /// runtime routes each split wave chunk through the executing worker's
-    /// private cache shard.  Results are bit-identical to
-    /// [`ServingEstimator::estimate_encoded_batch`] whatever `cache` holds,
-    /// provided it only ever memoized *this* model's states (the memoized
-    /// path is bit-identical to fresh computation; a cache warmed by a
-    /// different model would violate its ownership contract, not this
-    /// method's).
-    pub fn estimate_encoded_batch_with_cache(
-        &self,
-        plans: &[&EncodedPlan],
-        cache: &SubtreeStateCache,
-    ) -> Vec<(f64, f64)> {
-        estimate_batch_memo(&self.model, &self.model.params, &self.normalization, plans, cache)
-    }
-
-    /// True when this handle can serve the int8 tier (and therefore the
-    /// tiered path actually escalates rather than degenerating to f32).
-    pub fn has_quantized_weights(&self) -> bool {
-        self.quant.as_ref().is_some_and(|q| q.n_quantized() > 0)
-    }
-
-    /// Score a batch on the quantized tier only: approximate (per-channel
-    /// int8 weight matmuls) but cheap, memoized against the tier's own
-    /// subtree cache.  Falls back to the full-precision path when the
-    /// handle carries no quantized weights.
-    pub fn estimate_encoded_batch_quant(&self, plans: &[&EncodedPlan]) -> Vec<(f64, f64)> {
-        match &self.quant {
-            Some(quant) => estimate_batch_memo_quant(
-                &self.model,
-                &self.model.params,
-                quant,
-                &self.normalization,
-                plans,
-                self.quant_cache.as_ref(),
-            ),
-            None => self.estimate_encoded_batch(plans),
-        }
-    }
-
-    /// Two-tier scoring for optimizer-in-the-loop serving: every candidate
-    /// is first scored on the cheap int8 tier, then the `top_k` candidates
-    /// with the **lowest** approximate cost — the ones the optimizer is
-    /// actually about to choose between — are re-scored at full precision
-    /// through the memoized f32 path.  Results come back in input order;
-    /// escalated plans carry f32-tier estimates (bit-identical to
-    /// [`ServingEstimator::estimate_encoded_batch`] for those plans), the
-    /// rest keep their quantized estimates.
-    ///
-    /// Degenerate cases: no quantized weights or `top_k >= plans.len()`
-    /// serve the whole batch at full precision; `top_k == 0` stays entirely
-    /// on the quantized tier.
-    pub fn estimate_encoded_batch_tiered(&self, plans: &[&EncodedPlan], top_k: usize) -> Vec<(f64, f64)> {
-        if plans.is_empty() {
-            return Vec::new();
-        }
-        if !self.has_quantized_weights() || top_k >= plans.len() {
-            return self.estimate_encoded_batch(plans);
-        }
-        let mut out = self.estimate_encoded_batch_quant(plans);
-        if top_k == 0 {
-            return out;
-        }
-        // Rank by approximate cost ascending (ties broken by input order for
-        // determinism) and escalate the cheapest-looking top_k.
-        let mut order: Vec<usize> = (0..plans.len()).collect();
-        order.sort_by(|&a, &b| {
-            out[a].0.partial_cmp(&out[b].0).unwrap_or(std::cmp::Ordering::Equal).then_with(|| a.cmp(&b))
-        });
-        let survivors = &order[..top_k];
-        let survivor_plans: Vec<&EncodedPlan> = survivors.iter().map(|&i| plans[i]).collect();
-        let exact = self.estimate_encoded_batch(&survivor_plans);
-        for (&i, e) in survivors.iter().zip(exact) {
-            out[i] = e;
-        }
-        out
-    }
-
     /// The shared subtree-state cache (for hit-rate reporting).
     pub fn cache(&self) -> &SubtreeStateCache {
         self.cache.as_ref()
-    }
-
-    /// The quantized tier's subtree-state cache.
-    pub fn quant_cache(&self) -> &SubtreeStateCache {
-        self.quant_cache.as_ref()
     }
 
     /// The shared encoded-subtree cache (for hit-rate reporting).
@@ -813,55 +716,13 @@ mod tests {
     }
 
     #[test]
-    fn tiered_serving_escalates_top_k_to_full_precision() {
-        let (mut est, db) = make_estimator();
-        let plans = executed_plans(&db, 16);
-        est.fit(&plans);
-        assert!(!est.has_quantized_weights(), "quantized tier is opt-in");
-        assert!(est.ensure_quantized());
-        assert!(est.has_quantized_weights());
-        let encoded: Vec<EncodedPlan> = plans.iter().map(|p| est.encode(p)).collect();
-        let refs: Vec<&EncodedPlan> = encoded.iter().collect();
-        let serving = est.serving();
-        assert!(serving.has_quantized_weights());
-
-        let full = serving.estimate_encoded_batch(&refs);
-        let quant = serving.estimate_encoded_batch_quant(&refs);
-        let top_k = 4;
-        let tiered = serving.estimate_encoded_batch_tiered(&refs, top_k);
-
-        // The top_k candidates by approximate cost carry f32-tier estimates
-        // (bit-identical to the full-precision path); the rest keep their
-        // quantized estimates.
-        let mut order: Vec<usize> = (0..refs.len()).collect();
-        order.sort_by(|&a, &b| quant[a].0.partial_cmp(&quant[b].0).expect("finite").then_with(|| a.cmp(&b)));
-        let escalated: std::collections::HashSet<usize> = order[..top_k].iter().copied().collect();
-        for i in 0..refs.len() {
-            if escalated.contains(&i) {
-                assert_eq!(tiered[i], full[i], "escalated plan {i} must serve the f32 estimate");
-            } else {
-                assert_eq!(tiered[i], quant[i], "non-escalated plan {i} must keep its quantized estimate");
-            }
-        }
-
-        // Degenerate top_k values.
-        assert_eq!(serving.estimate_encoded_batch_tiered(&refs, refs.len()), full);
-        assert_eq!(serving.estimate_encoded_batch_tiered(&refs, 0), quant);
-        // A handle without quantized weights serves full precision.
-        let (mut plain, _db2) = make_estimator();
-        plain.fit(&plans);
-        assert!(!plain.serving().has_quantized_weights());
-    }
-
-    #[test]
     fn v3_checkpoint_roundtrips_quantized_weights() {
         let (mut est, db) = make_estimator();
         let plans = executed_plans(&db, 14);
         est.fit(&plans);
         est.ensure_quantized();
         let encoded: Vec<EncodedPlan> = plans.iter().map(|p| est.encode(p)).collect();
-        let refs: Vec<&EncodedPlan> = encoded.iter().collect();
-        let want_quant = bits(&est.serving().estimate_encoded_batch_quant(&refs));
+        let want_quant = bits(&est.estimate_encoded_batch_quant(&encoded));
 
         // Default save carries the int8 block; the reloaded estimator serves
         // the quantized tier bit-identically without re-quantizing.
@@ -871,8 +732,7 @@ mod tests {
         warm.load_checkpoint(&path).expect("load");
         assert!(warm.has_quantized_weights(), "v3 load must restore the quantized tier");
         let warm_encoded: Vec<EncodedPlan> = plans.iter().map(|p| warm.encode(p)).collect();
-        let warm_refs: Vec<&EncodedPlan> = warm_encoded.iter().collect();
-        assert_eq!(bits(&warm.serving().estimate_encoded_batch_quant(&warm_refs)), want_quant);
+        assert_eq!(bits(&warm.estimate_encoded_batch_quant(&warm_encoded)), want_quant);
         let _ = std::fs::remove_file(&path);
 
         // The full-precision save writes a v3 file without the block.

@@ -367,24 +367,6 @@ pub fn forward_batch_memo(
     plans: &[&EncodedPlan],
     cache: &SubtreeStateCache,
 ) -> (NodeId, NodeId) {
-    forward_batch_memo_q(model, store, None, g, plans, cache)
-}
-
-/// Tier-aware [`forward_batch_memo`].
-///
-/// The caller owns tier/cache separation: a quantized pass must use its own
-/// [`SubtreeStateCache`] (never the full-precision one), because the states
-/// it memoizes are computed through int8 matmuls and are **not**
-/// bit-compatible with the f32 tier's entries.  Within one tier the usual
-/// bit-identity guarantee holds unchanged.
-pub fn forward_batch_memo_q(
-    model: &TreeModel,
-    store: &ParamStore,
-    quant: Option<&QuantWeights>,
-    g: &mut Graph,
-    plans: &[&EncodedPlan],
-    cache: &SubtreeStateCache,
-) -> (NodeId, NodeId) {
     assert!(!plans.is_empty(), "forward_batch_memo needs at least one plan");
     let hidden = model.config.hidden_dim;
     let mut flat: Vec<MemoFlatNode> = Vec::new();
@@ -432,7 +414,7 @@ pub fn forward_batch_memo_q(
             continue;
         }
         let feats: Vec<&featurize::NodeFeatures> = level_nodes.iter().map(|&i| &flat[i].encoded.features).collect();
-        let x_batch = model.embed_nodes_batch_q(g, store, quant, &feats);
+        let x_batch = model.embed_nodes_batch(g, store, &feats);
 
         let mut left_g = Vec::with_capacity(level_nodes.len());
         let mut left_r = Vec::with_capacity(level_nodes.len());
@@ -450,7 +432,7 @@ pub fn forward_batch_memo_q(
         let left = CellOutput { g: g.gather_cols(&left_g), r: g.gather_cols(&left_r) };
         let right = CellOutput { g: g.gather_cols(&right_g), r: g.gather_cols(&right_r) };
 
-        let out = model.apply_cell_q(g, store, quant, x_batch, left, right);
+        let out = model.apply_cell(g, store, x_batch, left, right);
         for (col, &i) in level_nodes.iter().enumerate() {
             states[i] = Some(StateRef { g: (out.g, col), r: (out.r, col) });
             let mut sg = Vec::with_capacity(hidden);
@@ -463,7 +445,7 @@ pub fn forward_batch_memo_q(
 
     let root_rs: Vec<(NodeId, usize)> = roots.iter().map(|&r| states[r].expect("root state computed").r).collect();
     let r_batch = g.gather_cols(&root_rs);
-    model.estimate_from_representation_q(g, store, quant, r_batch)
+    model.estimate_from_representation(g, store, r_batch)
 }
 
 /// Memoized batched estimation: [`estimate_batch`] through
@@ -493,7 +475,7 @@ pub fn estimate_batch_memo(
 
 /// Quantized-tier batched estimation: [`estimate_batch_refs`] through
 /// [`forward_batch_q`].  Approximate (int8 weight matmuls) but cheap — the
-/// first pass of the two-tier serving path.
+/// Table-12 Q8 rows.
 pub fn estimate_batch_quant(
     model: &TreeModel,
     store: &ParamStore,
@@ -515,27 +497,6 @@ pub fn estimate_batch_quant(
     }
     let groups: Vec<Vec<(f64, f64)>> = plans.par_chunks(GROUP_SIZE).map(group).collect();
     groups.concat()
-}
-
-/// Quantized-tier memoized estimation: [`estimate_batch_memo`] on the int8
-/// tier.  `qcache` must be a cache dedicated to this tier (see
-/// [`forward_batch_memo_q`] on tier/cache separation).
-pub fn estimate_batch_memo_quant(
-    model: &TreeModel,
-    store: &ParamStore,
-    quant: &QuantWeights,
-    normalization: &TargetNormalization,
-    plans: &[&EncodedPlan],
-    qcache: &SubtreeStateCache,
-) -> Vec<(f64, f64)> {
-    let mut out = Vec::with_capacity(plans.len());
-    for chunk in plans.chunks(GROUP_SIZE) {
-        out.extend(with_inference_tape(|g| {
-            let (cost_out, card_out) = forward_batch_memo_q(model, store, Some(quant), g, chunk, qcache);
-            denormalize_outputs(g, normalization, cost_out, card_out, chunk.len())
-        }));
-    }
-    out
 }
 
 pub mod reference {
@@ -835,7 +796,7 @@ mod tests {
     }
 
     #[test]
-    fn quantized_batch_tracks_full_precision_and_memoizes_bit_identically() {
+    fn quantized_batch_tracks_full_precision() {
         let (plans, cfg) = samples(12);
         let model = TreeModel::new(
             &cfg,
@@ -856,28 +817,6 @@ mod tests {
             assert!((fc.ln() - qc.ln()).abs() < 0.5, "quant cost diverged: {fc} vs {qc}");
             assert!((fk.ln() - qk.ln()).abs() < 0.5, "quant card diverged: {fk} vs {qk}");
         }
-
-        // Within the quantized tier the memoized path keeps bit-identity,
-        // against a cache dedicated to that tier.
-        let qcache = crate::memory::SubtreeStateCache::new();
-        let cold = estimate_batch_memo_quant(
-            &trainer.model,
-            &trainer.model.params,
-            &quant,
-            &trainer.normalization,
-            &refs,
-            &qcache,
-        );
-        assert_eq!(quantized, cold, "cold quant-memoized estimates must match the fresh quant path");
-        let warm = estimate_batch_memo_quant(
-            &trainer.model,
-            &trainer.model.params,
-            &quant,
-            &trainer.normalization,
-            &refs,
-            &qcache,
-        );
-        assert_eq!(quantized, warm, "warm quant-memoized estimates must match the fresh quant path");
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub mod trainer;
 pub use api::{CostEstimator, ServingEstimator};
 pub use backend::{Estimator, EstimatorCapabilities, PlanEstimate, TrainableEstimator};
 pub use batch::{
-    estimate_batch, estimate_batch_memo, estimate_batch_memo_quant, estimate_batch_quant, estimate_batch_refs,
-    forward_batch, forward_batch_memo, forward_batch_memo_q, forward_batch_q, reference::estimate_batch_reference,
+    estimate_batch, estimate_batch_memo, estimate_batch_quant, estimate_batch_refs, forward_batch, forward_batch_memo,
+    forward_batch_q, reference::estimate_batch_reference,
 };
 pub use memory::{EncodedSubtreeCache, RepresentationMemoryPool, ShardedCache, SubtreeState, SubtreeStateCache};
 pub use model::{ModelConfig, PredicateModelKind, RepresentationCellKind, TaskMode, TreeModel};

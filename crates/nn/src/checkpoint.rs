@@ -31,8 +31,8 @@ pub const MAGIC: [u8; 8] = *b"E2ECKPT\0";
 ///   section layout are unchanged; v1 files remain loadable.
 /// * **v3** — adds an optional trailing *quantized-weights* block to the
 ///   tree-estimator section (per-channel symmetric int8 codes + f32 scales
-///   for each 2-D weight matrix, produced at publish time) powering the
-///   tiered inference path.  A presence flag makes the block optional: a
+///   for each 2-D weight matrix) powering the int8 batch inference path.
+///   A presence flag makes the block optional: a
 ///   v3 file without it loads full-precision only.  v1/v2 files remain
 ///   loadable; [`MIN_FORMAT_VERSION`] is unchanged.
 pub const FORMAT_VERSION: u32 = 3;

@@ -274,12 +274,12 @@ impl Graph {
     }
 
     /// Matrix product of a **quantized** weight matrix and a node — the
-    /// int8 tier of tiered inference.  The int8 inner products dequantize
+    /// int8 inference tier.  The int8 inner products dequantize
     /// directly into an ordinary f32 tape node, so everything downstream
     /// (bias add, activations, state extraction) is tier-agnostic.
     ///
-    /// Inference-only: the quantized weights are frozen publish-time
-    /// artifacts with no gradient story.
+    /// Inference-only: the quantized weights are frozen artifacts of the
+    /// trained weights with no gradient story.
     ///
     /// # Panics
     /// Panics on a training-mode graph or on dimension mismatch.
@@ -337,8 +337,8 @@ impl Graph {
     /// weight-quantization error) for the rational-polynomial sweep.
     ///
     /// Deterministic — pure f32 arithmetic, identical on every dispatch
-    /// path — so memoized int8-tier state stays bit-identical to fresh
-    /// int8-tier computation.  Inference-only, like every quantized op.
+    /// path — so int8-tier estimates are reproducible on every host.
+    /// Inference-only, like every quantized op.
     ///
     /// # Panics
     /// Panics on a training-mode graph.

@@ -21,7 +21,7 @@
 //!   Section 4.3 ([`loss`]).
 //! * [`simd`] — runtime-dispatched (AVX2 / scalar) microkernels behind the
 //!   matrix hot loops, and [`quant`] — per-channel symmetric int8 weight
-//!   quantization for the tiered (approximate-first) inference path.
+//!   quantization for the int8 batch inference path.
 
 pub mod cells;
 pub mod checkpoint;

@@ -1,9 +1,9 @@
-//! Per-channel symmetric int8 weight quantization for the tiered
-//! (approximate-first) inference path.
+//! Per-channel symmetric int8 weight quantization for the int8 batch
+//! inference path.
 //!
 //! The estimator's inference cost is dominated by `Linear` matmuls whose
 //! left operand is a trained weight matrix.  Those weights are static after
-//! training, so they can be quantized **once at checkpoint-publish time**:
+//! training, so they can be quantized **once, ahead of inference**:
 //! each output channel (weight-matrix row) gets its own symmetric scale
 //! `s_i = maxabs(row_i) / 127` and the row is stored as `i8` codes
 //! `q = round(v / s_i)`.  Activations are quantized *dynamically* per

@@ -4,8 +4,8 @@
 //! sessions of the same tenant running concurrently, each burst alone
 //! under-fills the blocked matmul kernels.  [`BatchAggregator`] coalesces:
 //! the first session to arrive becomes the *leader*, drains every request
-//! queued at that moment into one `estimate_encoded_batch_memo` call over
-//! the tenant's owned [`ServingEstimator`] handle, and distributes the
+//! queued at that moment into one [`ServingEstimator::estimate_encoded_batch`]
+//! call over the tenant's owned handle, and distributes the
 //! per-request result slices; sessions arriving while a wave is in flight
 //! queue for the next wave.  Identical subtrees across sessions deduplicate
 //! inside the coalesced batch (and against the shared subtree cache), so
@@ -17,10 +17,8 @@
 //! `memoized_inference_is_bit_identical_*` in `estimator_core`), so
 //! coalescing changes only the wall-clock, never a value.
 
-use crate::workers::WorkerPool;
 use estimator_core::ServingEstimator;
 use featurize::EncodedPlan;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -101,17 +99,7 @@ struct AggState {
 pub struct BatchAggregator {
     serving: ServingEstimator,
     state: Mutex<AggState>,
-    /// Two-tier wave mode: when set, each coalesced wave runs the quantized
-    /// first pass over every candidate and re-scores only the `top_k`
-    /// cheapest-looking ones at full precision
-    /// ([`ServingEstimator::estimate_encoded_batch_tiered`]).
-    tiered_top_k: Option<usize>,
-    /// Wave-splitting worker runtime ([`BatchAggregator::with_workers`]):
-    /// a full-precision wave larger than `split_threshold` is chunked
-    /// across the pool instead of running on the leader session's thread.
-    workers: Option<(Arc<WorkerPool>, usize)>,
     waves: AtomicU64,
-    waves_split: AtomicU64,
 }
 
 /// Wave counters for one aggregator (monotonic since construction).
@@ -119,72 +107,18 @@ pub struct BatchAggregator {
 pub struct WaveStats {
     /// Coalesced waves served.
     pub waves: u64,
-    /// Waves split across a [`WorkerPool`] (subset of `waves`).
-    pub waves_split: u64,
 }
 
 impl BatchAggregator {
-    /// An aggregator over one tenant's owned serving handle (full-precision
-    /// waves; results bit-identical to un-coalesced serving).
+    /// An aggregator over one tenant's owned serving handle (results
+    /// bit-identical to un-coalesced serving).
     pub fn new(serving: ServingEstimator) -> Self {
-        BatchAggregator {
-            serving,
-            state: Mutex::new(AggState::default()),
-            tiered_top_k: None,
-            workers: None,
-            waves: AtomicU64::new(0),
-            waves_split: AtomicU64::new(0),
-        }
+        BatchAggregator { serving, state: Mutex::new(AggState::default()), waves: AtomicU64::new(0) }
     }
 
-    /// An aggregator whose waves run the two-tier path: a cheap int8 pass
-    /// over the whole coalesced wave, then a full-precision re-score of the
-    /// `top_k` candidates with the lowest approximate cost.  Escalated
-    /// candidates get f32-tier (bit-exact) estimates; the rest keep their
-    /// quantized estimates — so unlike [`BatchAggregator::new`], values may
-    /// depend on which requests share a wave (the escalation set is ranked
-    /// per wave).  Falls back to full-precision waves when `serving`
-    /// carries no quantized weights.
-    pub fn new_tiered(serving: ServingEstimator, top_k: usize) -> Self {
-        BatchAggregator {
-            serving,
-            state: Mutex::new(AggState::default()),
-            tiered_top_k: Some(top_k),
-            workers: None,
-            waves: AtomicU64::new(0),
-            waves_split: AtomicU64::new(0),
-        }
-    }
-
-    /// Route oversized **full-precision** waves through `pool`: a coalesced
-    /// wave of more than `split_threshold` plans is cut into contiguous
-    /// chunks (at most one per worker, none smaller than the threshold),
-    /// the leader scores the first chunk inline on the shared cache, and
-    /// the rest run on the pool against each executing worker's private
-    /// cache shard — idle workers steal queued chunks, so one giant wave
-    /// spreads across cores instead of serializing behind the leader
-    /// session's thread.
-    ///
-    /// Results stay **bit-identical** to the unsplit wave: the memoized
-    /// batch path is column-independent, so neither the chunk boundaries
-    /// nor which cache a chunk warms can change a served value.  Tiered
-    /// waves are never split — their escalation set is ranked across the
-    /// *whole* wave, so splitting would change which plans get f32-tier
-    /// estimates (see [`BatchAggregator::new_tiered`]).
-    pub fn with_workers(mut self, pool: Arc<WorkerPool>, split_threshold: usize) -> Self {
-        self.workers = Some((pool, split_threshold.max(1)));
-        self
-    }
-
-    /// Wave counters (how many waves this aggregator served, and how many
-    /// of those were split across the worker pool).
+    /// Wave counters (how many waves this aggregator served).
     pub fn wave_stats(&self) -> WaveStats {
-        WaveStats { waves: self.waves.load(Ordering::Relaxed), waves_split: self.waves_split.load(Ordering::Relaxed) }
-    }
-
-    /// The per-wave escalation budget, when this aggregator is tiered.
-    pub fn tiered_top_k(&self) -> Option<usize> {
-        self.tiered_top_k
+        WaveStats { waves: self.waves.load(Ordering::Relaxed) }
     }
 
     /// The underlying owned serving handle (hit-rate reporting, direct
@@ -239,7 +173,8 @@ impl BatchAggregator {
                     std::mem::take(&mut st.pending)
                 };
                 let refs: Vec<&EncodedPlan> = guard.wave.iter().flat_map(|r| r.plans.as_slice()).collect();
-                let results = self.serve_wave(&refs);
+                self.waves.fetch_add(1, Ordering::Relaxed);
+                let results = self.serving.estimate_encoded_batch(&refs);
                 let mut offset = 0;
                 for req in guard.wave.drain(..) {
                     let n = req.plans.len;
@@ -250,120 +185,6 @@ impl BatchAggregator {
             guard.armed = false;
         }
         slot.wait_take()
-    }
-
-    /// Serve one coalesced wave: tiered when configured, split across the
-    /// worker pool when one is attached and the wave is full-precision and
-    /// oversized, inline on the leader's thread otherwise.
-    fn serve_wave(&self, refs: &[&EncodedPlan]) -> Vec<(f64, f64)> {
-        self.waves.fetch_add(1, Ordering::Relaxed);
-        if let Some(top_k) = self.tiered_top_k {
-            return self.serving.estimate_encoded_batch_tiered(refs, top_k);
-        }
-        match &self.workers {
-            Some((pool, threshold)) if refs.len() > *threshold => {
-                self.waves_split.fetch_add(1, Ordering::Relaxed);
-                self.serve_wave_split(pool, *threshold, refs)
-            }
-            _ => self.serving.estimate_encoded_batch(refs),
-        }
-    }
-
-    /// Split one oversized full-precision wave into contiguous chunks and
-    /// fan it out: chunk 0 runs inline on the leader (shared cache), the
-    /// rest on the pool (each worker's own shard).  Blocks until **every**
-    /// chunk has reported — also on failure, so no in-flight job can
-    /// outlive the wave's borrowed plan slices — then re-panics on the
-    /// leader thread if any chunk panicked (LeaderGuard unblocks the
-    /// parked sessions).
-    fn serve_wave_split(&self, pool: &Arc<WorkerPool>, threshold: usize, refs: &[&EncodedPlan]) -> Vec<(f64, f64)> {
-        let n_chunks = pool.len().min(refs.len().div_ceil(threshold)).max(1);
-        let per_chunk = refs.len().div_ceil(n_chunks);
-        let chunks: Vec<&[&EncodedPlan]> = refs.chunks(per_chunk).collect();
-        let collector = Arc::new(ChunkCollector::new(chunks.len()));
-        for (i, chunk) in chunks.iter().enumerate().skip(1) {
-            let job_refs = ChunkRefs::capture(chunk);
-            let serving = self.serving.clone();
-            let collector = Arc::clone(&collector);
-            pool.submit(Box::new(move |ctx| {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    // Safety: the leader below blocks in `wait_all` until
-                    // this chunk posts, and every parked session keeps its
-                    // plan slice alive until the leader delivers — so the
-                    // captured borrows outlive this job.
-                    let refs = unsafe { job_refs.as_refs() };
-                    serving.estimate_encoded_batch_with_cache(&refs, ctx.cache())
-                }));
-                collector.post(i, result.ok());
-            }));
-        }
-        let first = catch_unwind(AssertUnwindSafe(|| self.serving.estimate_encoded_batch(chunks[0])));
-        collector.post(0, first.ok());
-        collector.wait_all()
-    }
-}
-
-/// Borrowed per-chunk plan refs smuggled onto a pool worker — the split
-/// wave's counterpart of [`PlanSlice`], with the same lifetime argument:
-/// the leader cannot return (or unwind) out of the wave before every chunk
-/// has posted, and the requesting sessions cannot free the plans before
-/// the leader delivers their slots.
-struct ChunkRefs(Vec<*const EncodedPlan>);
-
-unsafe impl Send for ChunkRefs {}
-
-impl ChunkRefs {
-    fn capture(refs: &[&EncodedPlan]) -> Self {
-        ChunkRefs(refs.iter().map(|&r| r as *const EncodedPlan).collect())
-    }
-
-    /// # Safety
-    /// Caller must guarantee the captured plans are still alive (see the
-    /// type-level invariant).
-    unsafe fn as_refs(&self) -> Vec<&EncodedPlan> {
-        self.0.iter().map(|&p| &*p).collect()
-    }
-}
-
-/// Rendezvous for a split wave's chunk results, in chunk order.  `None`
-/// marks a panicked chunk; [`ChunkCollector::wait_all`] still waits for
-/// every post before re-panicking, so no job can be left running against
-/// plan memory the wave no longer pins.
-struct ChunkCollector {
-    slots: Mutex<ChunkSlots>,
-    cv: Condvar,
-}
-
-struct ChunkSlots {
-    results: Vec<Option<Vec<(f64, f64)>>>,
-    posted: usize,
-    failed: bool,
-}
-
-impl ChunkCollector {
-    fn new(n_chunks: usize) -> Self {
-        ChunkCollector {
-            slots: Mutex::new(ChunkSlots { results: (0..n_chunks).map(|_| None).collect(), posted: 0, failed: false }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn post(&self, index: usize, result: Option<Vec<(f64, f64)>>) {
-        let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        slots.failed |= result.is_none();
-        slots.results[index] = result;
-        slots.posted += 1;
-        drop(slots);
-        self.cv.notify_all();
-    }
-
-    fn wait_all(&self) -> Vec<(f64, f64)> {
-        let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        while slots.posted < slots.results.len() {
-            slots = self.cv.wait(slots).unwrap_or_else(|e| e.into_inner());
-        }
-        assert!(!slots.failed, "a split-wave chunk panicked while serving");
-        slots.results.iter_mut().flat_map(|r| r.take().expect("all chunks posted Ready")).collect()
     }
 }
 
@@ -402,7 +223,7 @@ mod tests {
     use query::{CompareOp, JoinPredicate, Operand, PhysicalOp, PlanNode, Predicate};
     use strembed::HashBitmapEncoder;
 
-    fn fitted_estimator() -> (CostEstimator, Vec<EncodedPlan>) {
+    fn fitted_estimator() -> (CostEstimator, Vec<EncodedPlan>, Arc<imdb::Database>, Vec<PlanNode>) {
         let db = Arc::new(generate_imdb(GeneratorConfig::tiny()));
         let cfg = EncodingConfig::from_database(&db, 8, 32);
         let fx = FeatureExtractor::new(db.clone(), cfg, Arc::new(HashBitmapEncoder::new(8)));
@@ -436,12 +257,12 @@ mod tests {
             .collect();
         est.fit(&plans);
         let encoded: Vec<EncodedPlan> = plans.iter().map(|p| est.encode(p)).collect();
-        (est, encoded)
+        (est, encoded, db, plans)
     }
 
     #[test]
     fn aggregated_results_are_bit_identical_to_direct() {
-        let (est, encoded) = fitted_estimator();
+        let (est, encoded, ..) = fitted_estimator();
         let direct = est.estimate_encoded_batch_memo(&encoded);
         let agg = BatchAggregator::new(est.serving());
         let coalesced = agg.estimate(&encoded);
@@ -451,103 +272,32 @@ mod tests {
     }
 
     #[test]
-    fn tiered_aggregator_waves_match_the_tiered_serving_path() {
-        let (mut est, encoded) = fitted_estimator();
-        assert!(est.ensure_quantized(), "test model must quantize at least one matrix");
-        let top_k = 5;
-        let refs: Vec<&EncodedPlan> = encoded.iter().collect();
-        let direct = est.serving().estimate_encoded_batch_tiered(&refs, top_k);
-        let agg = BatchAggregator::new_tiered(est.serving(), top_k);
-        assert_eq!(agg.tiered_top_k(), Some(top_k));
-        let coalesced = agg.estimate(&encoded);
-        let bits = |v: &[(f64, f64)]| v.iter().map(|(c, k)| (c.to_bits(), k.to_bits())).collect::<Vec<_>>();
-        assert_eq!(bits(&coalesced), bits(&direct));
-        // The escalated candidates carry full-precision bits: at least
-        // `top_k` entries agree exactly with the all-f32 memoized path.
-        let full = est.estimate_encoded_batch_memo(&encoded);
-        let n_exact = coalesced
-            .iter()
-            .zip(&full)
-            .filter(|(a, b)| a.0.to_bits() == b.0.to_bits() && a.1.to_bits() == b.1.to_bits())
-            .count();
-        assert!(n_exact >= top_k, "only {n_exact} of {} entries match full precision, expected >= {top_k}", full.len());
-        assert!(n_exact < full.len(), "quantized tier produced full-precision bits everywhere; tiering is vacuous");
-    }
-
-    #[test]
-    fn split_waves_are_bit_identical_to_unsplit_and_counted() {
-        let (est, encoded) = fitted_estimator();
-        let direct = est.estimate_encoded_batch_memo(&encoded);
-        let pool = Arc::new(WorkerPool::new(4));
-        // threshold 4 over 24 plans: every wave splits into 24/4-capped-at-4
-        // pool-sized chunks.
-        let agg = BatchAggregator::new(est.serving()).with_workers(Arc::clone(&pool), 4);
-        let bits = |v: &[(f64, f64)]| v.iter().map(|(c, k)| (c.to_bits(), k.to_bits())).collect::<Vec<_>>();
-        for _ in 0..3 {
-            let coalesced = agg.estimate(&encoded);
-            assert_eq!(bits(&coalesced), bits(&direct), "split wave changed served bits");
-        }
-        let waves = agg.wave_stats();
-        assert_eq!(waves.waves, 3);
-        assert_eq!(waves.waves_split, 3, "every oversized full-precision wave must split");
-        let workers = pool.stats();
-        assert!(workers.executed >= 3, "split chunks must actually run on the pool");
-        // A wave at or under the threshold stays on the leader's thread.
-        let small = agg.estimate(&encoded[..3]);
-        assert_eq!(bits(&small), bits(&direct[..3]));
-        assert_eq!(agg.wave_stats(), WaveStats { waves: 4, waves_split: 3 });
-    }
-
-    #[test]
-    fn tiered_waves_never_split() {
-        let (mut est, encoded) = fitted_estimator();
-        assert!(est.ensure_quantized(), "test model must quantize at least one matrix");
-        let top_k = 5;
-        let refs: Vec<&EncodedPlan> = encoded.iter().collect();
-        let direct = est.serving().estimate_encoded_batch_tiered(&refs, top_k);
-        let pool = Arc::new(WorkerPool::new(4));
-        let agg = BatchAggregator::new_tiered(est.serving(), top_k).with_workers(Arc::clone(&pool), 4);
-        let coalesced = agg.estimate(&encoded);
-        let bits = |v: &[(f64, f64)]| v.iter().map(|(c, k)| (c.to_bits(), k.to_bits())).collect::<Vec<_>>();
-        assert_eq!(bits(&coalesced), bits(&direct));
-        assert_eq!(
-            agg.wave_stats(),
-            WaveStats { waves: 1, waves_split: 0 },
-            "a tiered wave ranks its escalation set over the whole wave and must not split"
+    fn a_panicking_wave_releases_leadership() {
+        let (est, encoded, db, plans) = fitted_estimator();
+        // The model was fitted on 32 sample bits; plans encoded with 64 make
+        // the first level's embedding panic, as long as the cache is cold
+        // (a warm cache would serve their signatures without embedding).
+        let wide = FeatureExtractor::new(
+            db.clone(),
+            EncodingConfig::from_database(&db, 8, 64),
+            Arc::new(HashBitmapEncoder::new(8)),
         );
-        assert_eq!(pool.stats().executed, 0, "no tiered chunk may reach the pool");
-    }
-
-    #[test]
-    fn concurrent_sessions_coalesce_through_a_worker_pool() {
-        let (est, encoded) = fitted_estimator();
-        let expected = est.estimate_encoded_batch_memo(&encoded);
-        let pool = Arc::new(WorkerPool::new(2));
-        let agg = Arc::new(BatchAggregator::new(est.serving()).with_workers(pool, 2));
-        std::thread::scope(|scope| {
-            for session in 0..8usize {
-                let agg = Arc::clone(&agg);
-                let encoded = &encoded;
-                let expected = &expected;
-                scope.spawn(move || {
-                    let lo = session * 3;
-                    let hi = lo + 3;
-                    for _ in 0..10 {
-                        let got = agg.estimate(&encoded[lo..hi]);
-                        for (g, e) in got.iter().zip(&expected[lo..hi]) {
-                            assert_eq!(g.0.to_bits(), e.0.to_bits(), "session {session} got wrong bits via the pool");
-                            assert_eq!(g.1.to_bits(), e.1.to_bits());
-                        }
-                    }
-                });
-            }
-        });
-        assert!(agg.wave_stats().waves >= 1);
+        let malformed: Vec<EncodedPlan> = plans.iter().map(|p| wide.encode_plan(p)).collect();
+        let agg = BatchAggregator::new(est.serving());
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| agg.estimate(&malformed)));
+        assert!(failed.is_err(), "a wave of mis-encoded plans must panic on a cold cache");
+        // Leadership was released: the next wave is served instead of
+        // parking behind a leader that no longer exists.
+        let served = agg.estimate(&encoded);
+        let direct = est.estimate_encoded_batch_memo(&encoded);
+        let bits = |v: &[(f64, f64)]| v.iter().map(|(c, k)| (c.to_bits(), k.to_bits())).collect::<Vec<_>>();
+        assert_eq!(bits(&served), bits(&direct));
+        assert_eq!(agg.wave_stats().waves, 2);
     }
 
     #[test]
     fn concurrent_sessions_coalesce_and_each_gets_its_own_slice() {
-        let (est, encoded) = fitted_estimator();
+        let (est, encoded, ..) = fitted_estimator();
         let expected = est.estimate_encoded_batch_memo(&encoded);
         let agg = Arc::new(BatchAggregator::new(est.serving()));
         // 8 sessions, each repeatedly requesting a distinct window of the

@@ -1,7 +1,7 @@
 //! The hot-swappable model catalog and tenant-scoped sessions.
 
 use crate::aggregate::BatchAggregator;
-use crate::feedback::{FeedbackConfig, ServedTier, TenantFeedback};
+use crate::feedback::{FeedbackConfig, TenantFeedback};
 use estimator_core::{CheckpointError, CostEstimator, Estimator, PlanEstimate};
 use featurize::EncodedPlan;
 use parking_lot::RwLock;
@@ -45,46 +45,25 @@ impl TenantBackend {
     }
 }
 
-/// Per-wave full-precision escalation budget of the tiered aggregator built
-/// at publish time: each coalesced wave re-scores this many of its
-/// cheapest-looking candidates at full precision.
-pub const DEFAULT_TIERED_TOP_K: usize = 8;
-
 /// One immutable published model: the backend, its generation number and —
-/// for tree backends — the cross-session batch aggregators over owned
-/// serving handles (the bit-exact full-precision one, plus the two-tier
-/// int8-first one when the model carries quantized weights).  Sessions pin
-/// an `Arc<TenantModel>` per call; a hot-swap replaces the tenant's slot
-/// with a new `TenantModel` and never mutates this one, so an in-flight
-/// batch completes on exactly the weights and caches it started with.
+/// for fitted tree backends — the cross-session batch aggregator over an
+/// owned serving handle.  Sessions pin an `Arc<TenantModel>` per call; a
+/// hot-swap replaces the tenant's slot with a new `TenantModel` and never
+/// mutates this one, so an in-flight batch completes on exactly the weights
+/// and caches it started with.
 pub struct TenantModel {
     backend: TenantBackend,
     generation: u64,
     aggregator: Option<BatchAggregator>,
-    tiered_aggregator: Option<BatchAggregator>,
 }
 
 impl TenantModel {
-    fn new(mut backend: TenantBackend, generation: u64) -> Self {
-        // Publish quantizes on install: a fitted tree backend derives its
-        // per-channel int8 weights here (a no-op when a v3 checkpoint
-        // already restored them), so every published tree model offers the
-        // tiered path without touching the bit-exact f32 one.
-        if let TenantBackend::Tree(est) = &mut backend {
-            if est.is_fitted() {
-                est.ensure_quantized();
-            }
-        }
-        let (aggregator, tiered_aggregator) = match &backend {
-            TenantBackend::Tree(est) if est.is_fitted() => {
-                let tiered = est
-                    .has_quantized_weights()
-                    .then(|| BatchAggregator::new_tiered(est.serving(), DEFAULT_TIERED_TOP_K));
-                (Some(BatchAggregator::new(est.serving())), tiered)
-            }
-            _ => (None, None),
+    fn new(backend: TenantBackend, generation: u64) -> Self {
+        let aggregator = match &backend {
+            TenantBackend::Tree(est) if est.is_fitted() => Some(BatchAggregator::new(est.serving())),
+            _ => None,
         };
-        TenantModel { backend, generation, aggregator, tiered_aggregator }
+        TenantModel { backend, generation, aggregator }
     }
 
     /// The generic estimator view of this model.
@@ -101,16 +80,9 @@ impl TenantModel {
         }
     }
 
-    /// The cross-session batch aggregator (tree backends only).
+    /// The cross-session batch aggregator (fitted tree backends only).
     pub fn aggregator(&self) -> Option<&BatchAggregator> {
         self.aggregator.as_ref()
-    }
-
-    /// The two-tier batch aggregator (tree backends with quantized weights
-    /// only): int8 first pass per wave, full-precision re-score of the
-    /// [`DEFAULT_TIERED_TOP_K`] cheapest-looking candidates.
-    pub fn tiered_aggregator(&self) -> Option<&BatchAggregator> {
-        self.tiered_aggregator.as_ref()
     }
 
     /// Monotonic per-tenant generation of this model (bumped by every
@@ -254,8 +226,8 @@ impl ModelCatalog {
     }
 
     /// Switch on serving-time feedback capture for a tenant (creating the
-    /// tenant if needed): sessions start recording `(signature, estimate,
-    /// tier)` into a bounded [`crate::FeedbackLog`] and registering encoded
+    /// tenant if needed): sessions start recording `(signature, estimate)`
+    /// into a bounded [`crate::FeedbackLog`] and registering encoded
     /// plans in a bounded [`crate::PlanRegistry`].  Returns the capture
     /// state, typically handed to a [`crate::RefreshController`].  Calling
     /// again replaces the state with a fresh (empty) one.
@@ -305,15 +277,20 @@ impl Session {
     }
 
     /// Estimate physical plans through the pinned model's generic trait
-    /// path.  `None` when the tenant has no published model.
+    /// path.  `None` when the tenant has no published model or serves an
+    /// unfitted tree model.
     pub fn estimate_plans(&self, plans: &[PlanNode]) -> Option<Vec<PlanEstimate>> {
-        self.model().map(|m| m.estimator().estimate_many(plans))
+        let model = self.model()?;
+        if model.tree().is_some_and(|est| !est.is_fitted()) {
+            return None;
+        }
+        Some(model.estimator().estimate_many(plans))
     }
 
     /// Tree-backend fast path: estimate already-encoded plans through the
     /// tenant's cross-session batch aggregator (coalescing with concurrent
     /// sessions of this tenant).  `None` when no model is published or the
-    /// backend is not the tree estimator.
+    /// backend is not a fitted tree estimator.
     ///
     /// Encoded plans are tied to the feature vocabulary they were encoded
     /// under; across a hot-swap of a model with the *same* vocabulary
@@ -322,26 +299,7 @@ impl Session {
     pub fn estimate_encoded(&self, plans: &[EncodedPlan]) -> Option<Vec<(f64, f64)>> {
         let model = self.model()?;
         let estimates = model.aggregator()?.estimate(plans);
-        self.capture(plans, &estimates, ServedTier::Full);
-        Some(estimates)
-    }
-
-    /// Two-tier fast path: like [`Session::estimate_encoded`], but waves run
-    /// the quantized model over every candidate and escalate only the
-    /// [`DEFAULT_TIERED_TOP_K`] cheapest-looking ones per wave to full
-    /// precision.  Escalated plans get estimates bit-identical to the
-    /// full-precision path; the rest keep their int8-tier approximations.
-    /// Falls back to the full-precision aggregator when the published model
-    /// carries no quantized weights; `None` when no model is published or
-    /// the backend is not the tree estimator.
-    pub fn estimate_encoded_tiered(&self, plans: &[EncodedPlan]) -> Option<Vec<(f64, f64)>> {
-        let model = self.model()?;
-        let (aggregator, tier) = match model.tiered_aggregator() {
-            Some(agg) => (agg, ServedTier::Tiered),
-            None => (model.aggregator()?, ServedTier::Full),
-        };
-        let estimates = aggregator.estimate(plans);
-        self.capture(plans, &estimates, tier);
+        self.capture(plans, &estimates);
         Some(estimates)
     }
 
@@ -380,9 +338,9 @@ impl Session {
     /// Record a served batch into the tenant's feedback log, when capture is
     /// enabled.  One uncontended `RwLock` read per batch on the hot path;
     /// the log pushes themselves are sharded ring-buffer appends.
-    fn capture(&self, plans: &[EncodedPlan], estimates: &[(f64, f64)], tier: ServedTier) {
+    fn capture(&self, plans: &[EncodedPlan], estimates: &[(f64, f64)]) {
         if let Some(feedback) = self.tenant.feedback.read().as_ref() {
-            feedback.log().record_batch(plans.iter().map(|p| &p.signature).zip(estimates.iter()), tier);
+            feedback.log().record_batch(plans.iter().map(|p| &p.signature).zip(estimates.iter()));
         }
     }
 }
@@ -623,43 +581,16 @@ mod tests {
     }
 
     #[test]
-    fn publish_quantizes_on_install_and_sessions_opt_into_the_tiered_path() {
+    fn an_unfitted_tree_tenant_serves_none() {
         let db = Arc::new(generate_imdb(GeneratorConfig::tiny()));
-        let plans = executed_plans(&db, 16);
-        let mut a = make_estimator(&db, 1);
-        a.fit(&plans);
-        assert!(!a.has_quantized_weights(), "freshly fitted estimator must not be quantized yet");
-        let encoded: Vec<EncodedPlan> = plans.iter().map(|p| a.encode(p)).collect();
-        let want_full = a.estimate_encoded_batch_memo(&encoded);
-
+        let plans = executed_plans(&db, 4);
+        let unfitted = make_estimator(&db, 1);
+        let encoded: Vec<EncodedPlan> = plans.iter().map(|p| unfitted.encode(p)).collect();
         let catalog = ModelCatalog::new();
-        catalog.publish("m", TenantBackend::tree(a));
-        let model = catalog.current("m").expect("published");
-        assert!(model.tree().expect("tree").has_quantized_weights(), "publish must quantize fitted tree backends");
-        let tiered = model.tiered_aggregator().expect("quantized model must offer the tiered aggregator");
-        assert_eq!(tiered.tiered_top_k(), Some(DEFAULT_TIERED_TOP_K));
-
+        catalog.publish("m", TenantBackend::tree(unfitted));
         let s = catalog.session("m").expect("m");
-        // The bit-exact path is untouched by publish-time quantization.
-        let full = s.estimate_encoded(&encoded).expect("full");
-        let bits = |v: &[(f64, f64)]| v.iter().map(|(c, k)| (c.to_bits(), k.to_bits())).collect::<Vec<_>>();
-        assert_eq!(bits(&full), bits(&want_full));
-        // The tiered path escalates DEFAULT_TIERED_TOP_K candidates to
-        // full-precision bits and keeps int8 estimates for the rest.
-        let tiered_out = s.estimate_encoded_tiered(&encoded).expect("tiered");
-        assert_eq!(tiered_out.len(), encoded.len());
-        let n_exact = tiered_out
-            .iter()
-            .zip(&want_full)
-            .filter(|(a, b)| a.0.to_bits() == b.0.to_bits() && a.1.to_bits() == b.1.to_bits())
-            .count();
-        assert!(n_exact >= DEFAULT_TIERED_TOP_K, "tiered wave escalated only {n_exact} candidates");
-        assert!(n_exact < encoded.len(), "tiered wave returned full-precision bits everywhere");
-        // Approximations stay close: the int8 tier tracks f32 in log space.
-        for ((tc, tk), (fc, fk)) in tiered_out.iter().zip(&want_full) {
-            assert!((tc.ln() - fc.ln()).abs() < 0.5, "tiered cost {tc} diverged from {fc}");
-            assert!((tk.ln() - fk.ln()).abs() < 0.5, "tiered card {tk} diverged from {fk}");
-        }
+        assert!(s.estimate_encoded(&encoded).is_none());
+        assert!(s.estimate_plans(&plans).is_none());
     }
 
     #[test]
@@ -675,7 +606,6 @@ mod tests {
         // No tree fast path on a dyn backend.
         assert!(s.encode(&plans[0]).is_none());
         assert!(s.estimate_encoded(&[]).is_none());
-        assert!(s.estimate_encoded_tiered(&[]).is_none());
         assert!(catalog.remove("pg"));
         assert!(catalog.session("pg").is_none());
     }

@@ -2,7 +2,7 @@
 //!
 //! The first stage of the online learning loop.  Every estimate a tenant
 //! serves is a *free training signal waiting for a label*: if we remember
-//! `(plan signature, estimate, tier)` at serving time, a background policy
+//! `(plan signature, estimate)` at serving time, a background policy
 //! can later execute a sampled subset through `engine::ExecMode::Count`,
 //! compare truth against the recorded estimate, and decide whether the
 //! model has drifted.
@@ -33,15 +33,6 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Which serving tier produced the recorded estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServedTier {
-    /// The bit-exact f32 aggregator path.
-    Full,
-    /// The int8-first tiered path (estimates may be tier approximations).
-    Tiered,
-}
-
 /// One served estimate, as remembered by the [`FeedbackLog`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeedbackRecord {
@@ -52,8 +43,6 @@ pub struct FeedbackRecord {
     pub cost: f64,
     /// Estimated cardinality at serving time.
     pub cardinality: f64,
-    /// Which tier served it.
-    pub tier: ServedTier,
 }
 
 /// Number of independently-locked shards.  Requests hash across shards by
@@ -119,12 +108,12 @@ impl FeedbackLog {
     /// the batch costs at most one lock per *shard* (not per record) and two
     /// counter updates total — the difference between ~1% and ~10% overhead
     /// when the serving path is all cache hits.
-    pub fn record_batch<'a>(&self, estimates: impl IntoIterator<Item = (&'a u64, &'a (f64, f64))>, tier: ServedTier) {
+    pub fn record_batch<'a>(&self, estimates: impl IntoIterator<Item = (&'a u64, &'a (f64, f64))>) {
         let mut grouped: [Vec<FeedbackRecord>; LOG_SHARDS] = Default::default();
         let mut total = 0u64;
         for (&signature, &(cost, cardinality)) in estimates {
             let idx = ((signature >> 32) ^ signature) as usize & (LOG_SHARDS - 1);
-            grouped[idx].push(FeedbackRecord { signature, cost, cardinality, tier });
+            grouped[idx].push(FeedbackRecord { signature, cost, cardinality });
             total += 1;
         }
         let mut overwritten = 0u64;
@@ -318,18 +307,17 @@ mod tests {
     use query::PhysicalOp;
 
     fn record(signature: u64) -> FeedbackRecord {
-        FeedbackRecord { signature, cost: 10.0, cardinality: 20.0, tier: ServedTier::Full }
+        FeedbackRecord { signature, cost: 10.0, cardinality: 20.0 }
     }
 
     #[test]
     fn log_round_trips_records() {
         let log = FeedbackLog::new(64);
-        log.record(FeedbackRecord { signature: 7, cost: 1.5, cardinality: 2.5, tier: ServedTier::Tiered });
+        log.record(FeedbackRecord { signature: 7, cost: 1.5, cardinality: 2.5 });
         assert_eq!(log.len(), 1);
         let drained = log.drain();
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].signature, 7);
-        assert_eq!(drained[0].tier, ServedTier::Tiered);
         assert!(log.is_empty(), "drain must empty the log");
         assert_eq!(log.total_recorded(), 1);
     }

@@ -20,15 +20,9 @@
 //! * [`BatchAggregator`] — the admission layer: estimate requests arriving
 //!   concurrently from sessions of the **same** tenant are coalesced into
 //!   one level-batched, subtree-memoized inference call
-//!   (`estimate_encoded_batch_memo`), amortizing the blocked matmuls
-//!   across sessions exactly like PR 1/PR 3 amortized them within one.
-//! * [`WorkerPool`] — the execution layer under the aggregator: a pinned
-//!   thread-per-core pool with per-worker [`estimator_core::SubtreeStateCache`]
-//!   shards and sibling work stealing.  An aggregator built
-//!   [`BatchAggregator::with_workers`] splits each oversized full-precision
-//!   wave across the pool instead of serializing it behind the leader
-//!   session's thread; results stay bit-identical because the memoized
-//!   batch path is column-independent.
+//!   ([`estimator_core::ServingEstimator::estimate_encoded_batch`]),
+//!   amortizing the blocked matmuls across sessions the way level batching
+//!   amortizes them within one.
 //!
 //! Ownership is the load-bearing design: `CostEstimator::serving()` hands
 //! out an *owned* `ServingEstimator` (model + cache behind `Arc`s), so a
@@ -38,7 +32,7 @@
 //!
 //! On top of the frozen-model runtime sits the **online learning loop**
 //! (PR 7): [`ModelCatalog::enable_feedback`] makes a tenant's sessions
-//! record `(plan signature, estimate, tier)` into a bounded, sharded
+//! record `(plan signature, estimate)` into a bounded, sharded
 //! [`FeedbackLog`] and remember encoded plans in a bounded
 //! [`PlanRegistry`]; a [`RefreshController`], ticked from a background
 //! thread, executes a sampled subset for exact ground truth
@@ -51,10 +45,8 @@ mod aggregate;
 mod catalog;
 mod feedback;
 mod refresh;
-mod workers;
 
 pub use aggregate::{BatchAggregator, WaveStats};
-pub use catalog::{BackendFactory, ModelCatalog, Session, TenantBackend, TenantModel, DEFAULT_TIERED_TOP_K};
-pub use feedback::{FeedbackConfig, FeedbackLog, FeedbackRecord, PlanRegistry, ServedTier, TenantFeedback};
+pub use catalog::{BackendFactory, ModelCatalog, Session, TenantBackend, TenantModel};
+pub use feedback::{FeedbackConfig, FeedbackLog, FeedbackRecord, PlanRegistry, TenantFeedback};
 pub use refresh::{RefreshConfig, RefreshController, RefreshOutcome};
-pub use workers::{Job, WorkerContext, WorkerPool, WorkerStats};

@@ -25,8 +25,8 @@
 //!    [`crate::ModelCatalog::install_checkpoint`].
 //!
 //! The republish is the catalog's ordinary atomic hot-swap: in-flight
-//! batches finish on the old weights, the new model is re-quantized on
-//! publish, and sessions observe the new generation at their next call.
+//! batches finish on the old weights and sessions observe the new
+//! generation at their next call.
 
 use crate::catalog::ModelCatalog;
 use crate::feedback::{FeedbackRecord, TenantFeedback};

@@ -148,10 +148,13 @@ fn closed_loop_recovers_from_drift_while_frozen_baseline_degrades() {
 
     // Zero-downtime semantics: a model pinned before a publish keeps serving
     // its own weights (checked against the frozen twin, which shares them).
-    // The republished model serves the quant/tiered path like any other.
+    // The republished model was installed from a v3 checkpoint, so it
+    // carries the int8 weights like any other.
     let published = catalog.current("loop").expect("published");
-    assert!(published.tree().expect("tree").has_quantized_weights(), "republish must re-quantize");
-    assert!(published.tiered_aggregator().is_some(), "republished model must offer the tiered path");
+    assert!(
+        published.tree().expect("tree").has_quantized_weights(),
+        "the republished v3 checkpoint must carry the int8 weights"
+    );
 
     // The fine-tuned checkpoint round-trips v3 with both tiers bit-identical
     // to what the catalog is serving.

@@ -62,7 +62,7 @@ pub mod prelude {
     pub use query::{CompareOp, JoinPredicate, LogicalQuery, Operand, PhysicalOp, PlanNode, Predicate};
     pub use serving::{
         BatchAggregator, FeedbackConfig, FeedbackLog, ModelCatalog, PlanRegistry, RefreshConfig, RefreshController,
-        RefreshOutcome, ServedTier, Session, TenantBackend, TenantFeedback,
+        RefreshOutcome, Session, TenantBackend, TenantFeedback,
     };
     pub use strembed::{build_string_encoder, EmbedderConfig, HashBitmapEncoder, StringEncoding};
     pub use workloads::{

@@ -184,8 +184,7 @@ fn v3_golden_checkpoint_restores_both_precision_tiers_bit_identically() {
         assert_estimate_pinned(card, card_bits, "v3 checkpoint no longer serves its recorded f32 cardinality");
     }
     let encoded: Vec<_> = plans.iter().map(|p| est.encode(p)).collect();
-    let refs: Vec<_> = encoded.iter().collect();
-    let quant = est.serving().estimate_encoded_batch_quant(&refs);
+    let quant = est.estimate_encoded_batch_quant(&encoded);
     for ((cost, card), &(cost_bits, card_bits)) in quant.iter().zip(GOLDEN_TREE_V3_QUANT_BITS.iter()) {
         assert_eq!(cost.to_bits(), cost_bits, "v3 checkpoint no longer serves its recorded int8-tier cost");
         assert_eq!(card.to_bits(), card_bits, "v3 checkpoint no longer serves its recorded int8-tier cardinality");
@@ -232,8 +231,7 @@ fn generate_v3_golden_fixture() {
         println!("f32   (0x{:016x}, 0x{:016x})", cost.to_bits(), card.to_bits());
     }
     let encoded: Vec<_> = probe.iter().map(|p| loaded.encode(p)).collect();
-    let refs: Vec<_> = encoded.iter().collect();
-    for (cost, card) in loaded.serving().estimate_encoded_batch_quant(&refs) {
+    for (cost, card) in loaded.estimate_encoded_batch_quant(&encoded) {
         println!("quant (0x{:016x}, 0x{:016x})", cost.to_bits(), card.to_bits());
     }
 }
