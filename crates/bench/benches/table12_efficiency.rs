@@ -8,19 +8,17 @@
 //! path plus the headline speed-ups:
 //!
 //! * `batch_vs_per_node` — level-batched vs. one-plan-at-a-time inference
-//!   (the paper's Table-12 comparison), and
-//! * `batch_vs_reference` — the optimized batched path vs. the
-//!   pre-optimization batched implementation kept in
-//!   `estimator_core::batch::reference` (the regression guard for this
-//!   repo's perf work).
+//!   (the paper's Table-12 comparison), both on the inference tape, and
+//! * `q8_vs_batch` — the int8 batch vs. the f32 batch, with the mean
+//!   q-error shift the int8 weights cost.
 //!
 //! The harness runs at full database scale by default (`E2E_SCALE=1`):
 //! ground truth goes through the counting executor, which never
 //! materializes join tuples, so skewed star joins no longer force a scale
 //! cap.  With `E2E_CHECK` set, the harness additionally asserts the
-//! regression floors (`batch_vs_per_node >= 5`, `batch_vs_reference >= 2`)
-//! and exits non-zero when they are violated — the mode CI's full-scale
-//! smoke job runs in.
+//! regression floors (`batch_vs_per_node >= 5`, `q8_vs_batch >= 1` with a
+//! q-error shift <= 10%) and exits non-zero when they are violated — the
+//! mode CI's full-scale smoke job runs in.
 
 use bench::{time_reps, Pipeline};
 use estimator_core::{PredicateModelKind, RepresentationCellKind, TaskMode};
@@ -105,17 +103,14 @@ fn main() {
     );
     report(&mut rows, "MSCNBatch", secs, n);
 
-    // Tree models: TLSTM and TPool — four paths each.  The `*Ref` rows
-    // re-create the pre-optimization behavior (seed-compat tape: eager
-    // gradient allocation, a parameter copy per layer application) so the
-    // speed-ups measure this PR's work, not just batching:
-    //   <label>Ref      naive per-node path, as it shipped in the seed
-    //   <label>         optimized per-node path (inference tape)
-    //   <label>BatchRef pre-optimization level-batched path
-    //   <label>Batch    optimized level-batched path
+    // Tree models: TLSTM and TPool — three paths each, all returning the
+    // same f32 bits except the int8 row:
+    //   <label>         per-node recursion, one plan at a time
+    //   <label>Batch    level-batched forward
+    //   <label>BatchQ8  level-batched forward over int8 weights
     let truths: Vec<f64> = suite.test.iter().map(|s| s.true_cardinality()).collect();
     let mut speedups = String::new();
-    let mut floor_checks: Vec<(String, f64, f64)> = Vec::new();
+    let mut floor_checks: Vec<(String, f64)> = Vec::new();
     let mut q8_checks: Vec<(String, f64, f64)> = Vec::new();
     for (label, predicate) in [("TLSTM", PredicateModelKind::TreeLstm), ("TPool", PredicateModelKind::MinMaxPool)] {
         let (mut est, test_encoded) = pipeline.train_tree_model(
@@ -126,16 +121,6 @@ fn main() {
             Some(StringEncoding::EmbedRule),
             true,
         );
-        let per_node_ref = time_reps(
-            reps,
-            || (),
-            || {
-                for plan in &test_encoded {
-                    est.estimate_encoded_reference(plan);
-                }
-            },
-        );
-        report(&mut rows, &format!("{label}Ref"), per_node_ref, n);
         let per_node = time_reps(
             reps,
             || (),
@@ -146,14 +131,6 @@ fn main() {
             },
         );
         report(&mut rows, label, per_node, n);
-        let reference = time_reps(
-            reps,
-            || (),
-            || {
-                est.estimate_encoded_batch_reference(&test_encoded);
-            },
-        );
-        report(&mut rows, &format!("{label}BatchRef"), reference, n);
         let batched = time_reps(
             reps,
             || (),
@@ -190,15 +167,10 @@ fn main() {
         let qerr_q8 = mean_qerr(&est.estimate_encoded_batch_quant(&test_encoded));
         let qerr_shift = (qerr_q8 - qerr_f32) / qerr_f32;
 
-        let vs_per_node = per_node_ref / batched;
-        let vs_per_node_optimized = per_node / batched;
-        let vs_reference = reference / batched;
-        floor_checks.push((label.to_string(), vs_per_node, vs_reference));
+        let vs_per_node = per_node / batched;
+        floor_checks.push((label.to_string(), vs_per_node));
         q8_checks.push((label.to_string(), q8_vs_batch, qerr_shift));
-        println!(
-            "{label}: batch is {vs_per_node:.1}x naive per-node ({vs_per_node_optimized:.1}x optimized per-node), \
-             {vs_reference:.1}x pre-optimization batch"
-        );
+        println!("{label}: batch is {vs_per_node:.1}x per-node");
         println!(
             "{label}: int8 tier is {q8_vs_batch:.1}x the f32 batch; mean card q-error {qerr_f32:.3} -> {qerr_q8:.3} \
              ({:+.1}% shift)",
@@ -209,13 +181,10 @@ fn main() {
         }
         let _ = write!(
             speedups,
-            "\n    \"{}\": {{ \"batch_vs_per_node\": {:.3}, \"batch_vs_per_node_optimized\": {:.3}, \
-             \"batch_vs_reference\": {:.3}, \"q8_vs_batch\": {:.3}, \"mean_qerr_f32\": {:.4}, \
+            "\n    \"{}\": {{ \"batch_vs_per_node\": {:.3}, \"q8_vs_batch\": {:.3}, \"mean_qerr_f32\": {:.4}, \
              \"mean_qerr_q8\": {:.4}, \"qerr_rel_shift\": {:.4} }}",
             label.to_lowercase(),
             vs_per_node,
-            vs_per_node_optimized,
-            vs_reference,
             q8_vs_batch,
             qerr_f32,
             qerr_q8,
@@ -250,12 +219,8 @@ fn main() {
     // Check mode (CI smoke): fail loudly when the recorded regression
     // floors are violated, so the scale cap can never silently return.
     if matches!(std::env::var("E2E_CHECK").as_deref(), Ok(v) if !v.is_empty() && v != "0") {
-        for (label, vs_per_node, vs_reference) in &floor_checks {
+        for (label, vs_per_node) in &floor_checks {
             assert!(*vs_per_node >= 5.0, "{label}: batch_vs_per_node {vs_per_node:.2}x below the 5x regression floor");
-            assert!(
-                *vs_reference >= 2.0,
-                "{label}: batch_vs_reference {vs_reference:.2}x below the 2x regression floor"
-            );
         }
         for (label, q8_vs_batch, qerr_shift) in &q8_checks {
             // Recalibrated from 2x when the f32 batch denominator gained
@@ -270,9 +235,6 @@ fn main() {
                 qerr_shift * 100.0
             );
         }
-        println!(
-            "check mode: speed-up floors hold (batch_vs_per_node >= 5x, batch_vs_reference >= 2x, \
-             q8_vs_batch >= 1x, q-error shift <= 10%)"
-        );
+        println!("check mode: speed-up floors hold (batch_vs_per_node >= 5x, q8_vs_batch >= 1x, q-error shift <= 10%)");
     }
 }

@@ -2,14 +2,27 @@
 //!
 //! [`CostEstimator`] wires everything together the way the paper's Figure 2
 //! does: a feature extractor (with a pluggable string encoder), the tree
-//! model, the trainer and the representation memory pool.  Downstream users
-//! hand it annotated training plans once, then ask it for `(cost,
-//! cardinality)` of new physical plans.
+//! model, the trainer and the serving caches (the subtree-state cache is
+//! the paper's representation memory pool).  Downstream users hand it
+//! annotated training plans once, then ask it for `(cost, cardinality)` of
+//! new physical plans.
+//!
+//! Every tree estimate comes from one of three forwards:
+//!
+//! * the per-node recursion ([`CostEstimator::estimate_encoded`]) — the
+//!   independent oracle and Table 12's one-by-one row;
+//! * the fresh level batch ([`CostEstimator::estimate_encoded_batch`],
+//!   `estimate_encoded_batch_quant`) — training, oracles and the int8 rows;
+//! * the memoized level batch ([`ServingEstimator`]) — all serving
+//!   traffic, including [`CostEstimator::estimate`] and the [`Estimator`]
+//!   impl.
+//!
+//! All three return the same bits for the same plan and weights.
 
 use crate::backend::{Estimator, EstimatorCapabilities, PlanEstimate, TrainableEstimator};
-use crate::batch::{estimate_batch, estimate_batch_memo, estimate_batch_quant};
+use crate::batch::{estimate_batch, estimate_batch_memo, estimate_batch_refs};
 use crate::checkpoint;
-use crate::memory::{EncodedSubtreeCache, RepresentationMemoryPool, SubtreeStateCache};
+use crate::memory::{EncodedSubtreeCache, SubtreeStateCache};
 use crate::model::{ModelConfig, TaskMode, TreeModel};
 use crate::trainer::{EpochStats, TargetNormalization, TrainConfig, Trainer};
 use featurize::{EncodedPlan, FeatureExtractor};
@@ -27,7 +40,6 @@ pub struct CostEstimator {
     trainer: Option<Trainer>,
     model_config: ModelConfig,
     train_config: TrainConfig,
-    pool: RepresentationMemoryPool,
     subtree_cache: Arc<SubtreeStateCache>,
     /// Memoized subtree *encodings* (the featurize front of the serving
     /// path); swapped together with `subtree_cache` on every invalidation.
@@ -45,31 +57,36 @@ impl CostEstimator {
             trainer: None,
             model_config,
             train_config,
-            pool: RepresentationMemoryPool::new(),
             subtree_cache: Arc::new(SubtreeStateCache::new()),
             encode_cache: Arc::new(EncodedSubtreeCache::new()),
             quant: None,
         }
     }
 
-    /// Invalidate every serving cache: the memory pool is cleared and the
-    /// subtree-state cache is **replaced** with a fresh `Arc` rather than
-    /// cleared in place, so an outstanding owned [`ServingEstimator`] keeps
-    /// its consistent (old model, old cache) pair while this estimator's
-    /// next handle starts empty — nothing computed under the old parameters
-    /// can ever serve the new ones, in either direction.  The quantized
-    /// weights are dropped too: they derive from the parameters that just
-    /// changed.  The encoded-subtree cache is swapped under the same
-    /// rule — its entries would actually stay *valid* (they
-    /// depend only on the extractor, which survives refits), but one
-    /// invalidation rule for every serving cache is cheaper to reason about
-    /// than a carve-out, and re-encoding a working set is a few
-    /// milliseconds.
+    /// Invalidate every serving cache: the subtree-state cache is
+    /// **replaced** with a fresh `Arc` rather than cleared in place, so an
+    /// outstanding owned [`ServingEstimator`] keeps its consistent (old
+    /// model, old cache) pair while this estimator's next handle starts
+    /// empty — nothing computed under the old parameters can ever serve the
+    /// new ones, in either direction.  The quantized weights are dropped
+    /// too: they derive from the parameters that just changed.  The
+    /// encoded-subtree cache is swapped under the same rule — its entries
+    /// would actually stay *valid* (they depend only on the extractor, which
+    /// survives refits), but one invalidation rule for every serving cache
+    /// is cheaper to reason about than a carve-out, and re-encoding a
+    /// working set is a few milliseconds.
     fn invalidate_caches(&mut self) {
-        self.pool.clear();
         self.subtree_cache = Arc::new(SubtreeStateCache::new());
         self.encode_cache = Arc::new(EncodedSubtreeCache::new());
         self.quant = None;
+    }
+
+    /// The fitted trainer behind every estimate.
+    ///
+    /// # Panics
+    /// Panics if the estimator has not been fitted.
+    fn fitted(&self) -> &Trainer {
+        self.trainer.as_ref().expect("CostEstimator used before fit")
     }
 
     /// Derive the per-channel int8 weights for the fitted model if not
@@ -79,11 +96,10 @@ impl CostEstimator {
     /// # Panics
     /// Panics if the estimator has not been fitted.
     pub fn ensure_quantized(&mut self) -> bool {
-        let trainer = self.trainer.as_ref().expect("CostEstimator::ensure_quantized called before fit");
         if self.quant.is_none() {
-            self.quant = Some(Arc::new(QuantWeights::from_store(&trainer.model.params)));
+            self.quant = Some(Arc::new(QuantWeights::from_store(&self.fitted().model.params)));
         }
-        self.quant.as_ref().is_some_and(|q| q.n_quantized() > 0)
+        self.has_quantized_weights()
     }
 
     /// True when the int8 weights are available.
@@ -121,7 +137,7 @@ impl CostEstimator {
         let mut trainer = Trainer::new(model, samples, self.train_config);
         let stats = trainer.train(samples);
         self.trainer = Some(trainer);
-        // Cached estimates and subtree states belong to the previous model.
+        // Cached subtree states belong to the previous model.
         self.invalidate_caches();
         stats
     }
@@ -157,7 +173,7 @@ impl CostEstimator {
             ));
         }
         let stats = trainer.train(samples);
-        // Parameters moved: every cached estimate/state is stale.
+        // Parameters moved: every cached subtree state is stale.
         self.invalidate_caches();
         Ok(stats)
     }
@@ -198,64 +214,50 @@ impl CostEstimator {
         self.trainer.as_ref().is_some_and(|t| t.is_resumable())
     }
 
-    /// Estimate `(cost, cardinality)` for a physical plan.
-    ///
-    /// Results for previously-seen plan signatures are served from the
-    /// representation memory pool.
+    /// Estimate `(cost, cardinality)` for a physical plan through the
+    /// serving path ([`ServingEstimator::estimate_plans`]): a repeated plan
+    /// is served from the encode cache and the subtree-state cache without
+    /// embedding a single node.
     ///
     /// # Panics
     /// Panics if the estimator has not been fitted.
     pub fn estimate(&self, plan: &PlanNode) -> (f64, f64) {
-        let trainer = self.trainer.as_ref().expect("CostEstimator::estimate called before fit");
-        let signature = plan.signature_hash();
-        if let Some(hit) = self.pool.get(signature) {
-            return hit;
-        }
-        let encoded = self.encode(plan);
-        let result = trainer.estimate(&encoded);
-        self.pool.insert(signature, result.0, result.1);
-        result
+        self.serving().estimate_plans(std::slice::from_ref(plan))[0]
     }
 
-    /// Estimate `(cost, cardinality)` for an already-encoded plan.
+    /// Estimate `(cost, cardinality)` for an already-encoded plan with the
+    /// per-node recursion ([`Trainer::estimate`]).  It shares no code with
+    /// the level-batched forwards and returns the same bits, so it is their
+    /// oracle, and it is Table 12's one-by-one row.
+    ///
+    /// # Panics
+    /// Panics if the estimator has not been fitted.
     pub fn estimate_encoded(&self, plan: &EncodedPlan) -> (f64, f64) {
-        self.trainer.as_ref().expect("CostEstimator::estimate_encoded called before fit").estimate(plan)
+        self.fitted().estimate(plan)
     }
 
-    /// Level-batched estimation of many encoded plans at once (Table 12).
+    /// Level-batched estimation of many encoded plans at once, with no
+    /// memoization (Table 12's batch row).
+    ///
+    /// # Panics
+    /// Panics if the estimator has not been fitted.
     pub fn estimate_encoded_batch(&self, plans: &[EncodedPlan]) -> Vec<(f64, f64)> {
-        let trainer = self.trainer.as_ref().expect("CostEstimator::estimate_encoded_batch called before fit");
+        let trainer = self.fitted();
         estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, plans)
     }
 
     /// Level-batched estimation through the int8 tier: quantized weight
     /// matmuls, no memoization — the Q8 counterpart of
     /// [`CostEstimator::estimate_encoded_batch`] (the Table-12 Q8 rows).
-    /// Falls back to the f32 batch when no quantized weights are available.
+    /// Runs the f32 batch when no quantized weights are available.
     ///
     /// # Panics
     /// Panics if the estimator has not been fitted.
     pub fn estimate_encoded_batch_quant(&self, plans: &[EncodedPlan]) -> Vec<(f64, f64)> {
-        let trainer = self.trainer.as_ref().expect("CostEstimator::estimate_encoded_batch_quant called before fit");
+        let trainer = self.fitted();
+        let quant = self.quant.as_deref().filter(|q| q.n_quantized() > 0);
         let refs: Vec<&EncodedPlan> = plans.iter().collect();
-        match self.quant.as_ref().filter(|q| q.n_quantized() > 0) {
-            Some(quant) => {
-                estimate_batch_quant(&trainer.model, &trainer.model.params, quant, &trainer.normalization, &refs)
-            }
-            None => estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, plans),
-        }
-    }
-
-    /// Memoized batched estimation against this estimator's subtree-state
-    /// cache: candidate plans sharing sub-plans (a DP enumeration) embed
-    /// each distinct subtree once.  Results are bit-identical to
-    /// [`CostEstimator::estimate_encoded_batch`].
-    ///
-    /// # Panics
-    /// Panics if the estimator has not been fitted.
-    pub fn estimate_encoded_batch_memo(&self, plans: &[EncodedPlan]) -> Vec<(f64, f64)> {
-        let refs: Vec<&EncodedPlan> = plans.iter().collect();
-        self.serving().estimate_encoded_batch(&refs)
+        estimate_batch_refs(&trainer.model, &trainer.model.params, quant, &trainer.normalization, &refs)
     }
 
     /// An **owned**, shareable serving handle over the fitted model and the
@@ -271,7 +273,7 @@ impl CostEstimator {
     /// # Panics
     /// Panics if the estimator has not been fitted.
     pub fn serving(&self) -> ServingEstimator {
-        let trainer = self.trainer.as_ref().expect("CostEstimator::serving called before fit");
+        let trainer = self.fitted();
         ServingEstimator {
             model: Arc::clone(&trainer.model),
             normalization: trainer.normalization,
@@ -284,36 +286,6 @@ impl CostEstimator {
     /// The subtree-state cache backing the memoized serving path.
     pub fn subtree_cache(&self) -> &SubtreeStateCache {
         self.subtree_cache.as_ref()
-    }
-
-    /// Pre-optimization one-by-one estimation (per-node forward on a
-    /// seed-compat tape) — the naive baseline of the Table-12 bench.
-    pub fn estimate_encoded_reference(&self, plan: &EncodedPlan) -> (f64, f64) {
-        let trainer = self.trainer.as_ref().expect("CostEstimator::estimate_encoded_reference called before fit");
-        crate::batch::reference::estimate_per_node_reference(
-            &trainer.model,
-            &trainer.model.params,
-            &trainer.normalization,
-            plan,
-        )
-    }
-
-    /// Pre-optimization batched estimation (the reference implementation in
-    /// `batch::reference`); the Table-12 efficiency bench reports the
-    /// optimized path's speed-up against this baseline.
-    pub fn estimate_encoded_batch_reference(&self, plans: &[EncodedPlan]) -> Vec<(f64, f64)> {
-        let trainer = self.trainer.as_ref().expect("CostEstimator::estimate_encoded_batch_reference called before fit");
-        crate::batch::reference::estimate_batch_reference(
-            &trainer.model,
-            &trainer.model.params,
-            &trainer.normalization,
-            plans,
-        )
-    }
-
-    /// Cache statistics of the representation memory pool `(hits, misses)`.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.pool.stats()
     }
 
     /// Persist the fitted model as a versioned binary checkpoint: model
@@ -395,9 +367,9 @@ impl CostEstimator {
     /// ([`CheckpointError::VocabMismatch`] on either), so loaded weights
     /// can never be applied to features laid out differently than the ones
     /// they were trained on.  Exactly like a re-fit, a successful load
-    /// clears the representation memory pool and the subtree-state cache —
-    /// every cached value belongs to the replaced parameters.  On error the
-    /// estimator is left untouched.
+    /// swaps in an empty subtree-state cache and an empty encode cache, and
+    /// drops any derived int8 weights — every cached value belongs to the
+    /// replaced parameters.  On error the estimator is left untouched.
     pub fn load_checkpoint(&mut self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
         self.load_checkpoint_impl(path.as_ref(), false)
     }
@@ -445,8 +417,8 @@ impl CostEstimator {
             if version >= 3 { checkpoint::read_quant_weights(&mut r, trainer.model.params.len())? } else { None };
         self.model_config = model_config;
         self.trainer = Some(trainer);
-        // Same invalidation as re-fit: cached estimates and subtree states
-        // belong to the parameters this load just replaced.
+        // Same invalidation as re-fit: cached subtree states belong to the
+        // parameters this load just replaced.
         self.invalidate_caches();
         self.quant = quant.map(Arc::new);
         Ok(())
@@ -481,10 +453,8 @@ impl Estimator for CostEstimator {
         // through the encode cache (bit-identical to fresh `encode`), and
         // inference memoizes subtree states — trait-driven serving (catalog
         // sessions, coalesced admission batches) shares both across calls.
-        let encoded = self.encode_plans(plans);
-        let refs: Vec<&EncodedPlan> = encoded.iter().map(|a| a.as_ref()).collect();
         self.serving()
-            .estimate_encoded_batch(&refs)
+            .estimate_plans(plans)
             .into_iter()
             .map(|(cost, card)| PlanEstimate {
                 cost: caps.cost.then_some(cost),
@@ -654,16 +624,16 @@ mod tests {
     }
 
     #[test]
-    fn memory_pool_caches_repeated_plans() {
+    fn repeated_plans_are_served_from_the_subtree_cache() {
         let (mut est, db) = make_estimator();
         let plans = executed_plans(&db, 10);
         est.fit(&plans);
         let a = est.estimate(&plans[0]);
+        let computed = est.subtree_cache().node_stats().1;
+        assert!(computed > 0, "the first estimate must embed the plan");
         let b = est.estimate(&plans[0]);
-        assert_eq!(a, b);
-        let (hits, misses) = est.cache_stats();
-        assert_eq!(hits, 1);
-        assert!(misses >= 1);
+        assert_eq!(bits(&[a]), bits(&[b]));
+        assert_eq!(est.subtree_cache().node_stats().1, computed, "a repeated plan must embed no node");
     }
 
     #[test]
@@ -673,7 +643,7 @@ mod tests {
         est.fit(&plans);
         let encoded: Vec<EncodedPlan> = plans.iter().map(|p| est.encode(p)).collect();
         let batched = est.estimate_encoded_batch(&encoded);
-        let memo = est.estimate_encoded_batch_memo(&encoded);
+        let memo = serve_encoded(&est, &encoded);
         assert_eq!(batched, memo, "memoized serving must be bit-identical to the batched path");
 
         // Four serving threads share one Copy handle and the sharded cache.
@@ -706,10 +676,10 @@ mod tests {
                 // in this thread's tape pool where its injected states sat.
                 // The cold pass below records its zero states first, so it
                 // draws exactly those buffers.
-                est.estimate_encoded_batch_memo(&encoded);
-                est.estimate_encoded_batch_memo(&encoded);
+                serve_encoded(&est, &encoded);
+                serve_encoded(&est, &encoded);
                 est.subtree_cache().clear();
-                let got = est.estimate_encoded_batch_memo(small);
+                let got = serve_encoded(&est, small);
                 assert_eq!(bits(&got), bits(&want), "memoized pass on a reused tape diverged from the fresh batch");
             });
         });
@@ -743,8 +713,8 @@ mod tests {
         assert!(!fp.has_quantized_weights(), "full-precision v3 file must not carry the int8 tier");
         let fp_encoded: Vec<EncodedPlan> = plans.iter().map(|p| fp.encode(p)).collect();
         assert_eq!(
-            bits(&fp.estimate_encoded_batch_memo(&fp_encoded)),
-            bits(&est.estimate_encoded_batch_memo(&encoded)),
+            bits(&serve_encoded(&fp, &fp_encoded)),
+            bits(&serve_encoded(&est, &encoded)),
             "f32 estimates must be unaffected by the missing quant block"
         );
         let _ = std::fs::remove_file(&path);
@@ -758,13 +728,19 @@ mod tests {
         estimates.iter().map(|(c, k)| (c.to_bits(), k.to_bits())).collect()
     }
 
+    /// Encoded plans through the memoized serving forward.
+    fn serve_encoded(est: &CostEstimator, plans: &[EncodedPlan]) -> Vec<(f64, f64)> {
+        let refs: Vec<&EncodedPlan> = plans.iter().collect();
+        est.serving().estimate_encoded_batch(&refs)
+    }
+
     #[test]
     fn checkpoint_roundtrip_is_bit_identical_in_fresh_context() {
         let (mut est, db) = make_estimator();
         let plans = executed_plans(&db, 20);
         est.fit(&plans);
         let encoded: Vec<EncodedPlan> = plans.iter().map(|p| est.encode(p)).collect();
-        let before = est.estimate_encoded_batch_memo(&encoded);
+        let before = serve_encoded(&est, &encoded);
 
         let path = temp_ckpt("roundtrip");
         est.save_checkpoint(&path).expect("save");
@@ -777,7 +753,7 @@ mod tests {
         assert!(warm.is_fitted());
         let warm_encoded: Vec<EncodedPlan> = plans.iter().map(|p| warm.encode(p)).collect();
         assert_eq!(
-            bits(&warm.estimate_encoded_batch_memo(&warm_encoded)),
+            bits(&serve_encoded(&warm, &warm_encoded)),
             bits(&before),
             "a reloaded checkpoint must serve bit-identical estimates"
         );
@@ -790,9 +766,9 @@ mod tests {
     }
 
     /// Satellite regression guard: swapping a checkpoint in must invalidate
-    /// the subtree-state cache and the representation memory pool exactly
-    /// like a re-fit — a stale cached state from the old parameters must
-    /// not leak into post-swap estimates.
+    /// the subtree-state cache and the encode cache exactly like a re-fit —
+    /// a stale cached state from the old parameters must not leak into
+    /// post-swap estimates.
     #[test]
     fn load_checkpoint_clears_stale_caches() {
         let (mut a, db) = make_estimator();
@@ -815,12 +791,13 @@ mod tests {
             TrainConfig { epochs: 5, batch_size: 8, seed: 99, ..Default::default() },
         );
         b.fit(&plans);
-        let b_estimates = b.estimate_encoded_batch_memo(&encoded);
+        let b_estimates = serve_encoded(&b, &encoded);
 
-        // Warm A's subtree cache and memory pool under the OLD parameters.
-        let stale_memo = a.estimate_encoded_batch_memo(&encoded);
+        // Warm A's subtree and encode caches under the OLD parameters.
+        let stale_memo = serve_encoded(&a, &encoded);
         let _ = a.estimate(&plans[0]);
         assert!(!a.subtree_cache().is_empty(), "test needs a warm subtree cache");
+        assert!(!a.encode_cache().is_empty(), "test needs a warm encode cache");
         assert_ne!(bits(&stale_memo), bits(&b_estimates), "models must differ for the guard to mean anything");
 
         // Swap B's checkpoint into A.
@@ -828,11 +805,11 @@ mod tests {
         b.save_checkpoint(&path).expect("save");
         a.load_checkpoint(&path).expect("load");
         assert!(a.subtree_cache().is_empty(), "subtree cache must be cleared by a checkpoint swap");
-        assert_eq!(a.cache_stats(), (0, 0), "memory-pool stats must be reset by a checkpoint swap");
+        assert!(a.encode_cache().is_empty(), "encode cache must be cleared by a checkpoint swap");
 
         // The memoized path after the swap must match B exactly: no column
         // may be served from a pre-swap cached state.
-        assert_eq!(bits(&a.estimate_encoded_batch_memo(&encoded)), bits(&b_estimates));
+        assert_eq!(bits(&serve_encoded(&a, &encoded)), bits(&b_estimates));
         assert_eq!(a.estimate(&plans[0]).1.to_bits(), b_estimates[0].1.to_bits());
         let _ = std::fs::remove_file(&path);
     }
@@ -931,11 +908,8 @@ mod tests {
         est.fit(&plans);
         let encoded: Vec<EncodedPlan> = plans.iter().map(|p| est.encode(p)).collect();
         let batched = est.estimate_encoded_batch(&encoded);
-        for (enc, (bc, bk)) in encoded.iter().zip(batched.iter()) {
-            let (c, k) = est.estimate_encoded(enc);
-            assert!((c.ln() - bc.ln()).abs() < 1e-3);
-            assert!((k.ln() - bk.ln()).abs() < 1e-3);
-        }
+        let single: Vec<(f64, f64)> = encoded.iter().map(|e| est.estimate_encoded(e)).collect();
+        assert_eq!(bits(&single), bits(&batched), "per-node and batched estimates diverge");
     }
 
     mod resume_property {
@@ -982,7 +956,7 @@ mod tests {
             let mut uninterrupted = estimator_with_epochs(&fixture.db, n);
             let full_stats = uninterrupted.fit(plans);
             let encoded: Vec<EncodedPlan> = plans.iter().map(|p| uninterrupted.encode(p)).collect();
-            let want = bits(&uninterrupted.estimate_encoded_batch_memo(&encoded));
+            let want = bits(&serve_encoded(&uninterrupted, &encoded));
 
             // The interrupted run: k epochs, checkpoint, process "restart".
             let mut interrupted = estimator_with_epochs(&fixture.db, k);
@@ -1009,7 +983,7 @@ mod tests {
                 );
             }
             assert_eq!(
-                bits(&resumed.estimate_encoded_batch_memo(&encoded)),
+                bits(&serve_encoded(&resumed, &encoded)),
                 want,
                 "resumed training must be bit-identical to uninterrupted (N={n}, k={k})"
             );
@@ -1032,8 +1006,8 @@ mod tests {
         //! expanded into DP candidate join orders), a `save_checkpoint` →
         //! `load_checkpoint` round trip into a fresh process-like context
         //! (new database instance, new extractor, never-fitted estimator)
-        //! must yield **bit-identical** `estimate_encoded_batch_memo`
-        //! results — across cold and warm caches of the reloaded model.
+        //! must yield **bit-identical** memoized serving results — across cold
+        //! and warm caches of the reloaded model.
 
         use super::*;
         use proptest::prelude::*;
@@ -1085,12 +1059,9 @@ mod tests {
                     workload[0].candidates.iter().map(|c| fixture.reloaded.encode(c)).collect();
                 prop_assert_eq!(&encoded, &re_encoded);
 
-                let want = fixture.original.estimate_encoded_batch_memo(&encoded);
-                let cold = fixture.reloaded.estimate_encoded_batch_memo(&re_encoded);
-                let warm = fixture.reloaded.estimate_encoded_batch_memo(&re_encoded);
-                let bits = |v: &[(f64, f64)]| {
-                    v.iter().map(|(c, k)| (c.to_bits(), k.to_bits())).collect::<Vec<_>>()
-                };
+                let want = serve_encoded(&fixture.original, &encoded);
+                let cold = serve_encoded(&fixture.reloaded, &re_encoded);
+                let warm = serve_encoded(&fixture.reloaded, &re_encoded);
                 prop_assert_eq!(bits(&want), bits(&cold));
                 prop_assert_eq!(bits(&want), bits(&warm));
             }

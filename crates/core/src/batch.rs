@@ -31,9 +31,9 @@
 //! and re-scores candidate plans by combining cached states at the fringe —
 //! with bit-identical results to the memoization-free path.
 //!
-//! [`reference::estimate_batch_reference`] preserves the original
-//! implementation as a correctness oracle and as the "pre-optimization
-//! batched path" baseline of the Table-12 efficiency bench.
+//! The per-node recursion [`TreeModel::forward`] shares no code with the
+//! level loop and returns the same bits, so it is the oracle both batched
+//! forwards are tested against (and Table 12's one-by-one row).
 
 use crate::memory::{SubtreeState, SubtreeStateCache};
 use crate::model::TreeModel;
@@ -95,25 +95,34 @@ pub fn estimate_batch(
     plans: &[EncodedPlan],
 ) -> Vec<(f64, f64)> {
     let refs: Vec<&EncodedPlan> = plans.iter().collect();
-    estimate_batch_refs(model, store, normalization, &refs)
+    estimate_batch_refs(model, store, None, normalization, &refs)
 }
 
 /// [`estimate_batch`] over plan references (avoids cloning plans when the
-/// caller batches a subset, e.g. the trainer's validation split).
+/// caller batches a subset, e.g. the trainer's validation split), through
+/// [`forward_batch_q`]: with `quant = Some(..)` every quantized weight
+/// matrix runs on the int8 tier (the Table-12 Q8 rows), with `None` this is
+/// the f32 path.
 pub fn estimate_batch_refs(
     model: &TreeModel,
     store: &ParamStore,
+    quant: Option<&QuantWeights>,
     normalization: &TargetNormalization,
     plans: &[&EncodedPlan],
 ) -> Vec<(f64, f64)> {
     if plans.is_empty() {
         return Vec::new();
     }
+    let group = |chunk: &[&EncodedPlan]| {
+        with_inference_tape(|g| {
+            let (cost_out, card_out) = forward_batch_q(model, store, quant, g, chunk);
+            denormalize_outputs(g, normalization, cost_out, card_out, chunk.len())
+        })
+    };
     if plans.len() <= GROUP_SIZE {
-        return estimate_group(model, store, normalization, plans);
+        return group(plans);
     }
-    let groups: Vec<Vec<(f64, f64)>> =
-        plans.par_chunks(GROUP_SIZE).map(|chunk| estimate_group(model, store, normalization, chunk)).collect();
+    let groups: Vec<Vec<(f64, f64)>> = plans.par_chunks(GROUP_SIZE).map(group).collect();
     groups.concat()
 }
 
@@ -184,19 +193,6 @@ fn denormalize_outputs(
             )
         })
         .collect()
-}
-
-/// Estimate one group of plans on this thread's (recycled) inference tape.
-fn estimate_group(
-    model: &TreeModel,
-    store: &ParamStore,
-    normalization: &TargetNormalization,
-    plans: &[&EncodedPlan],
-) -> Vec<(f64, f64)> {
-    with_inference_tape(|g| {
-        let (cost_out, card_out) = forward_batch(model, store, g, plans);
-        denormalize_outputs(g, normalization, cost_out, card_out, plans.len())
-    })
 }
 
 /// Level-batched forward pass over `plans` on an existing tape, returning the
@@ -473,150 +469,6 @@ pub fn estimate_batch_memo(
     out
 }
 
-/// Quantized-tier batched estimation: [`estimate_batch_refs`] through
-/// [`forward_batch_q`].  Approximate (int8 weight matmuls) but cheap — the
-/// Table-12 Q8 rows.
-pub fn estimate_batch_quant(
-    model: &TreeModel,
-    store: &ParamStore,
-    quant: &QuantWeights,
-    normalization: &TargetNormalization,
-    plans: &[&EncodedPlan],
-) -> Vec<(f64, f64)> {
-    if plans.is_empty() {
-        return Vec::new();
-    }
-    let group = |chunk: &[&EncodedPlan]| {
-        with_inference_tape(|g| {
-            let (cost_out, card_out) = forward_batch_q(model, store, Some(quant), g, chunk);
-            denormalize_outputs(g, normalization, cost_out, card_out, chunk.len())
-        })
-    };
-    if plans.len() <= GROUP_SIZE {
-        return group(plans);
-    }
-    let groups: Vec<Vec<(f64, f64)>> = plans.par_chunks(GROUP_SIZE).map(group).collect();
-    groups.concat()
-}
-
-pub mod reference {
-    //! The original (pre-optimization) batched implementation, kept as the
-    //! correctness oracle for the optimized path and as the baseline the
-    //! Table-12 efficiency bench reports the optimization speed-up against.
-    //! Characteristics: seed-compat tape (eager zero-gradient allocation per
-    //! node, a parameter copy per layer application), one `filter` scan over
-    //! all flat nodes per level (`O(D·N)`), `HashMap` cell-state storage,
-    //! per-node embedding invocations, no parallelism.
-
-    use super::{flatten, FlatNode};
-    use crate::model::TreeModel;
-    use crate::trainer::TargetNormalization;
-    use featurize::EncodedPlan;
-    use nn::cells::CellOutput;
-    use nn::{Graph, NodeId, ParamStore};
-    use std::collections::HashMap;
-
-    /// Unoptimized one-plan-at-a-time estimation: the per-node recursive
-    /// forward on a seed-compat tape.  This is the "naive per-node path"
-    /// Table 12 compares batched inference against.
-    pub fn estimate_per_node_reference(
-        model: &TreeModel,
-        store: &ParamStore,
-        normalization: &TargetNormalization,
-        plan: &EncodedPlan,
-    ) -> (f64, f64) {
-        let mut g = Graph::seed_compat();
-        let (cost_out, card_out) = model.forward(&mut g, store, plan);
-        (
-            normalization.cost.denormalize(g.value(cost_out).data()[0]),
-            normalization.cardinality.denormalize(g.value(card_out).data()[0]),
-        )
-    }
-
-    /// Unoptimized level-batched estimation (see module docs).
-    pub fn estimate_batch_reference(
-        model: &TreeModel,
-        store: &ParamStore,
-        normalization: &TargetNormalization,
-        plans: &[EncodedPlan],
-    ) -> Vec<(f64, f64)> {
-        if plans.is_empty() {
-            return Vec::new();
-        }
-        let mut flat: Vec<FlatNode> = Vec::new();
-        let mut roots = Vec::with_capacity(plans.len());
-        for p in plans.iter() {
-            let (root_idx, _) = flatten(p, &mut flat);
-            roots.push(root_idx);
-        }
-        let max_height = flat.iter().map(|n| n.height).max().unwrap_or(1);
-
-        // A seed-compat tape reproduces the pre-optimization allocation
-        // behavior: an eager zero gradient per node, a parameter copy per
-        // layer application.
-        let mut g = Graph::seed_compat();
-        // Embed every node individually, then run the representation cell
-        // once per level over column-concatenated embeddings.
-        let embedded: Vec<NodeId> = flat.iter().map(|n| model.embed_node(&mut g, store, &n.encoded.features)).collect();
-
-        // node index -> its computed (G, R) columns.
-        let mut states: HashMap<usize, CellOutput> = HashMap::new();
-
-        for level in 1..=max_height {
-            let level_nodes: Vec<usize> =
-                flat.iter().enumerate().filter(|(_, n)| n.height == level).map(|(i, _)| i).collect();
-            if level_nodes.is_empty() {
-                continue;
-            }
-            let xs: Vec<NodeId> = level_nodes.iter().map(|&i| embedded[i]).collect();
-            let x_batch = g.concat_cols(&xs);
-
-            let zero = model.zero_state_batch(&mut g, 1);
-            let mut left_cols = Vec::with_capacity(level_nodes.len());
-            let mut right_cols = Vec::with_capacity(level_nodes.len());
-            for &i in &level_nodes {
-                let children = &flat[i].children;
-                let left = children.first().and_then(|c| states.get(c)).copied().unwrap_or(zero);
-                let right = children.get(1).and_then(|c| states.get(c)).copied().unwrap_or(zero);
-                left_cols.push(left);
-                right_cols.push(right);
-            }
-            let left_g = g.concat_cols(&left_cols.iter().map(|c| c.g).collect::<Vec<_>>());
-            let left_r = g.concat_cols(&left_cols.iter().map(|c| c.r).collect::<Vec<_>>());
-            let right_g = g.concat_cols(&right_cols.iter().map(|c| c.g).collect::<Vec<_>>());
-            let right_r = g.concat_cols(&right_cols.iter().map(|c| c.r).collect::<Vec<_>>());
-
-            let out = model.apply_cell(
-                &mut g,
-                store,
-                x_batch,
-                CellOutput { g: left_g, r: left_r },
-                CellOutput { g: right_g, r: right_r },
-            );
-            for (col, &i) in level_nodes.iter().enumerate() {
-                let gi = g.column_at(out.g, col);
-                let ri = g.column_at(out.r, col);
-                states.insert(i, CellOutput { g: gi, r: ri });
-            }
-        }
-
-        let root_rs: Vec<NodeId> = roots.iter().map(|r| states[r].r).collect();
-        let r_batch = g.concat_cols(&root_rs);
-        let (cost_out, card_out) = model.estimate_from_representation(&mut g, store, r_batch);
-        let cost_vals = g.value(cost_out).clone();
-        let card_vals = g.value(card_out).clone();
-
-        (0..plans.len())
-            .map(|i| {
-                (
-                    normalization.cost.denormalize(cost_vals.get(0, i)),
-                    normalization.cardinality.denormalize(card_vals.get(0, i)),
-                )
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -655,6 +507,10 @@ mod tests {
         (out, cfg)
     }
 
+    fn bits((cost, card): (f64, f64)) -> (u64, u64) {
+        (cost.to_bits(), card.to_bits())
+    }
+
     #[test]
     fn batched_estimates_match_one_by_one() {
         let (plans, cfg) = samples(10);
@@ -665,27 +521,8 @@ mod tests {
         let trainer = Trainer::new(model, &plans, TrainConfig::default());
         let batched = estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &plans);
         assert_eq!(batched.len(), plans.len());
-        for (plan, (bcost, bcard)) in plans.iter().zip(batched.iter()) {
-            let (cost, card) = trainer.estimate(plan);
-            assert!((cost.ln() - bcost.ln()).abs() < 1e-3, "cost mismatch: {cost} vs {bcost}");
-            assert!((card.ln() - bcard.ln()).abs() < 1e-3, "card mismatch: {card} vs {bcard}");
-        }
-    }
-
-    #[test]
-    fn optimized_batch_matches_reference_implementation() {
-        let (plans, cfg) = samples(12);
-        let model = TreeModel::new(
-            &cfg,
-            ModelConfig { feature_embed_dim: 8, hidden_dim: 12, estimation_hidden_dim: 8, ..Default::default() },
-        );
-        let trainer = Trainer::new(model, &plans, TrainConfig::default());
-        let fast = estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &plans);
-        let slow =
-            reference::estimate_batch_reference(&trainer.model, &trainer.model.params, &trainer.normalization, &plans);
-        for ((fc, fk), (sc, sk)) in fast.iter().zip(slow.iter()) {
-            assert!((fc.ln() - sc.ln()).abs() < 1e-3, "cost mismatch: {fc} vs {sc}");
-            assert!((fk.ln() - sk.ln()).abs() < 1e-3, "card mismatch: {fk} vs {sk}");
+        for (plan, batch) in plans.iter().zip(batched.iter()) {
+            assert_eq!(bits(trainer.estimate(plan)), bits(*batch), "per-node and batched estimates diverge");
         }
     }
 
@@ -701,10 +538,8 @@ mod tests {
         let trainer = Trainer::new(model, &plans, TrainConfig::default());
         let batched = estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &plans);
         assert_eq!(batched.len(), plans.len());
-        for (plan, (bcost, bcard)) in plans.iter().zip(batched.iter()) {
-            let (cost, card) = trainer.estimate(plan);
-            assert!((cost.ln() - bcost.ln()).abs() < 1e-3, "cost mismatch: {cost} vs {bcost}");
-            assert!((card.ln() - bcard.ln()).abs() < 1e-3, "card mismatch: {card} vs {bcard}");
+        for (plan, batch) in plans.iter().zip(batched.iter()) {
+            assert_eq!(bits(trainer.estimate(plan)), bits(*batch), "per-node and batched estimates diverge");
         }
     }
 
@@ -809,7 +644,7 @@ mod tests {
 
         let full = estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &plans);
         let quantized =
-            estimate_batch_quant(&trainer.model, &trainer.model.params, &quant, &trainer.normalization, &refs);
+            estimate_batch_refs(&trainer.model, &trainer.model.params, Some(&quant), &trainer.normalization, &refs);
         assert_eq!(quantized.len(), full.len());
         for ((fc, fk), (qc, qk)) in full.iter().zip(quantized.iter()) {
             // int8 weights are approximate; estimates must stay within a
@@ -831,7 +666,8 @@ mod tests {
         //! Satellite guard: on randomized planner output (generated queries
         //! expanded into candidate join orders), memoized subtree inference
         //! must be **bit-identical** to fresh inference — cold cache, warm
-        //! cache, and across batch compositions.
+        //! cache, and across batch compositions — and fresh inference to the
+        //! per-node recursion.
 
         use super::*;
         use crate::memory::SubtreeStateCache;
@@ -891,6 +727,11 @@ mod tests {
                 let t = &fixture.trainer;
 
                 let fresh = estimate_batch(&t.model, &t.model.params, &t.normalization, &encoded);
+                // The per-node recursion shares no code with the level loop:
+                // it is the independent oracle for both batched forwards.
+                for (plan, batch) in encoded.iter().zip(fresh.iter()) {
+                    prop_assert_eq!(bits(t.estimate(plan)), bits(*batch));
+                }
                 let cache = SubtreeStateCache::new();
                 let cold = estimate_batch_memo(&t.model, &t.model.params, &t.normalization, &refs, &cache);
                 prop_assert_eq!(&fresh, &cold);

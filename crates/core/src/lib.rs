@@ -10,8 +10,8 @@
 //!   Section 4.3, measured in Table 12) and the subtree-memoized serving
 //!   forward of the optimizer loop.
 //! * [`memory`] — the sharded, 64-bit-signature-keyed serving caches of the
-//!   online workflow (Section 3): the representation memory pool and the
-//!   subtree-state cache.
+//!   online workflow (Section 3): the subtree-state cache (the paper's
+//!   representation memory pool) and the encoded-subtree cache.
 //! * [`api`] — the [`CostEstimator`] façade downstream users interact with,
 //!   plus the thread-shareable [`ServingEstimator`] handle.
 //! * [`backend`] — the pluggable-backend contract ([`Estimator`] /
@@ -33,10 +33,9 @@ pub mod trainer;
 pub use api::{CostEstimator, ServingEstimator};
 pub use backend::{Estimator, EstimatorCapabilities, PlanEstimate, TrainableEstimator};
 pub use batch::{
-    estimate_batch, estimate_batch_memo, estimate_batch_quant, estimate_batch_refs, forward_batch, forward_batch_memo,
-    forward_batch_q, reference::estimate_batch_reference,
+    estimate_batch, estimate_batch_memo, estimate_batch_refs, forward_batch, forward_batch_memo, forward_batch_q,
 };
-pub use memory::{EncodedSubtreeCache, RepresentationMemoryPool, ShardedCache, SubtreeState, SubtreeStateCache};
+pub use memory::{EncodedSubtreeCache, ShardedCache, SubtreeState, SubtreeStateCache};
 pub use model::{ModelConfig, PredicateModelKind, RepresentationCellKind, TaskMode, TreeModel};
 pub use nn::checkpoint::CheckpointError;
 pub use trainer::{EpochStats, TargetNormalization, TrainConfig, Trainer};

@@ -2,15 +2,17 @@
 //!
 //! When the optimizer's plan enumerator repeatedly asks for the cost of
 //! candidate plans sharing sub-plans, the estimator memoizes two things,
-//! both keyed by the allocation-free 64-bit structural signature of the
-//! sub-plan ([`query::PlanNode::signature_hash`]):
+//! both keyed by a 64-bit signature of the sub-plan:
 //!
-//! * [`RepresentationMemoryPool`] — final `(cost, cardinality)` estimates of
-//!   whole plans already seen (the paper's memory pool);
+//! * [`EncodedSubtreeCache`] — the featurized encoding of every sub-plan,
+//!   keyed by its structural signature mixed with its annotations;
 //! * [`SubtreeStateCache`] — the representation cell's `(G, R)` state
-//!   vectors of every embedded sub-plan, so a new candidate that shares a
-//!   subtree re-enters the forward pass at the fringe instead of re-running
-//!   the cell over the whole subtree (`batch::estimate_batch_memo`).
+//!   vectors of every embedded sub-plan, keyed by the structural signature
+//!   ([`query::PlanNode::signature_hash`]) — the paper's representation
+//!   memory pool.  A candidate that shares a subtree re-enters the forward
+//!   pass at the fringe instead of re-running the cell over the whole
+//!   subtree (`batch::estimate_batch_memo`), and a repeated plan embeds
+//!   nothing at all.
 //!
 //! Both sit on [`ShardedCache`]: middle bits of the key pick one of
 //! [`NUM_SHARDS`] independently-locked shards, so concurrent estimator
@@ -206,51 +208,6 @@ impl<V: Clone> Default for ShardedCache<V> {
     }
 }
 
-/// A concurrent cache from plan signatures to `(cost, cardinality)`
-/// estimates — the paper's representation memory pool, now keyed by 64-bit
-/// hashed signatures instead of owned `String`s.
-#[derive(Debug, Default)]
-pub struct RepresentationMemoryPool {
-    cache: ShardedCache<(f64, f64)>,
-}
-
-impl RepresentationMemoryPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Look up a signature, counting a hit or a miss.
-    pub fn get(&self, signature: u64) -> Option<(f64, f64)> {
-        self.cache.get(signature)
-    }
-
-    /// Store an estimate for a signature.
-    pub fn insert(&self, signature: u64, cost: f64, cardinality: f64) {
-        self.cache.insert(signature, (cost, cardinality));
-    }
-
-    /// Number of cached sub-plans.
-    pub fn len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
-    }
-
-    /// `(hits, misses)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        self.cache.stats()
-    }
-
-    /// Drop all cached entries and counters.
-    pub fn clear(&self) {
-        self.cache.clear()
-    }
-}
-
 /// The memoized representation state of one embedded sub-plan: the `G` and
 /// `R` channel vectors of the representation cell at the subtree root.
 #[derive(Debug, Clone, PartialEq)]
@@ -264,8 +221,9 @@ pub struct SubtreeState {
 /// Shared by all estimator threads; a hit lets `forward_batch_memo` inject
 /// the stored `(G, R)` columns as tape inputs instead of re-embedding the
 /// subtree.  States are only meaningful for the model/extractor pair that
-/// produced them — the cache is owned by one `CostEstimator` and cleared on
-/// re-fit, never shared across models.
+/// produced them — the cache is owned by one `CostEstimator` and replaced
+/// by a fresh one on every re-fit or checkpoint load, never shared across
+/// models.
 ///
 /// Besides the lookup counters of the underlying [`ShardedCache`], the cache
 /// tracks *node-level* serving counters: of all plan nodes submitted for
@@ -425,29 +383,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_get_roundtrip() {
-        let pool = RepresentationMemoryPool::new();
-        assert!(pool.get(0xa).is_none());
-        pool.insert(0xa, 10.0, 5.0);
-        assert_eq!(pool.get(0xa), Some((10.0, 5.0)));
-        assert_eq!(pool.len(), 1);
-        assert!(!pool.is_empty());
-    }
-
-    #[test]
-    fn hit_miss_counters() {
-        let pool = RepresentationMemoryPool::new();
-        pool.insert(1, 1.0, 1.0);
-        pool.get(1);
-        pool.get(2);
-        pool.get(1);
-        assert_eq!(pool.stats(), (2, 1));
-        pool.clear();
-        assert_eq!(pool.stats(), (0, 0));
-        assert!(pool.is_empty());
-    }
-
-    #[test]
     fn keys_spread_over_shards() {
         let cache: ShardedCache<u32> = ShardedCache::new();
         let mut used = std::collections::HashSet::new();
@@ -533,7 +468,7 @@ mod tests {
         assert!(cache.len() <= 16);
     }
 
-    /// Satellite guard: N threads hammer one pool with interleaved inserts
+    /// Satellite guard: N threads hammer one cache with interleaved inserts
     /// and lookups; afterwards no update may be lost (every inserted key
     /// present) and the stats must balance exactly (hits + misses == total
     /// lookups), which the old two-`RwLock<u64>` counters guaranteed only by
@@ -543,18 +478,18 @@ mod tests {
     fn sharded_pool_multithread_stress_no_lost_updates() {
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 500;
-        let pool = std::sync::Arc::new(RepresentationMemoryPool::new());
+        let cache: Arc<ShardedCache<(f64, f64)>> = Arc::new(ShardedCache::new());
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
-                let pool = std::sync::Arc::clone(&pool);
+                let cache = Arc::clone(&cache);
                 std::thread::spawn(move || {
                     for i in 0..PER_THREAD {
                         let own = (t << 32) | i;
-                        pool.insert(own, i as f64, t as f64);
+                        cache.insert(own, (i as f64, t as f64));
                         // One guaranteed hit (own key, just inserted)...
-                        assert_eq!(pool.get(own), Some((i as f64, t as f64)), "lost update on {own:#x}");
+                        assert_eq!(cache.get(own), Some((i as f64, t as f64)), "lost update on {own:#x}");
                         // ...and one lookup of a key no thread ever inserts.
-                        assert!(pool.get(u64::MAX - own).is_none());
+                        assert!(cache.get(u64::MAX - own).is_none());
                     }
                 })
             })
@@ -562,14 +497,14 @@ mod tests {
         for h in handles {
             h.join().expect("stress thread");
         }
-        assert_eq!(pool.len() as u64, THREADS * PER_THREAD);
-        let (hits, misses) = pool.stats();
+        assert_eq!(cache.len() as u64, THREADS * PER_THREAD);
+        let (hits, misses) = cache.stats();
         assert_eq!(hits, THREADS * PER_THREAD, "stable hit count");
         assert_eq!(misses, THREADS * PER_THREAD, "stable miss count");
         // Every key is still present with the value its writer stored.
         for t in 0..THREADS {
             for i in (0..PER_THREAD).step_by(97) {
-                assert_eq!(pool.get((t << 32) | i), Some((i as f64, t as f64)));
+                assert_eq!(cache.get((t << 32) | i), Some((i as f64, t as f64)));
             }
         }
     }

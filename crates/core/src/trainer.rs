@@ -258,7 +258,7 @@ impl Trainer {
             return (f64::NAN, f64::NAN);
         }
         let val: Vec<&EncodedPlan> = val_idx.iter().map(|&i| &samples[i]).collect();
-        let estimates = estimate_batch_refs(&self.model, &self.model.params, &self.normalization, &val);
+        let estimates = estimate_batch_refs(&self.model, &self.model.params, None, &self.normalization, &val);
         let mut card_sum = 0.0;
         let mut cost_sum = 0.0;
         for (plan, (cost, card)) in val.iter().zip(estimates.iter()) {

@@ -94,9 +94,6 @@ struct Node {
 pub struct Graph {
     nodes: Vec<Node>,
     inference: bool,
-    /// Reproduce the original tape's allocation behavior (see
-    /// [`Graph::seed_compat`]).
-    eager: bool,
     /// Recycled value/grad buffers, refilled by [`Graph::reset`].
     pool: Vec<Vec<f32>>,
     /// Most buffers (values plus gradients) any single pass has held: the
@@ -125,15 +122,6 @@ impl Graph {
         Graph { inference: true, ..Graph::default() }
     }
 
-    /// Create a training-mode graph that reproduces the pre-optimization
-    /// tape's allocation behavior: a zero gradient matrix is allocated
-    /// eagerly for every node, and every `param` call records a fresh copy
-    /// of the parameter.  Exists so the benchmarks can measure the original
-    /// cost model faithfully (`batch::reference`); not for production use.
-    pub fn seed_compat() -> Self {
-        Graph { eager: true, ..Graph::default() }
-    }
-
     /// The graph's mode.
     pub fn mode(&self) -> Mode {
         if self.inference {
@@ -157,8 +145,7 @@ impl Graph {
     /// previous pass held.  After a few passes the pool is warm and node
     /// values stop hitting the allocator.  The pool keeps at most as many
     /// buffers as the largest single pass held, so buffers that were never
-    /// drawn from it (gradients, `seed_compat` copies) cannot grow it
-    /// without bound.
+    /// drawn from it (gradients) cannot grow it without bound.
     pub fn reset(&mut self) {
         let mut held = self.nodes.len();
         for g in self.nodes.iter_mut().filter_map(|n| n.grad.take()) {
@@ -193,8 +180,7 @@ impl Graph {
     fn push(&mut self, value: Matrix, op: Op) -> NodeId {
         // Inference graphs never replay ops, so no metadata is kept.
         let op = if self.inference { Op::Input } else { op };
-        let grad = if self.eager { Some(Matrix::zeros(value.rows(), value.cols())) } else { None };
-        self.nodes.push(Node { value, grad, op });
+        self.nodes.push(Node { value, grad: None, op });
         NodeId(self.nodes.len() - 1)
     }
 
@@ -249,12 +235,6 @@ impl Graph {
     /// cannot change mid-forward, and gradient accumulation through a shared
     /// node is identical to summing over separate copies.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> NodeId {
-        if self.eager {
-            // seed_compat reproduces the original copy-per-application cost
-            // and keeps no cache.
-            let value = Matrix::from_pooled_copy(store.value(id), Vec::new());
-            return self.push(value, Op::Param(id));
-        }
         if let Some(&(_, node)) = self.param_cache.iter().find(|(pid, _)| *pid == id) {
             return node;
         }
@@ -1300,13 +1280,13 @@ mod tests {
 
     #[test]
     fn reset_bounds_pool_by_buffers_one_pass_held() {
-        // The seed-compatible tape allocates a gradient per node and a fresh
-        // copy per parameter request, none of them pool-drawn.
-        let (store, w, v) = two_params();
-        let mut g = Graph::seed_compat();
+        // Backward allocates every gradient afresh, never from the pool.
+        let (mut store, w, v) = two_params();
+        let mut g = Graph::new();
         let mut held_per_pass = 0;
         for _ in 0..1_000 {
-            let _ = two_head_forward(&mut g, &store, w, v);
+            let (h1, _) = two_head_forward(&mut g, &store, w, v);
+            g.backward(h1, Matrix::from_vec(1, 1, vec![1.0]), &mut store);
             held_per_pass = g.len() + g.nodes.iter().filter(|n| n.grad.is_some()).count();
             g.reset();
             assert!(g.pool.len() <= held_per_pass, "pool grew past one pass: {}", g.pool.len());

@@ -2,8 +2,8 @@
 //!
 //! [`PlanNode::signature`](crate::PlanNode::signature) builds a `String` per
 //! call, which is fine for debugging but far too slow for the optimizer loop
-//! where every sub-plan of every candidate is looked up in the representation
-//! memory pool and the subtree-state cache.  [`SigHasher`] streams the same
+//! where every sub-plan of every candidate is looked up in the subtree-state
+//! cache (the representation memory pool).  [`SigHasher`] streams the same
 //! structural content (operator, tables, columns, predicate tree, children)
 //! through an FNV-1a accumulator with a splitmix64 finalizer, producing a
 //! `u64` key with no heap traffic.

@@ -263,7 +263,7 @@ mod tests {
     #[test]
     fn aggregated_results_are_bit_identical_to_direct() {
         let (est, encoded, ..) = fitted_estimator();
-        let direct = est.estimate_encoded_batch_memo(&encoded);
+        let direct = est.estimate_encoded_batch(&encoded);
         let agg = BatchAggregator::new(est.serving());
         let coalesced = agg.estimate(&encoded);
         let bits = |v: &[(f64, f64)]| v.iter().map(|(c, k)| (c.to_bits(), k.to_bits())).collect::<Vec<_>>();
@@ -289,7 +289,7 @@ mod tests {
         // Leadership was released: the next wave is served instead of
         // parking behind a leader that no longer exists.
         let served = agg.estimate(&encoded);
-        let direct = est.estimate_encoded_batch_memo(&encoded);
+        let direct = est.estimate_encoded_batch(&encoded);
         let bits = |v: &[(f64, f64)]| v.iter().map(|(c, k)| (c.to_bits(), k.to_bits())).collect::<Vec<_>>();
         assert_eq!(bits(&served), bits(&direct));
         assert_eq!(agg.wave_stats().waves, 2);
@@ -298,7 +298,7 @@ mod tests {
     #[test]
     fn concurrent_sessions_coalesce_and_each_gets_its_own_slice() {
         let (est, encoded, ..) = fitted_estimator();
-        let expected = est.estimate_encoded_batch_memo(&encoded);
+        let expected = est.estimate_encoded_batch(&encoded);
         let agg = Arc::new(BatchAggregator::new(est.serving()));
         // 8 sessions, each repeatedly requesting a distinct window of the
         // workload; every response must be that session's own slice.

@@ -20,6 +20,7 @@ fn main() {
     let test =
         generate_workload(&db, WorkloadConfig { num_queries: 12, max_joins: 2, seed: 999, ..Default::default() });
     let plans: Vec<PlanNode> = train.iter().map(|s| s.plan.clone()).collect();
+    let test_plans: Vec<PlanNode> = test.iter().map(|s| s.plan.clone()).collect();
 
     let make_estimator = || {
         let enc = EncodingConfig::from_database(&db, 16, 64);
@@ -38,8 +39,7 @@ fn main() {
     let cold_secs = started.elapsed().as_secs_f64();
     println!("cold start: trained {} epochs in {cold_secs:.2} s", stats.len());
 
-    let test_encoded: Vec<_> = test.iter().map(|s| cold.encode(&s.plan)).collect();
-    let cold_estimates = cold.estimate_encoded_batch_memo(&test_encoded);
+    let cold_estimates = cold.serving().estimate_plans(&test_plans);
 
     // 3. Checkpoint: model config, normalization, extractor vocab, params.
     let path = std::env::temp_dir().join("e2e_save_load_demo.ckpt");
@@ -52,7 +52,7 @@ fn main() {
     let mut warm = make_estimator();
     let started = Instant::now();
     warm.load_checkpoint(&path).expect("load checkpoint");
-    let first = warm.estimate_encoded_batch_memo(&test_encoded[..1]);
+    let first = warm.serving().estimate_plans(&test_plans[..1]);
     let warm_secs = started.elapsed().as_secs_f64();
     println!(
         "warm start: load + first estimate in {:.1} ms ({:.0}x faster than the cold fit)",
@@ -62,7 +62,7 @@ fn main() {
     let _ = first;
 
     // 5. The guarantee: bit-identical estimates, no retraining.
-    let warm_estimates = warm.estimate_encoded_batch_memo(&test_encoded);
+    let warm_estimates = warm.serving().estimate_plans(&test_plans);
     assert_eq!(
         warm_estimates.iter().map(|(c, k)| (c.to_bits(), k.to_bits())).collect::<Vec<_>>(),
         cold_estimates.iter().map(|(c, k)| (c.to_bits(), k.to_bits())).collect::<Vec<_>>(),
