@@ -17,8 +17,10 @@
 //!   disabled: the pre-memo pipeline, bit-identical output) vs. the
 //!   signature-memoized batch encode against the shared encode cache over
 //!   the identical stream, plus the sample-bitmap memo hit rate over one
-//!   fresh-style pass and the end-to-end raw-plans→estimates throughput of
-//!   [`estimator_core::ServingEstimator::estimate_plans`].
+//!   fresh-style pass, the end-to-end raw-plans→estimates throughput of
+//!   [`estimator_core::ServingEstimator::estimate_plans`] (the state-first
+//!   walk) and, over the same stream, the two-call split it replaced:
+//!   memoized batch encode, then the memoized encoded-plan forward.
 //! * **Concurrent-session scaling** — 1/2/4/8 serving threads, each scoring
 //!   its own full copy of the stream (staggered query offsets, like
 //!   independent clients with recurring templates) against the shared
@@ -176,12 +178,16 @@ fn main() {
         serving.cache().len(),
     );
 
-    // Memoized results must be exactly the memoization-free results.
+    // Memoized results must be exactly the memoization-free results, from
+    // encoded plans and from raw plans through the state-first walk.
     {
-        serving.cache().clear();
         let q = &encoded[0];
         let refs: Vec<&EncodedPlan> = q.iter().collect();
-        assert_eq!(serving.estimate_encoded_batch(&refs), est.estimate_encoded_batch(q), "memoized estimates diverged");
+        let fresh = est.estimate_encoded_batch(q);
+        serving.cache().clear();
+        assert_eq!(serving.estimate_encoded_batch(&refs), fresh, "memoized estimates diverged");
+        serving.cache().clear();
+        assert_eq!(serving.estimate_plans(&workload[0].candidates), fresh, "state-first estimates diverged");
     }
 
     // --- Encode pipeline: fresh vs signature-memoized featurization. ---
@@ -208,18 +214,18 @@ fn main() {
     );
     let secs_encode_memo = time_reps(
         reps,
-        || serving.encode_cache().clear(),
+        || est.encode_cache().clear(),
         || {
             for _ in 0..rounds {
                 for s in &workload {
-                    std::hint::black_box(serving.encode_plans(&s.candidates));
+                    std::hint::black_box(est.encode_plans(&s.candidates));
                 }
             }
         },
     );
     let encode_speedup = secs_encode_fresh / secs_encode_memo;
-    let encode_cache_hit_rate = serving.encode_cache().hit_rate();
-    let encode_cache_entries = serving.encode_cache().len();
+    let encode_cache_hit_rate = est.encode_cache().hit_rate();
+    let encode_cache_entries = est.encode_cache().len();
     // Bitmap-memo hit rate over one fresh-style pass (memo enabled, cleared
     // first): across an enumeration stream almost every scan repeats a
     // (table, predicate) pair some other candidate already swept.
@@ -231,13 +237,10 @@ fn main() {
     }
     let bitmap_hit_rate = est.extractor().bitmap_memo_hit_rate();
     // End-to-end front door: raw PlanNodes in, (cost, cardinality) out,
-    // through one memoized encode+embed pipeline.
+    // through the state-first walk (it never touches the encode cache).
     let secs_end_to_end = time_reps(
         reps,
-        || {
-            serving.encode_cache().clear();
-            serving.cache().clear();
-        },
+        || serving.cache().clear(),
         || {
             for _ in 0..rounds {
                 for s in &workload {
@@ -247,10 +250,30 @@ fn main() {
         },
     );
     let end_to_end_plans_per_sec = plans_per_session as f64 / secs_end_to_end;
+    // The same stream through the two-call split the front door replaced:
+    // memoized batch encode, then the memoized encoded-plan forward.
+    let secs_split = time_reps(
+        reps,
+        || {
+            est.encode_cache().clear();
+            serving.cache().clear();
+        },
+        || {
+            for _ in 0..rounds {
+                for s in &workload {
+                    let batch = est.encode_plans(&s.candidates);
+                    let refs: Vec<&EncodedPlan> = batch.iter().map(|e| e.as_ref()).collect();
+                    std::hint::black_box(serving.estimate_encoded_batch(&refs));
+                }
+            }
+        },
+    );
+    let split_plans_per_sec = plans_per_session as f64 / secs_split;
     println!(
         "encode: fresh {:.1} plans/s -> memoized {:.1} plans/s ({encode_speedup:.1}x), \
          encode-cache hit rate {:.1}% ({encode_cache_entries} entries), bitmap memo hit rate {:.1}%, \
-         end-to-end {end_to_end_plans_per_sec:.1} plans/s",
+         end-to-end {end_to_end_plans_per_sec:.1} plans/s (encode-then-estimate split \
+         {split_plans_per_sec:.1} plans/s)",
         plans_per_session as f64 / secs_encode_fresh,
         plans_per_session as f64 / secs_encode_memo,
         encode_cache_hit_rate * 100.0,
@@ -259,7 +282,7 @@ fn main() {
     // Memoized featurization must be bit-identical to the fresh pipeline.
     {
         let fresh: Vec<EncodedPlan> = workload[0].candidates.iter().map(|c| fresh_fx.encode_plan(c)).collect();
-        let memoized = serving.encode_plans(&workload[0].candidates);
+        let memoized = est.encode_plans(&workload[0].candidates);
         assert!(
             memoized.iter().zip(&fresh).all(|(m, f)| m.as_ref() == f),
             "memoized encode diverged from fresh featurization"
@@ -357,7 +380,8 @@ fn main() {
     let _ = writeln!(json, "    \"encode_cache_hit_rate\": {encode_cache_hit_rate:.4},");
     let _ = writeln!(json, "    \"encode_cache_entries\": {encode_cache_entries},");
     let _ = writeln!(json, "    \"bitmap_memo_hit_rate\": {bitmap_hit_rate:.4},");
-    let _ = writeln!(json, "    \"end_to_end_plans_per_sec\": {end_to_end_plans_per_sec:.1}");
+    let _ = writeln!(json, "    \"end_to_end_plans_per_sec\": {end_to_end_plans_per_sec:.1},");
+    let _ = writeln!(json, "    \"split_plans_per_sec\": {split_plans_per_sec:.1}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"warm_start\": {{");
     let _ = match cold_fit_secs {

@@ -15,12 +15,15 @@
 //!   `estimate_encoded_batch_quant`) — training, oracles and the int8 rows;
 //! * the memoized level batch ([`ServingEstimator`]) — all serving
 //!   traffic, including [`CostEstimator::estimate`] and the [`Estimator`]
-//!   impl.
+//!   impl.  Raw plans enter it state first
+//!   ([`ServingEstimator::estimate_plans`]): a sub-plan whose state the
+//!   subtree-state cache holds costs a signature walk and a lookup, and only
+//!   the fringe above the cached states is featurized and embedded.
 //!
 //! All three return the same bits for the same plan and weights.
 
 use crate::backend::{Estimator, EstimatorCapabilities, PlanEstimate, TrainableEstimator};
-use crate::batch::{estimate_batch, estimate_batch_memo, estimate_batch_refs};
+use crate::batch::{estimate_batch, estimate_batch_memo, estimate_batch_refs, estimate_plans_memo};
 use crate::checkpoint;
 use crate::memory::{EncodedSubtreeCache, SubtreeStateCache};
 use crate::model::{ModelConfig, TaskMode, TreeModel};
@@ -41,8 +44,8 @@ pub struct CostEstimator {
     model_config: ModelConfig,
     train_config: TrainConfig,
     subtree_cache: Arc<SubtreeStateCache>,
-    /// Memoized subtree *encodings* (the featurize front of the serving
-    /// path); swapped together with `subtree_cache` on every invalidation.
+    /// Memoized subtree *encodings* behind [`CostEstimator::encode_plans`];
+    /// swapped together with `subtree_cache` on every invalidation.
     encode_cache: Arc<EncodedSubtreeCache>,
     /// Per-channel int8 form of the fitted weights (the Table-12 Q8 rows);
     /// derived on demand or restored from a v3 checkpoint.
@@ -126,7 +129,8 @@ impl CostEstimator {
     }
 
     /// The memoized-encode cache backing [`CostEstimator::encode_plans`]
-    /// (and every [`ServingEstimator`] handle minted since the last refit).
+    /// (and, through it, the serving catalog's batch encode).  Raw-plan
+    /// estimation ([`ServingEstimator::estimate_plans`]) never touches it.
     pub fn encode_cache(&self) -> &EncodedSubtreeCache {
         self.encode_cache.as_ref()
     }
@@ -216,8 +220,8 @@ impl CostEstimator {
 
     /// Estimate `(cost, cardinality)` for a physical plan through the
     /// serving path ([`ServingEstimator::estimate_plans`]): a repeated plan
-    /// is served from the encode cache and the subtree-state cache without
-    /// embedding a single node.
+    /// is served from the subtree-state cache by one signature walk and one
+    /// lookup, without featurizing or embedding a single node.
     ///
     /// # Panics
     /// Panics if the estimator has not been fitted.
@@ -260,13 +264,13 @@ impl CostEstimator {
         estimate_batch_refs(&trainer.model, &trainer.model.params, quant, &trainer.normalization, &refs)
     }
 
-    /// An **owned**, shareable serving handle over the fitted model and the
-    /// subtree cache.  The handle is `Clone + Send + Sync` and holds the
-    /// model and cache by `Arc`, so its lifetime is decoupled from this
-    /// estimator (and its trainer): a multi-tenant catalog can keep serving
-    /// a model whose trainer is long gone, and a hot-swap or re-fit on this
-    /// estimator leaves outstanding handles pinned to the exact weights and
-    /// cache they were created with.  Tapes are per-thread and the cache is
+    /// An **owned**, shareable serving handle over the fitted model, its
+    /// feature extractor and the subtree cache.  The handle is `Clone +
+    /// Send + Sync` and holds its referents by `Arc`, so its lifetime is
+    /// decoupled from this estimator (and its trainer): a multi-tenant
+    /// catalog can keep serving a model whose trainer is long gone, and a
+    /// hot-swap or re-fit on this estimator leaves outstanding handles
+    /// pinned to the exact weights and cache they were created with.  Tapes are per-thread and the cache is
     /// sharded, so concurrent sessions sharing one handle serialize on no
     /// global lock.
     ///
@@ -279,7 +283,6 @@ impl CostEstimator {
             normalization: trainer.normalization,
             extractor: Arc::clone(&self.extractor),
             cache: Arc::clone(&self.subtree_cache),
-            encode_cache: Arc::clone(&self.encode_cache),
         }
     }
 
@@ -449,10 +452,10 @@ impl Estimator for CostEstimator {
         if plans.is_empty() {
             return Vec::new();
         }
-        // Memoized on both ends: featurization deduplicates shared subtrees
-        // through the encode cache (bit-identical to fresh `encode`), and
-        // inference memoizes subtree states — trait-driven serving (catalog
-        // sessions, coalesced admission batches) shares both across calls.
+        // State first: a sub-plan whose state is cached costs a signature
+        // walk and a lookup, and only the fringe above the cached states is
+        // featurized — trait-driven serving (catalog sessions, coalesced
+        // admission batches) shares the subtree-state cache across calls.
         self.serving()
             .estimate_plans(plans)
             .into_iter()
@@ -483,10 +486,10 @@ impl TrainableEstimator for CostEstimator {
 }
 
 /// An owned, thread-shareable view of a fitted estimator for
-/// optimizer-in-the-loop serving: the tree model, the target normalization
-/// and the shared subtree-state cache — held by `Arc`, with nothing else
-/// attached.  Obtain one via [`CostEstimator::serving`]; clones share the
-/// same weights and cache.  Because the handle **owns** its referents, it
+/// optimizer-in-the-loop serving: the tree model, the target normalization,
+/// the feature extractor and the shared subtree-state cache — held by
+/// `Arc`, with nothing else attached.  Obtain one via
+/// [`CostEstimator::serving`]; clones share the same weights and cache.  Because the handle **owns** its referents, it
 /// outlives the estimator/trainer that minted it: a model catalog can drop
 /// or hot-swap the source estimator while in-flight sessions finish on
 /// their pinned handle, and a re-fit/checkpoint-load never mutates weights
@@ -497,34 +500,23 @@ pub struct ServingEstimator {
     model: Arc<TreeModel>,
     normalization: TargetNormalization,
     /// The feature extractor the model was fitted with, so the handle can
-    /// accept raw [`PlanNode`]s and run the whole encode+embed pipeline.
+    /// accept raw [`PlanNode`]s and featurize the nodes it must embed.
     extractor: Arc<FeatureExtractor>,
     cache: Arc<SubtreeStateCache>,
-    /// Memoized subtree *encodings*, shared with the source estimator and
-    /// every clone of this handle — swapped alongside `cache` on
-    /// invalidation so a handle always holds a consistent (model, caches)
-    /// set.
-    encode_cache: Arc<EncodedSubtreeCache>,
 }
 
 impl ServingEstimator {
-    /// The end-to-end front door: encode a batch of **raw plans** through
-    /// the shared encode cache (each distinct subtree featurized once,
-    /// bit-identical to fresh encoding) and score them through the memoized
-    /// batch path; `(cost, cardinality)` per plan, in input order.  This is
-    /// the one-call form of `encode_plans` + `estimate_encoded_batch` an
-    /// optimizer loop wants.
+    /// The end-to-end front door: score a batch of **raw plans** state
+    /// first; `(cost, cardinality)` per plan, in input order.  One
+    /// signature walk per plan keys every sub-plan; a sub-plan already in
+    /// the batch or in the subtree-state cache is served from there, and
+    /// only the nodes above those states are featurized and embedded — no
+    /// [`EncodedPlan`] tree is built, so a plan whose root state is cached
+    /// costs a walk and a lookup.  Bit-identical to encoding each plan and
+    /// calling [`ServingEstimator::estimate_encoded_batch`], with which it
+    /// shares cache entries.
     pub fn estimate_plans(&self, plans: &[PlanNode]) -> Vec<(f64, f64)> {
-        let encoded = self.encode_plans(plans);
-        let refs: Vec<&EncodedPlan> = encoded.iter().map(|a| a.as_ref()).collect();
-        self.estimate_encoded_batch(&refs)
-    }
-
-    /// Encode a batch of raw plans through the handle's shared encode
-    /// cache: each distinct (subtree, annotations) featurized at most once
-    /// across the batch *and* across every session sharing this handle.
-    pub fn encode_plans(&self, plans: &[PlanNode]) -> Vec<Arc<EncodedPlan>> {
-        self.extractor.encode_plans_cached(plans, self.encode_cache.as_ref())
+        estimate_plans_memo(&self.model, &self.model.params, &self.normalization, &self.extractor, plans, &self.cache)
     }
 
     /// Score a batch of candidate plans with subtree memoization
@@ -539,12 +531,7 @@ impl ServingEstimator {
         self.cache.as_ref()
     }
 
-    /// The shared encoded-subtree cache (for hit-rate reporting).
-    pub fn encode_cache(&self) -> &EncodedSubtreeCache {
-        self.encode_cache.as_ref()
-    }
-
-    /// The feature extractor this handle encodes raw plans with.
+    /// The feature extractor this handle featurizes raw plans with.
     pub fn extractor(&self) -> &FeatureExtractor {
         self.extractor.as_ref()
     }
@@ -765,6 +752,56 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    #[test]
+    fn raw_plans_are_served_state_first() {
+        let (mut est, db) = make_estimator();
+        let plans = executed_plans(&db, 12);
+        est.fit(&plans);
+        let serving = est.serving();
+        let encoded: Vec<EncodedPlan> = plans.iter().map(|p| est.encode(p)).collect();
+        let want = bits(&est.estimate_encoded_batch(&encoded));
+
+        // The raw walk keys every state exactly as an encoded plan does, so
+        // the encoded path finds all of them and embeds nothing.
+        assert_eq!(bits(&serving.estimate_plans(&plans)), want);
+        let computed = est.subtree_cache().node_stats().1;
+        assert!(computed > 0, "the cold pass must embed the plans");
+        assert_eq!(bits(&serve_encoded(&est, &encoded)), want);
+        assert_eq!(est.subtree_cache().node_stats().1, computed, "the encoded path must reuse the raw walk's states");
+
+        // A warm pass is a signature walk and a lookup per plan: it embeds
+        // nothing and neither probes the encode cache nor sweeps a bitmap.
+        let encode_stats = est.encode_cache().stats();
+        let bitmap_stats = est.extractor().bitmap_memo_stats();
+        assert_eq!(bits(&serving.estimate_plans(&plans)), want);
+        assert_eq!(est.subtree_cache().node_stats().1, computed, "a warm pass must embed no node");
+        assert_eq!(est.encode_cache().stats(), encode_stats, "a warm pass must not touch the encode cache");
+        assert_eq!(est.extractor().bitmap_memo_stats(), bitmap_stats, "a warm pass must featurize no node");
+    }
+
+    #[test]
+    fn malformed_raw_plans_serve_the_bits_of_their_encodings() {
+        let (mut est, db) = make_estimator();
+        est.fit(&executed_plans(&db, 10));
+        let scan = |table: &str, predicate| PlanNode::leaf(PhysicalOp::SeqScan { table: table.into(), predicate });
+        let year = |v: f64| Some(Predicate::atom("title", "production_year", CompareOp::Gt, Operand::Num(v)));
+        let malformed = vec![
+            scan("no_such_table", None),
+            scan("title", Some(Predicate::atom("title", "no_such_column", CompareOp::Eq, Operand::Num(1.0)))),
+            scan("title", year(f64::NAN)),
+            scan("title", year(f64::INFINITY)),
+            scan("title", year(f64::NEG_INFINITY)),
+            PlanNode::inner(
+                PhysicalOp::HashJoin { condition: JoinPredicate::new("movie_companies", "movie_id", "title", "id") },
+                vec![scan("title", None), scan("movie_companies", None), scan("keyword", None)],
+            ),
+        ];
+        let encoded: Vec<EncodedPlan> = malformed.iter().map(|p| est.encode(p)).collect();
+        let want = bits(&est.estimate_encoded_batch(&encoded));
+        assert_eq!(bits(&est.serving().estimate_plans(&malformed)), want, "cold");
+        assert_eq!(bits(&est.serving().estimate_plans(&malformed)), want, "warm");
+    }
+
     /// Satellite regression guard: swapping a checkpoint in must invalidate
     /// the subtree-state cache and the encode cache exactly like a re-fit —
     /// a stale cached state from the old parameters must not leak into
@@ -795,7 +832,7 @@ mod tests {
 
         // Warm A's subtree and encode caches under the OLD parameters.
         let stale_memo = serve_encoded(&a, &encoded);
-        let _ = a.estimate(&plans[0]);
+        let _ = a.encode_plans(&plans);
         assert!(!a.subtree_cache().is_empty(), "test needs a warm subtree cache");
         assert!(!a.encode_cache().is_empty(), "test needs a warm encode cache");
         assert_ne!(bits(&stale_memo), bits(&b_estimates), "models must differ for the guard to mean anything");

@@ -31,17 +31,30 @@
 //! and re-scores candidate plans by combining cached states at the fringe —
 //! with bit-identical results to the memoization-free path.
 //!
+//! Raw plans enter the memoized forward **state first**
+//! (`estimate_plans_memo`, behind `ServingEstimator::estimate_plans`): one
+//! signature walk per plan keys every sub-plan, the flatten probes the batch
+//! and the cache top-down, and only a node that misses both is featurized —
+//! no `EncodedPlan` is built, so a plan whose root state is cached costs a
+//! walk and a lookup.  Encoded and raw plans share one memoized level loop
+//! and the same cache entries.
+//!
 //! The per-node recursion [`TreeModel::forward`] shares no code with the
 //! level loop and returns the same bits, so it is the oracle both batched
 //! forwards are tested against (and Table 12's one-by-one row).
 
-use crate::memory::{SubtreeState, SubtreeStateCache};
+use crate::memory::{IdentityHasher, SubtreeState, SubtreeStateCache};
 use crate::model::TreeModel;
 use crate::trainer::TargetNormalization;
-use featurize::EncodedPlan;
+use featurize::{EncodedPlan, FeatureExtractor, NodeFeatures};
 use nn::cells::CellOutput;
 use nn::{Graph, NodeId, ParamStore, QuantWeights};
+use query::PlanNode;
 use rayon::prelude::*;
+use std::borrow::Borrow;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+use std::sync::Arc;
 
 /// Plans per parallel group.  Large enough that the per-level matrices fill
 /// the blocked-matmul tiles and the per-level tape overhead amortizes,
@@ -247,7 +260,7 @@ pub fn forward_batch_q(
         }
         // Batched feature embedding for the level: the op/meta/sample
         // embedding layers run once over column-stacked inputs.
-        let feats: Vec<&featurize::NodeFeatures> = level_nodes.iter().map(|&i| &flat[i].encoded.features).collect();
+        let feats: Vec<&NodeFeatures> = level_nodes.iter().map(|&i| &flat[i].encoded.features).collect();
         let x_batch = model.embed_nodes_batch_q(g, store, quant, &feats);
 
         // Batched children states: for each node take its (left, right) child
@@ -280,68 +293,265 @@ pub fn forward_batch_q(
     model.estimate_from_representation_q(g, store, quant, r_batch)
 }
 
-/// Flattened view of one node in a memoized batch: either a fresh node to
-/// embed (like [`FlatNode`]) or the root of a memoized subtree whose cached
-/// `(G, R)` state is injected instead of recursing into its children.
-struct MemoFlatNode<'a> {
-    height: usize,
-    children: Vec<usize>,
-    encoded: &'a EncodedPlan,
-    cached: Option<std::sync::Arc<SubtreeState>>,
-    signature: u64,
+/// One node of a memoized batch: the root of a memoized subtree, whose
+/// cached `(G, R)` state is injected instead of recursing into its
+/// children, or a fresh node to embed with its features `F` (borrowed from
+/// an [`EncodedPlan`], or encoded from a raw plan by the state-first walk).
+enum MemoNode<F> {
+    Cached(Arc<SubtreeState>),
+    Fresh(F),
 }
 
-/// Flatten `plan` into `out`, pruning at memoized subtrees and deduplicating
-/// by signature within the batch (`seen`): a DP enumeration's candidates
-/// share almost all of their subtrees, and each distinct subtree must enter
-/// the level-batched forward exactly once.  Returns `(flat index, height)`
-/// and counts, for the cache's node-level serving stats, how many plan nodes
-/// were submitted (`seen_nodes`) vs. will actually be embedded (`computed`).
-fn flatten_memo<'a>(
-    plan: &'a EncodedPlan,
-    cache: &SubtreeStateCache,
-    dedup: &mut std::collections::HashMap<u64, usize>,
-    out: &mut Vec<MemoFlatNode<'a>>,
-    seen_nodes: &mut u64,
-    computed: &mut u64,
-) -> (usize, usize) {
-    let signature = plan.signature;
-    if let Some(&idx) = dedup.get(&signature) {
-        // Already flattened for another candidate in this batch: the whole
-        // subtree is served by the shared flat node.
-        *seen_nodes += plan.size() as u64;
-        return (idx, out[idx].height);
+/// Flattened view of one node in a memoized batch.
+struct MemoFlatNode<F> {
+    height: usize,
+    children: Vec<usize>,
+    signature: u64,
+    node: MemoNode<F>,
+}
+
+/// A plan tree [`MemoBatch::flatten`] can walk: an encoded plan, whose
+/// features are borrowed, or a raw plan ([`RawTree`]), whose node is
+/// featurized only when its subtree misses both the batch and the cache.
+trait MemoTree: Copy {
+    type Features: Borrow<NodeFeatures>;
+    fn signature(self) -> u64;
+    /// Plan nodes in the subtree.
+    fn size(self) -> usize;
+    fn features(self) -> Self::Features;
+    fn children(self) -> impl Iterator<Item = Self>;
+}
+
+impl<'a> MemoTree for &'a EncodedPlan {
+    type Features = &'a NodeFeatures;
+
+    fn signature(self) -> u64 {
+        self.signature
     }
-    if let Some(state) = cache.get(signature) {
-        let idx = out.len();
-        out.push(MemoFlatNode { height: 1, children: Vec::new(), encoded: plan, cached: Some(state), signature });
-        dedup.insert(signature, idx);
-        *seen_nodes += plan.size() as u64;
-        return (idx, 1);
+
+    fn size(self) -> usize {
+        EncodedPlan::size(self)
     }
-    *seen_nodes += 1;
-    *computed += 1;
-    let my_idx = out.len();
-    out.push(MemoFlatNode { height: 1, children: Vec::new(), encoded: plan, cached: None, signature });
-    dedup.insert(signature, my_idx);
-    let mut child_ids = Vec::new();
-    let mut max_child_height = 0;
-    for c in &plan.children {
-        let (cid, ch) = flatten_memo(c, cache, dedup, out, seen_nodes, computed);
-        child_ids.push(cid);
-        max_child_height = max_child_height.max(ch);
+
+    fn features(self) -> &'a NodeFeatures {
+        &self.features
     }
-    let height = 1 + max_child_height;
-    out[my_idx].children = child_ids;
-    out[my_idx].height = height;
-    (my_idx, height)
+
+    fn children(self) -> impl Iterator<Item = Self> {
+        self.children.iter().map(|c| c.as_ref())
+    }
+}
+
+/// A raw plan node with the pre-order `(signature, subtree size)` records
+/// of its subtree ([`signature_walk`]), its own first.
+#[derive(Clone, Copy)]
+struct RawTree<'a> {
+    plan: &'a PlanNode,
+    records: &'a [(u64, usize)],
+    extractor: &'a FeatureExtractor,
+}
+
+impl MemoTree for RawTree<'_> {
+    type Features = NodeFeatures;
+
+    fn signature(self) -> u64 {
+        self.records[0].0
+    }
+
+    fn size(self) -> usize {
+        self.records[0].1
+    }
+
+    fn features(self) -> NodeFeatures {
+        self.extractor.encode_node(self.plan)
+    }
+
+    fn children(self) -> impl Iterator<Item = Self> {
+        let mut at = 1;
+        self.plan.children.iter().map(move |plan| {
+            let records = &self.records[at..];
+            at += records[0].1;
+            RawTree { plan, records, ..self }
+        })
+    }
+}
+
+/// Append the pre-order `(signature, subtree size)` records of `plan`'s
+/// subtree to `out`; returns `plan`'s signature.  The signatures are
+/// exactly [`PlanNode::signature_hash`] — so equal to
+/// [`EncodedPlan::signature`], and the raw and encoded paths share cache
+/// entries — and each child is walked lazily while the parent's hasher
+/// consumes it, as `signature_hash` itself does.
+fn signature_walk(plan: &PlanNode, out: &mut Vec<(u64, usize)>) -> u64 {
+    let at = out.len();
+    out.push((0, 0));
+    let signature = plan.signature_hash_from_children(plan.children.iter().map(|c| signature_walk(c, out)));
+    out[at] = (signature, out.len() - at);
+    signature
+}
+
+/// A memoized batch: its flattened nodes, each plan's root, and the node
+/// accounting of the flatten for the cache's serving stats — how many plan
+/// nodes were submitted (`seen_nodes`) vs. will actually be embedded
+/// (`computed`).
+struct MemoBatch<F> {
+    flat: Vec<MemoFlatNode<F>>,
+    roots: Vec<usize>,
+    max_height: usize,
+    /// Signature → flat index.  Keyed like the shared caches: signatures
+    /// are splitmix-finalized, so the map skips re-hashing, and it lives for
+    /// one chunk of at most [`GROUP_SIZE`] plans.
+    dedup: HashMap<u64, usize, BuildHasherDefault<IdentityHasher>>,
+    seen_nodes: u64,
+    computed: u64,
+}
+
+impl<F: Borrow<NodeFeatures>> MemoBatch<F> {
+    /// Flatten `plans` top-down against `cache`.
+    fn new<T: MemoTree<Features = F>>(plans: impl ExactSizeIterator<Item = T>, cache: &SubtreeStateCache) -> Self {
+        let n = plans.len();
+        let mut batch = MemoBatch {
+            flat: Vec::with_capacity(n),
+            roots: Vec::with_capacity(n),
+            max_height: 1,
+            dedup: HashMap::with_capacity_and_hasher(n, Default::default()),
+            seen_nodes: 0,
+            computed: 0,
+        };
+        for plan in plans {
+            let (root, height) = batch.flatten(plan, cache);
+            batch.roots.push(root);
+            batch.max_height = batch.max_height.max(height);
+        }
+        batch
+    }
+
+    /// Flatten `tree`, deduplicating by signature within the batch first (a
+    /// DP enumeration's candidates share almost all of their subtrees, and
+    /// each distinct subtree must enter the level-batched forward exactly
+    /// once), then pruning at memoized subtrees; only a node that misses
+    /// both is featurized and descended into.  Returns `(flat index, height)`.
+    fn flatten<T: MemoTree<Features = F>>(&mut self, tree: T, cache: &SubtreeStateCache) -> (usize, usize) {
+        let signature = tree.signature();
+        if let Some(&idx) = self.dedup.get(&signature) {
+            // Already flattened for another candidate in this batch: the whole
+            // subtree is served by the shared flat node.
+            self.seen_nodes += tree.size() as u64;
+            return (idx, self.flat[idx].height);
+        }
+        let idx = self.flat.len();
+        self.dedup.insert(signature, idx);
+        if let Some(state) = cache.get(signature) {
+            self.flat.push(MemoFlatNode { height: 1, children: Vec::new(), signature, node: MemoNode::Cached(state) });
+            self.seen_nodes += tree.size() as u64;
+            return (idx, 1);
+        }
+        self.seen_nodes += 1;
+        self.computed += 1;
+        self.flat.push(MemoFlatNode {
+            height: 1,
+            children: Vec::new(),
+            signature,
+            node: MemoNode::Fresh(tree.features()),
+        });
+        let mut children = Vec::new();
+        let mut max_child_height = 0;
+        for c in tree.children() {
+            let (cid, ch) = self.flatten(c, cache);
+            children.push(cid);
+            max_child_height = max_child_height.max(ch);
+        }
+        let height = 1 + max_child_height;
+        self.flat[idx].children = children;
+        self.flat[idx].height = height;
+        (idx, height)
+    }
+
+    /// The memoized level loop, shared by both memoized forwards: inject
+    /// the cached states, run the level-batched forward over the fresh
+    /// fringe exactly as in [`forward_batch`] — plus, per level, lifting the
+    /// new state columns off the tape into `cache` — then the heads over
+    /// every root.
+    fn forward(
+        &self,
+        model: &TreeModel,
+        store: &ParamStore,
+        g: &mut Graph,
+        cache: &SubtreeStateCache,
+    ) -> (NodeId, NodeId) {
+        cache.record_nodes(self.seen_nodes, self.computed);
+        let hidden = model.config.hidden_dim;
+        let flat = &self.flat;
+
+        // Cache-hit states re-enter the tape as two batched input columns;
+        // fresh nodes are bucketed by level.
+        let mut states: Vec<Option<StateRef>> = vec![None; flat.len()];
+        let mut cached: Vec<(usize, &SubtreeState)> = Vec::new();
+        let mut levels: Vec<Vec<(usize, &NodeFeatures)>> = vec![Vec::new(); self.max_height];
+        for (i, n) in flat.iter().enumerate() {
+            match &n.node {
+                MemoNode::Cached(state) => cached.push((i, state)),
+                MemoNode::Fresh(features) => levels[n.height - 1].push((i, features.borrow())),
+            }
+        }
+        if !cached.is_empty() {
+            let g_cols: Vec<&[f32]> = cached.iter().map(|(_, s)| s.g.as_slice()).collect();
+            let r_cols: Vec<&[f32]> = cached.iter().map(|(_, s)| s.r.as_slice()).collect();
+            let inj_g = g.input_columns(hidden, &g_cols);
+            let inj_r = g.input_columns(hidden, &r_cols);
+            for (col, &(i, _)) in cached.iter().enumerate() {
+                states[i] = Some(StateRef { g: (inj_g, col), r: (inj_r, col) });
+            }
+        }
+        let zero = model.zero_state_batch(g, 1);
+        let zero_ref = StateRef { g: (zero.g, 0), r: (zero.r, 0) };
+
+        for level in &levels {
+            if level.is_empty() {
+                continue;
+            }
+            let feats: Vec<&NodeFeatures> = level.iter().map(|&(_, f)| f).collect();
+            let x_batch = model.embed_nodes_batch(g, store, &feats);
+
+            let mut left_g = Vec::with_capacity(level.len());
+            let mut left_r = Vec::with_capacity(level.len());
+            let mut right_g = Vec::with_capacity(level.len());
+            let mut right_r = Vec::with_capacity(level.len());
+            for &(i, _) in level {
+                let children = &flat[i].children;
+                let left = children.first().and_then(|&c| states[c]).unwrap_or(zero_ref);
+                let right = children.get(1).and_then(|&c| states[c]).unwrap_or(zero_ref);
+                left_g.push(left.g);
+                left_r.push(left.r);
+                right_g.push(right.g);
+                right_r.push(right.r);
+            }
+            let left = CellOutput { g: g.gather_cols(&left_g), r: g.gather_cols(&left_r) };
+            let right = CellOutput { g: g.gather_cols(&right_g), r: g.gather_cols(&right_r) };
+
+            let out = model.apply_cell(g, store, x_batch, left, right);
+            for (col, &(i, _)) in level.iter().enumerate() {
+                states[i] = Some(StateRef { g: (out.g, col), r: (out.r, col) });
+                let mut sg = Vec::with_capacity(hidden);
+                let mut sr = Vec::with_capacity(hidden);
+                g.extract_column(out.g, col, &mut sg);
+                g.extract_column(out.r, col, &mut sr);
+                cache.insert(flat[i].signature, Arc::new(SubtreeState { g: sg, r: sr }));
+            }
+        }
+
+        let root_rs: Vec<(NodeId, usize)> =
+            self.roots.iter().map(|&r| states[r].expect("root state computed").r).collect();
+        let r_batch = g.gather_cols(&root_rs);
+        model.estimate_from_representation(g, store, r_batch)
+    }
 }
 
 /// [`forward_batch`] with subtree memoization — the serving-layer forward of
 /// the optimizer loop.
 ///
-/// Before embedding anything, every sub-plan is looked up in `cache` by its
-/// 64-bit signature (and deduplicated against the rest of the batch): hits
+/// Before embedding anything, every sub-plan is deduplicated against the
+/// rest of the batch and looked up in `cache` by its 64-bit signature: hits
 /// re-enter the tape as injected `(G, R)` input columns
 /// ([`Graph::input_columns`]), and only the fringe above them is embedded.
 /// After each level's cell runs, the new sub-plans' state columns are lifted
@@ -364,84 +574,7 @@ pub fn forward_batch_memo(
     cache: &SubtreeStateCache,
 ) -> (NodeId, NodeId) {
     assert!(!plans.is_empty(), "forward_batch_memo needs at least one plan");
-    let hidden = model.config.hidden_dim;
-    let mut flat: Vec<MemoFlatNode> = Vec::new();
-    let mut dedup = std::collections::HashMap::new();
-    let mut roots = Vec::with_capacity(plans.len());
-    let mut max_height = 1;
-    let (mut seen_nodes, mut computed) = (0u64, 0u64);
-    for p in plans {
-        let (root_idx, h) = flatten_memo(p, cache, &mut dedup, &mut flat, &mut seen_nodes, &mut computed);
-        roots.push(root_idx);
-        max_height = max_height.max(h);
-    }
-    cache.record_nodes(seen_nodes, computed);
-
-    // Cache-hit states re-enter the tape as two batched input columns.
-    let mut states: Vec<Option<StateRef>> = vec![None; flat.len()];
-    let cached_nodes: Vec<usize> =
-        flat.iter().enumerate().filter(|(_, n)| n.cached.is_some()).map(|(i, _)| i).collect();
-    if !cached_nodes.is_empty() {
-        let g_cols: Vec<&[f32]> =
-            cached_nodes.iter().map(|&i| flat[i].cached.as_ref().expect("cached").g.as_slice()).collect();
-        let r_cols: Vec<&[f32]> =
-            cached_nodes.iter().map(|&i| flat[i].cached.as_ref().expect("cached").r.as_slice()).collect();
-        let inj_g = g.input_columns(hidden, &g_cols);
-        let inj_r = g.input_columns(hidden, &r_cols);
-        for (col, &i) in cached_nodes.iter().enumerate() {
-            states[i] = Some(StateRef { g: (inj_g, col), r: (inj_r, col) });
-        }
-    }
-
-    // Level-batched forward over the fresh fringe, exactly as in
-    // `forward_batch`, with one extra step per level: extract the new state
-    // columns off the tape and memoize them.
-    let mut levels: Vec<Vec<usize>> = vec![Vec::new(); max_height];
-    for (i, n) in flat.iter().enumerate() {
-        if n.cached.is_none() {
-            levels[n.height - 1].push(i);
-        }
-    }
-    let zero = model.zero_state_batch(g, 1);
-    let zero_ref = StateRef { g: (zero.g, 0), r: (zero.r, 0) };
-
-    for level_nodes in &levels {
-        if level_nodes.is_empty() {
-            continue;
-        }
-        let feats: Vec<&featurize::NodeFeatures> = level_nodes.iter().map(|&i| &flat[i].encoded.features).collect();
-        let x_batch = model.embed_nodes_batch(g, store, &feats);
-
-        let mut left_g = Vec::with_capacity(level_nodes.len());
-        let mut left_r = Vec::with_capacity(level_nodes.len());
-        let mut right_g = Vec::with_capacity(level_nodes.len());
-        let mut right_r = Vec::with_capacity(level_nodes.len());
-        for &i in level_nodes {
-            let children = &flat[i].children;
-            let left = children.first().and_then(|&c| states[c]).unwrap_or(zero_ref);
-            let right = children.get(1).and_then(|&c| states[c]).unwrap_or(zero_ref);
-            left_g.push(left.g);
-            left_r.push(left.r);
-            right_g.push(right.g);
-            right_r.push(right.r);
-        }
-        let left = CellOutput { g: g.gather_cols(&left_g), r: g.gather_cols(&left_r) };
-        let right = CellOutput { g: g.gather_cols(&right_g), r: g.gather_cols(&right_r) };
-
-        let out = model.apply_cell(g, store, x_batch, left, right);
-        for (col, &i) in level_nodes.iter().enumerate() {
-            states[i] = Some(StateRef { g: (out.g, col), r: (out.r, col) });
-            let mut sg = Vec::with_capacity(hidden);
-            let mut sr = Vec::with_capacity(hidden);
-            g.extract_column(out.g, col, &mut sg);
-            g.extract_column(out.r, col, &mut sr);
-            cache.insert(flat[i].signature, std::sync::Arc::new(SubtreeState { g: sg, r: sr }));
-        }
-    }
-
-    let root_rs: Vec<(NodeId, usize)> = roots.iter().map(|&r| states[r].expect("root state computed").r).collect();
-    let r_batch = g.gather_cols(&root_rs);
-    model.estimate_from_representation(g, store, r_batch)
+    MemoBatch::new(plans.iter().copied(), cache).forward(model, store, g, cache)
 }
 
 /// Memoized batched estimation: [`estimate_batch`] through
@@ -463,6 +596,42 @@ pub fn estimate_batch_memo(
     for chunk in plans.chunks(GROUP_SIZE) {
         out.extend(with_inference_tape(|g| {
             let (cost_out, card_out) = forward_batch_memo(model, store, g, chunk, cache);
+            denormalize_outputs(g, normalization, cost_out, card_out, chunk.len())
+        }));
+    }
+    out
+}
+
+/// [`estimate_batch_memo`] over **raw plans**, state first, building no
+/// [`EncodedPlan`]: per chunk of [`GROUP_SIZE`] plans, one signature walk
+/// ([`signature_walk`]), then the memoized flatten, which featurizes a
+/// node ([`FeatureExtractor::encode_node`]) only when its subtree is
+/// neither earlier in the batch nor in `cache` — a plan whose root state
+/// is cached costs one walk and one probe — then the shared level loop.
+/// Bit-identical to encoding each plan and calling [`estimate_batch_memo`],
+/// and it fills and reads the same cache entries.
+pub(crate) fn estimate_plans_memo(
+    model: &TreeModel,
+    store: &ParamStore,
+    normalization: &TargetNormalization,
+    extractor: &FeatureExtractor,
+    plans: &[PlanNode],
+    cache: &SubtreeStateCache,
+) -> Vec<(f64, f64)> {
+    let mut out = Vec::with_capacity(plans.len());
+    let mut records = Vec::new();
+    let mut starts = Vec::with_capacity(GROUP_SIZE);
+    for chunk in plans.chunks(GROUP_SIZE) {
+        records.clear();
+        starts.clear();
+        for plan in chunk {
+            starts.push(records.len());
+            signature_walk(plan, &mut records);
+        }
+        let trees = chunk.iter().zip(&starts).map(|(plan, &at)| RawTree { plan, records: &records[at..], extractor });
+        let batch = MemoBatch::new(trees, cache);
+        out.extend(with_inference_tape(|g| {
+            let (cost_out, card_out) = batch.forward(model, store, g, cache);
             denormalize_outputs(g, normalization, cost_out, card_out, chunk.len())
         }));
     }
@@ -665,9 +834,10 @@ mod tests {
     mod memo_property {
         //! Satellite guard: on randomized planner output (generated queries
         //! expanded into candidate join orders), memoized subtree inference
-        //! must be **bit-identical** to fresh inference — cold cache, warm
-        //! cache, and across batch compositions — and fresh inference to the
-        //! per-node recursion.
+        //! must be **bit-identical** to fresh inference — from encoded plans
+        //! and from raw plans, with a cold cache, a warm cache and across
+        //! batch compositions — and fresh inference to the per-node
+        //! recursion.
 
         use super::*;
         use crate::memory::SubtreeStateCache;
@@ -743,6 +913,24 @@ mod tests {
                     let single =
                         estimate_batch_memo(&t.model, &t.model.params, &t.normalization, &[plan], &cache);
                     prop_assert_eq!(&single[0], expected);
+                }
+
+                // The raw arm: signature walk, state-first flatten and
+                // featurize-on-miss, from raw plans.  Cold, warm, then one
+                // plan at a time on a fresh cache, so later plans meet the
+                // subtrees earlier ones left at their fringe.
+                let candidates = &workload[0].candidates;
+                let raw = |plans: &[PlanNode], cache: &SubtreeStateCache| {
+                    let out = estimate_plans_memo(&t.model, &t.model.params, &t.normalization, &fixture.fx, plans, cache);
+                    out.into_iter().map(bits).collect::<Vec<_>>()
+                };
+                let want: Vec<(u64, u64)> = fresh.iter().map(|&e| bits(e)).collect();
+                let raw_cache = SubtreeStateCache::new();
+                prop_assert_eq!(&raw(candidates, &raw_cache), &want);
+                prop_assert_eq!(&raw(candidates, &raw_cache), &want);
+                let single_cache = SubtreeStateCache::new();
+                for (plan, expected) in candidates.iter().zip(&want) {
+                    prop_assert_eq!(&raw(std::slice::from_ref(plan), &single_cache)[0], expected);
                 }
             }
         }

@@ -5,14 +5,18 @@
 //! both keyed by a 64-bit signature of the sub-plan:
 //!
 //! * [`EncodedSubtreeCache`] — the featurized encoding of every sub-plan,
-//!   keyed by its structural signature mixed with its annotations;
+//!   keyed by its structural signature mixed with its annotations, behind
+//!   the batch encode (`CostEstimator::encode_plans`, the serving catalog's
+//!   `Session::encode_batch`);
 //! * [`SubtreeStateCache`] — the representation cell's `(G, R)` state
 //!   vectors of every embedded sub-plan, keyed by the structural signature
 //!   ([`query::PlanNode::signature_hash`]) — the paper's representation
 //!   memory pool.  A candidate that shares a subtree re-enters the forward
 //!   pass at the fringe instead of re-running the cell over the whole
-//!   subtree (`batch::estimate_batch_memo`), and a repeated plan embeds
-//!   nothing at all.
+//!   subtree (`batch::estimate_batch_memo`).  Raw plans are served from it
+//!   state first (`ServingEstimator::estimate_plans`), without the encode
+//!   cache: a repeated plan costs a signature walk and one lookup, and is
+//!   neither featurized nor embedded.
 //!
 //! Both sit on [`ShardedCache`]: middle bits of the key pick one of
 //! [`NUM_SHARDS`] independently-locked shards, so concurrent estimator
