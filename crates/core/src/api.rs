@@ -116,6 +116,10 @@ impl CostEstimator {
     }
 
     /// Encode an annotated physical plan into the model's input format.
+    /// Every node reads through the extractor's node memo
+    /// ([`FeatureExtractor::encode_node`]), so a node whose operator was
+    /// featurized before costs a key hash and a lookup, and shares those
+    /// features.
     pub fn encode(&self, plan: &PlanNode) -> EncodedPlan {
         self.extractor.encode_plan(plan)
     }
@@ -770,7 +774,7 @@ mod tests {
         assert_eq!(est.subtree_cache().node_stats().1, computed, "the encoded path must reuse the raw walk's states");
 
         // A warm pass is a signature walk and a lookup per plan: it embeds
-        // nothing and neither probes the encode cache nor sweeps a bitmap.
+        // nothing and probes neither the encode cache nor the node memo.
         let encode_stats = est.encode_cache().stats();
         let bitmap_stats = est.extractor().bitmap_memo_stats();
         assert_eq!(bits(&serving.estimate_plans(&plans)), want);

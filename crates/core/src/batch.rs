@@ -51,7 +51,6 @@ use nn::cells::CellOutput;
 use nn::{Graph, NodeId, ParamStore, QuantWeights};
 use query::PlanNode;
 use rayon::prelude::*;
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::Arc;
@@ -260,7 +259,7 @@ pub fn forward_batch_q(
         }
         // Batched feature embedding for the level: the op/meta/sample
         // embedding layers run once over column-stacked inputs.
-        let feats: Vec<&NodeFeatures> = level_nodes.iter().map(|&i| &flat[i].encoded.features).collect();
+        let feats: Vec<&NodeFeatures> = level_nodes.iter().map(|&i| &*flat[i].encoded.features).collect();
         let x_batch = model.embed_nodes_batch_q(g, store, quant, &feats);
 
         // Batched children states: for each node take its (left, right) child
@@ -295,36 +294,33 @@ pub fn forward_batch_q(
 
 /// One node of a memoized batch: the root of a memoized subtree, whose
 /// cached `(G, R)` state is injected instead of recursing into its
-/// children, or a fresh node to embed with its features `F` (borrowed from
-/// an [`EncodedPlan`], or encoded from a raw plan by the state-first walk).
-enum MemoNode<F> {
+/// children, or a fresh node to embed with its shared features.
+enum MemoNode {
     Cached(Arc<SubtreeState>),
-    Fresh(F),
+    Fresh(Arc<NodeFeatures>),
 }
 
 /// Flattened view of one node in a memoized batch.
-struct MemoFlatNode<F> {
+struct MemoFlatNode {
     height: usize,
     children: Vec<usize>,
     signature: u64,
-    node: MemoNode<F>,
+    node: MemoNode,
 }
 
 /// A plan tree [`MemoBatch::flatten`] can walk: an encoded plan, whose
-/// features are borrowed, or a raw plan ([`RawTree`]), whose node is
-/// featurized only when its subtree misses both the batch and the cache.
+/// features it shares, or a raw plan ([`RawTree`]), whose node is
+/// featurized (through the node memo) only when its subtree misses both the
+/// batch and the cache.
 trait MemoTree: Copy {
-    type Features: Borrow<NodeFeatures>;
     fn signature(self) -> u64;
     /// Plan nodes in the subtree.
     fn size(self) -> usize;
-    fn features(self) -> Self::Features;
+    fn features(self) -> Arc<NodeFeatures>;
     fn children(self) -> impl Iterator<Item = Self>;
 }
 
-impl<'a> MemoTree for &'a EncodedPlan {
-    type Features = &'a NodeFeatures;
-
+impl MemoTree for &EncodedPlan {
     fn signature(self) -> u64 {
         self.signature
     }
@@ -333,8 +329,8 @@ impl<'a> MemoTree for &'a EncodedPlan {
         EncodedPlan::size(self)
     }
 
-    fn features(self) -> &'a NodeFeatures {
-        &self.features
+    fn features(self) -> Arc<NodeFeatures> {
+        Arc::clone(&self.features)
     }
 
     fn children(self) -> impl Iterator<Item = Self> {
@@ -352,8 +348,6 @@ struct RawTree<'a> {
 }
 
 impl MemoTree for RawTree<'_> {
-    type Features = NodeFeatures;
-
     fn signature(self) -> u64 {
         self.records[0].0
     }
@@ -362,7 +356,7 @@ impl MemoTree for RawTree<'_> {
         self.records[0].1
     }
 
-    fn features(self) -> NodeFeatures {
+    fn features(self) -> Arc<NodeFeatures> {
         self.extractor.encode_node(self.plan)
     }
 
@@ -394,8 +388,8 @@ fn signature_walk(plan: &PlanNode, out: &mut Vec<(u64, usize)>) -> u64 {
 /// accounting of the flatten for the cache's serving stats — how many plan
 /// nodes were submitted (`seen_nodes`) vs. will actually be embedded
 /// (`computed`).
-struct MemoBatch<F> {
-    flat: Vec<MemoFlatNode<F>>,
+struct MemoBatch {
+    flat: Vec<MemoFlatNode>,
     roots: Vec<usize>,
     max_height: usize,
     /// Signature → flat index.  Keyed like the shared caches: signatures
@@ -406,9 +400,9 @@ struct MemoBatch<F> {
     computed: u64,
 }
 
-impl<F: Borrow<NodeFeatures>> MemoBatch<F> {
+impl MemoBatch {
     /// Flatten `plans` top-down against `cache`.
-    fn new<T: MemoTree<Features = F>>(plans: impl ExactSizeIterator<Item = T>, cache: &SubtreeStateCache) -> Self {
+    fn new<T: MemoTree>(plans: impl ExactSizeIterator<Item = T>, cache: &SubtreeStateCache) -> Self {
         let n = plans.len();
         let mut batch = MemoBatch {
             flat: Vec::with_capacity(n),
@@ -431,7 +425,7 @@ impl<F: Borrow<NodeFeatures>> MemoBatch<F> {
     /// each distinct subtree must enter the level-batched forward exactly
     /// once), then pruning at memoized subtrees; only a node that misses
     /// both is featurized and descended into.  Returns `(flat index, height)`.
-    fn flatten<T: MemoTree<Features = F>>(&mut self, tree: T, cache: &SubtreeStateCache) -> (usize, usize) {
+    fn flatten<T: MemoTree>(&mut self, tree: T, cache: &SubtreeStateCache) -> (usize, usize) {
         let signature = tree.signature();
         if let Some(&idx) = self.dedup.get(&signature) {
             // Already flattened for another candidate in this batch: the whole
@@ -491,7 +485,7 @@ impl<F: Borrow<NodeFeatures>> MemoBatch<F> {
         for (i, n) in flat.iter().enumerate() {
             match &n.node {
                 MemoNode::Cached(state) => cached.push((i, state)),
-                MemoNode::Fresh(features) => levels[n.height - 1].push((i, features.borrow())),
+                MemoNode::Fresh(features) => levels[n.height - 1].push((i, features)),
             }
         }
         if !cached.is_empty() {
@@ -605,9 +599,10 @@ pub fn estimate_batch_memo(
 /// [`estimate_batch_memo`] over **raw plans**, state first, building no
 /// [`EncodedPlan`]: per chunk of [`GROUP_SIZE`] plans, one signature walk
 /// ([`signature_walk`]), then the memoized flatten, which featurizes a
-/// node ([`FeatureExtractor::encode_node`]) only when its subtree is
-/// neither earlier in the batch nor in `cache` — a plan whose root state
-/// is cached costs one walk and one probe — then the shared level loop.
+/// node ([`FeatureExtractor::encode_node`], through the extractor's node
+/// memo) only when its subtree is neither earlier in the batch nor in
+/// `cache` — a plan whose root state is cached costs one walk and one
+/// probe — then the shared level loop.
 /// Bit-identical to encoding each plan and calling [`estimate_batch_memo`],
 /// and it fills and reads the same cache entries.
 pub(crate) fn estimate_plans_memo(

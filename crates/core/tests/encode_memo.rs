@@ -1,7 +1,8 @@
-//! Contract tests of the memoized featurization path: signature-memoized
-//! `encode_plans` must be **bit-identical** to fresh `encode_plan` — cold
-//! cache, warm cache, under eviction, and under concurrent sessions sharing
-//! one [`EncodedSubtreeCache`].
+//! Contract tests of the memoized featurization paths: signature-memoized
+//! `encode_plans` and the per-node operator memo behind `encode_plan` must
+//! be **bit-identical** to a fresh encode with the node memo switched off —
+//! cold memo and cache, warm, under eviction, and under concurrent sessions
+//! sharing one [`EncodedSubtreeCache`].
 
 use estimator_core::EncodedSubtreeCache;
 use featurize::{EncodedPlan, EncodingConfig, FeatureExtractor};
@@ -14,7 +15,16 @@ use workloads::{generate_enumeration_workload, EnumerationConfig};
 
 struct Fixture {
     db: Arc<imdb::Database>,
+    cfg: EncodingConfig,
     fx: FeatureExtractor,
+}
+
+impl Fixture {
+    /// An extractor of the fixture's configuration with its own empty node
+    /// memo, so no other test or case has warmed it.
+    fn cold_extractor(&self) -> FeatureExtractor {
+        FeatureExtractor::new(self.db.clone(), self.cfg.clone(), Arc::new(HashBitmapEncoder::new(8)))
+    }
 }
 
 fn fixture() -> &'static Fixture {
@@ -22,9 +32,16 @@ fn fixture() -> &'static Fixture {
     FIX.get_or_init(|| {
         let db = Arc::new(generate_imdb(GeneratorConfig::tiny()));
         let cfg = EncodingConfig::from_database(&db, 8, 32);
-        let fx = FeatureExtractor::new(db.clone(), cfg, Arc::new(HashBitmapEncoder::new(8)));
-        Fixture { db, fx }
+        let fx = FeatureExtractor::new(db.clone(), cfg.clone(), Arc::new(HashBitmapEncoder::new(8)));
+        Fixture { db, cfg, fx }
     })
+}
+
+/// `fx` with the node memo switched off: every node featurized afresh.
+fn memo_off(fx: &FeatureExtractor) -> FeatureExtractor {
+    let mut off = fx.clone();
+    off.use_bitmap_memo = false;
+    off
 }
 
 proptest! {
@@ -37,7 +54,34 @@ proptest! {
         );
         prop_assert!(!workload.is_empty(), "no enumerable query for seed {seed}");
         let candidates = &workload[0].candidates;
-        let fresh: Vec<EncodedPlan> = candidates.iter().map(|c| fixture.fx.encode_plan(c)).collect();
+        let fresh_fx = memo_off(&fixture.fx);
+        let fresh: Vec<EncodedPlan> = candidates.iter().map(|c| fresh_fx.encode_plan(c)).collect();
+
+        // Per-plan encode through a cold node memo, then the warm one.
+        let fx = fixture.cold_extractor();
+        let nodes: u64 = candidates.iter().map(|c| c.size() as u64).sum();
+        for (c, f) in candidates.iter().zip(&fresh) {
+            prop_assert_eq!(&fx.encode_plan(c), f);
+        }
+        let (hits, misses) = fx.bitmap_memo_stats();
+        prop_assert!(hits + misses == nodes, "one node-memo lookup per plan node");
+        prop_assert!(misses as usize == fx.bitmap_memo_len(), "every miss inserts one entry");
+        prop_assert!(hits > 0, "candidate join orders share scans; expected node-memo hits");
+        for (c, f) in candidates.iter().zip(&fresh) {
+            prop_assert_eq!(&fx.encode_plan(c), f);
+        }
+        prop_assert!(fx.bitmap_memo_stats() == (hits + nodes, misses), "a warm pass must only hit");
+
+        // A clone without sample bitmaps shares the warm memo under its own
+        // keys: it must return its own memo-off bits, never the entries
+        // encoded with bitmaps.
+        let mut no_sample = fx.clone();
+        no_sample.use_sample_bitmap = false;
+        let no_sample_fresh = memo_off(&no_sample);
+        for c in candidates {
+            prop_assert_eq!(no_sample.encode_plan(c), no_sample_fresh.encode_plan(c));
+        }
+        prop_assert!(fx.bitmap_memo_stats().1 == 2 * misses, "the flag must key distinct entries");
 
         // Cold shared cache: every plan bit-identical to fresh encoding.
         let cache = EncodedSubtreeCache::new();
@@ -82,7 +126,8 @@ fn concurrent_sessions_share_the_encode_cache_without_lost_updates() {
     );
     let stream: Vec<PlanNode> = workload.into_iter().flat_map(|s| s.candidates).collect();
     let total_nodes: usize = stream.iter().map(|p| p.size()).sum();
-    let fresh: Vec<EncodedPlan> = stream.iter().map(|p| fixture.fx.encode_plan(p)).collect();
+    let fresh_fx = memo_off(&fixture.fx);
+    let fresh: Vec<EncodedPlan> = stream.iter().map(|p| fresh_fx.encode_plan(p)).collect();
 
     const THREADS: usize = 8;
     let cache = Arc::new(EncodedSubtreeCache::new());

@@ -1,6 +1,6 @@
 //! Component-level profile of the plan featurization pipeline (metadata
-//! one-hots, predicate tree, sample-bitmap sweep with and without the
-//! bitmap memo, whole-node slab encode, fresh vs. signature-memoized plan
+//! one-hots, predicate tree, sample-bitmap sweep, whole-node encode with the
+//! node memo off and on a node-memo hit, fresh vs. signature-memoized plan
 //! encode over a DP-enumeration workload) — the dev tool behind the
 //! "encode pipeline" numbers in `docs/perf.md`.  Not a regression gate;
 //! the end-to-end floors live in the `bench` crate's check mode.
@@ -47,34 +47,32 @@ fn main() {
     let c = fx.config();
     let mut meta_buf = vec![0.0f32; c.metadata_dim()];
     let mut samp_buf = vec![0.0f32; c.sample_dim()];
+    let mut fresh_fx = fx.clone();
+    fresh_fx.use_bitmap_memo = false;
 
     let meta_ns = time_ns(50_000, || fx.encode_metadata_into(node, &mut meta_buf));
     let pred_ns = time_ns(50_000, || {
         std::hint::black_box(fx.encode_predicate(node.op.predicate()));
     });
-    fx.clear_bitmap_memo();
-    let bitmap_cold_ns = time_ns(2_000, || {
-        fx.clear_bitmap_memo();
-        fx.encode_sample_bitmap_into(node, &mut samp_buf);
+    let sweep_ns = time_ns(2_000, || fx.encode_sample_bitmap_into(node, &mut samp_buf));
+    let node_fresh_ns = time_ns(2_000, || {
+        std::hint::black_box(fresh_fx.encode_node(node));
     });
-    let bitmap_warm_ns = time_ns(50_000, || fx.encode_sample_bitmap_into(node, &mut samp_buf));
-    let node_ns = time_ns(20_000, || {
+    let node_hit_ns = time_ns(50_000, || {
         std::hint::black_box(fx.encode_node(node));
     });
     println!(
         "node components: metadata {meta_ns:>8.0} ns   predicate {pred_ns:>8.0} ns   \
-         bitmap cold {bitmap_cold_ns:>8.0} ns / warm {bitmap_warm_ns:>8.0} ns ({:.1}x)   \
-         full node {node_ns:>8.0} ns",
-        bitmap_cold_ns / bitmap_warm_ns.max(1.0)
+         bitmap sweep {sweep_ns:>8.0} ns   full node memo off {node_fresh_ns:>8.0} ns / \
+         memo hit {node_hit_ns:>8.0} ns ({:.1}x)",
+        node_fresh_ns / node_hit_ns.max(1.0)
     );
 
-    // Whole-stream throughput.  "fresh" is the pre-memo pipeline (bitmap
-    // memo disabled on a clone — bit-identical output, no reuse); "cold"
-    // starts an empty encode cache per pass (intra-stream dedup only);
-    // "warm" is the serving steady state, the stream re-encoded against an
-    // already-populated cache, as a DP enumerator's rounds would.
-    let mut fresh_fx = fx.clone();
-    fresh_fx.use_bitmap_memo = false;
+    // Whole-stream throughput.  "fresh" is the pre-memo pipeline (node memo
+    // disabled on a clone — bit-identical output, no reuse); "cold" starts
+    // an empty encode cache per pass (intra-stream dedup only, node memo
+    // warm); "warm" is the serving steady state, the stream re-encoded
+    // against an already-populated cache, as a DP enumerator's rounds would.
     let fresh_ns = time_ns(5, || {
         for p in &plans {
             std::hint::black_box(fresh_fx.encode_plan(p));
@@ -90,8 +88,10 @@ fn main() {
         std::hint::black_box(fx.encode_plans_cached(&plans, &warm_cache));
     });
     fx.clear_bitmap_memo();
-    let _pass: Vec<EncodedPlan> = plans.iter().map(|p| fx.encode_plan(p)).collect();
+    let pass: Vec<EncodedPlan> = plans.iter().map(|p| fx.encode_plan(p)).collect();
     let (hits, misses) = fx.bitmap_memo_stats();
+    let fresh: Vec<EncodedPlan> = plans.iter().map(|p| fresh_fx.encode_plan(p)).collect();
+    assert!(pass == fresh, "node-memo encode diverged from the memo-off encode");
     let per_plan = 1e9 / (fresh_ns / plans.len() as f64);
     let per_plan_warm = 1e9 / (warm_ns / plans.len() as f64);
     println!(
@@ -104,7 +104,8 @@ fn main() {
         fresh_ns / warm_ns.max(1.0),
     );
     println!(
-        "bitmap memo over one fresh stream pass: {hits} hits / {misses} misses ({:.1}% hit rate)",
-        100.0 * hits as f64 / (hits + misses).max(1) as f64
+        "node memo over one fresh stream pass: {hits} hits / {misses} misses ({:.1}% hit rate, {} entries)",
+        100.0 * hits as f64 / (hits + misses).max(1) as f64,
+        fx.bitmap_memo_len()
     );
 }

@@ -14,29 +14,32 @@
 //!   forms, instead of one heap `Vec` per group;
 //! * dictionary probes go through the borrowed-key lookups of
 //!   [`EncodingConfig`] — no `String` clone per lookup;
-//! * the sample bitmap — a full predicate sweep over the table sample, the
-//!   single most expensive encode step — is memoized per
-//!   `(table, predicate signature)` in a sharded map shared by every encode
-//!   path (the sweep's inputs are immutable per extractor, so entries never
-//!   go stale);
+//! * whole node encodings are memoized by **operator content** in a sharded
+//!   map shared by every encode path ([`FeatureExtractor::encode_node`]): a
+//!   node's features depend on its own operator alone, optimizer traffic
+//!   repeats operators far more often than subtrees, and the inputs
+//!   (dictionaries, string encoder, table sample) are immutable per
+//!   extractor, so entries never go stale.  Encoded plans share the
+//!   memoized features by `Arc`, so the sample-bitmap sweep — the single
+//!   most expensive encode step — runs once per distinct scan;
 //! * whole sub-plan encodings are memoized by structural signature through
 //!   any [`EncodedPlanCache`] ([`FeatureExtractor::encode_plan_cached`] /
 //!   [`FeatureExtractor::encode_plans`]), so DP enumeration encodes each
 //!   distinct subtree exactly once.
 //!
-//! Every memoized path is **bit-identical** to the fresh
-//! [`FeatureExtractor::encode_plan`]: encoding is deterministic in the plan
-//! and the extractor, and cache keys cover the full subtree content
-//! (structure *and* annotations), so a hit can only ever return exactly the
-//! bits a miss would have computed.
+//! Every memoized path is **bit-identical** to a fresh encode (the node
+//! memo switched off with `use_bitmap_memo = false`): encoding is
+//! deterministic in the plan and the extractor, and cache keys cover the
+//! full content they stand for (a node's operator; a subtree's structure
+//! *and* annotations), so a hit can only ever return exactly the bits a
+//! miss would have computed.
 
 use crate::config::EncodingConfig;
 use imdb::Database;
 use query::{AtomPredicate, CompareOp, Operand, PhysicalOp, PlanNode, Predicate, SigHasher};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use strembed::StringEncoder;
 
 /// Encoded predicate tree: the min/max pooling model consumes the structure,
@@ -132,15 +135,15 @@ impl NodeFeatures {
 }
 
 /// An encoded plan node: features, children and training targets.
-/// Children are held by `Arc` so that memoized encoding
-/// ([`FeatureExtractor::encode_plan_cached`]) shares cached subtrees
-/// instead of deep-copying them into every parent that reuses them — a
-/// `Clone` of an `EncodedPlan` copies one node's feature slab and bumps
-/// the children's refcounts.  The sharing is safe because an encoded plan
-/// is immutable after construction.
+/// Features and children are held by `Arc`: every node that shares an
+/// operator shares one feature slab with the extractor's node memo, and
+/// memoized encoding ([`FeatureExtractor::encode_plan_cached`]) shares
+/// cached subtrees instead of deep-copying them into every parent that
+/// reuses them — a `Clone` of an `EncodedPlan` is refcount bumps.  The
+/// sharing is safe because an encoded plan is immutable after construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncodedPlan {
-    pub features: NodeFeatures,
+    pub features: Arc<NodeFeatures>,
     pub children: Vec<Arc<EncodedPlan>>,
     /// True cardinality of this sub-plan (training target).
     pub true_cardinality: f64,
@@ -213,67 +216,90 @@ impl EncodedPlanCache for LocalEncodeCache {
     }
 }
 
-const BITMAP_MEMO_SHARDS: usize = 16;
+const NODE_MEMO_SHARDS: usize = 16;
 /// Per-shard entry cap; a shard that fills up is dropped wholesale (the memo
-/// is advisory — re-deriving a bitmap is always correct, just slower).
-const BITMAP_MEMO_MAX_PER_SHARD: usize = 8 * 1024;
+/// is advisory — re-featurizing a node is always correct, just slower).
+/// 16 × 4,096 entries hold far more distinct operators than any measured
+/// working set (optbench `dp_churn`: ~7.4k).
+const NODE_MEMO_MAX_PER_SHARD: usize = 4 * 1024;
 
-/// Sharded memo of sample bitmaps keyed by `(table, predicate signature)`.
+/// Sharded memo of whole node encodings keyed by the node's operator content
+/// ([`PhysicalOp::hash_signature`]) and the `use_sample_bitmap` flag.
 ///
-/// The bitmap sweep evaluates the scan predicate over every sampled row of
-/// the table — the single most expensive encode step — and its inputs
-/// (table sample, predicate) are immutable per extractor, so the memo never
-/// needs invalidation: entries stay valid across refits, hot-swaps and
-/// `use_sample_bitmap` toggles (the flag is checked before the memo).
+/// A node's four feature groups depend on its own operator alone, never on
+/// its children, and optimizer traffic repeats operators far more often than
+/// subtrees, so one entry serves every plan that contains the operator.
+/// Every other input (dictionaries, string encoder, table sample) is
+/// immutable per extractor, so entries never go stale: they stay valid
+/// across refits and hot-swaps, and clones that differ in
+/// `use_sample_bitmap` share the memo under distinct keys.
 #[derive(Debug)]
-struct BitmapMemo {
-    shards: [Mutex<HashMap<u64, Arc<Vec<f32>>>>; BITMAP_MEMO_SHARDS],
-    hits: AtomicU64,
-    misses: AtomicU64,
+struct NodeMemo {
+    shards: [Mutex<NodeShard>; NODE_MEMO_SHARDS],
 }
 
-impl BitmapMemo {
+/// One shard: its entries and its lookup counters, all under the shard's
+/// lock, so a lookup touches no memory outside its shard.
+#[derive(Debug, Default)]
+struct NodeShard {
+    map: HashMap<u64, Arc<NodeFeatures>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl NodeMemo {
     fn new() -> Self {
-        BitmapMemo {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+        NodeMemo { shards: std::array::from_fn(|_| Mutex::new(NodeShard::default())) }
     }
 
     /// Shard selection matches the sharded caches elsewhere: middle bits of
     /// the splitmix-finalized key, so low-bit reuse cannot skew placement.
-    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, Arc<Vec<f32>>>> {
-        &self.shards[((key >> 32) as usize) & (BITMAP_MEMO_SHARDS - 1)]
+    fn shard(&self, key: u64) -> MutexGuard<'_, NodeShard> {
+        self.shards[((key >> 32) as usize) & (NODE_MEMO_SHARDS - 1)].lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn get(&self, key: u64) -> Option<Arc<Vec<f32>>> {
-        let hit = self.shard(key).lock().unwrap_or_else(|e| e.into_inner()).get(&key).cloned();
-        match &hit {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+    fn get(&self, key: u64) -> Option<Arc<NodeFeatures>> {
+        let mut shard = self.shard(key);
+        let hit = shard.map.get(&key).cloned();
+        match hit {
+            Some(_) => shard.hits += 1,
+            None => shard.misses += 1,
+        }
         hit
     }
 
-    fn insert(&self, key: u64, bits: Arc<Vec<f32>>) {
-        let mut shard = self.shard(key).lock().unwrap_or_else(|e| e.into_inner());
-        if shard.len() >= BITMAP_MEMO_MAX_PER_SHARD {
-            shard.clear();
+    fn insert(&self, key: u64, features: Arc<NodeFeatures>) {
+        let mut shard = self.shard(key);
+        if shard.map.len() >= NODE_MEMO_MAX_PER_SHARD {
+            shard.map.clear();
         }
-        shard.insert(key, bits);
+        shard.map.insert(key, features);
+    }
+
+    /// Apply `f` to every shard in turn.
+    fn for_each_shard(&self, mut f: impl FnMut(&mut NodeShard)) {
+        for shard in &self.shards {
+            f(&mut shard.lock().unwrap_or_else(|e| e.into_inner()));
+        }
     }
 
     fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
+        self.for_each_shard(|shard| *shard = NodeShard::default());
+    }
+
+    fn len(&self) -> usize {
+        let mut len = 0;
+        self.for_each_shard(|shard| len += shard.map.len());
+        len
     }
 
     fn stats(&self) -> (u64, u64) {
-        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
+        let (mut hits, mut misses) = (0, 0);
+        self.for_each_shard(|shard| {
+            hits += shard.hits;
+            misses += shard.misses;
+        });
+        (hits, misses)
     }
 }
 
@@ -283,8 +309,11 @@ thread_local! {
 }
 
 /// The feature extractor: encoding configuration + string encoder + database
-/// handle (for sample bitmaps).  Cloning is cheap and shares the bitmap
-/// memo.
+/// handle (for sample bitmaps).  Cloning is cheap and shares the node memo.
+///
+/// The memo's switch and accessors keep their `bitmap_memo` names from when
+/// the memo held sample bitmaps only: optbench reads them, and optbench
+/// changes only in a benchmark change.  They govern the node memo.
 #[derive(Clone)]
 pub struct FeatureExtractor {
     config: EncodingConfig,
@@ -293,11 +322,12 @@ pub struct FeatureExtractor {
     /// When false the sample bitmap is omitted (all zeros) — the `NS`
     /// ("no sample") model variants of Table 6.
     pub use_sample_bitmap: bool,
-    /// When false the bitmap sweep always re-evaluates the predicate over
-    /// the sample (the pre-memo pipeline, bit-identical output) — bench
-    /// baselines flip this on a clone to measure the memo's contribution.
+    /// When false [`FeatureExtractor::encode_node`] featurizes every node
+    /// afresh and neither reads, fills nor counts the node memo (the
+    /// pre-memo pipeline, bit-identical output) — oracles and bench
+    /// baselines flip this on a clone.
     pub use_bitmap_memo: bool,
-    bitmap_memo: Arc<BitmapMemo>,
+    node_memo: Arc<NodeMemo>,
 }
 
 impl FeatureExtractor {
@@ -309,7 +339,7 @@ impl FeatureExtractor {
             db,
             use_sample_bitmap: true,
             use_bitmap_memo: true,
-            bitmap_memo: Arc::new(BitmapMemo::new()),
+            node_memo: Arc::new(NodeMemo::new()),
         }
     }
 
@@ -318,15 +348,16 @@ impl FeatureExtractor {
         &self.config
     }
 
-    /// `(hits, misses)` of the sample-bitmap memo since creation (or the
-    /// last [`FeatureExtractor::clear_bitmap_memo`]).
+    /// `(hits, misses)` of the node memo since creation (or the last
+    /// [`FeatureExtractor::clear_bitmap_memo`]): one lookup per
+    /// [`FeatureExtractor::encode_node`] with the memo on.
     pub fn bitmap_memo_stats(&self) -> (u64, u64) {
-        self.bitmap_memo.stats()
+        self.node_memo.stats()
     }
 
-    /// Hit rate of the sample-bitmap memo (0 when never probed).
+    /// Hit rate of the node memo (0 when never probed).
     pub fn bitmap_memo_hit_rate(&self) -> f64 {
-        let (hits, misses) = self.bitmap_memo.stats();
+        let (hits, misses) = self.node_memo.stats();
         if hits + misses == 0 {
             0.0
         } else {
@@ -334,10 +365,16 @@ impl FeatureExtractor {
         }
     }
 
-    /// Drop every memoized bitmap and reset the counters (bench baselines;
-    /// never required for correctness — entries cannot go stale).
+    /// Distinct node encodings the node memo holds.
+    pub fn bitmap_memo_len(&self) -> usize {
+        self.node_memo.len()
+    }
+
+    /// Drop every memoized node encoding and reset the counters (bench
+    /// baselines; never required for correctness — entries cannot go
+    /// stale).  Encoded plans keep the features they already share.
     pub fn clear_bitmap_memo(&self) {
-        self.bitmap_memo.clear();
+        self.node_memo.clear();
     }
 
     /// Encode a raw string operand through the extractor's string encoder.
@@ -488,11 +525,9 @@ impl FeatureExtractor {
     }
 
     /// Write a node's sample bitmap into a **zeroed** slice of length
-    /// [`EncodingConfig::sample_dim`].  Bit-identical to
-    /// [`FeatureExtractor::encode_sample_bitmap`] without its allocations;
-    /// the predicate sweep itself is memoized per
-    /// `(table, predicate signature)`, so across an enumeration every
-    /// distinct scan predicate is evaluated against the sample exactly once.
+    /// [`EncodingConfig::sample_dim`]: one sweep of the scan predicate over
+    /// the table sample.  Bit-identical to
+    /// [`FeatureExtractor::encode_sample_bitmap`] without its allocation.
     pub fn encode_sample_bitmap_into(&self, node: &PlanNode, out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.config.sample_dim());
         if !self.use_sample_bitmap {
@@ -508,19 +543,6 @@ impl FeatureExtractor {
         let (Some(sample), Some(tab)) = (self.db.sample(table), self.db.table(table)) else {
             return;
         };
-        let key = if self.use_bitmap_memo {
-            let mut h = SigHasher::new();
-            h.write_str(table);
-            pred.hash_signature(&mut h);
-            let key = h.finish();
-            if let Some(bits) = self.bitmap_memo.get(key) {
-                out[..bits.len()].copy_from_slice(&bits);
-                return;
-            }
-            Some(key)
-        } else {
-            None
-        };
         for (i, &row) in sample.rows().iter().enumerate() {
             if i >= out.len() {
                 break;
@@ -529,15 +551,42 @@ impl FeatureExtractor {
                 out[i] = 1.0;
             }
         }
-        if let Some(key) = key {
-            let width = sample.width().min(out.len());
-            self.bitmap_memo.insert(key, Arc::new(out[..width].to_vec()));
-        }
     }
 
-    /// Encode one node's four feature groups: the three fixed-width groups
-    /// go into one contiguous slab, the predicate tree keeps its shape.
-    pub fn encode_node(&self, node: &PlanNode) -> NodeFeatures {
+    /// Encode one node's four feature groups, shared by `Arc`.
+    ///
+    /// The groups depend on the node's operator alone, so with
+    /// `use_bitmap_memo` on (the default) they are memoized by operator
+    /// content ([`PhysicalOp::hash_signature`]) and the `use_sample_bitmap`
+    /// flag: a hit costs one key hash, one probe and one refcount bump, a
+    /// miss featurizes the node and inserts it.  Either way the bits are
+    /// those of a fresh encode.
+    pub fn encode_node(&self, node: &PlanNode) -> Arc<NodeFeatures> {
+        let mut op = SigHasher::new();
+        node.op.hash_signature(&mut op);
+        self.encode_node_hashed(node, op)
+    }
+
+    /// [`FeatureExtractor::encode_node`] with the operator's content already
+    /// hashed into `op`, a fresh hasher fed [`PhysicalOp::hash_signature`] —
+    /// the plan encoders open the node's signature with the same state.
+    fn encode_node_hashed(&self, node: &PlanNode, mut op: SigHasher) -> Arc<NodeFeatures> {
+        if !self.use_bitmap_memo {
+            return Arc::new(self.featurize_node(node));
+        }
+        op.write_u8(self.use_sample_bitmap as u8);
+        let key = op.finish();
+        if let Some(hit) = self.node_memo.get(key) {
+            return hit;
+        }
+        let features = Arc::new(self.featurize_node(node));
+        self.node_memo.insert(key, Arc::clone(&features));
+        features
+    }
+
+    /// Featurize one node afresh: the three fixed-width groups go into one
+    /// contiguous slab, the predicate tree keeps its shape.
+    fn featurize_node(&self, node: &PlanNode) -> NodeFeatures {
         let cfg = &self.config;
         let meta_off = cfg.operation_dim();
         let samp_off = meta_off + cfg.metadata_dim();
@@ -558,11 +607,14 @@ impl FeatureExtractor {
     /// present; missing annotations become 0.
     pub fn encode_plan(&self, plan: &PlanNode) -> EncodedPlan {
         let children: Vec<Arc<EncodedPlan>> = plan.children.iter().map(|c| Arc::new(self.encode_plan(c))).collect();
-        // Compose the signature from the already-encoded children's hashes
+        // Hash the operator once: it keys the node memo and opens the
+        // signature, which composes the already-encoded children's hashes
         // instead of re-walking each subtree once per ancestor.
-        let signature = plan.signature_hash_from_children(children.iter().map(|c| c.signature));
+        let mut op = SigHasher::new();
+        plan.op.hash_signature(&mut op);
+        let signature = PlanNode::signature_hash_from_op(op, children.iter().map(|c| c.signature));
         EncodedPlan {
-            features: self.encode_node(plan),
+            features: self.encode_node_hashed(plan, op),
             children,
             true_cardinality: plan.annotations.true_cardinality.unwrap_or(0.0),
             true_cost: plan.annotations.true_cost.unwrap_or(0.0),
@@ -622,7 +674,9 @@ impl FeatureExtractor {
         for c in &plan.children {
             self.encode_cached_rec(c, cache, stack);
         }
-        let signature = plan.signature_hash_from_children(stack[base..].iter().map(|(c, _)| c.signature));
+        let mut op = SigHasher::new();
+        plan.op.hash_signature(&mut op);
+        let signature = PlanNode::signature_hash_from_op(op, stack[base..].iter().map(|(c, _)| c.signature));
         // The memo key: structural signature ⧺ this node's annotations ⧺
         // the children's memo keys.  Child keys cover the children's own
         // annotations recursively, so two trees share a key only when their
@@ -653,7 +707,7 @@ impl FeatureExtractor {
             return;
         }
         let encoded = Arc::new(EncodedPlan {
-            features: self.encode_node(plan),
+            features: self.encode_node_hashed(plan, op),
             children: stack.drain(base..).map(|(c, _)| c).collect(),
             true_cardinality: plan.annotations.true_cardinality.unwrap_or(0.0),
             true_cost: plan.annotations.true_cost.unwrap_or(0.0),
@@ -725,7 +779,7 @@ mod tests {
             feats.predicate.clone(),
             feats.sample_bitmap().to_vec(),
         );
-        assert_eq!(rebuilt, feats);
+        assert_eq!(rebuilt, *feats);
     }
 
     #[test]
@@ -817,29 +871,43 @@ mod tests {
     fn bitmap_memo_hits_on_repeated_predicates_with_identical_bits() {
         let fx = extractor();
         let node = scan_with_pred();
-        let first = fx.encode_sample_bitmap(&node);
-        let (h0, m0) = fx.bitmap_memo_stats();
-        assert_eq!((h0, m0), (0, 1), "first sweep must miss the memo");
-        let second = fx.encode_sample_bitmap(&node);
-        assert_eq!(fx.bitmap_memo_stats(), (1, 1), "second sweep must hit");
-        assert_eq!(
-            first.iter().map(|b| b.to_bits()).collect::<Vec<_>>(),
-            second.iter().map(|b| b.to_bits()).collect::<Vec<_>>()
-        );
-        // Same predicate behind a different scan operator shares the entry.
+        let slab_bits = |f: &NodeFeatures| {
+            [f.operation(), f.metadata(), f.sample_bitmap()].concat().iter().map(|b| b.to_bits()).collect::<Vec<_>>()
+        };
+        let first = fx.encode_node(&node);
+        assert_eq!(fx.bitmap_memo_stats(), (0, 1), "first encode must miss the memo");
+        assert!(first.sample_bitmap().iter().any(|&b| b != 0.0), "the scan's sweep must set sample bits");
+        let second = fx.encode_node(&node);
+        assert_eq!(fx.bitmap_memo_stats(), (1, 1), "a repeated operator must hit");
+        assert!(Arc::ptr_eq(&first, &second), "a hit must share the memoized encoding");
+        assert_eq!(slab_bits(&first), slab_bits(&second));
+
+        // The same predicate behind a different scan operator is its own
+        // entry: its operation one-hot and metadata differ.
         let index_scan = PlanNode::leaf(PhysicalOp::IndexScan {
             table: "movie_companies".into(),
             index_column: "id".into(),
-            predicate: match &node.op {
-                PhysicalOp::SeqScan { predicate, .. } => predicate.clone(),
-                _ => unreachable!(),
-            },
+            predicate: node.op.predicate().cloned(),
         });
-        let third = fx.encode_sample_bitmap(&index_scan);
-        assert_eq!(fx.bitmap_memo_stats(), (2, 1));
-        assert_eq!(first, third);
+        let third = fx.encode_node(&index_scan);
+        assert_eq!(fx.bitmap_memo_stats(), (1, 2), "an IndexScan must not share the SeqScan's entry");
+        assert_eq!(fx.bitmap_memo_len(), 2);
+        assert_ne!(first.operation(), third.operation());
+        assert_eq!(first.sample_bitmap(), third.sample_bitmap());
+
+        // With the memo off, encodes neither read nor count it, and return
+        // the memoized bits.
+        let mut off = fx.clone();
+        off.use_bitmap_memo = false;
+        let fresh = off.encode_node(&node);
+        assert_eq!(fx.bitmap_memo_stats(), (1, 2), "a memo-off encode must leave the stats unchanged");
+        assert!(!Arc::ptr_eq(&first, &fresh));
+        assert_eq!(slab_bits(&first), slab_bits(&fresh));
+        assert_eq!(first.predicate, fresh.predicate);
+
         fx.clear_bitmap_memo();
         assert_eq!(fx.bitmap_memo_stats(), (0, 0));
+        assert_eq!(fx.bitmap_memo_len(), 0);
     }
 
     fn executed_join(db: &Arc<Database>, year: f64) -> PlanNode {

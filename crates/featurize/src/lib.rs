@@ -10,7 +10,9 @@
 //! * [`encode::FeatureExtractor`] performs the encoding, delegating string
 //!   operands to a pluggable [`strembed::StringEncoder`] so the model
 //!   variants of Table 9 (hash bitmap vs. embeddings with/without rules) are
-//!   just different extractor configurations.
+//!   just different extractor configurations.  It featurizes each distinct
+//!   operator once: node encodings are memoized by operator content and
+//!   shared by `Arc` in every [`encode::EncodedPlan`].
 
 pub mod config;
 pub mod encode;

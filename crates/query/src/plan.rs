@@ -90,6 +90,50 @@ impl PhysicalOp {
             _ => None,
         }
     }
+
+    /// Feed the operator's content — kind, tables, columns, full predicate
+    /// tree — into `h`: the one definition of what a node contributes on
+    /// its own, apart from its children.  [`PlanNode::signature_hash`]
+    /// composes it with the children's signatures, and the featurizer keys
+    /// its per-node memo by it (a node's features depend on nothing else).
+    pub fn hash_signature(&self, h: &mut crate::sighash::SigHasher) {
+        h.write_u8(self.one_hot_index() as u8);
+        match self {
+            PhysicalOp::SeqScan { table, predicate } => {
+                h.write_str(table);
+                if let Some(p) = predicate {
+                    p.hash_signature(h);
+                }
+            }
+            PhysicalOp::IndexScan { table, index_column, predicate } => {
+                h.write_str(table);
+                h.write_str(index_column);
+                if let Some(p) = predicate {
+                    p.hash_signature(h);
+                }
+            }
+            PhysicalOp::HashJoin { condition }
+            | PhysicalOp::MergeJoin { condition }
+            | PhysicalOp::NestedLoopJoin { condition } => {
+                h.write_str(&condition.left_table);
+                h.write_str(&condition.left_column);
+                h.write_str(&condition.right_table);
+                h.write_str(&condition.right_column);
+            }
+            PhysicalOp::Sort { table, columns } => {
+                h.write_str(table);
+                for c in columns {
+                    h.write_str(c);
+                }
+            }
+            PhysicalOp::Aggregate { hash, group_columns } => {
+                h.write_u8(*hash as u8);
+                for c in group_columns {
+                    h.write_str(c);
+                }
+            }
+        }
+    }
 }
 
 /// Per-node annotations produced by the ground-truth executor and the
@@ -265,50 +309,27 @@ impl PlanNode {
     ///
     /// `child_hashes` must yield the children's signatures in order.
     pub fn signature_hash_from_children(&self, child_hashes: impl IntoIterator<Item = u64>) -> u64 {
-        let mut h = crate::sighash::SigHasher::new();
-        h.write_u8(self.op.one_hot_index() as u8);
-        match &self.op {
-            PhysicalOp::SeqScan { table, predicate } => {
-                h.write_str(table);
-                if let Some(p) = predicate {
-                    p.hash_signature(&mut h);
-                }
-            }
-            PhysicalOp::IndexScan { table, index_column, predicate } => {
-                h.write_str(table);
-                h.write_str(index_column);
-                if let Some(p) = predicate {
-                    p.hash_signature(&mut h);
-                }
-            }
-            PhysicalOp::HashJoin { condition }
-            | PhysicalOp::MergeJoin { condition }
-            | PhysicalOp::NestedLoopJoin { condition } => {
-                h.write_str(&condition.left_table);
-                h.write_str(&condition.left_column);
-                h.write_str(&condition.right_table);
-                h.write_str(&condition.right_column);
-            }
-            PhysicalOp::Sort { table, columns } => {
-                h.write_str(table);
-                for c in columns {
-                    h.write_str(c);
-                }
-            }
-            PhysicalOp::Aggregate { hash, group_columns } => {
-                h.write_u8(*hash as u8);
-                for c in group_columns {
-                    h.write_str(c);
-                }
-            }
-        }
+        let mut op = crate::sighash::SigHasher::new();
+        self.op.hash_signature(&mut op);
+        Self::signature_hash_from_op(op, child_hashes)
+    }
+
+    /// The last step of [`PlanNode::signature_hash_from_children`]: `op` is
+    /// a fresh [`crate::sighash::SigHasher`] fed this node's
+    /// [`PhysicalOp::hash_signature`], and the children's signatures are
+    /// appended to it.  Exposed so a caller that also keys something by the
+    /// operator alone (the featurizer's node memo) hashes its content once.
+    pub fn signature_hash_from_op(
+        mut op: crate::sighash::SigHasher,
+        child_hashes: impl IntoIterator<Item = u64>,
+    ) -> u64 {
         let mut n_children = 0u8;
         for ch in child_hashes {
-            h.write_u64(ch);
+            op.write_u64(ch);
             n_children += 1;
         }
-        h.write_u8(n_children);
-        h.finish()
+        op.write_u8(n_children);
+        op.finish()
     }
 
     /// Indented textual rendering, similar to `EXPLAIN` output.

@@ -303,10 +303,12 @@ impl Session {
         Some(estimates)
     }
 
-    /// Encode a plan with the pinned tree model's extractor.  With feedback
-    /// capture enabled, the plan is also registered (annotations cleared)
-    /// under its signature so the refresh loop can execute it for ground
-    /// truth later.
+    /// Encode a plan with the pinned tree model's extractor
+    /// ([`CostEstimator::encode`]): every node reads through the extractor's
+    /// node memo, so an operator featurized before costs a lookup and
+    /// shares its features.  With feedback capture enabled, the plan is
+    /// also registered (annotations cleared) under its signature so the
+    /// refresh loop can execute it for ground truth later.
     pub fn encode(&self, plan: &PlanNode) -> Option<EncodedPlan> {
         let model = self.model()?;
         let encoded = model.tree()?.encode(plan);
@@ -320,10 +322,12 @@ impl Session {
     /// shared encoded-subtree cache: every distinct (subtree, annotations)
     /// across the batch — and across concurrent sessions of this tenant —
     /// is featurized at most once, with results bit-identical to
-    /// [`Session::encode`] per plan.  Feedback registration is preserved:
-    /// with capture enabled, each plan is registered under its signature
-    /// exactly as the one-at-a-time path does.  `None` when no model is
-    /// published or the backend is not the tree estimator.
+    /// [`Session::encode`] per plan.  Each returned root is a clone of its
+    /// cached entry: refcount bumps on the shared features and children, no
+    /// feature slab is copied.  Feedback registration is preserved: with
+    /// capture enabled, each plan is registered under its signature exactly
+    /// as the one-at-a-time path does.  `None` when no model is published
+    /// or the backend is not the tree estimator.
     pub fn encode_batch(&self, plans: &[PlanNode]) -> Option<Vec<EncodedPlan>> {
         let model = self.model()?;
         let encoded = model.tree()?.encode_plans(plans);
