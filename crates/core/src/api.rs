@@ -224,8 +224,9 @@ impl CostEstimator {
 
     /// Estimate `(cost, cardinality)` for a physical plan through the
     /// serving path ([`ServingEstimator::estimate_plans`]): a repeated plan
-    /// is served from the subtree-state cache by one signature walk and one
-    /// lookup, without featurizing or embedding a single node.
+    /// is answered from its subtree-state cache entry by one signature walk
+    /// and one lookup, without featurizing, embedding or scoring a single
+    /// node.
     ///
     /// # Panics
     /// Panics if the estimator has not been fitted.
@@ -515,10 +516,13 @@ impl ServingEstimator {
     /// signature walk per plan keys every sub-plan; a sub-plan already in
     /// the batch or in the subtree-state cache is served from there, and
     /// only the nodes above those states are featurized and embedded — no
-    /// [`EncodedPlan`] tree is built, so a plan whose root state is cached
-    /// costs a walk and a lookup.  Bit-identical to encoding each plan and
-    /// calling [`ServingEstimator::estimate_encoded_batch`], with which it
-    /// shares cache entries.
+    /// [`EncodedPlan`] tree is built.  A plan whose root is cached is
+    /// answered from the entry's stored estimate: a walk and a lookup, no
+    /// tape and no heads.  The heads run once per call, over the sub-plans
+    /// embedded fresh, whose entries then store their estimates.
+    /// Bit-identical to encoding each plan and calling
+    /// [`ServingEstimator::estimate_encoded_batch`], with which it shares
+    /// cache entries.
     pub fn estimate_plans(&self, plans: &[PlanNode]) -> Vec<(f64, f64)> {
         estimate_plans_memo(&self.model, &self.model.params, &self.normalization, &self.extractor, plans, &self.cache)
     }
@@ -663,11 +667,14 @@ mod tests {
         let want = est.estimate_encoded_batch(small);
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                // A larger, all-hit memo pass leaves wide, non-zero buffers
-                // in this thread's tape pool where its injected states sat.
-                // The cold pass below records its zero states first, so it
-                // draws exactly those buffers.
-                serve_encoded(&est, &encoded);
+                // A larger memo pass whose fresh roots read cached children
+                // leaves wide, non-zero buffers in this thread's tape pool
+                // where its injected states sat (an all-hit pass touches no
+                // tape).  The cold pass below records its zero states first,
+                // so it draws exactly those buffers.
+                let children: Vec<&EncodedPlan> =
+                    encoded.iter().flat_map(|p| p.children.iter().map(|c| c.as_ref())).collect();
+                est.serving().estimate_encoded_batch(&children);
                 serve_encoded(&est, &encoded);
                 est.subtree_cache().clear();
                 let got = serve_encoded(&est, small);

@@ -25,19 +25,23 @@
 //! * independent groups of plans are estimated in parallel with rayon.
 //!
 //! On top of the level batching, [`estimate_batch_memo`] adds **subtree
-//! memoization** for optimizer-in-the-loop serving: per-node `(G, R)` cell
-//! states are cached in a sharded [`SubtreeStateCache`] keyed by the 64-bit
-//! sub-plan signature, so a DP enumeration embeds each distinct subtree once
-//! and re-scores candidate plans by combining cached states at the fringe —
-//! with bit-identical results to the memoization-free path.
+//! memoization** for optimizer-in-the-loop serving: every embedded
+//! sub-plan's `(G, R)` cell state and its denormalized `(cost,
+//! cardinality)` are cached in a sharded [`SubtreeStateCache`] keyed by the
+//! 64-bit sub-plan signature, so a DP enumeration embeds each distinct
+//! subtree once, re-scores candidate plans by combining cached states at the
+//! fringe, and answers a candidate whose root is cached from its entry —
+//! with bit-identical results to the memoization-free path.  Each call runs
+//! the estimation heads once, over the sub-plans it embedded fresh; a call
+//! with nothing fresh touches no tape.
 //!
 //! Raw plans enter the memoized forward **state first**
 //! (`estimate_plans_memo`, behind `ServingEstimator::estimate_plans`): one
 //! signature walk per plan keys every sub-plan, the flatten probes the batch
 //! and the cache top-down, and only a node that misses both is featurized —
-//! no `EncodedPlan` is built, so a plan whose root state is cached costs a
-//! walk and a lookup.  Encoded and raw plans share one memoized level loop
-//! and the same cache entries.
+//! no `EncodedPlan` is built, so a plan whose root is cached costs a walk
+//! and a lookup.  Encoded and raw plans share one memoized level loop and
+//! the same cache entries.
 //!
 //! The per-node recursion [`TreeModel::forward`] shares no code with the
 //! level loop and returns the same bits, so it is the oracle both batched
@@ -293,8 +297,9 @@ pub fn forward_batch_q(
 }
 
 /// One node of a memoized batch: the root of a memoized subtree, whose
-/// cached `(G, R)` state is injected instead of recursing into its
-/// children, or a fresh node to embed with its shared features.
+/// cached entry answers it as a plan and whose `(G, R)` state is injected
+/// under a fresh parent instead of recursing into its children, or a fresh
+/// node to embed with its shared features.
 enum MemoNode {
     Cached(Arc<SubtreeState>),
     Fresh(Arc<NodeFeatures>),
@@ -461,45 +466,81 @@ impl MemoBatch {
         (idx, height)
     }
 
-    /// The memoized level loop, shared by both memoized forwards: inject
-    /// the cached states, run the level-batched forward over the fresh
-    /// fringe exactly as in [`forward_batch`] — plus, per level, lifting the
-    /// new state columns off the tape into `cache` — then the heads over
-    /// every root.
+    /// The memoized level loop, shared by both memoized forwards: appends
+    /// one estimate per plan to `out`.  A cached root answers from its
+    /// entry; fresh sub-plans are embedded and scored on a tape
+    /// ([`MemoBatch::embed_fresh`]), which a batch with nothing fresh never
+    /// touches.
     fn forward(
         &self,
         model: &TreeModel,
         store: &ParamStore,
-        g: &mut Graph,
+        normalization: &TargetNormalization,
         cache: &SubtreeStateCache,
-    ) -> (NodeId, NodeId) {
+        out: &mut Vec<(f64, f64)>,
+    ) {
         cache.record_nodes(self.seen_nodes, self.computed);
+        let mut estimates: Vec<(f64, f64)> = self
+            .flat
+            .iter()
+            .map(|n| match &n.node {
+                MemoNode::Cached(state) => state.estimate,
+                MemoNode::Fresh(_) => (f64::NAN, f64::NAN),
+            })
+            .collect();
+        if self.computed > 0 {
+            with_inference_tape(|g| self.embed_fresh(model, store, normalization, cache, g, &mut estimates));
+        }
+        out.extend(self.roots.iter().map(|&r| estimates[r]));
+    }
+
+    /// The tape pass over the fresh sub-plans: inject the cached states
+    /// they read as children, run the level-batched forward exactly as in
+    /// [`forward_batch`], then one heads sweep over every fresh sub-plan,
+    /// whose state and estimate go into `cache` and whose estimate goes into
+    /// `estimates`.
+    fn embed_fresh(
+        &self,
+        model: &TreeModel,
+        store: &ParamStore,
+        normalization: &TargetNormalization,
+        cache: &SubtreeStateCache,
+        g: &mut Graph,
+        estimates: &mut [(f64, f64)],
+    ) {
         let hidden = model.config.hidden_dim;
         let flat = &self.flat;
 
-        // Cache-hit states re-enter the tape as two batched input columns;
-        // fresh nodes are bucketed by level.
-        let mut states: Vec<Option<StateRef>> = vec![None; flat.len()];
-        let mut cached: Vec<(usize, &SubtreeState)> = Vec::new();
+        // Fresh nodes are bucketed by level; the cached states they read as
+        // children re-enter the tape as two batched input columns.
         let mut levels: Vec<Vec<(usize, &NodeFeatures)>> = vec![Vec::new(); self.max_height];
+        let mut fringe: Vec<(usize, &SubtreeState)> = Vec::new();
         for (i, n) in flat.iter().enumerate() {
-            match &n.node {
-                MemoNode::Cached(state) => cached.push((i, state)),
-                MemoNode::Fresh(features) => levels[n.height - 1].push((i, features)),
+            if let MemoNode::Fresh(features) = &n.node {
+                levels[n.height - 1].push((i, features));
+                for &c in &n.children {
+                    if let MemoNode::Cached(state) = &flat[c].node {
+                        fringe.push((c, state));
+                    }
+                }
             }
         }
-        if !cached.is_empty() {
-            let g_cols: Vec<&[f32]> = cached.iter().map(|(_, s)| s.g.as_slice()).collect();
-            let r_cols: Vec<&[f32]> = cached.iter().map(|(_, s)| s.r.as_slice()).collect();
+        fringe.sort_unstable_by_key(|&(c, _)| c);
+        fringe.dedup_by_key(|&mut (c, _)| c);
+        let mut states: Vec<Option<StateRef>> = vec![None; flat.len()];
+        if !fringe.is_empty() {
+            let g_cols: Vec<&[f32]> = fringe.iter().map(|(_, s)| s.g.as_slice()).collect();
+            let r_cols: Vec<&[f32]> = fringe.iter().map(|(_, s)| s.r.as_slice()).collect();
             let inj_g = g.input_columns(hidden, &g_cols);
             let inj_r = g.input_columns(hidden, &r_cols);
-            for (col, &(i, _)) in cached.iter().enumerate() {
+            for (col, &(i, _)) in fringe.iter().enumerate() {
                 states[i] = Some(StateRef { g: (inj_g, col), r: (inj_r, col) });
             }
         }
         let zero = model.zero_state_batch(g, 1);
         let zero_ref = StateRef { g: (zero.g, 0), r: (zero.r, 0) };
 
+        let mut fresh: Vec<(usize, StateRef)> = Vec::with_capacity(self.computed as usize);
         for level in &levels {
             if level.is_empty() {
                 continue;
@@ -525,56 +566,49 @@ impl MemoBatch {
 
             let out = model.apply_cell(g, store, x_batch, left, right);
             for (col, &(i, _)) in level.iter().enumerate() {
-                states[i] = Some(StateRef { g: (out.g, col), r: (out.r, col) });
-                let mut sg = Vec::with_capacity(hidden);
-                let mut sr = Vec::with_capacity(hidden);
-                g.extract_column(out.g, col, &mut sg);
-                g.extract_column(out.r, col, &mut sr);
-                cache.insert(flat[i].signature, Arc::new(SubtreeState { g: sg, r: sr }));
+                let state = StateRef { g: (out.g, col), r: (out.r, col) };
+                states[i] = Some(state);
+                fresh.push((i, state));
             }
         }
 
-        let root_rs: Vec<(NodeId, usize)> =
-            self.roots.iter().map(|&r| states[r].expect("root state computed").r).collect();
-        let r_batch = g.gather_cols(&root_rs);
-        model.estimate_from_representation(g, store, r_batch)
+        // One heads sweep over every fresh sub-plan; each one's state is
+        // lifted off the tape and memoized with its estimate.
+        let fresh_rs: Vec<(NodeId, usize)> = fresh.iter().map(|(_, s)| s.r).collect();
+        let r_batch = g.gather_cols(&fresh_rs);
+        let (cost_out, card_out) = model.estimate_from_representation(g, store, r_batch);
+        let fresh_estimates = denormalize_outputs(g, normalization, cost_out, card_out, fresh.len());
+        for (&(i, s), estimate) in fresh.iter().zip(fresh_estimates) {
+            let mut sg = Vec::with_capacity(hidden);
+            let mut sr = Vec::with_capacity(hidden);
+            g.extract_column(s.g.0, s.g.1, &mut sg);
+            g.extract_column(s.r.0, s.r.1, &mut sr);
+            cache.insert(flat[i].signature, Arc::new(SubtreeState { g: sg, r: sr, estimate }));
+            estimates[i] = estimate;
+        }
     }
 }
 
-/// [`forward_batch`] with subtree memoization — the serving-layer forward of
-/// the optimizer loop.
+/// Memoized batched estimation — the serving-layer forward of the optimizer
+/// loop, sharing `cache` across calls (and across threads — the cache is
+/// sharded and the tape is thread-local, so concurrent serving threads
+/// never serialize on a global lock).
 ///
 /// Before embedding anything, every sub-plan is deduplicated against the
-/// rest of the batch and looked up in `cache` by its 64-bit signature: hits
-/// re-enter the tape as injected `(G, R)` input columns
-/// ([`Graph::input_columns`]), and only the fringe above them is embedded.
-/// After each level's cell runs, the new sub-plans' state columns are lifted
-/// off the tape ([`Graph::extract_column`]) and memoized, so a DP
-/// enumeration embeds each distinct subtree once no matter how many
-/// candidate plans contain it.
+/// rest of the batch and looked up in `cache` by its 64-bit signature.  A
+/// plan whose root hits is answered from the entry's stored estimate.  A
+/// hit below a fresh node re-enters the tape as an injected `(G, R)` input
+/// column ([`Graph::input_columns`]), and only the fringe above it is
+/// embedded.  One heads sweep then scores every fresh sub-plan, and each
+/// one's state columns ([`Graph::extract_column`]) and estimate are
+/// memoized, so a DP enumeration embeds each distinct subtree once no
+/// matter how many candidate plans contain it.
 ///
-/// Estimates are **bit-identical** to the memoization-free [`forward_batch`]:
-/// injected states are verbatim copies of previously computed columns, and
-/// every kernel's per-column result is independent of which other columns
-/// share its batch (`memoized_inference_is_bit_identical_*` pins this).
-///
-/// # Panics
-/// Panics if `plans` is empty.
-pub fn forward_batch_memo(
-    model: &TreeModel,
-    store: &ParamStore,
-    g: &mut Graph,
-    plans: &[&EncodedPlan],
-    cache: &SubtreeStateCache,
-) -> (NodeId, NodeId) {
-    assert!(!plans.is_empty(), "forward_batch_memo needs at least one plan");
-    MemoBatch::new(plans.iter().copied(), cache).forward(model, store, g, cache)
-}
-
-/// Memoized batched estimation: [`estimate_batch`] through
-/// [`forward_batch_memo`], sharing `cache` across calls (and across
-/// threads — the cache is sharded and the tape is thread-local, so
-/// concurrent serving threads never serialize on a global lock).
+/// Estimates are **bit-identical** to the memoization-free [`estimate_batch`]:
+/// injected states and stored estimates are verbatim copies of previously
+/// computed values, and every kernel's per-column result — the cell's and
+/// the heads' — is independent of which other columns share its batch
+/// (`memoized_inference_is_bit_identical_*` pins this).
 ///
 /// Runs chunks of [`GROUP_SIZE`] plans sequentially on the calling thread:
 /// in the serving layer, concurrency comes from the caller's worker threads,
@@ -588,10 +622,7 @@ pub fn estimate_batch_memo(
 ) -> Vec<(f64, f64)> {
     let mut out = Vec::with_capacity(plans.len());
     for chunk in plans.chunks(GROUP_SIZE) {
-        out.extend(with_inference_tape(|g| {
-            let (cost_out, card_out) = forward_batch_memo(model, store, g, chunk, cache);
-            denormalize_outputs(g, normalization, cost_out, card_out, chunk.len())
-        }));
+        MemoBatch::new(chunk.iter().copied(), cache).forward(model, store, normalization, cache, &mut out);
     }
     out
 }
@@ -601,8 +632,8 @@ pub fn estimate_batch_memo(
 /// ([`signature_walk`]), then the memoized flatten, which featurizes a
 /// node ([`FeatureExtractor::encode_node`], through the extractor's node
 /// memo) only when its subtree is neither earlier in the batch nor in
-/// `cache` — a plan whose root state is cached costs one walk and one
-/// probe — then the shared level loop.
+/// `cache` — a plan whose root is cached costs one walk and one probe, and
+/// touches no tape — then the shared level loop.
 /// Bit-identical to encoding each plan and calling [`estimate_batch_memo`],
 /// and it fills and reads the same cache entries.
 pub(crate) fn estimate_plans_memo(
@@ -624,11 +655,7 @@ pub(crate) fn estimate_plans_memo(
             signature_walk(plan, &mut records);
         }
         let trees = chunk.iter().zip(&starts).map(|(plan, &at)| RawTree { plan, records: &records[at..], extractor });
-        let batch = MemoBatch::new(trees, cache);
-        out.extend(with_inference_tape(|g| {
-            let (cost_out, card_out) = batch.forward(model, store, g, cache);
-            denormalize_outputs(g, normalization, cost_out, card_out, chunk.len())
-        }));
+        MemoBatch::new(trees, cache).forward(model, store, normalization, cache, &mut out);
     }
     out
 }
@@ -830,9 +857,11 @@ mod tests {
         //! Satellite guard: on randomized planner output (generated queries
         //! expanded into candidate join orders), memoized subtree inference
         //! must be **bit-identical** to fresh inference — from encoded plans
-        //! and from raw plans, with a cold cache, a warm cache and across
-        //! batch compositions — and fresh inference to the per-node
-        //! recursion.
+        //! and from raw plans, with a cold cache, a warm cache, across batch
+        //! compositions and with cached and fresh roots in one chunk — and
+        //! fresh inference to the per-node recursion.  Every sub-plan's
+        //! stored estimate must be the per-node recursion's answer for that
+        //! sub-plan as a plan.
 
         use super::*;
         use crate::memory::SubtreeStateCache;
@@ -909,6 +938,14 @@ mod tests {
                         estimate_batch_memo(&t.model, &t.model.params, &t.normalization, &[plan], &cache);
                     prop_assert_eq!(&single[0], expected);
                 }
+                // A mixed chunk: the first half of the candidates is cached,
+                // so one call answers cached roots from their entries and
+                // embeds the rest over cached children.
+                let half = refs.len() / 2;
+                let mixed_cache = SubtreeStateCache::new();
+                estimate_batch_memo(&t.model, &t.model.params, &t.normalization, &refs[..half], &mixed_cache);
+                let mixed = estimate_batch_memo(&t.model, &t.model.params, &t.normalization, &refs, &mixed_cache);
+                prop_assert_eq!(&fresh, &mixed);
 
                 // The raw arm: signature walk, state-first flatten and
                 // featurize-on-miss, from raw plans.  Cold, warm, then one
@@ -922,7 +959,23 @@ mod tests {
                 let want: Vec<(u64, u64)> = fresh.iter().map(|&e| bits(e)).collect();
                 let raw_cache = SubtreeStateCache::new();
                 prop_assert_eq!(&raw(candidates, &raw_cache), &want);
+                // The cold pass left an entry for every sub-plan of every
+                // candidate.  A non-root entry answers that sub-plan the
+                // first time the optimizer submits it as a candidate, so its
+                // estimate must be the per-node recursion's over the
+                // sub-plan encoded as its own plan.
+                let mut subplans: Vec<&PlanNode> = candidates.iter().collect();
+                while let Some(sub) = subplans.pop() {
+                    let state = raw_cache.get(sub.signature_hash());
+                    prop_assert!(state.is_some(), "a sub-plan of a cold pass has no entry");
+                    let expected = bits(t.estimate(&fixture.fx.encode_plan(sub)));
+                    prop_assert_eq!(bits(state.unwrap().estimate), expected);
+                    subplans.extend(&sub.children);
+                }
                 prop_assert_eq!(&raw(candidates, &raw_cache), &want);
+                let mixed_cache = SubtreeStateCache::new();
+                raw(&candidates[..half], &mixed_cache);
+                prop_assert_eq!(&raw(candidates, &mixed_cache), &want);
                 let single_cache = SubtreeStateCache::new();
                 for (plan, expected) in candidates.iter().zip(&want) {
                     prop_assert_eq!(&raw(std::slice::from_ref(plan), &single_cache)[0], expected);

@@ -32,9 +32,7 @@ pub mod trainer;
 
 pub use api::{CostEstimator, ServingEstimator};
 pub use backend::{Estimator, EstimatorCapabilities, PlanEstimate, TrainableEstimator};
-pub use batch::{
-    estimate_batch, estimate_batch_memo, estimate_batch_refs, forward_batch, forward_batch_memo, forward_batch_q,
-};
+pub use batch::{estimate_batch, estimate_batch_memo, estimate_batch_refs, forward_batch, forward_batch_q};
 pub use memory::{EncodedSubtreeCache, ShardedCache, SubtreeState, SubtreeStateCache};
 pub use model::{ModelConfig, PredicateModelKind, RepresentationCellKind, TaskMode, TreeModel};
 pub use nn::checkpoint::CheckpointError;

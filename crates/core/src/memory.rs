@@ -9,14 +9,16 @@
 //!   the batch encode (`CostEstimator::encode_plans`, the serving catalog's
 //!   `Session::encode_batch`);
 //! * [`SubtreeStateCache`] — the representation cell's `(G, R)` state
-//!   vectors of every embedded sub-plan, keyed by the structural signature
+//!   vectors of every embedded sub-plan, with the `(cost, cardinality)` the
+//!   estimation heads give for its `R`, keyed by the structural signature
 //!   ([`query::PlanNode::signature_hash`]) — the paper's representation
 //!   memory pool.  A candidate that shares a subtree re-enters the forward
 //!   pass at the fringe instead of re-running the cell over the whole
-//!   subtree (`batch::estimate_batch_memo`).  Raw plans are served from it
+//!   subtree, and a candidate whose root is cached is answered from its
+//!   entry (`batch::estimate_batch_memo`).  Raw plans are served from it
 //!   state first (`ServingEstimator::estimate_plans`), without the encode
 //!   cache: a repeated plan costs a signature walk and one lookup, and is
-//!   neither featurized nor embedded.
+//!   neither featurized nor embedded nor scored.
 //!
 //! Both sit on [`ShardedCache`]: middle bits of the key pick one of
 //! [`NUM_SHARDS`] independently-locked shards, so concurrent estimator
@@ -212,22 +214,30 @@ impl<V: Clone> Default for ShardedCache<V> {
     }
 }
 
-/// The memoized representation state of one embedded sub-plan: the `G` and
-/// `R` channel vectors of the representation cell at the subtree root.
+/// The memoized state of one embedded sub-plan: the `G` and `R` channel
+/// vectors of the representation cell at the subtree root, and the
+/// sub-plan's estimate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubtreeState {
     pub g: Vec<f32>,
     pub r: Vec<f32>,
+    /// Denormalized `(cost, cardinality)` from the estimation heads over
+    /// `r` — the bits the fresh batch returns for this sub-plan submitted
+    /// as a plan.  Like `g` and `r`, it depends on the weights; it also
+    /// depends on the target normalization.
+    pub estimate: (f64, f64),
 }
 
 /// Cache of subtree representation states for optimizer-in-the-loop serving.
 ///
-/// Shared by all estimator threads; a hit lets `forward_batch_memo` inject
-/// the stored `(G, R)` columns as tape inputs instead of re-embedding the
-/// subtree.  States are only meaningful for the model/extractor pair that
-/// produced them — the cache is owned by one `CostEstimator` and replaced
-/// by a fresh one on every re-fit or checkpoint load, never shared across
-/// models.
+/// Shared by all estimator threads.  In the memoized level loop
+/// (`batch::estimate_batch_memo`), a hit at a plan's root answers the plan
+/// with the entry's stored estimate — no tape, no heads — and a hit below a
+/// fresh node injects the stored `(G, R)` columns as tape inputs instead of
+/// re-embedding the subtree.  Entries are only meaningful for the
+/// weights, target normalization and extractor that produced them — the
+/// cache is owned by one `CostEstimator` and replaced by a fresh one on
+/// every re-fit or checkpoint load, never shared across models.
 ///
 /// Besides the lookup counters of the underlying [`ShardedCache`], the cache
 /// tracks *node-level* serving counters: of all plan nodes submitted for
@@ -516,10 +526,11 @@ mod tests {
     #[test]
     fn subtree_cache_state_roundtrip_and_node_stats() {
         let cache = SubtreeStateCache::new();
-        let state = Arc::new(SubtreeState { g: vec![1.0, 2.0], r: vec![3.0, 4.0] });
+        let state = Arc::new(SubtreeState { g: vec![1.0, 2.0], r: vec![3.0, 4.0], estimate: (5.0, 6.0) });
         assert!(cache.get(7).is_none());
         cache.insert(7, Arc::clone(&state));
         assert_eq!(cache.get(7).as_deref(), Some(&*state));
+        assert_eq!(cache.get(7).map(|s| s.estimate), Some((5.0, 6.0)), "an entry carries its estimate");
         assert_eq!(cache.len(), 1);
 
         assert_eq!(cache.node_hit_rate(), 0.0);
