@@ -227,7 +227,9 @@ impl PlanNode {
     }
 
     /// A stable textual signature of the subtree structure: the readable
-    /// form of [`PlanNode::signature_hash`], for debugging and tests.
+    /// form of [`PlanNode::signature_hash`].  Besides debugging and tests,
+    /// it orders plans by content where an order must not depend on the
+    /// hash function: the refresh controller's sampling frame sorts by it.
     pub fn signature(&self) -> String {
         let mut sig = String::new();
         self.signature_inner(&mut sig);

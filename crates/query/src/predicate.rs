@@ -38,9 +38,11 @@ impl CompareOp {
         CompareOp::In,
     ];
 
-    /// Index of this operator in [`CompareOp::ALL`].
+    /// Index of this operator in [`CompareOp::ALL`]: the discriminant, since
+    /// the enum is declared in `ALL`'s order.
+    #[inline]
     pub fn index(&self) -> usize {
-        Self::ALL.iter().position(|o| o == self).expect("operator present in ALL")
+        *self as usize
     }
 }
 
@@ -442,8 +444,10 @@ mod tests {
     #[test]
     fn operator_one_hot_indexes_are_unique() {
         let mut seen = std::collections::HashSet::new();
-        for op in CompareOp::ALL {
+        for (i, op) in CompareOp::ALL.into_iter().enumerate() {
             assert!(seen.insert(op.index()));
+            // The one-hot positions the golden checkpoints were trained on.
+            assert_eq!(op.index(), i, "{op} moved in the one-hot encoding");
         }
         assert_eq!(seen.len(), CompareOp::ALL.len());
     }

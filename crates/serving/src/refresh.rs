@@ -11,9 +11,10 @@
 //!
 //! 1. **drain** the tenant's [`crate::FeedbackLog`], dedup by plan signature
 //!    (keeping the newest estimate per plan);
-//! 2. **sample** a seeded subset within the ground-truth execution budget,
-//!    resolve each signature through the [`crate::PlanRegistry`] and execute
-//!    it with `engine::ExecMode::Count` — cheap exact cardinalities;
+//! 2. **sample**: resolve each signature through the
+//!    [`crate::PlanRegistry`], draw a seeded subset within the ground-truth
+//!    execution budget from a frame ordered by plan content, and execute it
+//!    with `engine::ExecMode::Count` — cheap exact cardinalities;
 //! 3. **observe**: push each plan's cardinality q-error into the window;
 //!    the first full window freezes the tenant's healthy baseline;
 //! 4. **adapt**: when the windowed mean degrades past
@@ -29,12 +30,13 @@
 //! generation at their next call.
 
 use crate::catalog::ModelCatalog;
-use crate::feedback::{FeedbackRecord, TenantFeedback};
+use crate::feedback::{FeedbackRecord, PlanRegistry, TenantFeedback};
 use engine::{execute_plan_mode, CostModel, ExecMode};
 use estimator_core::{CheckpointError, CostEstimator};
 use featurize::EncodedPlan;
 use imdb::Database;
 use metrics::{q_error, QErrorWindow};
+use query::PlanNode;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -167,38 +169,6 @@ impl RefreshController {
         &self.trainer
     }
 
-    fn next_rand(&mut self) -> u64 {
-        // splitmix64: tiny, seedable, plenty for subsampling — keeps the
-        // serving crate free of an RNG dependency.
-        self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Dedup drained records by signature (newest estimate wins — shards
-    /// drain oldest-first, and one signature always lands in one shard) and
-    /// pick at most `sample_budget` of them, uniformly via a partial
-    /// Fisher–Yates driven by the controller's seeded RNG.
-    fn sample(&mut self, drained: Vec<FeedbackRecord>) -> Vec<FeedbackRecord> {
-        let mut newest: HashMap<u64, FeedbackRecord> = HashMap::with_capacity(drained.len());
-        for record in drained {
-            newest.insert(record.signature, record);
-        }
-        let mut unique: Vec<FeedbackRecord> = newest.into_values().collect();
-        // HashMap iteration order is seed-dependent; sort for a
-        // deterministic sampling frame before the seeded shuffle.
-        unique.sort_by_key(|r| r.signature);
-        let budget = self.config.sample_budget.min(unique.len());
-        for i in 0..budget {
-            let j = i + (self.next_rand() as usize) % (unique.len() - i);
-            unique.swap(i, j);
-        }
-        unique.truncate(budget);
-        unique
-    }
-
     /// Run one capture→sample→detect→adapt cycle.  Cheap when the log is
     /// empty; executes at most `sample_budget` plans otherwise.  Never
     /// called on the serving path.
@@ -209,15 +179,15 @@ impl RefreshController {
     /// the buffered pairs are retained for the next attempt.
     pub fn tick(&mut self) -> Result<RefreshOutcome, CheckpointError> {
         let drained = self.feedback.log().drain();
-        let sampled_records = self.sample(drained);
+        let sampled_records = sample(drained, self.feedback.registry(), self.config.sample_budget, &mut self.rng);
         let mut sampled = 0usize;
-        for record in &sampled_records {
-            let Some(plan) = self.feedback.registry().get(record.signature) else {
+        for (record, plan) in &sampled_records {
+            let Some(plan) = plan else {
                 // Logged before the registry learned the plan (or the
                 // registry was full): unresolvable, skip.
                 continue;
             };
-            let mut plan = (*plan).clone();
+            let mut plan = PlanNode::clone(plan);
             let truth = execute_plan_mode(&self.db, &mut plan, &CostModel::default(), ExecMode::Count);
             sampled += 1;
             self.window.push(q_error(record.cardinality, truth.cardinality));
@@ -273,5 +243,90 @@ impl RefreshController {
         self.window.clear();
         self.pending.clear();
         Ok(RefreshOutcome::Refreshed { generation, sampled, pairs: pairs.len(), window_mean, baseline, refit_fallback })
+    }
+}
+
+/// One splitmix64 step: tiny, seedable, plenty for subsampling — keeps the
+/// serving crate free of an RNG dependency.
+fn next_rand(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Dedup drained records by signature (newest estimate wins — shards drain
+/// oldest-first, and one signature always lands in one shard), resolve each
+/// through `registry` (`None` when the plan was never registered) and pick
+/// at most `budget` of them, uniformly via a partial Fisher–Yates driven by
+/// the seeded `rng`.
+///
+/// The frame the draw runs over is ordered by plan content, the textual
+/// [`PlanNode::signature`], so which plans a tick executes, and the order
+/// their q-errors enter the window, do not depend on the signature hash
+/// function.  Unregistered records sort first; ties (unregistered records,
+/// equal texts) fall back to the signature value.
+fn sample(
+    drained: Vec<FeedbackRecord>,
+    registry: &PlanRegistry,
+    budget: usize,
+    rng: &mut u64,
+) -> Vec<(FeedbackRecord, Option<Arc<PlanNode>>)> {
+    let mut newest: HashMap<u64, FeedbackRecord> = HashMap::with_capacity(drained.len());
+    for record in drained {
+        newest.insert(record.signature, record);
+    }
+    let mut frame: Vec<(FeedbackRecord, Option<Arc<PlanNode>>)> =
+        newest.into_values().map(|record| (record, registry.get(record.signature))).collect();
+    frame.sort_by_cached_key(|(record, plan)| (plan.as_ref().map(|p| p.signature()), record.signature));
+    let budget = budget.min(frame.len());
+    for i in 0..budget {
+        let j = i + (next_rand(rng) as usize) % (frame.len() - i);
+        frame.swap(i, j);
+    }
+    frame.truncate(budget);
+    frame
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use query::{CompareOp, Operand, PhysicalOp, Predicate};
+
+    #[test]
+    fn the_sample_follows_plan_content_not_signature_values() {
+        let plans: Vec<PlanNode> = (0..40)
+            .map(|year| {
+                let predicate = Predicate::atom("title", "production_year", CompareOp::Gt, Operand::Num(year as f64));
+                PlanNode::leaf(PhysicalOp::SeqScan { table: "title".into(), predicate: Some(predicate) })
+            })
+            .collect();
+        // Draw from a log holding every plan twice under `label`: the
+        // registry is keyed to match, and the later record must win.
+        let draw = |label: fn(u64) -> u64| {
+            let registry = PlanRegistry::new(1024);
+            let mut drained = Vec::new();
+            for round in 0..2 {
+                for (i, plan) in plans.iter().enumerate() {
+                    let signature = label(plan.signature_hash());
+                    registry.register(signature, plan);
+                    drained.push(FeedbackRecord { signature, cost: round as f64, cardinality: i as f64 });
+                }
+            }
+            let mut rng = 0x5eed;
+            sample(drained, &registry, 16, &mut rng)
+                .into_iter()
+                .map(|(record, plan)| {
+                    assert_eq!(record.cost, 1.0, "the newest record per signature must be kept");
+                    (plan.expect("every plan is registered").signature(), record.cardinality)
+                })
+                .collect::<Vec<_>>()
+        };
+        let picked = draw(|signature| signature);
+        assert_eq!(picked.len(), 16);
+        // Any bijection on signatures: a different hash function.
+        let relabeled = draw(|signature| signature.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xfeed);
+        assert_eq!(picked, relabeled, "relabeling the signatures re-drew the sample");
     }
 }
