@@ -180,12 +180,6 @@ fn main() {
          recovered ({:.0}% of the degradation won back)",
         recovery * 100.0
     );
-    let published = catalog.current("loop").expect("published");
-    assert!(
-        published.tree().expect("tree").has_quantized_weights(),
-        "the republished v3 checkpoint must carry the int8 weights"
-    );
-
     // --- Capture overhead: serve cost vs the marginal record cost. ---
     // An A/B throughput comparison (feedback on vs off) is hopeless here:
     // the true capture cost is well under 1% of a cold inference stream,

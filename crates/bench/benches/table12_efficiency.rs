@@ -5,20 +5,17 @@
 //! Run with `cargo bench -p bench --bench table12_efficiency`.  Besides the
 //! printed table, the harness writes `BENCH_table12.json` (into
 //! `E2E_BENCH_OUT` or the current directory) recording plans/sec for each
-//! path plus the headline speed-ups:
-//!
-//! * `batch_vs_per_node` — level-batched vs. one-plan-at-a-time inference
-//!   (the paper's Table-12 comparison), both on the inference tape, and
-//! * `q8_vs_batch` — the int8 batch vs. the f32 batch, with the mean
-//!   q-error shift the int8 weights cost.
+//! path plus, per tree model, the headline speed-up `batch_vs_per_node` —
+//! level-batched vs. one-plan-at-a-time inference (the paper's Table-12
+//! comparison), both on the inference tape — and the batch row's mean
+//! cardinality q-error (`mean_qerr`).
 //!
 //! The harness runs at full database scale by default (`E2E_SCALE=1`):
 //! ground truth goes through the counting executor, which never
 //! materializes join tuples, so skewed star joins no longer force a scale
 //! cap.  With `E2E_CHECK` set, the harness additionally asserts the
-//! regression floors (`batch_vs_per_node >= 5`, `q8_vs_batch >= 1` with a
-//! q-error shift <= 10%) and exits non-zero when they are violated — the
-//! mode CI's full-scale smoke job runs in.
+//! regression floor (`batch_vs_per_node >= 5`) and exits non-zero when it
+//! is violated — the mode CI's full-scale smoke job runs in.
 
 use bench::{time_reps, Pipeline};
 use estimator_core::{PredicateModelKind, RepresentationCellKind, TaskMode};
@@ -103,17 +100,15 @@ fn main() {
     );
     report(&mut rows, "MSCNBatch", secs, n);
 
-    // Tree models: TLSTM and TPool — three paths each, all returning the
-    // same f32 bits except the int8 row:
+    // Tree models: TLSTM and TPool — two paths each, returning the same
+    // bits:
     //   <label>         per-node recursion, one plan at a time
     //   <label>Batch    level-batched forward
-    //   <label>BatchQ8  level-batched forward over int8 weights
     let truths: Vec<f64> = suite.test.iter().map(|s| s.true_cardinality()).collect();
     let mut speedups = String::new();
     let mut floor_checks: Vec<(String, f64)> = Vec::new();
-    let mut q8_checks: Vec<(String, f64, f64)> = Vec::new();
     for (label, predicate) in [("TLSTM", PredicateModelKind::TreeLstm), ("TPool", PredicateModelKind::MinMaxPool)] {
-        let (mut est, test_encoded) = pipeline.train_tree_model(
+        let (est, test_encoded) = pipeline.train_tree_model(
             &suite,
             RepresentationCellKind::Lstm,
             predicate,
@@ -139,56 +134,27 @@ fn main() {
             },
         );
         report(&mut rows, &format!("{label}Batch"), batched, n);
-
-        // Int8 tier: the same level-batched path over per-channel quantized
-        // weights (dynamic per-column activation quantization, dispatched
-        // i8 dot kernels).  The accuracy cost is recorded alongside the
-        // throughput win as the relative mean q-error shift vs the f32 rows.
-        assert!(est.ensure_quantized(), "bench model must quantize at least one weight matrix");
-        let batched_q8 = time_reps(
-            reps,
-            || (),
-            || {
-                est.estimate_encoded_batch_quant(&test_encoded);
-            },
-        );
-        report(&mut rows, &format!("{label}BatchQ8"), batched_q8, n);
-        let q8_vs_batch = batched / batched_q8;
-        let mean_qerr = |ests: &[(f64, f64)]| {
-            let errs: Vec<f64> = ests
-                .iter()
-                .zip(&truths)
-                .filter(|(_, &t)| t > 0.0)
-                .map(|(&(_, card), &t)| metrics::q_error(card, t))
-                .collect();
-            errs.iter().sum::<f64>() / errs.len().max(1) as f64
-        };
-        let qerr_f32 = mean_qerr(&est.estimate_encoded_batch(&test_encoded));
-        let qerr_q8 = mean_qerr(&est.estimate_encoded_batch_quant(&test_encoded));
-        let qerr_shift = (qerr_q8 - qerr_f32) / qerr_f32;
+        let errs: Vec<f64> = est
+            .estimate_encoded_batch(&test_encoded)
+            .iter()
+            .zip(&truths)
+            .filter(|(_, &t)| t > 0.0)
+            .map(|(&(_, card), &t)| metrics::q_error(card, t))
+            .collect();
+        let mean_qerr = errs.iter().sum::<f64>() / errs.len().max(1) as f64;
 
         let vs_per_node = per_node / batched;
         floor_checks.push((label.to_string(), vs_per_node));
-        q8_checks.push((label.to_string(), q8_vs_batch, qerr_shift));
         println!("{label}: batch is {vs_per_node:.1}x per-node");
-        println!(
-            "{label}: int8 tier is {q8_vs_batch:.1}x the f32 batch; mean card q-error {qerr_f32:.3} -> {qerr_q8:.3} \
-             ({:+.1}% shift)",
-            qerr_shift * 100.0
-        );
         if !speedups.is_empty() {
             speedups.push(',');
         }
         let _ = write!(
             speedups,
-            "\n    \"{}\": {{ \"batch_vs_per_node\": {:.3}, \"q8_vs_batch\": {:.3}, \"mean_qerr_f32\": {:.4}, \
-             \"mean_qerr_q8\": {:.4}, \"qerr_rel_shift\": {:.4} }}",
+            "\n    \"{}\": {{ \"batch_vs_per_node\": {:.3}, \"mean_qerr\": {:.4} }}",
             label.to_lowercase(),
             vs_per_node,
-            q8_vs_batch,
-            qerr_f32,
-            qerr_q8,
-            qerr_shift
+            mean_qerr
         );
     }
 
@@ -217,24 +183,11 @@ fn main() {
     println!("wrote {path}");
 
     // Check mode (CI smoke): fail loudly when the recorded regression
-    // floors are violated, so the scale cap can never silently return.
+    // floor is violated, so the scale cap can never silently return.
     if matches!(std::env::var("E2E_CHECK").as_deref(), Ok(v) if !v.is_empty() && v != "0") {
         for (label, vs_per_node) in &floor_checks {
             assert!(*vs_per_node >= 5.0, "{label}: batch_vs_per_node {vs_per_node:.2}x below the 5x regression floor");
         }
-        for (label, q8_vs_batch, qerr_shift) in &q8_checks {
-            // Recalibrated from 2x when the f32 batch denominator gained
-            // the explicit AVX2+FMA GEMM tier (the int8 rows kept their
-            // absolute throughput; their *relative* edge over f32 shrank
-            // because f32 got ~4-5x faster).  The int8 tier must still
-            // never lose to the f32 batch it approximates.
-            assert!(*q8_vs_batch >= 1.0, "{label}: q8_vs_batch {q8_vs_batch:.2}x below the 1x regression floor");
-            assert!(
-                *qerr_shift <= 0.10,
-                "{label}: int8 tier degrades mean q-error by {:.1}% (> 10% budget)",
-                qerr_shift * 100.0
-            );
-        }
-        println!("check mode: speed-up floors hold (batch_vs_per_node >= 5x, q8_vs_batch >= 1x, q-error shift <= 10%)");
+        println!("check mode: speed-up floor holds (batch_vs_per_node >= 5x)");
     }
 }

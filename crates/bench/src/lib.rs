@@ -42,10 +42,9 @@ pub fn time_reps(reps: usize, mut before: impl FnMut(), mut f: impl FnMut()) -> 
 
 /// Host capability metadata as a single-line JSON object — logical cpus,
 /// the raw runtime-detected SIMD feature set, and the **active dispatch
-/// tier per kernel family**: `"simd_dispatch"` names what `nn::simd`
-/// actually selected for this process (`"avx2+fma"` for the f32 GEMM/gate
-/// kernels, `"avx2"` for the int8 kernels, `"scalar"` for both under
-/// `E2E_FORCE_SCALAR`), which is what governs the recorded numbers —
+/// tier**: `"simd_dispatch"` names what `nn::simd` actually selected for
+/// this process (`"avx2+fma"` for the f32 GEMM/gate kernels, `"scalar"`
+/// under `E2E_FORCE_SCALAR`), which is what governs the recorded numbers —
 /// `target_features` may list capabilities (e.g. `avx512f`) that no kernel
 /// here dispatches on.  Every bench harness embeds this in its
 /// `BENCH_*.json` so recorded numbers carry the hardware they came from.
@@ -68,10 +67,9 @@ pub fn host_capabilities_json() -> String {
     let features = features.iter().map(|f| format!("\"{f}\"")).collect::<Vec<_>>().join(", ");
     format!(
         "{{ \"cpus\": {cpus}, \"arch\": \"{}\", \"target_features\": [{features}], \
-         \"simd_dispatch\": {{ \"f32\": \"{}\", \"int8\": \"{}\" }} }}",
+         \"simd_dispatch\": {{ \"f32\": \"{}\" }} }}",
         std::env::consts::ARCH,
-        nn::simd::f32_path_name(),
-        nn::simd::i8_path_name()
+        nn::simd::f32_path_name()
     )
 }
 
@@ -226,12 +224,9 @@ mod tests {
             "missing f32 dispatch tier: {json}"
         );
         assert!(
-            json.contains("\"int8\": \"avx2\"") || json.contains("\"int8\": \"scalar\""),
-            "missing int8 dispatch tier: {json}"
+            json.contains(&format!("\"simd_dispatch\": {{ \"f32\": \"{}\" }}", nn::simd::f32_path_name())),
+            "simd_dispatch must name the active f32 tier and nothing else: {json}"
         );
-        // The two families move together: forcing scalar forces both.
-        let scalar = json.contains("\"f32\": \"scalar\"");
-        assert_eq!(scalar, json.contains("\"int8\": \"scalar\""), "kernel families disagree on forced-scalar: {json}");
     }
 
     #[test]

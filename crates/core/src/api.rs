@@ -7,23 +7,25 @@
 //! annotated training plans once, then ask it for `(cost, cardinality)` of
 //! new physical plans.
 //!
-//! Every tree estimate comes from one of three forwards:
+//! Every tree estimate comes from one of two f32 forwards:
 //!
 //! * the per-node recursion ([`CostEstimator::estimate_encoded`]) — the
 //!   independent oracle and Table 12's one-by-one row;
-//! * the fresh level batch ([`CostEstimator::estimate_encoded_batch`],
-//!   `estimate_encoded_batch_quant`) — training, oracles and the int8 rows;
-//! * the memoized level batch ([`ServingEstimator`]) — all serving
-//!   traffic, including [`CostEstimator::estimate`] and the [`Estimator`]
-//!   impl.  Raw plans enter it state first
-//!   ([`ServingEstimator::estimate_plans`]): a sub-plan whose state the
-//!   subtree-state cache holds costs a signature walk and a lookup, and only
-//!   the fringe above the cached states is featurized and embedded.
+//! * the level loop ([`crate::batch`]), with one of two head sweeps:
+//!   - over the roots, with no memoization
+//!     ([`CostEstimator::estimate_encoded_batch`]) — training, validation,
+//!     the fresh oracle and Table 12's batch row;
+//!   - over every fresh sub-plan, memoized ([`ServingEstimator`]) — all
+//!     serving traffic, including [`CostEstimator::estimate`] and the
+//!     [`Estimator`] impl.  Raw plans enter it state first
+//!     ([`ServingEstimator::estimate_plans`]): a sub-plan whose state the
+//!     subtree-state cache holds costs a signature walk and a lookup, and
+//!     only the fringe above the cached states is featurized and embedded.
 //!
-//! All three return the same bits for the same plan and weights.
+//! All of them return the same bits for the same plan and weights.
 
 use crate::backend::{Estimator, EstimatorCapabilities, PlanEstimate, TrainableEstimator};
-use crate::batch::{estimate_batch, estimate_batch_memo, estimate_batch_refs, estimate_plans_memo};
+use crate::batch::{estimate_batch, estimate_batch_memo, estimate_plans_memo};
 use crate::checkpoint;
 use crate::memory::{EncodedSubtreeCache, SubtreeStateCache};
 use crate::model::{ModelConfig, TaskMode, TreeModel};
@@ -31,7 +33,6 @@ use crate::trainer::{EpochStats, TargetNormalization, TrainConfig, Trainer};
 use featurize::{EncodedPlan, FeatureExtractor};
 use nn::checkpoint as ckpt;
 use nn::checkpoint::CheckpointError;
-use nn::QuantWeights;
 use query::PlanNode;
 use std::io::Write as _;
 use std::path::Path;
@@ -47,9 +48,6 @@ pub struct CostEstimator {
     /// Memoized subtree *encodings* behind [`CostEstimator::encode_plans`];
     /// swapped together with `subtree_cache` on every invalidation.
     encode_cache: Arc<EncodedSubtreeCache>,
-    /// Per-channel int8 form of the fitted weights (the Table-12 Q8 rows);
-    /// derived on demand or restored from a v3 checkpoint.
-    quant: Option<Arc<QuantWeights>>,
 }
 
 impl CostEstimator {
@@ -62,7 +60,6 @@ impl CostEstimator {
             train_config,
             subtree_cache: Arc::new(SubtreeStateCache::new()),
             encode_cache: Arc::new(EncodedSubtreeCache::new()),
-            quant: None,
         }
     }
 
@@ -71,17 +68,15 @@ impl CostEstimator {
     /// outstanding owned [`ServingEstimator`] keeps its consistent (old
     /// model, old cache) pair while this estimator's next handle starts
     /// empty — nothing computed under the old parameters can ever serve the
-    /// new ones, in either direction.  The quantized weights are dropped
-    /// too: they derive from the parameters that just changed.  The
-    /// encoded-subtree cache is swapped under the same rule — its entries
-    /// would actually stay *valid* (they depend only on the extractor, which
-    /// survives refits), but one invalidation rule for every serving cache
-    /// is cheaper to reason about than a carve-out, and re-encoding a
-    /// working set is a few milliseconds.
+    /// new ones, in either direction.  The encoded-subtree cache is swapped
+    /// under the same rule — its entries would actually stay *valid* (they
+    /// depend only on the extractor, which survives refits), but one
+    /// invalidation rule for every serving cache is cheaper to reason about
+    /// than a carve-out, and re-encoding a working set is a few
+    /// milliseconds.
     fn invalidate_caches(&mut self) {
         self.subtree_cache = Arc::new(SubtreeStateCache::new());
         self.encode_cache = Arc::new(EncodedSubtreeCache::new());
-        self.quant = None;
     }
 
     /// The fitted trainer behind every estimate.
@@ -90,24 +85,6 @@ impl CostEstimator {
     /// Panics if the estimator has not been fitted.
     fn fitted(&self) -> &Trainer {
         self.trainer.as_ref().expect("CostEstimator used before fit")
-    }
-
-    /// Derive the per-channel int8 weights for the fitted model if not
-    /// already present (from a fit in this process or a v3 checkpoint).
-    /// Idempotent; returns whether quantized weights are now available.
-    ///
-    /// # Panics
-    /// Panics if the estimator has not been fitted.
-    pub fn ensure_quantized(&mut self) -> bool {
-        if self.quant.is_none() {
-            self.quant = Some(Arc::new(QuantWeights::from_store(&self.fitted().model.params)));
-        }
-        self.has_quantized_weights()
-    }
-
-    /// True when the int8 weights are available.
-    pub fn has_quantized_weights(&self) -> bool {
-        self.quant.as_ref().is_some_and(|q| q.n_quantized() > 0)
     }
 
     /// The feature extractor (exposed for encoding plans externally).
@@ -252,21 +229,8 @@ impl CostEstimator {
     /// Panics if the estimator has not been fitted.
     pub fn estimate_encoded_batch(&self, plans: &[EncodedPlan]) -> Vec<(f64, f64)> {
         let trainer = self.fitted();
-        estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, plans)
-    }
-
-    /// Level-batched estimation through the int8 tier: quantized weight
-    /// matmuls, no memoization — the Q8 counterpart of
-    /// [`CostEstimator::estimate_encoded_batch`] (the Table-12 Q8 rows).
-    /// Runs the f32 batch when no quantized weights are available.
-    ///
-    /// # Panics
-    /// Panics if the estimator has not been fitted.
-    pub fn estimate_encoded_batch_quant(&self, plans: &[EncodedPlan]) -> Vec<(f64, f64)> {
-        let trainer = self.fitted();
-        let quant = self.quant.as_deref().filter(|q| q.n_quantized() > 0);
         let refs: Vec<&EncodedPlan> = plans.iter().collect();
-        estimate_batch_refs(&trainer.model, &trainer.model.params, quant, &trainer.normalization, &refs)
+        estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &refs)
     }
 
     /// An **owned**, shareable serving handle over the fitted model, its
@@ -304,34 +268,24 @@ impl CostEstimator {
     /// (Format v2 additionally appends the trainer's resumable state —
     /// schedule position, Adam step counter + moments, early-stop state —
     /// when the model was trained in this process; see
-    /// [`CostEstimator::resume_from_checkpoint`].  Format v3 appends the
-    /// per-channel int8 quantized weights — quantized on the fly here if
-    /// not already derived — so a loaded checkpoint serves the int8 batch
-    /// path without re-quantizing; see
-    /// [`CostEstimator::save_checkpoint_full_precision`] to opt out.)
+    /// [`CostEstimator::resume_from_checkpoint`].  Format v3's optional
+    /// quantized-weights block is always written absent: the f32
+    /// parameters are the whole model.)
     pub fn save_checkpoint(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        self.save_checkpoint_impl(path.as_ref(), true, true)
-    }
-
-    /// [`CostEstimator::save_checkpoint`] without the v3 quantized-weights
-    /// block: the file stays format v3 but carries only the f32 parameters,
-    /// and loading it serves full-precision only (until
-    /// [`CostEstimator::ensure_quantized`] re-derives the int8 weights).
-    pub fn save_checkpoint_full_precision(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        self.save_checkpoint_impl(path.as_ref(), false, true)
+        self.save_checkpoint_impl(path.as_ref(), true)
     }
 
     /// [`CostEstimator::save_checkpoint`] without the resumable training
-    /// state: the file keeps format v3 (including the quantized tier) but a
-    /// load yields a serving-only estimator — [`CostEstimator::fit_resumed`]
-    /// on it reports `Unsupported` instead of continuing training.  The
+    /// state: the file keeps format v3 but a load yields a serving-only
+    /// estimator — [`CostEstimator::fit_resumed`] on it reports
+    /// `Unsupported` instead of continuing training.  The
     /// deployment artifact for hosts that serve but never train: no Adam
     /// moments, so roughly a third smaller than the full checkpoint.
     pub fn save_checkpoint_model_only(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        self.save_checkpoint_impl(path.as_ref(), true, false)
+        self.save_checkpoint_impl(path.as_ref(), false)
     }
 
-    fn save_checkpoint_impl(&self, path: &Path, with_quant: bool, with_state: bool) -> Result<(), CheckpointError> {
+    fn save_checkpoint_impl(&self, path: &Path, with_state: bool) -> Result<(), CheckpointError> {
         let trainer = self.trainer.as_ref().ok_or(CheckpointError::Unsupported("save_checkpoint called before fit"))?;
         let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
         ckpt::write_header(&mut w, ckpt::KIND_TREE_ESTIMATOR)?;
@@ -347,22 +301,9 @@ impl CostEstimator {
             // simply carries nothing to resume.
             ckpt::write_u8(&mut w, 0)?;
         }
-        if with_quant {
-            // Reuse the already-derived int8 weights when present, else
-            // quantize on the fly for the file only (a `&self` save cannot
-            // cache them back).
-            let derived;
-            let quant = match &self.quant {
-                Some(q) => q.as_ref(),
-                None => {
-                    derived = QuantWeights::from_store(&trainer.model.params);
-                    &derived
-                }
-            };
-            checkpoint::write_quant_weights(&mut w, Some(quant))?;
-        } else {
-            checkpoint::write_quant_weights(&mut w, None)?;
-        }
+        // The absent quantized-weights flag: a valid v3 block with nothing
+        // in it (see `checkpoint::skip_quant_block`).
+        ckpt::write_u8(&mut w, 0)?;
         Ok(w.flush()?)
     }
 
@@ -375,9 +316,10 @@ impl CostEstimator {
     /// ([`CheckpointError::VocabMismatch`] on either), so loaded weights
     /// can never be applied to features laid out differently than the ones
     /// they were trained on.  Exactly like a re-fit, a successful load
-    /// swaps in an empty subtree-state cache and an empty encode cache, and
-    /// drops any derived int8 weights — every cached value belongs to the
-    /// replaced parameters.  On error the estimator is left untouched.
+    /// swaps in an empty subtree-state cache and an empty encode cache —
+    /// every cached value belongs to the replaced parameters.  A v3 file's
+    /// quantized-weights block, if present, is shape-checked against the
+    /// model and skipped.  On error the estimator is left untouched.
     pub fn load_checkpoint(&mut self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
         self.load_checkpoint_impl(path.as_ref(), false)
     }
@@ -419,16 +361,14 @@ impl CostEstimator {
                 return Err(CheckpointError::Unsupported("checkpoint was saved without training state"));
             }
         }
-        // v3 optionally trails the per-channel int8 weights; a v3 file
-        // without the block (or any older file) loads full-precision only.
-        let quant =
-            if version >= 3 { checkpoint::read_quant_weights(&mut r, trainer.model.params.len())? } else { None };
+        if version >= 3 {
+            checkpoint::skip_quant_block(&mut r, &trainer.model.params)?;
+        }
         self.model_config = model_config;
         self.trainer = Some(trainer);
         // Same invalidation as re-fit: cached subtree states belong to the
         // parameters this load just replaced.
         self.invalidate_caches();
-        self.quant = quant.map(Arc::new);
         Ok(())
     }
 }
@@ -681,41 +621,6 @@ mod tests {
                 assert_eq!(bits(&got), bits(&want), "memoized pass on a reused tape diverged from the fresh batch");
             });
         });
-    }
-
-    #[test]
-    fn v3_checkpoint_roundtrips_quantized_weights() {
-        let (mut est, db) = make_estimator();
-        let plans = executed_plans(&db, 14);
-        est.fit(&plans);
-        est.ensure_quantized();
-        let encoded: Vec<EncodedPlan> = plans.iter().map(|p| est.encode(p)).collect();
-        let want_quant = bits(&est.estimate_encoded_batch_quant(&encoded));
-
-        // Default save carries the int8 block; the reloaded estimator serves
-        // the quantized tier bit-identically without re-quantizing.
-        let path = temp_ckpt("v3-quant");
-        est.save_checkpoint(&path).expect("save");
-        let (mut warm, _warm_db) = make_estimator();
-        warm.load_checkpoint(&path).expect("load");
-        assert!(warm.has_quantized_weights(), "v3 load must restore the quantized tier");
-        let warm_encoded: Vec<EncodedPlan> = plans.iter().map(|p| warm.encode(p)).collect();
-        assert_eq!(bits(&warm.estimate_encoded_batch_quant(&warm_encoded)), want_quant);
-        let _ = std::fs::remove_file(&path);
-
-        // The full-precision save writes a v3 file without the block.
-        let path = temp_ckpt("v3-noquant");
-        est.save_checkpoint_full_precision(&path).expect("save full precision");
-        let (mut fp, _fp_db) = make_estimator();
-        fp.load_checkpoint(&path).expect("load full precision");
-        assert!(!fp.has_quantized_weights(), "full-precision v3 file must not carry the int8 tier");
-        let fp_encoded: Vec<EncodedPlan> = plans.iter().map(|p| fp.encode(p)).collect();
-        assert_eq!(
-            bits(&serve_encoded(&fp, &fp_encoded)),
-            bits(&serve_encoded(&est, &encoded)),
-            "f32 estimates must be unaffected by the missing quant block"
-        );
-        let _ = std::fs::remove_file(&path);
     }
 
     fn temp_ckpt(tag: &str) -> std::path::PathBuf {

@@ -7,14 +7,42 @@
 //! is the maximum tree depth) instead of one per node — the speed-up that
 //! Table 12 measures.
 //!
+//! # One level loop, two head sweeps
+//!
+//! Every batched forward goes through one f32 level loop
+//! (`LevelBatch::embed`).  A `LevelBatch` holds a batch's nodes in
+//! pre-order, with the fresh ones bucketed by level; the loop injects the
+//! cached states they read as children, then per level embeds the
+//! features, gathers the children states and applies the cell.  Two head
+//! sweeps read its states:
+//!
+//! * [`forward_batch`] runs the heads over the roots.  Its batch has no
+//!   cache, so every node is fresh and none is deduplicated.  It serves
+//!   training (on a train-mode tape; `Trainer::train` seeds both heads and
+//!   runs one backward sweep), validation, the fresh oracle
+//!   ([`estimate_batch`]) and Table 12's batch row.
+//! * The memoized sweep ([`estimate_batch_memo`], and `estimate_plans_memo`
+//!   for raw plans) runs the heads over every sub-plan embedded fresh, and
+//!   stores each one's state and denormalized estimate in a sharded
+//!   [`SubtreeStateCache`] keyed by the 64-bit sub-plan signature.  Before
+//!   that, each sub-plan is deduplicated by signature within the batch and
+//!   probed in the cache, so a DP enumeration embeds each distinct subtree
+//!   once, re-scores candidate plans by combining cached states at the
+//!   fringe, and answers a candidate whose root is cached from its entry.
+//!   A call with nothing fresh touches no tape.
+//!
+//! Raw plans enter the memoized sweep **state first** (`estimate_plans_memo`,
+//! behind `ServingEstimator::estimate_plans`): one signature walk per plan
+//! keys every sub-plan, the batch probes itself and the cache top-down, and
+//! only a node that misses both is featurized — no `EncodedPlan` is built, so
+//! a plan whose root is cached costs a walk and a lookup.
+//!
 //! # Hot-path layout
 //!
-//! The implementation here is the optimized form (see `docs/perf.md`):
-//!
-//! * nodes are bucketed by level in **one pass** over the flattened batch
-//!   (`O(N)`), not re-scanned once per level (`O(D·N)`);
-//! * per-node cell state lives in a dense `Vec` indexed by flat-node id, not
-//!   a `HashMap`;
+//! * fresh nodes are bucketed by level in **one pass** (`O(N)`), not
+//!   re-scanned once per level (`O(D·N)`);
+//! * per-node cell state lives in a dense `Vec` indexed by node, not a
+//!   `HashMap`;
 //! * the feature embedding layers run once per level over column-stacked
 //!   inputs ([`TreeModel::embed_nodes_batch`]) instead of once per node;
 //! * inference runs on an inference-mode tape ([`Graph::inference`]): no
@@ -24,35 +52,16 @@
 //!   serialize on a shared tape lock;
 //! * independent groups of plans are estimated in parallel with rayon.
 //!
-//! On top of the level batching, [`estimate_batch_memo`] adds **subtree
-//! memoization** for optimizer-in-the-loop serving: every embedded
-//! sub-plan's `(G, R)` cell state and its denormalized `(cost,
-//! cardinality)` are cached in a sharded [`SubtreeStateCache`] keyed by the
-//! 64-bit sub-plan signature, so a DP enumeration embeds each distinct
-//! subtree once, re-scores candidate plans by combining cached states at the
-//! fringe, and answers a candidate whose root is cached from its entry —
-//! with bit-identical results to the memoization-free path.  Each call runs
-//! the estimation heads once, over the sub-plans it embedded fresh; a call
-//! with nothing fresh touches no tape.
-//!
-//! Raw plans enter the memoized forward **state first**
-//! (`estimate_plans_memo`, behind `ServingEstimator::estimate_plans`): one
-//! signature walk per plan keys every sub-plan, the flatten probes the batch
-//! and the cache top-down, and only a node that misses both is featurized —
-//! no `EncodedPlan` is built, so a plan whose root is cached costs a walk
-//! and a lookup.  Encoded and raw plans share one memoized level loop and
-//! the same cache entries.
-//!
 //! The per-node recursion [`TreeModel::forward`] shares no code with the
-//! level loop and returns the same bits, so it is the oracle both batched
-//! forwards are tested against (and Table 12's one-by-one row).
+//! level loop and returns the same bits, so it is the oracle both head
+//! sweeps are tested against (and Table 12's one-by-one row).
 
 use crate::memory::{IdentityHasher, SubtreeState, SubtreeStateCache};
 use crate::model::TreeModel;
 use crate::trainer::TargetNormalization;
 use featurize::{EncodedPlan, FeatureExtractor, NodeFeatures};
 use nn::cells::CellOutput;
-use nn::{Graph, NodeId, ParamStore, QuantWeights};
+use nn::{Graph, NodeId, ParamStore};
 use query::PlanNode;
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -65,13 +74,6 @@ use std::sync::Arc;
 /// harnesses comparing against the batched path can chunk identically.
 pub const GROUP_SIZE: usize = 64;
 
-/// Flattened view of one node of one plan in the batch.
-struct FlatNode<'a> {
-    height: usize,
-    children: Vec<usize>,
-    encoded: &'a EncodedPlan,
-}
-
 /// Dense per-node cell state: a (level-output node, column) pair per channel
 /// — columns are gathered lazily with one `gather_cols` tape node per
 /// channel per level instead of one `column_at` node per plan node.
@@ -81,25 +83,8 @@ struct StateRef {
     r: (NodeId, usize),
 }
 
-/// Flatten `plan` into `out`, returning `(flat index of the root, height)`.
-fn flatten<'a>(plan: &'a EncodedPlan, out: &mut Vec<FlatNode<'a>>) -> (usize, usize) {
-    // Reserve our slot first; children are pushed after and linked by index.
-    let my_idx = out.len();
-    out.push(FlatNode { height: 1, children: Vec::new(), encoded: plan });
-    let mut child_ids = Vec::new();
-    let mut max_child_height = 0;
-    for c in &plan.children {
-        let (cid, ch) = flatten(c, out);
-        child_ids.push(cid);
-        max_child_height = max_child_height.max(ch);
-    }
-    let height = 1 + max_child_height;
-    out[my_idx].children = child_ids;
-    out[my_idx].height = height;
-    (my_idx, height)
-}
-
-/// Estimate a batch of encoded plans with level-wise batching.
+/// Estimate a batch of encoded plans with level-wise batching and no
+/// memoization (the fresh oracle).
 ///
 /// Returns `(cost, cardinality)` per plan, in input order, denormalized with
 /// `normalization`.  Groups of [`GROUP_SIZE`] plans are estimated in
@@ -108,22 +93,6 @@ pub fn estimate_batch(
     model: &TreeModel,
     store: &ParamStore,
     normalization: &TargetNormalization,
-    plans: &[EncodedPlan],
-) -> Vec<(f64, f64)> {
-    let refs: Vec<&EncodedPlan> = plans.iter().collect();
-    estimate_batch_refs(model, store, None, normalization, &refs)
-}
-
-/// [`estimate_batch`] over plan references (avoids cloning plans when the
-/// caller batches a subset, e.g. the trainer's validation split), through
-/// [`forward_batch_q`]: with `quant = Some(..)` every quantized weight
-/// matrix runs on the int8 tier (the Table-12 Q8 rows), with `None` this is
-/// the f32 path.
-pub fn estimate_batch_refs(
-    model: &TreeModel,
-    store: &ParamStore,
-    quant: Option<&QuantWeights>,
-    normalization: &TargetNormalization,
     plans: &[&EncodedPlan],
 ) -> Vec<(f64, f64)> {
     if plans.is_empty() {
@@ -131,7 +100,7 @@ pub fn estimate_batch_refs(
     }
     let group = |chunk: &[&EncodedPlan]| {
         with_inference_tape(|g| {
-            let (cost_out, card_out) = forward_batch_q(model, store, quant, g, chunk);
+            let (cost_out, card_out) = forward_batch(model, store, g, chunk);
             denormalize_outputs(g, normalization, cost_out, card_out, chunk.len())
         })
     };
@@ -213,7 +182,8 @@ fn denormalize_outputs(
 
 /// Level-batched forward pass over `plans` on an existing tape, returning the
 /// batched `(cost, cardinality)` head outputs (`1 x plans.len()` each, in
-/// plan order, normalized space).
+/// plan order, normalized space): the level loop, then the heads over the
+/// roots.
 ///
 /// On a train-mode graph this is the forward half of mini-batch training
 /// (`Trainer::train` seeds both heads and runs one backward sweep); on an
@@ -222,102 +192,50 @@ fn denormalize_outputs(
 /// # Panics
 /// Panics if `plans` is empty.
 pub fn forward_batch(model: &TreeModel, store: &ParamStore, g: &mut Graph, plans: &[&EncodedPlan]) -> (NodeId, NodeId) {
-    forward_batch_q(model, store, None, g, plans)
-}
-
-/// Tier-aware [`forward_batch`]: every weight matrix present in `quant` runs
-/// its matmuls on the int8 tier, dequantizing into the same f32 tape states
-/// the full-precision path produces.  With `quant = None` this **is**
-/// [`forward_batch`].
-pub fn forward_batch_q(
-    model: &TreeModel,
-    store: &ParamStore,
-    quant: Option<&QuantWeights>,
-    g: &mut Graph,
-    plans: &[&EncodedPlan],
-) -> (NodeId, NodeId) {
     assert!(!plans.is_empty(), "forward_batch needs at least one plan");
-    let mut flat: Vec<FlatNode> = Vec::new();
-    let mut roots = Vec::with_capacity(plans.len());
-    let mut max_height = 1;
-    for p in plans {
-        let (root_idx, h) = flatten(p, &mut flat);
-        roots.push(root_idx);
-        max_height = max_height.max(h);
-    }
-
-    // One-pass level bucketing: levels[h-1] holds the flat indices of all
-    // nodes at height h, across every plan in the group.
-    let mut levels: Vec<Vec<usize>> = vec![Vec::new(); max_height];
-    for (i, n) in flat.iter().enumerate() {
-        levels[n.height - 1].push(i);
-    }
-
-    let mut states: Vec<Option<StateRef>> = vec![None; flat.len()];
-    let zero = model.zero_state_batch(g, 1);
-    let zero_ref = StateRef { g: (zero.g, 0), r: (zero.r, 0) };
-
-    for level_nodes in &levels {
-        if level_nodes.is_empty() {
-            continue;
-        }
-        // Batched feature embedding for the level: the op/meta/sample
-        // embedding layers run once over column-stacked inputs.
-        let feats: Vec<&NodeFeatures> = level_nodes.iter().map(|&i| &*flat[i].encoded.features).collect();
-        let x_batch = model.embed_nodes_batch_q(g, store, quant, &feats);
-
-        // Batched children states: for each node take its (left, right) child
-        // state columns, using zero states for missing children.
-        let mut left_g = Vec::with_capacity(level_nodes.len());
-        let mut left_r = Vec::with_capacity(level_nodes.len());
-        let mut right_g = Vec::with_capacity(level_nodes.len());
-        let mut right_r = Vec::with_capacity(level_nodes.len());
-        for &i in level_nodes {
-            let children = &flat[i].children;
-            let left = children.first().and_then(|&c| states[c]).unwrap_or(zero_ref);
-            let right = children.get(1).and_then(|&c| states[c]).unwrap_or(zero_ref);
-            left_g.push(left.g);
-            left_r.push(left.r);
-            right_g.push(right.g);
-            right_r.push(right.r);
-        }
-        let left = CellOutput { g: g.gather_cols(&left_g), r: g.gather_cols(&left_r) };
-        let right = CellOutput { g: g.gather_cols(&right_g), r: g.gather_cols(&right_r) };
-
-        let out = model.apply_cell_q(g, store, quant, x_batch, left, right);
-        for (col, &i) in level_nodes.iter().enumerate() {
-            states[i] = Some(StateRef { g: (out.g, col), r: (out.r, col) });
-        }
-    }
-
-    // Batched estimation heads over all roots at once.
-    let root_rs: Vec<(NodeId, usize)> = roots.iter().map(|&r| states[r].expect("root state computed").r).collect();
+    let batch = LevelBatch::new(plans.iter().copied(), None);
+    let states = batch.embed(model, store, g);
+    let root_rs: Vec<(NodeId, usize)> =
+        batch.roots.iter().map(|&r| states[r].expect("every node of an uncached batch is embedded").r).collect();
     let r_batch = g.gather_cols(&root_rs);
-    model.estimate_from_representation_q(g, store, quant, r_batch)
+    model.estimate_from_representation(g, store, r_batch)
 }
 
-/// One node of a memoized batch: the root of a memoized subtree, whose
-/// cached entry answers it as a plan and whose `(G, R)` state is injected
-/// under a fresh parent instead of recursing into its children, or a fresh
-/// node to embed with its shared features.
-enum MemoNode {
+/// Where a batch node's state comes from: a cached entry — the root of a
+/// memoized subtree, answered as a plan from its stored estimate and
+/// injected under a fresh parent instead of recursing into its children —
+/// or the level loop, which embeds the node's shared features.
+enum NodeSource {
     Cached(Arc<SubtreeState>),
     Fresh(Arc<NodeFeatures>),
 }
 
-/// Flattened view of one node in a memoized batch.
-struct MemoFlatNode {
+/// One node of a [`LevelBatch`].
+struct BatchNode {
     height: usize,
     children: Vec<usize>,
     signature: u64,
-    node: MemoNode,
+    source: NodeSource,
 }
 
-/// A plan tree [`MemoBatch::flatten`] can walk: an encoded plan, whose
+impl BatchNode {
+    /// The features the level loop embeds.
+    ///
+    /// # Panics
+    /// Panics on a cached node, which the loop never embeds.
+    fn features(&self) -> &NodeFeatures {
+        match &self.source {
+            NodeSource::Fresh(features) => features,
+            NodeSource::Cached(_) => unreachable!("the level loop embeds fresh nodes only"),
+        }
+    }
+}
+
+/// A plan tree [`LevelBatch::new`] can walk: an encoded plan, whose
 /// features it shares, or a raw plan ([`RawTree`]), whose node is
 /// featurized (through the node memo) only when its subtree misses both the
 /// batch and the cache.
-trait MemoTree: Copy {
+trait PlanTree: Copy {
     fn signature(self) -> u64;
     /// Plan nodes in the subtree.
     fn size(self) -> usize;
@@ -325,7 +243,7 @@ trait MemoTree: Copy {
     fn children(self) -> impl Iterator<Item = Self>;
 }
 
-impl MemoTree for &EncodedPlan {
+impl PlanTree for &EncodedPlan {
     fn signature(self) -> u64 {
         self.signature
     }
@@ -352,7 +270,7 @@ struct RawTree<'a> {
     extractor: &'a FeatureExtractor,
 }
 
-impl MemoTree for RawTree<'_> {
+impl PlanTree for RawTree<'_> {
     fn signature(self) -> u64 {
         self.records[0].0
     }
@@ -389,146 +307,117 @@ fn signature_walk(plan: &PlanNode, out: &mut Vec<(u64, usize)>) -> u64 {
     signature
 }
 
-/// A memoized batch: its flattened nodes, each plan's root, and the node
-/// accounting of the flatten for the cache's serving stats — how many plan
-/// nodes were submitted (`seen_nodes`) vs. will actually be embedded
-/// (`computed`).
-struct MemoBatch {
-    flat: Vec<MemoFlatNode>,
+/// A batch of plans laid out for the level loop: its nodes in pre-order,
+/// each plan's root, the fresh nodes bucketed by level, and the node
+/// accounting for the cache's serving stats — how many plan nodes were
+/// submitted (`seen_nodes`) vs. will actually be embedded (`computed`).
+struct LevelBatch {
+    nodes: Vec<BatchNode>,
     roots: Vec<usize>,
-    max_height: usize,
-    /// Signature → flat index.  Keyed like the shared caches: signatures
-    /// are splitmix-finalized, so the map skips re-hashing, and it lives for
-    /// one chunk of at most [`GROUP_SIZE`] plans.
+    /// Fresh node indices by height: `levels[h - 1]` holds those at height
+    /// `h`, in node order.  Empty when nothing is fresh.
+    levels: Vec<Vec<usize>>,
+    /// Signature → node index, filled only with a cache.  Keyed like the
+    /// shared caches: signatures are splitmix-finalized, so the map skips
+    /// re-hashing, and it lives for one chunk of at most [`GROUP_SIZE`]
+    /// plans.
     dedup: HashMap<u64, usize, BuildHasherDefault<IdentityHasher>>,
     seen_nodes: u64,
     computed: u64,
 }
 
-impl MemoBatch {
-    /// Flatten `plans` top-down against `cache`.
-    fn new<T: MemoTree>(plans: impl ExactSizeIterator<Item = T>, cache: &SubtreeStateCache) -> Self {
+impl LevelBatch {
+    /// Lay out `plans` in pre-order.  With a `cache`, each sub-plan is
+    /// deduplicated by signature within the batch and probed in the cache,
+    /// top-down.  Without one, every node is fresh and none is
+    /// deduplicated: a training batch must keep each plan's nodes apart, or
+    /// merged columns would merge their gradient sums.
+    fn new<T: PlanTree>(plans: impl ExactSizeIterator<Item = T>, cache: Option<&SubtreeStateCache>) -> Self {
         let n = plans.len();
-        let mut batch = MemoBatch {
-            flat: Vec::with_capacity(n),
+        let mut batch = LevelBatch {
+            nodes: Vec::with_capacity(n),
             roots: Vec::with_capacity(n),
-            max_height: 1,
-            dedup: HashMap::with_capacity_and_hasher(n, Default::default()),
+            levels: Vec::new(),
+            dedup: HashMap::with_capacity_and_hasher(if cache.is_some() { n } else { 0 }, Default::default()),
             seen_nodes: 0,
             computed: 0,
         };
+        let mut max_height = 1;
         for plan in plans {
-            let (root, height) = batch.flatten(plan, cache);
+            let (root, height) = batch.push_tree(plan, cache);
             batch.roots.push(root);
-            batch.max_height = batch.max_height.max(height);
+            max_height = max_height.max(height);
+        }
+        if batch.computed > 0 {
+            batch.levels = vec![Vec::new(); max_height];
+            for (i, node) in batch.nodes.iter().enumerate() {
+                if let NodeSource::Fresh(_) = node.source {
+                    batch.levels[node.height - 1].push(i);
+                }
+            }
         }
         batch
     }
 
-    /// Flatten `tree`, deduplicating by signature within the batch first (a
-    /// DP enumeration's candidates share almost all of their subtrees, and
-    /// each distinct subtree must enter the level-batched forward exactly
-    /// once), then pruning at memoized subtrees; only a node that misses
-    /// both is featurized and descended into.  Returns `(flat index, height)`.
-    fn flatten<T: MemoTree>(&mut self, tree: T, cache: &SubtreeStateCache) -> (usize, usize) {
+    /// Append `tree`'s nodes in pre-order; returns `(node index, height)`.
+    /// With a `cache`, a sub-plan already in the batch is served by its
+    /// earlier node (a DP enumeration's candidates share almost all of their
+    /// subtrees, and each distinct subtree must enter the level loop exactly
+    /// once), and a cached one is pruned at its root; only a node that
+    /// misses both is featurized and descended into.
+    fn push_tree<T: PlanTree>(&mut self, tree: T, cache: Option<&SubtreeStateCache>) -> (usize, usize) {
         let signature = tree.signature();
-        if let Some(&idx) = self.dedup.get(&signature) {
-            // Already flattened for another candidate in this batch: the whole
-            // subtree is served by the shared flat node.
-            self.seen_nodes += tree.size() as u64;
-            return (idx, self.flat[idx].height);
-        }
-        let idx = self.flat.len();
-        self.dedup.insert(signature, idx);
-        if let Some(state) = cache.get(signature) {
-            self.flat.push(MemoFlatNode { height: 1, children: Vec::new(), signature, node: MemoNode::Cached(state) });
-            self.seen_nodes += tree.size() as u64;
-            return (idx, 1);
+        let idx = self.nodes.len();
+        if let Some(cache) = cache {
+            if let Some(&seen) = self.dedup.get(&signature) {
+                self.seen_nodes += tree.size() as u64;
+                return (seen, self.nodes[seen].height);
+            }
+            self.dedup.insert(signature, idx);
+            if let Some(state) = cache.get(signature) {
+                let source = NodeSource::Cached(state);
+                self.nodes.push(BatchNode { height: 1, children: Vec::new(), signature, source });
+                self.seen_nodes += tree.size() as u64;
+                return (idx, 1);
+            }
         }
         self.seen_nodes += 1;
         self.computed += 1;
-        self.flat.push(MemoFlatNode {
-            height: 1,
-            children: Vec::new(),
-            signature,
-            node: MemoNode::Fresh(tree.features()),
-        });
+        let source = NodeSource::Fresh(tree.features());
+        self.nodes.push(BatchNode { height: 1, children: Vec::new(), signature, source });
         let mut children = Vec::new();
         let mut max_child_height = 0;
         for c in tree.children() {
-            let (cid, ch) = self.flatten(c, cache);
+            let (cid, ch) = self.push_tree(c, cache);
             children.push(cid);
             max_child_height = max_child_height.max(ch);
         }
         let height = 1 + max_child_height;
-        self.flat[idx].children = children;
-        self.flat[idx].height = height;
+        self.nodes[idx].children = children;
+        self.nodes[idx].height = height;
         (idx, height)
     }
 
-    /// The memoized level loop, shared by both memoized forwards: appends
-    /// one estimate per plan to `out`.  A cached root answers from its
-    /// entry; fresh sub-plans are embedded and scored on a tape
-    /// ([`MemoBatch::embed_fresh`]), which a batch with nothing fresh never
-    /// touches.
-    fn forward(
-        &self,
-        model: &TreeModel,
-        store: &ParamStore,
-        normalization: &TargetNormalization,
-        cache: &SubtreeStateCache,
-        out: &mut Vec<(f64, f64)>,
-    ) {
-        cache.record_nodes(self.seen_nodes, self.computed);
-        let mut estimates: Vec<(f64, f64)> = self
-            .flat
-            .iter()
-            .map(|n| match &n.node {
-                MemoNode::Cached(state) => state.estimate,
-                MemoNode::Fresh(_) => (f64::NAN, f64::NAN),
-            })
-            .collect();
-        if self.computed > 0 {
-            with_inference_tape(|g| self.embed_fresh(model, store, normalization, cache, g, &mut estimates));
-        }
-        out.extend(self.roots.iter().map(|&r| estimates[r]));
-    }
-
-    /// The tape pass over the fresh sub-plans: inject the cached states
-    /// they read as children, run the level-batched forward exactly as in
-    /// [`forward_batch`], then one heads sweep over every fresh sub-plan,
-    /// whose state and estimate go into `cache` and whose estimate goes into
-    /// `estimates`.
-    fn embed_fresh(
-        &self,
-        model: &TreeModel,
-        store: &ParamStore,
-        normalization: &TargetNormalization,
-        cache: &SubtreeStateCache,
-        g: &mut Graph,
-        estimates: &mut [(f64, f64)],
-    ) {
-        let hidden = model.config.hidden_dim;
-        let flat = &self.flat;
-
-        // Fresh nodes are bucketed by level; the cached states they read as
-        // children re-enter the tape as two batched input columns.
-        let mut levels: Vec<Vec<(usize, &NodeFeatures)>> = vec![Vec::new(); self.max_height];
+    /// The level loop: inject the cached states fresh nodes read as
+    /// children (two batched input columns), then per level embed the fresh
+    /// nodes' features, gather their children states (zero states for
+    /// missing children) and apply the cell.  Returns every node's state,
+    /// indexed like `nodes`: the embedded ones and the injected fringe.
+    fn embed(&self, model: &TreeModel, store: &ParamStore, g: &mut Graph) -> Vec<Option<StateRef>> {
+        let mut states: Vec<Option<StateRef>> = vec![None; self.nodes.len()];
+        // Only fresh nodes have children.
         let mut fringe: Vec<(usize, &SubtreeState)> = Vec::new();
-        for (i, n) in flat.iter().enumerate() {
-            if let MemoNode::Fresh(features) = &n.node {
-                levels[n.height - 1].push((i, features));
-                for &c in &n.children {
-                    if let MemoNode::Cached(state) = &flat[c].node {
-                        fringe.push((c, state));
-                    }
+        for node in &self.nodes {
+            for &c in &node.children {
+                if let NodeSource::Cached(state) = &self.nodes[c].source {
+                    fringe.push((c, state));
                 }
             }
         }
-        fringe.sort_unstable_by_key(|&(c, _)| c);
-        fringe.dedup_by_key(|&mut (c, _)| c);
-        let mut states: Vec<Option<StateRef>> = vec![None; flat.len()];
         if !fringe.is_empty() {
+            fringe.sort_unstable_by_key(|&(c, _)| c);
+            fringe.dedup_by_key(|&mut (c, _)| c);
+            let hidden = model.config.hidden_dim;
             let g_cols: Vec<&[f32]> = fringe.iter().map(|(_, s)| s.g.as_slice()).collect();
             let r_cols: Vec<&[f32]> = fringe.iter().map(|(_, s)| s.r.as_slice()).collect();
             let inj_g = g.input_columns(hidden, &g_cols);
@@ -540,20 +429,21 @@ impl MemoBatch {
         let zero = model.zero_state_batch(g, 1);
         let zero_ref = StateRef { g: (zero.g, 0), r: (zero.r, 0) };
 
-        let mut fresh: Vec<(usize, StateRef)> = Vec::with_capacity(self.computed as usize);
-        for level in &levels {
+        for level in &self.levels {
             if level.is_empty() {
                 continue;
             }
-            let feats: Vec<&NodeFeatures> = level.iter().map(|&(_, f)| f).collect();
+            // The op/meta/sample embedding layers run once over
+            // column-stacked inputs.
+            let feats: Vec<&NodeFeatures> = level.iter().map(|&i| self.nodes[i].features()).collect();
             let x_batch = model.embed_nodes_batch(g, store, &feats);
 
             let mut left_g = Vec::with_capacity(level.len());
             let mut left_r = Vec::with_capacity(level.len());
             let mut right_g = Vec::with_capacity(level.len());
             let mut right_r = Vec::with_capacity(level.len());
-            for &(i, _) in level {
-                let children = &flat[i].children;
+            for &i in level {
+                let children = &self.nodes[i].children;
                 let left = children.first().and_then(|&c| states[c]).unwrap_or(zero_ref);
                 let right = children.get(1).and_then(|&c| states[c]).unwrap_or(zero_ref);
                 left_g.push(left.g);
@@ -565,25 +455,68 @@ impl MemoBatch {
             let right = CellOutput { g: g.gather_cols(&right_g), r: g.gather_cols(&right_r) };
 
             let out = model.apply_cell(g, store, x_batch, left, right);
-            for (col, &(i, _)) in level.iter().enumerate() {
-                let state = StateRef { g: (out.g, col), r: (out.r, col) };
-                states[i] = Some(state);
-                fresh.push((i, state));
+            for (col, &i) in level.iter().enumerate() {
+                states[i] = Some(StateRef { g: (out.g, col), r: (out.r, col) });
             }
         }
+        states
+    }
 
-        // One heads sweep over every fresh sub-plan; each one's state is
-        // lifted off the tape and memoized with its estimate.
+    /// The memoized estimate: appends one estimate per plan to `out`.  A
+    /// cached root answers from its entry; fresh sub-plans are embedded and
+    /// scored on a tape ([`LevelBatch::score_fresh`]), which a batch with
+    /// nothing fresh never touches.
+    fn estimate(
+        &self,
+        model: &TreeModel,
+        store: &ParamStore,
+        normalization: &TargetNormalization,
+        cache: &SubtreeStateCache,
+        out: &mut Vec<(f64, f64)>,
+    ) {
+        cache.record_nodes(self.seen_nodes, self.computed);
+        let mut estimates: Vec<(f64, f64)> = self
+            .nodes
+            .iter()
+            .map(|n| match &n.source {
+                NodeSource::Cached(state) => state.estimate,
+                NodeSource::Fresh(_) => (f64::NAN, f64::NAN),
+            })
+            .collect();
+        if self.computed > 0 {
+            with_inference_tape(|g| self.score_fresh(model, store, normalization, cache, g, &mut estimates));
+        }
+        out.extend(self.roots.iter().map(|&r| estimates[r]));
+    }
+
+    /// The level loop, then one heads sweep over every fresh sub-plan, level
+    /// by level; each one's state is lifted off the tape and memoized in
+    /// `cache` with its estimate, which also goes into `estimates`.
+    fn score_fresh(
+        &self,
+        model: &TreeModel,
+        store: &ParamStore,
+        normalization: &TargetNormalization,
+        cache: &SubtreeStateCache,
+        g: &mut Graph,
+        estimates: &mut [(f64, f64)],
+    ) {
+        let states = self.embed(model, store, g);
+        let mut fresh: Vec<(usize, StateRef)> = Vec::with_capacity(self.computed as usize);
+        for level in &self.levels {
+            fresh.extend(level.iter().map(|&i| (i, states[i].expect("the level loop embeds every fresh node"))));
+        }
         let fresh_rs: Vec<(NodeId, usize)> = fresh.iter().map(|(_, s)| s.r).collect();
         let r_batch = g.gather_cols(&fresh_rs);
         let (cost_out, card_out) = model.estimate_from_representation(g, store, r_batch);
         let fresh_estimates = denormalize_outputs(g, normalization, cost_out, card_out, fresh.len());
+        let hidden = model.config.hidden_dim;
         for (&(i, s), estimate) in fresh.iter().zip(fresh_estimates) {
             let mut sg = Vec::with_capacity(hidden);
             let mut sr = Vec::with_capacity(hidden);
             g.extract_column(s.g.0, s.g.1, &mut sg);
             g.extract_column(s.r.0, s.r.1, &mut sr);
-            cache.insert(flat[i].signature, Arc::new(SubtreeState { g: sg, r: sr, estimate }));
+            cache.insert(self.nodes[i].signature, Arc::new(SubtreeState { g: sg, r: sr, estimate }));
             estimates[i] = estimate;
         }
     }
@@ -622,18 +555,18 @@ pub fn estimate_batch_memo(
 ) -> Vec<(f64, f64)> {
     let mut out = Vec::with_capacity(plans.len());
     for chunk in plans.chunks(GROUP_SIZE) {
-        MemoBatch::new(chunk.iter().copied(), cache).forward(model, store, normalization, cache, &mut out);
+        LevelBatch::new(chunk.iter().copied(), Some(cache)).estimate(model, store, normalization, cache, &mut out);
     }
     out
 }
 
 /// [`estimate_batch_memo`] over **raw plans**, state first, building no
 /// [`EncodedPlan`]: per chunk of [`GROUP_SIZE`] plans, one signature walk
-/// ([`signature_walk`]), then the memoized flatten, which featurizes a
-/// node ([`FeatureExtractor::encode_node`], through the extractor's node
-/// memo) only when its subtree is neither earlier in the batch nor in
-/// `cache` — a plan whose root is cached costs one walk and one probe, and
-/// touches no tape — then the shared level loop.
+/// ([`signature_walk`]), then the memoized layout, which featurizes a node
+/// ([`FeatureExtractor::encode_node`], through the extractor's node memo)
+/// only when its subtree is neither earlier in the batch nor in `cache` — a
+/// plan whose root is cached costs one walk and one probe, and touches no
+/// tape — then the level loop.
 /// Bit-identical to encoding each plan and calling [`estimate_batch_memo`],
 /// and it fills and reads the same cache entries.
 pub(crate) fn estimate_plans_memo(
@@ -655,7 +588,7 @@ pub(crate) fn estimate_plans_memo(
             signature_walk(plan, &mut records);
         }
         let trees = chunk.iter().zip(&starts).map(|(plan, &at)| RawTree { plan, records: &records[at..], extractor });
-        MemoBatch::new(trees, cache).forward(model, store, normalization, cache, &mut out);
+        LevelBatch::new(trees, Some(cache)).estimate(model, store, normalization, cache, &mut out);
     }
     out
 }
@@ -710,7 +643,8 @@ mod tests {
             ModelConfig { feature_embed_dim: 8, hidden_dim: 12, estimation_hidden_dim: 8, ..Default::default() },
         );
         let trainer = Trainer::new(model, &plans, TrainConfig::default());
-        let batched = estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &plans);
+        let refs: Vec<&EncodedPlan> = plans.iter().collect();
+        let batched = estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &refs);
         assert_eq!(batched.len(), plans.len());
         for (plan, batch) in plans.iter().zip(batched.iter()) {
             assert_eq!(bits(trainer.estimate(plan)), bits(*batch), "per-node and batched estimates diverge");
@@ -727,7 +661,8 @@ mod tests {
             ModelConfig { feature_embed_dim: 8, hidden_dim: 12, estimation_hidden_dim: 8, ..Default::default() },
         );
         let trainer = Trainer::new(model, &plans, TrainConfig::default());
-        let batched = estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &plans);
+        let refs: Vec<&EncodedPlan> = plans.iter().collect();
+        let batched = estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &refs);
         assert_eq!(batched.len(), plans.len());
         for (plan, batch) in plans.iter().zip(batched.iter()) {
             assert_eq!(bits(trainer.estimate(plan)), bits(*batch), "per-node and batched estimates diverge");
@@ -777,7 +712,7 @@ mod tests {
         );
         let trainer = Trainer::new(model, &plans, TrainConfig::default());
         let refs: Vec<&EncodedPlan> = plans.iter().collect();
-        let fresh = estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &plans);
+        let fresh = estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &refs);
 
         let cache = crate::memory::SubtreeStateCache::new();
         let cold = estimate_batch_memo(&trainer.model, &trainer.model.params, &trainer.normalization, &refs, &cache);
@@ -812,37 +747,13 @@ mod tests {
         let (_, computed_leaves) = cache.node_stats();
 
         let refs: Vec<&EncodedPlan> = plans.iter().collect();
-        let fresh = estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &plans);
+        let fresh = estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &refs);
         let memo = estimate_batch_memo(&trainer.model, &trainer.model.params, &trainer.normalization, &refs, &cache);
         assert_eq!(fresh, memo);
         let (_, computed_total) = cache.node_stats();
         // The second pass embeds exactly one new node per distinct plan (the
         // join root); every scan state is injected from the cache.
         assert_eq!(computed_total - computed_leaves, plans.len() as u64);
-    }
-
-    #[test]
-    fn quantized_batch_tracks_full_precision() {
-        let (plans, cfg) = samples(12);
-        let model = TreeModel::new(
-            &cfg,
-            ModelConfig { feature_embed_dim: 8, hidden_dim: 12, estimation_hidden_dim: 8, ..Default::default() },
-        );
-        let trainer = Trainer::new(model, &plans, TrainConfig::default());
-        let refs: Vec<&EncodedPlan> = plans.iter().collect();
-        let quant = QuantWeights::from_store(&trainer.model.params);
-        assert!(quant.n_quantized() > 0, "model has weight matrices to quantize");
-
-        let full = estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &plans);
-        let quantized =
-            estimate_batch_refs(&trainer.model, &trainer.model.params, Some(&quant), &trainer.normalization, &refs);
-        assert_eq!(quantized.len(), full.len());
-        for ((fc, fk), (qc, qk)) in full.iter().zip(quantized.iter()) {
-            // int8 weights are approximate; estimates must stay within a
-            // modest log-space band of the f32 tier.
-            assert!((fc.ln() - qc.ln()).abs() < 0.5, "quant cost diverged: {fc} vs {qc}");
-            assert!((fk.ln() - qk.ln()).abs() < 0.5, "quant card diverged: {fk} vs {qk}");
-        }
     }
 
     #[test]
@@ -920,7 +831,7 @@ mod tests {
                 let refs: Vec<&EncodedPlan> = encoded.iter().collect();
                 let t = &fixture.trainer;
 
-                let fresh = estimate_batch(&t.model, &t.model.params, &t.normalization, &encoded);
+                let fresh = estimate_batch(&t.model, &t.model.params, &t.normalization, &refs);
                 // The per-node recursion shares no code with the level loop:
                 // it is the independent oracle for both batched forwards.
                 for (plan, batch) in encoded.iter().zip(fresh.iter()) {
@@ -997,8 +908,7 @@ mod tests {
             ModelConfig { feature_embed_dim: 8, hidden_dim: 12, estimation_hidden_dim: 8, ..Default::default() },
         );
         let trainer = Trainer::new(model, std::slice::from_ref(&plan), TrainConfig::default());
-        let out =
-            estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, std::slice::from_ref(&plan));
+        let out = estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &[&plan]);
         assert_eq!(out.len(), 1);
         assert!(out[0].0.is_finite() && out[0].1.is_finite());
     }

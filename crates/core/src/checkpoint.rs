@@ -25,7 +25,7 @@ use featurize::{EncodingConfig, FeatureExtractor};
 use nn::checkpoint as ckpt;
 use nn::checkpoint::CheckpointError;
 use nn::loss::NormalizationStats;
-use nn::{QuantMatrix, QuantWeights};
+use nn::ParamStore;
 use query::CompareOp;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -201,50 +201,39 @@ pub(crate) fn verify_encoder_fingerprint(r: &mut impl Read, fx: &FeatureExtracto
     Ok(())
 }
 
-/// Write the optional v3 quantized-weights block: a presence flag, then one
-/// entry per quantized parameter slot — `(param index, rows, cols,
-/// per-channel scales, int8 codes)`.  `None` writes just the absence flag,
-/// which is how [`crate::CostEstimator::save_checkpoint_full_precision`]
-/// opts a checkpoint out of the int8 tier.
-pub(crate) fn write_quant_weights(w: &mut impl Write, quant: Option<&QuantWeights>) -> Result<(), CheckpointError> {
-    let Some(quant) = quant else {
-        return ckpt::write_u8(w, 0);
-    };
-    ckpt::write_u8(w, 1)?;
-    ckpt::write_u64(w, quant.n_quantized() as u64)?;
-    for (index, m) in quant.iter() {
-        ckpt::write_u64(w, index as u64)?;
-        ckpt::write_u64(w, m.rows() as u64)?;
-        ckpt::write_u64(w, m.cols() as u64)?;
-        ckpt::write_f32_slice(w, m.scales())?;
-        ckpt::write_i8_slice(w, m.data())?;
-    }
-    Ok(())
-}
-
-/// Read the v3 quantized-weights block written by [`write_quant_weights`].
-/// `n_slots` is the live model's parameter count: entries indexing past it
-/// (or shaped inconsistently) fail as [`CheckpointError::Corrupt`].
-pub(crate) fn read_quant_weights(r: &mut impl Read, n_slots: usize) -> Result<Option<QuantWeights>, CheckpointError> {
+/// Validate and skip the optional v3 quantized-weights block.  Files
+/// written while the estimator had an int8 tier carry one: a presence flag,
+/// an entry count, then per entry `(param index u64, rows u64, cols u64,
+/// rows f32 scales, rows·cols i8 codes)`.  Each entry must index a
+/// parameter of `params` and match its shape exactly, or the load fails
+/// with [`CheckpointError::Corrupt`]; its payload is then skipped without
+/// allocating.  Writers emit only the absent flag.
+pub(crate) fn skip_quant_block(r: &mut impl Read, params: &ParamStore) -> Result<(), CheckpointError> {
     if ckpt::read_u8(r, "quantized-weights flag")? == 0 {
-        return Ok(None);
+        return Ok(());
     }
-    let count = ckpt::read_count(r, "quantized matrix count")?;
-    let mut quant = QuantWeights::with_slots(n_slots);
-    for _ in 0..count {
-        let index = ckpt::read_u64(r, "quantized param index")? as usize;
-        if index >= n_slots {
+    let params = params.params();
+    for _ in 0..ckpt::read_count(r, "quantized matrix count")? {
+        let index = ckpt::read_u64(r, "quantized param index")?;
+        let Some(param) = usize::try_from(index).ok().and_then(|i| params.get(i)) else {
             return Err(CheckpointError::Corrupt(format!(
-                "quantized entry indexes parameter {index}, model has {n_slots}"
+                "quantized entry indexes parameter {index}, model has {}",
+                params.len()
+            )));
+        };
+        let rows = ckpt::read_u64(r, "quantized rows")?;
+        let cols = ckpt::read_u64(r, "quantized cols")?;
+        let shape = (param.value.rows() as u64, param.value.cols() as u64);
+        if (rows, cols) != shape {
+            return Err(CheckpointError::Corrupt(format!(
+                "quantized entry for parameter {index} ({:?}) is {rows}x{cols}, the parameter is {}x{}",
+                param.name, shape.0, shape.1
             )));
         }
-        let rows = ckpt::read_u64(r, "quantized rows")? as usize;
-        let cols = ckpt::read_u64(r, "quantized cols")? as usize;
-        let scales = ckpt::read_f32_vec(r, rows as u64, "quantization scales")?;
-        let data = ckpt::read_i8_vec(r, (rows as u64).saturating_mul(cols as u64), "quantized codes")?;
-        quant.set_slot(index, QuantMatrix::from_parts(rows, cols, scales, data));
+        // The shape check bounds the payload by the model's own size.
+        ckpt::skip_bytes(r, 4 * rows + rows * cols, "quantized weights")?;
     }
-    Ok(Some(quant))
+    Ok(())
 }
 
 /// The vocabulary snapshot stored in a checkpoint.

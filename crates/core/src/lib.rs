@@ -7,8 +7,10 @@
 //! * [`trainer`] — q-error loss on normalized log targets, Adam,
 //!   mini-batches, per-epoch validation statistics (Section 4.3).
 //! * [`batch`] — level-wise batched inference (the batching technique of
-//!   Section 4.3, measured in Table 12) and the subtree-memoized serving
-//!   forward of the optimizer loop.
+//!   Section 4.3, measured in Table 12): one level loop, whose heads run
+//!   over the roots for training and the fresh oracle, and over every fresh
+//!   sub-plan for the subtree-memoized serving forward of the optimizer
+//!   loop.
 //! * [`memory`] — the sharded, 64-bit-signature-keyed serving caches of the
 //!   online workflow (Section 3): the subtree-state cache (the paper's
 //!   representation memory pool) and the encoded-subtree cache.
@@ -32,7 +34,7 @@ pub mod trainer;
 
 pub use api::{CostEstimator, ServingEstimator};
 pub use backend::{Estimator, EstimatorCapabilities, PlanEstimate, TrainableEstimator};
-pub use batch::{estimate_batch, estimate_batch_memo, estimate_batch_refs, forward_batch, forward_batch_q};
+pub use batch::{estimate_batch, estimate_batch_memo, forward_batch};
 pub use memory::{EncodedSubtreeCache, ShardedCache, SubtreeState, SubtreeStateCache};
 pub use model::{ModelConfig, PredicateModelKind, RepresentationCellKind, TaskMode, TreeModel};
 pub use nn::checkpoint::CheckpointError;

@@ -15,7 +15,7 @@
 
 use featurize::{EncodedPlan, EncodingConfig, NodeFeatures, PredicateEncoding};
 use nn::cells::CellOutput;
-use nn::{Graph, Linear, NodeId, ParamStore, QuantWeights, TreeLstmCell, TreeNnCell};
+use nn::{Graph, Linear, NodeId, ParamStore, TreeLstmCell, TreeNnCell};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -171,27 +171,20 @@ impl TreeModel {
         self.params.num_scalars()
     }
 
-    /// Embed a predicate tree into a `feature_embed_dim` vector node; weight
-    /// matmuls run on the int8 tier for every weight present in `quant`.
-    fn embed_predicate_q(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        quant: Option<&QuantWeights>,
-        pred: &PredicateEncoding,
-    ) -> NodeId {
+    /// Embed a predicate tree into a `feature_embed_dim` vector node.
+    fn embed_predicate(&self, g: &mut Graph, store: &ParamStore, pred: &PredicateEncoding) -> NodeId {
         let d = self.config.feature_embed_dim;
         match pred {
             PredicateEncoding::None => g.zeros(d, 1),
             PredicateEncoding::Atom(v) => {
                 let x = g.input_columns(v.len(), &[v]);
-                self.pred_leaf.forward_relu_q(g, store, quant, x)
+                self.pred_leaf.forward_relu(g, store, x)
             }
             PredicateEncoding::And(l, r) | PredicateEncoding::Or(l, r) => {
                 match self.config.predicate {
                     PredicateModelKind::MinMaxPool => {
-                        let le = self.embed_predicate_q(g, store, quant, l);
-                        let re = self.embed_predicate_q(g, store, quant, r);
+                        let le = self.embed_predicate(g, store, l);
+                        let re = self.embed_predicate(g, store, r);
                         if matches!(pred, PredicateEncoding::And(_, _)) {
                             g.emin(le, re)
                         } else {
@@ -201,7 +194,7 @@ impl TreeModel {
                     PredicateModelKind::TreeLstm => {
                         // Run a tree-LSTM over the predicate tree; inner nodes
                         // feed a zero feature and combine children states.
-                        let out = self.pred_lstm_forward_q(g, store, quant, pred);
+                        let out = self.pred_lstm_forward(g, store, pred);
                         out.r
                     }
                 }
@@ -209,52 +202,35 @@ impl TreeModel {
         }
     }
 
-    fn pred_lstm_forward_q(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        quant: Option<&QuantWeights>,
-        pred: &PredicateEncoding,
-    ) -> CellOutput {
+    fn pred_lstm_forward(&self, g: &mut Graph, store: &ParamStore, pred: &PredicateEncoding) -> CellOutput {
         let d = self.config.feature_embed_dim;
         match pred {
             PredicateEncoding::None => self.pred_lstm.zero_state(g, 1),
             PredicateEncoding::Atom(v) => {
                 let x = g.input_columns(v.len(), &[v]);
-                let e = self.pred_leaf.forward_relu_q(g, store, quant, x);
+                let e = self.pred_leaf.forward_relu(g, store, x);
                 let zero = self.pred_lstm.zero_state(g, 1);
-                self.pred_lstm.forward_q(g, store, quant, e, zero, zero)
+                self.pred_lstm.forward(g, store, e, zero, zero)
             }
             PredicateEncoding::And(l, r) | PredicateEncoding::Or(l, r) => {
-                let left = self.pred_lstm_forward_q(g, store, quant, l);
-                let right = self.pred_lstm_forward_q(g, store, quant, r);
+                let left = self.pred_lstm_forward(g, store, l);
+                let right = self.pred_lstm_forward(g, store, r);
                 let x = g.zeros(d, 1);
-                self.pred_lstm.forward_q(g, store, quant, x, left, right)
+                self.pred_lstm.forward(g, store, x, left, right)
             }
         }
     }
 
     /// Embed the four feature groups of one node into the concatenated `E`.
     pub fn embed_node(&self, g: &mut Graph, store: &ParamStore, features: &NodeFeatures) -> NodeId {
-        self.embed_node_q(g, store, None, features)
-    }
-
-    /// Tier-aware [`TreeModel::embed_node`].
-    pub fn embed_node_q(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        quant: Option<&QuantWeights>,
-        features: &NodeFeatures,
-    ) -> NodeId {
         let column = |g: &mut Graph, v: &[f32]| g.input_columns(v.len(), &[v]);
         let op_in = column(g, features.operation());
-        let op = self.op_embed.forward_relu_q(g, store, quant, op_in);
+        let op = self.op_embed.forward_relu(g, store, op_in);
         let meta_in = column(g, features.metadata());
-        let meta = self.meta_embed.forward_relu_q(g, store, quant, meta_in);
+        let meta = self.meta_embed.forward_relu(g, store, meta_in);
         let samp_in = column(g, features.sample_bitmap());
-        let samp = self.sample_embed.forward_relu_q(g, store, quant, samp_in);
-        let pred = self.embed_predicate_q(g, store, quant, &features.predicate);
+        let samp = self.sample_embed.forward_relu(g, store, samp_in);
+        let pred = self.embed_predicate(g, store, &features.predicate);
         g.concat_rows(&[op, meta, samp, pred])
     }
 
@@ -268,17 +244,6 @@ impl TreeModel {
     /// # Panics
     /// Panics if `features` is empty.
     pub fn embed_nodes_batch(&self, g: &mut Graph, store: &ParamStore, features: &[&NodeFeatures]) -> NodeId {
-        self.embed_nodes_batch_q(g, store, None, features)
-    }
-
-    /// Tier-aware [`TreeModel::embed_nodes_batch`].
-    pub fn embed_nodes_batch_q(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        quant: Option<&QuantWeights>,
-        features: &[&NodeFeatures],
-    ) -> NodeId {
         assert!(!features.is_empty(), "embed_nodes_batch needs at least one node");
         let mut columns: Vec<&[f32]> = Vec::with_capacity(features.len());
         let mut stack = |g: &mut Graph, dim: usize, pick: &dyn Fn(&NodeFeatures) -> &[f32]| -> NodeId {
@@ -287,13 +252,13 @@ impl TreeModel {
             g.input_columns(dim, &columns)
         };
         let op_in = stack(g, self.op_embed.in_dim(), &|f| f.operation());
-        let op = self.op_embed.forward_relu_q(g, store, quant, op_in);
+        let op = self.op_embed.forward_relu(g, store, op_in);
         let meta_in = stack(g, self.meta_embed.in_dim(), &|f| f.metadata());
-        let meta = self.meta_embed.forward_relu_q(g, store, quant, meta_in);
+        let meta = self.meta_embed.forward_relu(g, store, meta_in);
         let samp_in = stack(g, self.sample_embed.in_dim(), &|f| f.sample_bitmap());
-        let samp = self.sample_embed.forward_relu_q(g, store, quant, samp_in);
+        let samp = self.sample_embed.forward_relu(g, store, samp_in);
         let preds: Vec<&PredicateEncoding> = features.iter().map(|f| &f.predicate).collect();
-        let pred = self.embed_predicates_batch_q(g, store, quant, &preds);
+        let pred = self.embed_predicates_batch(g, store, &preds);
         g.concat_rows(&[op, meta, samp, pred])
     }
 
@@ -306,13 +271,7 @@ impl TreeModel {
     /// level over [`Graph::gather_cols`]-assembled children (min/max pooling
     /// partitions each level into its AND and OR subsets; the tree-LSTM
     /// variant feeds a zero feature batch).
-    fn embed_predicates_batch_q(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        quant: Option<&QuantWeights>,
-        preds: &[&PredicateEncoding],
-    ) -> NodeId {
+    fn embed_predicates_batch(&self, g: &mut Graph, store: &ParamStore, preds: &[&PredicateEncoding]) -> NodeId {
         let d = self.config.feature_embed_dim;
 
         // Flatten every tree into one arena, bucketing nodes by height.
@@ -374,7 +333,7 @@ impl TreeModel {
                 }
             }
             let x = g.input_columns(self.pred_leaf.in_dim(), &columns);
-            Some(self.pred_leaf.forward_relu_q(g, store, quant, x))
+            Some(self.pred_leaf.forward_relu(g, store, x))
         };
         let zero_col = g.zeros(d, 1);
 
@@ -428,7 +387,7 @@ impl TreeModel {
                 if let Some(embeds) = atom_embeds {
                     // All atom leaves share zero children: one cell forward.
                     let zeros = self.pred_lstm.zero_state(g, atoms.len());
-                    let out = self.pred_lstm.forward_q(g, store, quant, embeds, zeros, zeros);
+                    let out = self.pred_lstm.forward(g, store, embeds, zeros, zeros);
                     for (col, &i) in atoms.iter().enumerate() {
                         sref[i] = ((out.g, col), (out.r, col));
                         vref[i] = (embeds, atom_col[i]);
@@ -450,7 +409,7 @@ impl TreeModel {
                     let left = nn::cells::CellOutput { g: g.gather_cols(&lg), r: g.gather_cols(&lr) };
                     let right = nn::cells::CellOutput { g: g.gather_cols(&rg), r: g.gather_cols(&rr) };
                     let x = g.zeros(d, inner.len());
-                    let out = self.pred_lstm.forward_q(g, store, quant, x, left, right);
+                    let out = self.pred_lstm.forward(g, store, x, left, right);
                     for (col, &i) in inner.iter().enumerate() {
                         sref[i] = ((out.g, col), (out.r, col));
                         // An inner node's embedding is its state's R channel.
@@ -475,22 +434,9 @@ impl TreeModel {
         left: CellOutput,
         right: CellOutput,
     ) -> CellOutput {
-        self.apply_cell_q(g, store, None, x, left, right)
-    }
-
-    /// Tier-aware [`TreeModel::apply_cell`].
-    pub fn apply_cell_q(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        quant: Option<&QuantWeights>,
-        x: NodeId,
-        left: CellOutput,
-        right: CellOutput,
-    ) -> CellOutput {
         match &self.cell {
-            RepresentationCell::Lstm(c) => c.forward_q(g, store, quant, x, left, right),
-            RepresentationCell::Nn(c) => c.forward_q(g, store, quant, x, left, right),
+            RepresentationCell::Lstm(c) => c.forward(g, store, x, left, right),
+            RepresentationCell::Nn(c) => c.forward(g, store, x, left, right),
         }
     }
 
@@ -524,19 +470,8 @@ impl TreeModel {
     /// Estimation heads: `(cost, cardinality)` sigmoid outputs (normalized
     /// space) from a representation node (any batch width).
     pub fn estimate_from_representation(&self, g: &mut Graph, store: &ParamStore, r: NodeId) -> (NodeId, NodeId) {
-        self.estimate_from_representation_q(g, store, None, r)
-    }
-
-    /// Tier-aware [`TreeModel::estimate_from_representation`].
-    pub fn estimate_from_representation_q(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        quant: Option<&QuantWeights>,
-        r: NodeId,
-    ) -> (NodeId, NodeId) {
-        let cost = self.cost_head.forward_sigmoid_q(g, store, quant, r);
-        let card = self.card_head.forward_sigmoid_q(g, store, quant, r);
+        let cost = self.cost_head.forward_sigmoid(g, store, r);
+        let card = self.card_head.forward_sigmoid(g, store, r);
         (cost, card)
     }
 
@@ -629,8 +564,8 @@ mod tests {
         let and_enc = fx.encode_predicate(Some(&a.clone().and(b.clone())));
         let or_enc = fx.encode_predicate(Some(&a.or(b)));
         let mut g = Graph::new();
-        let and_vec = model.embed_predicate_q(&mut g, &model.params, None, &and_enc);
-        let or_vec = model.embed_predicate_q(&mut g, &model.params, None, &or_enc);
+        let and_vec = model.embed_predicate(&mut g, &model.params, &and_enc);
+        let or_vec = model.embed_predicate(&mut g, &model.params, &or_enc);
         for (x, y) in g.value(and_vec).data().iter().zip(g.value(or_vec).data().iter()) {
             assert!(x <= y, "min-pooled AND exceeded max-pooled OR: {x} > {y}");
         }

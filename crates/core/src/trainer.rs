@@ -8,7 +8,7 @@
 //! (`Graph::backward_multi`) — the same batching that accelerates inference
 //! accelerates training.  Validation also goes through the batched path.
 
-use crate::batch::{estimate_batch_refs, forward_batch};
+use crate::batch::{estimate_batch, forward_batch};
 use crate::model::{TaskMode, TreeModel};
 use featurize::EncodedPlan;
 use metrics::q_error;
@@ -258,7 +258,7 @@ impl Trainer {
             return (f64::NAN, f64::NAN);
         }
         let val: Vec<&EncodedPlan> = val_idx.iter().map(|&i| &samples[i]).collect();
-        let estimates = estimate_batch_refs(&self.model, &self.model.params, None, &self.normalization, &val);
+        let estimates = estimate_batch(&self.model, &self.model.params, &self.normalization, &val);
         let mut card_sum = 0.0;
         let mut cost_sum = 0.0;
         for (plan, (cost, card)) in val.iter().zip(estimates.iter()) {

@@ -13,7 +13,6 @@
 use crate::graph::{Graph, NodeId};
 use crate::layers::Linear;
 use crate::params::ParamStore;
-use crate::quant::QuantWeights;
 use rand::Rng;
 
 /// Output of a representation cell: the long-memory channel `G` and the
@@ -86,54 +85,23 @@ impl TreeLstmCell {
         left: CellOutput,
         right: CellOutput,
     ) -> CellOutput {
-        self.forward_impl(g, store, None, x, left, right)
-    }
-
-    /// Tier-aware [`TreeLstmCell::forward`]: gate matmuls run on the int8
-    /// tier for every weight present in `quant`.
-    pub fn forward_q(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        quant: Option<&QuantWeights>,
-        x: NodeId,
-        left: CellOutput,
-        right: CellOutput,
-    ) -> CellOutput {
-        self.forward_impl(g, store, quant, x, left, right)
-    }
-
-    fn forward_impl(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        quant: Option<&QuantWeights>,
-        x: NodeId,
-        left: CellOutput,
-        right: CellOutput,
-    ) -> CellOutput {
         let g_prev = g.mean2(left.g, right.g);
         let r_prev = g.mean2(left.r, right.r);
         let joint = g.concat_rows(&[r_prev, x]);
 
         // All four gate pre-activations first, then one fused activation
         // sweep (`Graph::lstm_gates`; per-element training fallback keeps
-        // backward intact and values bit-identical either way).  On the
-        // int8 tier the sweep and the state tanh use the fast approximate
-        // activations — the tier is approximate by contract, and exact
-        // libm transcendentals would dominate once the matmuls are int8.
-        let quantized = quant.is_some_and(|q| q.n_quantized() > 0);
-        let zf = self.forget.forward_q(g, store, quant, joint);
-        let zk1 = self.input_gate.forward_q(g, store, quant, joint);
-        let zr = self.candidate.forward_q(g, store, quant, joint);
-        let zk2 = self.output_gate.forward_q(g, store, quant, joint);
-        let (f, k1, r, k2) =
-            if quantized { g.lstm_gates_approx(zf, zk1, zr, zk2) } else { g.lstm_gates(zf, zk1, zr, zk2) };
+        // backward intact and values bit-identical either way).
+        let zf = self.forget.forward(g, store, joint);
+        let zk1 = self.input_gate.forward(g, store, joint);
+        let zr = self.candidate.forward(g, store, joint);
+        let zk2 = self.output_gate.forward(g, store, joint);
+        let (f, k1, r, k2) = g.lstm_gates(zf, zk1, zr, zk2);
 
         let keep = g.hadamard(f, g_prev);
         let write = g.hadamard(k1, r);
         let g_t = g.add(keep, write);
-        let g_act = if quantized { g.tanh_approx(g_t) } else { g.tanh(g_t) };
+        let g_act = g.tanh(g_t);
         let r_t = g.hadamard(k2, g_act);
         CellOutput { g: g_t, r: r_t }
     }
@@ -181,21 +149,8 @@ impl TreeNnCell {
         left: CellOutput,
         right: CellOutput,
     ) -> CellOutput {
-        self.forward_q(g, store, None, x, left, right)
-    }
-
-    /// Tier-aware [`TreeNnCell::forward`].
-    pub fn forward_q(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        quant: Option<&QuantWeights>,
-        x: NodeId,
-        left: CellOutput,
-        right: CellOutput,
-    ) -> CellOutput {
         let joint = g.concat_rows(&[left.r, right.r, x]);
-        let r_t = self.layer.forward_relu_q(g, store, quant, joint);
+        let r_t = self.layer.forward_relu(g, store, joint);
         CellOutput { g: r_t, r: r_t }
     }
 }

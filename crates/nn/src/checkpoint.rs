@@ -31,10 +31,10 @@ pub const MAGIC: [u8; 8] = *b"E2ECKPT\0";
 ///   section layout are unchanged; v1 files remain loadable.
 /// * **v3** — adds an optional trailing *quantized-weights* block to the
 ///   tree-estimator section (per-channel symmetric int8 codes + f32 scales
-///   for each 2-D weight matrix) powering the int8 batch inference path.
-///   A presence flag makes the block optional: a
-///   v3 file without it loads full-precision only.  v1/v2 files remain
-///   loadable; [`MIN_FORMAT_VERSION`] is unchanged.
+///   for each 2-D weight matrix), behind a presence flag.  The int8 tier
+///   that read it is gone: writers emit the absent flag, and readers
+///   shape-check a present block against the model and skip it.  v1/v2
+///   files remain loadable; [`MIN_FORMAT_VERSION`] is unchanged.
 pub const FORMAT_VERSION: u32 = 3;
 
 /// Oldest format version this build still reads.
@@ -278,21 +278,13 @@ pub fn read_f32_vec(r: &mut impl Read, len: u64, what: &'static str) -> Result<V
     Ok(buf.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
 }
 
-/// Write an `i8` slice as raw bytes (the v3 quantized-weights payload).
-pub fn write_i8_slice(w: &mut impl Write, data: &[i8]) -> Result<(), CheckpointError> {
-    // i8 -> u8 is a bit-preserving reinterpretation.
-    let bytes: Vec<u8> = data.iter().map(|&v| v as u8).collect();
-    Ok(w.write_all(&bytes)?)
-}
-
-/// Read `len` raw `i8`s, bounding `len` against corrupt headers.
-pub fn read_i8_vec(r: &mut impl Read, len: u64, what: &'static str) -> Result<Vec<i8>, CheckpointError> {
-    if len > MAX_TENSOR_LEN {
-        return Err(CheckpointError::Corrupt(format!("{what} of {len} codes exceeds the sanity bound")));
+/// Skip `len` bytes of a block this build reads but does not keep, without
+/// allocating; a short read is [`CheckpointError::Truncated`].
+pub fn skip_bytes(r: &mut impl Read, len: u64, what: &'static str) -> Result<(), CheckpointError> {
+    if std::io::copy(&mut r.by_ref().take(len), &mut std::io::sink())? < len {
+        return Err(CheckpointError::Truncated { while_reading: what });
     }
-    let mut buf = vec![0u8; len as usize];
-    read_exact(r, &mut buf, what)?;
-    Ok(buf.into_iter().map(|b| b as i8).collect())
+    Ok(())
 }
 
 #[cfg(test)]

@@ -35,7 +35,6 @@
 
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
-use crate::quant::QuantMatrix;
 use crate::simd;
 
 /// Handle to a node (an intermediate value) in a [`Graph`].
@@ -103,11 +102,6 @@ pub struct Graph {
     /// matrix once per forward pass no matter how many times the layer is
     /// applied (the shared-weight tree cell applies each one per node).
     param_cache: Vec<(ParamId, NodeId)>,
-    /// Packed int8 activations of the most recent [`Graph::matmul_quant`]
-    /// right-hand side, keyed by node index.  Consecutive quantized matmuls
-    /// against the same activations (the four LSTM gate matmuls of one cell
-    /// application) quantize and pack the columns once.
-    quant_pack: Option<(usize, crate::quant::PackedActivations)>,
 }
 
 impl Graph {
@@ -162,7 +156,6 @@ impl Graph {
         let excess = self.pool.len().saturating_sub(self.pool_limit);
         self.pool.drain(..excess);
         self.param_cache.clear();
-        self.quant_pack = None;
     }
 
     fn take_buffer(&mut self) -> Vec<f32> {
@@ -253,28 +246,6 @@ impl Graph {
         self.push(out, Op::MatMul(a, b))
     }
 
-    /// Matrix product of a **quantized** weight matrix and a node — the
-    /// int8 inference tier.  The int8 inner products dequantize
-    /// directly into an ordinary f32 tape node, so everything downstream
-    /// (bias add, activations, state extraction) is tier-agnostic.
-    ///
-    /// Inference-only: the quantized weights are frozen artifacts of the
-    /// trained weights with no gradient story.
-    ///
-    /// # Panics
-    /// Panics on a training-mode graph or on dimension mismatch.
-    pub fn matmul_quant(&mut self, w: &QuantMatrix, x: NodeId) -> NodeId {
-        assert!(self.inference, "matmul_quant is an inference-only operation");
-        let cols = self.nodes[x.0].value.cols();
-        let mut out = self.alloc(w.rows(), cols);
-        if self.quant_pack.as_ref().is_none_or(|(node, _)| *node != x.0) {
-            self.quant_pack = Some((x.0, crate::quant::PackedActivations::pack(&self.nodes[x.0].value)));
-        }
-        let (_, pack) = self.quant_pack.as_ref().expect("activation pack was just installed");
-        w.matmul_packed(pack, &mut out);
-        self.push(out, Op::Input)
-    }
-
     /// The four LSTM gate activations — sigmoid over the forget / input /
     /// output pre-activations, tanh over the candidate — as one fused
     /// operation.  On an inference tape all four output buffers are filled
@@ -299,45 +270,6 @@ impl Graph {
         let n = self.nodes.len();
         match &mut self.nodes[n - 4..] {
             [nf, nk1, nr, nk2] => simd::lstm_gate_sweep(
-                nf.value.data_mut(),
-                nk1.value.data_mut(),
-                nr.value.data_mut(),
-                nk2.value.data_mut(),
-            ),
-            _ => unreachable!("four gate nodes were just pushed"),
-        }
-        (NodeId(n - 4), NodeId(n - 3), NodeId(n - 2), NodeId(n - 1))
-    }
-
-    /// [`Graph::lstm_gates`] with the fast approximate activations
-    /// ([`simd::lstm_gate_sweep_fast`]) — the int8 tier's gate sweep.  Once
-    /// the gate matmuls are int8, exact libm transcendentals dominate the
-    /// forward pass; the tier is approximate by contract, so it trades
-    /// their last ~1e-7 of accuracy (orders of magnitude below the
-    /// weight-quantization error) for the rational-polynomial sweep.
-    ///
-    /// Deterministic — pure f32 arithmetic, identical on every dispatch
-    /// path — so int8-tier estimates are reproducible on every host.
-    /// Inference-only, like every quantized op.
-    ///
-    /// # Panics
-    /// Panics on a training-mode graph.
-    pub fn lstm_gates_approx(
-        &mut self,
-        zf: NodeId,
-        zk1: NodeId,
-        zr: NodeId,
-        zk2: NodeId,
-    ) -> (NodeId, NodeId, NodeId, NodeId) {
-        assert!(self.inference, "lstm_gates_approx is an inference-only operation");
-        for z in [zf, zk1, zr, zk2] {
-            let buf = self.take_buffer();
-            let value = Matrix::from_pooled_copy(&self.nodes[z.0].value, buf);
-            self.push(value, Op::Input);
-        }
-        let n = self.nodes.len();
-        match &mut self.nodes[n - 4..] {
-            [nf, nk1, nr, nk2] => simd::lstm_gate_sweep_fast(
                 nf.value.data_mut(),
                 nk1.value.data_mut(),
                 nr.value.data_mut(),
@@ -423,33 +355,6 @@ impl Graph {
         let mut out = self.alloc(rows, cols);
         self.nodes[x.0].value.map_into(|v| v.tanh(), &mut out);
         self.push(out, Op::Tanh(x))
-    }
-
-    /// Fast approximate tanh ([`simd::tanh_fast`]) — int8-tier companion of
-    /// [`Graph::tanh`]; see [`Graph::lstm_gates_approx`] for the contract.
-    ///
-    /// # Panics
-    /// Panics on a training-mode graph.
-    pub fn tanh_approx(&mut self, x: NodeId) -> NodeId {
-        assert!(self.inference, "tanh_approx is an inference-only operation");
-        let (rows, cols) = (self.nodes[x.0].value.rows(), self.nodes[x.0].value.cols());
-        let mut out = self.alloc(rows, cols);
-        self.nodes[x.0].value.map_into(simd::tanh_fast, &mut out);
-        self.push(out, Op::Input)
-    }
-
-    /// Fast approximate sigmoid ([`simd::sigmoid_fast`]) — int8-tier
-    /// companion of [`Graph::sigmoid`]; see [`Graph::lstm_gates_approx`]
-    /// for the contract.
-    ///
-    /// # Panics
-    /// Panics on a training-mode graph.
-    pub fn sigmoid_approx(&mut self, x: NodeId) -> NodeId {
-        assert!(self.inference, "sigmoid_approx is an inference-only operation");
-        let (rows, cols) = (self.nodes[x.0].value.rows(), self.nodes[x.0].value.cols());
-        let mut out = self.alloc(rows, cols);
-        self.nodes[x.0].value.map_into(simd::sigmoid_fast, &mut out);
-        self.push(out, Op::Input)
     }
 
     /// Multiply by a scalar constant.
@@ -1137,106 +1042,6 @@ mod tests {
         let unfused = run(&mut store, false);
         let fused = run(&mut store, true);
         assert_eq!(unfused, fused);
-    }
-
-    #[test]
-    fn matmul_quant_tracks_f32_matmul_on_inference_tape() {
-        let w = Matrix::from_vec(2, 3, vec![0.5, -1.0, 0.25, 2.0, 0.75, -0.5]);
-        let qw = crate::quant::QuantMatrix::quantize(&w);
-        let mut g = Graph::inference();
-        let x = g.input(Matrix::from_vec(3, 2, vec![1.0, -0.5, 0.5, 2.0, -1.5, 0.0]));
-        let exact = {
-            let wn = g.input(w.clone());
-            g.matmul(wn, x)
-        };
-        let approx = g.matmul_quant(&qw, x);
-        for (a, e) in g.value(approx).data().iter().zip(g.value(exact).data().iter()) {
-            assert!((a - e).abs() < 0.05 * (1.0 + e.abs()), "quant {a} vs exact {e}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "inference-only")]
-    fn matmul_quant_on_training_tape_panics() {
-        let qw = crate::quant::QuantMatrix::quantize(&Matrix::from_vec(1, 2, vec![1.0, 2.0]));
-        let mut g = Graph::new();
-        let x = g.input(Matrix::column(&[1.0, 2.0]));
-        let _ = g.matmul_quant(&qw, x);
-    }
-
-    #[test]
-    fn matmul_quant_pack_cache_reuses_activations_across_weights() {
-        // Four weight matrices against the same activations (the LSTM gate
-        // pattern) must give the same values as four independent quantized
-        // matmuls — the pack cache changes cost, never results.
-        let x_val = Matrix::from_vec(3, 5, (0..15).map(|i| (i as f32 * 0.37).sin()).collect());
-        let ws: Vec<_> = (0..4)
-            .map(|s| {
-                crate::quant::QuantMatrix::quantize(&Matrix::from_vec(
-                    2,
-                    3,
-                    (0..6).map(|i| ((i + s * 7) as f32 * 0.21).cos()).collect(),
-                ))
-            })
-            .collect();
-        let mut shared = Graph::inference();
-        let x = shared.input(x_val.clone());
-        let cached: Vec<Matrix> = ws
-            .iter()
-            .map(|w| {
-                let n = shared.matmul_quant(w, x);
-                shared.value(n).clone()
-            })
-            .collect();
-        for (w, want) in ws.iter().zip(cached.iter()) {
-            let mut fresh = Graph::inference();
-            let x = fresh.input(x_val.clone());
-            let got = fresh.matmul_quant(w, x);
-            assert_eq!(fresh.value(got), want, "pack cache changed a quantized matmul result");
-        }
-    }
-
-    #[test]
-    fn approx_activations_track_exact_ops_closely() {
-        let vals = Matrix::from_vec(3, 4, (0..12).map(|i| (i as f32 - 6.0) * 0.8).collect());
-        let mut g = Graph::inference();
-        let x = g.input(vals);
-        let (exact_t, exact_s) = (g.tanh(x), g.sigmoid(x));
-        let (fast_t, fast_s) = (g.tanh_approx(x), g.sigmoid_approx(x));
-        for (f, e) in g.value(fast_t).data().iter().zip(g.value(exact_t).data()) {
-            assert!((f - e).abs() < 1e-5, "tanh_approx {f} vs {e}");
-        }
-        for (f, e) in g.value(fast_s).data().iter().zip(g.value(exact_s).data()) {
-            assert!((f - e).abs() < 1e-5, "sigmoid_approx {f} vs {e}");
-        }
-    }
-
-    #[test]
-    fn lstm_gates_approx_matches_fast_sweep_values() {
-        let pre = Matrix::from_vec(2, 3, vec![0.4, -1.2, 0.0, 2.5, -0.3, 0.9]);
-        let mut g = Graph::inference();
-        let z = g.input(pre.clone());
-        let (f, k1, r, k2) = g.lstm_gates_approx(z, z, z, z);
-        for (node, want) in [
-            (f, pre.data().iter().map(|&v| simd::sigmoid_fast(v)).collect::<Vec<_>>()),
-            (k1, pre.data().iter().map(|&v| simd::sigmoid_fast(v)).collect()),
-            (r, pre.data().iter().map(|&v| simd::tanh_fast(v)).collect()),
-            (k2, pre.data().iter().map(|&v| simd::sigmoid_fast(v)).collect()),
-        ] {
-            assert_eq!(
-                g.value(node).data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "approx gate sweep diverged from the fast scalar activations"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "inference-only")]
-    fn lstm_gates_approx_on_training_tape_panics() {
-        let mut g = Graph::new();
-        let z = g.input(Matrix::column(&[0.1, 0.2]));
-        let _ = g.lstm_gates_approx(z, z, z, z);
     }
 
     fn pool_capacity(g: &Graph) -> usize {

@@ -2,7 +2,6 @@
 
 use crate::graph::{Graph, NodeId};
 use crate::params::{ParamId, ParamStore};
-use crate::quant::QuantWeights;
 use rand::Rng;
 
 /// A fully-connected layer `y = W x + b`.
@@ -56,46 +55,6 @@ impl Linear {
         let z = self.forward(g, store, x);
         g.sigmoid(z)
     }
-
-    /// Tier-aware affine map: when `quant` holds an int8 form of this
-    /// layer's weight matrix, the matmul runs on the quantized tier
-    /// (dequantizing into the f32 tape); otherwise this is exactly
-    /// [`Linear::forward`].  The bias always stays f32.
-    pub fn forward_q(&self, g: &mut Graph, store: &ParamStore, quant: Option<&QuantWeights>, x: NodeId) -> NodeId {
-        match quant.and_then(|q| q.get(self.w)) {
-            Some(qw) => {
-                debug_assert_eq!(g.value(x).rows(), self.in_dim, "Linear input dimension mismatch");
-                let z = g.matmul_quant(qw, x);
-                let b = g.param(store, self.b);
-                g.add_bias(z, b)
-            }
-            None => self.forward(g, store, x),
-        }
-    }
-
-    /// Tier-aware [`Linear::forward_relu`].
-    pub fn forward_relu_q(&self, g: &mut Graph, store: &ParamStore, quant: Option<&QuantWeights>, x: NodeId) -> NodeId {
-        let z = self.forward_q(g, store, quant, x);
-        g.relu(z)
-    }
-
-    /// Tier-aware [`Linear::forward_sigmoid`].  On the int8 tier the
-    /// sigmoid is the fast approximation ([`Graph::sigmoid_approx`]),
-    /// matching the tier's approximate-activation contract.
-    pub fn forward_sigmoid_q(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        quant: Option<&QuantWeights>,
-        x: NodeId,
-    ) -> NodeId {
-        let z = self.forward_q(g, store, quant, x);
-        if quant.is_some_and(|q| q.get(self.w).is_some()) {
-            g.sigmoid_approx(z)
-        } else {
-            g.sigmoid(z)
-        }
-    }
 }
 
 /// A two-layer MLP with ReLU hidden activation: `out = W2 relu(W1 x + b1) + b2`.
@@ -131,29 +90,6 @@ impl Mlp2 {
     pub fn forward_sigmoid(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
         let z = self.forward(g, store, x);
         g.sigmoid(z)
-    }
-
-    /// Tier-aware [`Mlp2::forward`].
-    pub fn forward_q(&self, g: &mut Graph, store: &ParamStore, quant: Option<&QuantWeights>, x: NodeId) -> NodeId {
-        let h = self.l1.forward_relu_q(g, store, quant, x);
-        self.l2.forward_q(g, store, quant, h)
-    }
-
-    /// Tier-aware [`Mlp2::forward_sigmoid`].  On the int8 tier the sigmoid
-    /// is the fast approximation, matching the tier's contract.
-    pub fn forward_sigmoid_q(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        quant: Option<&QuantWeights>,
-        x: NodeId,
-    ) -> NodeId {
-        let z = self.forward_q(g, store, quant, x);
-        if quant.is_some_and(|q| q.get(self.l2.w).is_some()) {
-            g.sigmoid_approx(z)
-        } else {
-            g.sigmoid(z)
-        }
     }
 }
 

@@ -19,9 +19,8 @@
 //!   cell of Section 4.2.2 ([`cells::TreeLstmCell`]).
 //! * [`Adam`] and [`Sgd`] optimizers and the q-error-based loss of
 //!   Section 4.3 ([`loss`]).
-//! * [`simd`] — runtime-dispatched (AVX2 / scalar) microkernels behind the
-//!   matrix hot loops, and [`quant`] — per-channel symmetric int8 weight
-//!   quantization for the int8 batch inference path.
+//! * [`simd`] — runtime-dispatched (AVX2 / scalar) f32 microkernels behind
+//!   the matrix hot loops.
 
 pub mod cells;
 pub mod checkpoint;
@@ -32,7 +31,6 @@ pub mod loss;
 pub mod matrix;
 pub mod optim;
 pub mod params;
-pub mod quant;
 pub mod schedule;
 pub mod simd;
 
@@ -44,6 +42,5 @@ pub use loss::{qerror_from_normalized, NormalizationStats};
 pub use matrix::Matrix;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{ParamId, ParamStore};
-pub use quant::{QuantMatrix, QuantWeights};
 pub use schedule::{EarlyStop, MiniBatchSchedule};
 pub use simd::DispatchPath;

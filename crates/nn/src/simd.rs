@@ -7,12 +7,12 @@
 //! (`is_x86_feature_detected!("avx2")`) and every kernel routes to either an
 //! explicit AVX2 implementation or the portable scalar fallback.  Setting
 //! `E2E_FORCE_SCALAR=1` (before the first kernel call) pins the scalar path,
-//! which is how CI's forced-scalar lane runs the whole kernel/quant test
-//! suite without SIMD.
+//! which is how CI's forced-scalar lane runs the whole kernel test suite
+//! without SIMD.
 //!
 //! # Numerical contracts (per kernel family)
 //!
-//! Three families with three distinct cross-path contracts (spelled out in
+//! Two families with two distinct cross-path contracts (spelled out in
 //! `docs/perf.md`, "f32 kernel contract"):
 //!
 //! * **f32 FMA GEMM tier** ([`gemm_f32`], [`gemm_f32_nt`], [`gemm_f32_tn`],
@@ -33,11 +33,6 @@
 //!   8-wide unroll's accumulator layout, so both dispatch paths stay
 //!   **bit-identical**, which keeps the forced-scalar CI lane's estimates
 //!   on the recorded golden-checkpoint bits.
-//! * **int8 kernels** — accumulate in `i32`; integer addition is
-//!   associative, so the two paths agree exactly by construction.  The
-//!   quantized tier's activation sweep ([`lstm_gate_sweep_fast`]) keeps to
-//!   plain multiply/add arithmetic (no FMA) for the same reason: its AVX2
-//!   vectorization reproduces the scalar roundings bit-for-bit.
 //!
 //! The property tests at the bottom pin each family's contract on remainder
 //! shapes (lengths not divisible by the vector width, empty slices), and
@@ -91,20 +86,13 @@ pub fn path_name() -> &'static str {
 }
 
 /// Active dispatch tier of the **f32 kernel family** (`"avx2+fma"` /
-/// `"scalar"`) — the f32 GEMM tier emits fused multiply-adds, which is worth
-/// surfacing separately from the int8 tier in bench metadata.
+/// `"scalar"`) — the f32 GEMM tier emits fused multiply-adds, which bench
+/// metadata names apart from the plain path name.
 pub fn f32_path_name() -> &'static str {
     match active_path() {
         DispatchPath::Avx2 => "avx2+fma",
         DispatchPath::Scalar => "scalar",
     }
-}
-
-/// Active dispatch tier of the **int8 kernel family** (`"avx2"` /
-/// `"scalar"`).  The int8 kernels never emit FMA (their contract is exact
-/// cross-path bit-identity), so their tier name is the plain path name.
-pub fn i8_path_name() -> &'static str {
-    active_path().name()
 }
 
 /// True when the AVX2 kernels can run on this host (independent of the
@@ -628,295 +616,6 @@ unsafe fn gemm_f32_tn_avx2_impl(a: &[f32], rows: usize, k_out: usize, other: &[f
 }
 
 // ---------------------------------------------------------------------------
-// int8 dot product (i8 x i8 -> i32)
-// ---------------------------------------------------------------------------
-
-/// Integer dot product of equal-length `i8` slices, accumulated in `i32` —
-/// the inner kernel of the quantized matmul ([`crate::quant`]).  Exact (no
-/// rounding), so both dispatch paths agree bit-for-bit by construction.
-#[inline]
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    match active_path() {
-        #[cfg(target_arch = "x86_64")]
-        DispatchPath::Avx2 => unsafe { dot_i8_avx2_impl(a, b) },
-        _ => dot_i8_scalar(a, b),
-    }
-}
-
-/// Scalar int8 dot product.
-#[inline]
-pub fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut sum = 0i32;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        sum += x as i32 * y as i32;
-    }
-    sum
-}
-
-/// Explicit-AVX2 int8 dot product.
-///
-/// # Panics
-/// Panics when AVX2 is not available on this host.
-#[cfg(target_arch = "x86_64")]
-pub fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
-    assert!(avx2_available(), "dot_i8_avx2 called without AVX2 support");
-    unsafe { dot_i8_avx2_impl(a, b) }
-}
-
-/// # Safety
-/// Requires AVX2.  32 products per iteration: each 128-bit half of the i8
-/// vectors is sign-extended to i16 and `_mm256_madd_epi16` folds adjacent
-/// i16 products into i32 lanes.  With |q| <= 127 a pair sum is at most
-/// 2 * 127^2, far inside i16-product/i32-lane range, so no saturation can
-/// occur.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_i8_avx2_impl(a: &[i8], b: &[i8]) -> i32 {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len();
-    let split = n - n % 32;
-    let mut acc = _mm256_setzero_si256();
-    let mut i = 0;
-    while i < split {
-        let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-        let vb = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-        let a_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(va));
-        let a_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(va, 1));
-        let b_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(vb));
-        let b_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(vb, 1));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_lo, b_lo));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_hi, b_hi));
-        i += 32;
-    }
-    let mut lanes = [0i32; 8];
-    _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-    let mut sum: i32 = lanes.iter().sum();
-    for (&x, &y) in a[split..].iter().zip(b[split..].iter()) {
-        sum += x as i32 * y as i32;
-    }
-    sum
-}
-
-// ---------------------------------------------------------------------------
-// Packed int8 pair-GEMM (the quantized matmul kernel)
-// ---------------------------------------------------------------------------
-
-/// Packed int8 GEMM over pair-interleaved operands — the kernel behind
-/// [`crate::quant::QuantMatrix::matmul_into`].
-///
-/// Layouts (built by `quant::PackedActivations` / `QuantMatrix`):
-///
-/// * `packed_w`: `rows * pairs` i32 words; word `(i, p)` holds weight codes
-///   `w[i][2p]` in its low i16 and `w[i][2p+1]` in its high i16 (zero pad
-///   for odd depth).
-/// * `xp`: `pairs * n_pad * 2` i16 activation codes, interleaved so that
-///   `xp[(p * n_pad + j) * 2 + {0,1}]` are column `j`'s codes for depth
-///   `2p` / `2p+1`; `n_pad` is `n` rounded up to a multiple of 8 (zero pad).
-/// * `x_scales`: `n_pad` per-column dequantization scales (pad value `1.0`).
-///
-/// Each output is `acc as f32 * (w_scales[i] * x_scales[j])` where `acc` is
-/// the exact i32 code dot product.  The AVX2 path keeps one i32 vector
-/// accumulator per 8 output columns (`_mm256_madd_epi16` on a broadcast
-/// weight pair — no per-output horizontal reduction), which is what makes
-/// the int8 tier beat the f32 axpy kernel instead of losing to it; integer
-/// accumulation is associative, so both dispatch paths agree bit-for-bit.
-///
-/// # Panics
-/// Debug-asserts the slice lengths implied by the shape arguments.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_i8_pairs(
-    packed_w: &[i32],
-    rows: usize,
-    pairs: usize,
-    xp: &[i16],
-    n_pad: usize,
-    w_scales: &[f32],
-    x_scales: &[f32],
-    out: &mut [f32],
-    n: usize,
-) {
-    debug_assert_eq!(packed_w.len(), rows * pairs);
-    debug_assert_eq!(xp.len(), pairs * n_pad * 2);
-    debug_assert_eq!(w_scales.len(), rows);
-    debug_assert_eq!(x_scales.len(), n_pad);
-    debug_assert_eq!(out.len(), rows * n);
-    debug_assert!(n_pad >= n && n_pad.is_multiple_of(8));
-    match active_path() {
-        #[cfg(target_arch = "x86_64")]
-        DispatchPath::Avx2 => unsafe {
-            gemm_i8_pairs_avx2_impl(packed_w, rows, pairs, xp, n_pad, w_scales, x_scales, out, n)
-        },
-        _ => gemm_i8_pairs_scalar(packed_w, rows, pairs, xp, n_pad, w_scales, x_scales, out, n),
-    }
-}
-
-/// Scalar reference for [`gemm_i8_pairs`]: identical i32 sums (exact), the
-/// identical dequantization expression.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_i8_pairs_scalar(
-    packed_w: &[i32],
-    rows: usize,
-    pairs: usize,
-    xp: &[i16],
-    n_pad: usize,
-    w_scales: &[f32],
-    x_scales: &[f32],
-    out: &mut [f32],
-    n: usize,
-) {
-    for i in 0..rows {
-        let wrow = &packed_w[i * pairs..(i + 1) * pairs];
-        for j in 0..n {
-            let mut acc = 0i32;
-            for (p, &w) in wrow.iter().enumerate() {
-                let (wlo, whi) = (w as i16 as i32, w >> 16);
-                let base = (p * n_pad + j) * 2;
-                acc += wlo * xp[base] as i32 + whi * xp[base + 1] as i32;
-            }
-            out[i * n + j] = acc as f32 * (w_scales[i] * x_scales[j]);
-        }
-    }
-}
-
-/// # Safety
-/// Requires AVX2.  Eight output columns per i32 vector accumulator: each
-/// weight pair is broadcast with `_mm256_set1_epi32` and `_mm256_madd_epi16`
-/// folds it against eight interleaved activation pairs.  With codes in
-/// [-127, 127] a pair sum is at most `2 * 127^2`, far inside i32-lane range.
-/// The dequantization multiplies in the same order as the scalar path
-/// (`w_scale * x_scale` first, then `acc * that`), so results are
-/// bit-identical.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn gemm_i8_pairs_avx2_impl(
-    packed_w: &[i32],
-    rows: usize,
-    pairs: usize,
-    xp: &[i16],
-    n_pad: usize,
-    w_scales: &[f32],
-    x_scales: &[f32],
-    out: &mut [f32],
-    n: usize,
-) {
-    use std::arch::x86_64::*;
-    let mut jb = 0;
-    while jb < n {
-        let full = jb + 8 <= n;
-        for i in 0..rows {
-            let wrow = packed_w.as_ptr().add(i * pairs);
-            let mut acc = _mm256_setzero_si256();
-            for p in 0..pairs {
-                let vx = _mm256_loadu_si256(xp.as_ptr().add((p * n_pad + jb) * 2) as *const __m256i);
-                let vw = _mm256_set1_epi32(*wrow.add(p));
-                acc = _mm256_add_epi32(acc, _mm256_madd_epi16(vw, vx));
-            }
-            let accf = _mm256_cvtepi32_ps(acc);
-            let vs = _mm256_mul_ps(_mm256_set1_ps(w_scales[i]), _mm256_loadu_ps(x_scales.as_ptr().add(jb)));
-            let vout = _mm256_mul_ps(accf, vs);
-            if full {
-                _mm256_storeu_ps(out.as_mut_ptr().add(i * n + jb), vout);
-            } else {
-                let mut tmp = [0f32; 8];
-                _mm256_storeu_ps(tmp.as_mut_ptr(), vout);
-                out[i * n + jb..i * n + n].copy_from_slice(&tmp[..n - jb]);
-            }
-        }
-        jb += 8;
-    }
-}
-
-/// Quantize a `depth x n` row-major f32 matrix into the pair-interleaved
-/// i16 code layout of [`gemm_i8_pairs`]: code
-/// `round_ties_even(v * inv[j]).clamp(-127, 127)`, stored at
-/// `codes[(p * n_pad + j) * 2 + (k & 1)]` for depth row `k = 2p + (k & 1)`.
-/// `codes` must come in zeroed (pad columns and the odd-depth half stay 0).
-///
-/// Dispatched like every kernel here; the AVX2 path uses `_mm256_round_ps`
-/// to-nearest (ties to even, exactly `f32::round_ties_even`) and min/max
-/// clamps, so both paths produce identical codes for all finite inputs.
-pub fn quantize_interleave(xdata: &[f32], depth: usize, n: usize, n_pad: usize, inv: &[f32], codes: &mut [i16]) {
-    debug_assert_eq!(xdata.len(), depth * n);
-    debug_assert_eq!(inv.len(), n);
-    debug_assert_eq!(codes.len(), depth.div_ceil(2) * n_pad * 2);
-    match active_path() {
-        #[cfg(target_arch = "x86_64")]
-        DispatchPath::Avx2 => unsafe { quantize_interleave_avx2_impl(xdata, depth, n, n_pad, inv, codes) },
-        _ => quantize_interleave_scalar(xdata, depth, n, n_pad, inv, codes),
-    }
-}
-
-/// Scalar reference for [`quantize_interleave`].
-pub fn quantize_interleave_scalar(xdata: &[f32], depth: usize, n: usize, n_pad: usize, inv: &[f32], codes: &mut [i16]) {
-    for k in 0..depth {
-        let row = &xdata[k * n..(k + 1) * n];
-        let base = (k / 2) * n_pad * 2 + (k & 1);
-        for (j, &v) in row.iter().enumerate() {
-            codes[base + j * 2] = (v * inv[j]).round_ties_even().clamp(-127.0, 127.0) as i16;
-        }
-    }
-}
-
-/// # Safety
-/// Requires AVX2.  Two depth rows per sweep: each group of 8 columns is
-/// multiplied, rounded (`_MM_FROUND_TO_NEAREST_INT` — ties to even, the
-/// scalar path's `round_ties_even`), clamped and converted to i32; the two
-/// rows' i32 code words are fused into interleaved i16 pairs with
-/// mask/shift/or (the low half of each i32 *is* the i16 code) and stored as
-/// one 256-bit word.  Column remainders fall back to the scalar formula,
-/// which produces the same integers by construction.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn quantize_interleave_avx2_impl(
-    xdata: &[f32],
-    depth: usize,
-    n: usize,
-    n_pad: usize,
-    inv: &[f32],
-    codes: &mut [i16],
-) {
-    use std::arch::x86_64::*;
-    let lo_mask = _mm256_set1_epi32(0xFFFF);
-    let vmin = _mm256_set1_ps(-127.0);
-    let vmax = _mm256_set1_ps(127.0);
-    let split = n - n % 8;
-    let mut p = 0;
-    while 2 * p < depth {
-        let k = 2 * p;
-        let row0 = xdata.as_ptr().add(k * n);
-        let odd = k + 1 < depth;
-        let mut j = 0;
-        while j < split {
-            let vi = _mm256_loadu_ps(inv.as_ptr().add(j));
-            let quant = |row: *const f32| {
-                let v = _mm256_mul_ps(_mm256_loadu_ps(row.add(j)), vi);
-                let v = _mm256_round_ps(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-                let v = _mm256_min_ps(_mm256_max_ps(v, vmin), vmax);
-                _mm256_cvtps_epi32(v)
-            };
-            let q0 = quant(row0);
-            let q1 = if odd { quant(xdata.as_ptr().add((k + 1) * n)) } else { _mm256_setzero_si256() };
-            let pair = _mm256_or_si256(_mm256_and_si256(q0, lo_mask), _mm256_slli_epi32(q1, 16));
-            _mm256_storeu_si256(codes.as_mut_ptr().add((p * n_pad + j) * 2) as *mut __m256i, pair);
-            j += 8;
-        }
-        for k in [k, k + 1] {
-            if k < depth {
-                let row = &xdata[k * n..(k + 1) * n];
-                let base = (k / 2) * n_pad * 2 + (k & 1);
-                for j in split..n {
-                    codes[base + j * 2] = (row[j] * inv[j]).round_ties_even().clamp(-127.0, 127.0) as i16;
-                }
-            }
-        }
-        p += 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Fused LSTM gate activation sweep
 // ---------------------------------------------------------------------------
 
@@ -978,7 +677,7 @@ pub fn lstm_gate_sweep_scalar(f: &mut [f32], k1: &mut [f32], r: &mut [f32], k2: 
 }
 
 // ---------------------------------------------------------------------------
-// Fast approximate activations (the quantized tier's transcendentals)
+// Rational tanh / sigmoid (the AVX2 arm of the gate sweep)
 // ---------------------------------------------------------------------------
 
 /// Input clamp of the rational tanh fit (tanh saturates to ±1 in f32 beyond
@@ -991,44 +690,13 @@ const TANH_A: [f32; 7] =
 /// Even denominator coefficients (x⁰, x², x⁴, x⁶).
 const TANH_B: [f32; 4] = [4.893_525e-3, 2.268_434_6e-3, 1.185_347e-4, 1.198_258_4e-6];
 
-/// Fast rational tanh approximation (degree 13/6 odd rational on the
-/// clamped input, the classic single-precision fit used by Eigen and
-/// XNNPACK; max error a few ULP across the clamp range).
-///
-/// Exists for the **int8 inference tier only**: libm `tanh`/`exp` calls
-/// dominate the forward pass once the matmuls are int8, and the tier is
-/// approximate by contract (per-channel weight quantization already injects
-/// ~1% error), so a ~1e-7 activation approximation is free accuracy-wise.
-/// Pure f32 multiply/add/divide arithmetic with no table lookups or
-/// fused-multiply-add, so results are identical on every dispatch path and
-/// host — the full-precision tier uses the fused variant ([`tanh_fma`])
-/// instead.
-#[inline(always)]
-pub fn tanh_fast(x: f32) -> f32 {
-    let x = x.clamp(-TANH_CLAMP, TANH_CLAMP);
-    let x2 = x * x;
-    let mut p = TANH_A[6];
-    p = p * x2 + TANH_A[5];
-    p = p * x2 + TANH_A[4];
-    p = p * x2 + TANH_A[3];
-    p = p * x2 + TANH_A[2];
-    p = p * x2 + TANH_A[1];
-    p = p * x2 + TANH_A[0];
-    p *= x;
-    let mut q = TANH_B[3];
-    q = q * x2 + TANH_B[2];
-    q = q * x2 + TANH_B[1];
-    q = q * x2 + TANH_B[0];
-    p / q
-}
-
-/// The same rational tanh fit with **fused** multiply-adds (`f32::mul_add`)
-/// in the Horner steps — the f32 tier's AVX2 activation.  Scalar `mul_add`
-/// rounds exactly like one `vfmadd` lane, so this function *is* the
-/// definition of what [`lstm_gate_sweep`]'s AVX2 path computes per element
-/// (the vector sweep's remainder tail calls it directly).  Approximation
-/// error vs. libm `tanh` is the same ~1e-7 as [`tanh_fast`]; the two fast
-/// variants differ from each other only in low-order rounding bits.
+/// Rational tanh (degree 13/6 odd rational on the clamped input, the classic
+/// single-precision fit used by Eigen and XNNPACK) with **fused**
+/// multiply-adds (`f32::mul_add`) in the Horner steps — the f32 tier's AVX2
+/// activation.  Scalar `mul_add` rounds exactly like one `vfmadd` lane, so
+/// this function *is* the definition of what [`lstm_gate_sweep`]'s AVX2 path
+/// computes per element (the vector sweep's remainder tail calls it
+/// directly).  Approximation error vs. libm `tanh` is about 3e-7.
 #[inline(always)]
 pub fn tanh_fma(x: f32) -> f32 {
     let x = x.clamp(-TANH_CLAMP, TANH_CLAMP);
@@ -1127,135 +795,6 @@ unsafe fn sweep_sigmoid_fma_avx2(buf: &mut [f32]) {
     }
 }
 
-/// Fast sigmoid via the tanh half-angle identity,
-/// `sigmoid(x) = 0.5 + 0.5 * tanh(x / 2)` — same approximation contract as
-/// [`tanh_fast`], quantized tier only.
-#[inline(always)]
-pub fn sigmoid_fast(x: f32) -> f32 {
-    0.5 + 0.5 * tanh_fast(0.5 * x)
-}
-
-/// [`lstm_gate_sweep`] with the fast approximate activations — the int8
-/// tier's gate sweep, dispatched like every kernel here.  The AVX2 arm uses
-/// separate multiply + add Horner steps (**no FMA** — [`tanh_fast_x8`]), so
-/// it reproduces the scalar [`tanh_fast`] / [`sigmoid_fast`] roundings
-/// bit-for-bit and the int8 tier's cross-path bit-identity contract holds
-/// for the whole quantized forward pass, activations included.
-///
-/// # Panics
-/// Panics if the buffers disagree in length.
-pub fn lstm_gate_sweep_fast(f: &mut [f32], k1: &mut [f32], r: &mut [f32], k2: &mut [f32]) {
-    assert_eq!(f.len(), k1.len(), "lstm_gate_sweep_fast: gate buffer length mismatch");
-    assert_eq!(f.len(), r.len(), "lstm_gate_sweep_fast: gate buffer length mismatch");
-    assert_eq!(f.len(), k2.len(), "lstm_gate_sweep_fast: gate buffer length mismatch");
-    match active_path() {
-        #[cfg(target_arch = "x86_64")]
-        DispatchPath::Avx2 => unsafe {
-            sweep_sigmoid_fast_avx2(f);
-            sweep_sigmoid_fast_avx2(k1);
-            sweep_tanh_fast_avx2(r);
-            sweep_sigmoid_fast_avx2(k2);
-        },
-        _ => lstm_gate_sweep_fast_scalar(f, k1, r, k2),
-    }
-}
-
-/// Scalar arm of [`lstm_gate_sweep_fast`], kept callable for tests.
-/// Branch-free per-element arithmetic; no reassociation or contraction is
-/// licensed, so results are deterministic on every host.
-///
-/// # Panics
-/// Panics if the buffers disagree in length.
-pub fn lstm_gate_sweep_fast_scalar(f: &mut [f32], k1: &mut [f32], r: &mut [f32], k2: &mut [f32]) {
-    assert_eq!(f.len(), k1.len(), "lstm_gate_sweep_fast: gate buffer length mismatch");
-    assert_eq!(f.len(), r.len(), "lstm_gate_sweep_fast: gate buffer length mismatch");
-    assert_eq!(f.len(), k2.len(), "lstm_gate_sweep_fast: gate buffer length mismatch");
-    for v in f.iter_mut() {
-        *v = sigmoid_fast(*v);
-    }
-    for v in k1.iter_mut() {
-        *v = sigmoid_fast(*v);
-    }
-    for v in r.iter_mut() {
-        *v = tanh_fast(*v);
-    }
-    for v in k2.iter_mut() {
-        *v = sigmoid_fast(*v);
-    }
-}
-
-/// 8-wide [`tanh_fast`]: identical clamp and separate-multiply-add Horner
-/// sequence (`_mm256_mul_ps` + `_mm256_add_ps`, never fmadd), so every lane
-/// rounds exactly like the scalar helper — the int8 tier's cross-path
-/// bit-identity extends over the vectorized activations.
-///
-/// # Safety
-/// Requires AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn tanh_fast_x8(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
-    use std::arch::x86_64::*;
-    let x = _mm256_min_ps(_mm256_max_ps(x, _mm256_set1_ps(-TANH_CLAMP)), _mm256_set1_ps(TANH_CLAMP));
-    let x2 = _mm256_mul_ps(x, x);
-    let mut p = _mm256_set1_ps(TANH_A[6]);
-    p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(TANH_A[5]));
-    p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(TANH_A[4]));
-    p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(TANH_A[3]));
-    p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(TANH_A[2]));
-    p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(TANH_A[1]));
-    p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(TANH_A[0]));
-    p = _mm256_mul_ps(p, x);
-    let mut q = _mm256_set1_ps(TANH_B[3]);
-    q = _mm256_add_ps(_mm256_mul_ps(q, x2), _mm256_set1_ps(TANH_B[2]));
-    q = _mm256_add_ps(_mm256_mul_ps(q, x2), _mm256_set1_ps(TANH_B[1]));
-    q = _mm256_add_ps(_mm256_mul_ps(q, x2), _mm256_set1_ps(TANH_B[0]));
-    _mm256_div_ps(p, q)
-}
-
-/// In-place 8-wide [`tanh_fast`] sweep (bit-identical to the scalar loop).
-///
-/// # Safety
-/// Requires AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn sweep_tanh_fast_avx2(buf: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let split = buf.len() - buf.len() % 8;
-    let mut i = 0;
-    while i < split {
-        let v = tanh_fast_x8(_mm256_loadu_ps(buf.as_ptr().add(i)));
-        _mm256_storeu_ps(buf.as_mut_ptr().add(i), v);
-        i += 8;
-    }
-    for v in &mut buf[split..] {
-        *v = tanh_fast(*v);
-    }
-}
-
-/// In-place 8-wide [`sigmoid_fast`] sweep (half-angle identity with
-/// separate multiply + add outer steps, bit-identical to the scalar loop).
-///
-/// # Safety
-/// Requires AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn sweep_sigmoid_fast_avx2(buf: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let half = _mm256_set1_ps(0.5);
-    let split = buf.len() - buf.len() % 8;
-    let mut i = 0;
-    while i < split {
-        let x = _mm256_loadu_ps(buf.as_ptr().add(i));
-        let t = tanh_fast_x8(_mm256_mul_ps(half, x));
-        _mm256_storeu_ps(buf.as_mut_ptr().add(i), _mm256_add_ps(half, _mm256_mul_ps(half, t)));
-        i += 8;
-    }
-    for v in &mut buf[split..] {
-        *v = sigmoid_fast(*v);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1265,15 +804,6 @@ mod tests {
             .map(|_| {
                 seed = seed.wrapping_mul(1664525).wrapping_add(1013904223);
                 (seed >> 8) as f32 / (1u32 << 24) as f32 * 2.0 - 1.0
-            })
-            .collect()
-    }
-
-    fn lcg_i8(n: usize, mut seed: u32) -> Vec<i8> {
-        (0..n)
-            .map(|_| {
-                seed = seed.wrapping_mul(1664525).wrapping_add(1013904223);
-                ((seed >> 16) as i32 % 255 - 127) as i8
             })
             .collect()
     }
@@ -1316,144 +846,28 @@ mod tests {
     }
 
     #[test]
-    fn avx2_and_scalar_i8_kernels_agree_exactly() {
-        if !avx2_available() {
-            eprintln!("skipping: host has no AVX2");
-            return;
-        }
-        for &n in &LENGTHS {
-            let a = lcg_i8(n, 3 + n as u32);
-            let b = lcg_i8(n, 900 + n as u32);
-            assert_eq!(dot_i8_scalar(&a, &b), dot_i8_avx2(&a, &b), "dot_i8 paths diverge at n={n}");
-        }
-    }
-
-    #[test]
-    fn dot_i8_extremes_do_not_saturate() {
-        // All-(-127) x all-127 over a madd-pair boundary: the i16 pair sum
-        // 2 * 127 * 127 = 32258 would saturate a hypothetical i16
-        // accumulator; the i32 lanes must carry it exactly.
-        for n in [31usize, 32, 64, 65] {
-            let a = vec![-127i8; n];
-            let b = vec![127i8; n];
-            let want = -(127i32 * 127) * n as i32;
-            assert_eq!(dot_i8(&a, &b), want);
-            assert_eq!(dot_i8_scalar(&a, &b), want);
-            if avx2_available() {
-                assert_eq!(dot_i8_avx2(&a, &b), want);
-            }
-        }
-    }
-
-    /// Reference pair-GEMM directly off the layout definition.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_pairs_naive(
-        packed_w: &[i32],
-        rows: usize,
-        pairs: usize,
-        xp: &[i16],
-        n_pad: usize,
-        w_scales: &[f32],
-        x_scales: &[f32],
-        n: usize,
-    ) -> Vec<f32> {
-        let mut out = vec![0.0f32; rows * n];
-        gemm_i8_pairs_scalar(packed_w, rows, pairs, xp, n_pad, w_scales, x_scales, &mut out, n);
-        out
-    }
-
-    #[test]
-    fn gemm_i8_pairs_avx2_matches_scalar_bit_for_bit() {
-        if !avx2_available() {
-            eprintln!("skipping: host has no AVX2");
-            return;
-        }
-        for (rows, pairs, n) in [(1usize, 1usize, 1usize), (3, 5, 7), (8, 24, 8), (32, 24, 64), (5, 9, 13)] {
-            let n_pad = n.next_multiple_of(8);
-            let packed_w: Vec<i32> = lcg_i8(rows * pairs * 2, 5)
-                .chunks(2)
-                .map(|p| (p[0] as i16 as u16 as u32 | ((p[1] as i16 as u16 as u32) << 16)) as i32)
-                .collect();
-            let mut xp = vec![0i16; pairs * n_pad * 2];
-            for (i, v) in lcg_i8(pairs * n * 2, 9).iter().enumerate() {
-                // Scatter real codes over the non-pad columns only.
-                let (p, rest) = (i / (n * 2), i % (n * 2));
-                xp[(p * n_pad + rest / 2) * 2 + rest % 2] = *v as i16;
-            }
-            let w_scales: Vec<f32> = lcg(rows, 21).iter().map(|v| v.abs() + 0.01).collect();
-            let mut x_scales = vec![1.0f32; n_pad];
-            for (s, v) in x_scales.iter_mut().zip(lcg(n, 33)) {
-                *s = v.abs() + 0.01;
-            }
-            let scalar = gemm_pairs_naive(&packed_w, rows, pairs, &xp, n_pad, &w_scales, &x_scales, n);
-            let mut avx2 = vec![0.0f32; rows * n];
-            unsafe { gemm_i8_pairs_avx2_impl(&packed_w, rows, pairs, &xp, n_pad, &w_scales, &x_scales, &mut avx2, n) };
-            assert_eq!(
-                scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                avx2.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "pair-GEMM paths diverge at {rows}x{pairs}x{n}"
-            );
-        }
-    }
-
-    #[test]
-    fn quantize_interleave_avx2_matches_scalar_exactly() {
-        if !avx2_available() {
-            eprintln!("skipping: host has no AVX2");
-            return;
-        }
-        for (depth, n) in [(1usize, 1usize), (2, 8), (5, 7), (48, 64), (7, 33), (3, 9)] {
-            let n_pad = n.next_multiple_of(8);
-            let x = lcg(depth * n, 17 + depth as u32);
-            let inv: Vec<f32> = lcg(n, 91).iter().map(|v| v.abs() * 100.0).collect();
-            let mut scalar = vec![0i16; depth.div_ceil(2) * n_pad * 2];
-            let mut avx2 = scalar.clone();
-            quantize_interleave_scalar(&x, depth, n, n_pad, &inv, &mut scalar);
-            unsafe { quantize_interleave_avx2_impl(&x, depth, n, n_pad, &inv, &mut avx2) };
-            assert_eq!(scalar, avx2, "quantize paths diverge at {depth}x{n}");
-        }
-    }
-
-    #[test]
     fn fast_activations_track_libm_within_tolerance() {
-        // The int8 tier's accuracy budget is set by weight quantization
-        // (~1e-2 relative); the activation approximation must sit orders of
-        // magnitude below it.
+        // The rational fit behind the AVX2 gate sweep: error against libm
+        // over the clamp range, then the range, odd-symmetry and saturation
+        // invariants downstream ops rely on, up to `f32::MAX`.
         let mut worst_t = 0.0f32;
         let mut worst_s = 0.0f32;
         for i in -8000..=8000 {
             let x = i as f32 * 1e-3;
-            worst_t = worst_t.max((tanh_fast(x) - x.tanh()).abs());
-            worst_s = worst_s.max((sigmoid_fast(x) - 1.0 / (1.0 + (-x).exp())).abs());
+            worst_t = worst_t.max((tanh_fma(x) - x.tanh()).abs());
+            worst_s = worst_s.max((sigmoid_fma(x) - 1.0 / (1.0 + (-x).exp())).abs());
         }
-        assert!(worst_t < 1e-5, "tanh_fast worst abs error {worst_t}");
-        assert!(worst_s < 1e-5, "sigmoid_fast worst abs error {worst_s}");
-        // Range and symmetry invariants downstream ops rely on.
-        assert_eq!(tanh_fast(0.0), 0.0);
-        for x in [-100.0f32, -9.0, -1.3, 0.7, 9.0, 100.0] {
-            assert!(tanh_fast(x).abs() <= 1.0, "tanh_fast({x}) out of range");
-            assert!((0.0..=1.0).contains(&sigmoid_fast(x)), "sigmoid_fast({x}) out of range");
-            assert_eq!(tanh_fast(x).to_bits(), (-tanh_fast(-x)).to_bits(), "tanh_fast asymmetric at {x}");
+        assert!(worst_t < 1e-6, "tanh_fma worst abs error {worst_t}");
+        assert!(worst_s < 1e-6, "sigmoid_fma worst abs error {worst_s}");
+        assert_eq!(tanh_fma(0.0), 0.0);
+        for x in [0.7f32, 1.3, TANH_CLAMP, 8.0, 9.0, 100.0, f32::MAX] {
+            for x in [x, -x] {
+                assert!(tanh_fma(x).abs() <= 1.0, "tanh_fma({x}) out of range");
+                assert!((0.0..=1.0).contains(&sigmoid_fma(x)), "sigmoid_fma({x}) out of range");
+                assert_eq!(tanh_fma(x).to_bits(), (-tanh_fma(-x)).to_bits(), "tanh_fma asymmetric at {x}");
+            }
         }
-    }
-
-    #[test]
-    fn fast_gate_sweep_matches_fast_scalar_activations() {
-        for &n in &LENGTHS {
-            let src_f = lcg(n, 55);
-            let src_k1 = lcg(n, 66);
-            let src_r = lcg(n, 77);
-            let src_k2 = lcg(n, 88);
-            let (mut f, mut k1, mut r, mut k2) = (src_f.clone(), src_k1.clone(), src_r.clone(), src_k2.clone());
-            lstm_gate_sweep_fast(&mut f, &mut k1, &mut r, &mut k2);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            let sig = |v: &[f32]| v.iter().map(|&x| sigmoid_fast(x)).collect::<Vec<f32>>();
-            let th = |v: &[f32]| v.iter().map(|&x| tanh_fast(x)).collect::<Vec<f32>>();
-            assert_eq!(bits(&f), bits(&sig(&src_f)), "fast forget gate diverges at n={n}");
-            assert_eq!(bits(&k1), bits(&sig(&src_k1)), "fast input gate diverges at n={n}");
-            assert_eq!(bits(&r), bits(&th(&src_r)), "fast candidate diverges at n={n}");
-            assert_eq!(bits(&k2), bits(&sig(&src_k2)), "fast output gate diverges at n={n}");
-        }
+        assert_eq!(tanh_fma(f32::MAX), tanh_fma(TANH_CLAMP), "tanh_fma does not saturate");
     }
 
     #[test]
@@ -1595,27 +1009,6 @@ mod tests {
         };
         assert_eq!(run(), run(), "a GEMM kernel is not run-to-run deterministic on {}", path_name());
     }
-
-    /// The fast (int8-tier) gate sweep stays bit-identical across dispatch
-    /// paths: the AVX2 arm's mul+add Horner must reproduce the scalar arm.
-    #[test]
-    fn fast_gate_sweep_avx2_matches_scalar_arm_bitwise() {
-        for &n in &LENGTHS {
-            let src_f = lcg(n, 155);
-            let src_k1 = lcg(n, 166);
-            let src_r = lcg(n, 177);
-            let src_k2 = lcg(n, 188);
-            let (mut f, mut k1, mut r, mut k2) = (src_f.clone(), src_k1.clone(), src_r.clone(), src_k2.clone());
-            lstm_gate_sweep_fast(&mut f, &mut k1, &mut r, &mut k2);
-            let (mut fs, mut k1s, mut rs, mut k2s) = (src_f, src_k1, src_r, src_k2);
-            lstm_gate_sweep_fast_scalar(&mut fs, &mut k1s, &mut rs, &mut k2s);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&f), bits(&fs), "fast sweep paths diverge (forget) at n={n}");
-            assert_eq!(bits(&k1), bits(&k1s), "fast sweep paths diverge (input) at n={n}");
-            assert_eq!(bits(&r), bits(&rs), "fast sweep paths diverge (candidate) at n={n}");
-            assert_eq!(bits(&k2), bits(&k2s), "fast sweep paths diverge (output) at n={n}");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1724,22 +1117,6 @@ mod prop_tests {
                     close(out[i * n + j], want as f32, mag, "gemm_f32_tn")?;
                 }
             }
-        }
-
-        /// Dispatched and scalar int8 dot products agree exactly.
-        #[test]
-        fn dispatched_i8_dot_matches_scalar(
-            a in proptest::collection::vec(-127i8..=127i8, 0..80),
-            seed in 0u32..1_000_000,
-        ) {
-            let mut s = seed;
-            let b: Vec<i8> = a.iter().map(|_| {
-                s = s.wrapping_mul(1664525).wrapping_add(1013904223);
-                ((s >> 16) as i32 % 255 - 127) as i8
-            }).collect();
-            prop_assert_eq!(dot_i8(&a, &b), dot_i8_scalar(&a, &b));
-            let naive: i32 = a.iter().zip(b.iter()).map(|(&x, &y)| x as i32 * y as i32).sum();
-            prop_assert_eq!(dot_i8(&a, &b), naive);
         }
     }
 }

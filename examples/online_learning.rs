@@ -121,13 +121,10 @@ fn main() {
     assert_eq!(generation, 2, "republish is the tenant's second generation");
     assert_eq!(session.generation(), Some(2), "the session sees the new generation at its next call");
 
-    // 6. The republished model recovers on the drifted traffic and carries
-    //    the int8 weights its v3 checkpoint saved.
+    // 6. The republished model recovers on the drifted traffic.
     let recovered = serve_phase(&session, &drifted.samples);
     println!("recovered: mean q-error {degraded:.2} -> {recovered:.2} on the drifted traffic");
     assert!(recovered < degraded, "the fine-tuned model must improve on drifted traffic");
-    let published = catalog.current("tenant").expect("published");
-    assert!(published.tree().expect("tree").has_quantized_weights(), "republish loads the int8 weights");
 
     let _ = std::fs::remove_file(&ckpt);
     let _ = std::fs::remove_file(&refreshed_ckpt);
