@@ -1,6 +1,6 @@
 //! Multi-tenant serving runtime under load — the production posture behind
 //! one process: several named checkpointed models, live hot-swaps, and
-//! concurrent sessions of one tenant coalesced through the admission layer.
+//! concurrent sessions of one tenant sharing its caches.
 //!
 //! Run with `cargo bench -p bench --bench serving_multi_tenant` (after
 //! `serving_throughput`, whose `BENCH_serving.json` this bench extends with
@@ -16,13 +16,13 @@
 //!   1.0 on a small host — but a *blocking* catalog would send it toward
 //!   zero; the floor guards that.  B's cache statistics are also asserted
 //!   untouched by A's traffic (per-tenant sharded caches).
-//! * **Aggregated-batch throughput** — 1 vs 4 sessions of the *same*
-//!   tenant streaming a DP enumeration through the cross-session batch
-//!   aggregator; aggregate plans/s and speedup vs one session.
+//! * **Concurrent-session throughput** — 1 vs 4 sessions of the *same*
+//!   tenant streaming a DP enumeration through `Session::estimate_encoded`,
+//!   each on its own thread, sharing the model's sharded subtree-state
+//!   cache; aggregate plans/s and speedup vs one session.
 //!
 //! With `E2E_CHECK` set, floors are asserted: isolation ratio ≥ 0.3 and
-//! aggregated 4-session speedup ≥ 1.5x (the PR 3 concurrent-session floor,
-//! now carried by the admission layer instead of raw cache sharing).
+//! 4 concurrent sessions ≥ 1.5x one session.
 
 use bench::{time_reps, Pipeline};
 use estimator_core::{PredicateModelKind, RepresentationCellKind, TaskMode};
@@ -188,15 +188,15 @@ fn main() {
          {swaps_done} live hot-swaps of tenant_a (ratio {isolation_ratio:.2})"
     );
 
-    // --- Aggregated-batch throughput: 1 vs 4 sessions of tenant_a. ---
+    // --- Concurrent-session throughput: 1 vs 4 sessions of tenant_a. ---
     let sa = catalog.session("tenant_a").expect("tenant_a");
     let expected_first = sa.estimate_encoded(&encoded[0]).expect("tenant_a serves");
-    struct AggRow {
+    struct SessionRow {
         sessions: usize,
         aggregate_plans_per_sec: f64,
         speedup_vs_1: f64,
     }
-    let mut agg_rows: Vec<AggRow> = Vec::new();
+    let mut session_rows: Vec<SessionRow> = Vec::new();
     for sessions in [1usize, 4] {
         let secs = time_reps(
             reps,
@@ -225,15 +225,15 @@ fn main() {
             },
         );
         let aggregate = (sessions * plans_per_session) as f64 / secs;
-        let speedup = agg_rows.first().map(|base| aggregate / base.aggregate_plans_per_sec).unwrap_or(1.0);
-        println!("{sessions} aggregated session(s): {aggregate:>12.1} plans/s aggregate   ({speedup:.2}x vs 1)");
-        agg_rows.push(AggRow { sessions, aggregate_plans_per_sec: aggregate, speedup_vs_1: speedup });
+        let speedup = session_rows.first().map(|base| aggregate / base.aggregate_plans_per_sec).unwrap_or(1.0);
+        println!("{sessions} concurrent session(s): {aggregate:>12.1} plans/s aggregate   ({speedup:.2}x vs 1)");
+        session_rows.push(SessionRow { sessions, aggregate_plans_per_sec: aggregate, speedup_vs_1: speedup });
     }
-    // Aggregated results must be bit-identical to direct serving.
+    // Every reinstall loads the same checkpoint: the estimates must not move.
     assert_eq!(
         sa.estimate_encoded(&encoded[0]).expect("tenant_a serves"),
         expected_first,
-        "aggregated estimates diverged across swaps"
+        "concurrent-session estimates diverged across swaps"
     );
     let _ = std::fs::remove_file(&ckpt);
 
@@ -250,9 +250,9 @@ fn main() {
     let _ = writeln!(section, "      \"throughput_ratio_during_swaps\": {isolation_ratio:.3},");
     let _ = writeln!(section, "      \"live_swaps_performed\": {swaps_done}");
     let _ = writeln!(section, "    }},");
-    let _ = writeln!(section, "    \"aggregated_sessions\": [");
-    for (i, r) in agg_rows.iter().enumerate() {
-        let comma = if i + 1 < agg_rows.len() { "," } else { "" };
+    let _ = writeln!(section, "    \"concurrent_sessions\": [");
+    for (i, r) in session_rows.iter().enumerate() {
+        let comma = if i + 1 < session_rows.len() { "," } else { "" };
         let _ = writeln!(
             section,
             "      {{ \"sessions\": {}, \"aggregate_plans_per_sec\": {:.1}, \"speedup_vs_1\": {:.3} }}{comma}",
@@ -273,13 +273,15 @@ fn main() {
             "tenant_b throughput ratio {isolation_ratio:.2} during tenant_a hot-swaps below the 0.3 stall floor"
         );
         assert!(swaps_done >= 1, "no live hot-swap completed during tenant_b's measurement window");
-        let four = agg_rows.iter().find(|r| r.sessions == 4).expect("4-session row");
+        let four = session_rows.iter().find(|r| r.sessions == 4).expect("4-session row");
         assert!(
             four.speedup_vs_1 >= 1.5,
-            "aggregated 4-session speedup {:.2}x below the 1.5x floor",
+            "concurrent 4-session speedup {:.2}x below the 1.5x floor",
             four.speedup_vs_1
         );
-        println!("check mode: multi-tenant floors hold (isolation >= 0.3, live swaps > 0, 4-session agg >= 1.5x)");
+        println!(
+            "check mode: multi-tenant floors hold (isolation >= 0.3, live swaps > 0, 4 concurrent sessions >= 1.5x)"
+        );
     }
 }
 

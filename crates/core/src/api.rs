@@ -399,8 +399,8 @@ impl Estimator for CostEstimator {
         }
         // State first: a sub-plan whose state is cached costs a signature
         // walk and a lookup, and only the fringe above the cached states is
-        // featurized — trait-driven serving (catalog sessions, coalesced
-        // admission batches) shares the subtree-state cache across calls.
+        // featurized — trait-driven serving (catalog sessions) shares the
+        // subtree-state cache across calls.
         self.serving()
             .estimate_plans(plans)
             .into_iter()

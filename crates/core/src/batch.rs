@@ -56,13 +56,13 @@
 //! level loop and returns the same bits, so it is the oracle both head
 //! sweeps are tested against (and Table 12's one-by-one row).
 
-use crate::memory::{IdentityHasher, SubtreeState, SubtreeStateCache};
+use crate::memory::{SubtreeState, SubtreeStateCache};
 use crate::model::TreeModel;
 use crate::trainer::TargetNormalization;
 use featurize::{EncodedPlan, FeatureExtractor, NodeFeatures};
 use nn::cells::CellOutput;
 use nn::{Graph, NodeId, ParamStore};
-use query::PlanNode;
+use query::{IdentityHasher, PlanNode};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;

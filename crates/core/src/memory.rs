@@ -26,12 +26,13 @@
 //! relaxed atomics — statistics never take a lock on the hot path (the old
 //! implementation kept them in two separate `RwLock<u64>`s, two extra lock
 //! round-trips per lookup).  Keys are pre-mixed by the signature hasher's
-//! splitmix64 finalizer, so the shard maps use an identity hasher instead of
-//! re-hashing every `u64` through SipHash.
+//! splitmix64 finalizer, so the shard maps use [`query::IdentityHasher`]
+//! instead of re-hashing every `u64` through SipHash.
 
 use parking_lot::RwLock;
+use query::IdentityHasher;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -40,24 +41,6 @@ pub const NUM_SHARDS: usize = 16;
 
 /// Default per-shard entry cap (~256k entries across all shards).
 const DEFAULT_MAX_PER_SHARD: usize = 16 * 1024;
-
-/// Pass-through hasher for keys that are already well-mixed 64-bit hashes.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct IdentityHasher(u64);
-
-impl Hasher for IdentityHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("IdentityHasher is only for u64 keys");
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-}
 
 /// One cached value plus its insertion sequence number (shard-local,
 /// monotonically increasing) — the recency the eviction policy keeps.
@@ -322,7 +305,7 @@ const ENCODED_MAX_PER_SHARD: usize = 2 * 1024;
 /// Cache of memoized subtree *encodings* for the featurize front of the
 /// serving path — the encode-side sibling of [`SubtreeStateCache`].
 ///
-/// Keys are the memo keys of `FeatureExtractor::encode_plan_cached`
+/// Keys are the memo keys of `FeatureExtractor::encode_plans_cached`
 /// (structural signature mixed with the subtree's annotations), values the
 /// shared `Arc<EncodedPlan>`s; a hit returns the identical bits a fresh
 /// encode would produce, so the cache is purely a throughput device.

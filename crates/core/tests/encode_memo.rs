@@ -1,11 +1,11 @@
 //! Contract tests of the memoized featurization paths: signature-memoized
-//! `encode_plans` and the per-node operator memo behind `encode_plan` must
-//! be **bit-identical** to a fresh encode with the node memo switched off —
-//! cold memo and cache, warm, under eviction, and under concurrent sessions
-//! sharing one [`EncodedSubtreeCache`].
+//! `encode_plans_cached` and the per-node operator memo behind
+//! `encode_plan` must be **bit-identical** to a fresh encode with the node
+//! memo switched off — cold memo and cache, warm, under eviction, and under
+//! concurrent sessions sharing one [`EncodedSubtreeCache`].
 
 use estimator_core::EncodedSubtreeCache;
-use featurize::{EncodedPlan, EncodingConfig, FeatureExtractor};
+use featurize::{EncodedPlan, EncodingConfig, FeatureExtractor, LocalEncodeCache};
 use imdb::{generate_imdb, GeneratorConfig};
 use proptest::prelude::*;
 use query::PlanNode;
@@ -102,9 +102,11 @@ proptest! {
             prop_assert_eq!(w.as_ref(), f);
         }
 
-        // The allocation-local batch front door agrees too.
-        let local = fixture.fx.encode_plans(candidates);
-        prop_assert_eq!(&local, &fresh);
+        // A fresh cache per call agrees too.
+        let local = fixture.fx.encode_plans_cached(candidates, &LocalEncodeCache::new());
+        for (l, f) in local.iter().zip(&fresh) {
+            prop_assert_eq!(l.as_ref(), f);
+        }
 
         // Eviction can only cost re-encodes, never change results: a
         // one-entry-per-shard cache thrashes constantly and must still be

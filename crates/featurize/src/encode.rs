@@ -23,9 +23,8 @@
 //!   memoized features by `Arc`, so the sample-bitmap sweep — the single
 //!   most expensive encode step — runs once per distinct scan;
 //! * whole sub-plan encodings are memoized by structural signature through
-//!   any [`EncodedPlanCache`] ([`FeatureExtractor::encode_plan_cached`] /
-//!   [`FeatureExtractor::encode_plans`]), so DP enumeration encodes each
-//!   distinct subtree exactly once.
+//!   any [`EncodedPlanCache`] ([`FeatureExtractor::encode_plans_cached`]),
+//!   so DP enumeration encodes each distinct subtree exactly once.
 //!
 //! Every memoized path is **bit-identical** to a fresh encode (the node
 //! memo switched off with `use_bitmap_memo = false`): encoding is
@@ -36,9 +35,10 @@
 
 use crate::config::EncodingConfig;
 use imdb::Database;
-use query::{AtomPredicate, CompareOp, Operand, PhysicalOp, PlanNode, Predicate, SigHasher};
+use query::{AtomPredicate, CompareOp, IdentityHasher, Operand, PhysicalOp, PlanNode, Predicate, SigHasher};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::{Arc, Mutex, MutexGuard};
 use strembed::StringEncoder;
 
@@ -137,7 +137,7 @@ impl NodeFeatures {
 /// An encoded plan node: features, children and training targets.
 /// Features and children are held by `Arc`: every node that shares an
 /// operator shares one feature slab with the extractor's node memo, and
-/// memoized encoding ([`FeatureExtractor::encode_plan_cached`]) shares
+/// memoized encoding ([`FeatureExtractor::encode_plans_cached`]) shares
 /// cached subtrees instead of deep-copying them into every parent that
 /// reuses them — a `Clone` of an `EncodedPlan` is refcount bumps.  The
 /// sharing is safe because an encoded plan is immutable after construction.
@@ -168,13 +168,13 @@ impl EncodedPlan {
 }
 
 /// A pluggable cross-call cache of encoded subtrees, keyed by the memo key
-/// of [`FeatureExtractor::encode_plan_cached`] (structural signature mixed
+/// of [`FeatureExtractor::encode_plans_cached`] (structural signature mixed
 /// with the subtree's annotations).
 ///
 /// `featurize` sits below the crate that owns the production sharded cache,
 /// so the cache is injected through this trait: `estimator_core` implements
-/// it for its `EncodedSubtreeCache`, and [`LocalEncodeCache`] provides the
-/// in-batch dedup used by [`FeatureExtractor::encode_plans`].
+/// it for its `EncodedSubtreeCache`, and [`LocalEncodeCache`] is a plain
+/// cache for tests and profiles.
 pub trait EncodedPlanCache: Send + Sync {
     /// Cached encoding under `key`, if present.
     fn get(&self, key: u64) -> Option<Arc<EncodedPlan>>;
@@ -182,8 +182,8 @@ pub trait EncodedPlanCache: Send + Sync {
     fn insert(&self, key: u64, value: Arc<EncodedPlan>);
 }
 
-/// A plain mutex-guarded map cache: the in-batch dedup scope of
-/// [`FeatureExtractor::encode_plans`], or a cheap private cache for tests.
+/// A plain mutex-guarded map: a cheap [`EncodedPlanCache`] for tests and
+/// profiles.
 #[derive(Debug, Default)]
 pub struct LocalEncodeCache {
     map: Mutex<HashMap<u64, Arc<EncodedPlan>>>,
@@ -242,7 +242,8 @@ struct NodeMemo {
 /// lock, so a lookup touches no memory outside its shard.
 #[derive(Debug, Default)]
 struct NodeShard {
-    map: HashMap<u64, Arc<NodeFeatures>>,
+    /// Keys are finished [`SigHasher`] keys, so they hash as themselves.
+    map: HashMap<u64, Arc<NodeFeatures>, BuildHasherDefault<IdentityHasher>>,
     hits: u64,
     misses: u64,
 }
@@ -622,32 +623,18 @@ impl FeatureExtractor {
         }
     }
 
-    /// Memoized [`FeatureExtractor::encode_plan`]: each distinct subtree is
-    /// encoded at most once per cache, and a hit returns the shared
-    /// `Arc<EncodedPlan>` without touching the plan's nodes again.
+    /// Memoized [`FeatureExtractor::encode_plan`] of a batch against a
+    /// caller-owned cache (the serving layer passes its cross-call
+    /// `EncodedSubtreeCache` here): each distinct subtree is encoded at most
+    /// once per cache, across batches, sessions and rounds, and a hit
+    /// returns the shared `Arc<EncodedPlan>` without touching the plan's
+    /// nodes again.
     ///
     /// The memo key mixes the structural signature with the subtree's
     /// annotations (targets are part of an `EncodedPlan`), so structurally
     /// identical plans with different training targets never alias — the
     /// result is bit-identical to a fresh encode for *any* plan, annotated
     /// or not.
-    pub fn encode_plan_cached(&self, plan: &PlanNode, cache: &dyn EncodedPlanCache) -> Arc<EncodedPlan> {
-        let mut stack = Vec::new();
-        self.encode_cached_rec(plan, cache, &mut stack);
-        stack.pop().expect("encode_cached_rec pushes exactly one root entry").0
-    }
-
-    /// Encode a batch with in-batch signature dedup: subtrees shared across
-    /// (or repeated within) the batch are encoded once.  Bit-identical to
-    /// encoding each plan with [`FeatureExtractor::encode_plan`].
-    pub fn encode_plans(&self, plans: &[PlanNode]) -> Vec<EncodedPlan> {
-        let cache = LocalEncodeCache::new();
-        plans.iter().map(|p| EncodedPlan::clone(&self.encode_plan_cached(p, &cache))).collect()
-    }
-
-    /// [`FeatureExtractor::encode_plans`] against a caller-owned cache (the
-    /// serving layer passes its cross-call `EncodedSubtreeCache` here), so
-    /// dedup extends across batches, sessions and rounds.
     pub fn encode_plans_cached(&self, plans: &[PlanNode], cache: &dyn EncodedPlanCache) -> Vec<Arc<EncodedPlan>> {
         let mut stack = Vec::new();
         plans
@@ -950,12 +937,12 @@ mod tests {
         // Two identical plans plus one sharing only the scan subtrees.
         let plans = vec![executed_join(&db, 2000.0), executed_join(&db, 2000.0), executed_join(&db, 1980.0)];
         let fresh: Vec<EncodedPlan> = plans.iter().map(|p| fx.encode_plan(p)).collect();
-        let batched = fx.encode_plans(&plans);
-        assert_eq!(batched, fresh, "batched memoized encode must equal fresh per-plan encode");
-
-        // Through an explicit cache the two identical roots share one Arc.
         let cache = LocalEncodeCache::new();
         let arcs = fx.encode_plans_cached(&plans, &cache);
+        let batched: Vec<EncodedPlan> = arcs.iter().map(|a| EncodedPlan::clone(a)).collect();
+        assert_eq!(batched, fresh, "batched memoized encode must equal fresh per-plan encode");
+
+        // The two identical roots share one Arc.
         assert!(Arc::ptr_eq(&arcs[0], &arcs[1]), "identical plans must dedup to one cached encoding");
         assert!(!Arc::ptr_eq(&arcs[0], &arcs[2]));
         // 3 distinct subtrees per plan; the second is fully shared, the
@@ -982,8 +969,8 @@ mod tests {
         clear_annotations(&mut bare);
         assert_eq!(executed.signature_hash(), bare.signature_hash(), "twins must collide structurally");
         let cache = LocalEncodeCache::new();
-        let a = fx.encode_plan_cached(&executed, &cache);
-        let b = fx.encode_plan_cached(&bare, &cache);
+        let [a, b]: [Arc<EncodedPlan>; 2] =
+            fx.encode_plans_cached(&[executed, bare.clone()], &cache).try_into().expect("two plans in, two out");
         assert!(a.true_cost > 0.0);
         assert_eq!(b.true_cost, 0.0, "un-annotated twin must not inherit cached targets");
         assert_eq!(EncodedPlan::clone(&b), fx.encode_plan(&bare));

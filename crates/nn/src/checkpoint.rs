@@ -53,6 +53,8 @@ const MAX_STRING_LEN: u32 = 1 << 16;
 const MAX_TENSOR_LEN: u64 = 1 << 28;
 /// Upper bound on per-section element counts (params, vocab entries).
 const MAX_COUNT: u64 = 1 << 24;
+/// Bytes [`read_f32_vec`] reads and decodes per step.
+const READ_CHUNK_BYTES: usize = 64 * 1024;
 
 /// Why a checkpoint could not be written or read.
 ///
@@ -269,13 +271,29 @@ pub fn write_f32_slice(w: &mut impl Write, data: &[f32]) -> Result<(), Checkpoin
 }
 
 /// Read `len` little-endian `f32`s, bounding `len` against corrupt headers.
+///
+/// The payload is read and decoded a chunk at a time, and the output grows
+/// only as decoded scalars arrive, so a corrupt length over a short file
+/// fails with [`CheckpointError::Truncated`] having allocated about what the
+/// file holds, not the `len × 4` bytes it claims.
 pub fn read_f32_vec(r: &mut impl Read, len: u64, what: &'static str) -> Result<Vec<f32>, CheckpointError> {
     if len > MAX_TENSOR_LEN {
         return Err(CheckpointError::Corrupt(format!("{what} of {len} scalars exceeds the sanity bound")));
     }
-    let mut buf = vec![0u8; (len as usize) * 4];
-    read_exact(r, &mut buf, what)?;
-    Ok(buf.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
+    let len = len as usize;
+    let mut chunk = vec![0u8; (len * 4).min(READ_CHUNK_BYTES)];
+    let mut out: Vec<f32> = Vec::new();
+    while out.len() < len {
+        let bytes = &mut chunk[..(len - out.len()).min(READ_CHUNK_BYTES / 4) * 4];
+        read_exact(r, bytes, what)?;
+        let n = bytes.len() / 4;
+        // Double, but never past `len`: a loaded tensor keeps no spare capacity.
+        if out.capacity() - out.len() < n {
+            out.reserve_exact(out.len().max(n).min(len - out.len()));
+        }
+        out.extend(bytes.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])));
+    }
+    Ok(out)
 }
 
 /// Skip `len` bytes of a block this build reads but does not keep, without
@@ -350,6 +368,20 @@ mod tests {
         assert_eq!(v[0].to_bits(), 1.5f32.to_bits());
         assert_eq!(v[1].to_bits(), (-0.0f32).to_bits());
         assert_eq!(v[2].to_bits(), f32::MIN_POSITIVE.to_bits());
+    }
+
+    #[test]
+    fn multi_chunk_payloads_read_back_bit_exact() {
+        let data: Vec<f32> = (0..40_000u32).map(|i| f32::from_bits(i.wrapping_mul(0x9e37_79b9))).collect();
+        let mut buf = Vec::new();
+        write_f32_slice(&mut buf, &data).unwrap();
+        let back = read_f32_vec(&mut Cursor::new(&buf), data.len() as u64, "x").unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&data));
+        assert!(matches!(
+            read_f32_vec(&mut Cursor::new(&buf[..buf.len() - 4]), data.len() as u64, "x"),
+            Err(CheckpointError::Truncated { .. })
+        ));
     }
 
     #[test]

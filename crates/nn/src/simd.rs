@@ -334,8 +334,8 @@ pub fn pack_b_f32(b: &[f32], k: usize, n: usize, pack: &mut Vec<f32>) -> usize {
 /// element is the strict sequential fold `acc = fma(a[i][kk], b[kk][j], acc)`
 /// over ascending `kk` — each element a pure function of its own row/column,
 /// independent of `m`, `n`, lane position and row-block boundaries, which is
-/// what keeps subtree memoization and wave splitting bit-stable under
-/// changing batch composition.
+/// what keeps subtree memoization bit-stable under changing batch
+/// composition.
 pub fn gemm_f32(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -961,8 +961,8 @@ mod tests {
 
     /// Column independence of the dispatched GEMM: appending columns to `b`
     /// must not change the bits of the existing columns.  This is the
-    /// property that keeps subtree memoization and aggregator wave
-    /// splitting bit-stable as batch composition changes.
+    /// property that keeps subtree memoization bit-stable as batch
+    /// composition changes.
     #[test]
     fn gemm_f32_outputs_are_column_independent() {
         let (m, k) = (9usize, 21usize);

@@ -22,4 +22,4 @@ pub use like::like_match;
 pub use logical::{Aggregate, JoinPredicate, LogicalQuery, Projection};
 pub use plan::{PhysicalOp, PlanNode, PlanNodeId};
 pub use predicate::{AtomPredicate, CompareOp, Operand, Predicate};
-pub use sighash::SigHasher;
+pub use sighash::{IdentityHasher, SigHasher};

@@ -32,7 +32,8 @@
 //! every bit range must be well mixed, even between keys that differ in one
 //! tag byte; the finalizer gives each key a whole-word avalanche whatever
 //! the last fold left.  It runs once per key, so it costs one step per
-//! sub-plan, not one per write.
+//! sub-plan, not one per write.  The same avalanche lets every map keyed by
+//! finished keys use [`IdentityHasher`] instead of re-hashing each key.
 //!
 //! # Collision posture
 //!
@@ -44,6 +45,8 @@
 //! training).  `signature_collision_free_over_1e5_subplans` (in `plan.rs`)
 //! pins the posture in practice: ≥1e5 structurally distinct generated
 //! sub-plans must produce pairwise-distinct signatures.
+
+use std::hash::Hasher;
 
 /// Streaming word-at-a-time hasher with a splitmix64 finalizer.
 #[derive(Debug, Clone, Copy)]
@@ -154,6 +157,26 @@ impl SigHasher {
 impl Default for SigHasher {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Pass-through [`Hasher`] for maps keyed by finished [`SigHasher`] keys
+/// (`HashMap<u64, V, BuildHasherDefault<IdentityHasher>>`): the finalizer
+/// already mixed every bit range, so the key is its own hash.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdentityHasher(u64);
+
+impl Hasher for IdentityHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("IdentityHasher is only for u64 keys");
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
     }
 }
 

@@ -1,8 +1,7 @@
 //! The hot-swappable model catalog and tenant-scoped sessions.
 
-use crate::aggregate::BatchAggregator;
 use crate::feedback::{FeedbackConfig, TenantFeedback};
-use estimator_core::{CheckpointError, CostEstimator, Estimator, PlanEstimate};
+use estimator_core::{CheckpointError, CostEstimator, Estimator, PlanEstimate, ServingEstimator};
 use featurize::EncodedPlan;
 use parking_lot::RwLock;
 use query::PlanNode;
@@ -12,8 +11,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One catalog entry's backend: either the tree estimator (which brings the
-/// encoded fast path, the owned serving handle and the cross-session batch
-/// aggregator) or any other [`Estimator`] behind the generic trait.
+/// encoded fast path and the owned serving handle) or any other
+/// [`Estimator`] behind the generic trait.
 pub enum TenantBackend {
     /// The paper's tree model — full serving feature set.  Boxed: the tree
     /// estimator is an order of magnitude larger than a trait-object
@@ -46,8 +45,8 @@ impl TenantBackend {
 }
 
 /// One immutable published model: the backend, its generation number and —
-/// for fitted tree backends — the cross-session batch aggregator over an
-/// owned serving handle.  Sessions pin an `Arc<TenantModel>` per call; a
+/// for fitted tree backends — the owned serving handle minted at publish
+/// time.  Sessions pin an `Arc<TenantModel>` per call; a
 /// hot-swap replaces the tenant's slot with a new `TenantModel` and never
 /// mutates this one, so an in-flight batch completes on exactly the weights
 /// and caches it started with.
@@ -80,7 +79,8 @@ impl TenantModel {
         }
     }
 
-    /// The cross-session batch aggregator (fitted tree backends only).
+    /// The publish-time serving handle and its call count (fitted tree
+    /// backends only).
     pub fn aggregator(&self) -> Option<&BatchAggregator> {
         self.aggregator.as_ref()
     }
@@ -89,6 +89,49 @@ impl TenantModel {
     /// publish/hot-swap under the same name).
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+}
+
+/// A fitted tree model's publish-time [`ServingEstimator`] and the number of
+/// calls it served through [`Session::estimate_encoded`].  Each call runs on
+/// the caller's thread; nothing is queued or merged across sessions.
+///
+/// The `BatchAggregator`, [`WaveStats`] and [`TenantModel::aggregator`]
+/// names remain only because optbench reads them (`wave_stats().waves`);
+/// ROADMAP item 3's benchmark change deletes them.
+pub struct BatchAggregator {
+    serving: ServingEstimator,
+    waves: AtomicU64,
+}
+
+/// Call counts of one [`BatchAggregator`], monotonic since publish.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WaveStats {
+    /// Non-empty estimate calls served.
+    pub waves: u64,
+}
+
+impl BatchAggregator {
+    /// Wrap a fitted tree model's serving handle.
+    pub fn new(serving: ServingEstimator) -> Self {
+        BatchAggregator { serving, waves: AtomicU64::new(0) }
+    }
+
+    /// `(cost, cardinality)` for each plan, in order:
+    /// [`ServingEstimator::estimate_encoded_batch`] on the calling thread.
+    /// An empty slice returns an empty `Vec` and is not counted.
+    pub fn estimate(&self, plans: &[EncodedPlan]) -> Vec<(f64, f64)> {
+        if plans.is_empty() {
+            return Vec::new();
+        }
+        self.waves.fetch_add(1, Ordering::Relaxed);
+        let refs: Vec<&EncodedPlan> = plans.iter().collect();
+        self.serving.estimate_encoded_batch(&refs)
+    }
+
+    /// How many non-empty calls this handle served.
+    pub fn wave_stats(&self) -> WaveStats {
+        WaveStats { waves: self.waves.load(Ordering::Relaxed) }
     }
 }
 
@@ -287,10 +330,11 @@ impl Session {
         Some(model.estimator().estimate_many(plans))
     }
 
-    /// Tree-backend fast path: estimate already-encoded plans through the
-    /// tenant's cross-session batch aggregator (coalescing with concurrent
-    /// sessions of this tenant).  `None` when no model is published or the
-    /// backend is not a fitted tree estimator.
+    /// Tree-backend fast path: estimate already-encoded plans with the
+    /// pinned model's [`ServingEstimator::estimate_encoded_batch`], on the
+    /// calling thread, then record them for feedback when capture is on.
+    /// `None` when no model is published or the backend is not a fitted tree
+    /// estimator.
     ///
     /// Encoded plans are tied to the feature vocabulary they were encoded
     /// under; across a hot-swap of a model with the *same* vocabulary
@@ -595,6 +639,100 @@ mod tests {
         let s = catalog.session("m").expect("m");
         assert!(s.estimate_encoded(&encoded).is_none());
         assert!(s.estimate_plans(&plans).is_none());
+    }
+
+    fn estimate_bits(estimates: &[(f64, f64)]) -> Vec<(u64, u64)> {
+        estimates.iter().map(|(cost, card)| (cost.to_bits(), card.to_bits())).collect()
+    }
+
+    /// A fitted tree model published as tenant `t`, with 24 executed plans
+    /// encoded by its extractor and their fresh level-batch estimates.
+    struct Served {
+        db: Arc<imdb::Database>,
+        catalog: ModelCatalog,
+        plans: Vec<PlanNode>,
+        encoded: Vec<EncodedPlan>,
+        expected: Vec<(f64, f64)>,
+    }
+
+    fn served_tree() -> Served {
+        let db = Arc::new(generate_imdb(GeneratorConfig::tiny()));
+        let plans = executed_plans(&db, 24);
+        let mut est = make_estimator(&db, 3);
+        est.fit(&plans);
+        let encoded: Vec<EncodedPlan> = plans.iter().map(|p| est.encode(p)).collect();
+        let expected = est.estimate_encoded_batch(&encoded);
+        let catalog = ModelCatalog::new();
+        catalog.publish("t", TenantBackend::tree(est));
+        Served { db, catalog, plans, encoded, expected }
+    }
+
+    /// Non-empty `estimate_encoded` calls the tenant's current model served.
+    fn served_calls(catalog: &ModelCatalog) -> u64 {
+        catalog.current("t").and_then(|m| m.aggregator().map(|a| a.wave_stats().waves)).expect("fitted tree tenant")
+    }
+
+    #[test]
+    fn estimate_encoded_matches_the_serving_handle_bit_for_bit() {
+        let Served { catalog, encoded, expected, .. } = served_tree();
+        let session = catalog.session("t").expect("t");
+        // The session's call runs first, on a cold cache.
+        let served = session.estimate_encoded(&encoded).expect("fitted tree serves");
+        let model = session.model().expect("published");
+        let refs: Vec<&EncodedPlan> = encoded.iter().collect();
+        let direct = model.tree().expect("tree").serving().estimate_encoded_batch(&refs);
+        assert_eq!(estimate_bits(&served), estimate_bits(&direct));
+        assert_eq!(estimate_bits(&served), estimate_bits(&expected));
+        assert_eq!(served_calls(&catalog), 1);
+        // An empty call is served but not counted.
+        assert_eq!(session.estimate_encoded(&[]), Some(vec![]));
+        assert_eq!(served_calls(&catalog), 1);
+    }
+
+    #[test]
+    fn concurrent_sessions_each_get_their_own_rows() {
+        let Served { catalog, encoded, expected, .. } = served_tree();
+        // Eight sessions, each repeatedly asking for its own window of the
+        // plans; every response must be that window's rows.
+        std::thread::scope(|scope| {
+            for window in 0..8usize {
+                let session = catalog.session("t").expect("t");
+                let (encoded, expected) = (&encoded, &expected);
+                scope.spawn(move || {
+                    let rows = window * 3..window * 3 + 3;
+                    for _ in 0..20 {
+                        let got = session.estimate_encoded(&encoded[rows.clone()]).expect("fitted tree serves");
+                        assert_eq!(
+                            estimate_bits(&got),
+                            estimate_bits(&expected[rows.clone()]),
+                            "session {window} got another window's rows"
+                        );
+                    }
+                });
+            }
+        });
+        assert_eq!(served_calls(&catalog), 8 * 20);
+    }
+
+    #[test]
+    fn a_panicking_call_leaves_the_session_serving() {
+        let Served { db, catalog, plans, encoded, expected } = served_tree();
+        // The model was fitted on 32 sample bits; plans encoded with 64 make
+        // the first level's embedding panic, as long as the cache is cold (a
+        // warm cache would serve their signatures without embedding).
+        let wide = FeatureExtractor::new(
+            db.clone(),
+            EncodingConfig::from_database(&db, 8, 64),
+            Arc::new(HashBitmapEncoder::new(8)),
+        );
+        let malformed: Vec<EncodedPlan> = plans.iter().map(|p| wide.encode_plan(p)).collect();
+        let session = catalog.session("t").expect("t");
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.estimate_encoded(&malformed)));
+        assert!(failed.is_err(), "mis-encoded plans must panic on a cold cache");
+        let served = session.estimate_encoded(&encoded).expect("fitted tree serves");
+        assert_eq!(estimate_bits(&served), estimate_bits(&expected));
+        // Both calls count, the one that panicked included.
+        assert_eq!(served_calls(&catalog), 2);
     }
 
     #[test]

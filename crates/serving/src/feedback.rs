@@ -85,8 +85,8 @@ impl FeedbackLog {
 
     #[inline]
     fn shard_of(&self, signature: u64) -> &Mutex<LogShard> {
-        // High bits: the low bits already pick registry/cache shards
-        // elsewhere, and xor-folding keeps cheap signatures well spread.
+        // Bits 0–2 xor bits 32–34, the same fold as the plan registry's; the
+        // sharded caches pick their shards from bits 32–35.
         let idx = ((signature >> 32) ^ signature) as usize & (LOG_SHARDS - 1);
         &self.shards[idx]
     }

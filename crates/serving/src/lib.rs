@@ -2,7 +2,7 @@
 //!
 //! One process, many trained models, many concurrent optimizer sessions —
 //! the production posture the paper's estimator needs inside a real
-//! database.  Three pieces:
+//! database.  Two pieces:
 //!
 //! * [`ModelCatalog`] — a named catalog of checkpoint-loaded backends (any
 //!   [`estimator_core::Estimator`]).  Publishing a new model under an
@@ -16,13 +16,12 @@
 //! * [`Session`] — a tenant-scoped client handle.  Every estimate call
 //!   pins the tenant's current model generation, so a session observes a
 //!   hot-swap at its next call boundary while the batch it already
-//!   submitted completes on the old weights.
-//! * [`BatchAggregator`] — the admission layer: estimate requests arriving
-//!   concurrently from sessions of the **same** tenant are coalesced into
-//!   one level-batched, subtree-memoized inference call
-//!   ([`estimator_core::ServingEstimator::estimate_encoded_batch`]),
-//!   amortizing the blocked matmuls across sessions the way level batching
-//!   amortizes them within one.
+//!   submitted completes on the old weights.  The call runs on the
+//!   caller's thread through the pinned model's
+//!   [`estimator_core::ServingEstimator`]: concurrent sessions of one
+//!   tenant are never merged into one batch, and they share work only
+//!   through the model's sharded subtree-state cache (the paper's
+//!   representation memory pool).
 //!
 //! Ownership is the load-bearing design: `CostEstimator::serving()` hands
 //! out an *owned* `ServingEstimator` (model + cache behind `Arc`s), so a
@@ -41,12 +40,10 @@
 //! replica and republishes it through the catalog's ordinary zero-downtime
 //! hot-swap.
 
-mod aggregate;
 mod catalog;
 mod feedback;
 mod refresh;
 
-pub use aggregate::{BatchAggregator, WaveStats};
-pub use catalog::{BackendFactory, ModelCatalog, Session, TenantBackend, TenantModel};
+pub use catalog::{BackendFactory, BatchAggregator, ModelCatalog, Session, TenantBackend, TenantModel, WaveStats};
 pub use feedback::{FeedbackConfig, FeedbackLog, FeedbackRecord, PlanRegistry, TenantFeedback};
 pub use refresh::{RefreshConfig, RefreshController, RefreshOutcome};

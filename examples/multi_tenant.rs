@@ -106,8 +106,8 @@ fn main() {
         east_batches.load(Ordering::Relaxed)
     );
 
-    // 4. The same-tenant admission layer: concurrent sessions of region_west
-    //    coalesce into shared batched inference calls.
+    // 4. Concurrent sessions of one tenant: each call runs on its session's
+    //    own thread against the pinned model, sharing its subtree-state cache.
     let encoded: Vec<_> = {
         let session = catalog.session("region_west").expect("region_west");
         plans[..10].iter().map(|p| session.encode(p).expect("tree tenant encodes")).collect()
@@ -121,12 +121,12 @@ fn main() {
             scope.spawn(move || {
                 for _ in 0..10 {
                     let got = session.estimate_encoded(encoded).expect("west serves encoded");
-                    assert_eq!(&got, direct, "aggregated estimates must be bit-identical");
+                    assert_eq!(&got, direct, "concurrent sessions' estimates must be bit-identical");
                 }
             });
         }
     });
-    println!("4 concurrent west sessions served coalesced batches, all bit-identical");
+    println!("4 concurrent west sessions served from the shared cache, all bit-identical");
     let _ = std::fs::remove_file(&ckpt);
     println!("demo OK");
 }

@@ -61,8 +61,8 @@ pub mod prelude {
     pub use pgest::TraditionalEstimator;
     pub use query::{CompareOp, JoinPredicate, LogicalQuery, Operand, PhysicalOp, PlanNode, Predicate};
     pub use serving::{
-        BatchAggregator, FeedbackConfig, FeedbackLog, ModelCatalog, PlanRegistry, RefreshConfig, RefreshController,
-        RefreshOutcome, Session, TenantBackend, TenantFeedback,
+        FeedbackConfig, FeedbackLog, ModelCatalog, PlanRegistry, RefreshConfig, RefreshController, RefreshOutcome,
+        Session, TenantBackend, TenantFeedback,
     };
     pub use strembed::{build_string_encoder, EmbedderConfig, HashBitmapEncoder, StringEncoding};
     pub use workloads::{

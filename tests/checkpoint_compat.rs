@@ -160,7 +160,7 @@ fn v3_reader_loads_v2_tree_golden_checkpoint_bit_identically() {
 }
 
 #[test]
-fn v3_golden_checkpoint_restores_both_precision_tiers_bit_identically() {
+fn v3_golden_checkpoint_restores_f32_estimates_bit_identically() {
     let db = golden_db();
     let plans = golden_plans(&db, 3);
     let mut est = golden_tree_estimator(&db);
