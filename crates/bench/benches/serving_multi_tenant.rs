@@ -19,12 +19,14 @@
 //! * **Concurrent-session throughput** — 1 vs 4 sessions of the *same*
 //!   tenant streaming a DP enumeration through `Session::estimate_encoded`,
 //!   each on its own thread, sharing the model's sharded subtree-state
-//!   cache; aggregate plans/s and speedup vs one session.
+//!   cache; aggregate plans/s and speedup vs one session, timed as
+//!   interleaved 1-vs-4-session pairs ([`bench::paired_ratio`]).
 //!
 //! With `E2E_CHECK` set, floors are asserted: isolation ratio ≥ 0.3 and
-//! 4 concurrent sessions ≥ 1.5x one session.
+//! 4 concurrent sessions ≥ 1.5x one session (the median of the per-pair
+//! ratios).
 
-use bench::{time_reps, Pipeline};
+use bench::{paired_ratio, time_reps, Pipeline};
 use estimator_core::{PredicateModelKind, RepresentationCellKind, TaskMode};
 use featurize::EncodedPlan;
 use query::PlanNode;
@@ -191,44 +193,44 @@ fn main() {
     // --- Concurrent-session throughput: 1 vs 4 sessions of tenant_a. ---
     let sa = catalog.session("tenant_a").expect("tenant_a");
     let expected_first = sa.estimate_encoded(&encoded[0]).expect("tenant_a serves");
-    struct SessionRow {
-        sessions: usize,
-        aggregate_plans_per_sec: f64,
-        speedup_vs_1: f64,
-    }
-    let mut session_rows: Vec<SessionRow> = Vec::new();
-    for sessions in [1usize, 4] {
-        let secs = time_reps(
-            reps,
-            || {
-                // Fresh subtree cache per measurement: swap in a fresh model
-                // so the 4-session run cannot ride the 1-session run's warm
-                // cache.
-                catalog.install_checkpoint("tenant_a", &ckpt).expect("reset tenant_a");
-            },
-            || {
-                std::thread::scope(|scope| {
-                    for t in 0..sessions {
-                        let session = catalog.session("tenant_a").expect("tenant_a");
-                        let encoded = &encoded;
-                        let offset = t * encoded.len() / sessions;
-                        scope.spawn(move || {
-                            for _ in 0..rounds {
-                                for i in 0..encoded.len() {
-                                    let q = &encoded[(i + offset) % encoded.len()];
-                                    session.estimate_encoded(q).expect("tenant_a serves");
-                                }
-                            }
-                        });
+    let run_sessions = |sessions: usize| {
+        std::thread::scope(|scope| {
+            for t in 0..sessions {
+                let session = catalog.session("tenant_a").expect("tenant_a");
+                let encoded = &encoded;
+                let offset = t * encoded.len() / sessions;
+                scope.spawn(move || {
+                    for _ in 0..rounds {
+                        for i in 0..encoded.len() {
+                            let q = &encoded[(i + offset) % encoded.len()];
+                            session.estimate_encoded(q).expect("tenant_a serves");
+                        }
                     }
                 });
-            },
-        );
-        let aggregate = (sessions * plans_per_session) as f64 / secs;
-        let speedup = session_rows.first().map(|base| aggregate / base.aggregate_plans_per_sec).unwrap_or(1.0);
-        println!("{sessions} concurrent session(s): {aggregate:>12.1} plans/s aggregate   ({speedup:.2}x vs 1)");
-        session_rows.push(SessionRow { sessions, aggregate_plans_per_sec: aggregate, speedup_vs_1: speedup });
-    }
+            }
+        });
+    };
+    // 1 vs 4 sessions timed in interleaved pairs; the speedup is the median
+    // of the per-pair throughput ratios.
+    let speedup = paired_ratio(
+        reps,
+        || {
+            // Fresh subtree cache per measurement: swap in a fresh model
+            // so neither side rides the other's warm cache.
+            catalog.install_checkpoint("tenant_a", &ckpt).expect("reset tenant_a");
+        },
+        || run_sessions(1),
+        || run_sessions(4),
+    )
+    .scaled(4.0);
+    let one_rate = plans_per_session as f64 / speedup.best_a;
+    let four_rate = (4 * plans_per_session) as f64 / speedup.best_b;
+    println!("1 concurrent session(s): {one_rate:>12.1} plans/s");
+    println!(
+        "4 concurrent session(s): {four_rate:>12.1} plans/s aggregate   ({:.2}x vs 1, paired median; range \
+         {:.2}-{:.2}x)",
+        speedup.median, speedup.min, speedup.max
+    );
     // Every reinstall loads the same checkpoint: the estimates must not move.
     assert_eq!(
         sa.estimate_encoded(&encoded[0]).expect("tenant_a serves"),
@@ -251,14 +253,18 @@ fn main() {
     let _ = writeln!(section, "      \"live_swaps_performed\": {swaps_done}");
     let _ = writeln!(section, "    }},");
     let _ = writeln!(section, "    \"concurrent_sessions\": [");
-    for (i, r) in session_rows.iter().enumerate() {
-        let comma = if i + 1 < session_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            section,
-            "      {{ \"sessions\": {}, \"aggregate_plans_per_sec\": {:.1}, \"speedup_vs_1\": {:.3} }}{comma}",
-            r.sessions, r.aggregate_plans_per_sec, r.speedup_vs_1
-        );
-    }
+    let _ = writeln!(
+        section,
+        "      {{ \"sessions\": 1, \"aggregate_plans_per_sec\": {one_rate:.1}, \"speedup_vs_1\": 1.000, \
+         \"speedup_vs_1_range\": [1.000, 1.000] }},"
+    );
+    let _ = writeln!(
+        section,
+        "      {{ \"sessions\": 4, \"aggregate_plans_per_sec\": {four_rate:.1}, \"speedup_vs_1\": {:.3}, \
+         \"speedup_vs_1_range\": {} }}",
+        speedup.median,
+        speedup.range_json()
+    );
     let _ = writeln!(section, "    ]");
     section.push_str("  }");
 
@@ -273,11 +279,10 @@ fn main() {
             "tenant_b throughput ratio {isolation_ratio:.2} during tenant_a hot-swaps below the 0.3 stall floor"
         );
         assert!(swaps_done >= 1, "no live hot-swap completed during tenant_b's measurement window");
-        let four = session_rows.iter().find(|r| r.sessions == 4).expect("4-session row");
         assert!(
-            four.speedup_vs_1 >= 1.5,
-            "concurrent 4-session speedup {:.2}x below the 1.5x floor",
-            four.speedup_vs_1
+            speedup.median >= 1.5,
+            "concurrent 4-session speedup {:.2}x (paired median) below the 1.5x floor",
+            speedup.median
         );
         println!(
             "check mode: multi-tenant floors hold (isolation >= 0.3, live swaps > 0, 4 concurrent sessions >= 1.5x)"

@@ -7,17 +7,20 @@
 //! `E2E_BENCH_OUT` or the current directory) recording plans/sec for each
 //! path plus, per tree model, the headline speed-up `batch_vs_per_node` —
 //! level-batched vs. one-plan-at-a-time inference (the paper's Table-12
-//! comparison), both on the inference tape — and the batch row's mean
-//! cardinality q-error (`mean_qerr`).
+//! comparison), both on the inference tape, as the median of at least five
+//! interleaved per-node/batch pairs with the pairs' range beside it
+//! ([`bench::paired_ratio`]) — and the batch row's mean cardinality
+//! q-error (`mean_qerr`).
 //!
 //! The harness runs at full database scale by default (`E2E_SCALE=1`):
 //! ground truth goes through the counting executor, which never
 //! materializes join tuples, so skewed star joins no longer force a scale
 //! cap.  With `E2E_CHECK` set, the harness additionally asserts the
-//! regression floor (`batch_vs_per_node >= 5`) and exits non-zero when it
-//! is violated — the mode CI's full-scale smoke job runs in.
+//! regression floor (paired-median `batch_vs_per_node >= 5`) and exits
+//! non-zero when it is violated — the mode CI's full-scale smoke job runs
+//! in.
 
-use bench::{time_reps, Pipeline};
+use bench::{paired_ratio, time_reps, Pipeline};
 use estimator_core::{PredicateModelKind, RepresentationCellKind, TaskMode};
 use mscn::{MscnConfig, MscnFeaturizer, MscnModel, MscnTrainer};
 use pgest::TraditionalEstimator;
@@ -116,7 +119,9 @@ fn main() {
             Some(StringEncoding::EmbedRule),
             true,
         );
-        let per_node = time_reps(
+        // Per-node and batched passes timed as interleaved pairs: the rows
+        // report each side's best pass, the floor gates the median ratio.
+        let vs_per_node = paired_ratio(
             reps,
             || (),
             || {
@@ -124,16 +129,12 @@ fn main() {
                     est.estimate_encoded(plan);
                 }
             },
-        );
-        report(&mut rows, label, per_node, n);
-        let batched = time_reps(
-            reps,
-            || (),
             || {
                 est.estimate_encoded_batch(&test_encoded);
             },
         );
-        report(&mut rows, &format!("{label}Batch"), batched, n);
+        report(&mut rows, label, vs_per_node.best_a, n);
+        report(&mut rows, &format!("{label}Batch"), vs_per_node.best_b, n);
         let errs: Vec<f64> = est
             .estimate_encoded_batch(&test_encoded)
             .iter()
@@ -143,17 +144,21 @@ fn main() {
             .collect();
         let mean_qerr = errs.iter().sum::<f64>() / errs.len().max(1) as f64;
 
-        let vs_per_node = per_node / batched;
-        floor_checks.push((label.to_string(), vs_per_node));
-        println!("{label}: batch is {vs_per_node:.1}x per-node");
+        floor_checks.push((label.to_string(), vs_per_node.median));
+        println!(
+            "{label}: batch is {:.1}x per-node (paired median; range {:.1}-{:.1}x)",
+            vs_per_node.median, vs_per_node.min, vs_per_node.max
+        );
         if !speedups.is_empty() {
             speedups.push(',');
         }
         let _ = write!(
             speedups,
-            "\n    \"{}\": {{ \"batch_vs_per_node\": {:.3}, \"mean_qerr\": {:.4} }}",
+            "\n    \"{}\": {{ \"batch_vs_per_node\": {:.3}, \"batch_vs_per_node_range\": {}, \
+             \"mean_qerr\": {:.4} }}",
             label.to_lowercase(),
-            vs_per_node,
+            vs_per_node.median,
+            vs_per_node.range_json(),
             mean_qerr
         );
     }

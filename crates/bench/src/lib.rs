@@ -40,6 +40,80 @@ pub fn time_reps(reps: usize, mut before: impl FnMut(), mut f: impl FnMut()) -> 
     best
 }
 
+/// The fewest interleaved pairs [`paired_ratio`] times, whatever `reps`
+/// asks for: a median of five pairs no longer rests on one draw.
+pub const MIN_PAIRS: usize = 5;
+
+/// Per-pair time ratios of two workloads, from [`paired_ratio`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PairedRatio {
+    /// Median over pairs of `secs(a) / secs(b)`: the statistic a floor
+    /// gates.
+    pub median: f64,
+    /// Smallest per-pair ratio.
+    pub min: f64,
+    /// Largest per-pair ratio.
+    pub max: f64,
+    /// Fastest timed call of `a`.
+    pub best_a: f64,
+    /// Fastest timed call of `b`.
+    pub best_b: f64,
+}
+
+impl PairedRatio {
+    /// The ratios multiplied by `k` (e.g. a per-call work ratio, to turn
+    /// a time ratio into a throughput ratio); the best times are kept.
+    pub fn scaled(self, k: f64) -> Self {
+        PairedRatio { median: self.median * k, min: self.min * k, max: self.max * k, ..self }
+    }
+
+    /// `[min, max]` as a JSON array.
+    pub fn range_json(&self) -> String {
+        format!("[{:.3}, {:.3}]", self.min, self.max)
+    }
+}
+
+/// Time `a` against `b` as interleaved pairs and summarize the per-pair
+/// ratios `secs(a) / secs(b)`.
+///
+/// A ratio of two best-of-reps timings divides measurements taken at
+/// different moments, so host noise on either side moves it; each pair here
+/// times both sides back to back, alternating which goes first, and the
+/// median over `max(reps, MIN_PAIRS)` pairs is what a floor should gate.
+/// Every timed call follows an untimed call of the same side, so each side
+/// is timed in its own warm state (its tape pool sized for its own shapes),
+/// not in the state the other side left; `before` runs ahead of every call,
+/// outside the timed region, to reset shared state.
+pub fn paired_ratio(reps: usize, mut before: impl FnMut(), mut a: impl FnMut(), mut b: impl FnMut()) -> PairedRatio {
+    let mut timed = |f: &mut dyn FnMut()| {
+        before();
+        f();
+        before();
+        let start = std::time::Instant::now();
+        f();
+        start.elapsed().as_secs_f64()
+    };
+    let pairs = reps.max(MIN_PAIRS);
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    let mut ratios = Vec::with_capacity(pairs);
+    for i in 0..pairs {
+        let (secs_a, secs_b) = if i % 2 == 0 {
+            let secs_a = timed(&mut a);
+            (secs_a, timed(&mut b))
+        } else {
+            let secs_b = timed(&mut b);
+            (timed(&mut a), secs_b)
+        };
+        best_a = best_a.min(secs_a);
+        best_b = best_b.min(secs_b);
+        ratios.push(secs_a / secs_b);
+    }
+    ratios.sort_by(f64::total_cmp);
+    let mid = pairs / 2;
+    let median = if pairs % 2 == 1 { ratios[mid] } else { 0.5 * (ratios[mid - 1] + ratios[mid]) };
+    PairedRatio { median, min: ratios[0], max: ratios[pairs - 1], best_a, best_b }
+}
+
 /// Host capability metadata as a single-line JSON object — logical cpus,
 /// the raw runtime-detected SIMD feature set, and the **active dispatch
 /// tier**: `"simd_dispatch"` names what `nn::simd` actually selected for
@@ -227,6 +301,33 @@ mod tests {
             json.contains(&format!("\"simd_dispatch\": {{ \"f32\": \"{}\" }}", nn::simd::f32_path_name())),
             "simd_dispatch must name the active f32 tier and nothing else: {json}"
         );
+    }
+
+    #[test]
+    fn paired_ratio_times_at_least_five_interleaved_pairs() {
+        use std::cell::RefCell;
+        let order = RefCell::new(String::new());
+        let r = paired_ratio(
+            2,
+            || (),
+            || {
+                order.borrow_mut().push('a');
+                std::thread::sleep(std::time::Duration::from_millis(4));
+            },
+            || {
+                order.borrow_mut().push('b');
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            },
+        );
+        // Five pairs alternating which side goes first, each timed call
+        // after an untimed one of the same side.
+        assert_eq!(order.into_inner(), "aabbbbaaaabbbbaaaabb");
+        assert!(r.min <= r.median && r.median <= r.max, "{r:?}");
+        assert!(r.median > 1.0, "a sleeps longer than b: {r:?}");
+        assert!(r.best_a >= 0.004 && r.best_b >= 0.001, "{r:?}");
+        let doubled = r.scaled(2.0);
+        assert_eq!((doubled.median, doubled.min, doubled.max), (2.0 * r.median, 2.0 * r.min, 2.0 * r.max));
+        assert_eq!(doubled.best_a, r.best_a);
     }
 
     #[test]

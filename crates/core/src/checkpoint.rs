@@ -26,7 +26,7 @@ use nn::checkpoint as ckpt;
 use nn::checkpoint::CheckpointError;
 use nn::loss::NormalizationStats;
 use nn::ParamStore;
-use query::CompareOp;
+use query::{CompareOp, Name};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 
@@ -128,7 +128,7 @@ fn write_pos_map<W: Write, K: Ord>(
     Ok(())
 }
 
-fn write_pair_key<W: Write>(w: &mut W, k: &(String, String)) -> Result<(), CheckpointError> {
+fn write_pair_key<W: Write>(w: &mut W, k: &(Name, Name)) -> Result<(), CheckpointError> {
     ckpt::write_str(w, &k.0)?;
     ckpt::write_str(w, &k.1)
 }
@@ -236,12 +236,13 @@ pub(crate) fn skip_quant_block(r: &mut impl Read, params: &ParamStore) -> Result
     Ok(())
 }
 
-/// The vocabulary snapshot stored in a checkpoint.
+/// The vocabulary snapshot stored in a checkpoint; the names it reads are
+/// interned, like every other table and column name.
 pub struct VocabRecord {
-    table_pos: HashMap<String, usize>,
-    column_pos: HashMap<(String, String), usize>,
-    index_pos: HashMap<(String, String), usize>,
-    numeric_range: HashMap<(String, String), (f64, f64)>,
+    table_pos: HashMap<Name, usize>,
+    column_pos: HashMap<(Name, Name), usize>,
+    index_pos: HashMap<(Name, Name), usize>,
+    numeric_range: HashMap<(Name, Name), (f64, f64)>,
     string_dim: usize,
     sample_bits: usize,
     pub use_sample_bitmap: bool,
@@ -250,14 +251,14 @@ pub struct VocabRecord {
 pub fn read_vocab(r: &mut impl Read) -> Result<VocabRecord, CheckpointError> {
     let mut table_pos = HashMap::new();
     for _ in 0..ckpt::read_count(r, "table vocab count")? {
-        let name = ckpt::read_str(r, "table name")?;
+        let name = Name::from(ckpt::read_str(r, "table name")?);
         table_pos.insert(name, ckpt::read_u64(r, "table position")? as usize);
     }
-    let mut read_pair_map = |what: &'static str| -> Result<HashMap<(String, String), usize>, CheckpointError> {
+    let mut read_pair_map = |what: &'static str| -> Result<HashMap<(Name, Name), usize>, CheckpointError> {
         let mut map = HashMap::new();
         for _ in 0..ckpt::read_count(r, what)? {
-            let t = ckpt::read_str(r, "vocab table")?;
-            let c = ckpt::read_str(r, "vocab column")?;
+            let t = Name::from(ckpt::read_str(r, "vocab table")?);
+            let c = Name::from(ckpt::read_str(r, "vocab column")?);
             map.insert((t, c), ckpt::read_u64(r, "vocab position")? as usize);
         }
         Ok(map)
@@ -266,8 +267,8 @@ pub fn read_vocab(r: &mut impl Read) -> Result<VocabRecord, CheckpointError> {
     let index_pos = read_pair_map("index vocab count")?;
     let mut numeric_range = HashMap::new();
     for _ in 0..ckpt::read_count(r, "numeric range count")? {
-        let t = ckpt::read_str(r, "range table")?;
-        let c = ckpt::read_str(r, "range column")?;
+        let t = Name::from(ckpt::read_str(r, "range table")?);
+        let c = Name::from(ckpt::read_str(r, "range column")?);
         let lo = ckpt::read_f64(r, "range min")?;
         let hi = ckpt::read_f64(r, "range max")?;
         numeric_range.insert((t, c), (lo, hi));
@@ -359,7 +360,7 @@ mod tests {
         assert!(matches!(rec.verify(&enc, false), Err(CheckpointError::VocabMismatch(_))));
 
         let mut drifted = enc.clone();
-        let key = drifted.column_pos.keys().next().unwrap().clone();
+        let key = *drifted.column_pos.keys().next().unwrap();
         *drifted.column_pos.get_mut(&key).unwrap() += 1000;
         assert!(matches!(rec.verify(&drifted, true), Err(CheckpointError::VocabMismatch(_))));
 

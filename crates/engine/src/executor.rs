@@ -27,7 +27,7 @@
 
 use crate::cost::CostModel;
 use imdb::{Database, ValueRef};
-use query::{CompareOp, JoinPredicate, Operand, PhysicalOp, PlanNode, Predicate};
+use query::{CompareOp, JoinPredicate, Name, Operand, PhysicalOp, PlanNode, Predicate};
 use std::collections::{HashMap, HashSet};
 
 /// How plan execution produces intermediate cardinalities.
@@ -125,7 +125,7 @@ fn conjuncts(p: &Predicate) -> Vec<&Predicate> {
 /// The integer key of an equality conjunct `table.column = <int>` usable to
 /// probe the hash index on `column`.  Non-integral constants cannot match an
 /// integer column, so they are left to the filter path.
-fn index_probe_key(conjunct: &Predicate, table: &str, column: &str) -> Option<i64> {
+fn index_probe_key(conjunct: &Predicate, table: Name, column: Name) -> Option<i64> {
     let Predicate::Atom(a) = conjunct else { return None };
     if a.table != table || a.column != column || a.op != CompareOp::Eq {
         return None;
@@ -141,13 +141,13 @@ fn index_probe_key(conjunct: &Predicate, table: &str, column: &str) -> Option<i6
 /// Falls back to a full filter scan when no usable equality conjunct exists
 /// (e.g. the equality sits under an OR) — the result set is identical either
 /// way, only the access path differs.
-fn index_scan_rows(db: &Database, table: &str, index_column: &str, predicate: Option<&Predicate>) -> Vec<usize> {
-    let (Some(t), Some(index), Some(pred)) = (db.table(table), db.index(table, index_column), predicate) else {
-        return filter_rows(db, table, predicate);
+fn index_scan_rows(db: &Database, table: Name, index_column: Name, predicate: Option<&Predicate>) -> Vec<usize> {
+    let (Some(t), Some(index), Some(pred)) = (db.table(&table), db.index(&table, &index_column), predicate) else {
+        return filter_rows(db, &table, predicate);
     };
     let parts = conjuncts(pred);
     let Some(pos) = parts.iter().position(|c| index_probe_key(c, table, index_column).is_some()) else {
-        return filter_rows(db, table, predicate);
+        return filter_rows(db, &table, predicate);
     };
     let key = index_probe_key(parts[pos], table, index_column).expect("position checked");
     let residual: Vec<&Predicate> = parts.iter().enumerate().filter(|&(i, _)| i != pos).map(|(_, p)| *p).collect();
@@ -155,19 +155,19 @@ fn index_scan_rows(db: &Database, table: &str, index_column: &str, predicate: Op
 }
 
 /// Execute a scan operator: `(table, surviving rows, cost)`.
-fn exec_scan(db: &Database, op: &PhysicalOp, model: &CostModel) -> (String, Vec<usize>, f64) {
+fn exec_scan(db: &Database, op: &PhysicalOp, model: &CostModel) -> (Name, Vec<usize>, f64) {
     match op {
         PhysicalOp::SeqScan { table, predicate } => {
             let rows = filter_rows(db, table, predicate.as_ref());
             let n_atoms = predicate.as_ref().map(|p| p.num_atoms()).unwrap_or(0);
             let cost = model.seq_scan(db.table_rows(table) as f64, n_atoms);
-            (table.clone(), rows, cost)
+            (*table, rows, cost)
         }
         PhysicalOp::IndexScan { table, index_column, predicate } => {
-            let rows = index_scan_rows(db, table, index_column, predicate.as_ref());
+            let rows = index_scan_rows(db, *table, *index_column, predicate.as_ref());
             let n_atoms = predicate.as_ref().map(|p| p.num_atoms()).unwrap_or(0);
             let cost = model.index_scan(db.table_rows(table) as f64, rows.len() as f64, n_atoms);
-            (table.clone(), rows, cost)
+            (*table, rows, cost)
         }
         _ => unreachable!("exec_scan called on a non-scan operator"),
     }
@@ -192,10 +192,10 @@ fn join_cost(model: &CostModel, op: &PhysicalOp, l: f64, r: f64, o: f64, right_c
 /// join conditions applied so far.  `card` is the exact tuple count of the
 /// (never materialized) join result.
 struct CountRel {
-    tables: Vec<String>,
+    tables: Vec<Name>,
     sel: Vec<Vec<usize>>,
     /// Resolved join edges: `(table idx, column, table idx, column)`.
-    edges: Vec<(usize, String, usize, String)>,
+    edges: Vec<(usize, Name, usize, Name)>,
     card: f64,
     /// Set when a join condition could not be resolved against the bound
     /// tables (or an aggregate erased the tuple structure); every enclosing
@@ -209,10 +209,10 @@ struct CountRel {
 /// subtrees then always form a tree over the base tables, which is what the
 /// per-key count propagation requires.
 fn plan_is_countable(plan: &PlanNode) -> bool {
-    fn walk<'a>(node: &'a PlanNode, seen: &mut HashSet<&'a str>) -> bool {
+    fn walk(node: &PlanNode, seen: &mut HashSet<Name>) -> bool {
         match &node.op {
             PhysicalOp::SeqScan { table, .. } | PhysicalOp::IndexScan { table, .. } => {
-                node.children.is_empty() && seen.insert(table.as_str())
+                node.children.is_empty() && seen.insert(*table)
             }
             PhysicalOp::HashJoin { .. } | PhysicalOp::MergeJoin { .. } | PhysicalOp::NestedLoopJoin { .. } => {
                 node.children.len() == 2 && node.children.iter().all(|c| walk(c, seen))
@@ -237,10 +237,10 @@ fn count_join_tree(db: &Database, rel: &CountRel) -> f64 {
         return 0.0;
     }
     // Adjacency: (neighbor, own column, neighbor column).
-    let mut adj: Vec<Vec<(usize, &str, &str)>> = vec![Vec::new(); n];
-    for (ti, ci, tj, cj) in &rel.edges {
-        adj[*ti].push((*tj, ci.as_str(), cj.as_str()));
-        adj[*tj].push((*ti, cj.as_str(), ci.as_str()));
+    let mut adj: Vec<Vec<(usize, Name, Name)>> = vec![Vec::new(); n];
+    for &(ti, ci, tj, cj) in &rel.edges {
+        adj[ti].push((tj, ci, cj));
+        adj[tj].push((ti, cj, ci));
     }
     // BFS order from the root; the relation is connected by construction
     // (every join merges two disjoint subtrees with one edge).
@@ -274,13 +274,13 @@ fn count_join_tree(db: &Database, rel: &CountRel) -> f64 {
             }
             let w_child = weights[child].take().expect("each child folds exactly once");
             let mut by_key: HashMap<ValueRef<'_>, f64> = HashMap::new();
-            if let Some(col) = db.table(&rel.tables[child]).and_then(|tb| tb.column_by_name(child_col)) {
+            if let Some(col) = db.table(&rel.tables[child]).and_then(|tb| tb.column_by_name(&child_col)) {
                 for (i, &row) in rel.sel[child].iter().enumerate() {
                     *by_key.entry(col.value_ref(row)).or_insert(0.0) += w_child[i];
                 }
             }
             let w_t = weights[t].as_mut().expect("parent folds after its children");
-            match db.table(&rel.tables[t]).and_then(|tb| tb.column_by_name(own_col)) {
+            match db.table(&rel.tables[t]).and_then(|tb| tb.column_by_name(&own_col)) {
                 Some(col) => {
                     for (i, &row) in rel.sel[t].iter().enumerate() {
                         w_t[i] *= by_key.get(&col.value_ref(row)).copied().unwrap_or(0.0);
@@ -305,7 +305,7 @@ fn exec_count(db: &Database, node: &mut PlanNode, model: &CostModel) -> (CountRe
         PhysicalOp::HashJoin { condition }
         | PhysicalOp::MergeJoin { condition }
         | PhysicalOp::NestedLoopJoin { condition } => {
-            let condition = condition.clone();
+            let condition = *condition;
             let op_kind = node.op.clone();
             assert_eq!(node.children.len(), 2, "join node must have two children");
             let (left, left_cost) = exec_count(db, &mut node.children[0], model);
@@ -359,12 +359,12 @@ fn merge_count_rels(left: CountRel, right: CountRel, condition: &JoinPredicate) 
     let mut edges = left.edges;
     edges.extend(right.edges.into_iter().map(|(ti, ci, tj, cj)| (ti + offset, ci, tj + offset, cj)));
 
-    let in_left = |t: &str| tables[..offset].iter().position(|x| x == t);
-    let in_right = |t: &str| tables[offset..].iter().position(|x| x == t).map(|p| p + offset);
-    let oriented = match (in_left(&condition.left_table), in_right(&condition.right_table)) {
-        (Some(li), Some(ri)) => Some((li, condition.left_column.clone(), ri, condition.right_column.clone())),
-        _ => match (in_left(&condition.right_table), in_right(&condition.left_table)) {
-            (Some(li), Some(ri)) => Some((li, condition.right_column.clone(), ri, condition.left_column.clone())),
+    let in_left = |t: Name| tables[..offset].iter().position(|&x| x == t);
+    let in_right = |t: Name| tables[offset..].iter().position(|&x| x == t).map(|p| p + offset);
+    let oriented = match (in_left(condition.left_table), in_right(condition.right_table)) {
+        (Some(li), Some(ri)) => Some((li, condition.left_column, ri, condition.right_column)),
+        _ => match (in_left(condition.right_table), in_right(condition.left_table)) {
+            (Some(li), Some(ri)) => Some((li, condition.right_column, ri, condition.left_column)),
             _ => None,
         },
     };
@@ -383,7 +383,7 @@ fn merge_count_rels(left: CountRel, right: CountRel, condition: &JoinPredicate) 
 /// A materialized intermediate relation in columnar form: `cols[t][i]` is
 /// the base-table row id of table `tables[t]` in output tuple `i`.
 struct MatRel {
-    tables: Vec<String>,
+    tables: Vec<Name>,
     cols: Vec<Vec<usize>>,
     len: usize,
 }
@@ -398,7 +398,7 @@ fn exec_materialize(db: &Database, node: &mut PlanNode, model: &CostModel) -> (M
         PhysicalOp::HashJoin { condition }
         | PhysicalOp::MergeJoin { condition }
         | PhysicalOp::NestedLoopJoin { condition } => {
-            let condition = condition.clone();
+            let condition = *condition;
             let op_kind = node.op.clone();
             assert_eq!(node.children.len(), 2, "join node must have two children");
             let (left, left_cost) = exec_materialize(db, &mut node.children[0], model);
@@ -407,9 +407,9 @@ fn exec_materialize(db: &Database, node: &mut PlanNode, model: &CostModel) -> (M
             // Determine which side holds which join column (as the original
             // executor did: orientation follows the left child).
             let (build_tab, build_col, probe_tab, probe_col) = if left.tables.contains(&condition.left_table) {
-                (&condition.left_table, &condition.left_column, &condition.right_table, &condition.right_column)
+                (condition.left_table, condition.left_column, condition.right_table, condition.right_column)
             } else {
-                (&condition.right_table, &condition.right_column, &condition.left_table, &condition.left_column)
+                (condition.right_table, condition.right_column, condition.left_table, condition.left_column)
             };
 
             // Build on the left child, probe with the right; keys borrow
@@ -418,8 +418,8 @@ fn exec_materialize(db: &Database, node: &mut PlanNode, model: &CostModel) -> (M
             let build_side = left
                 .tables
                 .iter()
-                .position(|t| t == build_tab)
-                .and_then(|p| db.table(build_tab).and_then(|t| t.column_by_name(build_col)).map(|c| (p, c)));
+                .position(|&t| t == build_tab)
+                .and_then(|p| db.table(&build_tab).and_then(|t| t.column_by_name(&build_col)).map(|c| (p, c)));
             if let Some((pos, col)) = build_side {
                 for (i, &row) in left.cols[pos].iter().enumerate() {
                     build.entry(col.value_ref(row)).or_default().push(i);
@@ -430,8 +430,8 @@ fn exec_materialize(db: &Database, node: &mut PlanNode, model: &CostModel) -> (M
             let probe_side = right
                 .tables
                 .iter()
-                .position(|t| t == probe_tab)
-                .and_then(|p| db.table(probe_tab).and_then(|t| t.column_by_name(probe_col)).map(|c| (p, c)));
+                .position(|&t| t == probe_tab)
+                .and_then(|p| db.table(&probe_tab).and_then(|t| t.column_by_name(&probe_col)).map(|c| (p, c)));
             if let Some((pos, col)) = probe_side {
                 for (j, &row) in right.cols[pos].iter().enumerate() {
                     if let Some(matches) = build.get(&col.value_ref(row)) {
@@ -480,7 +480,7 @@ fn exec_materialize(db: &Database, node: &mut PlanNode, model: &CostModel) -> (M
 mod tests {
     use super::*;
     use imdb::{generate_imdb, GeneratorConfig};
-    use query::{CompareOp, JoinPredicate, Operand, PhysicalOp, PlanNode, Predicate};
+    use query::{CompareOp, JoinPredicate, Name, Operand, PhysicalOp, PlanNode, Predicate};
 
     fn db() -> Database {
         generate_imdb(GeneratorConfig::tiny())
@@ -708,30 +708,26 @@ mod tests {
             let mut shuffled = edges.clone();
             shuffled.shuffle(&mut rng);
             let n_joins = rng.gen_range(0..=4usize);
-            let mut tables: Vec<String> = Vec::new();
+            let mut tables: Vec<Name> = Vec::new();
             let mut joins: Vec<JoinPredicate> = Vec::new();
             if n_joins == 0 {
-                tables.push(
-                    ["title", "movie_companies", "movie_info", "cast_info"]
-                        .choose(&mut rng)
-                        .expect("non-empty")
-                        .to_string(),
-                );
+                tables.push(Name::new(
+                    ["title", "movie_companies", "movie_info", "cast_info"].choose(&mut rng).expect("non-empty"),
+                ));
             } else {
-                tables.push(shuffled[0].left_table.clone());
-                tables.push(shuffled[0].right_table.clone());
-                joins.push(shuffled[0].clone());
+                tables.push(shuffled[0].left_table);
+                tables.push(shuffled[0].right_table);
+                joins.push(shuffled[0]);
                 while joins.len() < n_joins {
                     let next =
                         shuffled.iter().find(|e| tables.contains(&e.left_table) != tables.contains(&e.right_table));
                     match next {
-                        Some(e) => {
-                            let e = e.clone();
+                        Some(&e) => {
                             if !tables.contains(&e.left_table) {
-                                tables.push(e.left_table.clone());
+                                tables.push(e.left_table);
                             }
                             if !tables.contains(&e.right_table) {
-                                tables.push(e.right_table.clone());
+                                tables.push(e.right_table);
                             }
                             joins.push(e);
                         }
@@ -742,13 +738,13 @@ mod tests {
             // Random predicates: numeric ranges on year-ish columns plus an
             // occasional string LIKE.
             let mut filters = std::collections::HashMap::new();
-            for t in &tables {
-                if *t == "title" && rng.gen_bool(0.7) {
+            for &t in &tables {
+                if t == "title" && rng.gen_bool(0.7) {
                     let year = rng.gen_range(1940..2015) as f64;
                     let op = *[CompareOp::Gt, CompareOp::Lt, CompareOp::Ne].choose(&mut rng).expect("ops");
-                    filters.insert(t.clone(), Predicate::atom("title", "production_year", op, Operand::Num(year)));
+                    filters.insert(t, Predicate::atom("title", "production_year", op, Operand::Num(year)));
                 }
-                if *t == "movie_companies" && rng.gen_bool(0.5) {
+                if t == "movie_companies" && rng.gen_bool(0.5) {
                     let p = Predicate::atom(
                         "movie_companies",
                         "company_type_id",
@@ -765,7 +761,7 @@ mod tests {
                     } else {
                         p
                     };
-                    filters.insert(t.clone(), p);
+                    filters.insert(t, p);
                 }
             }
             let query = query::LogicalQuery { projections: vec![], tables: tables.clone(), joins, filters };

@@ -10,7 +10,7 @@
 //! come out, exactly as in the paper.
 
 use imdb::Database;
-use query::{CompareOp, JoinPredicate, LogicalQuery, PhysicalOp, PlanNode, Predicate};
+use query::{CompareOp, JoinPredicate, LogicalQuery, Name, PhysicalOp, PlanNode, Predicate};
 
 /// Planner tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -32,8 +32,8 @@ impl Default for PlannerConfig {
 }
 
 /// Rough cardinality guess for a scan of `table` under `filter`.
-fn guess_scan_rows(db: &Database, table: &str, filter: Option<&Predicate>, cfg: &PlannerConfig) -> f64 {
-    let rows = db.table_rows(table) as f64;
+fn guess_scan_rows(db: &Database, table: Name, filter: Option<&Predicate>, cfg: &PlannerConfig) -> f64 {
+    let rows = db.table_rows(&table) as f64;
     match filter {
         None => rows,
         Some(p) => {
@@ -45,14 +45,14 @@ fn guess_scan_rows(db: &Database, table: &str, filter: Option<&Predicate>, cfg: 
 
 /// True when the filter contains an equality atom on an indexed column of
 /// the table (the case where an index scan is chosen).
-fn equality_on_indexed_column(db: &Database, table: &str, filter: Option<&Predicate>) -> Option<String> {
+fn equality_on_indexed_column(db: &Database, table: Name, filter: Option<&Predicate>) -> Option<Name> {
     let filter = filter?;
-    let def = db.schema().table(table)?;
+    let def = db.schema().table(&table)?;
     for atom in filter.atoms() {
         if atom.table == table && atom.op == CompareOp::Eq {
             if let Some(col) = def.column(&atom.column) {
                 if col.indexed {
-                    return Some(atom.column.clone());
+                    return Some(atom.column);
                 }
             }
         }
@@ -61,11 +61,11 @@ fn equality_on_indexed_column(db: &Database, table: &str, filter: Option<&Predic
 }
 
 /// Build the scan node for a table.
-fn build_scan(db: &Database, table: &str, filter: Option<&Predicate>) -> PlanNode {
+fn build_scan(db: &Database, table: Name, filter: Option<&Predicate>) -> PlanNode {
     if let Some(index_column) = equality_on_indexed_column(db, table, filter) {
-        PlanNode::leaf(PhysicalOp::IndexScan { table: table.to_string(), index_column, predicate: filter.cloned() })
+        PlanNode::leaf(PhysicalOp::IndexScan { table, index_column, predicate: filter.cloned() })
     } else {
-        PlanNode::leaf(PhysicalOp::SeqScan { table: table.to_string(), predicate: filter.cloned() })
+        PlanNode::leaf(PhysicalOp::SeqScan { table, predicate: filter.cloned() })
     }
 }
 
@@ -77,7 +77,7 @@ fn build_scan(db: &Database, table: &str, filter: Option<&Predicate>) -> PlanNod
 /// same operator.
 fn choose_join_op(
     db: &Database,
-    inner_table: &str,
+    inner_table: Name,
     join_pred: JoinPredicate,
     outer_rows: f64,
     inner_rows: f64,
@@ -85,8 +85,8 @@ fn choose_join_op(
 ) -> PhysicalOp {
     let inner_indexed = db
         .schema()
-        .table(inner_table)
-        .and_then(|d| join_pred.column_for(inner_table).and_then(|c| d.column(c)))
+        .table(&inner_table)
+        .and_then(|d| join_pred.column_for(inner_table).and_then(|c| d.column(&c)))
         .map(|c| c.indexed)
         .unwrap_or(false);
     if outer_rows <= cfg.nested_loop_threshold && inner_indexed {
@@ -123,12 +123,12 @@ pub fn enumerate_join_orders(
 ) -> Vec<PlanNode> {
     assert!(!query.tables.is_empty(), "query must reference at least one table");
     assert!(max_candidates > 0, "max_candidates must be positive");
-    let scans: Vec<(String, PlanNode, f64)> = query
+    let scans: Vec<(Name, PlanNode, f64)> = query
         .tables
         .iter()
-        .map(|t| {
-            let filter = query.filter(t);
-            (t.clone(), build_scan(db, t, filter), guess_scan_rows(db, t, filter, cfg))
+        .map(|&t| {
+            let filter = query.filter(&t);
+            (t, build_scan(db, t, filter), guess_scan_rows(db, t, filter, cfg))
         })
         .collect();
     if scans.len() == 1 {
@@ -139,13 +139,13 @@ pub fn enumerate_join_orders(
         db: &'a Database,
         query: &'a LogicalQuery,
         cfg: &'a PlannerConfig,
-        scans: &'a [(String, PlanNode, f64)],
+        scans: &'a [(Name, PlanNode, f64)],
         max_candidates: usize,
         out: Vec<PlanNode>,
     }
 
     impl Dfs<'_> {
-        fn extend(&mut self, used: &mut Vec<bool>, joined: &mut Vec<String>, current: PlanNode, current_rows: f64) {
+        fn extend(&mut self, used: &mut Vec<bool>, joined: &mut Vec<Name>, current: PlanNode, current_rows: f64) {
             if self.out.len() >= self.max_candidates {
                 return;
             }
@@ -157,25 +157,21 @@ pub fn enumerate_join_orders(
                 if used[i] {
                     continue;
                 }
-                let (table, scan, scan_rows) = &self.scans[i];
+                let (table, ref scan, scan_rows) = self.scans[i];
                 // The next table must connect to the joined prefix; for a
                 // connected query some unused table always does.
-                let Some(join_pred) = self
-                    .query
-                    .joins
-                    .iter()
-                    .find(|j| j.involves(table) && joined.iter().any(|jt| j.involves(jt)))
-                    .cloned()
+                let Some(&join_pred) =
+                    self.query.joins.iter().find(|j| j.involves(table) && joined.iter().any(|&jt| j.involves(jt)))
                 else {
                     continue;
                 };
-                let op = choose_join_op(self.db, table, join_pred, current_rows, *scan_rows, self.cfg);
+                let op = choose_join_op(self.db, table, join_pred, current_rows, scan_rows, self.cfg);
                 // Children stay in enumeration order (prefix first): two
                 // candidates sharing a table prefix share the whole subtree.
                 let next = PlanNode::inner(op, vec![current.clone(), scan.clone()]);
-                let next_rows = (current_rows.max(*scan_rows) * 1.2).max(1.0);
+                let next_rows = (current_rows.max(scan_rows) * 1.2).max(1.0);
                 used[i] = true;
-                joined.push(table.clone());
+                joined.push(table);
                 self.extend(used, joined, next, next_rows);
                 joined.pop();
                 used[i] = false;
@@ -188,11 +184,11 @@ pub fn enumerate_join_orders(
 
     let mut dfs = Dfs { db, query, cfg, scans: &scans, max_candidates, out: Vec::new() };
     for i in 0..scans.len() {
-        let (table, scan, rows) = &scans[i];
+        let (table, ref scan, rows) = scans[i];
         let mut used = vec![false; scans.len()];
         used[i] = true;
-        let mut joined = vec![table.clone()];
-        dfs.extend(&mut used, &mut joined, scan.clone(), *rows);
+        let mut joined = vec![table];
+        dfs.extend(&mut used, &mut joined, scan.clone(), rows);
         if dfs.out.len() >= max_candidates {
             break;
         }
@@ -208,12 +204,12 @@ pub fn plan_query(db: &Database, query: &LogicalQuery, cfg: &PlannerConfig) -> P
     assert!(!query.tables.is_empty(), "query must reference at least one table");
 
     // Scans with their rough cardinality guesses.
-    let mut pending: Vec<(String, PlanNode, f64)> = query
+    let mut pending: Vec<(Name, PlanNode, f64)> = query
         .tables
         .iter()
-        .map(|t| {
-            let filter = query.filter(t);
-            (t.clone(), build_scan(db, t, filter), guess_scan_rows(db, t, filter, cfg))
+        .map(|&t| {
+            let filter = query.filter(&t);
+            (t, build_scan(db, t, filter), guess_scan_rows(db, t, filter, cfg))
         })
         .collect();
 
@@ -229,13 +225,13 @@ pub fn plan_query(db: &Database, query: &LogicalQuery, cfg: &PlannerConfig) -> P
     while !pending.is_empty() {
         // Find a pending table connected to the joined set.
         let mut chosen: Option<(usize, JoinPredicate)> = None;
-        for (i, (t, _, rows)) in pending.iter().enumerate() {
-            if let Some(j) =
-                remaining_joins.iter().find(|j| j.involves(t) && joined_tables.iter().any(|jt| j.involves(jt)))
+        for (i, &(t, _, rows)) in pending.iter().enumerate() {
+            if let Some(&j) =
+                remaining_joins.iter().find(|j| j.involves(t) && joined_tables.iter().any(|&jt| j.involves(jt)))
             {
-                match &chosen {
-                    Some((best_i, _)) if pending[*best_i].2 <= *rows => {}
-                    _ => chosen = Some((i, j.clone())),
+                match chosen {
+                    Some((best_i, _)) if pending[best_i].2 <= rows => {}
+                    _ => chosen = Some((i, j)),
                 }
             }
         }
@@ -248,7 +244,7 @@ pub fn plan_query(db: &Database, query: &LogicalQuery, cfg: &PlannerConfig) -> P
                 0,
                 remaining_joins
                     .first()
-                    .cloned()
+                    .copied()
                     .unwrap_or_else(|| JoinPredicate::new(&joined_tables[0], "id", &pending[0].0, "id")),
             ),
         };
@@ -258,7 +254,7 @@ pub fn plan_query(db: &Database, query: &LogicalQuery, cfg: &PlannerConfig) -> P
         // Estimate output as the larger input times a fixed fan-out guess.
         let out_rows = (current_rows.max(scan_rows) * 1.2).max(1.0);
 
-        let op = choose_join_op(db, &table, join_pred, current_rows, scan_rows, cfg);
+        let op = choose_join_op(db, table, join_pred, current_rows, scan_rows, cfg);
 
         // Build side (left child) is the smaller input.
         let children = if current_rows <= scan_rows { vec![current, scan] } else { vec![scan, current] };
@@ -288,12 +284,10 @@ mod tests {
 
     fn job_light_style_query() -> LogicalQuery {
         let mut filters = HashMap::new();
+        filters
+            .insert("title".into(), Predicate::atom("title", "production_year", CompareOp::Gt, Operand::Num(2000.0)));
         filters.insert(
-            "title".to_string(),
-            Predicate::atom("title", "production_year", CompareOp::Gt, Operand::Num(2000.0)),
-        );
-        filters.insert(
-            "company_type".to_string(),
+            "company_type".into(),
             Predicate::atom("company_type", "kind", CompareOp::Eq, Operand::Str("production companies".into())),
         );
         LogicalQuery {

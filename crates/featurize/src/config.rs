@@ -6,73 +6,20 @@
 //! tensors of consistent dimensions (Figure 3 of the paper).
 
 use imdb::Database;
-use query::CompareOp;
-use std::borrow::Borrow;
+use query::{CompareOp, Name};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-
-/// Borrowed view of a `(table, column)` dictionary key, so the hot encode
-/// paths can probe the `HashMap<(String, String), _>` dictionaries with two
-/// `&str`s instead of cloning both strings per lookup.
-///
-/// The `Hash` impl must mirror the derived tuple hash of
-/// `(String, String)` exactly (each `String` hashes as its `str`), so a
-/// probe through the trait object finds entries inserted under owned keys.
-trait PairKey {
-    fn first(&self) -> &str;
-    fn second(&self) -> &str;
-}
-
-impl PairKey for (String, String) {
-    fn first(&self) -> &str {
-        &self.0
-    }
-    fn second(&self) -> &str {
-        &self.1
-    }
-}
-
-impl PairKey for (&str, &str) {
-    fn first(&self) -> &str {
-        self.0
-    }
-    fn second(&self) -> &str {
-        self.1
-    }
-}
-
-impl Hash for dyn PairKey + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.first().hash(state);
-        self.second().hash(state);
-    }
-}
-
-impl PartialEq for dyn PairKey + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.first() == other.first() && self.second() == other.second()
-    }
-}
-
-impl Eq for dyn PairKey + '_ {}
-
-impl<'a> Borrow<dyn PairKey + 'a> for (String, String) {
-    fn borrow(&self) -> &(dyn PairKey + 'a) {
-        self
-    }
-}
 
 /// Fixed encoding dimensions and one-hot position dictionaries.
 #[derive(Debug, Clone)]
 pub struct EncodingConfig {
     /// Table name → one-hot position.
-    pub table_pos: HashMap<String, usize>,
+    pub table_pos: HashMap<Name, usize>,
     /// (table, column) → one-hot position.
-    pub column_pos: HashMap<(String, String), usize>,
+    pub column_pos: HashMap<(Name, Name), usize>,
     /// (table, column) of indexed columns → one-hot position.
-    pub index_pos: HashMap<(String, String), usize>,
+    pub index_pos: HashMap<(Name, Name), usize>,
     /// min/max of each numeric column, used to normalize numeric operands.
-    pub numeric_range: HashMap<(String, String), (f64, f64)>,
+    pub numeric_range: HashMap<(Name, Name), (f64, f64)>,
     /// Width of the string-operand encoding.
     pub string_dim: usize,
     /// Width of the sample bitmap.
@@ -88,20 +35,22 @@ impl EncodingConfig {
         let mut index_pos = HashMap::new();
         let mut numeric_range = HashMap::new();
         for (ti, t) in schema.tables.iter().enumerate() {
-            table_pos.insert(t.name.clone(), ti);
+            let table = Name::new(&t.name);
+            table_pos.insert(table, ti);
             for c in &t.columns {
+                let key = (table, Name::new(&c.name));
                 let pos = column_pos.len();
-                column_pos.insert((t.name.clone(), c.name.clone()), pos);
+                column_pos.insert(key, pos);
                 if c.indexed {
                     let ipos = index_pos.len();
-                    index_pos.insert((t.name.clone(), c.name.clone()), ipos);
+                    index_pos.insert(key, ipos);
                 }
                 if c.ty == imdb::ColumnType::Int {
                     if let Some(table) = db.table(&t.name) {
                         if let Some(imdb::Column::Int(values)) = table.column_by_name(&c.name) {
                             let min = values.iter().copied().min().unwrap_or(0) as f64;
                             let max = values.iter().copied().max().unwrap_or(1) as f64;
-                            numeric_range.insert((t.name.clone(), c.name.clone()), (min, max.max(min + 1.0)));
+                            numeric_range.insert(key, (min, max.max(min + 1.0)));
                         }
                     }
                 }
@@ -131,20 +80,19 @@ impl EncodingConfig {
         self.sample_bits
     }
 
-    /// One-hot position of `(table, column)`, probed without allocating.
-    pub fn column_position(&self, table: &str, column: &str) -> Option<usize> {
-        self.column_pos.get(&(table, column) as &dyn PairKey).copied()
+    /// One-hot position of `(table, column)`.
+    pub fn column_position(&self, table: Name, column: Name) -> Option<usize> {
+        self.column_pos.get(&(table, column)).copied()
     }
 
-    /// One-hot position of the index on `(table, column)`, probed without
-    /// allocating.
-    pub fn index_position(&self, table: &str, column: &str) -> Option<usize> {
-        self.index_pos.get(&(table, column) as &dyn PairKey).copied()
+    /// One-hot position of the index on `(table, column)`.
+    pub fn index_position(&self, table: Name, column: Name) -> Option<usize> {
+        self.index_pos.get(&(table, column)).copied()
     }
 
     /// Normalize a numeric operand into `[0, 1]` using the column's range.
-    pub fn normalize_numeric(&self, table: &str, column: &str, value: f64) -> f64 {
-        match self.numeric_range.get(&(table, column) as &dyn PairKey) {
+    pub fn normalize_numeric(&self, table: Name, column: Name, value: f64) -> f64 {
+        match self.numeric_range.get(&(table, column)) {
             Some((min, max)) => ((value - min) / (max - min)).clamp(0.0, 1.0),
             None => 0.5,
         }
@@ -172,27 +120,32 @@ mod tests {
     fn numeric_normalization_clamps() {
         let db = generate_imdb(GeneratorConfig::tiny());
         let cfg = EncodingConfig::from_database(&db, 8, 32);
-        let lo = cfg.normalize_numeric("title", "production_year", 1800.0);
-        let hi = cfg.normalize_numeric("title", "production_year", 2500.0);
-        let mid = cfg.normalize_numeric("title", "production_year", 1985.0);
+        let (title, year) = ("title".into(), "production_year".into());
+        let lo = cfg.normalize_numeric(title, year, 1800.0);
+        let hi = cfg.normalize_numeric(title, year, 2500.0);
+        let mid = cfg.normalize_numeric(title, year, 1985.0);
         assert_eq!(lo, 0.0);
         assert_eq!(hi, 1.0);
         assert!(mid > 0.0 && mid < 1.0);
-        assert_eq!(cfg.normalize_numeric("title", "unknown", 5.0), 0.5);
+        assert_eq!(cfg.normalize_numeric(title, "unknown".into(), 5.0), 0.5);
     }
 
     #[test]
-    fn borrowed_key_probes_match_owned_lookups() {
+    fn name_keyed_probes_match_dictionary_entries() {
         let db = generate_imdb(GeneratorConfig::tiny());
         let cfg = EncodingConfig::from_database(&db, 8, 32);
-        for ((table, column), &pos) in &cfg.column_pos {
-            assert_eq!(cfg.column_position(table, column), Some(pos));
+        for (&(table, column), &pos) in &cfg.column_pos {
+            // A name rebuilt from its text is the same handle.
+            assert_eq!(cfg.column_position(Name::new(&table), Name::new(&column)), Some(pos));
         }
-        for ((table, column), &pos) in &cfg.index_pos {
+        for (&(table, column), &pos) in &cfg.index_pos {
             assert_eq!(cfg.index_position(table, column), Some(pos));
         }
-        assert_eq!(cfg.column_position("title", "no_such_column"), None);
-        assert_eq!(cfg.index_position("no_such_table", "id"), None);
+        for (t, def) in db.schema().tables.iter().enumerate() {
+            assert_eq!(cfg.table_pos.get(def.name.as_str()), Some(&t), "probe by text");
+        }
+        assert_eq!(cfg.column_position("title".into(), "no_such_column".into()), None);
+        assert_eq!(cfg.index_position("no_such_table".into(), "id".into()), None);
     }
 
     #[test]

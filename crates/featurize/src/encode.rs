@@ -12,8 +12,8 @@
 //! * the three fixed-width groups of a node are written into **one
 //!   contiguous slab** ([`NodeFeatures`]) through the `encode_*_into`
 //!   forms, instead of one heap `Vec` per group;
-//! * dictionary probes go through the borrowed-key lookups of
-//!   [`EncodingConfig`] — no `String` clone per lookup;
+//! * dictionary probes key [`EncodingConfig`]'s maps by the plan's
+//!   interned [`query::Name`]s — no `String` per lookup;
 //! * whole node encodings are memoized by **operator content** in a sharded
 //!   map shared by every encode path ([`FeatureExtractor::encode_node`]): a
 //!   node's features depend on its own operator alone, optimizer traffic
@@ -35,7 +35,7 @@
 
 use crate::config::EncodingConfig;
 use imdb::Database;
-use query::{AtomPredicate, CompareOp, IdentityHasher, Operand, PhysicalOp, PlanNode, Predicate, SigHasher};
+use query::{AtomPredicate, CompareOp, IdentityHasher, Name, Operand, PhysicalOp, PlanNode, Predicate, SigHasher};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -402,7 +402,7 @@ impl FeatureExtractor {
     pub fn encode_atom_into(&self, atom: &AtomPredicate, out: &mut [f32]) {
         let cfg = &self.config;
         debug_assert_eq!(out.len(), cfg.atom_dim());
-        if let Some(pos) = cfg.column_position(&atom.table, &atom.column) {
+        if let Some(pos) = cfg.column_position(atom.table, atom.column) {
             out[pos] = 1.0;
         }
         let op_base = cfg.column_pos.len();
@@ -410,7 +410,7 @@ impl FeatureExtractor {
         let operand_base = op_base + CompareOp::ALL.len();
         match &atom.operand {
             Operand::Num(x) => {
-                out[operand_base] = cfg.normalize_numeric(&atom.table, &atom.column, *x) as f32;
+                out[operand_base] = cfg.normalize_numeric(atom.table, atom.column, *x) as f32;
             }
             Operand::Str(s) => {
                 let dst = &mut out[operand_base + 1..operand_base + 1 + cfg.string_dim];
@@ -465,14 +465,14 @@ impl FeatureExtractor {
     /// Write a node's metadata bitmap into a **zeroed** slice of length
     /// [`EncodingConfig::metadata_dim`].  Bit-identical to
     /// [`FeatureExtractor::encode_metadata`] without its allocation; every
-    /// dictionary probe uses the borrowed-key lookups.
+    /// dictionary probe is keyed by the node's names.
     pub fn encode_metadata_into(&self, node: &PlanNode, out: &mut [f32]) {
         let cfg = &self.config;
         debug_assert_eq!(out.len(), cfg.metadata_dim());
         let col_base = cfg.table_pos.len();
         let idx_base = col_base + cfg.column_pos.len();
 
-        let mark_column = |table: &str, column: &str, out: &mut [f32]| {
+        let mark_column = |table: Name, column: Name, out: &mut [f32]| {
             if let Some(p) = cfg.column_position(table, column) {
                 out[col_base + p] = 1.0;
             }
@@ -487,19 +487,19 @@ impl FeatureExtractor {
                     out[p] = 1.0;
                 }
                 if let PhysicalOp::IndexScan { index_column, .. } = &node.op {
-                    mark_column(table, index_column, out);
+                    mark_column(*table, *index_column, out);
                 }
                 if let Some(pred) = predicate {
-                    pred.for_each_atom(&mut |atom| mark_column(&atom.table, &atom.column, out));
+                    pred.for_each_atom(&mut |atom| mark_column(atom.table, atom.column, out));
                 }
             }
             PhysicalOp::HashJoin { condition }
             | PhysicalOp::MergeJoin { condition }
             | PhysicalOp::NestedLoopJoin { condition } => {
                 for (t, c) in
-                    [(&condition.left_table, &condition.left_column), (&condition.right_table, &condition.right_column)]
+                    [(condition.left_table, condition.left_column), (condition.right_table, condition.right_column)]
                 {
-                    if let Some(&p) = cfg.table_pos.get(t.as_str()) {
+                    if let Some(&p) = cfg.table_pos.get(&t) {
                         out[p] = 1.0;
                     }
                     mark_column(t, c, out);
@@ -509,8 +509,8 @@ impl FeatureExtractor {
                 if let Some(&p) = cfg.table_pos.get(table) {
                     out[p] = 1.0;
                 }
-                for c in columns {
-                    mark_column(table, c, out);
+                for &c in columns {
+                    mark_column(*table, c, out);
                 }
             }
             PhysicalOp::Aggregate { .. } => {}

@@ -9,7 +9,7 @@
 
 use featurize::EncodingConfig;
 use imdb::Database;
-use query::{Operand, PhysicalOp, PlanNode};
+use query::{Name, Operand, PhysicalOp, PlanNode};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -28,7 +28,7 @@ pub struct QuerySets {
 pub struct MscnFeaturizer {
     db: Arc<Database>,
     config: EncodingConfig,
-    join_pos: HashMap<(String, String, String, String), usize>,
+    join_pos: HashMap<(Name, Name, Name, Name), usize>,
     /// When false, sample bitmaps are zeroed (the `MSCNNS*` variants).
     pub use_sample_bitmap: bool,
 }
@@ -38,7 +38,7 @@ impl MscnFeaturizer {
     pub fn new(db: Arc<Database>, config: EncodingConfig) -> Self {
         let mut join_pos = HashMap::new();
         for e in db.schema().join_edges() {
-            let k = (e.fk_table.clone(), e.fk_column.clone(), e.pk_table.clone(), e.pk_column.clone());
+            let k = (Name::new(&e.fk_table), Name::new(&e.fk_column), Name::new(&e.pk_table), Name::new(&e.pk_column));
             let next = join_pos.len();
             join_pos.entry(k).or_insert(next);
         }
@@ -97,13 +97,13 @@ impl MscnFeaturizer {
                 if let Some(pred) = predicate {
                     for atom in pred.atoms() {
                         let mut v = vec![0.0f32; self.predicate_dim()];
-                        if let Some(&p) = self.config.column_pos.get(&(atom.table.clone(), atom.column.clone())) {
+                        if let Some(p) = self.config.column_position(atom.table, atom.column) {
                             v[p] = 1.0;
                         }
                         v[self.config.column_pos.len() + atom.op.index()] = 1.0;
                         let val_slot = self.config.column_pos.len() + query::CompareOp::ALL.len();
                         v[val_slot] = match &atom.operand {
-                            Operand::Num(x) => self.config.normalize_numeric(&atom.table, &atom.column, *x) as f32,
+                            Operand::Num(x) => self.config.normalize_numeric(atom.table, atom.column, *x) as f32,
                             // MSCN has no string model: a fixed mid-range value
                             // (this is exactly the limitation the paper notes).
                             Operand::Str(_) | Operand::StrList(_) => 0.5,
@@ -117,18 +117,8 @@ impl MscnFeaturizer {
             | PhysicalOp::NestedLoopJoin { condition } => {
                 let mut j = vec![0.0f32; self.join_dim()];
                 let keys = [
-                    (
-                        condition.left_table.clone(),
-                        condition.left_column.clone(),
-                        condition.right_table.clone(),
-                        condition.right_column.clone(),
-                    ),
-                    (
-                        condition.right_table.clone(),
-                        condition.right_column.clone(),
-                        condition.left_table.clone(),
-                        condition.left_column.clone(),
-                    ),
+                    (condition.left_table, condition.left_column, condition.right_table, condition.right_column),
+                    (condition.right_table, condition.right_column, condition.left_table, condition.left_column),
                 ];
                 for k in keys {
                     if let Some(&p) = self.join_pos.get(&k) {

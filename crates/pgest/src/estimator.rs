@@ -11,14 +11,14 @@ use crate::histogram::ColumnStats;
 use crate::selectivity::{predicate_selectivity, TableStats};
 use engine::CostModel;
 use imdb::Database;
-use query::{PhysicalOp, PlanNode};
+use query::{Name, PhysicalOp, PlanNode};
 use std::collections::HashMap;
 
 /// The traditional estimator: per-table column statistics plus the cost model.
 #[derive(Debug, Clone)]
 pub struct TraditionalEstimator {
-    stats: HashMap<String, TableStats>,
-    table_rows: HashMap<String, f64>,
+    stats: HashMap<Name, TableStats>,
+    table_rows: HashMap<Name, f64>,
     model: CostModel,
 }
 
@@ -29,14 +29,15 @@ impl TraditionalEstimator {
         let mut table_rows = HashMap::new();
         for def in &db.schema().tables {
             let Some(table) = db.table(&def.name) else { continue };
-            table_rows.insert(def.name.clone(), table.n_rows() as f64);
+            let name = Name::new(&def.name);
+            table_rows.insert(name, table.n_rows() as f64);
             let mut per_table = TableStats::new();
             for col in &def.columns {
                 if let Some(cs) = ColumnStats::build(table, &col.name) {
-                    per_table.insert(col.name.clone(), cs);
+                    per_table.insert(Name::new(&col.name), cs);
                 }
             }
-            stats.insert(def.name.clone(), per_table);
+            stats.insert(name, per_table);
         }
         TraditionalEstimator { stats, table_rows, model: CostModel::default() }
     }
@@ -47,13 +48,13 @@ impl TraditionalEstimator {
     }
 
     /// Number of distinct values of a column (1 when unknown).
-    fn ndv(&self, table: &str, column: &str) -> f64 {
-        self.stats.get(table).and_then(|t| t.get(column)).map(|c| c.n_distinct() as f64).unwrap_or(1.0).max(1.0)
+    fn ndv(&self, table: Name, column: Name) -> f64 {
+        self.stats.get(&table).and_then(|t| t.get(&column)).map(|c| c.n_distinct() as f64).unwrap_or(1.0).max(1.0)
     }
 
     /// Number of rows of a base table.
-    fn rows(&self, table: &str) -> f64 {
-        self.table_rows.get(table).copied().unwrap_or(1.0)
+    fn rows(&self, table: Name) -> f64 {
+        self.table_rows.get(&table).copied().unwrap_or(1.0)
     }
 
     /// Estimate a whole plan, writing `estimated_cardinality` and
@@ -66,7 +67,7 @@ impl TraditionalEstimator {
     fn estimate_node(&self, node: &mut PlanNode) -> (f64, f64) {
         let (card, cost) = match &node.op {
             PhysicalOp::SeqScan { table, predicate } => {
-                let rows = self.rows(table);
+                let rows = self.rows(*table);
                 let sel = predicate
                     .as_ref()
                     .map(|p| self.stats.get(table).map(|s| predicate_selectivity(s, p)).unwrap_or(0.33))
@@ -76,7 +77,7 @@ impl TraditionalEstimator {
                 (out, self.model.seq_scan(rows, n_atoms))
             }
             PhysicalOp::IndexScan { table, predicate, .. } => {
-                let rows = self.rows(table);
+                let rows = self.rows(*table);
                 let sel = predicate
                     .as_ref()
                     .map(|p| self.stats.get(table).map(|s| predicate_selectivity(s, p)).unwrap_or(0.33))
@@ -88,14 +89,14 @@ impl TraditionalEstimator {
             PhysicalOp::HashJoin { condition }
             | PhysicalOp::MergeJoin { condition }
             | PhysicalOp::NestedLoopJoin { condition } => {
-                let condition = condition.clone();
+                let condition = *condition;
                 let op = node.op.clone();
                 let (lc, lcost) = self.estimate_node(&mut node.children[0]);
                 let (rc, rcost) = self.estimate_node(&mut node.children[1]);
                 // Classic equi-join estimate with the independence assumption.
                 let ndv = self
-                    .ndv(&condition.left_table, &condition.left_column)
-                    .max(self.ndv(&condition.right_table, &condition.right_column));
+                    .ndv(condition.left_table, condition.left_column)
+                    .max(self.ndv(condition.right_table, condition.right_column));
                 let out = (lc * rc / ndv).max(1.0);
                 let own = match op {
                     PhysicalOp::HashJoin { .. } => self.model.hash_join(lc, rc, out),

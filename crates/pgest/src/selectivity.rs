@@ -1,14 +1,14 @@
 //! Predicate selectivity under the attribute-value-independence assumption.
 
 use crate::histogram::ColumnStats;
-use query::{AtomPredicate, CompareOp, Operand, Predicate};
+use query::{AtomPredicate, CompareOp, Name, Operand, Predicate};
 use std::collections::HashMap;
 
 /// Default selectivity when no statistics are available for a column.
 const DEFAULT_SELECTIVITY: f64 = 0.33;
 
 /// Statistics of all columns of one table, keyed by column name.
-pub type TableStats = HashMap<String, ColumnStats>;
+pub type TableStats = HashMap<Name, ColumnStats>;
 
 /// Selectivity of an atomic predicate against the table's statistics.
 pub fn atom_selectivity(stats: &TableStats, atom: &AtomPredicate) -> f64 {
@@ -80,7 +80,7 @@ mod tests {
         );
         let mut stats = TableStats::new();
         for col in ["id", "kind_id", "production_year", "title"] {
-            stats.insert(col.to_string(), ColumnStats::build(&table, col).expect("column exists"));
+            stats.insert(col.into(), ColumnStats::build(&table, col).expect("column exists"));
         }
         stats
     }

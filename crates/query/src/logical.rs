@@ -4,18 +4,19 @@
 //! the planner consumes.  It corresponds to the SELECT-PROJECT-JOIN-AGGREGATE
 //! queries of the JOB / JOB-light / synthetic workloads.
 
+use crate::name::Name;
 use crate::predicate::Predicate;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// An equi-join predicate between two tables' integer columns.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct JoinPredicate {
-    pub left_table: String,
-    pub left_column: String,
-    pub right_table: String,
-    pub right_column: String,
+    pub left_table: Name,
+    pub left_column: Name,
+    pub right_table: Name,
+    pub right_column: Name,
 }
 
 impl JoinPredicate {
@@ -30,16 +31,16 @@ impl JoinPredicate {
     }
 
     /// True when this join touches the given table.
-    pub fn involves(&self, table: &str) -> bool {
+    pub fn involves(&self, table: Name) -> bool {
         self.left_table == table || self.right_table == table
     }
 
     /// The join column for a given side table, if the table participates.
-    pub fn column_for(&self, table: &str) -> Option<&str> {
+    pub fn column_for(&self, table: Name) -> Option<Name> {
         if self.left_table == table {
-            Some(&self.left_column)
+            Some(self.left_column)
         } else if self.right_table == table {
-            Some(&self.right_column)
+            Some(self.right_column)
         } else {
             None
         }
@@ -62,10 +63,10 @@ pub enum Aggregate {
 }
 
 /// A projected output column with an optional aggregate.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Projection {
-    pub table: String,
-    pub column: String,
+    pub table: Name,
+    pub column: Name,
     pub aggregate: Aggregate,
 }
 
@@ -73,11 +74,11 @@ pub struct Projection {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LogicalQuery {
     /// Tables involved, in no particular order.
-    pub tables: Vec<String>,
+    pub tables: Vec<Name>,
     /// Equi-join predicates connecting the tables.
     pub joins: Vec<JoinPredicate>,
     /// Filter predicate per table (a table may have none).
-    pub filters: HashMap<String, Predicate>,
+    pub filters: HashMap<Name, Predicate>,
     /// Output columns.
     pub projections: Vec<Projection>,
 }
@@ -87,10 +88,10 @@ impl LogicalQuery {
     pub fn single_table(table: &str, filter: Option<Predicate>) -> Self {
         let mut filters = HashMap::new();
         if let Some(f) = filter {
-            filters.insert(table.to_string(), f);
+            filters.insert(table.into(), f);
         }
         LogicalQuery {
-            tables: vec![table.to_string()],
+            tables: vec![table.into()],
             joins: Vec::new(),
             filters,
             projections: vec![Projection { table: table.into(), column: "id".into(), aggregate: Aggregate::Count }],
@@ -114,23 +115,23 @@ impl LogicalQuery {
         if self.tables.len() <= 1 {
             return true;
         }
-        let mut reached: Vec<&str> = vec![self.tables[0].as_str()];
+        let mut reached: Vec<Name> = vec![self.tables[0]];
         let mut changed = true;
         while changed {
             changed = false;
             for j in &self.joins {
-                let l_in = reached.contains(&j.left_table.as_str());
-                let r_in = reached.contains(&j.right_table.as_str());
+                let l_in = reached.contains(&j.left_table);
+                let r_in = reached.contains(&j.right_table);
                 if l_in && !r_in {
-                    reached.push(&j.right_table);
+                    reached.push(j.right_table);
                     changed = true;
                 } else if r_in && !l_in {
-                    reached.push(&j.left_table);
+                    reached.push(j.left_table);
                     changed = true;
                 }
             }
         }
-        self.tables.iter().all(|t| reached.contains(&t.as_str()))
+        self.tables.iter().all(|t| reached.contains(t))
     }
 
     /// A human-readable SQL-ish rendering (for logs and examples).
@@ -167,10 +168,8 @@ mod tests {
 
     fn two_table_query() -> LogicalQuery {
         let mut filters = HashMap::new();
-        filters.insert(
-            "title".to_string(),
-            Predicate::atom("title", "production_year", CompareOp::Gt, Operand::Num(2000.0)),
-        );
+        filters
+            .insert("title".into(), Predicate::atom("title", "production_year", CompareOp::Gt, Operand::Num(2000.0)));
         LogicalQuery {
             tables: vec!["title".into(), "movie_companies".into()],
             joins: vec![JoinPredicate::new("movie_companies", "movie_id", "title", "id")],
@@ -182,12 +181,12 @@ mod tests {
     #[test]
     fn join_predicate_accessors() {
         let j = JoinPredicate::new("movie_companies", "movie_id", "title", "id");
-        assert!(j.involves("title"));
-        assert!(j.involves("movie_companies"));
-        assert!(!j.involves("cast_info"));
-        assert_eq!(j.column_for("title"), Some("id"));
-        assert_eq!(j.column_for("movie_companies"), Some("movie_id"));
-        assert_eq!(j.column_for("cast_info"), None);
+        assert!(j.involves("title".into()));
+        assert!(j.involves("movie_companies".into()));
+        assert!(!j.involves("cast_info".into()));
+        assert_eq!(j.column_for("title".into()), Some("id".into()));
+        assert_eq!(j.column_for("movie_companies".into()), Some("movie_id".into()));
+        assert_eq!(j.column_for("cast_info".into()), None);
         assert_eq!(j.to_string(), "movie_companies.movie_id = title.id");
     }
 

@@ -5,6 +5,7 @@
 //! estimates and the executor's true cost/cardinality (the training targets).
 
 use crate::logical::JoinPredicate;
+use crate::name::Name;
 use crate::predicate::Predicate;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -16,10 +17,10 @@ pub type PlanNodeId = usize;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum PhysicalOp {
     /// Full scan of a table, optionally filtering with a predicate.
-    SeqScan { table: String, predicate: Option<Predicate> },
+    SeqScan { table: Name, predicate: Option<Predicate> },
     /// Index lookup on `index_column` (driven by a join key or an equality
     /// predicate), with an optional residual filter.
-    IndexScan { table: String, index_column: String, predicate: Option<Predicate> },
+    IndexScan { table: Name, index_column: Name, predicate: Option<Predicate> },
     /// Hash join on an equi-join predicate; left child is the build side.
     HashJoin { condition: JoinPredicate },
     /// Sort-merge join on an equi-join predicate.
@@ -28,9 +29,9 @@ pub enum PhysicalOp {
     /// [`PhysicalOp::IndexScan`]).
     NestedLoopJoin { condition: JoinPredicate },
     /// Sort on a set of columns.
-    Sort { table: String, columns: Vec<String> },
+    Sort { table: Name, columns: Vec<Name> },
     /// Aggregation (plain or hash) over the child.
-    Aggregate { hash: bool, group_columns: Vec<String> },
+    Aggregate { hash: bool, group_columns: Vec<Name> },
 }
 
 impl PhysicalOp {
@@ -82,11 +83,11 @@ impl PhysicalOp {
     }
 
     /// The scanned table, for scan operators.
-    pub fn scan_table(&self) -> Option<&str> {
+    pub fn scan_table(&self) -> Option<Name> {
         match self {
             PhysicalOp::SeqScan { table, .. }
             | PhysicalOp::IndexScan { table, .. }
-            | PhysicalOp::Sort { table, .. } => Some(table),
+            | PhysicalOp::Sort { table, .. } => Some(*table),
             _ => None,
         }
     }
@@ -179,8 +180,9 @@ impl PlanNode {
         1 + self.children.iter().map(|c| c.height()).max().unwrap_or(0)
     }
 
-    /// Tables produced by this subtree (union of scanned tables).
-    pub fn tables(&self) -> Vec<String> {
+    /// Tables produced by this subtree (union of scanned tables), sorted
+    /// by name.
+    pub fn tables(&self) -> Vec<Name> {
         let mut out = Vec::new();
         self.collect_tables(&mut out);
         out.sort();
@@ -188,9 +190,9 @@ impl PlanNode {
         out
     }
 
-    fn collect_tables(&self, out: &mut Vec<String>) {
+    fn collect_tables(&self, out: &mut Vec<Name>) {
         if let Some(t) = self.op.scan_table() {
-            out.push(t.to_string());
+            out.push(t);
         }
         for c in &self.children {
             c.collect_tables(out);
@@ -376,6 +378,71 @@ mod tests {
         PlanNode::inner(PhysicalOp::Aggregate { hash: false, group_columns: vec![] }, vec![join])
     }
 
+    /// A plan over every operator kind but the two joins `sample_plan`
+    /// leaves out, with a compound predicate and string operands.
+    fn compound_plan() -> PlanNode {
+        let note =
+            Predicate::atom("movie_companies", "note", CompareOp::Like, Operand::Str("%(co-production)%".into()))
+                .or(Predicate::atom("movie_companies", "company_type_id", CompareOp::Eq, Operand::Num(2.0)))
+                .and(Predicate::atom(
+                    "movie_companies",
+                    "note",
+                    CompareOp::In,
+                    Operand::StrList(vec!["(presents)".into(), "(as Metro-Goldwyn-Mayer Pictures)".into()]),
+                ));
+        let scan_mc = PlanNode::leaf(PhysicalOp::SeqScan { table: "movie_companies".into(), predicate: Some(note) });
+        let scan_t = PlanNode::leaf(PhysicalOp::IndexScan {
+            table: "title".into(),
+            index_column: "id".into(),
+            predicate: Some(Predicate::atom("title", "production_year", CompareOp::Gt, Operand::Num(2005.0))),
+        });
+        let join = PlanNode::inner(
+            PhysicalOp::NestedLoopJoin { condition: JoinPredicate::new("movie_companies", "movie_id", "title", "id") },
+            vec![scan_mc, scan_t],
+        );
+        let sort = PlanNode::inner(
+            PhysicalOp::Sort { table: "title".into(), columns: vec!["production_year".into(), "kind_id".into()] },
+            vec![join],
+        );
+        PlanNode::inner(PhysicalOp::Aggregate { hash: true, group_columns: vec!["kind_id".into()] }, vec![sort])
+    }
+
+    /// The subtree-state cache, the node memo and the refresh frame are
+    /// keyed by these values: a change to how names are stored or hashed
+    /// must leave every key where it was.
+    #[test]
+    fn signature_hashes_are_pinned() {
+        let sample = sample_plan();
+        assert_eq!(sample.signature_hash(), 0x858c_cc5c_f3a1_f6f9);
+        let compound = compound_plan();
+        assert_eq!(compound.signature_hash(), 0x775c_6129_a211_0633);
+        let mut op = crate::sighash::SigHasher::new();
+        compound.children[0].children[0].children[0].op.hash_signature(&mut op);
+        assert_eq!(op.finish(), 0xba45_b5b2_7f61_fd88);
+        assert_eq!(
+            compound.signature(),
+            "(Aggregate:hash:kind_id(Sort:title:production_year:kind_id(Nested Loop:movie_companies.movie_id = \
+             title.id(Seq Scan:movie_companies:((movie_companies.note LIKE '%(co-production)%' OR \
+             movie_companies.company_type_id = 2) AND movie_companies.note IN ('(presents)', '(as \
+             Metro-Goldwyn-Mayer Pictures)')))(Index Scan:title:id:title.production_year > 2005))))"
+        );
+        assert_eq!(
+            format!("{:?}", compound.children[0].children[0].op),
+            "NestedLoopJoin { condition: JoinPredicate { left_table: \"movie_companies\", left_column: \
+             \"movie_id\", right_table: \"title\", right_column: \"id\" } }"
+        );
+    }
+
+    /// A candidate plan is mostly nodes: names are 8-byte handles, so a
+    /// node is 160 bytes (224 with a `String` per name).  A field that
+    /// regrows the node fails here.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn plan_node_layout_is_pinned() {
+        assert!(std::mem::size_of::<PlanNode>() <= 160, "PlanNode is {} bytes", std::mem::size_of::<PlanNode>());
+        assert!(std::mem::size_of::<PhysicalOp>() <= 72, "PhysicalOp is {} bytes", std::mem::size_of::<PhysicalOp>());
+    }
+
     #[test]
     fn size_height_tables() {
         let p = sample_plan();
@@ -431,7 +498,7 @@ mod tests {
         let l = PlanNode::leaf(PhysicalOp::SeqScan { table: "title".into(), predicate: None });
         let r = PlanNode::leaf(PhysicalOp::SeqScan { table: "keyword".into(), predicate: None });
         let cond = JoinPredicate::new("a", "x", "b", "y");
-        let lr = PlanNode::inner(PhysicalOp::HashJoin { condition: cond.clone() }, vec![l.clone(), r.clone()]);
+        let lr = PlanNode::inner(PhysicalOp::HashJoin { condition: cond }, vec![l.clone(), r.clone()]);
         let rl = PlanNode::inner(PhysicalOp::HashJoin { condition: cond }, vec![r, l]);
         assert_ne!(lr.signature_hash(), rl.signature_hash());
     }

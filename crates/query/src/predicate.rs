@@ -6,6 +6,7 @@
 //! lists (for `IN`).
 
 use crate::like::like_match;
+use crate::name::Name;
 use imdb::{Table, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -111,8 +112,8 @@ impl fmt::Display for Operand {
 /// An atomic predicate `table.column op operand`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AtomPredicate {
-    pub table: String,
-    pub column: String,
+    pub table: Name,
+    pub column: Name,
     pub op: CompareOp,
     pub operand: Operand,
 }
@@ -256,9 +257,9 @@ impl Predicate {
         }
     }
 
-    /// Tables referenced anywhere in the predicate.
-    pub fn tables(&self) -> Vec<&str> {
-        let mut tables: Vec<&str> = self.atoms().iter().map(|a| a.table.as_str()).collect();
+    /// Tables referenced anywhere in the predicate, sorted by name.
+    pub fn tables(&self) -> Vec<Name> {
+        let mut tables: Vec<Name> = self.atoms().iter().map(|a| a.table).collect();
         tables.sort_unstable();
         tables.dedup();
         tables

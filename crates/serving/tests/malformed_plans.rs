@@ -11,7 +11,7 @@ use estimator_core::{CostEstimator, ModelConfig, TrainConfig};
 use featurize::{EncodedPlan, EncodingConfig, FeatureExtractor, PredicateEncoding};
 use imdb::{generate_imdb, GeneratorConfig};
 use proptest::prelude::*;
-use query::{CompareOp, Operand, PhysicalOp, PlanNode, Predicate};
+use query::{CompareOp, Name, Operand, PhysicalOp, PlanNode, Predicate};
 use serving::{ModelCatalog, Session, TenantBackend};
 use std::sync::{Arc, OnceLock};
 use strembed::HashBitmapEncoder;
@@ -45,7 +45,7 @@ fn fixture() -> &'static Fixture {
 }
 
 /// The first scan of `plan` in pre-order, as `(table, predicate)`.
-fn first_scan(plan: &mut PlanNode) -> Option<(&mut String, &mut Option<Predicate>)> {
+fn first_scan(plan: &mut PlanNode) -> Option<(&mut Name, &mut Option<Predicate>)> {
     if let PhysicalOp::SeqScan { table, predicate } | PhysicalOp::IndexScan { table, predicate, .. } = &mut plan.op {
         return Some((table, predicate));
     }

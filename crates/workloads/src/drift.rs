@@ -151,7 +151,7 @@ impl<'a> DriftGenerator<'a> {
                     }],
                     tables: vec!["title".into(), fact.into()],
                     joins: vec![JoinPredicate::new(fact, "movie_id", "title", "id")],
-                    filters: [("title".to_string(), filter)].into_iter().collect(),
+                    filters: [("title".into(), filter)].into_iter().collect(),
                 }
             })
             .collect()
@@ -177,22 +177,23 @@ pub fn generate_drift_workload(db: &Database, config: DriftConfig) -> Vec<DriftP
 mod tests {
     use super::*;
     use imdb::{generate_imdb, GeneratorConfig};
+    use query::Name;
     use std::collections::HashMap;
 
     fn db() -> Database {
         generate_imdb(GeneratorConfig::tiny())
     }
 
-    fn table_histogram(queries: &[LogicalQuery]) -> HashMap<String, usize> {
+    fn table_histogram(queries: &[LogicalQuery]) -> HashMap<Name, usize> {
         let mut hist = HashMap::new();
         for q in queries {
-            let fact = q.tables.iter().find(|t| *t != "title").expect("join partner");
-            *hist.entry(fact.clone()).or_insert(0) += 1;
+            let fact = q.tables.iter().find(|t| **t != "title").expect("join partner");
+            *hist.entry(*fact).or_insert(0) += 1;
         }
         hist
     }
 
-    fn hottest(hist: &HashMap<String, usize>) -> (&str, usize) {
+    fn hottest(hist: &HashMap<Name, usize>) -> (&str, usize) {
         hist.iter().map(|(t, &n)| (t.as_str(), n)).max_by_key(|&(t, n)| (n, t.to_owned())).expect("non-empty")
     }
 

@@ -9,7 +9,7 @@
 
 use engine::{plan_query, CostModel, PlannerConfig};
 use imdb::{Database, Value};
-use query::{Aggregate, CompareOp, JoinPredicate, LogicalQuery, Operand, PlanNode, Predicate, Projection};
+use query::{Aggregate, CompareOp, JoinPredicate, LogicalQuery, Name, Operand, PlanNode, Predicate, Projection};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
@@ -143,7 +143,7 @@ impl<'a> QueryGenerator<'a> {
     }
 
     /// Generate one numeric atom over a table in the query.
-    fn numeric_atom(&mut self, tables: &[String]) -> Option<Predicate> {
+    fn numeric_atom(&mut self, tables: &[Name]) -> Option<Predicate> {
         let candidates: Vec<&(&str, &str)> =
             NUMERIC_PREDICATE_COLUMNS.iter().filter(|(t, _)| tables.iter().any(|x| x == t)).collect();
         let (table, column) = **candidates.choose(&mut self.rng)?;
@@ -154,7 +154,7 @@ impl<'a> QueryGenerator<'a> {
     }
 
     /// Generate one string atom over a table in the query.
-    fn string_atom(&mut self, tables: &[String]) -> Option<Predicate> {
+    fn string_atom(&mut self, tables: &[Name]) -> Option<Predicate> {
         let candidates: Vec<&(&str, &str)> =
             STRING_PREDICATE_COLUMNS.iter().filter(|(t, _)| tables.iter().any(|x| x == t)).collect();
         let (table, column) = **candidates.choose(&mut self.rng)?;
@@ -200,19 +200,19 @@ impl<'a> QueryGenerator<'a> {
         let n_joins = self.rng.gen_range(self.config.min_joins..=self.config.max_joins);
         // Random walk over the join graph starting from a random edge (or a
         // random fact table for 0-join queries).
-        let mut tables: Vec<String> = Vec::new();
+        let mut tables: Vec<Name> = Vec::new();
         let mut joins: Vec<JoinPredicate> = Vec::new();
         if n_joins == 0 {
             let start = ["title", "movie_companies", "movie_info_idx", "movie_info", "cast_info"]
                 .choose(&mut self.rng)
                 .expect("non-empty");
-            tables.push((*start).to_string());
+            tables.push(Name::new(start));
         } else {
             let mut edges = self.join_edges.clone();
             edges.shuffle(&mut self.rng);
-            let first = edges[0].clone();
-            tables.push(first.left_table.clone());
-            tables.push(first.right_table.clone());
+            let first = edges[0];
+            tables.push(first.left_table);
+            tables.push(first.right_table);
             joins.push(first);
             while joins.len() < n_joins {
                 let next = edges.iter().find(|e| {
@@ -221,13 +221,12 @@ impl<'a> QueryGenerator<'a> {
                     l_in != r_in
                 });
                 match next {
-                    Some(e) => {
-                        let e = e.clone();
+                    Some(&e) => {
                         if !tables.contains(&e.left_table) {
-                            tables.push(e.left_table.clone());
+                            tables.push(e.left_table);
                         }
                         if !tables.contains(&e.right_table) {
-                            tables.push(e.right_table.clone());
+                            tables.push(e.right_table);
                         }
                         joins.push(e);
                     }
@@ -237,8 +236,8 @@ impl<'a> QueryGenerator<'a> {
         }
 
         // Predicates per table.
-        let mut filters: HashMap<String, Predicate> = HashMap::new();
-        for table in tables.clone() {
+        let mut filters: HashMap<Name, Predicate> = HashMap::new();
+        for &table in &tables {
             let n_atoms = self.rng.gen_range(0..=self.config.max_predicates_per_table);
             let mut atoms = Vec::new();
             for _ in 0..n_atoms {
@@ -253,13 +252,13 @@ impl<'a> QueryGenerator<'a> {
                 }
             }
             if let Some(p) = self.combine(atoms) {
-                filters.insert(table.clone(), p);
+                filters.insert(table, p);
             }
         }
 
         let agg = *[Aggregate::Count, Aggregate::Min, Aggregate::Max].choose(&mut self.rng).expect("non-empty");
         LogicalQuery {
-            projections: vec![Projection { table: tables[0].clone(), column: "id".into(), aggregate: agg }],
+            projections: vec![Projection { table: tables[0], column: "id".into(), aggregate: agg }],
             tables,
             joins,
             filters,
