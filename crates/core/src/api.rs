@@ -58,7 +58,7 @@ impl CostEstimator {
             trainer: None,
             model_config,
             train_config,
-            subtree_cache: Arc::new(SubtreeStateCache::new()),
+            subtree_cache: Arc::new(SubtreeStateCache::new(model_config.hidden_dim)),
             encode_cache: Arc::new(EncodedSubtreeCache::new()),
         }
     }
@@ -73,9 +73,10 @@ impl CostEstimator {
     /// depend only on the extractor, which survives refits), but one
     /// invalidation rule for every serving cache is cheaper to reason about
     /// than a carve-out, and re-encoding a working set is a few
-    /// milliseconds.
+    /// milliseconds.  The new state cache takes its slot width from the
+    /// current model configuration.
     fn invalidate_caches(&mut self) {
-        self.subtree_cache = Arc::new(SubtreeStateCache::new());
+        self.subtree_cache = Arc::new(SubtreeStateCache::new(self.model_config.hidden_dim));
         self.encode_cache = Arc::new(EncodedSubtreeCache::new());
     }
 

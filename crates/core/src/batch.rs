@@ -56,7 +56,7 @@
 //! level loop and returns the same bits, so it is the oracle both head
 //! sweeps are tested against (and Table 12's one-by-one row).
 
-use crate::memory::{SubtreeState, SubtreeStateCache};
+use crate::memory::SubtreeStateCache;
 use crate::model::TreeModel;
 use crate::trainer::TargetNormalization;
 use featurize::{EncodedPlan, FeatureExtractor, NodeFeatures};
@@ -202,11 +202,16 @@ pub fn forward_batch(model: &TreeModel, store: &ParamStore, g: &mut Graph, plans
 }
 
 /// Where a batch node's state comes from: a cached entry — the root of a
-/// memoized subtree, answered as a plan from its stored estimate and
-/// injected under a fresh parent instead of recursing into its children —
-/// or the level loop, which embeds the node's shared features.
+/// memoized subtree, pruned there — or the level loop, which embeds the
+/// node's shared features.
 enum NodeSource {
-    Cached(Arc<SubtreeState>),
+    /// A cached sub-plan: its stored estimate, which answers it as a plan,
+    /// and, once a fresh node reads it as a child, the column its `G‖R`
+    /// took in the batch's fringe buffer.
+    Cached {
+        estimate: (f64, f64),
+        column: Option<usize>,
+    },
     Fresh(Arc<NodeFeatures>),
 }
 
@@ -226,7 +231,7 @@ impl BatchNode {
     fn features(&self) -> &NodeFeatures {
         match &self.source {
             NodeSource::Fresh(features) => features,
-            NodeSource::Cached(_) => unreachable!("the level loop embeds fresh nodes only"),
+            NodeSource::Cached { .. } => unreachable!("the level loop embeds fresh nodes only"),
         }
     }
 }
@@ -322,6 +327,12 @@ struct LevelBatch {
     /// re-hashing, and it lives for one chunk of at most [`GROUP_SIZE`]
     /// plans.
     dedup: HashMap<u64, usize, BuildHasherDefault<IdentityHasher>>,
+    /// `G‖R` of each cached node a fresh node reads as a child, copied out
+    /// of the cache by its probe: one `2 × hidden` block per fringe column,
+    /// `G` first.
+    fringe: Vec<f32>,
+    /// The node behind each fringe column.
+    fringe_nodes: Vec<usize>,
     seen_nodes: u64,
     computed: u64,
 }
@@ -339,12 +350,14 @@ impl LevelBatch {
             roots: Vec::with_capacity(n),
             levels: Vec::new(),
             dedup: HashMap::with_capacity_and_hasher(if cache.is_some() { n } else { 0 }, Default::default()),
+            fringe: Vec::new(),
+            fringe_nodes: Vec::new(),
             seen_nodes: 0,
             computed: 0,
         };
         let mut max_height = 1;
         for plan in plans {
-            let (root, height) = batch.push_tree(plan, cache);
+            let (root, height) = batch.push_tree(plan, cache, false);
             batch.roots.push(root);
             max_height = max_height.max(height);
         }
@@ -360,22 +373,31 @@ impl LevelBatch {
     }
 
     /// Append `tree`'s nodes in pre-order; returns `(node index, height)`.
-    /// With a `cache`, a sub-plan already in the batch is served by its
-    /// earlier node (a DP enumeration's candidates share almost all of their
+    /// `child` says whether a fresh node reads `tree` as a child.  With a
+    /// `cache`, a sub-plan already in the batch is served by its earlier
+    /// node (a DP enumeration's candidates share almost all of their
     /// subtrees, and each distinct subtree must enter the level loop exactly
-    /// once), and a cached one is pruned at its root; only a node that
-    /// misses both is featurized and descended into.
-    fn push_tree<T: PlanTree>(&mut self, tree: T, cache: Option<&SubtreeStateCache>) -> (usize, usize) {
+    /// once), and a cached one is pruned at its root, its probe copying what
+    /// its reader needs: a plan's root its estimate, a child its `G‖R` into
+    /// the fringe buffer too.  Only a node that misses both is featurized
+    /// and descended into.
+    fn push_tree<T: PlanTree>(&mut self, tree: T, cache: Option<&SubtreeStateCache>, child: bool) -> (usize, usize) {
         let signature = tree.signature();
         let idx = self.nodes.len();
         if let Some(cache) = cache {
             if let Some(&seen) = self.dedup.get(&signature) {
-                self.seen_nodes += tree.size() as u64;
-                return (seen, self.nodes[seen].height);
+                if !child || self.readable_as_child(seen, cache) {
+                    self.seen_nodes += tree.size() as u64;
+                    return (seen, self.nodes[seen].height);
+                }
+                // `seen` is a cached root whose entry was replaced since its
+                // probe: this occurrence is laid out anew below.
             }
             self.dedup.insert(signature, idx);
-            if let Some(state) = cache.get(signature) {
-                let source = NodeSource::Cached(state);
+            let hit = if child { cache.read_state(signature, &mut self.fringe) } else { cache.estimate(signature) };
+            if let Some(estimate) = hit {
+                let column = child.then(|| self.push_fringe(idx));
+                let source = NodeSource::Cached { estimate, column };
                 self.nodes.push(BatchNode { height: 1, children: Vec::new(), signature, source });
                 self.seen_nodes += tree.size() as u64;
                 return (idx, 1);
@@ -388,7 +410,7 @@ impl LevelBatch {
         let mut children = Vec::new();
         let mut max_child_height = 0;
         for c in tree.children() {
-            let (cid, ch) = self.push_tree(c, cache);
+            let (cid, ch) = self.push_tree(c, cache, true);
             children.push(cid);
             max_child_height = max_child_height.max(ch);
         }
@@ -398,6 +420,31 @@ impl LevelBatch {
         (idx, height)
     }
 
+    /// Give node `i`, whose `G‖R` was just appended to the fringe buffer,
+    /// the next fringe column.
+    fn push_fringe(&mut self, i: usize) -> usize {
+        self.fringe_nodes.push(i);
+        self.fringe_nodes.len() - 1
+    }
+
+    /// Whether node `i` can be read as a fresh node's child: a fresh node
+    /// can, and so can a cached one whose `G‖R` is in the fringe buffer.  A
+    /// cached node probed only as a plan's root copies its `G‖R` now; false
+    /// if its entry was replaced since that probe.
+    fn readable_as_child(&mut self, i: usize, cache: &SubtreeStateCache) -> bool {
+        if !matches!(self.nodes[i].source, NodeSource::Cached { column: None, .. }) {
+            return true;
+        }
+        if cache.read_state(self.nodes[i].signature, &mut self.fringe).is_none() {
+            return false;
+        }
+        let fringe_column = self.push_fringe(i);
+        if let NodeSource::Cached { column, .. } = &mut self.nodes[i].source {
+            *column = Some(fringe_column);
+        }
+        true
+    }
+
     /// The level loop: inject the cached states fresh nodes read as
     /// children (two batched input columns), then per level embed the fresh
     /// nodes' features, gather their children states (zero states for
@@ -405,24 +452,14 @@ impl LevelBatch {
     /// indexed like `nodes`: the embedded ones and the injected fringe.
     fn embed(&self, model: &TreeModel, store: &ParamStore, g: &mut Graph) -> Vec<Option<StateRef>> {
         let mut states: Vec<Option<StateRef>> = vec![None; self.nodes.len()];
-        // Only fresh nodes have children.
-        let mut fringe: Vec<(usize, &SubtreeState)> = Vec::new();
-        for node in &self.nodes {
-            for &c in &node.children {
-                if let NodeSource::Cached(state) = &self.nodes[c].source {
-                    fringe.push((c, state));
-                }
-            }
-        }
-        if !fringe.is_empty() {
-            fringe.sort_unstable_by_key(|&(c, _)| c);
-            fringe.dedup_by_key(|&mut (c, _)| c);
+        if !self.fringe_nodes.is_empty() {
             let hidden = model.config.hidden_dim;
-            let g_cols: Vec<&[f32]> = fringe.iter().map(|(_, s)| s.g.as_slice()).collect();
-            let r_cols: Vec<&[f32]> = fringe.iter().map(|(_, s)| s.r.as_slice()).collect();
+            let blocks = self.fringe.chunks_exact(2 * hidden);
+            let g_cols: Vec<&[f32]> = blocks.clone().map(|s| &s[..hidden]).collect();
+            let r_cols: Vec<&[f32]> = blocks.map(|s| &s[hidden..]).collect();
             let inj_g = g.input_columns(hidden, &g_cols);
             let inj_r = g.input_columns(hidden, &r_cols);
-            for (col, &(i, _)) in fringe.iter().enumerate() {
+            for (col, &i) in self.fringe_nodes.iter().enumerate() {
                 states[i] = Some(StateRef { g: (inj_g, col), r: (inj_r, col) });
             }
         }
@@ -474,12 +511,13 @@ impl LevelBatch {
         cache: &SubtreeStateCache,
         out: &mut Vec<(f64, f64)>,
     ) {
+        assert_eq!(cache.width(), model.config.hidden_dim, "the cache holds another model's state width");
         cache.record_nodes(self.seen_nodes, self.computed);
         let mut estimates: Vec<(f64, f64)> = self
             .nodes
             .iter()
-            .map(|n| match &n.source {
-                NodeSource::Cached(state) => state.estimate,
+            .map(|n| match n.source {
+                NodeSource::Cached { estimate, .. } => estimate,
                 NodeSource::Fresh(_) => (f64::NAN, f64::NAN),
             })
             .collect();
@@ -490,8 +528,8 @@ impl LevelBatch {
     }
 
     /// The level loop, then one heads sweep over every fresh sub-plan, level
-    /// by level; each one's state is lifted off the tape and memoized in
-    /// `cache` with its estimate, which also goes into `estimates`.
+    /// by level; each one's `G‖R` is written off the tape straight into its
+    /// `cache` slot with its estimate, which also goes into `estimates`.
     fn score_fresh(
         &self,
         model: &TreeModel,
@@ -512,11 +550,11 @@ impl LevelBatch {
         let fresh_estimates = denormalize_outputs(g, normalization, cost_out, card_out, fresh.len());
         let hidden = model.config.hidden_dim;
         for (&(i, s), estimate) in fresh.iter().zip(fresh_estimates) {
-            let mut sg = Vec::with_capacity(hidden);
-            let mut sr = Vec::with_capacity(hidden);
-            g.extract_column(s.g.0, s.g.1, &mut sg);
-            g.extract_column(s.r.0, s.r.1, &mut sr);
-            cache.insert(self.nodes[i].signature, Arc::new(SubtreeState { g: sg, r: sr, estimate }));
+            cache.insert(self.nodes[i].signature, estimate, |slot| {
+                let (sg, sr) = slot.split_at_mut(hidden);
+                g.copy_column(s.g.0, s.g.1, sg);
+                g.copy_column(s.r.0, s.r.1, sr);
+            });
             estimates[i] = estimate;
         }
     }
@@ -533,9 +571,9 @@ impl LevelBatch {
 /// hit below a fresh node re-enters the tape as an injected `(G, R)` input
 /// column ([`Graph::input_columns`]), and only the fringe above it is
 /// embedded.  One heads sweep then scores every fresh sub-plan, and each
-/// one's state columns ([`Graph::extract_column`]) and estimate are
-/// memoized, so a DP enumeration embeds each distinct subtree once no
-/// matter how many candidate plans contain it.
+/// one's state columns ([`Graph::copy_column`]) and estimate are memoized,
+/// so a DP enumeration embeds each distinct subtree once no matter how many
+/// candidate plans contain it.
 ///
 /// Estimates are **bit-identical** to the memoization-free [`estimate_batch`]:
 /// injected states and stored estimates are verbatim copies of previously
@@ -714,7 +752,7 @@ mod tests {
         let refs: Vec<&EncodedPlan> = plans.iter().collect();
         let fresh = estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &refs);
 
-        let cache = crate::memory::SubtreeStateCache::new();
+        let cache = crate::memory::SubtreeStateCache::new(trainer.model.config.hidden_dim);
         let cold = estimate_batch_memo(&trainer.model, &trainer.model.params, &trainer.normalization, &refs, &cache);
         assert_eq!(fresh, cold, "cold memoized estimates must be bit-identical to the fresh path");
         assert!(!cache.is_empty(), "forward pass must populate the subtree cache");
@@ -740,7 +778,7 @@ mod tests {
             ModelConfig { feature_embed_dim: 8, hidden_dim: 12, estimation_hidden_dim: 8, ..Default::default() },
         );
         let trainer = Trainer::new(model, &plans, TrainConfig::default());
-        let cache = crate::memory::SubtreeStateCache::new();
+        let cache = crate::memory::SubtreeStateCache::new(trainer.model.config.hidden_dim);
 
         let leaves: Vec<&EncodedPlan> = plans.iter().flat_map(|p| p.children.iter().map(|c| c.as_ref())).collect();
         estimate_batch_memo(&trainer.model, &trainer.model.params, &trainer.normalization, &leaves, &cache);
@@ -754,6 +792,37 @@ mod tests {
         // The second pass embeds exactly one new node per distinct plan (the
         // join root); every scan state is injected from the cache.
         assert_eq!(computed_total - computed_leaves, plans.len() as u64);
+    }
+
+    #[test]
+    fn a_cached_sub_plan_serves_as_root_and_fringe_in_one_chunk() {
+        // A cached scan submitted as a plan of its own and read as a child
+        // by a fresh join in the same chunk, in both orders: as a root first
+        // (its probe copies only the estimate, so the join's read copies its
+        // G‖R later) and as a child first (the root reuses the fringe node).
+        let (plans, cfg) = samples(2);
+        let model = TreeModel::new(
+            &cfg,
+            ModelConfig { feature_embed_dim: 8, hidden_dim: 12, estimation_hidden_dim: 8, ..Default::default() },
+        );
+        let trainer = Trainer::new(model, &plans, TrainConfig::default());
+        let (m, n) = (&trainer.model, &trainer.normalization);
+        let shared_scan = plans[0].children[1].as_ref();
+        assert_eq!(shared_scan.signature, plans[1].children[1].signature, "both joins read the same scan");
+        let chunks: [Vec<&EncodedPlan>; 2] = [vec![shared_scan, &plans[0]], vec![&plans[1], shared_scan]];
+        for (order, chunk) in ["root first", "child first"].iter().zip(&chunks) {
+            let cache = SubtreeStateCache::new(m.config.hidden_dim);
+            let leaves: Vec<&EncodedPlan> = plans.iter().flat_map(|p| p.children.iter().map(|c| c.as_ref())).collect();
+            estimate_batch_memo(m, &m.params, n, &leaves, &cache);
+            let (_, computed_leaves) = cache.node_stats();
+
+            let fresh = estimate_batch(m, &m.params, n, chunk);
+            let memo = estimate_batch_memo(m, &m.params, n, chunk, &cache);
+            let (fresh, memo): (Vec<_>, Vec<_>) =
+                (fresh.into_iter().map(bits).collect(), memo.into_iter().map(bits).collect());
+            assert_eq!(fresh, memo, "{order}: memo and fresh diverge");
+            assert_eq!(cache.node_stats().1 - computed_leaves, 1, "{order}: only the join is embedded");
+        }
     }
 
     #[test]
@@ -837,7 +906,7 @@ mod tests {
                 for (plan, batch) in encoded.iter().zip(fresh.iter()) {
                     prop_assert_eq!(bits(t.estimate(plan)), bits(*batch));
                 }
-                let cache = SubtreeStateCache::new();
+                let cache = SubtreeStateCache::new(t.model.config.hidden_dim);
                 let cold = estimate_batch_memo(&t.model, &t.model.params, &t.normalization, &refs, &cache);
                 prop_assert_eq!(&fresh, &cold);
                 let warm = estimate_batch_memo(&t.model, &t.model.params, &t.normalization, &refs, &cache);
@@ -853,7 +922,7 @@ mod tests {
                 // so one call answers cached roots from their entries and
                 // embeds the rest over cached children.
                 let half = refs.len() / 2;
-                let mixed_cache = SubtreeStateCache::new();
+                let mixed_cache = SubtreeStateCache::new(t.model.config.hidden_dim);
                 estimate_batch_memo(&t.model, &t.model.params, &t.normalization, &refs[..half], &mixed_cache);
                 let mixed = estimate_batch_memo(&t.model, &t.model.params, &t.normalization, &refs, &mixed_cache);
                 prop_assert_eq!(&fresh, &mixed);
@@ -868,7 +937,7 @@ mod tests {
                     out.into_iter().map(bits).collect::<Vec<_>>()
                 };
                 let want: Vec<(u64, u64)> = fresh.iter().map(|&e| bits(e)).collect();
-                let raw_cache = SubtreeStateCache::new();
+                let raw_cache = SubtreeStateCache::new(t.model.config.hidden_dim);
                 prop_assert_eq!(&raw(candidates, &raw_cache), &want);
                 // The cold pass left an entry for every sub-plan of every
                 // candidate.  A non-root entry answers that sub-plan the
@@ -877,17 +946,17 @@ mod tests {
                 // sub-plan encoded as its own plan.
                 let mut subplans: Vec<&PlanNode> = candidates.iter().collect();
                 while let Some(sub) = subplans.pop() {
-                    let state = raw_cache.get(sub.signature_hash());
+                    let state = raw_cache.estimate(sub.signature_hash());
                     prop_assert!(state.is_some(), "a sub-plan of a cold pass has no entry");
                     let expected = bits(t.estimate(&fixture.fx.encode_plan(sub)));
-                    prop_assert_eq!(bits(state.unwrap().estimate), expected);
+                    prop_assert_eq!(bits(state.unwrap()), expected);
                     subplans.extend(&sub.children);
                 }
                 prop_assert_eq!(&raw(candidates, &raw_cache), &want);
-                let mixed_cache = SubtreeStateCache::new();
+                let mixed_cache = SubtreeStateCache::new(t.model.config.hidden_dim);
                 raw(&candidates[..half], &mixed_cache);
                 prop_assert_eq!(&raw(candidates, &mixed_cache), &want);
-                let single_cache = SubtreeStateCache::new();
+                let single_cache = SubtreeStateCache::new(t.model.config.hidden_dim);
                 for (plan, expected) in candidates.iter().zip(&want) {
                     prop_assert_eq!(&raw(std::slice::from_ref(plan), &single_cache)[0], expected);
                 }

@@ -12,7 +12,7 @@
 //!   sub-plan for the subtree-memoized serving forward of the optimizer
 //!   loop.
 //! * [`memory`] — the sharded, 64-bit-signature-keyed serving caches of the
-//!   online workflow (Section 3): the subtree-state cache (the paper's
+//!   online workflow (Section 3): the subtree-state slab (the paper's
 //!   representation memory pool) and the encoded-subtree cache.
 //! * [`api`] — the [`CostEstimator`] façade downstream users interact with,
 //!   plus the thread-shareable [`ServingEstimator`] handle.
@@ -35,7 +35,7 @@ pub mod trainer;
 pub use api::{CostEstimator, ServingEstimator};
 pub use backend::{Estimator, EstimatorCapabilities, PlanEstimate, TrainableEstimator};
 pub use batch::{estimate_batch, estimate_batch_memo, forward_batch};
-pub use memory::{EncodedSubtreeCache, ShardedCache, SubtreeState, SubtreeStateCache};
+pub use memory::{EncodedSubtreeCache, ShardedCache, SubtreeStateCache};
 pub use model::{ModelConfig, PredicateModelKind, RepresentationCellKind, TaskMode, TreeModel};
 pub use nn::checkpoint::CheckpointError;
 pub use trainer::{EpochStats, TargetNormalization, TrainConfig, Trainer};

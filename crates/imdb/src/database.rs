@@ -12,19 +12,21 @@ pub struct Database {
     schema: Schema,
     tables: HashMap<String, Table>,
     samples: HashMap<String, TableSample>,
-    indexes: HashMap<(String, String), HashIndex>,
+    /// Hash indexes by table, then by column, so a `&str` pair probes
+    /// without building a key.
+    indexes: HashMap<String, HashMap<String, HashIndex>>,
 }
 
 impl Database {
     /// Assemble a database and build hash indexes on all indexed columns.
     pub fn new(schema: Schema, tables: HashMap<String, Table>, samples: HashMap<String, TableSample>) -> Self {
-        let mut indexes = HashMap::new();
+        let mut indexes: HashMap<String, HashMap<String, HashIndex>> = HashMap::new();
         for t in &schema.tables {
             if let Some(table) = tables.get(&t.name) {
                 for c in &t.columns {
                     if c.indexed {
                         if let Some(idx) = HashIndex::build(table, &c.name) {
-                            indexes.insert((t.name.clone(), c.name.clone()), idx);
+                            indexes.entry(t.name.clone()).or_default().insert(c.name.clone(), idx);
                         }
                     }
                 }
@@ -50,7 +52,7 @@ impl Database {
 
     /// The hash index on `(table, column)`, if one was built.
     pub fn index(&self, table: &str, column: &str) -> Option<&HashIndex> {
-        self.indexes.get(&(table.to_string(), column.to_string()))
+        self.indexes.get(table)?.get(column)
     }
 
     /// Number of rows in a table (0 when the table is unknown).

@@ -439,21 +439,20 @@ impl Graph {
         self.push(out, op)
     }
 
-    /// Copy column `col` of a node's value into `out` (cleared first) — the
-    /// state-extraction half of subtree memoization: after a level's cell
-    /// runs, each new sub-plan's `G`/`R` column is lifted off the tape into
-    /// the cache without any tape node.
+    /// Copy column `col` of a node's value into `out` — the
+    /// state-extraction half of subtree memoization: after the heads sweep,
+    /// each new sub-plan's `G`/`R` column is written off the tape straight
+    /// into its cache slot, with no tape node and no allocation.
     ///
     /// # Panics
-    /// Panics if `col` is out of range.
-    pub fn extract_column(&self, id: NodeId, col: usize, out: &mut Vec<f32>) {
+    /// Panics if `col` is out of range or `out`'s length differs from the
+    /// node's row count.
+    pub fn copy_column(&self, id: NodeId, col: usize, out: &mut [f32]) {
         let v = &self.nodes[id.0].value;
-        assert!(col < v.cols(), "extract_column out of range");
-        let (rows, cols) = (v.rows(), v.cols());
-        out.clear();
-        out.reserve(rows);
-        for r in 0..rows {
-            out.push(v.data()[r * cols + col]);
+        assert!(col < v.cols(), "copy_column out of range");
+        assert_eq!(out.len(), v.rows(), "copy_column row-count mismatch");
+        for (o, &x) in out.iter_mut().zip(v.data()[col..].iter().step_by(v.cols())) {
+            *o = x;
         }
     }
 
@@ -852,17 +851,17 @@ mod tests {
     fn extract_and_inject_round_trip() {
         let mut g = Graph::inference();
         let m = g.input(Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
-        let mut c0 = Vec::new();
-        let mut c2 = Vec::new();
-        g.extract_column(m, 0, &mut c0);
-        g.extract_column(m, 2, &mut c2);
-        assert_eq!(c0, vec![1.0, 4.0]);
-        assert_eq!(c2, vec![3.0, 6.0]);
+        let mut c0 = [0.0; 2];
+        let mut c2 = [0.0; 2];
+        g.copy_column(m, 0, &mut c0);
+        g.copy_column(m, 2, &mut c2);
+        assert_eq!(c0, [1.0, 4.0]);
+        assert_eq!(c2, [3.0, 6.0]);
         let injected = g.input_columns(2, &[&c2, &c0]);
         assert_eq!(g.value(injected), &Matrix::from_vec(2, 2, vec![3.0, 1.0, 6.0, 4.0]));
-        // extract_column clears the destination before refilling.
-        g.extract_column(injected, 0, &mut c0);
-        assert_eq!(c0, vec![3.0, 6.0]);
+        // copy_column overwrites the destination.
+        g.copy_column(injected, 0, &mut c0);
+        assert_eq!(c0, [3.0, 6.0]);
     }
 
     #[test]
