@@ -41,13 +41,14 @@ use std::sync::Arc;
 /// An end-to-end learned cost and cardinality estimator.
 pub struct CostEstimator {
     extractor: Arc<FeatureExtractor>,
-    trainer: Option<Trainer>,
     model_config: ModelConfig,
     train_config: TrainConfig,
-    subtree_cache: Arc<SubtreeStateCache>,
-    /// Memoized subtree *encodings* behind [`CostEstimator::encode_plans`];
-    /// swapped together with `subtree_cache` on every invalidation.
-    encode_cache: Arc<EncodedSubtreeCache>,
+    /// The trainer and the generation serving its weights, replaced
+    /// together by [`CostEstimator::install`]; `None` before fit.
+    fitted: Option<(Trainer, ServingEstimator)>,
+    /// Memoized subtree *encodings* behind [`CostEstimator::encode_plans`].
+    /// They depend only on the extractor, so refits and loads keep them.
+    encode_cache: EncodedSubtreeCache,
 }
 
 impl CostEstimator {
@@ -55,37 +56,28 @@ impl CostEstimator {
     pub fn new(extractor: FeatureExtractor, model_config: ModelConfig, train_config: TrainConfig) -> Self {
         CostEstimator {
             extractor: Arc::new(extractor),
-            trainer: None,
             model_config,
             train_config,
-            subtree_cache: Arc::new(SubtreeStateCache::new(model_config.hidden_dim)),
-            encode_cache: Arc::new(EncodedSubtreeCache::new()),
+            fitted: None,
+            encode_cache: EncodedSubtreeCache::new(),
         }
     }
 
-    /// Invalidate every serving cache: the subtree-state cache is
-    /// **replaced** with a fresh `Arc` rather than cleared in place, so an
-    /// outstanding owned [`ServingEstimator`] keeps its consistent (old
-    /// model, old cache) pair while this estimator's next handle starts
-    /// empty — nothing computed under the old parameters can ever serve the
-    /// new ones, in either direction.  The encoded-subtree cache is swapped
-    /// under the same rule — its entries would actually stay *valid* (they
-    /// depend only on the extractor, which survives refits), but one
-    /// invalidation rule for every serving cache is cheaper to reason about
-    /// than a carve-out, and re-encoding a working set is a few
-    /// milliseconds.  The new state cache takes its slot width from the
-    /// current model configuration.
-    fn invalidate_caches(&mut self) {
-        self.subtree_cache = Arc::new(SubtreeStateCache::new(self.model_config.hidden_dim));
-        self.encode_cache = Arc::new(EncodedSubtreeCache::new());
+    /// Install `trainer` beside a new generation serving its weights, whose
+    /// subtree-state cache starts empty; the pair replaces the previous
+    /// one.  Handles to the previous generation keep serving it, cache and
+    /// all.
+    fn install(&mut self, trainer: Trainer) {
+        let serving = ServingEstimator::new(&trainer, Arc::clone(&self.extractor));
+        self.fitted = Some((trainer, serving));
     }
 
-    /// The fitted trainer behind every estimate.
+    /// The fitted trainer and the generation serving its weights.
     ///
     /// # Panics
     /// Panics if the estimator has not been fitted.
-    fn fitted(&self) -> &Trainer {
-        self.trainer.as_ref().expect("CostEstimator used before fit")
+    fn fitted(&self) -> &(Trainer, ServingEstimator) {
+        self.fitted.as_ref().expect("CostEstimator used before fit")
     }
 
     /// The feature extractor (exposed for encoding plans externally).
@@ -103,18 +95,18 @@ impl CostEstimator {
     }
 
     /// Encode a batch through the estimator's shared encoded-subtree cache:
-    /// each distinct subtree (within the batch *and* across previous calls
-    /// since the last refit) is featurized exactly once.  Bit-identical to
-    /// [`CostEstimator::encode`] per plan.
+    /// each distinct subtree (within the batch *and* across previous calls,
+    /// refits and loads included) is featurized exactly once.
+    /// Bit-identical to [`CostEstimator::encode`] per plan.
     pub fn encode_plans(&self, plans: &[PlanNode]) -> Vec<Arc<EncodedPlan>> {
-        self.extractor.encode_plans_cached(plans, self.encode_cache.as_ref())
+        self.extractor.encode_plans_cached(plans, &self.encode_cache)
     }
 
     /// The memoized-encode cache backing [`CostEstimator::encode_plans`]
     /// (and, through it, the serving catalog's batch encode).  Raw-plan
     /// estimation ([`ServingEstimator::estimate_plans`]) never touches it.
     pub fn encode_cache(&self) -> &EncodedSubtreeCache {
-        self.encode_cache.as_ref()
+        &self.encode_cache
     }
 
     /// Train on already-encoded plans; returns per-epoch statistics.
@@ -122,9 +114,7 @@ impl CostEstimator {
         let model = TreeModel::new(self.extractor.config(), self.model_config);
         let mut trainer = Trainer::new(model, samples, self.train_config);
         let stats = trainer.train(samples);
-        self.trainer = Some(trainer);
-        // Cached subtree states belong to the previous model.
-        self.invalidate_caches();
+        self.install(trainer);
         stats
     }
 
@@ -150,7 +140,7 @@ impl CostEstimator {
     /// (the serving refresh controller) fall back to
     /// [`CostEstimator::fit_encoded`] on this error instead of aborting.
     pub fn fit_resumed_encoded(&mut self, samples: &[EncodedPlan]) -> Result<Vec<EpochStats>, CheckpointError> {
-        let trainer = self.trainer.as_mut().ok_or(CheckpointError::Unsupported(
+        let (trainer, _) = self.fitted.as_ref().ok_or(CheckpointError::Unsupported(
             "fit_resumed called with nothing to resume: the estimator has never been fitted or loaded",
         ))?;
         if !trainer.is_resumable() {
@@ -158,9 +148,13 @@ impl CostEstimator {
                 "fit_resumed called with nothing to resume: the checkpoint carried no resumable training state",
             ));
         }
+        // Retire this estimator's own generation before training: the
+        // weights are then updated in place, and copied only while an
+        // outstanding handle still pins them.
+        let (mut trainer, retired) = self.fitted.take().expect("checked above");
+        drop(retired);
         let stats = trainer.train(samples);
-        // Parameters moved: every cached subtree state is stale.
-        self.invalidate_caches();
+        self.install(trainer);
         Ok(stats)
     }
 
@@ -182,14 +176,14 @@ impl CostEstimator {
     /// the raised budget is persisted like any other hyper-parameter.
     pub fn extend_training_epochs(&mut self, extra: usize) {
         self.train_config.epochs += extra;
-        if let Some(trainer) = self.trainer.as_mut() {
+        if let Some((trainer, _)) = self.fitted.as_mut() {
             trainer.extend_epochs(extra);
         }
     }
 
     /// True once the model has been trained.
     pub fn is_fitted(&self) -> bool {
-        self.trainer.is_some()
+        self.fitted.is_some()
     }
 
     /// True when [`CostEstimator::fit_resumed`] can continue training: the
@@ -197,7 +191,7 @@ impl CostEstimator {
     /// by [`CostEstimator::resume_from_checkpoint`] /
     /// [`CostEstimator::load_checkpoint`] from a v2 checkpoint.
     pub fn is_resumable(&self) -> bool {
-        self.trainer.as_ref().is_some_and(|t| t.is_resumable())
+        self.fitted.as_ref().is_some_and(|(trainer, _)| trainer.is_resumable())
     }
 
     /// Estimate `(cost, cardinality)` for a physical plan through the
@@ -209,7 +203,7 @@ impl CostEstimator {
     /// # Panics
     /// Panics if the estimator has not been fitted.
     pub fn estimate(&self, plan: &PlanNode) -> (f64, f64) {
-        self.serving().estimate_plans(std::slice::from_ref(plan))[0]
+        self.fitted().1.estimate_plans(std::slice::from_ref(plan))[0]
     }
 
     /// Estimate `(cost, cardinality)` for an already-encoded plan with the
@@ -220,7 +214,7 @@ impl CostEstimator {
     /// # Panics
     /// Panics if the estimator has not been fitted.
     pub fn estimate_encoded(&self, plan: &EncodedPlan) -> (f64, f64) {
-        self.fitted().estimate(plan)
+        self.fitted().0.estimate(plan)
     }
 
     /// Level-batched estimation of many encoded plans at once, with no
@@ -229,36 +223,29 @@ impl CostEstimator {
     /// # Panics
     /// Panics if the estimator has not been fitted.
     pub fn estimate_encoded_batch(&self, plans: &[EncodedPlan]) -> Vec<(f64, f64)> {
-        let trainer = self.fitted();
+        let (trainer, _) = self.fitted();
         let refs: Vec<&EncodedPlan> = plans.iter().collect();
-        estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &refs)
+        estimate_batch(&trainer.model, &trainer.normalization, &refs)
     }
 
-    /// An **owned**, shareable serving handle over the fitted model, its
-    /// feature extractor and the subtree cache.  The handle is `Clone +
-    /// Send + Sync` and holds its referents by `Arc`, so its lifetime is
-    /// decoupled from this estimator (and its trainer): a multi-tenant
-    /// catalog can keep serving a model whose trainer is long gone, and a
-    /// hot-swap or re-fit on this estimator leaves outstanding handles
-    /// pinned to the exact weights and cache they were created with.  Tapes are per-thread and the cache is
-    /// sharded, so concurrent sessions sharing one handle serialize on no
-    /// global lock.
+    /// A handle to the served generation: the fitted weights, the
+    /// normalization, the extractor and the subtree-state cache filled from
+    /// them (see [`ServingEstimator`]).  A refit or a load on this
+    /// estimator leaves the handle serving the generation it was taken
+    /// from.
     ///
     /// # Panics
     /// Panics if the estimator has not been fitted.
     pub fn serving(&self) -> ServingEstimator {
-        let trainer = self.fitted();
-        ServingEstimator {
-            model: Arc::clone(&trainer.model),
-            normalization: trainer.normalization,
-            extractor: Arc::clone(&self.extractor),
-            cache: Arc::clone(&self.subtree_cache),
-        }
+        self.fitted().1.clone()
     }
 
-    /// The subtree-state cache backing the memoized serving path.
+    /// The served generation's subtree-state cache.
+    ///
+    /// # Panics
+    /// Panics if the estimator has not been fitted.
     pub fn subtree_cache(&self) -> &SubtreeStateCache {
-        self.subtree_cache.as_ref()
+        self.fitted().1.cache()
     }
 
     /// Persist the fitted model as a versioned binary checkpoint: model
@@ -287,7 +274,8 @@ impl CostEstimator {
     }
 
     fn save_checkpoint_impl(&self, path: &Path, with_state: bool) -> Result<(), CheckpointError> {
-        let trainer = self.trainer.as_ref().ok_or(CheckpointError::Unsupported("save_checkpoint called before fit"))?;
+        let (trainer, _) =
+            self.fitted.as_ref().ok_or(CheckpointError::Unsupported("save_checkpoint called before fit"))?;
         let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
         ckpt::write_header(&mut w, ckpt::KIND_TREE_ESTIMATOR)?;
         checkpoint::write_model_config(&mut w, &trainer.model.config)?;
@@ -317,8 +305,8 @@ impl CostEstimator {
     /// ([`CheckpointError::VocabMismatch`] on either), so loaded weights
     /// can never be applied to features laid out differently than the ones
     /// they were trained on.  Exactly like a re-fit, a successful load
-    /// swaps in an empty subtree-state cache and an empty encode cache —
-    /// every cached value belongs to the replaced parameters.  A v3 file's
+    /// installs a new generation, whose subtree-state cache starts empty;
+    /// the encode cache, which depends only on the extractor, is kept.  A v3 file's
     /// quantized-weights block, if present, is shape-checked against the
     /// model and skipped.  On error the estimator is left untouched.
     pub fn load_checkpoint(&mut self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
@@ -366,10 +354,7 @@ impl CostEstimator {
             checkpoint::skip_quant_block(&mut r, &trainer.model.params)?;
         }
         self.model_config = model_config;
-        self.trainer = Some(trainer);
-        // Same invalidation as re-fit: cached subtree states belong to the
-        // parameters this load just replaced.
-        self.invalidate_caches();
+        self.install(trainer);
         Ok(())
     }
 }
@@ -401,8 +386,9 @@ impl Estimator for CostEstimator {
         // State first: a sub-plan whose state is cached costs a signature
         // walk and a lookup, and only the fringe above the cached states is
         // featurized — trait-driven serving (catalog sessions) shares the
-        // subtree-state cache across calls.
-        self.serving()
+        // generation's subtree-state cache across calls.
+        let (_, serving) = self.fitted();
+        serving
             .estimate_plans(plans)
             .into_iter()
             .map(|(cost, card)| PlanEstimate {
@@ -431,27 +417,42 @@ impl TrainableEstimator for CostEstimator {
     }
 }
 
-/// An owned, thread-shareable view of a fitted estimator for
-/// optimizer-in-the-loop serving: the tree model, the target normalization,
-/// the feature extractor and the shared subtree-state cache — held by
-/// `Arc`, with nothing else attached.  Obtain one via
-/// [`CostEstimator::serving`]; clones share the same weights and cache.  Because the handle **owns** its referents, it
-/// outlives the estimator/trainer that minted it: a model catalog can drop
-/// or hot-swap the source estimator while in-flight sessions finish on
-/// their pinned handle, and a re-fit/checkpoint-load never mutates weights
-/// under a live handle (training copies-on-write, cache invalidation swaps
-/// in a fresh `Arc`).
+/// One served model generation: the tree model's weights, the target
+/// normalization, the feature extractor, and the subtree-state cache of the
+/// states those weights computed (the paper's representation memory pool).
+///
+/// A generation never changes.  A refit or a checkpoint load on the
+/// [`CostEstimator`] that made it installs a new generation, with an empty
+/// cache of its own, and leaves this one as it was: no state computed under
+/// one set of weights can serve another, by construction.  A handle is
+/// `Clone + Send + Sync`, and clones share the weights and the cache.  It
+/// owns what it serves, so it outlives the estimator and trainer that made
+/// it: a model catalog can drop or hot-swap the source estimator while
+/// in-flight sessions finish on the generation they pinned.  Tapes are
+/// per-thread and the cache is sharded, so concurrent sessions sharing one
+/// generation serialize on no global lock.  Obtain one via
+/// [`CostEstimator::serving`].
 #[derive(Clone)]
-pub struct ServingEstimator {
+pub struct ServingEstimator(Arc<Generation>);
+
+struct Generation {
     model: Arc<TreeModel>,
     normalization: TargetNormalization,
-    /// The feature extractor the model was fitted with, so the handle can
-    /// accept raw [`PlanNode`]s and featurize the nodes it must embed.
+    /// The feature extractor the model was fitted with, so the generation
+    /// can accept raw [`PlanNode`]s and featurize the nodes it must embed.
     extractor: Arc<FeatureExtractor>,
-    cache: Arc<SubtreeStateCache>,
+    cache: SubtreeStateCache,
 }
 
 impl ServingEstimator {
+    /// A generation serving `trainer`'s current weights, with an empty
+    /// subtree-state cache as wide as their hidden states.
+    pub(crate) fn new(trainer: &Trainer, extractor: Arc<FeatureExtractor>) -> Self {
+        let model = Arc::clone(&trainer.model);
+        let cache = SubtreeStateCache::new(model.config.hidden_dim);
+        ServingEstimator(Arc::new(Generation { model, normalization: trainer.normalization, extractor, cache }))
+    }
+
     /// The end-to-end front door: score a batch of **raw plans** state
     /// first; `(cost, cardinality)` per plan, in input order.  One
     /// signature walk per plan keys every sub-plan; a sub-plan already in
@@ -465,29 +466,33 @@ impl ServingEstimator {
     /// [`ServingEstimator::estimate_encoded_batch`], with which it shares
     /// cache entries.
     pub fn estimate_plans(&self, plans: &[PlanNode]) -> Vec<(f64, f64)> {
-        estimate_plans_memo(&self.model, &self.model.params, &self.normalization, &self.extractor, plans, &self.cache)
+        estimate_plans_memo(self, plans)
     }
 
-    /// Score a batch of candidate plans with subtree memoization
-    /// ([`crate::batch::estimate_batch_memo`]); `(cost, cardinality)` per
-    /// plan, in input order.
+    /// Score a batch of encoded candidate plans with subtree memoization;
+    /// `(cost, cardinality)` per plan, in input order.
     pub fn estimate_encoded_batch(&self, plans: &[&EncodedPlan]) -> Vec<(f64, f64)> {
-        estimate_batch_memo(&self.model, &self.model.params, &self.normalization, plans, self.cache.as_ref())
+        estimate_batch_memo(self, plans)
     }
 
-    /// The shared subtree-state cache (for hit-rate reporting).
+    /// The generation's subtree-state cache (for hit-rate reporting).
     pub fn cache(&self) -> &SubtreeStateCache {
-        self.cache.as_ref()
+        &self.0.cache
     }
 
-    /// The feature extractor this handle featurizes raw plans with.
+    /// The feature extractor this generation featurizes raw plans with.
     pub fn extractor(&self) -> &FeatureExtractor {
-        self.extractor.as_ref()
+        &self.0.extractor
     }
 
-    /// The pinned model weights (shared with every clone of this handle).
+    /// The generation's model weights.
     pub fn model(&self) -> &TreeModel {
-        self.model.as_ref()
+        &self.0.model
+    }
+
+    /// The target normalization the heads' outputs are denormalized with.
+    pub(crate) fn normalization(&self) -> &TargetNormalization {
+        &self.0.normalization
     }
 }
 
@@ -582,7 +587,7 @@ mod tests {
         let memo = serve_encoded(&est, &encoded);
         assert_eq!(batched, memo, "memoized serving must be bit-identical to the batched path");
 
-        // Four serving threads share one Copy handle and the sharded cache.
+        // Four serving threads share one generation and its sharded cache.
         let serving = est.serving();
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -593,7 +598,7 @@ mod tests {
             }
         });
         assert!(est.subtree_cache().node_hit_rate() > 0.5, "warm serving passes must hit the subtree cache");
-        // Re-fitting invalidates the cached states.
+        // A refit installs a new generation, whose cache starts empty.
         est.fit(&plans);
         assert!(est.subtree_cache().is_empty());
     }
@@ -719,21 +724,12 @@ mod tests {
         assert_eq!(bits(&est.serving().estimate_plans(&malformed)), want, "warm");
     }
 
-    /// Satellite regression guard: swapping a checkpoint in must invalidate
-    /// the subtree-state cache and the encode cache exactly like a re-fit —
-    /// a stale cached state from the old parameters must not leak into
-    /// post-swap estimates.
-    #[test]
-    fn load_checkpoint_clears_stale_caches() {
-        let (mut a, db) = make_estimator();
-        let plans = executed_plans(&db, 14);
-        a.fit(&plans);
-        let encoded: Vec<EncodedPlan> = plans.iter().map(|p| a.encode(p)).collect();
-
-        // A differently-seeded model with visibly different estimates.
-        let cfg = EncodingConfig::from_database(&db, 8, 32);
+    /// An estimator like [`make_estimator`]'s, seeded differently, so its
+    /// fitted model gives visibly different estimates.
+    fn reseeded_estimator(db: &Arc<imdb::Database>) -> CostEstimator {
+        let cfg = EncodingConfig::from_database(db, 8, 32);
         let fx = FeatureExtractor::new(db.clone(), cfg, Arc::new(HashBitmapEncoder::new(8)));
-        let mut b = CostEstimator::new(
+        CostEstimator::new(
             fx,
             ModelConfig {
                 feature_embed_dim: 8,
@@ -743,7 +739,22 @@ mod tests {
                 ..Default::default()
             },
             TrainConfig { epochs: 5, batch_size: 8, seed: 99, ..Default::default() },
-        );
+        )
+    }
+
+    /// Satellite regression guard: swapping a checkpoint in must start a
+    /// new generation, with an empty subtree-state cache, exactly like a
+    /// re-fit — a stale cached state from the old parameters must not leak
+    /// into post-swap estimates.
+    #[test]
+    fn load_checkpoint_clears_stale_caches() {
+        let (mut a, db) = make_estimator();
+        let plans = executed_plans(&db, 14);
+        a.fit(&plans);
+        let encoded: Vec<EncodedPlan> = plans.iter().map(|p| a.encode(p)).collect();
+
+        // A differently-seeded model with visibly different estimates.
+        let mut b = reseeded_estimator(&db);
         b.fit(&plans);
         let b_estimates = serve_encoded(&b, &encoded);
 
@@ -759,12 +770,86 @@ mod tests {
         b.save_checkpoint(&path).expect("save");
         a.load_checkpoint(&path).expect("load");
         assert!(a.subtree_cache().is_empty(), "subtree cache must be cleared by a checkpoint swap");
-        assert!(a.encode_cache().is_empty(), "encode cache must be cleared by a checkpoint swap");
 
         // The memoized path after the swap must match B exactly: no column
         // may be served from a pre-swap cached state.
         assert_eq!(bits(&serve_encoded(&a, &encoded)), bits(&b_estimates));
         assert_eq!(a.estimate(&plans[0]).1.to_bits(), b_estimates[0].1.to_bits());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A way to replace an estimator's weights: refit, resume or load.
+    type Swap = fn(&mut CostEstimator, &[PlanNode], &Path);
+
+    /// Refit on fewer plans, fine-tune two more epochs, and load another
+    /// model's checkpoint (at `path`): each moves the served weights.
+    const SWAPS: [(&str, Swap); 3] = [
+        ("refit", |est, plans, _| {
+            est.fit(&plans[..plans.len() / 2]);
+        }),
+        ("resume", |est, plans, _| {
+            est.extend_training_epochs(2);
+            est.fit_resumed(plans).expect("resume");
+        }),
+        ("load", |est, _, path| est.load_checkpoint(path).expect("load")),
+    ];
+
+    /// A generation taken before a refit, a resume or a load keeps serving
+    /// its own weights bit for bit, and the estimator's new generation
+    /// neither reads nor fills its cache: it starts with an empty one.
+    #[test]
+    fn a_generation_outlives_refits_and_loads_of_its_estimator() {
+        let (mut est, db) = make_estimator();
+        let plans = executed_plans(&db, 14);
+        est.fit(&plans);
+        let mut other = reseeded_estimator(&db);
+        other.fit(&plans);
+        let path = temp_ckpt("generation");
+        other.save_checkpoint(&path).expect("save");
+
+        for (swap, apply) in SWAPS {
+            let old = est.serving();
+            let want = bits(&old.estimate_plans(&plans));
+            let (entries, nodes) = (old.cache().len(), old.cache().node_stats());
+            apply(&mut est, &plans, &path);
+            assert!(est.subtree_cache().is_empty(), "{swap}: the new generation starts with an empty cache");
+            let new = bits(&est.serving().estimate_plans(&plans));
+            assert_ne!(new, want, "{swap}: the weights must move for the test to mean anything");
+            assert!(!est.subtree_cache().is_empty(), "{swap}: the new generation fills its own cache");
+            assert_eq!(old.cache().len(), entries, "{swap}: the new generation wrote into the old cache");
+            assert_eq!(old.cache().node_stats(), nodes, "{swap}: the new generation counted in the old cache");
+            assert_eq!(bits(&old.estimate_plans(&plans)), want, "{swap}: the old generation's answers moved");
+            assert_eq!(old.cache().len(), entries, "{swap}: a warm pass of the old generation added entries");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The encode cache depends only on the extractor, so refits and loads
+    /// keep it: after each, a batch encode hits at every node, and each plan
+    /// it returns is the plan's own encoding.
+    #[test]
+    fn the_encode_cache_outlives_refits_and_loads() {
+        let (mut est, db) = make_estimator();
+        let plans = executed_plans(&db, 14);
+        est.fit(&plans);
+        let mut other = reseeded_estimator(&db);
+        other.fit(&plans);
+        let path = temp_ckpt("encode-cache");
+        other.save_checkpoint(&path).expect("save");
+        est.encode_plans(&plans);
+        let entries = est.encode_cache().len();
+        let nodes: u64 = plans.iter().map(|p| est.encode(p).size() as u64).sum();
+
+        for (swap, apply) in SWAPS {
+            apply(&mut est, &plans, &path);
+            assert_eq!(est.encode_cache().len(), entries, "{swap}: encode-cache entries were dropped");
+            let (hits, misses) = est.encode_cache().stats();
+            let encoded = est.encode_plans(&plans);
+            assert_eq!(est.encode_cache().stats(), (hits + nodes, misses), "{swap}: a warm batch encode missed");
+            for (plan, hit) in plans.iter().zip(&encoded) {
+                assert_eq!(**hit, est.encode(plan), "{swap}: a hit is not the plan's own encoding");
+            }
+        }
         let _ = std::fs::remove_file(&path);
     }
 

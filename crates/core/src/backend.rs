@@ -76,7 +76,8 @@ pub trait Estimator {
     }
 
     /// Restore a fitted model saved by `save_checkpoint_to`, replacing any
-    /// current fit and invalidating every estimate cache.
+    /// current fit: no estimate cached for the replaced fit may serve the
+    /// restored one.
     fn load_checkpoint_from(&mut self, _path: &Path) -> Result<(), CheckpointError> {
         Err(CheckpointError::Unsupported("this backend does not checkpoint"))
     }

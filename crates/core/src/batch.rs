@@ -21,15 +21,16 @@
 //!   training (on a train-mode tape; `Trainer::train` seeds both heads and
 //!   runs one backward sweep), validation, the fresh oracle
 //!   ([`estimate_batch`]) and Table 12's batch row.
-//! * The memoized sweep ([`estimate_batch_memo`], and `estimate_plans_memo`
-//!   for raw plans) runs the heads over every sub-plan embedded fresh, and
-//!   stores each one's state and denormalized estimate in a sharded
-//!   [`SubtreeStateCache`] keyed by the 64-bit sub-plan signature.  Before
-//!   that, each sub-plan is deduplicated by signature within the batch and
-//!   probed in the cache, so a DP enumeration embeds each distinct subtree
-//!   once, re-scores candidate plans by combining cached states at the
-//!   fringe, and answers a candidate whose root is cached from its entry.
-//!   A call with nothing fresh touches no tape.
+//! * The memoized sweep (`estimate_batch_memo`, and `estimate_plans_memo`
+//!   for raw plans, behind [`ServingEstimator`]) runs the heads over every
+//!   sub-plan embedded fresh, and stores each one's state and denormalized
+//!   estimate in the generation's sharded [`SubtreeStateCache`], keyed by
+//!   the 64-bit sub-plan signature.  Before that, each sub-plan is
+//!   deduplicated by signature within the batch and probed in the cache, so
+//!   a DP enumeration embeds each distinct subtree once, re-scores candidate
+//!   plans by combining cached states at the fringe, and answers a
+//!   candidate whose root is cached from its entry.  A call with nothing
+//!   fresh touches no tape.
 //!
 //! Raw plans enter the memoized sweep **state first** (`estimate_plans_memo`,
 //! behind `ServingEstimator::estimate_plans`): one signature walk per plan
@@ -56,12 +57,13 @@
 //! level loop and returns the same bits, so it is the oracle both head
 //! sweeps are tested against (and Table 12's one-by-one row).
 
+use crate::api::ServingEstimator;
 use crate::memory::SubtreeStateCache;
 use crate::model::TreeModel;
 use crate::trainer::TargetNormalization;
 use featurize::{EncodedPlan, FeatureExtractor, NodeFeatures};
 use nn::cells::CellOutput;
-use nn::{Graph, NodeId, ParamStore};
+use nn::{Graph, NodeId};
 use query::{IdentityHasher, PlanNode};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -91,7 +93,6 @@ struct StateRef {
 /// parallel.
 pub fn estimate_batch(
     model: &TreeModel,
-    store: &ParamStore,
     normalization: &TargetNormalization,
     plans: &[&EncodedPlan],
 ) -> Vec<(f64, f64)> {
@@ -100,7 +101,7 @@ pub fn estimate_batch(
     }
     let group = |chunk: &[&EncodedPlan]| {
         with_inference_tape(|g| {
-            let (cost_out, card_out) = forward_batch(model, store, g, chunk);
+            let (cost_out, card_out) = forward_batch(model, g, chunk);
             denormalize_outputs(g, normalization, cost_out, card_out, chunk.len())
         })
     };
@@ -191,14 +192,14 @@ fn denormalize_outputs(
 ///
 /// # Panics
 /// Panics if `plans` is empty.
-pub fn forward_batch(model: &TreeModel, store: &ParamStore, g: &mut Graph, plans: &[&EncodedPlan]) -> (NodeId, NodeId) {
+pub fn forward_batch(model: &TreeModel, g: &mut Graph, plans: &[&EncodedPlan]) -> (NodeId, NodeId) {
     assert!(!plans.is_empty(), "forward_batch needs at least one plan");
     let batch = LevelBatch::new(plans.iter().copied(), None);
-    let states = batch.embed(model, store, g);
+    let states = batch.embed(model, g);
     let root_rs: Vec<(NodeId, usize)> =
         batch.roots.iter().map(|&r| states[r].expect("every node of an uncached batch is embedded").r).collect();
     let r_batch = g.gather_cols(&root_rs);
-    model.estimate_from_representation(g, store, r_batch)
+    model.estimate_from_representation(g, r_batch)
 }
 
 /// Where a batch node's state comes from: a cached entry — the root of a
@@ -447,10 +448,15 @@ impl LevelBatch {
 
     /// The level loop: inject the cached states fresh nodes read as
     /// children (two batched input columns), then per level embed the fresh
-    /// nodes' features, gather their children states (zero states for
-    /// missing children) and apply the cell.  Returns every node's state,
-    /// indexed like `nodes`: the embedded ones and the injected fringe.
-    fn embed(&self, model: &TreeModel, store: &ParamStore, g: &mut Graph) -> Vec<Option<StateRef>> {
+    /// nodes' features, gather their children states and apply the cell.
+    /// Only a missing child — a leaf's, or a one-child node's right — reads
+    /// the zero state.  Returns every node's state, indexed like `nodes`:
+    /// the embedded ones and the injected fringe.
+    ///
+    /// # Panics
+    /// Panics if a present child has no state: a cached child left out of
+    /// the fringe is a layout fault, and the zero state would hide it.
+    fn embed(&self, model: &TreeModel, g: &mut Graph) -> Vec<Option<StateRef>> {
         let mut states: Vec<Option<StateRef>> = vec![None; self.nodes.len()];
         if !self.fringe_nodes.is_empty() {
             let hidden = model.config.hidden_dim;
@@ -473,7 +479,7 @@ impl LevelBatch {
             // The op/meta/sample embedding layers run once over
             // column-stacked inputs.
             let feats: Vec<&NodeFeatures> = level.iter().map(|&i| self.nodes[i].features()).collect();
-            let x_batch = model.embed_nodes_batch(g, store, &feats);
+            let x_batch = model.embed_nodes_batch(g, &feats);
 
             let mut left_g = Vec::with_capacity(level.len());
             let mut left_r = Vec::with_capacity(level.len());
@@ -481,8 +487,8 @@ impl LevelBatch {
             let mut right_r = Vec::with_capacity(level.len());
             for &i in level {
                 let children = &self.nodes[i].children;
-                let left = children.first().and_then(|&c| states[c]).unwrap_or(zero_ref);
-                let right = children.get(1).and_then(|&c| states[c]).unwrap_or(zero_ref);
+                let [left, right] = [0, 1]
+                    .map(|k| children.get(k).map_or(zero_ref, |&c| states[c].expect("a present child has no state")));
                 left_g.push(left.g);
                 left_r.push(left.r);
                 right_g.push(right.g);
@@ -491,7 +497,7 @@ impl LevelBatch {
             let left = CellOutput { g: g.gather_cols(&left_g), r: g.gather_cols(&left_r) };
             let right = CellOutput { g: g.gather_cols(&right_g), r: g.gather_cols(&right_r) };
 
-            let out = model.apply_cell(g, store, x_batch, left, right);
+            let out = model.apply_cell(g, x_batch, left, right);
             for (col, &i) in level.iter().enumerate() {
                 states[i] = Some(StateRef { g: (out.g, col), r: (out.r, col) });
             }
@@ -503,16 +509,8 @@ impl LevelBatch {
     /// cached root answers from its entry; fresh sub-plans are embedded and
     /// scored on a tape ([`LevelBatch::score_fresh`]), which a batch with
     /// nothing fresh never touches.
-    fn estimate(
-        &self,
-        model: &TreeModel,
-        store: &ParamStore,
-        normalization: &TargetNormalization,
-        cache: &SubtreeStateCache,
-        out: &mut Vec<(f64, f64)>,
-    ) {
-        assert_eq!(cache.width(), model.config.hidden_dim, "the cache holds another model's state width");
-        cache.record_nodes(self.seen_nodes, self.computed);
+    fn estimate(&self, serving: &ServingEstimator, out: &mut Vec<(f64, f64)>) {
+        serving.cache().record_nodes(self.seen_nodes, self.computed);
         let mut estimates: Vec<(f64, f64)> = self
             .nodes
             .iter()
@@ -522,35 +520,29 @@ impl LevelBatch {
             })
             .collect();
         if self.computed > 0 {
-            with_inference_tape(|g| self.score_fresh(model, store, normalization, cache, g, &mut estimates));
+            with_inference_tape(|g| self.score_fresh(serving, g, &mut estimates));
         }
         out.extend(self.roots.iter().map(|&r| estimates[r]));
     }
 
     /// The level loop, then one heads sweep over every fresh sub-plan, level
     /// by level; each one's `G‖R` is written off the tape straight into its
-    /// `cache` slot with its estimate, which also goes into `estimates`.
-    fn score_fresh(
-        &self,
-        model: &TreeModel,
-        store: &ParamStore,
-        normalization: &TargetNormalization,
-        cache: &SubtreeStateCache,
-        g: &mut Graph,
-        estimates: &mut [(f64, f64)],
-    ) {
-        let states = self.embed(model, store, g);
+    /// slot in the generation's cache with its estimate, which also goes
+    /// into `estimates`.
+    fn score_fresh(&self, serving: &ServingEstimator, g: &mut Graph, estimates: &mut [(f64, f64)]) {
+        let model = serving.model();
+        let states = self.embed(model, g);
         let mut fresh: Vec<(usize, StateRef)> = Vec::with_capacity(self.computed as usize);
         for level in &self.levels {
             fresh.extend(level.iter().map(|&i| (i, states[i].expect("the level loop embeds every fresh node"))));
         }
         let fresh_rs: Vec<(NodeId, usize)> = fresh.iter().map(|(_, s)| s.r).collect();
         let r_batch = g.gather_cols(&fresh_rs);
-        let (cost_out, card_out) = model.estimate_from_representation(g, store, r_batch);
-        let fresh_estimates = denormalize_outputs(g, normalization, cost_out, card_out, fresh.len());
+        let (cost_out, card_out) = model.estimate_from_representation(g, r_batch);
+        let fresh_estimates = denormalize_outputs(g, serving.normalization(), cost_out, card_out, fresh.len());
         let hidden = model.config.hidden_dim;
         for (&(i, s), estimate) in fresh.iter().zip(fresh_estimates) {
-            cache.insert(self.nodes[i].signature, estimate, |slot| {
+            serving.cache().insert(self.nodes[i].signature, estimate, |slot| {
                 let (sg, sr) = slot.split_at_mut(hidden);
                 g.copy_column(s.g.0, s.g.1, sg);
                 g.copy_column(s.r.0, s.r.1, sr);
@@ -561,12 +553,12 @@ impl LevelBatch {
 }
 
 /// Memoized batched estimation — the serving-layer forward of the optimizer
-/// loop, sharing `cache` across calls (and across threads — the cache is
-/// sharded and the tape is thread-local, so concurrent serving threads
-/// never serialize on a global lock).
+/// loop, sharing the generation's subtree-state cache across calls (and
+/// across threads — the cache is sharded and the tape is thread-local, so
+/// concurrent serving threads never serialize on a global lock).
 ///
 /// Before embedding anything, every sub-plan is deduplicated against the
-/// rest of the batch and looked up in `cache` by its 64-bit signature.  A
+/// rest of the batch and looked up in the cache by its 64-bit signature.  A
 /// plan whose root hits is answered from the entry's stored estimate.  A
 /// hit below a fresh node re-enters the tape as an injected `(G, R)` input
 /// column ([`Graph::input_columns`]), and only the fringe above it is
@@ -584,16 +576,10 @@ impl LevelBatch {
 /// Runs chunks of [`GROUP_SIZE`] plans sequentially on the calling thread:
 /// in the serving layer, concurrency comes from the caller's worker threads,
 /// and an internal fan-out per request would only fight them for cores.
-pub fn estimate_batch_memo(
-    model: &TreeModel,
-    store: &ParamStore,
-    normalization: &TargetNormalization,
-    plans: &[&EncodedPlan],
-    cache: &SubtreeStateCache,
-) -> Vec<(f64, f64)> {
+pub(crate) fn estimate_batch_memo(serving: &ServingEstimator, plans: &[&EncodedPlan]) -> Vec<(f64, f64)> {
     let mut out = Vec::with_capacity(plans.len());
     for chunk in plans.chunks(GROUP_SIZE) {
-        LevelBatch::new(chunk.iter().copied(), Some(cache)).estimate(model, store, normalization, cache, &mut out);
+        LevelBatch::new(chunk.iter().copied(), Some(serving.cache())).estimate(serving, &mut out);
     }
     out
 }
@@ -602,19 +588,13 @@ pub fn estimate_batch_memo(
 /// [`EncodedPlan`]: per chunk of [`GROUP_SIZE`] plans, one signature walk
 /// ([`signature_walk`]), then the memoized layout, which featurizes a node
 /// ([`FeatureExtractor::encode_node`], through the extractor's node memo)
-/// only when its subtree is neither earlier in the batch nor in `cache` — a
+/// only when its subtree is neither earlier in the batch nor in the cache — a
 /// plan whose root is cached costs one walk and one probe, and touches no
 /// tape — then the level loop.
 /// Bit-identical to encoding each plan and calling [`estimate_batch_memo`],
 /// and it fills and reads the same cache entries.
-pub(crate) fn estimate_plans_memo(
-    model: &TreeModel,
-    store: &ParamStore,
-    normalization: &TargetNormalization,
-    extractor: &FeatureExtractor,
-    plans: &[PlanNode],
-    cache: &SubtreeStateCache,
-) -> Vec<(f64, f64)> {
+pub(crate) fn estimate_plans_memo(serving: &ServingEstimator, plans: &[PlanNode]) -> Vec<(f64, f64)> {
+    let extractor = serving.extractor();
     let mut out = Vec::with_capacity(plans.len());
     let mut records = Vec::new();
     let mut starts = Vec::with_capacity(GROUP_SIZE);
@@ -626,7 +606,7 @@ pub(crate) fn estimate_plans_memo(
             signature_walk(plan, &mut records);
         }
         let trees = chunk.iter().zip(&starts).map(|(plan, &at)| RawTree { plan, records: &records[at..], extractor });
-        LevelBatch::new(trees, Some(cache)).estimate(model, store, normalization, cache, &mut out);
+        LevelBatch::new(trees, Some(serving.cache())).estimate(serving, &mut out);
     }
     out
 }
@@ -642,10 +622,10 @@ mod tests {
     use std::sync::Arc;
     use strembed::HashBitmapEncoder;
 
-    fn samples(n: usize) -> (Vec<EncodedPlan>, EncodingConfig) {
+    fn samples(n: usize) -> (Vec<EncodedPlan>, Arc<FeatureExtractor>) {
         let db = Arc::new(generate_imdb(GeneratorConfig::tiny()));
         let cfg = EncodingConfig::from_database(&db, 8, 32);
-        let fx = FeatureExtractor::new(db.clone(), cfg.clone(), Arc::new(HashBitmapEncoder::new(8)));
+        let fx = Arc::new(FeatureExtractor::new(db.clone(), cfg, Arc::new(HashBitmapEncoder::new(8))));
         let cost = engine::CostModel::default();
         let mut out = Vec::new();
         for i in 0..n {
@@ -666,7 +646,7 @@ mod tests {
             engine::execute_plan(&db, &mut join, &cost);
             out.push(fx.encode_plan(&join));
         }
-        (out, cfg)
+        (out, fx)
     }
 
     fn bits((cost, card): (f64, f64)) -> (u64, u64) {
@@ -675,14 +655,14 @@ mod tests {
 
     #[test]
     fn batched_estimates_match_one_by_one() {
-        let (plans, cfg) = samples(10);
+        let (plans, fx) = samples(10);
         let model = TreeModel::new(
-            &cfg,
+            fx.config(),
             ModelConfig { feature_embed_dim: 8, hidden_dim: 12, estimation_hidden_dim: 8, ..Default::default() },
         );
         let trainer = Trainer::new(model, &plans, TrainConfig::default());
         let refs: Vec<&EncodedPlan> = plans.iter().collect();
-        let batched = estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &refs);
+        let batched = estimate_batch(&trainer.model, &trainer.normalization, &refs);
         assert_eq!(batched.len(), plans.len());
         for (plan, batch) in plans.iter().zip(batched.iter()) {
             assert_eq!(bits(trainer.estimate(plan)), bits(*batch), "per-node and batched estimates diverge");
@@ -693,14 +673,14 @@ mod tests {
     fn large_batch_crosses_parallel_group_boundary() {
         // More plans than GROUP_SIZE forces the parallel path; results must
         // stay in input order and match the one-by-one estimates.
-        let (plans, cfg) = samples(GROUP_SIZE + 9);
+        let (plans, fx) = samples(GROUP_SIZE + 9);
         let model = TreeModel::new(
-            &cfg,
+            fx.config(),
             ModelConfig { feature_embed_dim: 8, hidden_dim: 12, estimation_hidden_dim: 8, ..Default::default() },
         );
         let trainer = Trainer::new(model, &plans, TrainConfig::default());
         let refs: Vec<&EncodedPlan> = plans.iter().collect();
-        let batched = estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &refs);
+        let batched = estimate_batch(&trainer.model, &trainer.normalization, &refs);
         assert_eq!(batched.len(), plans.len());
         for (plan, batch) in plans.iter().zip(batched.iter()) {
             assert_eq!(bits(trainer.estimate(plan)), bits(*batch), "per-node and batched estimates diverge");
@@ -709,16 +689,16 @@ mod tests {
 
     #[test]
     fn train_mode_forward_batch_matches_inference_mode() {
-        let (plans, cfg) = samples(6);
+        let (plans, fx) = samples(6);
         let model = TreeModel::new(
-            &cfg,
+            fx.config(),
             ModelConfig { feature_embed_dim: 8, hidden_dim: 12, estimation_hidden_dim: 8, ..Default::default() },
         );
         let refs: Vec<&EncodedPlan> = plans.iter().collect();
         let mut train_g = Graph::new();
-        let (tc, tk) = forward_batch(&model, &model.params, &mut train_g, &refs);
+        let (tc, tk) = forward_batch(&model, &mut train_g, &refs);
         let mut infer_g = Graph::inference();
-        let (ic, ik) = forward_batch(&model, &model.params, &mut infer_g, &refs);
+        let (ic, ik) = forward_batch(&model, &mut infer_g, &refs);
         // On the scalar path the fused gate sweep is bit-identical to the
         // train-mode libm activations; on the AVX2 path the FMA rational
         // sweep perturbs gate values at ulp level, so the heads only agree
@@ -743,21 +723,22 @@ mod tests {
 
     #[test]
     fn memoized_batch_is_bit_identical_to_fresh_and_warm() {
-        let (plans, cfg) = samples(14);
+        let (plans, fx) = samples(14);
         let model = TreeModel::new(
-            &cfg,
+            fx.config(),
             ModelConfig { feature_embed_dim: 8, hidden_dim: 12, estimation_hidden_dim: 8, ..Default::default() },
         );
         let trainer = Trainer::new(model, &plans, TrainConfig::default());
         let refs: Vec<&EncodedPlan> = plans.iter().collect();
-        let fresh = estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &refs);
+        let fresh = estimate_batch(&trainer.model, &trainer.normalization, &refs);
 
-        let cache = crate::memory::SubtreeStateCache::new(trainer.model.config.hidden_dim);
-        let cold = estimate_batch_memo(&trainer.model, &trainer.model.params, &trainer.normalization, &refs, &cache);
+        let serving = ServingEstimator::new(&trainer, fx);
+        let cache = serving.cache();
+        let cold = estimate_batch_memo(&serving, &refs);
         assert_eq!(fresh, cold, "cold memoized estimates must be bit-identical to the fresh path");
         assert!(!cache.is_empty(), "forward pass must populate the subtree cache");
 
-        let warm = estimate_batch_memo(&trainer.model, &trainer.model.params, &trainer.normalization, &refs, &cache);
+        let warm = estimate_batch_memo(&serving, &refs);
         assert_eq!(fresh, warm, "warm memoized estimates must be bit-identical to the fresh path");
 
         // The test plans share their join/scan structure heavily (only the
@@ -772,21 +753,22 @@ mod tests {
     fn memoized_batch_combines_cached_subtrees_at_the_fringe() {
         // Score the two scan sub-plans first, then the joins over them: the
         // second call must only embed the join fringe, re-using both scans.
-        let (plans, cfg) = samples(4);
+        let (plans, fx) = samples(4);
         let model = TreeModel::new(
-            &cfg,
+            fx.config(),
             ModelConfig { feature_embed_dim: 8, hidden_dim: 12, estimation_hidden_dim: 8, ..Default::default() },
         );
         let trainer = Trainer::new(model, &plans, TrainConfig::default());
-        let cache = crate::memory::SubtreeStateCache::new(trainer.model.config.hidden_dim);
+        let serving = ServingEstimator::new(&trainer, fx);
+        let cache = serving.cache();
 
         let leaves: Vec<&EncodedPlan> = plans.iter().flat_map(|p| p.children.iter().map(|c| c.as_ref())).collect();
-        estimate_batch_memo(&trainer.model, &trainer.model.params, &trainer.normalization, &leaves, &cache);
+        estimate_batch_memo(&serving, &leaves);
         let (_, computed_leaves) = cache.node_stats();
 
         let refs: Vec<&EncodedPlan> = plans.iter().collect();
-        let fresh = estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &refs);
-        let memo = estimate_batch_memo(&trainer.model, &trainer.model.params, &trainer.normalization, &refs, &cache);
+        let fresh = estimate_batch(&trainer.model, &trainer.normalization, &refs);
+        let memo = estimate_batch_memo(&serving, &refs);
         assert_eq!(fresh, memo);
         let (_, computed_total) = cache.node_stats();
         // The second pass embeds exactly one new node per distinct plan (the
@@ -800,24 +782,24 @@ mod tests {
         // by a fresh join in the same chunk, in both orders: as a root first
         // (its probe copies only the estimate, so the join's read copies its
         // G‖R later) and as a child first (the root reuses the fringe node).
-        let (plans, cfg) = samples(2);
+        let (plans, fx) = samples(2);
         let model = TreeModel::new(
-            &cfg,
+            fx.config(),
             ModelConfig { feature_embed_dim: 8, hidden_dim: 12, estimation_hidden_dim: 8, ..Default::default() },
         );
         let trainer = Trainer::new(model, &plans, TrainConfig::default());
-        let (m, n) = (&trainer.model, &trainer.normalization);
         let shared_scan = plans[0].children[1].as_ref();
         assert_eq!(shared_scan.signature, plans[1].children[1].signature, "both joins read the same scan");
         let chunks: [Vec<&EncodedPlan>; 2] = [vec![shared_scan, &plans[0]], vec![&plans[1], shared_scan]];
         for (order, chunk) in ["root first", "child first"].iter().zip(&chunks) {
-            let cache = SubtreeStateCache::new(m.config.hidden_dim);
+            let serving = ServingEstimator::new(&trainer, Arc::clone(&fx));
+            let cache = serving.cache();
             let leaves: Vec<&EncodedPlan> = plans.iter().flat_map(|p| p.children.iter().map(|c| c.as_ref())).collect();
-            estimate_batch_memo(m, &m.params, n, &leaves, &cache);
+            estimate_batch_memo(&serving, &leaves);
             let (_, computed_leaves) = cache.node_stats();
 
-            let fresh = estimate_batch(m, &m.params, n, chunk);
-            let memo = estimate_batch_memo(m, &m.params, n, chunk, &cache);
+            let fresh = estimate_batch(&trainer.model, &trainer.normalization, chunk);
+            let memo = estimate_batch_memo(&serving, chunk);
             let (fresh, memo): (Vec<_>, Vec<_>) =
                 (fresh.into_iter().map(bits).collect(), memo.into_iter().map(bits).collect());
             assert_eq!(fresh, memo, "{order}: memo and fresh diverge");
@@ -825,12 +807,50 @@ mod tests {
         }
     }
 
+    /// A fresh join over a cached scan whose `G‖R` never entered the
+    /// fringe: a layout fault.  The join must not read the zero state in
+    /// its place, which would serve a wrong estimate silently.
+    #[test]
+    #[should_panic(expected = "a present child has no state")]
+    fn a_present_child_without_a_state_panics_at_its_parent() {
+        let (plans, fx) = samples(1);
+        let model = TreeModel::new(
+            fx.config(),
+            ModelConfig { feature_embed_dim: 8, hidden_dim: 12, estimation_hidden_dim: 8, ..Default::default() },
+        );
+        let (join, scan) = (&plans[0], &plans[0].children[0]);
+        let batch = LevelBatch {
+            nodes: vec![
+                BatchNode {
+                    height: 2,
+                    children: vec![1],
+                    signature: join.signature,
+                    source: NodeSource::Fresh(Arc::clone(&join.features)),
+                },
+                BatchNode {
+                    height: 1,
+                    children: Vec::new(),
+                    signature: scan.signature,
+                    source: NodeSource::Cached { estimate: (1.0, 1.0), column: None },
+                },
+            ],
+            roots: vec![0],
+            levels: vec![Vec::new(), vec![0]],
+            dedup: HashMap::default(),
+            fringe: Vec::new(),
+            fringe_nodes: Vec::new(),
+            seen_nodes: 2,
+            computed: 1,
+        };
+        batch.embed(&model, &mut Graph::inference());
+    }
+
     #[test]
     fn empty_batch_returns_empty() {
-        let (plans, cfg) = samples(2);
-        let model = TreeModel::new(&cfg, ModelConfig::default());
+        let (plans, fx) = samples(2);
+        let model = TreeModel::new(fx.config(), ModelConfig::default());
         let trainer = Trainer::new(model, &plans, TrainConfig::default());
-        assert!(estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &[]).is_empty());
+        assert!(estimate_batch(&trainer.model, &trainer.normalization, &[]).is_empty());
     }
 
     mod memo_property {
@@ -844,14 +864,13 @@ mod tests {
         //! sub-plan as a plan.
 
         use super::*;
-        use crate::memory::SubtreeStateCache;
         use proptest::prelude::*;
         use std::sync::OnceLock;
         use workloads::{generate_enumeration_workload, EnumerationConfig};
 
         struct Fixture {
             db: Arc<imdb::Database>,
-            fx: FeatureExtractor,
+            fx: Arc<FeatureExtractor>,
             trainer: Trainer,
         }
 
@@ -860,9 +879,9 @@ mod tests {
             FIX.get_or_init(|| {
                 let db = Arc::new(generate_imdb(GeneratorConfig::tiny()));
                 let cfg = EncodingConfig::from_database(&db, 8, 32);
-                let fx = FeatureExtractor::new(db.clone(), cfg.clone(), Arc::new(HashBitmapEncoder::new(8)));
+                let fx = Arc::new(FeatureExtractor::new(db.clone(), cfg, Arc::new(HashBitmapEncoder::new(8))));
                 let model = TreeModel::new(
-                    &cfg,
+                    fx.config(),
                     ModelConfig {
                         feature_embed_dim: 8,
                         hidden_dim: 12,
@@ -900,31 +919,32 @@ mod tests {
                 let refs: Vec<&EncodedPlan> = encoded.iter().collect();
                 let t = &fixture.trainer;
 
-                let fresh = estimate_batch(&t.model, &t.model.params, &t.normalization, &refs);
+                let fresh = estimate_batch(&t.model, &t.normalization, &refs);
                 // The per-node recursion shares no code with the level loop:
                 // it is the independent oracle for both batched forwards.
                 for (plan, batch) in encoded.iter().zip(fresh.iter()) {
                     prop_assert_eq!(bits(t.estimate(plan)), bits(*batch));
                 }
-                let cache = SubtreeStateCache::new(t.model.config.hidden_dim);
-                let cold = estimate_batch_memo(&t.model, &t.model.params, &t.normalization, &refs, &cache);
+                // A new generation per arm: each starts with an empty cache.
+                let serve = || ServingEstimator::new(t, Arc::clone(&fixture.fx));
+                let memo = serve();
+                let cold = estimate_batch_memo(&memo, &refs);
                 prop_assert_eq!(&fresh, &cold);
-                let warm = estimate_batch_memo(&t.model, &t.model.params, &t.normalization, &refs, &cache);
+                let warm = estimate_batch_memo(&memo, &refs);
                 prop_assert_eq!(&fresh, &warm);
                 // One-at-a-time scoring against the warm cache must also be
                 // bit-identical: batch composition cannot leak into columns.
                 for (plan, expected) in refs.iter().zip(fresh.iter()) {
-                    let single =
-                        estimate_batch_memo(&t.model, &t.model.params, &t.normalization, &[plan], &cache);
+                    let single = estimate_batch_memo(&memo, &[plan]);
                     prop_assert_eq!(&single[0], expected);
                 }
                 // A mixed chunk: the first half of the candidates is cached,
                 // so one call answers cached roots from their entries and
                 // embeds the rest over cached children.
                 let half = refs.len() / 2;
-                let mixed_cache = SubtreeStateCache::new(t.model.config.hidden_dim);
-                estimate_batch_memo(&t.model, &t.model.params, &t.normalization, &refs[..half], &mixed_cache);
-                let mixed = estimate_batch_memo(&t.model, &t.model.params, &t.normalization, &refs, &mixed_cache);
+                let mixed_memo = serve();
+                estimate_batch_memo(&mixed_memo, &refs[..half]);
+                let mixed = estimate_batch_memo(&mixed_memo, &refs);
                 prop_assert_eq!(&fresh, &mixed);
 
                 // The raw arm: signature walk, state-first flatten and
@@ -932,13 +952,13 @@ mod tests {
                 // plan at a time on a fresh cache, so later plans meet the
                 // subtrees earlier ones left at their fringe.
                 let candidates = &workload[0].candidates;
-                let raw = |plans: &[PlanNode], cache: &SubtreeStateCache| {
-                    let out = estimate_plans_memo(&t.model, &t.model.params, &t.normalization, &fixture.fx, plans, cache);
-                    out.into_iter().map(bits).collect::<Vec<_>>()
+                let raw = |plans: &[PlanNode], memo: &ServingEstimator| {
+                    estimate_plans_memo(memo, plans).into_iter().map(bits).collect::<Vec<_>>()
                 };
                 let want: Vec<(u64, u64)> = fresh.iter().map(|&e| bits(e)).collect();
-                let raw_cache = SubtreeStateCache::new(t.model.config.hidden_dim);
-                prop_assert_eq!(&raw(candidates, &raw_cache), &want);
+                let raw_memo = serve();
+                let raw_cache = raw_memo.cache();
+                prop_assert_eq!(&raw(candidates, &raw_memo), &want);
                 // The cold pass left an entry for every sub-plan of every
                 // candidate.  A non-root entry answers that sub-plan the
                 // first time the optimizer submits it as a candidate, so its
@@ -952,13 +972,13 @@ mod tests {
                     prop_assert_eq!(bits(state.unwrap()), expected);
                     subplans.extend(&sub.children);
                 }
-                prop_assert_eq!(&raw(candidates, &raw_cache), &want);
-                let mixed_cache = SubtreeStateCache::new(t.model.config.hidden_dim);
-                raw(&candidates[..half], &mixed_cache);
-                prop_assert_eq!(&raw(candidates, &mixed_cache), &want);
-                let single_cache = SubtreeStateCache::new(t.model.config.hidden_dim);
+                prop_assert_eq!(&raw(candidates, &raw_memo), &want);
+                let mixed_memo = serve();
+                raw(&candidates[..half], &mixed_memo);
+                prop_assert_eq!(&raw(candidates, &mixed_memo), &want);
+                let single_memo = serve();
                 for (plan, expected) in candidates.iter().zip(&want) {
-                    prop_assert_eq!(&raw(std::slice::from_ref(plan), &single_cache)[0], expected);
+                    prop_assert_eq!(&raw(std::slice::from_ref(plan), &single_memo)[0], expected);
                 }
             }
         }
@@ -977,7 +997,7 @@ mod tests {
             ModelConfig { feature_embed_dim: 8, hidden_dim: 12, estimation_hidden_dim: 8, ..Default::default() },
         );
         let trainer = Trainer::new(model, std::slice::from_ref(&plan), TrainConfig::default());
-        let out = estimate_batch(&trainer.model, &trainer.model.params, &trainer.normalization, &[&plan]);
+        let out = estimate_batch(&trainer.model, &trainer.normalization, &[&plan]);
         assert_eq!(out.len(), 1);
         assert!(out[0].0.is_finite() && out[0].1.is_finite());
     }

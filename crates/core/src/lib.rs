@@ -34,8 +34,8 @@ pub mod trainer;
 
 pub use api::{CostEstimator, ServingEstimator};
 pub use backend::{Estimator, EstimatorCapabilities, PlanEstimate, TrainableEstimator};
-pub use batch::{estimate_batch, estimate_batch_memo, forward_batch};
-pub use memory::{EncodedSubtreeCache, ShardedCache, SubtreeStateCache};
+pub use batch::{estimate_batch, forward_batch};
+pub use memory::{EncodedSubtreeCache, SubtreeStateCache};
 pub use model::{ModelConfig, PredicateModelKind, RepresentationCellKind, TaskMode, TreeModel};
 pub use nn::checkpoint::CheckpointError;
 pub use trainer::{EpochStats, TargetNormalization, TrainConfig, Trainer};

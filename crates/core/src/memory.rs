@@ -18,7 +18,12 @@
 //! * [`EncodedSubtreeCache`] — the featurized encoding of every sub-plan,
 //!   keyed by its structural signature mixed with its annotations, behind
 //!   the batch encode (`CostEstimator::encode_plans`, the serving catalog's
-//!   `Session::encode_batch`), on a [`ShardedCache`].
+//!   `Session::encode_batch`), on a `ShardedCache`.
+//!
+//! Each lives exactly as long as what its entries are computed from: the
+//! state cache as long as one served generation's weights
+//! ([`crate::ServingEstimator`]), the encode cache as long as the
+//! extractor.
 //!
 //! Both split their keys over [`NUM_SHARDS`] independently-locked shards by
 //! middle bits of the key, so concurrent estimator threads don't serialize
@@ -60,9 +65,6 @@ pub const NUM_SHARDS: usize = 16;
 
 /// Slots per [`SubtreeStateCache`] shard: 262,144 sub-plans in all.
 pub const STATE_SLOTS_PER_SHARD: usize = 16 * 1024;
-
-/// Default per-shard entry cap of a [`ShardedCache`].
-const DEFAULT_MAX_PER_SHARD: usize = 16 * 1024;
 
 /// Seed of every state shard's victim generator (any nonzero constant).
 const VICTIM_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -152,19 +154,14 @@ impl<V> Default for Shard<V> {
 /// still bounding memory, with no per-lookup LRU bookkeeping on the hot
 /// path (recency is stamped on insert only).
 #[derive(Debug)]
-pub struct ShardedCache<V> {
+struct ShardedCache<V> {
     shards: Box<[Shard<V>; NUM_SHARDS]>,
     max_per_shard: usize,
 }
 
 impl<V: Clone> ShardedCache<V> {
-    /// An empty cache with the default capacity bound.
-    pub fn new() -> Self {
-        Self::with_shard_capacity(DEFAULT_MAX_PER_SHARD)
-    }
-
     /// An empty cache bounded to `max_per_shard` entries per shard.
-    pub fn with_shard_capacity(max_per_shard: usize) -> Self {
+    fn with_shard_capacity(max_per_shard: usize) -> Self {
         ShardedCache {
             shards: Box::new(std::array::from_fn(|_| Shard::default())),
             max_per_shard: max_per_shard.max(1),
@@ -177,7 +174,7 @@ impl<V: Clone> ShardedCache<V> {
     }
 
     /// Look up a signature, counting a hit or a miss in the shard's atomics.
-    pub fn get(&self, key: u64) -> Option<V> {
+    fn get(&self, key: u64) -> Option<V> {
         let shard = self.shard(key);
         let found = shard.inner.read().map.get(&key).map(|e| e.value.clone());
         // Relaxed atomics: statistics never acquire a lock of their own
@@ -195,7 +192,7 @@ impl<V: Clone> ShardedCache<V> {
     /// interchangeable).  Re-inserting an existing key refreshes its
     /// recency.  When the shard is full, the oldest-inserted half is
     /// evicted first.
-    pub fn insert(&self, key: u64, value: V) {
+    fn insert(&self, key: u64, value: V) {
         let shard = self.shard(key);
         let mut inner = shard.inner.write();
         if inner.map.len() >= self.max_per_shard && !inner.map.contains_key(&key) {
@@ -218,17 +215,17 @@ impl<V: Clone> ShardedCache<V> {
     }
 
     /// Number of cached entries across all shards.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.shards.iter().map(|s| s.inner.read().map.len()).sum()
     }
 
     /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.shards.iter().all(|s| s.inner.read().map.is_empty())
     }
 
     /// `(hits, misses)` lookup counters summed over all shards.
-    pub fn stats(&self) -> (u64, u64) {
+    fn stats(&self) -> (u64, u64) {
         let mut hits = 0;
         let mut misses = 0;
         for s in self.shards.iter() {
@@ -239,7 +236,7 @@ impl<V: Clone> ShardedCache<V> {
     }
 
     /// Drop all cached entries and reset the counters.
-    pub fn clear(&self) {
+    fn clear(&self) {
         for s in self.shards.iter() {
             let mut inner = s.inner.write();
             inner.map.clear();
@@ -247,12 +244,6 @@ impl<V: Clone> ShardedCache<V> {
             s.hits.store(0, Ordering::Relaxed);
             s.misses.store(0, Ordering::Relaxed);
         }
-    }
-}
-
-impl<V: Clone> Default for ShardedCache<V> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -315,9 +306,11 @@ struct StateShard {
 /// with the entry's stored estimate — no tape, no heads — and a hit below a
 /// fresh node injects the stored `G‖R` as tape input columns instead of
 /// re-embedding the subtree.  Entries are only meaningful for the weights,
-/// target normalization and extractor that produced them — the cache is
-/// owned by one `CostEstimator` and replaced by a fresh one on every re-fit
-/// or checkpoint load, never shared across models.
+/// target normalization and extractor that produced them, so the cache
+/// lives exactly as long as they do: each served generation
+/// ([`crate::ServingEstimator`]) builds its own when it is made, and the
+/// cache is dropped with it.  A refit or a checkpoint load makes a new
+/// generation; it never clears or reuses this one.
 ///
 /// Besides the lookup counters, the cache tracks *node-level* serving
 /// counters: of all plan nodes submitted for scoring, how many were served
@@ -359,11 +352,6 @@ impl SubtreeStateCache {
     #[inline]
     fn shard(&self, signature: u64) -> &StateShard {
         &self.shards[shard_of(signature)]
-    }
-
-    /// Length of `G` and of `R`; an entry's `G‖R` is twice this.
-    pub(crate) fn width(&self) -> usize {
-        self.width
     }
 
     /// The stored `(cost, cardinality)` of a sub-plan — all a plan's root
@@ -464,7 +452,7 @@ impl SubtreeStateCache {
 /// Per-shard entry bound of the [`EncodedSubtreeCache`]: encoded plans are
 /// 1–2 orders of magnitude larger than subtree states (they carry the full
 /// feature slabs of a subtree), so the bound is correspondingly tighter
-/// than [`DEFAULT_MAX_PER_SHARD`].
+/// than the state slab's [`STATE_SLOTS_PER_SHARD`].
 const ENCODED_MAX_PER_SHARD: usize = 2 * 1024;
 
 /// Cache of memoized subtree *encodings* for the featurize front of the
@@ -474,10 +462,12 @@ const ENCODED_MAX_PER_SHARD: usize = 2 * 1024;
 /// (structural signature mixed with the subtree's annotations), values the
 /// shared `Arc<EncodedPlan>`s; a hit returns the identical bits a fresh
 /// encode would produce, so the cache is purely a throughput device.
-/// Entries depend on the extractor's dictionaries (not on model weights),
-/// but the cache is owned by one `CostEstimator` and swapped alongside the
-/// subtree-state cache on every refit/checkpoint-load — cheap, and it keeps
-/// one invalidation rule for every serving cache.
+/// Entries depend only on the extractor (its dictionaries and string
+/// encoder), not on model weights, so the cache lives exactly as long as
+/// the extractor: a `CostEstimator` creates it with its extractor and keeps
+/// it across every refit and checkpoint load.  A load verifies the
+/// checkpoint's vocabulary and encoder against that extractor, so no load
+/// changes what an entry encodes.
 #[derive(Debug)]
 pub struct EncodedSubtreeCache {
     cache: ShardedCache<Arc<featurize::EncodedPlan>>,
@@ -562,13 +552,13 @@ mod tests {
     }
 
     fn insert_key(cache: &SubtreeStateCache, key: u64) {
-        let state = state_of(key, 2 * cache.width());
+        let state = state_of(key, 2 * cache.width);
         cache.insert(key, estimate_of(key), |slot| slot.copy_from_slice(&state));
     }
 
     #[test]
     fn keys_spread_over_shards() {
-        let cache: ShardedCache<u32> = ShardedCache::new();
+        let cache: ShardedCache<u32> = ShardedCache::with_shard_capacity(ENCODED_MAX_PER_SHARD);
         let mut used = std::collections::HashSet::new();
         for i in 0..256u64 {
             // Simulate signature keys: well-mixed via the same finalizer.
@@ -662,7 +652,7 @@ mod tests {
     fn sharded_pool_multithread_stress_no_lost_updates() {
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 500;
-        let cache: Arc<ShardedCache<(f64, f64)>> = Arc::new(ShardedCache::new());
+        let cache: Arc<ShardedCache<(f64, f64)>> = Arc::new(ShardedCache::with_shard_capacity(ENCODED_MAX_PER_SHARD));
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 let cache = Arc::clone(&cache);
@@ -723,7 +713,7 @@ mod tests {
     fn slab_bound_holds_and_every_slot_agrees_with_the_index() {
         const SLOTS: usize = 64;
         let cache = SubtreeStateCache::with_shard_capacity(3, SLOTS);
-        let stride = 2 * cache.width();
+        let stride = 2 * cache.width;
         for i in 0..(10 * SLOTS * NUM_SHARDS) as u64 {
             let mut h = query::SigHasher::new();
             h.write_u64(i);
@@ -782,7 +772,7 @@ mod tests {
         const THREADS: usize = 8;
         const KEYS: u64 = 4096;
         let cache = SubtreeStateCache::with_shard_capacity(4, 32);
-        let stride = 2 * cache.width();
+        let stride = 2 * cache.width;
         let barrier = std::sync::Barrier::new(THREADS);
         let hits = AtomicU64::new(0);
         std::thread::scope(|scope| {

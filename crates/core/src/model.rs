@@ -172,19 +172,19 @@ impl TreeModel {
     }
 
     /// Embed a predicate tree into a `feature_embed_dim` vector node.
-    fn embed_predicate(&self, g: &mut Graph, store: &ParamStore, pred: &PredicateEncoding) -> NodeId {
+    fn embed_predicate(&self, g: &mut Graph, pred: &PredicateEncoding) -> NodeId {
         let d = self.config.feature_embed_dim;
         match pred {
             PredicateEncoding::None => g.zeros(d, 1),
             PredicateEncoding::Atom(v) => {
                 let x = g.input_columns(v.len(), &[v]);
-                self.pred_leaf.forward_relu(g, store, x)
+                self.pred_leaf.forward_relu(g, &self.params, x)
             }
             PredicateEncoding::And(l, r) | PredicateEncoding::Or(l, r) => {
                 match self.config.predicate {
                     PredicateModelKind::MinMaxPool => {
-                        let le = self.embed_predicate(g, store, l);
-                        let re = self.embed_predicate(g, store, r);
+                        let le = self.embed_predicate(g, l);
+                        let re = self.embed_predicate(g, r);
                         if matches!(pred, PredicateEncoding::And(_, _)) {
                             g.emin(le, re)
                         } else {
@@ -194,7 +194,7 @@ impl TreeModel {
                     PredicateModelKind::TreeLstm => {
                         // Run a tree-LSTM over the predicate tree; inner nodes
                         // feed a zero feature and combine children states.
-                        let out = self.pred_lstm_forward(g, store, pred);
+                        let out = self.pred_lstm_forward(g, pred);
                         out.r
                     }
                 }
@@ -202,35 +202,35 @@ impl TreeModel {
         }
     }
 
-    fn pred_lstm_forward(&self, g: &mut Graph, store: &ParamStore, pred: &PredicateEncoding) -> CellOutput {
+    fn pred_lstm_forward(&self, g: &mut Graph, pred: &PredicateEncoding) -> CellOutput {
         let d = self.config.feature_embed_dim;
         match pred {
             PredicateEncoding::None => self.pred_lstm.zero_state(g, 1),
             PredicateEncoding::Atom(v) => {
                 let x = g.input_columns(v.len(), &[v]);
-                let e = self.pred_leaf.forward_relu(g, store, x);
+                let e = self.pred_leaf.forward_relu(g, &self.params, x);
                 let zero = self.pred_lstm.zero_state(g, 1);
-                self.pred_lstm.forward(g, store, e, zero, zero)
+                self.pred_lstm.forward(g, &self.params, e, zero, zero)
             }
             PredicateEncoding::And(l, r) | PredicateEncoding::Or(l, r) => {
-                let left = self.pred_lstm_forward(g, store, l);
-                let right = self.pred_lstm_forward(g, store, r);
+                let left = self.pred_lstm_forward(g, l);
+                let right = self.pred_lstm_forward(g, r);
                 let x = g.zeros(d, 1);
-                self.pred_lstm.forward(g, store, x, left, right)
+                self.pred_lstm.forward(g, &self.params, x, left, right)
             }
         }
     }
 
     /// Embed the four feature groups of one node into the concatenated `E`.
-    pub fn embed_node(&self, g: &mut Graph, store: &ParamStore, features: &NodeFeatures) -> NodeId {
+    pub fn embed_node(&self, g: &mut Graph, features: &NodeFeatures) -> NodeId {
         let column = |g: &mut Graph, v: &[f32]| g.input_columns(v.len(), &[v]);
         let op_in = column(g, features.operation());
-        let op = self.op_embed.forward_relu(g, store, op_in);
+        let op = self.op_embed.forward_relu(g, &self.params, op_in);
         let meta_in = column(g, features.metadata());
-        let meta = self.meta_embed.forward_relu(g, store, meta_in);
+        let meta = self.meta_embed.forward_relu(g, &self.params, meta_in);
         let samp_in = column(g, features.sample_bitmap());
-        let samp = self.sample_embed.forward_relu(g, store, samp_in);
-        let pred = self.embed_predicate(g, store, &features.predicate);
+        let samp = self.sample_embed.forward_relu(g, &self.params, samp_in);
+        let pred = self.embed_predicate(g, &features.predicate);
         g.concat_rows(&[op, meta, samp, pred])
     }
 
@@ -238,12 +238,12 @@ impl TreeModel {
     /// groups are column-stacked into one `dim x n` input each, so the
     /// embedding layers run **once per group per batch** instead of once per
     /// node, and the predicate trees are level-batched the same way
-    /// ([`TreeModel::embed_predicates_batch`]).  Returns the `4d x n`
+    /// (`TreeModel::embed_predicates_batch`).  Returns the `4d x n`
     /// batched embedding `E`.
     ///
     /// # Panics
     /// Panics if `features` is empty.
-    pub fn embed_nodes_batch(&self, g: &mut Graph, store: &ParamStore, features: &[&NodeFeatures]) -> NodeId {
+    pub fn embed_nodes_batch(&self, g: &mut Graph, features: &[&NodeFeatures]) -> NodeId {
         assert!(!features.is_empty(), "embed_nodes_batch needs at least one node");
         let mut columns: Vec<&[f32]> = Vec::with_capacity(features.len());
         let mut stack = |g: &mut Graph, dim: usize, pick: &dyn Fn(&NodeFeatures) -> &[f32]| -> NodeId {
@@ -252,13 +252,13 @@ impl TreeModel {
             g.input_columns(dim, &columns)
         };
         let op_in = stack(g, self.op_embed.in_dim(), &|f| f.operation());
-        let op = self.op_embed.forward_relu(g, store, op_in);
+        let op = self.op_embed.forward_relu(g, &self.params, op_in);
         let meta_in = stack(g, self.meta_embed.in_dim(), &|f| f.metadata());
-        let meta = self.meta_embed.forward_relu(g, store, meta_in);
+        let meta = self.meta_embed.forward_relu(g, &self.params, meta_in);
         let samp_in = stack(g, self.sample_embed.in_dim(), &|f| f.sample_bitmap());
-        let samp = self.sample_embed.forward_relu(g, store, samp_in);
+        let samp = self.sample_embed.forward_relu(g, &self.params, samp_in);
         let preds: Vec<&PredicateEncoding> = features.iter().map(|f| &f.predicate).collect();
-        let pred = self.embed_predicates_batch(g, store, &preds);
+        let pred = self.embed_predicates_batch(g, &preds);
         g.concat_rows(&[op, meta, samp, pred])
     }
 
@@ -271,7 +271,7 @@ impl TreeModel {
     /// level over [`Graph::gather_cols`]-assembled children (min/max pooling
     /// partitions each level into its AND and OR subsets; the tree-LSTM
     /// variant feeds a zero feature batch).
-    fn embed_predicates_batch(&self, g: &mut Graph, store: &ParamStore, preds: &[&PredicateEncoding]) -> NodeId {
+    fn embed_predicates_batch(&self, g: &mut Graph, preds: &[&PredicateEncoding]) -> NodeId {
         let d = self.config.feature_embed_dim;
 
         // Flatten every tree into one arena, bucketing nodes by height.
@@ -333,7 +333,7 @@ impl TreeModel {
                 }
             }
             let x = g.input_columns(self.pred_leaf.in_dim(), &columns);
-            Some(self.pred_leaf.forward_relu(g, store, x))
+            Some(self.pred_leaf.forward_relu(g, &self.params, x))
         };
         let zero_col = g.zeros(d, 1);
 
@@ -387,7 +387,7 @@ impl TreeModel {
                 if let Some(embeds) = atom_embeds {
                     // All atom leaves share zero children: one cell forward.
                     let zeros = self.pred_lstm.zero_state(g, atoms.len());
-                    let out = self.pred_lstm.forward(g, store, embeds, zeros, zeros);
+                    let out = self.pred_lstm.forward(g, &self.params, embeds, zeros, zeros);
                     for (col, &i) in atoms.iter().enumerate() {
                         sref[i] = ((out.g, col), (out.r, col));
                         vref[i] = (embeds, atom_col[i]);
@@ -409,7 +409,7 @@ impl TreeModel {
                     let left = nn::cells::CellOutput { g: g.gather_cols(&lg), r: g.gather_cols(&lr) };
                     let right = nn::cells::CellOutput { g: g.gather_cols(&rg), r: g.gather_cols(&rr) };
                     let x = g.zeros(d, inner.len());
-                    let out = self.pred_lstm.forward(g, store, x, left, right);
+                    let out = self.pred_lstm.forward(g, &self.params, x, left, right);
                     for (col, &i) in inner.iter().enumerate() {
                         sref[i] = ((out.g, col), (out.r, col));
                         // An inner node's embedding is its state's R channel.
@@ -426,17 +426,10 @@ impl TreeModel {
     }
 
     /// Apply the representation cell to an embedded node and children states.
-    pub fn apply_cell(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        x: NodeId,
-        left: CellOutput,
-        right: CellOutput,
-    ) -> CellOutput {
+    pub fn apply_cell(&self, g: &mut Graph, x: NodeId, left: CellOutput, right: CellOutput) -> CellOutput {
         match &self.cell {
-            RepresentationCell::Lstm(c) => c.forward(g, store, x, left, right),
-            RepresentationCell::Nn(c) => c.forward(g, store, x, left, right),
+            RepresentationCell::Lstm(c) => c.forward(g, &self.params, x, left, right),
+            RepresentationCell::Nn(c) => c.forward(g, &self.params, x, left, right),
         }
     }
 
@@ -454,31 +447,31 @@ impl TreeModel {
     }
 
     /// Recursive forward over an encoded plan, returning the root state.
-    pub fn forward_plan(&self, g: &mut Graph, store: &ParamStore, plan: &EncodedPlan) -> CellOutput {
-        let x = self.embed_node(g, store, &plan.features);
+    pub fn forward_plan(&self, g: &mut Graph, plan: &EncodedPlan) -> CellOutput {
+        let x = self.embed_node(g, &plan.features);
         let (left, right) = match plan.children.len() {
             0 => (self.zero_state(g), self.zero_state(g)),
             1 => {
-                let c = self.forward_plan(g, store, &plan.children[0]);
+                let c = self.forward_plan(g, &plan.children[0]);
                 (c, self.zero_state(g))
             }
-            _ => (self.forward_plan(g, store, &plan.children[0]), self.forward_plan(g, store, &plan.children[1])),
+            _ => (self.forward_plan(g, &plan.children[0]), self.forward_plan(g, &plan.children[1])),
         };
-        self.apply_cell(g, store, x, left, right)
+        self.apply_cell(g, x, left, right)
     }
 
     /// Estimation heads: `(cost, cardinality)` sigmoid outputs (normalized
     /// space) from a representation node (any batch width).
-    pub fn estimate_from_representation(&self, g: &mut Graph, store: &ParamStore, r: NodeId) -> (NodeId, NodeId) {
-        let cost = self.cost_head.forward_sigmoid(g, store, r);
-        let card = self.card_head.forward_sigmoid(g, store, r);
+    pub fn estimate_from_representation(&self, g: &mut Graph, r: NodeId) -> (NodeId, NodeId) {
+        let cost = self.cost_head.forward_sigmoid(g, &self.params, r);
+        let card = self.card_head.forward_sigmoid(g, &self.params, r);
         (cost, card)
     }
 
     /// Full forward pass over one plan: normalized `(cost, card)` outputs.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, plan: &EncodedPlan) -> (NodeId, NodeId) {
-        let root = self.forward_plan(g, store, plan);
-        self.estimate_from_representation(g, store, root.r)
+    pub fn forward(&self, g: &mut Graph, plan: &EncodedPlan) -> (NodeId, NodeId) {
+        let root = self.forward_plan(g, plan);
+        self.estimate_from_representation(g, root.r)
     }
 }
 
@@ -522,7 +515,7 @@ mod tests {
             for pred in [PredicateModelKind::MinMaxPool, PredicateModelKind::TreeLstm] {
                 let model = TreeModel::new(&cfg, ModelConfig { cell, predicate: pred, ..Default::default() });
                 let mut g = Graph::new();
-                let (cost, card) = model.forward(&mut g, &model.params, &plan);
+                let (cost, card) = model.forward(&mut g, &plan);
                 let c = g.value(cost).data()[0];
                 let k = g.value(card).data()[0];
                 assert!((0.0..=1.0).contains(&c), "cost output {c} out of range");
@@ -548,8 +541,8 @@ mod tests {
         let scan = PlanNode::leaf(PhysicalOp::SeqScan { table: "cast_info".into(), predicate: None });
         let plan_b = fx.encode_plan(&scan);
         let mut g = Graph::new();
-        let (cost_a, _) = model.forward(&mut g, &model.params, &plan_a);
-        let (cost_b, _) = model.forward(&mut g, &model.params, &plan_b);
+        let (cost_a, _) = model.forward(&mut g, &plan_a);
+        let (cost_b, _) = model.forward(&mut g, &plan_b);
         assert_ne!(g.value(cost_a).data()[0], g.value(cost_b).data()[0]);
     }
 
@@ -564,8 +557,8 @@ mod tests {
         let and_enc = fx.encode_predicate(Some(&a.clone().and(b.clone())));
         let or_enc = fx.encode_predicate(Some(&a.or(b)));
         let mut g = Graph::new();
-        let and_vec = model.embed_predicate(&mut g, &model.params, &and_enc);
-        let or_vec = model.embed_predicate(&mut g, &model.params, &or_enc);
+        let and_vec = model.embed_predicate(&mut g, &and_enc);
+        let or_vec = model.embed_predicate(&mut g, &or_enc);
         for (x, y) in g.value(and_vec).data().iter().zip(g.value(or_vec).data().iter()) {
             assert!(x <= y, "min-pooled AND exceeded max-pooled OR: {x} > {y}");
         }

@@ -214,7 +214,7 @@ impl Trainer {
         batch_idx: &[usize],
     ) -> f64 {
         let batch: Vec<&EncodedPlan> = batch_idx.iter().map(|&si| &samples[si]).collect();
-        let (cost_out, card_out) = forward_batch(model, &model.params, g, &batch);
+        let (cost_out, card_out) = forward_batch(model, g, &batch);
 
         let task = model.config.task;
         let omega = model.config.cost_loss_weight as f32;
@@ -258,7 +258,7 @@ impl Trainer {
             return (f64::NAN, f64::NAN);
         }
         let val: Vec<&EncodedPlan> = val_idx.iter().map(|&i| &samples[i]).collect();
-        let estimates = estimate_batch(&self.model, &self.model.params, &self.normalization, &val);
+        let estimates = estimate_batch(&self.model, &self.normalization, &val);
         let mut card_sum = 0.0;
         let mut cost_sum = 0.0;
         for (plan, (cost, card)) in val.iter().zip(estimates.iter()) {
@@ -330,7 +330,7 @@ impl Trainer {
     /// the per-node recursive forward on an inference-mode tape.
     pub fn estimate(&self, plan: &EncodedPlan) -> (f64, f64) {
         let mut g = Graph::inference();
-        let (cost_out, card_out) = self.model.forward(&mut g, &self.model.params, plan);
+        let (cost_out, card_out) = self.model.forward(&mut g, plan);
         (
             self.normalization.cost.denormalize(g.value(cost_out).data()[0]),
             self.normalization.cardinality.denormalize(g.value(card_out).data()[0]),

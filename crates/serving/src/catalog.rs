@@ -689,6 +689,28 @@ mod tests {
         assert_eq!(served_calls(&catalog), 1);
     }
 
+    /// The publish-time generation a session serves through is the one the
+    /// tree backend reports: the slab `Session::estimate_encoded` fills is
+    /// `CostEstimator::subtree_cache()`, with its node counters.
+    #[test]
+    fn estimate_encoded_fills_the_slab_the_tree_reports() {
+        let Served { catalog, encoded, .. } = served_tree();
+        let session = catalog.session("t").expect("t");
+        let model = session.model().expect("published");
+        let slab = model.tree().expect("tree").subtree_cache();
+        assert!(slab.is_empty(), "nothing has been served yet");
+        let nodes: u64 = encoded.iter().map(|p| p.size() as u64).sum();
+
+        session.estimate_encoded(&encoded).expect("fitted tree serves");
+        let (seen, computed) = slab.node_stats();
+        assert_eq!(seen, nodes, "the tree's slab must count every node the session submitted");
+        assert!(computed > 0, "a cold call embeds");
+        assert_eq!(slab.len() as u64, computed, "every node the session embedded is in the tree's slab");
+
+        session.estimate_encoded(&encoded).expect("fitted tree serves");
+        assert_eq!(slab.node_stats(), (2 * nodes, computed), "a warm call is served from the tree's slab");
+    }
+
     #[test]
     fn concurrent_sessions_each_get_their_own_rows() {
         let Served { catalog, encoded, expected, .. } = served_tree();

@@ -10,8 +10,9 @@
 //!   replaced under a per-tenant lock held for nanoseconds, in-flight
 //!   sessions finish on the model they pinned, and sessions on *other*
 //!   tenants never touch the swapped tenant's lock at all.  Each published
-//!   model owns its own sharded caches (they arrive freshly invalidated
-//!   from `load_checkpoint`), so tenants cannot evict each other and a
+//!   model owns its own sharded caches: its served generation's
+//!   subtree-state cache, built with the weights it serves, and its
+//!   extractor's encode cache.  So tenants cannot evict each other, and a
 //!   swap can never serve a stale subtree state.
 //! * [`Session`] — a tenant-scoped client handle.  Every estimate call
 //!   pins the tenant's current model generation, so a session observes a
@@ -24,9 +25,11 @@
 //!   representation memory pool).
 //!
 //! Ownership is the load-bearing design: `CostEstimator::serving()` hands
-//! out an *owned* `ServingEstimator` (model + cache behind `Arc`s), so a
-//! model's lifetime is decoupled from its trainer and from the catalog
-//! slot it was published under.  Nothing here blocks on a global lock —
+//! out an *owned* `ServingEstimator`, the immutable served generation
+//! (weights, normalization, extractor and the subtree-state cache filled
+//! from them), so a model's lifetime is decoupled from its trainer and from
+//! the catalog slot it was published under, and its cached states die with
+//! it.  Nothing here blocks on a global lock —
 //! the catalog map is only write-locked to add/remove tenant *names*.
 //!
 //! On top of the frozen-model runtime sits the **online learning loop**
