@@ -27,13 +27,14 @@
 use crate::backend::{Estimator, EstimatorCapabilities, PlanEstimate, TrainableEstimator};
 use crate::batch::{estimate_batch, estimate_batch_memo, estimate_plans_memo};
 use crate::checkpoint;
-use crate::memory::{EncodedSubtreeCache, SubtreeStateCache};
+use crate::memory::SubtreeStateCache;
 use crate::model::{ModelConfig, TaskMode, TreeModel};
 use crate::trainer::{EpochStats, TargetNormalization, TrainConfig, Trainer};
+use featurize::encode::ENCODE_SLOTS_PER_SHARD;
 use featurize::{EncodedPlan, FeatureExtractor};
 use nn::checkpoint as ckpt;
 use nn::checkpoint::CheckpointError;
-use query::PlanNode;
+use query::{PlanNode, SigCache};
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
@@ -48,7 +49,7 @@ pub struct CostEstimator {
     fitted: Option<(Trainer, ServingEstimator)>,
     /// Memoized subtree *encodings* behind [`CostEstimator::encode_plans`].
     /// They depend only on the extractor, so refits and loads keep them.
-    encode_cache: EncodedSubtreeCache,
+    encode_cache: SigCache<Arc<EncodedPlan>>,
 }
 
 impl CostEstimator {
@@ -59,7 +60,7 @@ impl CostEstimator {
             model_config,
             train_config,
             fitted: None,
-            encode_cache: EncodedSubtreeCache::new(),
+            encode_cache: SigCache::new(ENCODE_SLOTS_PER_SHARD, 0),
         }
     }
 
@@ -94,9 +95,9 @@ impl CostEstimator {
         self.extractor.encode_plan(plan)
     }
 
-    /// Encode a batch through the estimator's shared encoded-subtree cache:
-    /// each distinct subtree (within the batch *and* across previous calls,
-    /// refits and loads included) is featurized exactly once.
+    /// Encode a batch through the estimator's shared encode cache: each
+    /// distinct subtree (within the batch *and* across previous calls,
+    /// refits and loads included) is featurized once while its entry stays.
     /// Bit-identical to [`CostEstimator::encode`] per plan.
     pub fn encode_plans(&self, plans: &[PlanNode]) -> Vec<Arc<EncodedPlan>> {
         self.extractor.encode_plans_cached(plans, &self.encode_cache)
@@ -105,7 +106,7 @@ impl CostEstimator {
     /// The memoized-encode cache backing [`CostEstimator::encode_plans`]
     /// (and, through it, the serving catalog's batch encode).  Raw-plan
     /// estimation ([`ServingEstimator::estimate_plans`]) never touches it.
-    pub fn encode_cache(&self) -> &EncodedSubtreeCache {
+    pub fn encode_cache(&self) -> &SigCache<Arc<EncodedPlan>> {
         &self.encode_cache
     }
 

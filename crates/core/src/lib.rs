@@ -11,9 +11,9 @@
 //!   over the roots for training and the fresh oracle, and over every fresh
 //!   sub-plan for the subtree-memoized serving forward of the optimizer
 //!   loop.
-//! * [`memory`] — the sharded, 64-bit-signature-keyed serving caches of the
-//!   online workflow (Section 3): the subtree-state slab (the paper's
-//!   representation memory pool) and the encoded-subtree cache.
+//! * [`memory`] — the subtree-state cache of the online workflow (Section
+//!   3), the paper's representation memory pool: a [`query::SigCache`] of
+//!   each embedded sub-plan's estimate and `G‖R` state.
 //! * [`api`] — the [`CostEstimator`] façade downstream users interact with,
 //!   plus the thread-shareable [`ServingEstimator`] handle.
 //! * [`backend`] — the pluggable-backend contract ([`Estimator`] /
@@ -35,7 +35,7 @@ pub mod trainer;
 pub use api::{CostEstimator, ServingEstimator};
 pub use backend::{Estimator, EstimatorCapabilities, PlanEstimate, TrainableEstimator};
 pub use batch::{estimate_batch, forward_batch};
-pub use memory::{EncodedSubtreeCache, SubtreeStateCache};
+pub use memory::SubtreeStateCache;
 pub use model::{ModelConfig, PredicateModelKind, RepresentationCellKind, TaskMode, TreeModel};
 pub use nn::checkpoint::CheckpointError;
 pub use trainer::{EpochStats, TargetNormalization, TrainConfig, Trainer};

@@ -2,13 +2,13 @@
 //! `encode_plans_cached` and the per-node operator memo behind
 //! `encode_plan` must be **bit-identical** to a fresh encode with the node
 //! memo switched off — cold memo and cache, warm, under eviction, and under
-//! concurrent sessions sharing one [`EncodedSubtreeCache`].
+//! concurrent sessions sharing one encode cache.
 
-use estimator_core::EncodedSubtreeCache;
-use featurize::{EncodedPlan, EncodingConfig, FeatureExtractor, LocalEncodeCache};
+use featurize::encode::ENCODE_SLOTS_PER_SHARD;
+use featurize::{EncodedPlan, EncodingConfig, FeatureExtractor};
 use imdb::{generate_imdb, GeneratorConfig};
 use proptest::prelude::*;
-use query::PlanNode;
+use query::{PlanNode, SigCache};
 use std::sync::{Arc, OnceLock};
 use strembed::HashBitmapEncoder;
 use workloads::{generate_enumeration_workload, EnumerationConfig};
@@ -35,6 +35,11 @@ fn fixture() -> &'static Fixture {
         let fx = FeatureExtractor::new(db.clone(), cfg.clone(), Arc::new(HashBitmapEncoder::new(8)));
         Fixture { db, cfg, fx }
     })
+}
+
+/// An empty encode cache of the size a `CostEstimator` keeps.
+fn encode_cache() -> SigCache<Arc<EncodedPlan>> {
+    SigCache::new(ENCODE_SLOTS_PER_SHARD, 0)
 }
 
 /// `fx` with the node memo switched off: every node featurized afresh.
@@ -84,7 +89,7 @@ proptest! {
         prop_assert!(fx.bitmap_memo_stats().1 == 2 * misses, "the flag must key distinct entries");
 
         // Cold shared cache: every plan bit-identical to fresh encoding.
-        let cache = EncodedSubtreeCache::new();
+        let cache = encode_cache();
         let cold = fixture.fx.encode_plans_cached(candidates, &cache);
         prop_assert_eq!(cold.len(), fresh.len());
         for (c, f) in cold.iter().zip(&fresh) {
@@ -102,16 +107,16 @@ proptest! {
             prop_assert_eq!(w.as_ref(), f);
         }
 
-        // A fresh cache per call agrees too.
-        let local = fixture.fx.encode_plans_cached(candidates, &LocalEncodeCache::new());
-        for (l, f) in local.iter().zip(&fresh) {
+        // A fresh cache over a cold node memo agrees too.
+        let cold_both = fixture.cold_extractor().encode_plans_cached(candidates, &encode_cache());
+        for (l, f) in cold_both.iter().zip(&fresh) {
             prop_assert_eq!(l.as_ref(), f);
         }
 
         // Eviction can only cost re-encodes, never change results: a
         // one-entry-per-shard cache thrashes constantly and must still be
         // bit-identical.
-        let tiny = EncodedSubtreeCache::with_shard_capacity(1);
+        let tiny = SigCache::new(1, 0);
         let evicted = fixture.fx.encode_plans_cached(candidates, &tiny);
         for (e, f) in evicted.iter().zip(&fresh) {
             prop_assert_eq!(e.as_ref(), f);
@@ -132,7 +137,7 @@ fn concurrent_sessions_share_the_encode_cache_without_lost_updates() {
     let fresh: Vec<EncodedPlan> = stream.iter().map(|p| fresh_fx.encode_plan(p)).collect();
 
     const THREADS: usize = 8;
-    let cache = Arc::new(EncodedSubtreeCache::new());
+    let cache = Arc::new(encode_cache());
     let results: Vec<Vec<Arc<EncodedPlan>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
             .map(|_| {

@@ -1,15 +1,18 @@
 //! Component-level profile of the plan featurization pipeline (metadata
 //! one-hots, predicate tree, sample-bitmap sweep, whole-node encode with the
 //! node memo off and on a node-memo hit, fresh vs. signature-memoized plan
-//! encode over a DP-enumeration workload) — the dev tool behind the
-//! "encode pipeline" numbers in `docs/perf.md`.  Not a regression gate;
-//! the end-to-end floors live in the `bench` crate's check mode.
+//! encode over a DP-enumeration workload, through the encode cache a
+//! `CostEstimator` keeps) — the dev tool behind the "encode pipeline"
+//! numbers in `docs/perf.md`.  It asserts that every memoized lane equals
+//! the fresh one; it is not a speed gate, and the end-to-end floors live in
+//! the `bench` crate's check mode.
 //!
 //! `cargo run -p featurize --release --example profile_encode`
 
-use featurize::{EncodedPlan, EncodingConfig, FeatureExtractor, LocalEncodeCache};
+use featurize::encode::ENCODE_SLOTS_PER_SHARD;
+use featurize::{EncodedPlan, EncodingConfig, FeatureExtractor};
 use imdb::{generate_imdb, GeneratorConfig};
-use query::PlanNode;
+use query::{PlanNode, SigCache};
 use std::sync::Arc;
 use std::time::Instant;
 use strembed::HashBitmapEncoder;
@@ -78,19 +81,22 @@ fn main() {
             std::hint::black_box(fresh_fx.encode_plan(p));
         }
     });
+    let encode_cache = || SigCache::<Arc<EncodedPlan>>::new(ENCODE_SLOTS_PER_SHARD, 0);
     let cold_ns = time_ns(5, || {
-        let cache = LocalEncodeCache::new();
-        std::hint::black_box(fx.encode_plans_cached(&plans, &cache));
+        std::hint::black_box(fx.encode_plans_cached(&plans, &encode_cache()));
     });
-    let warm_cache = LocalEncodeCache::new();
+    let warm_cache = encode_cache();
     fx.encode_plans_cached(&plans, &warm_cache);
     let warm_ns = time_ns(20, || {
         std::hint::black_box(fx.encode_plans_cached(&plans, &warm_cache));
     });
+    let fresh: Vec<EncodedPlan> = plans.iter().map(|p| fresh_fx.encode_plan(p)).collect();
+    let equals_fresh = |lane: &[Arc<EncodedPlan>]| lane.iter().map(|p| p.as_ref()).eq(fresh.iter());
+    assert!(equals_fresh(&fx.encode_plans_cached(&plans, &encode_cache())), "the cold cached stream diverged");
+    assert!(equals_fresh(&fx.encode_plans_cached(&plans, &warm_cache)), "the warm cached stream diverged");
     fx.clear_bitmap_memo();
     let pass: Vec<EncodedPlan> = plans.iter().map(|p| fx.encode_plan(p)).collect();
     let (hits, misses) = fx.bitmap_memo_stats();
-    let fresh: Vec<EncodedPlan> = plans.iter().map(|p| fresh_fx.encode_plan(p)).collect();
     assert!(pass == fresh, "node-memo encode diverged from the memo-off encode");
     let per_plan = 1e9 / (fresh_ns / plans.len() as f64);
     let per_plan_warm = 1e9 / (warm_ns / plans.len() as f64);

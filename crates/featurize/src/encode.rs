@@ -14,17 +14,23 @@
 //!   forms, instead of one heap `Vec` per group;
 //! * dictionary probes key [`EncodingConfig`]'s maps by the plan's
 //!   interned [`query::Name`]s — no `String` per lookup;
-//! * whole node encodings are memoized by **operator content** in a sharded
-//!   map shared by every encode path ([`FeatureExtractor::encode_node`]): a
-//!   node's features depend on its own operator alone, optimizer traffic
-//!   repeats operators far more often than subtrees, and the inputs
-//!   (dictionaries, string encoder, table sample) are immutable per
-//!   extractor, so entries never go stale.  Encoded plans share the
-//!   memoized features by `Arc`, so the sample-bitmap sweep — the single
-//!   most expensive encode step — runs once per distinct scan;
-//! * whole sub-plan encodings are memoized by structural signature through
-//!   any [`EncodedPlanCache`] ([`FeatureExtractor::encode_plans_cached`]),
-//!   so DP enumeration encodes each distinct subtree exactly once.
+//! * whole node encodings are memoized by **operator content** in the
+//!   extractor's node memo, shared by every encode path
+//!   ([`FeatureExtractor::encode_node`]): a node's features depend on its
+//!   own operator alone, optimizer traffic repeats operators far more often
+//!   than subtrees, and the inputs (dictionaries, string encoder, table
+//!   sample) are immutable per extractor, so entries never go stale.
+//!   Encoded plans share the memoized features by `Arc`, so the
+//!   sample-bitmap sweep — the single most expensive encode step — runs
+//!   once per distinct scan;
+//! * whole sub-plan encodings are memoized by structural signature and
+//!   annotations in a caller-owned encode cache
+//!   ([`FeatureExtractor::encode_plans_cached`]), so DP enumeration encodes
+//!   each distinct subtree once while its entry stays.
+//!
+//! Both memos are a [`SigCache`]: 16 shards of bounded slabs with random
+//! replacement, at [`NODE_MEMO_SLOTS_PER_SHARD`] and
+//! [`ENCODE_SLOTS_PER_SHARD`] slots per shard.
 //!
 //! Every memoized path is **bit-identical** to a fresh encode (the node
 //! memo switched off with `use_bitmap_memo = false`): encoding is
@@ -35,11 +41,9 @@
 
 use crate::config::EncodingConfig;
 use imdb::Database;
-use query::{AtomPredicate, CompareOp, IdentityHasher, Name, Operand, PhysicalOp, PlanNode, Predicate, SigHasher};
+use query::{AtomPredicate, CompareOp, Name, Operand, PhysicalOp, PlanNode, Predicate, SigCache, SigHasher};
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use strembed::StringEncoder;
 
 /// Encoded predicate tree: the min/max pooling model consumes the structure,
@@ -167,142 +171,16 @@ impl EncodedPlan {
     }
 }
 
-/// A pluggable cross-call cache of encoded subtrees, keyed by the memo key
-/// of [`FeatureExtractor::encode_plans_cached`] (structural signature mixed
-/// with the subtree's annotations).
-///
-/// `featurize` sits below the crate that owns the production sharded cache,
-/// so the cache is injected through this trait: `estimator_core` implements
-/// it for its `EncodedSubtreeCache`, and [`LocalEncodeCache`] is a plain
-/// cache for tests and profiles.
-pub trait EncodedPlanCache: Send + Sync {
-    /// Cached encoding under `key`, if present.
-    fn get(&self, key: u64) -> Option<Arc<EncodedPlan>>;
-    /// Store `value` under `key`.
-    fn insert(&self, key: u64, value: Arc<EncodedPlan>);
-}
+/// Slots per node-memo shard: 65,536 node encodings in all, far more
+/// distinct operators than any measured working set (optbench `dp_churn`:
+/// 7,321).
+pub const NODE_MEMO_SLOTS_PER_SHARD: usize = 4 * 1024;
 
-/// A plain mutex-guarded map: a cheap [`EncodedPlanCache`] for tests and
-/// profiles.
-#[derive(Debug, Default)]
-pub struct LocalEncodeCache {
-    map: Mutex<HashMap<u64, Arc<EncodedPlan>>>,
-}
-
-impl LocalEncodeCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of cached subtrees.
-    pub fn len(&self) -> usize {
-        self.map.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl EncodedPlanCache for LocalEncodeCache {
-    fn get(&self, key: u64) -> Option<Arc<EncodedPlan>> {
-        self.map.lock().unwrap_or_else(|e| e.into_inner()).get(&key).cloned()
-    }
-
-    fn insert(&self, key: u64, value: Arc<EncodedPlan>) {
-        self.map.lock().unwrap_or_else(|e| e.into_inner()).insert(key, value);
-    }
-}
-
-const NODE_MEMO_SHARDS: usize = 16;
-/// Per-shard entry cap; a shard that fills up is dropped wholesale (the memo
-/// is advisory — re-featurizing a node is always correct, just slower).
-/// 16 × 4,096 entries hold far more distinct operators than any measured
-/// working set (optbench `dp_churn`: ~7.4k).
-const NODE_MEMO_MAX_PER_SHARD: usize = 4 * 1024;
-
-/// Sharded memo of whole node encodings keyed by the node's operator content
-/// ([`PhysicalOp::hash_signature`]) and the `use_sample_bitmap` flag.
-///
-/// A node's four feature groups depend on its own operator alone, never on
-/// its children, and optimizer traffic repeats operators far more often than
-/// subtrees, so one entry serves every plan that contains the operator.
-/// Every other input (dictionaries, string encoder, table sample) is
-/// immutable per extractor, so entries never go stale: they stay valid
-/// across refits and hot-swaps, and clones that differ in
-/// `use_sample_bitmap` share the memo under distinct keys.
-#[derive(Debug)]
-struct NodeMemo {
-    shards: [Mutex<NodeShard>; NODE_MEMO_SHARDS],
-}
-
-/// One shard: its entries and its lookup counters, all under the shard's
-/// lock, so a lookup touches no memory outside its shard.
-#[derive(Debug, Default)]
-struct NodeShard {
-    /// Keys are finished [`SigHasher`] keys, so they hash as themselves.
-    map: HashMap<u64, Arc<NodeFeatures>, BuildHasherDefault<IdentityHasher>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl NodeMemo {
-    fn new() -> Self {
-        NodeMemo { shards: std::array::from_fn(|_| Mutex::new(NodeShard::default())) }
-    }
-
-    /// Shard selection matches the sharded caches elsewhere: middle bits of
-    /// the splitmix-finalized key, so low-bit reuse cannot skew placement.
-    fn shard(&self, key: u64) -> MutexGuard<'_, NodeShard> {
-        self.shards[((key >> 32) as usize) & (NODE_MEMO_SHARDS - 1)].lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn get(&self, key: u64) -> Option<Arc<NodeFeatures>> {
-        let mut shard = self.shard(key);
-        let hit = shard.map.get(&key).cloned();
-        match hit {
-            Some(_) => shard.hits += 1,
-            None => shard.misses += 1,
-        }
-        hit
-    }
-
-    fn insert(&self, key: u64, features: Arc<NodeFeatures>) {
-        let mut shard = self.shard(key);
-        if shard.map.len() >= NODE_MEMO_MAX_PER_SHARD {
-            shard.map.clear();
-        }
-        shard.map.insert(key, features);
-    }
-
-    /// Apply `f` to every shard in turn.
-    fn for_each_shard(&self, mut f: impl FnMut(&mut NodeShard)) {
-        for shard in &self.shards {
-            f(&mut shard.lock().unwrap_or_else(|e| e.into_inner()));
-        }
-    }
-
-    fn clear(&self) {
-        self.for_each_shard(|shard| *shard = NodeShard::default());
-    }
-
-    fn len(&self) -> usize {
-        let mut len = 0;
-        self.for_each_shard(|shard| len += shard.map.len());
-        len
-    }
-
-    fn stats(&self) -> (u64, u64) {
-        let (mut hits, mut misses) = (0, 0);
-        self.for_each_shard(|shard| {
-            hits += shard.hits;
-            misses += shard.misses;
-        });
-        (hits, misses)
-    }
-}
+/// Slots per shard of an encode cache
+/// ([`FeatureExtractor::encode_plans_cached`]): 32,768 sub-plan encodings in
+/// all.  An entry is a whole subtree's `EncodedPlan` tree, so the bound is
+/// tighter than the node memo's.
+pub const ENCODE_SLOTS_PER_SHARD: usize = 2 * 1024;
 
 thread_local! {
     /// Scratch for per-item string encodings when averaging IN-list members.
@@ -311,6 +189,12 @@ thread_local! {
 
 /// The feature extractor: encoding configuration + string encoder + database
 /// handle (for sample bitmaps).  Cloning is cheap and shares the node memo.
+///
+/// The node memo maps a node's operator content
+/// ([`PhysicalOp::hash_signature`]) and the `use_sample_bitmap` flag to its
+/// features.  Its inputs are immutable per extractor, so entries never go
+/// stale: they stay valid across refits and hot-swaps, and clones that
+/// differ in `use_sample_bitmap` share the memo under distinct keys.
 ///
 /// The memo's switch and accessors keep their `bitmap_memo` names from when
 /// the memo held sample bitmaps only: optbench reads them, and optbench
@@ -328,7 +212,7 @@ pub struct FeatureExtractor {
     /// pre-memo pipeline, bit-identical output) — oracles and bench
     /// baselines flip this on a clone.
     pub use_bitmap_memo: bool,
-    node_memo: Arc<NodeMemo>,
+    node_memo: Arc<SigCache<Arc<NodeFeatures>>>,
 }
 
 impl FeatureExtractor {
@@ -340,7 +224,7 @@ impl FeatureExtractor {
             db,
             use_sample_bitmap: true,
             use_bitmap_memo: true,
-            node_memo: Arc::new(NodeMemo::new()),
+            node_memo: Arc::new(SigCache::new(NODE_MEMO_SLOTS_PER_SHARD, 0)),
         }
     }
 
@@ -358,12 +242,7 @@ impl FeatureExtractor {
 
     /// Hit rate of the node memo (0 when never probed).
     pub fn bitmap_memo_hit_rate(&self) -> f64 {
-        let (hits, misses) = self.node_memo.stats();
-        if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        }
+        self.node_memo.hit_rate()
     }
 
     /// Distinct node encodings the node memo holds.
@@ -581,7 +460,7 @@ impl FeatureExtractor {
             return hit;
         }
         let features = Arc::new(self.featurize_node(node));
-        self.node_memo.insert(key, Arc::clone(&features));
+        self.node_memo.insert(key, Arc::clone(&features), |_| {});
         features
     }
 
@@ -624,9 +503,10 @@ impl FeatureExtractor {
     }
 
     /// Memoized [`FeatureExtractor::encode_plan`] of a batch against a
-    /// caller-owned cache (the serving layer passes its cross-call
-    /// `EncodedSubtreeCache` here): each distinct subtree is encoded at most
-    /// once per cache, across batches, sessions and rounds, and a hit
+    /// caller-owned encode cache (a `CostEstimator` keeps one, of
+    /// [`ENCODE_SLOTS_PER_SHARD`] slots per shard, for as long as its
+    /// extractor): each distinct subtree is encoded at most once per cache,
+    /// across batches, sessions and rounds, while its entry stays, and a hit
     /// returns the shared `Arc<EncodedPlan>` without touching the plan's
     /// nodes again.
     ///
@@ -635,7 +515,7 @@ impl FeatureExtractor {
     /// identical plans with different training targets never alias — the
     /// result is bit-identical to a fresh encode for *any* plan, annotated
     /// or not.
-    pub fn encode_plans_cached(&self, plans: &[PlanNode], cache: &dyn EncodedPlanCache) -> Vec<Arc<EncodedPlan>> {
+    pub fn encode_plans_cached(&self, plans: &[PlanNode], cache: &SigCache<Arc<EncodedPlan>>) -> Vec<Arc<EncodedPlan>> {
         let mut stack = Vec::new();
         plans
             .iter()
@@ -654,7 +534,7 @@ impl FeatureExtractor {
     fn encode_cached_rec(
         &self,
         plan: &PlanNode,
-        cache: &dyn EncodedPlanCache,
+        cache: &SigCache<Arc<EncodedPlan>>,
         stack: &mut Vec<(Arc<EncodedPlan>, u64)>,
     ) {
         let base = stack.len();
@@ -700,7 +580,7 @@ impl FeatureExtractor {
             true_cost: plan.annotations.true_cost.unwrap_or(0.0),
             signature,
         });
-        cache.insert(key, Arc::clone(&encoded));
+        cache.insert(key, Arc::clone(&encoded), |_| {});
         stack.push((encoded, key));
     }
 }
@@ -937,7 +817,7 @@ mod tests {
         // Two identical plans plus one sharing only the scan subtrees.
         let plans = vec![executed_join(&db, 2000.0), executed_join(&db, 2000.0), executed_join(&db, 1980.0)];
         let fresh: Vec<EncodedPlan> = plans.iter().map(|p| fx.encode_plan(p)).collect();
-        let cache = LocalEncodeCache::new();
+        let cache = SigCache::new(ENCODE_SLOTS_PER_SHARD, 0);
         let arcs = fx.encode_plans_cached(&plans, &cache);
         let batched: Vec<EncodedPlan> = arcs.iter().map(|a| EncodedPlan::clone(a)).collect();
         assert_eq!(batched, fresh, "batched memoized encode must equal fresh per-plan encode");
@@ -968,7 +848,7 @@ mod tests {
         let mut bare = executed.clone();
         clear_annotations(&mut bare);
         assert_eq!(executed.signature_hash(), bare.signature_hash(), "twins must collide structurally");
-        let cache = LocalEncodeCache::new();
+        let cache = SigCache::new(ENCODE_SLOTS_PER_SHARD, 0);
         let [a, b]: [Arc<EncodedPlan>; 2] =
             fx.encode_plans_cached(&[executed, bare.clone()], &cache).try_into().expect("two plans in, two out");
         assert!(a.true_cost > 0.0);

@@ -12,10 +12,12 @@
 //!   variants of Table 9 (hash bitmap vs. embeddings with/without rules) are
 //!   just different extractor configurations.  It featurizes each distinct
 //!   operator once: node encodings are memoized by operator content and
-//!   shared by `Arc` in every [`encode::EncodedPlan`].
+//!   shared by `Arc` in every [`encode::EncodedPlan`].  Its batch encode
+//!   ([`FeatureExtractor::encode_plans_cached`]) memoizes whole sub-plans in
+//!   a caller-owned encode cache.  Both memos are a [`query::SigCache`].
 
 pub mod config;
 pub mod encode;
 
 pub use config::EncodingConfig;
-pub use encode::{EncodedPlan, EncodedPlanCache, FeatureExtractor, LocalEncodeCache, NodeFeatures, PredicateEncoding};
+pub use encode::{EncodedPlan, FeatureExtractor, NodeFeatures, PredicateEncoding};

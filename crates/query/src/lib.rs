@@ -17,13 +17,18 @@
 //!   take about half the memory and clone without allocating per name;
 //! * [`sighash`] — the allocation-free 64-bit structural signatures that key
 //!   the serving caches.  They hash each name's text, so they do not depend
-//!   on how names are stored.
+//!   on how names are stored;
+//! * [`sigcache`] — [`SigCache`], the one bounded, sharded cache those
+//!   signatures key: the node memo, the encode cache and the subtree-state
+//!   cache are each one.  It lives here because its shard selection and its
+//!   identity-hashed index rely on the signature finalizer.
 
 pub mod like;
 pub mod logical;
 pub mod name;
 pub mod plan;
 pub mod predicate;
+pub mod sigcache;
 pub mod sighash;
 
 pub use like::like_match;
@@ -31,4 +36,5 @@ pub use logical::{Aggregate, JoinPredicate, LogicalQuery, Projection};
 pub use name::Name;
 pub use plan::{PhysicalOp, PlanNode, PlanNodeId};
 pub use predicate::{AtomPredicate, CompareOp, Operand, Predicate};
+pub use sigcache::SigCache;
 pub use sighash::{IdentityHasher, SigHasher};

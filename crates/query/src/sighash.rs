@@ -27,13 +27,14 @@
 //! little-endian bytes.  The constants are fixed: signatures are equal
 //! across processes, and no seed is drawn.
 //!
-//! The splitmix64 finalizer stays.  The sharded caches select shards from
-//! the middle bits of the key and hashbrown probes with the top bits, so
-//! every bit range must be well mixed, even between keys that differ in one
-//! tag byte; the finalizer gives each key a whole-word avalanche whatever
-//! the last fold left.  It runs once per key, so it costs one step per
-//! sub-plan, not one per write.  The same avalanche lets every map keyed by
-//! finished keys use [`IdentityHasher`] instead of re-hashing each key.
+//! The splitmix64 finalizer stays.  [`SigCache`](crate::SigCache) selects
+//! shards from the middle bits of the key and hashbrown probes with the top
+//! bits, so every bit range must be well mixed, even between keys that
+//! differ in one tag byte; the finalizer gives each key a whole-word
+//! avalanche whatever the last fold left.  It runs once per key, so it
+//! costs one step per sub-plan, not one per write.  The same avalanche lets
+//! every map keyed by finished keys use [`IdentityHasher`] instead of
+//! re-hashing each key.
 //!
 //! # Collision posture
 //!

@@ -5,6 +5,7 @@ use estimator_core::{CheckpointError, CostEstimator, Estimator, PlanEstimate, Se
 use featurize::EncodedPlan;
 use parking_lot::RwLock;
 use query::PlanNode;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,13 +120,15 @@ impl BatchAggregator {
 
     /// `(cost, cardinality)` for each plan, in order:
     /// [`ServingEstimator::estimate_encoded_batch`] on the calling thread.
-    /// An empty slice returns an empty `Vec` and is not counted.
-    pub fn estimate(&self, plans: &[EncodedPlan]) -> Vec<(f64, f64)> {
+    /// Plans may be owned or shared (`Arc<EncodedPlan>`, as
+    /// [`Session::encode_batch`] returns them).  An empty slice returns an
+    /// empty `Vec` and is not counted.
+    pub fn estimate<P: Borrow<EncodedPlan>>(&self, plans: &[P]) -> Vec<(f64, f64)> {
         if plans.is_empty() {
             return Vec::new();
         }
         self.waves.fetch_add(1, Ordering::Relaxed);
-        let refs: Vec<&EncodedPlan> = plans.iter().collect();
+        let refs: Vec<&EncodedPlan> = plans.iter().map(Borrow::borrow).collect();
         self.serving.estimate_encoded_batch(&refs)
     }
 
@@ -340,7 +343,7 @@ impl Session {
     /// under; across a hot-swap of a model with the *same* vocabulary
     /// (the common retrain-and-roll-out case, enforced at checkpoint load)
     /// they remain valid.
-    pub fn estimate_encoded(&self, plans: &[EncodedPlan]) -> Option<Vec<(f64, f64)>> {
+    pub fn estimate_encoded<P: Borrow<EncodedPlan>>(&self, plans: &[P]) -> Option<Vec<(f64, f64)>> {
         let model = self.model()?;
         let estimates = model.aggregator()?.estimate(plans);
         self.capture(plans, &estimates);
@@ -363,16 +366,16 @@ impl Session {
     }
 
     /// Batch form of [`Session::encode`] through the pinned tree model's
-    /// shared encoded-subtree cache: every distinct (subtree, annotations)
-    /// across the batch — and across concurrent sessions of this tenant —
-    /// is featurized at most once, with results bit-identical to
-    /// [`Session::encode`] per plan.  Each returned root is a clone of its
-    /// cached entry: refcount bumps on the shared features and children, no
-    /// feature slab is copied.  Feedback registration is preserved: with
-    /// capture enabled, each plan is registered under its signature exactly
-    /// as the one-at-a-time path does.  `None` when no model is published
-    /// or the backend is not the tree estimator.
-    pub fn encode_batch(&self, plans: &[PlanNode]) -> Option<Vec<EncodedPlan>> {
+    /// shared encode cache: every distinct (subtree, annotations) across
+    /// the batch — and across concurrent sessions of this tenant — is
+    /// featurized once while its entry stays, with results bit-identical to
+    /// [`Session::encode`] per plan.  Each returned root is its cache
+    /// entry's `Arc`: nothing is copied, and [`Session::estimate_encoded`]
+    /// takes the roots as they are.  Feedback registration is preserved:
+    /// with capture enabled, each plan is registered under its signature
+    /// exactly as the one-at-a-time path does.  `None` when no model is
+    /// published or the backend is not the tree estimator.
+    pub fn encode_batch(&self, plans: &[PlanNode]) -> Option<Vec<Arc<EncodedPlan>>> {
         let model = self.model()?;
         let encoded = model.tree()?.encode_plans(plans);
         if let Some(feedback) = self.tenant.feedback.read().as_ref() {
@@ -380,15 +383,15 @@ impl Session {
                 feedback.registry().register(enc.signature, plan);
             }
         }
-        Some(encoded.into_iter().map(|e| EncodedPlan::clone(&e)).collect())
+        Some(encoded)
     }
 
     /// Record a served batch into the tenant's feedback log, when capture is
     /// enabled.  One uncontended `RwLock` read per batch on the hot path;
     /// the log pushes themselves are sharded ring-buffer appends.
-    fn capture(&self, plans: &[EncodedPlan], estimates: &[(f64, f64)]) {
+    fn capture<P: Borrow<EncodedPlan>>(&self, plans: &[P], estimates: &[(f64, f64)]) {
         if let Some(feedback) = self.tenant.feedback.read().as_ref() {
-            feedback.log().record_batch(plans.iter().map(|p| &p.signature).zip(estimates.iter()));
+            feedback.log().record_batch(plans.iter().map(|p| &p.borrow().signature).zip(estimates.iter()));
         }
     }
 }
@@ -549,10 +552,20 @@ mod tests {
         let batch = session.encode_batch(&plans).expect("batch");
         assert_eq!(batch.len(), plans.len());
         // Bit-identical to the one-at-a-time path, plan for plan.
-        for (plan, batched) in plans.iter().zip(&batch) {
-            let one = session.encode(plan).expect("one");
-            assert_eq!(one, *batched, "memoized batch encode must match Session::encode");
+        let one_at_a_time: Vec<EncodedPlan> = plans.iter().map(|p| session.encode(p).expect("one")).collect();
+        for (one, batched) in one_at_a_time.iter().zip(&batch) {
+            assert_eq!(one, batched.as_ref(), "memoized batch encode must match Session::encode");
         }
+        // The roots are the cache's own entries, handed out uncopied.
+        let again = session.encode_batch(&plans).expect("batch");
+        for (first, second) in batch.iter().zip(&again) {
+            assert!(Arc::ptr_eq(first, second), "two batch encodes of one plan must share its cached root");
+        }
+        // Shared and owned roots serve the same bits and capture alike.
+        let shared = session.estimate_encoded(&batch).expect("shared roots serve");
+        let owned = session.estimate_encoded(&one_at_a_time).expect("owned roots serve");
+        assert_eq!(estimate_bits(&shared), estimate_bits(&owned));
+        assert_eq!(feedback.log().total_recorded(), 2 * plans.len() as u64);
         // Feedback registration preserved: every plan is executable again.
         for enc in &batch {
             assert!(feedback.registry().get(enc.signature).is_some(), "batch encode must register each plan");
@@ -685,7 +698,7 @@ mod tests {
         assert_eq!(estimate_bits(&served), estimate_bits(&expected));
         assert_eq!(served_calls(&catalog), 1);
         // An empty call is served but not counted.
-        assert_eq!(session.estimate_encoded(&[]), Some(vec![]));
+        assert_eq!(session.estimate_encoded::<EncodedPlan>(&[]), Some(vec![]));
         assert_eq!(served_calls(&catalog), 1);
     }
 
@@ -769,7 +782,7 @@ mod tests {
         assert_eq!(s.estimate_plans(&plans).expect("pg"), want);
         // No tree fast path on a dyn backend.
         assert!(s.encode(&plans[0]).is_none());
-        assert!(s.estimate_encoded(&[]).is_none());
+        assert!(s.estimate_encoded::<EncodedPlan>(&[]).is_none());
         assert!(catalog.remove("pg"));
         assert!(catalog.session("pg").is_none());
     }

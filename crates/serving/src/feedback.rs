@@ -227,21 +227,27 @@ impl PlanRegistry {
     /// annotations cleared**: a sampled plan must be re-executed for ground
     /// truth, not trusted to carry an up-to-date label from whenever it was
     /// first seen.  Returns whether the plan was newly inserted.
+    ///
+    /// A new plan reserves its place in `len` before it is inserted, so
+    /// registrants racing on different shards can never together pass the
+    /// bound; a reservation over the bound is given back.
     pub fn register(&self, signature: u64, plan: &PlanNode) -> bool {
-        if self.len.load(Ordering::Relaxed) >= self.capacity as u64 {
+        let capacity = self.capacity as u64;
+        if self.len.load(Ordering::Relaxed) >= capacity {
             return false;
         }
         let mut shard = self.shard_of(signature).lock();
-        match shard.entry(signature) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(slot) => {
-                let mut clean = plan.clone();
-                clean.visit_postorder_mut(&mut |n| n.annotations = NodeAnnotations::default());
-                slot.insert(Arc::new(clean));
-                self.len.fetch_add(1, Ordering::Relaxed);
-                true
-            }
+        let Entry::Vacant(slot) = shard.entry(signature) else {
+            return false;
+        };
+        if self.len.fetch_add(1, Ordering::Relaxed) >= capacity {
+            self.len.fetch_sub(1, Ordering::Relaxed);
+            return false;
         }
+        let mut clean = plan.clone();
+        clean.visit_postorder_mut(&mut |n| n.annotations = NodeAnnotations::default());
+        slot.insert(Arc::new(clean));
+        true
     }
 
     /// Look up the plan registered under `signature`.
@@ -428,6 +434,44 @@ mod tests {
         assert!(reg.remove(2));
         assert!(reg.register(99, &plan_a));
         assert_eq!(reg.len(), 4);
+    }
+
+    /// Registrants racing on different shards at the bound: each round,
+    /// eight threads register distinct signatures into a small registry at
+    /// once.  The bound must hold, and every counted plan must resolve.
+    #[test]
+    fn concurrent_registrants_never_exceed_the_capacity() {
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 16;
+        const CAPACITY: usize = 21;
+        let plan = PlanNode::leaf(PhysicalOp::SeqScan { table: "title".into(), predicate: None });
+        for round in 0..50u64 {
+            let reg = PlanRegistry::new(CAPACITY);
+            let barrier = std::sync::Barrier::new(THREADS as usize);
+            let inserted = AtomicU64::new(0);
+            let signature = |t: u64, i: u64| (round << 48 | t << 16 | i).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            std::thread::scope(|scope| {
+                for t in 0..THREADS {
+                    let (reg, barrier, inserted, plan) = (&reg, &barrier, &inserted, &plan);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        for i in 0..PER_THREAD {
+                            if reg.register(signature(t, i), plan) {
+                                inserted.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    });
+                }
+            });
+            assert!(reg.len() <= CAPACITY, "round {round}: {} plans in a registry of {CAPACITY}", reg.len());
+            assert_eq!(reg.len(), CAPACITY, "round {round}: 128 distinct signatures must fill the registry");
+            assert_eq!(inserted.load(Ordering::Relaxed) as usize, reg.len());
+            let resolvable = (0..THREADS)
+                .flat_map(|t| (0..PER_THREAD).map(move |i| (t, i)))
+                .filter(|&(t, i)| reg.get(signature(t, i)).is_some())
+                .count();
+            assert_eq!(resolvable, reg.len(), "round {round}: every counted plan must resolve");
+        }
     }
 
     #[test]
