@@ -15,9 +15,9 @@
 //!   - over the roots, with no memoization
 //!     ([`CostEstimator::estimate_encoded_batch`]) — training, validation,
 //!     the fresh oracle and Table 12's batch row;
-//!   - over every fresh sub-plan, memoized ([`ServingEstimator`]) — all
-//!     serving traffic, including [`CostEstimator::estimate`] and the
-//!     [`Estimator`] impl.  Raw plans enter it state first
+//!   - over every fresh sub-plan, memoized ([`ServingEstimator`]), on the
+//!     generation's packed weights — all serving traffic, including
+//!     [`CostEstimator::estimate`] and the [`Estimator`] impl.  Raw plans enter it state first
 //!     ([`ServingEstimator::estimate_plans`]): a sub-plan whose state the
 //!     subtree-state cache holds costs a signature walk and a lookup, and
 //!     only the fringe above the cached states is featurized and embedded.
@@ -34,6 +34,7 @@ use featurize::encode::ENCODE_SLOTS_PER_SHARD;
 use featurize::{EncodedPlan, FeatureExtractor};
 use nn::checkpoint as ckpt;
 use nn::checkpoint::CheckpointError;
+use nn::PackedWeights;
 use query::{PlanNode, SigCache};
 use std::io::Write as _;
 use std::path::Path;
@@ -418,9 +419,10 @@ impl TrainableEstimator for CostEstimator {
     }
 }
 
-/// One served model generation: the tree model's weights, the target
-/// normalization, the feature extractor, and the subtree-state cache of the
-/// states those weights computed (the paper's representation memory pool).
+/// One served model generation: the tree model's weights and their packed
+/// copy, the target normalization, the feature extractor, and the
+/// subtree-state cache of the states those weights computed (the paper's
+/// representation memory pool).
 ///
 /// A generation never changes.  A refit or a checkpoint load on the
 /// [`CostEstimator`] that made it installs a new generation, with an empty
@@ -438,6 +440,9 @@ pub struct ServingEstimator(Arc<Generation>);
 
 struct Generation {
     model: Arc<TreeModel>,
+    /// `model`'s layers packed once ([`TreeModel::pack`]): every tape pass
+    /// of this generation reads them, and none copies a weight.
+    weights: PackedWeights,
     normalization: TargetNormalization,
     /// The feature extractor the model was fitted with, so the generation
     /// can accept raw [`PlanNode`]s and featurize the nodes it must embed.
@@ -446,12 +451,14 @@ struct Generation {
 }
 
 impl ServingEstimator {
-    /// A generation serving `trainer`'s current weights, with an empty
-    /// subtree-state cache as wide as their hidden states.
+    /// A generation serving `trainer`'s current weights, packed once, with
+    /// an empty subtree-state cache as wide as their hidden states.
     pub(crate) fn new(trainer: &Trainer, extractor: Arc<FeatureExtractor>) -> Self {
         let model = Arc::clone(&trainer.model);
+        let weights = model.pack();
         let cache = SubtreeStateCache::new(model.config.hidden_dim);
-        ServingEstimator(Arc::new(Generation { model, normalization: trainer.normalization, extractor, cache }))
+        let normalization = trainer.normalization;
+        ServingEstimator(Arc::new(Generation { model, weights, normalization, extractor, cache }))
     }
 
     /// The end-to-end front door: score a batch of **raw plans** state
@@ -489,6 +496,12 @@ impl ServingEstimator {
     /// The generation's model weights.
     pub fn model(&self) -> &TreeModel {
         &self.0.model
+    }
+
+    /// The same weights packed for the fused kernel, which every tape pass
+    /// of this generation reads.
+    pub(crate) fn weights(&self) -> &PackedWeights {
+        &self.0.weights
     }
 
     /// The target normalization the heads' outputs are denormalized with.
@@ -797,12 +810,16 @@ mod tests {
 
     /// A generation taken before a refit, a resume or a load keeps serving
     /// its own weights bit for bit, and the estimator's new generation
-    /// neither reads nor fills its cache: it starts with an empty one.
+    /// neither reads nor fills its cache: it starts with an empty one.  Each
+    /// generation computes on the weights it packed when it was built: the
+    /// new one serves the memo-free oracle's bits for the new weights, and
+    /// the old one, its cache emptied, recomputes its own.
     #[test]
     fn a_generation_outlives_refits_and_loads_of_its_estimator() {
         let (mut est, db) = make_estimator();
         let plans = executed_plans(&db, 14);
         est.fit(&plans);
+        let encoded: Vec<EncodedPlan> = plans.iter().map(|p| est.encode(p)).collect();
         let mut other = reseeded_estimator(&db);
         other.fit(&plans);
         let path = temp_ckpt("generation");
@@ -816,12 +833,28 @@ mod tests {
             assert!(est.subtree_cache().is_empty(), "{swap}: the new generation starts with an empty cache");
             let new = bits(&est.serving().estimate_plans(&plans));
             assert_ne!(new, want, "{swap}: the weights must move for the test to mean anything");
+            assert_eq!(
+                new,
+                bits(&est.estimate_encoded_batch(&encoded)),
+                "{swap}: the new generation's weights are stale"
+            );
             assert!(!est.subtree_cache().is_empty(), "{swap}: the new generation fills its own cache");
             assert_eq!(old.cache().len(), entries, "{swap}: the new generation wrote into the old cache");
             assert_eq!(old.cache().node_stats(), nodes, "{swap}: the new generation counted in the old cache");
             assert_eq!(bits(&old.estimate_plans(&plans)), want, "{swap}: the old generation's answers moved");
             assert_eq!(old.cache().len(), entries, "{swap}: a warm pass of the old generation added entries");
+            old.cache().clear();
+            assert_eq!(bits(&old.estimate_plans(&plans)), want, "{swap}: the old generation's weights moved");
         }
+
+        // With no handle pinning them, a resume updates the weights in
+        // place; the generation installed after it packs the updated ones.
+        est.extend_training_epochs(2);
+        let before = bits(&est.serving().estimate_plans(&plans));
+        est.fit_resumed(&plans).expect("resume");
+        let after = bits(&est.serving().estimate_plans(&plans));
+        assert_ne!(after, before, "resume in place: the weights must move for the test to mean anything");
+        assert_eq!(after, bits(&est.estimate_encoded_batch(&encoded)), "resume in place: the packed weights are stale");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -48,6 +48,11 @@
 //!   inputs ([`TreeModel::embed_nodes_batch`]) instead of once per node;
 //! * inference runs on an inference-mode tape ([`Graph::inference`]): no
 //!   gradient slots, no op metadata;
+//! * the level loop and the heads take their weights as one argument
+//!   ([`Weights`]): the memo-free forwards read the model's `ParamStore`,
+//!   and the memoized sweep reads the served generation's packed copy, so
+//!   each of its layers is one fused `W·x + b` kernel and its tape copies
+//!   no weight;
 //! * tapes are **per-thread** (with a parking pool handing warm tapes from
 //!   finished threads to new ones), so concurrent estimators never
 //!   serialize on a shared tape lock;
@@ -63,7 +68,7 @@ use crate::model::TreeModel;
 use crate::trainer::TargetNormalization;
 use featurize::{EncodedPlan, FeatureExtractor, NodeFeatures};
 use nn::cells::CellOutput;
-use nn::{Graph, NodeId};
+use nn::{Graph, NodeId, Weights};
 use query::{IdentityHasher, PlanNode};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -195,11 +200,11 @@ fn denormalize_outputs(
 pub fn forward_batch(model: &TreeModel, g: &mut Graph, plans: &[&EncodedPlan]) -> (NodeId, NodeId) {
     assert!(!plans.is_empty(), "forward_batch needs at least one plan");
     let batch = LevelBatch::new(plans.iter().copied(), None);
-    let states = batch.embed(model, g);
+    let states = batch.embed(model, &model.params, g);
     let root_rs: Vec<(NodeId, usize)> =
         batch.roots.iter().map(|&r| states[r].expect("every node of an uncached batch is embedded").r).collect();
     let r_batch = g.gather_cols(&root_rs);
-    model.estimate_from_representation(g, r_batch)
+    model.estimate_from_representation(g, &model.params, r_batch)
 }
 
 /// Where a batch node's state comes from: a cached entry — the root of a
@@ -448,7 +453,9 @@ impl LevelBatch {
 
     /// The level loop: inject the cached states fresh nodes read as
     /// children (two batched input columns), then per level embed the fresh
-    /// nodes' features, gather their children states and apply the cell.
+    /// nodes' features, gather their children states and apply the cell,
+    /// every layer reading `weights`: the model's `ParamStore` on the
+    /// memo-free forwards, the generation's packed copy when serving.
     /// Only a missing child — a leaf's, or a one-child node's right — reads
     /// the zero state.  Returns every node's state, indexed like `nodes`:
     /// the embedded ones and the injected fringe.
@@ -456,7 +463,7 @@ impl LevelBatch {
     /// # Panics
     /// Panics if a present child has no state: a cached child left out of
     /// the fringe is a layout fault, and the zero state would hide it.
-    fn embed(&self, model: &TreeModel, g: &mut Graph) -> Vec<Option<StateRef>> {
+    fn embed(&self, model: &TreeModel, weights: &impl Weights, g: &mut Graph) -> Vec<Option<StateRef>> {
         let mut states: Vec<Option<StateRef>> = vec![None; self.nodes.len()];
         if !self.fringe_nodes.is_empty() {
             let hidden = model.config.hidden_dim;
@@ -479,7 +486,7 @@ impl LevelBatch {
             // The op/meta/sample embedding layers run once over
             // column-stacked inputs.
             let feats: Vec<&NodeFeatures> = level.iter().map(|&i| self.nodes[i].features()).collect();
-            let x_batch = model.embed_nodes_batch(g, &feats);
+            let x_batch = model.embed_nodes_batch(g, weights, &feats);
 
             let mut left_g = Vec::with_capacity(level.len());
             let mut left_r = Vec::with_capacity(level.len());
@@ -497,7 +504,7 @@ impl LevelBatch {
             let left = CellOutput { g: g.gather_cols(&left_g), r: g.gather_cols(&left_r) };
             let right = CellOutput { g: g.gather_cols(&right_g), r: g.gather_cols(&right_r) };
 
-            let out = model.apply_cell(g, x_batch, left, right);
+            let out = model.apply_cell(g, weights, x_batch, left, right);
             for (col, &i) in level.iter().enumerate() {
                 states[i] = Some(StateRef { g: (out.g, col), r: (out.r, col) });
             }
@@ -526,19 +533,20 @@ impl LevelBatch {
     }
 
     /// The level loop, then one heads sweep over every fresh sub-plan, level
-    /// by level; each one's `G‖R` is written off the tape straight into its
-    /// slot in the generation's cache with its estimate, which also goes
-    /// into `estimates`.
+    /// by level, all on the generation's packed weights, so the tape copies
+    /// no weight; each sub-plan's `G‖R` is written off the tape straight
+    /// into its slot in the generation's cache with its estimate, which
+    /// also goes into `estimates`.
     fn score_fresh(&self, serving: &ServingEstimator, g: &mut Graph, estimates: &mut [(f64, f64)]) {
-        let model = serving.model();
-        let states = self.embed(model, g);
+        let (model, weights) = (serving.model(), serving.weights());
+        let states = self.embed(model, weights, g);
         let mut fresh: Vec<(usize, StateRef)> = Vec::with_capacity(self.computed as usize);
         for level in &self.levels {
             fresh.extend(level.iter().map(|&i| (i, states[i].expect("the level loop embeds every fresh node"))));
         }
         let fresh_rs: Vec<(NodeId, usize)> = fresh.iter().map(|(_, s)| s.r).collect();
         let r_batch = g.gather_cols(&fresh_rs);
-        let (cost_out, card_out) = model.estimate_from_representation(g, r_batch);
+        let (cost_out, card_out) = model.estimate_from_representation(g, weights, r_batch);
         let fresh_estimates = denormalize_outputs(g, serving.normalization(), cost_out, card_out, fresh.len());
         let hidden = model.config.hidden_dim;
         for (&(i, s), estimate) in fresh.iter().zip(fresh_estimates) {
@@ -842,7 +850,48 @@ mod tests {
             seen_nodes: 2,
             computed: 1,
         };
-        batch.embed(&model, &mut Graph::inference());
+        batch.embed(&model, &model.params, &mut Graph::inference());
+    }
+
+    /// A served generation embeds and scores its fresh sub-plans on its
+    /// packed weights, for every cell and predicate model: the tape pass
+    /// copies no parameter, where the memo-free forward copies each one it
+    /// applies, and both give the per-node recursion's bits.
+    #[test]
+    fn a_served_tape_pass_copies_no_weight() {
+        use crate::model::{PredicateModelKind, RepresentationCellKind};
+        let (plans, fx) = samples(6);
+        let refs: Vec<&EncodedPlan> = plans.iter().collect();
+        for cell in [RepresentationCellKind::Lstm, RepresentationCellKind::Nn] {
+            for predicate in [PredicateModelKind::MinMaxPool, PredicateModelKind::TreeLstm] {
+                let config = ModelConfig {
+                    cell,
+                    predicate,
+                    feature_embed_dim: 8,
+                    hidden_dim: 12,
+                    estimation_hidden_dim: 8,
+                    ..Default::default()
+                };
+                let trainer = Trainer::new(TreeModel::new(fx.config(), config), &plans, TrainConfig::default());
+                let mut g = Graph::inference();
+                forward_batch(&trainer.model, &mut g, &refs);
+                assert!(g.params_recorded() > 0, "{cell:?}/{predicate:?}: the memo-free forward reads the store");
+
+                let serving = ServingEstimator::new(&trainer, Arc::clone(&fx));
+                let batch = LevelBatch::new(refs.iter().copied(), Some(serving.cache()));
+                let mut estimates = vec![(f64::NAN, f64::NAN); batch.nodes.len()];
+                let mut g = Graph::inference();
+                batch.score_fresh(&serving, &mut g, &mut estimates);
+                assert_eq!(g.params_recorded(), 0, "{cell:?}/{predicate:?}: a served tape pass copied a weight");
+                for (plan, &root) in plans.iter().zip(&batch.roots) {
+                    assert_eq!(
+                        bits(estimates[root]),
+                        bits(trainer.estimate(plan)),
+                        "{cell:?}/{predicate:?}: bits moved"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use featurize::{EncodedPlan, EncodingConfig, NodeFeatures, PredicateEncoding};
 use nn::cells::CellOutput;
-use nn::{Graph, Linear, NodeId, ParamStore, TreeLstmCell, TreeNnCell};
+use nn::{Graph, Linear, NodeId, PackedWeights, ParamStore, TreeLstmCell, TreeNnCell, Weights};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -171,6 +171,29 @@ impl TreeModel {
         self.params.num_scalars()
     }
 
+    /// Every fully-connected layer of the model: the embeddings, the
+    /// predicate cell, the representation cell and both heads.
+    fn linears(&self) -> Vec<Linear> {
+        let mut layers = vec![self.op_embed, self.meta_embed, self.sample_embed, self.pred_leaf];
+        layers.extend(self.pred_lstm.linears());
+        match &self.cell {
+            RepresentationCell::Lstm(c) => layers.extend(c.linears()),
+            RepresentationCell::Nn(c) => layers.extend(c.linears()),
+        }
+        for head in [&self.cost_head, &self.card_head] {
+            layers.extend([head.l1, head.l2]);
+        }
+        layers
+    }
+
+    /// The model's weights packed for serving ([`PackedWeights`]): every
+    /// layer in 8-row panels, read by the level loop and the heads through
+    /// one fused `W·x + b` kernel.  The copy never changes; a served
+    /// generation builds it once, beside the weights it serves.
+    pub(crate) fn pack(&self) -> PackedWeights {
+        PackedWeights::new(&self.params, self.linears())
+    }
+
     /// Embed a predicate tree into a `feature_embed_dim` vector node.
     fn embed_predicate(&self, g: &mut Graph, pred: &PredicateEncoding) -> NodeId {
         let d = self.config.feature_embed_dim;
@@ -239,11 +262,12 @@ impl TreeModel {
     /// embedding layers run **once per group per batch** instead of once per
     /// node, and the predicate trees are level-batched the same way
     /// (`TreeModel::embed_predicates_batch`).  Returns the `4d x n`
-    /// batched embedding `E`.
+    /// batched embedding `E`.  The layers read `weights`: this model's
+    /// [`ParamStore`] or the packed copy a served generation holds.
     ///
     /// # Panics
     /// Panics if `features` is empty.
-    pub fn embed_nodes_batch(&self, g: &mut Graph, features: &[&NodeFeatures]) -> NodeId {
+    pub fn embed_nodes_batch(&self, g: &mut Graph, weights: &impl Weights, features: &[&NodeFeatures]) -> NodeId {
         assert!(!features.is_empty(), "embed_nodes_batch needs at least one node");
         let mut columns: Vec<&[f32]> = Vec::with_capacity(features.len());
         let mut stack = |g: &mut Graph, dim: usize, pick: &dyn Fn(&NodeFeatures) -> &[f32]| -> NodeId {
@@ -252,13 +276,13 @@ impl TreeModel {
             g.input_columns(dim, &columns)
         };
         let op_in = stack(g, self.op_embed.in_dim(), &|f| f.operation());
-        let op = self.op_embed.forward_relu(g, &self.params, op_in);
+        let op = self.op_embed.forward_relu(g, weights, op_in);
         let meta_in = stack(g, self.meta_embed.in_dim(), &|f| f.metadata());
-        let meta = self.meta_embed.forward_relu(g, &self.params, meta_in);
+        let meta = self.meta_embed.forward_relu(g, weights, meta_in);
         let samp_in = stack(g, self.sample_embed.in_dim(), &|f| f.sample_bitmap());
-        let samp = self.sample_embed.forward_relu(g, &self.params, samp_in);
+        let samp = self.sample_embed.forward_relu(g, weights, samp_in);
         let preds: Vec<&PredicateEncoding> = features.iter().map(|f| &f.predicate).collect();
-        let pred = self.embed_predicates_batch(g, &preds);
+        let pred = self.embed_predicates_batch(g, weights, &preds);
         g.concat_rows(&[op, meta, samp, pred])
     }
 
@@ -271,7 +295,7 @@ impl TreeModel {
     /// level over [`Graph::gather_cols`]-assembled children (min/max pooling
     /// partitions each level into its AND and OR subsets; the tree-LSTM
     /// variant feeds a zero feature batch).
-    fn embed_predicates_batch(&self, g: &mut Graph, preds: &[&PredicateEncoding]) -> NodeId {
+    fn embed_predicates_batch(&self, g: &mut Graph, weights: &impl Weights, preds: &[&PredicateEncoding]) -> NodeId {
         let d = self.config.feature_embed_dim;
 
         // Flatten every tree into one arena, bucketing nodes by height.
@@ -333,7 +357,7 @@ impl TreeModel {
                 }
             }
             let x = g.input_columns(self.pred_leaf.in_dim(), &columns);
-            Some(self.pred_leaf.forward_relu(g, &self.params, x))
+            Some(self.pred_leaf.forward_relu(g, weights, x))
         };
         let zero_col = g.zeros(d, 1);
 
@@ -387,7 +411,7 @@ impl TreeModel {
                 if let Some(embeds) = atom_embeds {
                     // All atom leaves share zero children: one cell forward.
                     let zeros = self.pred_lstm.zero_state(g, atoms.len());
-                    let out = self.pred_lstm.forward(g, &self.params, embeds, zeros, zeros);
+                    let out = self.pred_lstm.forward(g, weights, embeds, zeros, zeros);
                     for (col, &i) in atoms.iter().enumerate() {
                         sref[i] = ((out.g, col), (out.r, col));
                         vref[i] = (embeds, atom_col[i]);
@@ -409,7 +433,7 @@ impl TreeModel {
                     let left = nn::cells::CellOutput { g: g.gather_cols(&lg), r: g.gather_cols(&lr) };
                     let right = nn::cells::CellOutput { g: g.gather_cols(&rg), r: g.gather_cols(&rr) };
                     let x = g.zeros(d, inner.len());
-                    let out = self.pred_lstm.forward(g, &self.params, x, left, right);
+                    let out = self.pred_lstm.forward(g, weights, x, left, right);
                     for (col, &i) in inner.iter().enumerate() {
                         sref[i] = ((out.g, col), (out.r, col));
                         // An inner node's embedding is its state's R channel.
@@ -425,11 +449,19 @@ impl TreeModel {
         g.gather_cols(&answers)
     }
 
-    /// Apply the representation cell to an embedded node and children states.
-    pub fn apply_cell(&self, g: &mut Graph, x: NodeId, left: CellOutput, right: CellOutput) -> CellOutput {
+    /// Apply the representation cell to an embedded node and children
+    /// states, reading `weights`.
+    pub fn apply_cell(
+        &self,
+        g: &mut Graph,
+        weights: &impl Weights,
+        x: NodeId,
+        left: CellOutput,
+        right: CellOutput,
+    ) -> CellOutput {
         match &self.cell {
-            RepresentationCell::Lstm(c) => c.forward(g, &self.params, x, left, right),
-            RepresentationCell::Nn(c) => c.forward(g, &self.params, x, left, right),
+            RepresentationCell::Lstm(c) => c.forward(g, weights, x, left, right),
+            RepresentationCell::Nn(c) => c.forward(g, weights, x, left, right),
         }
     }
 
@@ -457,21 +489,22 @@ impl TreeModel {
             }
             _ => (self.forward_plan(g, &plan.children[0]), self.forward_plan(g, &plan.children[1])),
         };
-        self.apply_cell(g, x, left, right)
+        self.apply_cell(g, &self.params, x, left, right)
     }
 
     /// Estimation heads: `(cost, cardinality)` sigmoid outputs (normalized
-    /// space) from a representation node (any batch width).
-    pub fn estimate_from_representation(&self, g: &mut Graph, r: NodeId) -> (NodeId, NodeId) {
-        let cost = self.cost_head.forward_sigmoid(g, &self.params, r);
-        let card = self.card_head.forward_sigmoid(g, &self.params, r);
+    /// space) from a representation node (any batch width), reading
+    /// `weights`.
+    pub fn estimate_from_representation(&self, g: &mut Graph, weights: &impl Weights, r: NodeId) -> (NodeId, NodeId) {
+        let cost = self.cost_head.forward_sigmoid(g, weights, r);
+        let card = self.card_head.forward_sigmoid(g, weights, r);
         (cost, card)
     }
 
     /// Full forward pass over one plan: normalized `(cost, card)` outputs.
     pub fn forward(&self, g: &mut Graph, plan: &EncodedPlan) -> (NodeId, NodeId) {
         let root = self.forward_plan(g, plan);
-        self.estimate_from_representation(g, root.r)
+        self.estimate_from_representation(g, &self.params, root.r)
     }
 }
 

@@ -1,7 +1,10 @@
 //! Component-level profile of the f32 GEMM tier (B-pack, dispatched kernel,
-//! scalar arm, transposed variants, gate sweeps) — the dev tool behind the
-//! "f32 kernel contract" numbers in `docs/perf.md`.  Not a regression gate;
-//! the end-to-end floors live in the `bench` crate's check mode.
+//! scalar arm, transposed variants, gate sweeps, and the packed-weight
+//! linear layer against `gemm_f32` plus the bias pass at the served model's
+//! shapes) — the dev tool behind the "f32 kernel contract" numbers in
+//! `docs/perf.md`.  Not a regression gate; the end-to-end floors live in the
+//! `bench` crate's check mode.  It asserts that the packed linear returns
+//! the bits of `gemm_f32` plus the bias pass at every shape it times.
 //!
 //! `cargo run -p nn --release --example profile_matmul`
 //! (`E2E_FORCE_SCALAR=1` profiles the scalar fallbacks through the same
@@ -9,6 +12,7 @@
 
 use nn::matrix::Matrix;
 use nn::simd;
+use nn::PackedLinear;
 use std::time::Instant;
 
 fn lcg(n: usize, mut seed: u32) -> Vec<f32> {
@@ -71,5 +75,34 @@ fn main() {
             scalar_ns / gemm_ns,
             100.0 * pack_ns / gemm_ns
         );
+    }
+
+    // The served model's layers (optbench's main model: hidden 32, embed
+    // 16, head hidden 16): `W·x + b` as the param path computes it
+    // (`gemm_f32`, then the bias pass) against the packed-weight kernel.
+    println!("packed linear vs gemm_f32 + bias (ns per layer call)");
+    for (name, rows, depth) in
+        [("gate", 32usize, 96usize), ("sample", 16, 128), ("head.l1", 16, 32), ("head.l2", 1, 16)]
+    {
+        let w = Matrix::from_vec(rows, depth, lcg(rows * depth, 11));
+        let b = Matrix::column(&lcg(rows, 12));
+        let layer = PackedLinear::new(&w, &b);
+        for n in [1usize, 2, 4, 8, 16, 64] {
+            let x = Matrix::from_vec(depth, n, lcg(depth * n, 13));
+            let (mut z, mut want, mut got) = (Matrix::zeros(rows, n), Matrix::zeros(rows, n), Matrix::zeros(rows, n));
+            let iters = 200_000 / n;
+            let gemm_ns = time_ns(iters, || {
+                w.matmul_into(&x, &mut z);
+                z.add_bias_into(&b, &mut want);
+            });
+            let packed_ns = time_ns(iters, || layer.apply(x.data(), n, got.data_mut()));
+            let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "packed linear diverges from gemm_f32 + bias at {name} n={n}");
+            println!(
+                "{name:>8} {rows:>2}x{depth:<3} n={n:>2}  gemm+bias {gemm_ns:>8.0} ns   packed {packed_ns:>8.0} ns  \
+                 ({:.2}x)",
+                gemm_ns / packed_ns
+            );
+        }
     }
 }

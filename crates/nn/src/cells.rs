@@ -11,7 +11,7 @@
 //! Both cells share their weights across all nodes of all plans.
 
 use crate::graph::{Graph, NodeId};
-use crate::layers::Linear;
+use crate::layers::{Linear, Weights};
 use crate::params::ParamStore;
 use rand::Rng;
 
@@ -69,6 +69,11 @@ impl TreeLstmCell {
         self.hidden_dim
     }
 
+    /// The four gate layers: forget, input, candidate, output.
+    pub fn linears(&self) -> [Linear; 4] {
+        [self.forget, self.input_gate, self.candidate, self.output_gate]
+    }
+
     /// Zero child state for leaf nodes, shaped for a batch of `batch` columns.
     pub fn zero_state(&self, g: &mut Graph, batch: usize) -> CellOutput {
         let zg = g.zeros(self.hidden_dim, batch);
@@ -80,7 +85,7 @@ impl TreeLstmCell {
     pub fn forward(
         &self,
         g: &mut Graph,
-        store: &ParamStore,
+        weights: &impl Weights,
         x: NodeId,
         left: CellOutput,
         right: CellOutput,
@@ -92,10 +97,10 @@ impl TreeLstmCell {
         // All four gate pre-activations first, then one fused activation
         // sweep (`Graph::lstm_gates`; per-element training fallback keeps
         // backward intact and values bit-identical either way).
-        let zf = self.forget.forward(g, store, joint);
-        let zk1 = self.input_gate.forward(g, store, joint);
-        let zr = self.candidate.forward(g, store, joint);
-        let zk2 = self.output_gate.forward(g, store, joint);
+        let zf = self.forget.forward(g, weights, joint);
+        let zk1 = self.input_gate.forward(g, weights, joint);
+        let zr = self.candidate.forward(g, weights, joint);
+        let zk2 = self.output_gate.forward(g, weights, joint);
         let (f, k1, r, k2) = g.lstm_gates(zf, zk1, zr, zk2);
 
         let keep = g.hadamard(f, g_prev);
@@ -133,6 +138,11 @@ impl TreeNnCell {
         self.hidden_dim
     }
 
+    /// The cell's one layer.
+    pub fn linears(&self) -> [Linear; 1] {
+        [self.layer]
+    }
+
     /// Zero child state for leaf nodes.
     pub fn zero_state(&self, g: &mut Graph, batch: usize) -> CellOutput {
         let zg = g.zeros(self.hidden_dim, batch);
@@ -144,13 +154,13 @@ impl TreeNnCell {
     pub fn forward(
         &self,
         g: &mut Graph,
-        store: &ParamStore,
+        weights: &impl Weights,
         x: NodeId,
         left: CellOutput,
         right: CellOutput,
     ) -> CellOutput {
         let joint = g.concat_rows(&[left.r, right.r, x]);
-        let r_t = self.layer.forward_relu(g, store, joint);
+        let r_t = self.layer.forward_relu(g, weights, joint);
         CellOutput { g: r_t, r: r_t }
     }
 }

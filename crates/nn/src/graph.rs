@@ -33,6 +33,7 @@
 //! [`Matrix::matmul_nt_into`]-style kernels instead of materializing
 //! transposes.
 
+use crate::layers::PackedLinear;
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
 use crate::simd;
@@ -236,6 +237,30 @@ impl Graph {
         let node = self.push(value, Op::Param(id));
         self.param_cache.push((id, node));
         node
+    }
+
+    /// Parameters recorded on this tape since the last [`Graph::reset`]
+    /// (each counted once, however often it was applied).
+    pub fn params_recorded(&self) -> usize {
+        self.param_cache.len()
+    }
+
+    /// `W·x + b` over packed weights ([`PackedLinear`]) as one fused kernel
+    /// ([`simd::linear_packed_f32`]): no weight is copied onto the tape, the
+    /// input is not repacked and no bias pass follows.  Its bits are those
+    /// of [`Graph::param`], [`Graph::matmul`] and [`Graph::add_bias`] on the
+    /// same dispatch path.
+    ///
+    /// # Panics
+    /// Panics on a training tape, since packed weights take no gradient, or
+    /// if `x` does not hold the layer's input width in rows.
+    pub fn linear_packed(&mut self, layer: &PackedLinear, x: NodeId) -> NodeId {
+        assert!(self.inference, "packed weights take no gradient: train through the ParamStore");
+        let (rows, cols) = (self.nodes[x.0].value.rows(), self.nodes[x.0].value.cols());
+        assert_eq!(rows, layer.in_dim(), "linear_packed: input has {rows} rows, the layer takes {}", layer.in_dim());
+        let mut out = self.alloc(layer.out_dim(), cols);
+        layer.apply(self.nodes[x.0].value.data(), cols, out.data_mut());
+        self.push(out, Op::Input)
     }
 
     /// Matrix product (cache-blocked kernel).

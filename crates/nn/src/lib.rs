@@ -37,7 +37,7 @@ pub mod simd;
 pub use cells::{TreeLstmCell, TreeNnCell};
 pub use checkpoint::CheckpointError;
 pub use graph::{Graph, Mode, NodeId};
-pub use layers::Linear;
+pub use layers::{Linear, PackedLinear, PackedWeights, Weights};
 pub use loss::{qerror_from_normalized, NormalizationStats};
 pub use matrix::Matrix;
 pub use optim::{Adam, Optimizer, Sgd};

@@ -119,9 +119,15 @@ pub fn avx2_available() -> bool {
 
 /// `out[i] += a * b[i]` over equal-length slices — the inner loop of the
 /// blocked matmul and of `matmul_tn`.
+///
+/// # Panics
+/// Panics if the slices differ in length, before any element is read.
 #[inline]
 pub fn axpy(a: f32, b: &[f32], out: &mut [f32]) {
+    assert_eq!(b.len(), out.len(), "axpy: `b` and `out` differ in length");
     match active_path() {
+        // SAFETY: the AVX2 path is chosen only where AVX2 is available, and
+        // the lengths were checked above.
         #[cfg(target_arch = "x86_64")]
         DispatchPath::Avx2 => unsafe { axpy_avx2_impl(a, b, out) },
         _ => axpy_scalar(a, b, out),
@@ -154,21 +160,24 @@ pub fn axpy_scalar(a: f32, b: &[f32], out: &mut [f32]) {
 /// Explicit-AVX2 `out += a * b`.
 ///
 /// # Panics
-/// Panics when AVX2 is not available on this host.
+/// Panics when AVX2 is not available on this host, or if the slices differ
+/// in length (before any element is read).
 #[cfg(target_arch = "x86_64")]
 pub fn axpy_avx2(a: f32, b: &[f32], out: &mut [f32]) {
     assert!(avx2_available(), "axpy_avx2 called without AVX2 support");
+    assert_eq!(b.len(), out.len(), "axpy_avx2: `b` and `out` differ in length");
+    // SAFETY: AVX2 was checked above, and `b` is as long as `out`.
     unsafe { axpy_avx2_impl(a, b, out) }
 }
 
 /// # Safety
 /// Requires AVX2 (and FMA feature availability; no FMA instruction is
-/// emitted — see the module-level bit-compatibility contract).
+/// emitted — see the module-level bit-compatibility contract), and
+/// `b.len() == out.len()`: the vector loop loads both up to `out.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn axpy_avx2_impl(a: f32, b: &[f32], out: &mut [f32]) {
     use std::arch::x86_64::*;
-    debug_assert_eq!(b.len(), out.len());
     let n = out.len();
     let split = n - n % 8;
     let va = _mm256_set1_ps(a);
@@ -191,9 +200,15 @@ unsafe fn axpy_avx2_impl(a: f32, b: &[f32], out: &mut [f32]) {
 // ---------------------------------------------------------------------------
 
 /// Dot product of equal-length slices — the inner loop of `matmul_nt`.
+///
+/// # Panics
+/// Panics if the slices differ in length, before any element is read.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len(), "dot: `a` and `b` differ in length");
     match active_path() {
+        // SAFETY: the AVX2 path is chosen only where AVX2 is available, and
+        // the lengths were checked above.
         #[cfg(target_arch = "x86_64")]
         DispatchPath::Avx2 => unsafe { dot_avx2_impl(a, b) },
         _ => dot_scalar(a, b),
@@ -228,22 +243,25 @@ pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
 /// Explicit-AVX2 dot product.
 ///
 /// # Panics
-/// Panics when AVX2 is not available on this host.
+/// Panics when AVX2 is not available on this host, or if the slices differ
+/// in length (before any element is read).
 #[cfg(target_arch = "x86_64")]
 pub fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
     assert!(avx2_available(), "dot_avx2 called without AVX2 support");
+    assert_eq!(a.len(), b.len(), "dot_avx2: `a` and `b` differ in length");
+    // SAFETY: AVX2 was checked above, and the slices are equally long.
     unsafe { dot_avx2_impl(a, b) }
 }
 
 /// # Safety
-/// Requires AVX2.  One 8-lane vector accumulator mirrors the scalar path's
+/// Requires AVX2, and `a.len() == b.len()`: the vector loop loads both up
+/// to `a.len()`.  One 8-lane vector accumulator mirrors the scalar path's
 /// eight independent accumulators; the horizontal reduction extracts the
 /// lanes and adds them in the same order the scalar path does.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn dot_avx2_impl(a: &[f32], b: &[f32]) -> f32 {
     use std::arch::x86_64::*;
-    debug_assert_eq!(a.len(), b.len());
     let n = a.len();
     let split = n - n % 8;
     let mut acc = _mm256_setzero_ps();
@@ -336,10 +354,12 @@ pub fn pack_b_f32(b: &[f32], k: usize, n: usize, pack: &mut Vec<f32>) -> usize {
 /// independent of `m`, `n`, lane position and row-block boundaries, which is
 /// what keeps subtree memoization bit-stable under changing batch
 /// composition.
+///
+/// # Panics
+/// Panics if a slice's length disagrees with `m`, `k` and `n`, before any
+/// element is read.
 pub fn gemm_f32(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
+    assert_gemm_shape("gemm_f32", a, m, k, b, n, out);
     match active_path() {
         #[cfg(target_arch = "x86_64")]
         DispatchPath::Avx2 => gemm_f32_avx2(a, m, k, b, n, out),
@@ -404,13 +424,12 @@ pub fn gemm_f32_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: 
 /// Explicit AVX2+FMA GEMM (8x8 register-blocked over packed-B panels).
 ///
 /// # Panics
-/// Panics when AVX2+FMA is not available on this host.
+/// Panics when AVX2+FMA is not available on this host, or if a slice's
+/// length disagrees with `m`, `k` and `n` (before any element is read).
 #[cfg(target_arch = "x86_64")]
 pub fn gemm_f32_avx2(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     assert!(avx2_available(), "gemm_f32_avx2 called without AVX2+FMA support");
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
+    assert_gemm_shape("gemm_f32_avx2", a, m, k, b, n, out);
     if m == 0 || n == 0 {
         return;
     }
@@ -421,8 +440,19 @@ pub fn gemm_f32_avx2(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &m
     GEMM_PACK.with(|cell| {
         let mut pack = cell.borrow_mut();
         pack_b_f32(b, k, n, &mut pack);
+        // SAFETY: AVX2+FMA was checked above, `a` and `out` hold `m * k`
+        // and `m * n` floats, and `pack_b_f32` left at least
+        // `k * n.next_multiple_of(8)` packed floats.
         unsafe { gemm_f32_packed_avx2_impl(a, m, k, &pack, n, out) }
     });
+}
+
+/// Check the operand lengths of an `m x k` by `k x n` GEMM — the bounds
+/// the AVX2 kernels' unchecked loads and full-panel stores rely on.
+fn assert_gemm_shape(kernel: &str, a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &[f32]) {
+    assert_eq!(a.len(), m * k, "{kernel}: `a` holds {} floats, not m * k = {m} * {k}", a.len());
+    assert_eq!(b.len(), k * n, "{kernel}: `b` holds {} floats, not k * n = {k} * {n}", b.len());
+    assert_eq!(out.len(), m * n, "{kernel}: `out` holds {} floats, not m * n = {m} * {n}", out.len());
 }
 
 /// Store the low `nc` lanes of `v` at `out[off..off + nc]`.
@@ -488,6 +518,303 @@ unsafe fn gemm_f32_packed_avx2_impl(a: &[f32], m: usize, k: usize, pack: &[f32],
             i += 1;
         }
         jb += GEMM_NR;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Packed-weight linear layer (the served generation's `W·x + b`)
+// ---------------------------------------------------------------------------
+
+/// Pack a row-major `m x k` weight matrix into 8-row panels: panel `p`
+/// covers rows `[8p, 8p + 8)` and occupies `k * 8` consecutive floats,
+/// column `kk`'s eight row values at offset `p * k * 8 + kk * 8`.  The last
+/// panel's missing rows are **zero-padded**, so [`linear_packed_f32`]'s
+/// AVX2 arm runs full-width FMAs at every row remainder (padded lanes are
+/// never stored).  This is [`pack_b_f32`]'s layout applied to `Wᵀ`: the
+/// weights take the panel side, and the activations are broadcast.
+///
+/// # Panics
+/// Panics if `w` does not hold `m * k` floats.
+pub fn pack_rows_f32(w: &[f32], m: usize, k: usize) -> Vec<f32> {
+    assert_eq!(w.len(), m * k, "pack_rows_f32: `w` holds {} floats, not m * k = {m} * {k}", w.len());
+    let mut panels = vec![0.0f32; m.next_multiple_of(GEMM_NR) * k];
+    for (i, row) in w.chunks_exact(k.max(1)).enumerate() {
+        let (p, r) = (i / GEMM_NR, i % GEMM_NR);
+        for (kk, &v) in row.iter().enumerate() {
+            panels[p * k * GEMM_NR + kk * GEMM_NR + r] = v;
+        }
+    }
+    panels
+}
+
+/// The fused affine map `out = W·x + b` over weights packed once by
+/// [`pack_rows_f32`] (`W` is `m x k`, `x` is `k x n` row-major, `out` is
+/// `m x n` and overwritten; `bias` is `b` zero-padded to
+/// `m.next_multiple_of(8)` floats).  It copies no weight, packs no
+/// activation and adds the bias before it stores; the last `n % 8`
+/// columns run with rows of `W` in the lanes, so `n = 1` fills every lane.
+///
+/// Each output element has **the bits of [`gemm_f32`] followed by
+/// `Matrix::add_bias_into`** on the same dispatch path:
+///
+/// * **AVX2+FMA arm** — `gemm_f32`'s strict ascending-`kk` fold
+///   `acc = fma(W[i][kk], x[kk][j], acc)` from `+0.0`, then `acc + b[i]`.
+///   The row-lane tiles compute `fma(x[kk][j], W[i][kk], acc)`: an FMA
+///   rounds the exact product once, so its two factors commute exactly
+///   (up to which NaN payload propagates when both factors are NaNs).
+/// * **Scalar arm** — [`gemm_f32_scalar`]'s unfused fold `acc += W[i][kk] *
+///   x[kk][j]` over ascending `kk`, skipping zero coefficients, then
+///   `acc + b[i]`.
+///
+/// # Panics
+/// Panics if a slice's length disagrees with `m`, `k` and `n`, before any
+/// element is read.
+pub fn linear_packed_f32(panels: &[f32], bias: &[f32], m: usize, k: usize, x: &[f32], n: usize, out: &mut [f32]) {
+    assert_linear_shape("linear_packed_f32", panels, bias, m, k, x, n, out);
+    match active_path() {
+        // SAFETY: the AVX2 path is chosen only where AVX2+FMA is available,
+        // and the lengths were checked above.
+        #[cfg(target_arch = "x86_64")]
+        DispatchPath::Avx2 => unsafe { linear_packed_avx2_impl(panels, bias, m, k, x, n, out) },
+        _ => linear_packed_scalar_impl(panels, bias, m, k, x, n, out),
+    }
+}
+
+/// Scalar arm of [`linear_packed_f32`], callable on any path (for tests and
+/// the profile).
+///
+/// # Panics
+/// As [`linear_packed_f32`].
+pub fn linear_packed_f32_scalar(
+    panels: &[f32],
+    bias: &[f32],
+    m: usize,
+    k: usize,
+    x: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    assert_linear_shape("linear_packed_f32_scalar", panels, bias, m, k, x, n, out);
+    linear_packed_scalar_impl(panels, bias, m, k, x, n, out);
+}
+
+/// Explicit AVX2+FMA arm of [`linear_packed_f32`].
+///
+/// # Panics
+/// Panics when AVX2+FMA is not available on this host, or as
+/// [`linear_packed_f32`].
+#[cfg(target_arch = "x86_64")]
+pub fn linear_packed_f32_avx2(panels: &[f32], bias: &[f32], m: usize, k: usize, x: &[f32], n: usize, out: &mut [f32]) {
+    assert!(avx2_available(), "linear_packed_f32_avx2 called without AVX2+FMA support");
+    assert_linear_shape("linear_packed_f32_avx2", panels, bias, m, k, x, n, out);
+    // SAFETY: AVX2+FMA was checked above, and so were the lengths.
+    unsafe { linear_packed_avx2_impl(panels, bias, m, k, x, n, out) }
+}
+
+/// Check the operand lengths of a packed `m x k` layer applied to `k x n`
+/// activations — the bounds [`linear_packed_avx2_impl`]'s unchecked loads
+/// rely on.
+#[allow(clippy::too_many_arguments)]
+fn assert_linear_shape(
+    kernel: &str,
+    panels: &[f32],
+    bias: &[f32],
+    m: usize,
+    k: usize,
+    x: &[f32],
+    n: usize,
+    out: &[f32],
+) {
+    let m_pad = m.next_multiple_of(GEMM_NR);
+    assert_eq!(panels.len(), m_pad * k, "{kernel}: `panels` hold {} floats, not {m_pad} * {k}", panels.len());
+    assert_eq!(bias.len(), m_pad, "{kernel}: `bias` holds {} floats, not {m_pad}", bias.len());
+    assert_eq!(x.len(), k * n, "{kernel}: `x` holds {} floats, not k * n = {k} * {n}", x.len());
+    assert_eq!(out.len(), m * n, "{kernel}: `out` holds {} floats, not m * n = {m} * {n}", out.len());
+}
+
+/// The scalar fold of [`gemm_f32_scalar`], one 8-row panel at a time: each
+/// nonzero coefficient adds its row of `x` into its output row
+/// ([`axpy_scalar`]) in ascending `kk`, reading the panel in order, then the
+/// bias is added once.
+fn linear_packed_scalar_impl(panels: &[f32], bias: &[f32], m: usize, k: usize, x: &[f32], n: usize, out: &mut [f32]) {
+    if n == 0 {
+        return;
+    }
+    for (p, block) in out.chunks_mut(GEMM_NR * n).enumerate() {
+        let panel = &panels[p * k * GEMM_NR..(p + 1) * k * GEMM_NR];
+        block.fill(0.0);
+        for (coefs, x_row) in panel.chunks_exact(GEMM_NR).zip(x.chunks_exact(n)) {
+            for (out_row, &coef) in block.chunks_exact_mut(n).zip(coefs) {
+                if coef != 0.0 {
+                    axpy_scalar(coef, x_row, out_row);
+                }
+            }
+        }
+        for (out_row, &b) in block.chunks_exact_mut(n).zip(&bias[p * GEMM_NR..m.min((p + 1) * GEMM_NR)]) {
+            for o in out_row.iter_mut() {
+                *o += b;
+            }
+        }
+    }
+}
+
+/// Two sweeps over the same panels.  Each full block of 8 columns runs
+/// [`gemm_f32`]'s microkernel with its operands swapped in memory: an 8-row
+/// panel broadcasts its coefficients, the 8 columns of `x` load straight
+/// from its rows (the layout `pack_b_f32` would copy them into), and each
+/// accumulator stores one output row's 8 columns.  The remaining `n % 8`
+/// columns run with rows in the lanes instead ([`PackedTile`]): up to four
+/// panels (32 rows) share each broadcast of `x`, and a tile holds at most
+/// eight accumulators, so a narrow `n` still runs four independent FMA
+/// chains on a 32-row layer.
+///
+/// # Safety
+/// Requires AVX2+FMA and the lengths [`assert_linear_shape`] checks.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn linear_packed_avx2_impl(
+    panels: &[f32],
+    bias: &[f32],
+    m: usize,
+    k: usize,
+    x: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let np = m.div_ceil(GEMM_NR);
+    let full = n - n % GEMM_NR;
+    for j0 in (0..full).step_by(GEMM_NR) {
+        for p in 0..np {
+            let w = panels.as_ptr().add(p * k * GEMM_NR);
+            let row0 = p * GEMM_NR;
+            let rows = GEMM_NR.min(m - row0);
+            // SAFETY (loads and stores below): `kk < k` and `j0 + 8 <= n`
+            // keep every load of `x` inside its `k * n` floats, `r < 8`
+            // keeps every coefficient inside this panel's `k * 8`, and
+            // `row0 + r < m` keeps every 8-float store inside `out`'s
+            // `m * n`.
+            if rows == GEMM_MR {
+                let mut acc = [_mm256_setzero_ps(); GEMM_MR];
+                for kk in 0..k {
+                    let vx = _mm256_loadu_ps(x.as_ptr().add(kk * n + j0));
+                    for (r, a) in acc.iter_mut().enumerate() {
+                        *a = _mm256_fmadd_ps(_mm256_set1_ps(*w.add(kk * GEMM_NR + r)), vx, *a);
+                    }
+                }
+                for (r, &a) in acc.iter().enumerate() {
+                    let v = _mm256_add_ps(a, _mm256_set1_ps(bias[row0 + r]));
+                    _mm256_storeu_ps(out.as_mut_ptr().add((row0 + r) * n + j0), v);
+                }
+            } else {
+                // Remainder rows: the same fold, one accumulator at a time.
+                for r in 0..rows {
+                    let mut a = _mm256_setzero_ps();
+                    for kk in 0..k {
+                        let vx = _mm256_loadu_ps(x.as_ptr().add(kk * n + j0));
+                        a = _mm256_fmadd_ps(_mm256_set1_ps(*w.add(kk * GEMM_NR + r)), vx, a);
+                    }
+                    let v = _mm256_add_ps(a, _mm256_set1_ps(bias[row0 + r]));
+                    _mm256_storeu_ps(out.as_mut_ptr().add((row0 + r) * n + j0), v);
+                }
+            }
+        }
+    }
+    if full == n {
+        return;
+    }
+    let mut p0 = 0;
+    while p0 < np {
+        let pb = match np - p0 {
+            1 => 1,
+            2 | 3 => 2,
+            _ => 4,
+        };
+        let mut j0 = full;
+        while j0 < n {
+            let c = (n - j0).min(GEMM_MR / pb);
+            let t = PackedTile { panels, bias, m, k, x, n, p0, j0 };
+            // SAFETY: `p0 + pb <= np` panels and `j0 + c <= n` columns, so
+            // every load the tile makes is in bounds (see `PackedTile::run`).
+            match (pb, c) {
+                (4, 2) => t.run::<4, 2>(out),
+                (4, 1) => t.run::<4, 1>(out),
+                (2, 4) => t.run::<2, 4>(out),
+                (2, 3) => t.run::<2, 3>(out),
+                (2, 2) => t.run::<2, 2>(out),
+                (2, 1) => t.run::<2, 1>(out),
+                (1, 7) => t.run::<1, 7>(out),
+                (1, 6) => t.run::<1, 6>(out),
+                (1, 5) => t.run::<1, 5>(out),
+                (1, 4) => t.run::<1, 4>(out),
+                (1, 3) => t.run::<1, 3>(out),
+                (1, 2) => t.run::<1, 2>(out),
+                (1, 1) => t.run::<1, 1>(out),
+                _ => unreachable!("a tile is at most 4 panels by 8 / panels columns, and fewer than 8 columns remain"),
+            }
+            j0 += c;
+        }
+        p0 += pb;
+    }
+}
+
+/// One tile of [`linear_packed_avx2_impl`]: panels `p0..p0 + P` by columns
+/// `j0..j0 + C`.
+#[cfg(target_arch = "x86_64")]
+struct PackedTile<'a> {
+    panels: &'a [f32],
+    bias: &'a [f32],
+    m: usize,
+    k: usize,
+    x: &'a [f32],
+    n: usize,
+    p0: usize,
+    j0: usize,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl PackedTile<'_> {
+    /// `P x C` accumulators live in registers across the whole depth: each
+    /// step loads one 8-row vector per panel, broadcasts one activation per
+    /// column and runs one `vfmadd` per accumulator.
+    ///
+    /// # Safety
+    /// Requires AVX2+FMA, the lengths [`assert_linear_shape`] checks,
+    /// `p0 + P <= m.div_ceil(8)` and `j0 + C <= n`: the loads then stay
+    /// inside `panels` (`k * 8` floats per panel), `bias` (8 per panel) and
+    /// `x` (`k * n`).  Stores are bounds-checked.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn run<const P: usize, const C: usize>(&self, out: &mut [f32]) {
+        use std::arch::x86_64::*;
+        let (k, n) = (self.k, self.n);
+        let w_base = self.panels.as_ptr().add(self.p0 * k * GEMM_NR);
+        let x_base = self.x.as_ptr().add(self.j0);
+        let mut acc = [[_mm256_setzero_ps(); C]; P];
+        for kk in 0..k {
+            let mut xs = [_mm256_setzero_ps(); C];
+            for (c, xv) in xs.iter_mut().enumerate() {
+                *xv = _mm256_set1_ps(*x_base.add(kk * n + c));
+            }
+            for (p, accp) in acc.iter_mut().enumerate() {
+                let w = _mm256_loadu_ps(w_base.add((p * k + kk) * GEMM_NR));
+                for (a, &xv) in accp.iter_mut().zip(&xs) {
+                    *a = _mm256_fmadd_ps(xv, w, *a);
+                }
+            }
+        }
+        for (p, accp) in acc.iter().enumerate() {
+            let row0 = (self.p0 + p) * GEMM_NR;
+            let b = _mm256_loadu_ps(self.bias.as_ptr().add(row0));
+            let rows = GEMM_NR.min(self.m - row0);
+            for (c, &a) in accp.iter().enumerate() {
+                let mut lanes = [0.0f32; GEMM_NR];
+                _mm256_storeu_ps(lanes.as_mut_ptr(), _mm256_add_ps(a, b));
+                for (r, &v) in lanes.iter().enumerate().take(rows) {
+                    out[(row0 + r) * n + self.j0 + c] = v;
+                }
+            }
+        }
     }
 }
 
@@ -1009,6 +1336,151 @@ mod tests {
         };
         assert_eq!(run(), run(), "a GEMM kernel is not run-to-run deterministic on {}", path_name());
     }
+
+    /// A GEMM arm: `(a, m, k, b, n, out)`.
+    type Gemm = fn(&[f32], usize, usize, &[f32], usize, &mut [f32]);
+    /// A packed-linear arm: `(panels, bias, m, k, x, n, out)`.
+    type PackedLinearArm = fn(&[f32], &[f32], usize, usize, &[f32], usize, &mut [f32]);
+
+    /// `out = W·x + b` the way the param path computes it: `gemm` (one
+    /// dispatch arm of [`gemm_f32`]) and then `Matrix::add_bias_into`.
+    fn gemm_then_bias(gemm: Gemm, w: &[f32], b: &[f32], (m, k, n): (usize, usize, usize), x: &[f32]) -> Vec<u32> {
+        use crate::matrix::Matrix;
+        let mut z = vec![f32::NAN; m * n];
+        gemm(w, m, k, x, n, &mut z);
+        let mut out = Matrix::zeros(m, n);
+        Matrix::from_vec(m, n, z).add_bias_into(&Matrix::column(b), &mut out);
+        out.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `W·x + b` through the packed kernel `linear`.
+    fn packed(linear: PackedLinearArm, w: &[f32], b: &[f32], (m, k, n): (usize, usize, usize), x: &[f32]) -> Vec<u32> {
+        let panels = pack_rows_f32(w, m, k);
+        let mut bias = b.to_vec();
+        bias.resize(m.next_multiple_of(GEMM_NR), 0.0);
+        let mut out = vec![f32::NAN; m * n];
+        linear(&panels, &bias, m, k, x, n, &mut out);
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Each arm of the packed linear against the same arm of `gemm_f32`
+    /// plus the bias pass, bit for bit, over every row count up to five
+    /// panels (so every row remainder and tile shape) at the served depths
+    /// and at column counts around the tile widths.
+    #[test]
+    fn packed_linear_arms_match_their_gemm_arm_plus_bias() {
+        for m in 1..=40usize {
+            for k in [1usize, 9, 96, 130] {
+                for n in [1usize, 2, 3, 4, 5, 8, 9, 17, 64, 65] {
+                    let shape = (m, k, n);
+                    let mut w = lcg(m * k, (m * 31 + k) as u32);
+                    w.iter_mut().step_by(3).for_each(|v| *v = 0.0);
+                    let b = lcg(m, m as u32 + 5);
+                    let x = lcg(k * n, (k * 17 + n) as u32);
+                    assert_eq!(
+                        packed(linear_packed_f32_scalar, &w, &b, shape, &x),
+                        gemm_then_bias(gemm_f32_scalar, &w, &b, shape, &x),
+                        "scalar arm diverges at {m}x{k}x{n}"
+                    );
+                    #[cfg(target_arch = "x86_64")]
+                    if avx2_available() {
+                        assert_eq!(
+                            packed(linear_packed_f32_avx2, &w, &b, shape, &x),
+                            gemm_then_bias(gemm_f32_avx2, &w, &b, shape, &x),
+                            "avx2 arm diverges at {m}x{k}x{n}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_linear_of_zero_depth_is_the_bias() {
+        let b = [0.5f32, -0.0, 3.0];
+        let got = packed(linear_packed_f32, &[], &b, (3, 0, 2), &[]);
+        assert_eq!(got, gemm_then_bias(gemm_f32, &[], &b, (3, 0, 2), &[]));
+        assert_eq!(got, [0.5f32, 0.5, 0.0, 0.0, 3.0, 3.0].map(f32::to_bits));
+    }
+
+    /// The message a call panicked with.
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let err = std::panic::catch_unwind(f).expect_err("a short slice must panic");
+        err.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    /// Run `f` and check that it panicked at the length check named
+    /// `expected`, which comes before the kernel's first read, and not
+    /// later at a slice index.
+    fn assert_length_check(expected: &str, f: impl FnOnce() + std::panic::UnwindSafe) {
+        let msg = panic_message(f);
+        assert!(msg.contains(expected), "panicked with {msg:?}, not at the length check {expected:?}");
+    }
+
+    #[test]
+    fn axpy_checks_lengths_before_reading() {
+        assert_length_check("axpy: `b` and `out` differ", || axpy(1.0, &[1.0; 4], &mut [0.0; 16]));
+    }
+
+    #[test]
+    fn dot_checks_lengths_before_reading() {
+        assert_length_check("dot: `a` and `b` differ", || {
+            dot(&[1.0; 16], &[1.0; 4]);
+        });
+    }
+
+    #[test]
+    fn gemm_f32_checks_lengths_before_reading() {
+        // A 4-float `a` for an 8x8 product, then a short `out`.
+        assert_length_check("gemm_f32: `a` holds 4 floats", || {
+            gemm_f32(&[1.0; 4], 8, 8, &[1.0; 64], 8, &mut [0.0; 64])
+        });
+        assert_length_check("gemm_f32: `out` holds 8 floats", || {
+            gemm_f32(&[1.0; 64], 8, 8, &[1.0; 64], 8, &mut [0.0; 8])
+        });
+    }
+
+    #[test]
+    fn linear_packed_f32_checks_lengths_before_reading() {
+        let (panels, bias) = (vec![1.0f32; 8 * 8], [0.0f32; 8]);
+        assert_length_check("linear_packed_f32: `x` holds 4 floats", || {
+            linear_packed_f32(&panels, &bias, 8, 8, &[1.0; 4], 2, &mut [0.0; 16])
+        });
+        assert_length_check("linear_packed_f32: `panels` hold 8 floats", || {
+            linear_packed_f32(&panels[..8], &bias, 8, 8, &[1.0; 16], 2, &mut [0.0; 16])
+        });
+        assert_length_check("linear_packed_f32: `bias` holds 4 floats", || {
+            linear_packed_f32(&panels, &bias[..4], 8, 8, &[1.0; 16], 2, &mut [0.0; 16])
+        });
+        assert_length_check("linear_packed_f32: `out` holds 8 floats", || {
+            linear_packed_f32(&panels, &bias, 8, 8, &[1.0; 16], 2, &mut [0.0; 8])
+        });
+        assert_length_check("linear_packed_f32_scalar: `x` holds 4 floats", || {
+            linear_packed_f32_scalar(&panels, &bias, 8, 8, &[1.0; 4], 2, &mut [0.0; 16])
+        });
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_entry_points_check_lengths_before_reading() {
+        if !avx2_available() {
+            eprintln!("skipping: host has no AVX2+FMA");
+            return;
+        }
+        assert_length_check("axpy_avx2: `b` and `out` differ", || axpy_avx2(1.0, &[1.0; 4], &mut [0.0; 16]));
+        assert_length_check("dot_avx2: `a` and `b` differ", || {
+            dot_avx2(&[1.0; 16], &[1.0; 4]);
+        });
+        assert_length_check("gemm_f32_avx2: `a` holds 4 floats", || {
+            gemm_f32_avx2(&[1.0; 4], 8, 8, &[1.0; 64], 8, &mut [0.0; 64])
+        });
+        assert_length_check("linear_packed_f32_avx2: `x` holds 4 floats", || {
+            linear_packed_f32_avx2(&[1.0; 64], &[0.0; 8], 8, 8, &[1.0; 4], 2, &mut [0.0; 16])
+        });
+    }
 }
 
 #[cfg(test)]
@@ -1044,6 +1516,59 @@ mod prop_tests {
                 out_scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             );
             prop_assert_eq!(dot(&b, &c).to_bits(), dot_scalar(&b, &c).to_bits());
+        }
+
+        /// The fused packed linear equals `Matrix::matmul_into` followed by
+        /// `Matrix::add_bias_into`, bit for bit, on the active dispatch
+        /// path: every row remainder up to five panels, depths up to the
+        /// served sample embedding's 128 and past it, and column counts
+        /// across the tile widths.  `W` holds exact zeros and `x` infinities,
+        /// whose products the scalar arm skips and the FMA arm turns into
+        /// NaN, as well as signed zeros and magnitudes whose products and
+        /// sums overflow.
+        #[test]
+        fn fused_packed_linear_bit_matches_matmul_then_bias(
+            m in 1usize..=40,
+            k in 1usize..=130,
+            n in proptest::sample::select((1usize..=17).chain([64, 65]).collect::<Vec<_>>()),
+            seed in 0u32..1_000_000,
+        ) {
+            use crate::matrix::Matrix;
+            let mut s = seed;
+            let mut next = move || {
+                s = s.wrapping_mul(1664525).wrapping_add(1013904223);
+                s
+            };
+            let mut unit = || (next() >> 8) as f32 / (1u32 << 24) as f32 * 2.0 - 1.0;
+            let w: Vec<f32> = (0..m * k).map(|i| match i % 5 { 0 => 0.0, 1 => -0.0, _ => unit() }).collect();
+            let b: Vec<f32> = (0..m).map(|_| unit()).collect();
+            // Every seventh row of `x` is special: signed zeros and large
+            // magnitudes, and in column 0 also infinities (only there, so
+            // the other columns stay finite).
+            let specials = [0.0f32, -0.0, 1e30, -1e30, 1e37, -1e37, f32::INFINITY, f32::NEG_INFINITY];
+            let x: Vec<f32> = (0..k * n)
+                .map(|i| {
+                    let (kk, j) = (i / n, i % n);
+                    let kinds = if j == 0 { specials.len() } else { specials.len() - 2 };
+                    if kk % 7 == 3 { specials[(kk / 7 + j) % kinds] } else { unit() }
+                })
+                .collect();
+
+            let (wm, xm) = (Matrix::from_vec(m, k, w.clone()), Matrix::from_vec(k, n, x.clone()));
+            let mut z = Matrix::zeros(m, n);
+            wm.matmul_into(&xm, &mut z);
+            let mut want = Matrix::zeros(m, n);
+            z.add_bias_into(&Matrix::column(&b), &mut want);
+
+            let panels = pack_rows_f32(&w, m, k);
+            let mut bias = b.clone();
+            bias.resize(m.next_multiple_of(GEMM_NR), 0.0);
+            let mut got = vec![f32::NAN; m * n];
+            linear_packed_f32(&panels, &bias, m, k, &x, n, &mut got);
+            prop_assert_eq!(
+                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
         }
 
         /// The f32 GEMM tier's tolerance oracle: every dispatched kernel
