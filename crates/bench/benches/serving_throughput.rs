@@ -148,14 +148,10 @@ fn main() {
     let run_stream_nonmemo = || {
         for _ in 0..rounds {
             for q in &encoded {
-                // Chunked exactly like the memoized path (sequential, one
-                // tape per group): `estimate_encoded_batch` on the whole
-                // candidate set would fan out over rayon on multicore
-                // hosts, and the speedup must isolate memoization, not
-                // compare against a parallel baseline.
-                for chunk in q.chunks(estimator_core::batch::GROUP_SIZE) {
-                    est.estimate_encoded_batch(chunk);
-                }
+                // The memo-free batch walks the candidate set in the same
+                // groups of `GROUP_SIZE` on this thread as the memoized
+                // path, so the speedup isolates memoization.
+                est.estimate_encoded_batch(q);
             }
         }
     };

@@ -53,10 +53,10 @@
 //!   and the memoized sweep reads the served generation's packed copy, so
 //!   each of its layers is one fused `W·x + b` kernel and its tape copies
 //!   no weight;
-//! * tapes are **per-thread** (with a parking pool handing warm tapes from
-//!   finished threads to new ones), so concurrent estimators never
-//!   serialize on a shared tape lock;
-//! * independent groups of plans are estimated in parallel with rayon.
+//! * tapes are **per-thread**, so concurrent estimators never serialize on
+//!   a shared tape lock;
+//! * every call runs on its caller's thread, one group of [`GROUP_SIZE`]
+//!   plans after another: concurrency comes from the callers' threads.
 //!
 //! The per-node recursion [`TreeModel::forward`] shares no code with the
 //! level loop and returns the same bits, so it is the oracle both head
@@ -70,20 +70,21 @@ use featurize::{EncodedPlan, FeatureExtractor, NodeFeatures};
 use nn::cells::CellOutput;
 use nn::{Graph, NodeId, Weights};
 use query::{IdentityHasher, PlanNode};
-use rayon::prelude::*;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
-/// Plans per parallel group.  Large enough that the per-level matrices fill
-/// the blocked-matmul tiles and the per-level tape overhead amortizes,
-/// small enough that large batches still split across cores.  Public so
+/// Plans per level-batched group: every batched call walks its plans in
+/// groups of this many, one tape pass each.  Large enough that the
+/// per-level matrices fill the blocked-matmul tiles and the per-level tape
+/// overhead amortizes, small enough to bound one pass's tape.  Public so
 /// harnesses comparing against the batched path can chunk identically.
 pub const GROUP_SIZE: usize = 64;
 
 /// Dense per-node cell state: a (level-output node, column) pair per channel
 /// — columns are gathered lazily with one `gather_cols` tape node per
-/// channel per level instead of one `column_at` node per plan node.
+/// channel per level, not one tape node per plan node.
 #[derive(Clone, Copy)]
 struct StateRef {
     g: (NodeId, usize),
@@ -94,75 +95,36 @@ struct StateRef {
 /// memoization (the fresh oracle).
 ///
 /// Returns `(cost, cardinality)` per plan, in input order, denormalized with
-/// `normalization`.  Groups of [`GROUP_SIZE`] plans are estimated in
-/// parallel.
+/// `normalization`.  Groups of [`GROUP_SIZE`] plans run one after another
+/// on the calling thread.
 pub fn estimate_batch(
     model: &TreeModel,
     normalization: &TargetNormalization,
     plans: &[&EncodedPlan],
 ) -> Vec<(f64, f64)> {
-    if plans.is_empty() {
-        return Vec::new();
-    }
-    let group = |chunk: &[&EncodedPlan]| {
-        with_inference_tape(|g| {
+    let mut out = Vec::with_capacity(plans.len());
+    for chunk in plans.chunks(GROUP_SIZE) {
+        out.extend(with_inference_tape(|g| {
             let (cost_out, card_out) = forward_batch(model, g, chunk);
             denormalize_outputs(g, normalization, cost_out, card_out, chunk.len())
-        })
-    };
-    if plans.len() <= GROUP_SIZE {
-        return group(plans);
+        }));
     }
-    let groups: Vec<Vec<(f64, f64)>> = plans.par_chunks(GROUP_SIZE).map(group).collect();
-    groups.concat()
-}
-
-/// Overflow pool that keeps warm tapes alive across *threads*: a worker
-/// thread's tape is parked here when the thread exits (see [`TapeSlot`]) and
-/// adopted by the next thread whose thread-local slot is still empty.  Only
-/// touched on a thread's first and last use — never per estimate.
-///
-/// Bounded: a tape is created only when none is parked, so tapes never
-/// outnumber the peak count of threads estimating at once (one per hardware
-/// thread for a parallel batch, plus each caller's own), and each tape's
-/// buffer pool holds at most one pass's high-water mark ([`Graph::reset`]).
-static PARKED_TAPES: std::sync::Mutex<Vec<Graph>> = std::sync::Mutex::new(Vec::new());
-
-/// Thread-local tape holder whose `Drop` parks the tape in [`PARKED_TAPES`],
-/// so short-lived worker threads (the vendored rayon spawns fresh scoped
-/// threads per call) hand their warm buffer pools to their successors.
-struct TapeSlot(Option<Graph>);
-
-impl Drop for TapeSlot {
-    fn drop(&mut self) {
-        if let Some(g) = self.0.take() {
-            if let Ok(mut pool) = PARKED_TAPES.lock() {
-                pool.push(g);
-            }
-        }
-    }
+    out
 }
 
 thread_local! {
-    static INFERENCE_TAPE: std::cell::RefCell<TapeSlot> = const { std::cell::RefCell::new(TapeSlot(None)) };
+    static INFERENCE_TAPE: RefCell<Graph> = RefCell::new(Graph::inference());
 }
 
-/// Run `f` on this thread's warm inference tape (reset first).
-///
-/// Steady-state serving threads touch no lock at all here: the tape lives in
-/// a thread-local slot, unlike the old process-wide `Mutex<Vec<Graph>>` pool
-/// every concurrent estimator serialized on.  A thread's first call adopts a
-/// parked tape from a finished thread (one mutex touch), and its last act is
-/// parking the tape back (one more), so the warm buffer pools still survive
-/// short-lived worker threads.
+/// Run `f` on this thread's warm inference tape (reset first).  The tape
+/// lives in a thread-local slot, so serving threads touch no lock here, and
+/// its buffer pool holds at most one pass's high-water mark
+/// ([`Graph::reset`]).
 pub(crate) fn with_inference_tape<R>(f: impl FnOnce(&mut Graph) -> R) -> R {
     INFERENCE_TAPE.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        let g = slot
-            .0
-            .get_or_insert_with(|| PARKED_TAPES.lock().ok().and_then(|mut p| p.pop()).unwrap_or_else(Graph::inference));
+        let mut g = slot.borrow_mut();
         g.reset();
-        f(g)
+        f(&mut g)
     })
 }
 
@@ -679,8 +641,8 @@ mod tests {
 
     #[test]
     fn large_batch_crosses_parallel_group_boundary() {
-        // More plans than GROUP_SIZE forces the parallel path; results must
-        // stay in input order and match the one-by-one estimates.
+        // More plans than GROUP_SIZE run as two groups; results must stay in
+        // input order and match the one-by-one estimates.
         let (plans, fx) = samples(GROUP_SIZE + 9);
         let model = TreeModel::new(
             fx.config(),

@@ -15,7 +15,7 @@ use metrics::q_error;
 pub use metrics::EpochStats;
 use nn::checkpoint::CheckpointError;
 use nn::loss::NormalizationStats;
-use nn::{Adam, EarlyStop, Graph, Matrix, MiniBatchSchedule, Optimizer};
+use nn::{Graph, Matrix, MiniBatchSchedule, TrainProgress};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -59,31 +59,6 @@ impl TargetNormalization {
         let costs: Vec<f64> = samples.iter().map(|s| s.true_cost).collect();
         let cards: Vec<f64> = samples.iter().map(|s| s.true_cardinality).collect();
         TargetNormalization { cost: NormalizationStats::fit(&costs), cardinality: NormalizationStats::fit(&cards) }
-    }
-}
-
-/// The mutable training state that survives a `train` call — and, through a
-/// v2 checkpoint, a process restart.  The per-parameter Adam moments live in
-/// the model's `ParamStore`; this carries everything else an interrupted run
-/// needs to continue **bit-identically**: how many epochs are done (the
-/// schedule's RNG stream is replayed up to there), the optimizer's step
-/// counter, and the early-stop position.
-#[derive(Debug, Clone)]
-pub struct TrainProgress {
-    pub(crate) epochs_done: usize,
-    pub(crate) optimizer: Adam,
-    pub(crate) early_stop: EarlyStop,
-    pub(crate) stopped_early: bool,
-}
-
-impl TrainProgress {
-    fn fresh(config: &TrainConfig) -> Self {
-        TrainProgress {
-            epochs_done: 0,
-            optimizer: Adam::new(config.learning_rate),
-            early_stop: EarlyStop::new(config.early_stop_patience),
-            stopped_early: false,
-        }
     }
 }
 
@@ -152,18 +127,17 @@ impl Trainer {
             self.config.batch_size,
             self.config.seed,
         );
-        let mut progress = self.progress.take().unwrap_or_else(|| TrainProgress::fresh(&self.config));
-        // Re-walk the shuffles of already-completed epochs: the schedule's
-        // RNG continues exactly where the interrupted run left it.
-        for _ in 0..progress.epochs_done {
-            let _ = schedule.epoch_batches();
-        }
+        let mut progress = self
+            .progress
+            .take()
+            .unwrap_or_else(|| TrainProgress::new(self.config.learning_rate, self.config.early_stop_patience));
+        schedule.skip_epochs(progress.epochs_done);
         let mut stats = Vec::with_capacity(self.config.epochs.saturating_sub(progress.epochs_done));
         // One tape reused across every mini-batch of every epoch: after the
         // first batch the forward pass draws all buffers from the pool.
         let mut g = Graph::new();
 
-        while !progress.stopped_early && progress.epochs_done < self.config.epochs {
+        while progress.wants_epoch(self.config.epochs) {
             let epoch = progress.epochs_done;
             let started = std::time::Instant::now();
             let mut epoch_loss = 0.0;
@@ -184,12 +158,8 @@ impl Trainer {
                 validation_cost_qerror_mean: cost_q,
                 wall_time_secs: started.elapsed().as_secs_f64(),
             };
-            progress.epochs_done = epoch + 1;
-            let metric = self.validation_metric(&epoch_stats);
+            progress.end_epoch(self.validation_metric(&epoch_stats));
             stats.push(epoch_stats);
-            if progress.early_stop.observe(metric) {
-                progress.stopped_early = true;
-            }
         }
         self.progress = Some(progress);
         stats
@@ -279,24 +249,11 @@ impl Trainer {
         (card_q, cost_q)
     }
 
-    /// Append the v2 training-state block: a presence flag, then — when the
-    /// trainer actually trained — the schedule position, the Adam step
-    /// counter, the early-stop state and the per-parameter moment payloads.
-    /// A model-only trainer (fresh `from_parts`, e.g. after a plain
+    /// Append the v2 training-state block ([`TrainProgress::write_block`]):
+    /// a model-only trainer (fresh `from_parts`, e.g. after a plain
     /// checkpoint load) writes just the absent flag.
     pub(crate) fn write_training_state(&self, w: &mut impl std::io::Write) -> Result<(), CheckpointError> {
-        use nn::checkpoint as ckpt;
-        let Some(progress) = &self.progress else {
-            return ckpt::write_u8(w, 0);
-        };
-        ckpt::write_u8(w, 1)?;
-        ckpt::write_u64(w, progress.epochs_done as u64)?;
-        ckpt::write_u64(w, progress.optimizer.step_count())?;
-        let (best, since_best) = progress.early_stop.state();
-        ckpt::write_f64(w, best)?;
-        ckpt::write_u64(w, since_best as u64)?;
-        ckpt::write_u8(w, progress.stopped_early as u8)?;
-        self.model.params.save_moments_to(w)
+        TrainProgress::write_block(self.progress.as_ref(), &self.model.params, w)
     }
 
     /// Read a training-state block written by
@@ -304,26 +261,10 @@ impl Trainer {
     /// into this trainer's param store and the progress so the next `train`
     /// call resumes.  Returns whether the block carried any state.
     pub(crate) fn read_training_state(&mut self, r: &mut impl std::io::Read) -> Result<bool, CheckpointError> {
-        use nn::checkpoint as ckpt;
-        if ckpt::read_u8(r, "training-state flag")? == 0 {
-            self.progress = None;
-            return Ok(false);
-        }
-        let epochs_done = ckpt::read_u64(r, "epochs done")? as usize;
-        let step_count = ckpt::read_u64(r, "optimizer step count")?;
-        let best = ckpt::read_f64(r, "early-stop best metric")?;
-        let since_best = ckpt::read_u64(r, "early-stop epochs since best")? as usize;
-        let stopped_early = ckpt::read_u8(r, "early-stop stopped flag")? != 0;
-        Arc::make_mut(&mut self.model).params.load_moments_from(r)?;
-        let mut optimizer = Adam::new(self.config.learning_rate);
-        optimizer.set_step_count(step_count);
-        self.progress = Some(TrainProgress {
-            epochs_done,
-            optimizer,
-            early_stop: EarlyStop::from_state(self.config.early_stop_patience, best, since_best),
-            stopped_early,
-        });
-        Ok(true)
+        let store = &mut Arc::make_mut(&mut self.model).params;
+        self.progress =
+            TrainProgress::read_block(r, store, self.config.learning_rate, self.config.early_stop_patience)?;
+        Ok(self.progress.is_some())
     }
 
     /// Estimate (denormalized) `(cost, cardinality)` for one encoded plan via

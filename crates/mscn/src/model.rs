@@ -6,7 +6,7 @@ use nn::checkpoint as ckpt;
 use nn::checkpoint::CheckpointError;
 use nn::layers::Mlp2;
 use nn::loss::NormalizationStats;
-use nn::{Adam, EarlyStop, Graph, Matrix, MiniBatchSchedule, NodeId, Optimizer, ParamStore};
+use nn::{Graph, Matrix, MiniBatchSchedule, NodeId, ParamStore, TrainProgress};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::path::Path;
@@ -170,34 +170,11 @@ impl MscnModel {
     }
 }
 
-/// The training state an interrupted MSCN run needs to continue
-/// bit-identically: schedule position, optimizer step counter (the moments
-/// live in the param store) and early-stop position.  Mirrors
-/// `estimator_core`'s `TrainProgress`.
-#[derive(Debug, Clone)]
-struct MscnProgress {
-    epochs_done: usize,
-    optimizer: Adam,
-    early_stop: EarlyStop,
-    stopped_early: bool,
-}
-
-impl MscnProgress {
-    fn fresh(cfg: &MscnConfig) -> Self {
-        MscnProgress {
-            epochs_done: 0,
-            optimizer: Adam::new(cfg.learning_rate),
-            early_stop: EarlyStop::new(cfg.early_stop_patience),
-            stopped_early: false,
-        }
-    }
-}
-
 /// Trainer for MSCN (single-task, MSE-style loss on normalized log targets).
 pub struct MscnTrainer {
     pub model: MscnModel,
     pub normalization: NormalizationStats,
-    progress: Option<MscnProgress>,
+    progress: Option<TrainProgress>,
 }
 
 impl MscnTrainer {
@@ -231,13 +208,12 @@ impl MscnTrainer {
     pub fn train(&mut self, samples: &[QuerySets]) -> Vec<EpochStats> {
         let cfg = self.model.config;
         let mut schedule = MiniBatchSchedule::new(samples.len(), cfg.validation_fraction, cfg.batch_size, cfg.seed);
-        let mut progress = self.progress.take().unwrap_or_else(|| MscnProgress::fresh(&cfg));
-        for _ in 0..progress.epochs_done {
-            let _ = schedule.epoch_batches();
-        }
+        let mut progress =
+            self.progress.take().unwrap_or_else(|| TrainProgress::new(cfg.learning_rate, cfg.early_stop_patience));
+        schedule.skip_epochs(progress.epochs_done);
         let mut stats = Vec::with_capacity(cfg.epochs.saturating_sub(progress.epochs_done));
         let val_refs: Vec<&QuerySets> = schedule.validation().iter().map(|&i| &samples[i]).collect();
-        while !progress.stopped_early && progress.epochs_done < cfg.epochs {
+        while progress.wants_epoch(cfg.epochs) {
             let epoch = progress.epochs_done;
             let started = std::time::Instant::now();
             let mut epoch_loss = 0.0;
@@ -265,7 +241,6 @@ impl MscnTrainer {
                     / val_refs.len() as f64
             };
             let (card_q, cost_q) = if cfg.predict_cost { (f64::NAN, val_q) } else { (val_q, f64::NAN) };
-            progress.epochs_done = epoch + 1;
             stats.push(EpochStats {
                 epoch,
                 train_loss: if seen > 0 { epoch_loss / seen as f64 } else { 0.0 },
@@ -273,9 +248,7 @@ impl MscnTrainer {
                 validation_cost_qerror_mean: cost_q,
                 wall_time_secs: started.elapsed().as_secs_f64(),
             });
-            if progress.early_stop.observe(val_q) {
-                progress.stopped_early = true;
-            }
+            progress.end_epoch(val_q);
         }
         self.progress = Some(progress);
         stats
@@ -331,20 +304,8 @@ impl MscnTrainer {
         ckpt::write_f64(w, self.normalization.log_min)?;
         ckpt::write_f64(w, self.normalization.log_max)?;
         self.model.params.save_to(w)?;
-        // v2 training-state block: presence flag, then the resumable state.
-        match &self.progress {
-            None => ckpt::write_u8(w, 0),
-            Some(p) => {
-                ckpt::write_u8(w, 1)?;
-                ckpt::write_u64(w, p.epochs_done as u64)?;
-                ckpt::write_u64(w, p.optimizer.step_count())?;
-                let (best, since_best) = p.early_stop.state();
-                ckpt::write_f64(w, best)?;
-                ckpt::write_u64(w, since_best as u64)?;
-                ckpt::write_u8(w, p.stopped_early as u8)?;
-                self.model.params.save_moments_to(w)
-            }
-        }
+        // The v2 training-state block: presence flag, then the resumable state.
+        TrainProgress::write_block(self.progress.as_ref(), &self.model.params, w)
     }
 
     /// [`MscnTrainer::save_checkpoint_to`] into a file.
@@ -392,21 +353,8 @@ impl MscnTrainer {
         // The v2 training-state block sits between the parameters and any
         // caller-appended sections, so it must be consumed even by a
         // model-only load; v1 files simply do not have it.
-        let progress = if version >= 2 && ckpt::read_u8(r, "training-state flag")? != 0 {
-            let epochs_done = ckpt::read_u64(r, "epochs done")? as usize;
-            let step_count = ckpt::read_u64(r, "optimizer step count")?;
-            let best = ckpt::read_f64(r, "early-stop best metric")?;
-            let since_best = ckpt::read_u64(r, "early-stop epochs since best")? as usize;
-            let stopped_early = ckpt::read_u8(r, "early-stop stopped flag")? != 0;
-            model.params.load_moments_from(r)?;
-            let mut optimizer = Adam::new(config.learning_rate);
-            optimizer.set_step_count(step_count);
-            Some(MscnProgress {
-                epochs_done,
-                optimizer,
-                early_stop: EarlyStop::from_state(config.early_stop_patience, best, since_best),
-                stopped_early,
-            })
+        let progress = if version >= 2 {
+            TrainProgress::read_block(r, &mut model.params, config.learning_rate, config.early_stop_patience)?
         } else {
             None
         };

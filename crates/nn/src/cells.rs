@@ -169,7 +169,7 @@ impl TreeNnCell {
 mod tests {
     use super::*;
     use crate::matrix::Matrix;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

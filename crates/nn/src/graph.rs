@@ -42,15 +42,6 @@ use crate::simd;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeId(usize);
 
-/// Whether a graph records the metadata needed for a backward pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Record operations; `backward` is available.
-    Train,
-    /// Values only: no gradient slots, no op metadata, no backward.
-    Inference,
-}
-
 #[derive(Debug, Clone)]
 enum Op {
     /// Constant input (feature vector); receives no gradient.  Also used for
@@ -72,9 +63,6 @@ enum Op {
     Tanh(NodeId),
     Scale(NodeId, f32),
     ConcatRows(Vec<NodeId>),
-    SliceRows(NodeId, usize, usize),
-    ConcatCols(Vec<NodeId>),
-    ColumnAt(NodeId, usize),
     /// Output column `j` is column `sources[j].1` of node `sources[j].0`.
     /// The batched gather that assembles children-state matrices from the
     /// per-level cell outputs without one tape node per column.
@@ -115,15 +103,6 @@ impl Graph {
     /// gradient bookkeeping of any kind.
     pub fn inference() -> Self {
         Graph { inference: true, ..Graph::default() }
-    }
-
-    /// The graph's mode.
-    pub fn mode(&self) -> Mode {
-        if self.inference {
-            Mode::Inference
-        } else {
-            Mode::Train
-        }
     }
 
     /// Number of nodes recorded so far.
@@ -191,16 +170,6 @@ impl Graph {
     /// Current forward value of a node.
     pub fn value(&self, id: NodeId) -> &Matrix {
         &self.nodes[id.0].value
-    }
-
-    /// Pending (not yet swept) gradient of a node.  Node gradients are
-    /// **consumed** by the backward sweep — after `backward` returns, every
-    /// swept node's slot is `None` and the accumulated parameter gradients
-    /// live in the [`ParamStore`].  `Some` is only observable for gradients
-    /// seeded or propagated but not yet processed (i.e. mid-sweep, which no
-    /// public API exposes), so this is primarily a debugging hook.
-    pub fn grad(&self, id: NodeId) -> Option<&Matrix> {
-        self.nodes[id.0].grad.as_ref()
     }
 
     /// Record a constant input.  A warm tape copies it into a pooled buffer
@@ -407,41 +376,10 @@ impl Graph {
         self.push(out, op)
     }
 
-    /// Horizontal concatenation (batching of same-shaped vectors).
-    pub fn concat_cols(&mut self, parts: &[NodeId]) -> NodeId {
-        assert!(!parts.is_empty(), "concat_cols needs at least one node");
-        let rows = self.nodes[parts[0].0].value.rows();
-        let cols: usize = parts.iter().map(|id| self.nodes[id.0].value.cols()).sum();
-        let mut out = self.alloc(rows, cols);
-        let mut col_off = 0;
-        for id in parts {
-            let p = &self.nodes[id.0].value;
-            assert_eq!(p.rows(), rows, "concat_cols requires equal row counts");
-            let pc = p.cols();
-            for r in 0..rows {
-                out.data_mut()[r * cols + col_off..r * cols + col_off + pc]
-                    .copy_from_slice(&p.data()[r * pc..(r + 1) * pc]);
-            }
-            col_off += pc;
-        }
-        let op = self.list_op(|| Op::ConcatCols(parts.to_vec()));
-        self.push(out, op)
-    }
-
-    /// Take a contiguous block of rows `[start, start+len)`.
-    pub fn slice_rows(&mut self, x: NodeId, start: usize, len: usize) -> NodeId {
-        let src_cols = self.nodes[x.0].value.cols();
-        assert!(start + len <= self.nodes[x.0].value.rows(), "row slice out of range");
-        let mut out = self.alloc(len, src_cols);
-        out.data_mut().copy_from_slice(&self.nodes[x.0].value.data()[start * src_cols..(start + len) * src_cols]);
-        self.push(out, Op::SliceRows(x, start, len))
-    }
-
     /// Gather one column per entry of `sources` into a new matrix: output
     /// column `j` is column `sources[j].1` of node `sources[j].0`.  All
     /// source nodes must share a row count.  One tape node assembles a whole
-    /// children-state batch, where `column_at` + `concat_cols` would record
-    /// a node per column.
+    /// children-state batch.
     ///
     /// # Panics
     /// Panics if `sources` is empty, a column index is out of range, or the
@@ -499,17 +437,6 @@ impl Graph {
             }
         }
         self.push(out, Op::Input)
-    }
-
-    /// Take a single column of a batched matrix.
-    pub fn column_at(&mut self, x: NodeId, c: usize) -> NodeId {
-        let (rows, cols) = (self.nodes[x.0].value.rows(), self.nodes[x.0].value.cols());
-        assert!(c < cols, "column out of range");
-        let mut out = self.alloc(rows, 1);
-        for r in 0..rows {
-            out.data_mut()[r] = self.nodes[x.0].value.data()[r * cols + c];
-        }
-        self.push(out, Op::ColumnAt(x, c))
     }
 
     /// Backward pass: seed `root` with `seed_grad` (dLoss/dRoot), propagate
@@ -640,39 +567,6 @@ impl Graph {
                         accumulate(&mut self.nodes[pid.0].grad, piece);
                         offset += rows;
                     }
-                }
-                Op::ConcatCols(parts) => {
-                    let mut offset = 0;
-                    for pid in parts {
-                        let cols = self.nodes[pid.0].value.cols();
-                        let rows = self.nodes[pid.0].value.rows();
-                        let mut piece = Matrix::zeros(rows, cols);
-                        for r in 0..rows {
-                            for c in 0..cols {
-                                piece.set(r, c, grad.get(r, offset + c));
-                            }
-                        }
-                        accumulate(&mut self.nodes[pid.0].grad, piece);
-                        offset += cols;
-                    }
-                }
-                Op::SliceRows(x, start, len) => {
-                    let parent = &self.nodes[x.0].value;
-                    let mut dx = Matrix::zeros(parent.rows(), parent.cols());
-                    for r in 0..len {
-                        for c in 0..grad.cols() {
-                            dx.set(start + r, c, grad.get(r, c));
-                        }
-                    }
-                    accumulate(&mut self.nodes[x.0].grad, dx);
-                }
-                Op::ColumnAt(x, col) => {
-                    let parent = &self.nodes[x.0].value;
-                    let mut dx = Matrix::zeros(parent.rows(), parent.cols());
-                    for r in 0..grad.rows() {
-                        dx.set(r, col, grad.get(r, 0));
-                    }
-                    accumulate(&mut self.nodes[x.0].grad, dx);
                 }
                 Op::GatherCols(sources) => {
                     for (j, (src, c)) in sources.into_iter().enumerate() {
@@ -861,18 +755,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_columns_shapes() {
-        let mut g = Graph::new();
-        let a = g.input(Matrix::column(&[1.0, 2.0]));
-        let b = g.input(Matrix::column(&[3.0, 4.0]));
-        let batch = g.concat_cols(&[a, b]);
-        assert_eq!(g.value(batch).rows(), 2);
-        assert_eq!(g.value(batch).cols(), 2);
-        let col1 = g.column_at(batch, 1);
-        assert_eq!(g.value(col1), &Matrix::column(&[3.0, 4.0]));
-    }
-
-    #[test]
     fn extract_and_inject_round_trip() {
         let mut g = Graph::inference();
         let m = g.input(Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
@@ -887,19 +769,6 @@ mod tests {
         // copy_column overwrites the destination.
         g.copy_column(injected, 0, &mut c0);
         assert_eq!(c0, [3.0, 6.0]);
-    }
-
-    #[test]
-    fn slice_rows_backward_places_gradient() {
-        let mut store = ParamStore::new();
-        let w = store.add("w", Matrix::column(&[1.0, 2.0, 3.0]));
-        let mut g = Graph::new();
-        let wp = g.param(&store, w);
-        let s = g.slice_rows(wp, 1, 2);
-        let ones = g.input(Matrix::from_vec(1, 2, vec![1.0, 1.0]));
-        let y = g.matmul(ones, s);
-        g.backward(y, Matrix::from_vec(1, 1, vec![1.0]), &mut store);
-        assert_eq!(store.grad(w), &Matrix::column(&[0.0, 1.0, 1.0]));
     }
 
     /// A small two-head forward shared by the mode/backward tests below.
@@ -932,8 +801,6 @@ mod tests {
         let (i1, i2) = two_head_forward(&mut infer, &store, w, v);
         assert_eq!(train.value(t1), infer.value(i1));
         assert_eq!(train.value(t2), infer.value(i2));
-        assert_eq!(infer.mode(), Mode::Inference);
-        assert_eq!(train.mode(), Mode::Train);
     }
 
     #[test]
@@ -1088,7 +955,7 @@ mod tests {
             let h = g.add(h, pooled);
             let wide = g.input(Matrix::zeros(2, 3));
             let wide = g.tanh(wide);
-            let both = g.concat_cols(&[h, wide]);
+            let both = g.gather_cols(&[(h, 0), (wide, 0), (wide, 1), (wide, 2)]);
             let vp = g.param(&store, v);
             (g.matmul(vp, both), g.len())
         };

@@ -232,7 +232,7 @@ mod tests {
     #[test]
     fn mlp_trains_toward_target() {
         // One gradient step must reduce the squared error on a fixed sample.
-        use crate::optim::{Optimizer, Sgd};
+        use crate::optim::Adam;
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let mut store = ParamStore::new();
         let mlp = Mlp2::new(&mut store, "mlp", 3, 8, 1, &mut rng);
@@ -247,7 +247,7 @@ mod tests {
         };
         let before = loss_of(&store);
 
-        let mut opt = Sgd::new(0.5);
+        let mut opt = Adam::new(0.05);
         for _ in 0..20 {
             store.zero_grad();
             let mut g = Graph::new();

@@ -7,7 +7,7 @@
 //! the plan.  Frameworks with static graphs are a poor fit and the usual Rust
 //! bindings (tch-rs / burn) are not available offline, so this crate provides
 //! a minimal reverse-mode automatic-differentiation engine over dense `f32`
-//! matrices, plus the layers, cells, optimizers and losses the estimator
+//! matrices, plus the layers, cells, optimizer and losses the estimator
 //! needs:
 //!
 //! * [`Matrix`] — dense row-major matrix with the usual BLAS-1/2 helpers.
@@ -17,8 +17,8 @@
 //! * [`Linear`], activation ops, element-wise min/max pooling (the AND/OR
 //!   predicate pooling of Section 4.2.1), and the LSTM-style representation
 //!   cell of Section 4.2.2 ([`cells::TreeLstmCell`]).
-//! * [`Adam`] and [`Sgd`] optimizers and the q-error-based loss of
-//!   Section 4.3 ([`loss`]).
+//! * the [`Adam`] optimizer, the training schedule and its resumable state
+//!   ([`schedule`]), and the q-error-based loss of Section 4.3 ([`loss`]).
 //! * [`simd`] — runtime-dispatched (AVX2 / scalar) f32 microkernels behind
 //!   the matrix hot loops.
 
@@ -36,11 +36,11 @@ pub mod simd;
 
 pub use cells::{TreeLstmCell, TreeNnCell};
 pub use checkpoint::CheckpointError;
-pub use graph::{Graph, Mode, NodeId};
+pub use graph::{Graph, NodeId};
 pub use layers::{Linear, PackedLinear, PackedWeights, Weights};
 pub use loss::{qerror_from_normalized, NormalizationStats};
 pub use matrix::Matrix;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use params::{ParamId, ParamStore};
-pub use schedule::{EarlyStop, MiniBatchSchedule};
+pub use schedule::{EarlyStop, MiniBatchSchedule, TrainProgress};
 pub use simd::DispatchPath;

@@ -225,11 +225,6 @@ impl Matrix {
         self.zip(other, |a, b| a + b)
     }
 
-    /// Element-wise subtraction.
-    pub fn sub(&self, other: &Matrix) -> Matrix {
-        self.zip(other, |a, b| a - b)
-    }
-
     /// Element-wise (Hadamard) product.
     pub fn hadamard(&self, other: &Matrix) -> Matrix {
         self.zip(other, |a, b| a * b)
@@ -299,43 +294,12 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Horizontal concatenation (stack along columns); all inputs must have
-    /// the same number of rows.  Used to batch vectors of the same plan-tree
-    /// level into one forward pass.
-    pub fn concat_cols(parts: &[&Matrix]) -> Matrix {
-        assert!(!parts.is_empty(), "concat_cols needs at least one matrix");
-        let rows = parts[0].rows;
-        let cols: usize = parts.iter().map(|m| m.cols).sum();
-        let mut out = Matrix::zeros(rows, cols);
-        let mut col_off = 0;
-        for p in parts {
-            assert_eq!(p.rows, rows, "concat_cols requires equal row counts");
-            for r in 0..rows {
-                for c in 0..p.cols {
-                    out.data[r * cols + col_off + c] = p.data[r * p.cols + c];
-                }
-            }
-            col_off += p.cols;
-        }
-        out
-    }
-
     /// Extract a contiguous block of rows `[start, start+len)`.
     pub fn slice_rows(&self, start: usize, len: usize) -> Matrix {
         assert!(start + len <= self.rows, "row slice out of range");
         let mut data = Vec::with_capacity(len * self.cols);
         data.extend_from_slice(&self.data[start * self.cols..(start + len) * self.cols]);
         Matrix { rows: len, cols: self.cols, data }
-    }
-
-    /// Extract a single column as a `rows x 1` matrix.
-    pub fn column_at(&self, c: usize) -> Matrix {
-        assert!(c < self.cols, "column out of range");
-        let mut out = Matrix::zeros(self.rows, 1);
-        for r in 0..self.rows {
-            out.data[r] = self.data[r * self.cols + c];
-        }
-        out
     }
 
     /// Frobenius norm.
@@ -382,25 +346,10 @@ impl Matrix {
         self.map_inplace(|x| x * s);
     }
 
-    /// Add a column-vector bias to every column, in place.
-    ///
-    /// # Panics
-    /// Panics if `bias` is not a `rows x 1` column vector.
-    pub fn add_bias_assign(&mut self, bias: &Matrix) {
-        assert_eq!(bias.cols, 1, "bias must be a column vector");
-        assert_eq!(bias.rows, self.rows, "bias rows must match matrix rows");
-        for r in 0..self.rows {
-            let b = bias.data[r];
-            for v in &mut self.data[r * self.cols..(r + 1) * self.cols] {
-                *v += b;
-            }
-        }
-    }
-
     /// Write `self` with a column-vector bias broadcast over its columns
-    /// into `out` (same shape as `self`), in one fused pass — the serving
-    /// forward path's form, replacing a copy-then-`add_bias_assign` pair so
-    /// the GEMM kernels aren't fed by per-call allocations or extra sweeps.
+    /// into `out` (same shape as `self`), in one fused pass — the tape's
+    /// form, so the GEMM kernels aren't fed by per-call allocations or
+    /// extra sweeps.
     ///
     /// # Panics
     /// Panics if `bias` is not a `rows x 1` column vector or `out` doesn't
@@ -542,7 +491,6 @@ mod tests {
         assert_eq!(a.emin(&b), Matrix::column(&[1.0, 2.0]));
         assert_eq!(a.hadamard(&b), Matrix::column(&[3.0, 10.0]));
         assert_eq!(a.add(&b), Matrix::column(&[4.0, 7.0]));
-        assert_eq!(a.sub(&b), Matrix::column(&[-2.0, 3.0]));
     }
 
     #[test]
@@ -551,18 +499,12 @@ mod tests {
         let b = Matrix::column(&[3.0]);
         let v = Matrix::concat_rows(&[&a, &b]);
         assert_eq!(v, Matrix::column(&[1.0, 2.0, 3.0]));
-
-        let c = Matrix::column(&[1.0, 2.0]);
-        let d = Matrix::column(&[3.0, 4.0]);
-        let h = Matrix::concat_cols(&[&c, &d]);
-        assert_eq!(h, Matrix::from_vec(2, 2, vec![1.0, 3.0, 2.0, 4.0]));
     }
 
     #[test]
     fn slice_and_column_access() {
         let a = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(a.slice_rows(1, 2), Matrix::from_vec(2, 2, vec![3.0, 4.0, 5.0, 6.0]));
-        assert_eq!(a.column_at(1), Matrix::column(&[2.0, 4.0, 6.0]));
     }
 
     #[test]
@@ -658,11 +600,6 @@ mod tests {
         let mut m = a.clone();
         m.map_inplace(|x| x.max(0.0));
         assert_eq!(m, a.map(|x| x.max(0.0)));
-
-        let bias = Matrix::column(&[1.0, -2.0, 0.5, 3.0, -1.0]);
-        let mut ab = a.clone();
-        ab.add_bias_assign(&bias);
-        assert_eq!(ab, a.add_bias(&bias));
     }
 
     #[test]

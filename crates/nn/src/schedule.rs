@@ -5,11 +5,17 @@
 //! validation split off the samples, re-shuffle the training indices every
 //! epoch and walk them in mini-batches.  [`MiniBatchSchedule`] is that
 //! scaffolding, written once; [`EarlyStop`] is the matching
-//! patience-on-validation-metric stopping policy.
+//! patience-on-validation-metric stopping policy, and [`TrainProgress`] the
+//! resumable state both trainers keep between `train` calls and write into
+//! their checkpoints.
 
+use crate::checkpoint::{self as ckpt, CheckpointError};
+use crate::optim::Adam;
+use crate::params::ParamStore;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::io::{Read, Write};
 
 /// Deterministic validation split + per-epoch shuffled mini-batches.
 #[derive(Debug)]
@@ -44,6 +50,14 @@ impl MiniBatchSchedule {
         self.train.len()
     }
 
+    /// Replay the shuffles of `epochs` completed epochs, so the RNG stream
+    /// continues exactly where an interrupted run left it.
+    pub fn skip_epochs(&mut self, epochs: usize) {
+        for _ in 0..epochs {
+            self.train.shuffle(&mut self.rng);
+        }
+    }
+
     /// Re-shuffle the training indices and return this epoch's mini-batches.
     pub fn epoch_batches(&mut self) -> std::slice::Chunks<'_, usize> {
         self.train.shuffle(&mut self.rng);
@@ -69,18 +83,6 @@ impl EarlyStop {
         EarlyStop { patience, best: f64::INFINITY, epochs_since_best: 0 }
     }
 
-    /// `(best metric, epochs since best)` — the state a resumable-training
-    /// checkpoint persists so a restored run stops exactly where an
-    /// uninterrupted one would.
-    pub fn state(&self) -> (f64, usize) {
-        (self.best, self.epochs_since_best)
-    }
-
-    /// Rebuild a policy from checkpointed [`EarlyStop::state`].
-    pub fn from_state(patience: Option<usize>, best: f64, epochs_since_best: usize) -> Self {
-        EarlyStop { patience, best, epochs_since_best }
-    }
-
     /// Record this epoch's validation metric; returns `true` when training
     /// should stop now.
     pub fn observe(&mut self, metric: f64) -> bool {
@@ -96,6 +98,100 @@ impl EarlyStop {
             self.epochs_since_best += 1;
             self.epochs_since_best >= patience
         }
+    }
+}
+
+/// The mutable training state that survives a `train` call — and, through a
+/// v2 checkpoint, a process restart.  The per-parameter Adam moments live in
+/// the model's [`ParamStore`]; this carries everything else an interrupted
+/// run needs to continue **bit-identically**: how many epochs are done (the
+/// schedule's RNG stream is replayed up to there,
+/// [`MiniBatchSchedule::skip_epochs`]), the optimizer's step counter, and
+/// the early-stop position.
+#[derive(Debug, Clone)]
+pub struct TrainProgress {
+    pub epochs_done: usize,
+    pub optimizer: Adam,
+    early_stop: EarlyStop,
+    /// Set once `early_stop` fires; training runs no further epoch until a
+    /// caller clears it (raising the epoch budget for new data).
+    pub stopped_early: bool,
+}
+
+impl TrainProgress {
+    /// The state of a run that has not trained yet.
+    pub fn new(learning_rate: f32, early_stop_patience: Option<usize>) -> Self {
+        TrainProgress {
+            epochs_done: 0,
+            optimizer: Adam::new(learning_rate),
+            early_stop: EarlyStop::new(early_stop_patience),
+            stopped_early: false,
+        }
+    }
+
+    /// True while a run with an `epochs` budget has an epoch left to train.
+    pub fn wants_epoch(&self, epochs: usize) -> bool {
+        !self.stopped_early && self.epochs_done < epochs
+    }
+
+    /// Close an epoch that measured `metric` on validation: count it, and
+    /// stop the run if the early-stop policy fires.
+    pub fn end_epoch(&mut self, metric: f64) {
+        self.epochs_done += 1;
+        if self.early_stop.observe(metric) {
+            self.stopped_early = true;
+        }
+    }
+
+    /// Write the v2 training-state block: a presence flag, then — for a
+    /// trainer that trained — the epochs done, the Adam step count, the
+    /// early-stop best and count, the stopped flag, and `store`'s moment
+    /// payloads.  A model-only trainer (`None`) writes just the absent flag.
+    pub fn write_block(
+        progress: Option<&TrainProgress>,
+        store: &ParamStore,
+        w: &mut impl Write,
+    ) -> Result<(), CheckpointError> {
+        let Some(p) = progress else {
+            return ckpt::write_u8(w, 0);
+        };
+        ckpt::write_u8(w, 1)?;
+        ckpt::write_u64(w, p.epochs_done as u64)?;
+        ckpt::write_u64(w, p.optimizer.step_count())?;
+        ckpt::write_f64(w, p.early_stop.best)?;
+        ckpt::write_u64(w, p.early_stop.epochs_since_best as u64)?;
+        ckpt::write_u8(w, p.stopped_early as u8)?;
+        store.save_moments_to(w)
+    }
+
+    /// Read a block written by [`TrainProgress::write_block`], restoring the
+    /// moments into `store` (whose tensors define the expected shapes).  The
+    /// optimizer and early-stop policy are rebuilt with the trainer's
+    /// `learning_rate` and `early_stop_patience`.  `None` when the block
+    /// carries no state.
+    pub fn read_block(
+        r: &mut impl Read,
+        store: &mut ParamStore,
+        learning_rate: f32,
+        early_stop_patience: Option<usize>,
+    ) -> Result<Option<TrainProgress>, CheckpointError> {
+        if ckpt::read_u8(r, "training-state flag")? == 0 {
+            return Ok(None);
+        }
+        let epochs_done = ckpt::read_u64(r, "epochs done")? as usize;
+        let step_count = ckpt::read_u64(r, "optimizer step count")?;
+        let best = ckpt::read_f64(r, "early-stop best metric")?;
+        let epochs_since_best = ckpt::read_u64(r, "early-stop epochs since best")? as usize;
+        let stopped_early = ckpt::read_u8(r, "early-stop stopped flag")? != 0;
+        store.load_moments_from(r)?;
+        let mut optimizer = Adam::new(learning_rate);
+        optimizer.set_step_count(step_count);
+        Ok(Some(TrainProgress {
+            epochs_done,
+            optimizer,
+            early_stop: EarlyStop { patience: early_stop_patience, best, epochs_since_best },
+            stopped_early,
+        }))
     }
 }
 

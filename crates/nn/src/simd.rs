@@ -10,32 +10,26 @@
 //! which is how CI's forced-scalar lane runs the whole kernel test suite
 //! without SIMD.
 //!
-//! # Numerical contracts (per kernel family)
+//! # Numerical contract
 //!
-//! Two families with two distinct cross-path contracts (spelled out in
-//! `docs/perf.md`, "f32 kernel contract"):
+//! Every kernel belongs to one f32 family ([`gemm_f32`], [`gemm_f32_nt`],
+//! [`gemm_f32_tn`], [`linear_packed_f32`], [`lstm_gate_sweep`]) with one
+//! cross-path contract (spelled out in `docs/perf.md`, "The f32 kernel
+//! contract"): a **tolerance oracle plus per-path determinism**.  The AVX2
+//! implementations use `_mm256_fmadd_ps`, which contracts the multiply-add
+//! rounding step, so AVX2 and scalar results differ in low-order bits.  Each
+//! dispatch path is run-to-run deterministic and agrees with
+//! `Matrix::matmul_naive` to a relative error ≤ 1e-5, and — load-bearing for
+//! subtree memoization — every output element is a strict sequential fold
+//! over ascending `k`, independent of batch width, column position and
+//! tile/lane boundaries.  (On the AVX2 path [`gemm_f32`] is in fact
+//! *bit-equal* to the naive `f32::mul_add` triple loop; the tolerance is only
+//! vs. the non-FMA naive oracle.)  The scalar arms are exact: they keep the
+//! unfused arithmetic the golden checkpoints were recorded under, so the
+//! forced-scalar lane pins estimates bit for bit.
 //!
-//! * **f32 FMA GEMM tier** ([`gemm_f32`], [`gemm_f32_nt`], [`gemm_f32_tn`],
-//!   [`lstm_gate_sweep`]) — the batched-inference hot path.  The AVX2
-//!   implementations use `_mm256_fmadd_ps`, which contracts the
-//!   multiply-add rounding step, so AVX2 and scalar results differ in
-//!   low-order bits.  The contract is a **tolerance oracle plus per-path
-//!   determinism**: each dispatch path is run-to-run deterministic and
-//!   agrees with `Matrix::matmul_naive` to a relative error ≤ 1e-5, and —
-//!   load-bearing for subtree memoization — every output element is a
-//!   strict sequential `mul_add` fold over ascending `k`, independent of
-//!   batch width, column position and tile/lane boundaries.  (On the AVX2
-//!   path [`gemm_f32`] is in fact *bit-equal* to the naive `f32::mul_add`
-//!   triple loop; the tolerance is only vs. the non-FMA naive oracle.)
-//! * **Legacy f32 kernels** ([`axpy`], [`dot`]) — still used by the scalar
-//!   GEMM fallback and the training backward path.  These deliberately use
-//!   separate multiply + add intrinsics (never fmadd) and mirror the scalar
-//!   8-wide unroll's accumulator layout, so both dispatch paths stay
-//!   **bit-identical**, which keeps the forced-scalar CI lane's estimates
-//!   on the recorded golden-checkpoint bits.
-//!
-//! The property tests at the bottom pin each family's contract on remainder
-//! shapes (lengths not divisible by the vector width, empty slices), and
+//! The property tests at the bottom pin the contract on remainder shapes
+//! (lengths not divisible by the vector width, empty slices), and
 //! `matrix::prop_tests` pins the full matmul kernels against the naive
 //! oracle under both dispatch paths.
 
@@ -114,30 +108,14 @@ pub fn avx2_available() -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// f32 axpy: out += a * b
+// Scalar inner loops of the scalar arms
 // ---------------------------------------------------------------------------
 
-/// `out[i] += a * b[i]` over equal-length slices — the inner loop of the
-/// blocked matmul and of `matmul_tn`.
-///
-/// # Panics
-/// Panics if the slices differ in length, before any element is read.
+/// 8-wide unrolled scalar `out += a * b` over equal-length slices (the
+/// auto-vectorizing form the blocked matmul shipped with): the inner loop
+/// of the scalar GEMM arms and of the packed linear's scalar arm.
 #[inline]
-pub fn axpy(a: f32, b: &[f32], out: &mut [f32]) {
-    assert_eq!(b.len(), out.len(), "axpy: `b` and `out` differ in length");
-    match active_path() {
-        // SAFETY: the AVX2 path is chosen only where AVX2 is available, and
-        // the lengths were checked above.
-        #[cfg(target_arch = "x86_64")]
-        DispatchPath::Avx2 => unsafe { axpy_avx2_impl(a, b, out) },
-        _ => axpy_scalar(a, b, out),
-    }
-}
-
-/// 8-wide unrolled scalar `out += a * b` (the auto-vectorizing form the
-/// blocked matmul shipped with; kept verbatim as the fallback and oracle).
-#[inline]
-pub fn axpy_scalar(a: f32, b: &[f32], out: &mut [f32]) {
+fn axpy_scalar(a: f32, b: &[f32], out: &mut [f32]) {
     debug_assert_eq!(b.len(), out.len());
     let split = out.len() - out.len() % 8;
     let (b_main, b_tail) = b.split_at(split);
@@ -157,69 +135,12 @@ pub fn axpy_scalar(a: f32, b: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Explicit-AVX2 `out += a * b`.
-///
-/// # Panics
-/// Panics when AVX2 is not available on this host, or if the slices differ
-/// in length (before any element is read).
-#[cfg(target_arch = "x86_64")]
-pub fn axpy_avx2(a: f32, b: &[f32], out: &mut [f32]) {
-    assert!(avx2_available(), "axpy_avx2 called without AVX2 support");
-    assert_eq!(b.len(), out.len(), "axpy_avx2: `b` and `out` differ in length");
-    // SAFETY: AVX2 was checked above, and `b` is as long as `out`.
-    unsafe { axpy_avx2_impl(a, b, out) }
-}
-
-/// # Safety
-/// Requires AVX2 (and FMA feature availability; no FMA instruction is
-/// emitted — see the module-level bit-compatibility contract), and
-/// `b.len() == out.len()`: the vector loop loads both up to `out.len()`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn axpy_avx2_impl(a: f32, b: &[f32], out: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let n = out.len();
-    let split = n - n % 8;
-    let va = _mm256_set1_ps(a);
-    let mut i = 0;
-    while i < split {
-        let vb = _mm256_loadu_ps(b.as_ptr().add(i));
-        let vo = _mm256_loadu_ps(out.as_ptr().add(i));
-        // mul + add, NOT fmadd: bit-identical to the scalar path.
-        let prod = _mm256_mul_ps(va, vb);
-        _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_add_ps(vo, prod));
-        i += 8;
-    }
-    for (o, &v) in out[split..].iter_mut().zip(b[split..].iter()) {
-        *o += a * v;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// f32 dot product
-// ---------------------------------------------------------------------------
-
-/// Dot product of equal-length slices — the inner loop of `matmul_nt`.
-///
-/// # Panics
-/// Panics if the slices differ in length, before any element is read.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "dot: `a` and `b` differ in length");
-    match active_path() {
-        // SAFETY: the AVX2 path is chosen only where AVX2 is available, and
-        // the lengths were checked above.
-        #[cfg(target_arch = "x86_64")]
-        DispatchPath::Avx2 => unsafe { dot_avx2_impl(a, b) },
-        _ => dot_scalar(a, b),
-    }
-}
-
-/// 8-accumulator unrolled scalar dot product (the original kernel).  The
+/// 8-accumulator unrolled scalar dot product of equal-length slices (the
+/// original kernel), the inner loop of [`gemm_f32_nt_scalar`].  The
 /// reduction order — remainder tail summed first, then the eight lane
-/// accumulators in index order — is part of the bit-compatibility contract.
+/// accumulators in index order — is part of the scalar arm's exact bits.
 #[inline]
-pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
+fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let split = a.len() - a.len() % 8;
     let mut acc = [0.0f32; 8];
@@ -235,48 +156,6 @@ pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     }
     let mut sum: f32 = a[split..].iter().zip(b[split..].iter()).map(|(x, y)| x * y).sum();
     for v in acc {
-        sum += v;
-    }
-    sum
-}
-
-/// Explicit-AVX2 dot product.
-///
-/// # Panics
-/// Panics when AVX2 is not available on this host, or if the slices differ
-/// in length (before any element is read).
-#[cfg(target_arch = "x86_64")]
-pub fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
-    assert!(avx2_available(), "dot_avx2 called without AVX2 support");
-    assert_eq!(a.len(), b.len(), "dot_avx2: `a` and `b` differ in length");
-    // SAFETY: AVX2 was checked above, and the slices are equally long.
-    unsafe { dot_avx2_impl(a, b) }
-}
-
-/// # Safety
-/// Requires AVX2, and `a.len() == b.len()`: the vector loop loads both up
-/// to `a.len()`.  One 8-lane vector accumulator mirrors the scalar path's
-/// eight independent accumulators; the horizontal reduction extracts the
-/// lanes and adds them in the same order the scalar path does.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dot_avx2_impl(a: &[f32], b: &[f32]) -> f32 {
-    use std::arch::x86_64::*;
-    let n = a.len();
-    let split = n - n % 8;
-    let mut acc = _mm256_setzero_ps();
-    let mut i = 0;
-    while i < split {
-        let va = _mm256_loadu_ps(a.as_ptr().add(i));
-        let vb = _mm256_loadu_ps(b.as_ptr().add(i));
-        // mul + add, NOT fmadd: bit-identical to the scalar path.
-        acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
-        i += 8;
-    }
-    let mut lanes = [0.0f32; 8];
-    _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-    let mut sum: f32 = a[split..].iter().zip(b[split..].iter()).map(|(x, y)| x * y).sum();
-    for v in lanes {
         sum += v;
     }
     sum
@@ -836,7 +715,7 @@ pub fn gemm_f32_nt(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut
 }
 
 /// Scalar fallback for [`gemm_f32_nt`]: the original per-element
-/// [`dot_scalar`] kernel, byte-for-byte.
+/// `dot_scalar` kernel, byte-for-byte.
 pub fn gemm_f32_nt_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     for i in 0..m {
         let a_row = &a[i * k..(i + 1) * k];
@@ -895,7 +774,7 @@ pub fn gemm_f32_tn(a: &[f32], rows: usize, k_out: usize, other: &[f32], n: usize
     }
 }
 
-/// Scalar fallback for [`gemm_f32_tn`]: the original [`axpy_scalar`] kernel,
+/// Scalar fallback for [`gemm_f32_tn`]: the original `axpy_scalar` kernel,
 /// byte-for-byte.
 pub fn gemm_f32_tn_scalar(a: &[f32], rows: usize, k_out: usize, other: &[f32], n: usize, out: &mut [f32]) {
     out.iter_mut().for_each(|x| *x = 0.0);
@@ -1148,31 +1027,6 @@ mod tests {
     const LENGTHS: [usize; 10] = [0, 1, 3, 7, 8, 9, 31, 32, 33, 100];
 
     #[test]
-    fn avx2_and_scalar_f32_kernels_are_bit_identical() {
-        if !avx2_available() {
-            eprintln!("skipping: host has no AVX2");
-            return;
-        }
-        for &n in &LENGTHS {
-            let a = lcg(n, 7 + n as u32);
-            let b = lcg(n, 1000 + n as u32);
-            let s = 0.37f32;
-
-            let mut out_scalar = lcg(n, 42);
-            let mut out_avx2 = out_scalar.clone();
-            axpy_scalar(s, &a, &mut out_scalar);
-            axpy_avx2(s, &a, &mut out_avx2);
-            assert_eq!(
-                out_scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                out_avx2.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "axpy paths diverge at n={n}"
-            );
-
-            assert_eq!(dot_scalar(&a, &b).to_bits(), dot_avx2(&a, &b).to_bits(), "dot paths diverge at n={n}");
-        }
-    }
-
-    #[test]
     fn fast_activations_track_libm_within_tolerance() {
         // The rational fit behind the AVX2 gate sweep: error against libm
         // over the clamp range, then the range, odd-symmetry and saturation
@@ -1421,18 +1275,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_checks_lengths_before_reading() {
-        assert_length_check("axpy: `b` and `out` differ", || axpy(1.0, &[1.0; 4], &mut [0.0; 16]));
-    }
-
-    #[test]
-    fn dot_checks_lengths_before_reading() {
-        assert_length_check("dot: `a` and `b` differ", || {
-            dot(&[1.0; 16], &[1.0; 4]);
-        });
-    }
-
-    #[test]
     fn gemm_f32_checks_lengths_before_reading() {
         // A 4-float `a` for an 8x8 product, then a short `out`.
         assert_length_check("gemm_f32: `a` holds 4 floats", || {
@@ -1470,10 +1312,6 @@ mod tests {
             eprintln!("skipping: host has no AVX2+FMA");
             return;
         }
-        assert_length_check("axpy_avx2: `b` and `out` differ", || axpy_avx2(1.0, &[1.0; 4], &mut [0.0; 16]));
-        assert_length_check("dot_avx2: `a` and `b` differ", || {
-            dot_avx2(&[1.0; 16], &[1.0; 4]);
-        });
         assert_length_check("gemm_f32_avx2: `a` holds 4 floats", || {
             gemm_f32_avx2(&[1.0; 4], 8, 8, &[1.0; 64], 8, &mut [0.0; 64])
         });
@@ -1489,35 +1327,6 @@ mod prop_tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Dispatched and scalar f32 kernels agree bit-for-bit on random
-        /// lengths (covering every remainder class) and values.
-        #[test]
-        fn dispatched_f32_kernels_bit_match_scalar(
-            n in 0usize..70,
-            seed in 0u32..1_000_000,
-            a in -4.0f32..4.0,
-        ) {
-            let mk = |s: u32| -> Vec<f32> {
-                let mut x = s;
-                (0..n).map(|_| {
-                    x = x.wrapping_mul(1664525).wrapping_add(1013904223);
-                    (x >> 8) as f32 / (1u32 << 24) as f32 * 2.0 - 1.0
-                }).collect()
-            };
-            let b = mk(seed);
-            let c = mk(seed ^ 0xdead_beef);
-
-            let mut out_dispatch = c.clone();
-            let mut out_scalar = c.clone();
-            axpy(a, &b, &mut out_dispatch);
-            axpy_scalar(a, &b, &mut out_scalar);
-            prop_assert_eq!(
-                out_dispatch.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                out_scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-            prop_assert_eq!(dot(&b, &c).to_bits(), dot_scalar(&b, &c).to_bits());
-        }
-
         /// The fused packed linear equals `Matrix::matmul_into` followed by
         /// `Matrix::add_bias_into`, bit for bit, on the active dispatch
         /// path: every row remainder up to five panels, depths up to the
