@@ -25,7 +25,7 @@
 //! ≥ 0.95 (≤ 5% hot-path cost) and recovery fraction ≥ 0.5 (the closed
 //! loop wins back at least half the degradation the frozen tenant keeps).
 
-use bench::time_reps;
+use bench::{check_mode, env_or, out_path, splice_section, time_reps};
 use estimator_core::{CostEstimator, ModelConfig, TrainConfig};
 use featurize::{EncodedPlan, EncodingConfig, FeatureExtractor};
 use imdb::{generate_imdb, Database, GeneratorConfig};
@@ -36,10 +36,6 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use strembed::HashBitmapEncoder;
 use workloads::{DriftConfig, DriftGenerator, QuerySample};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
-}
 
 /// A compact estimator sized for the drift workload (the drift phases span
 /// two tables and a narrow year window, so the small model fits phase 0
@@ -65,14 +61,11 @@ fn main() {
     // The fine-tune loop needs a model that actually fits phase 0; the
     // 1-epoch smoke default of the table benches underfits it, so this
     // bench carries its own default.
-    if std::env::var("E2E_EPOCHS").is_err() {
-        std::env::set_var("E2E_EPOCHS", "20");
-    }
-    let epochs = env_usize("E2E_EPOCHS", 20);
-    let phases = env_usize("E2E_DRIFT_PHASES", 3).max(2);
-    let queries_per_phase = env_usize("E2E_DRIFT_QUERIES", 80);
-    let reps = env_usize("E2E_BENCH_REPS", 3).max(1);
-    let scale: f64 = std::env::var("E2E_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0);
+    let epochs = env_or("E2E_EPOCHS", 20usize);
+    let phases = env_or("E2E_DRIFT_PHASES", 3usize).max(2);
+    let queries_per_phase = env_or("E2E_DRIFT_QUERIES", 80);
+    let reps = env_or("E2E_BENCH_REPS", 3usize).max(1);
+    let scale: f64 = env_or("E2E_SCALE", 1.0);
 
     // The tiny-generator shape (scaled by E2E_SCALE): drift dynamics — a
     // small model fitting phase 0 well, then degrading on the migrated
@@ -250,12 +243,13 @@ fn main() {
     let _ = writeln!(section, "    }}");
     section.push_str("  }");
 
-    let out_dir = std::env::var("E2E_BENCH_OUT").unwrap_or_else(|_| ".".to_string());
-    let path = format!("{out_dir}/BENCH_serving.json");
-    merge_drift_section(&path, &section);
+    let path = out_path("BENCH_serving.json");
+    let base = std::fs::read_to_string(&path).unwrap_or_default();
+    std::fs::write(&path, splice_section(&base, "drift", &section))
+        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     println!("merged drift section into {path}");
 
-    if matches!(std::env::var("E2E_CHECK").as_deref(), Ok(v) if !v.is_empty() && v != "0") {
+    if check_mode() {
         assert!(
             capture_ratio >= 0.95,
             "feedback capture cost {:.1}% exceeds the 5% hot-path budget",
@@ -273,31 +267,4 @@ fn main() {
         assert_eq!(generation, 2, "republish must be the loop tenant's second generation");
         println!("check mode: drift floors hold (capture >= 0.95, recovery >= 0.5, republished gen 2)");
     }
-}
-
-/// Splice the `drift` section into an existing `BENCH_serving.json`
-/// (written by `serving_throughput` and extended by `serving_multi_tenant`),
-/// replacing any previous section; writes a standalone object when the file
-/// does not exist.
-fn merge_drift_section(path: &str, section: &str) {
-    let json = match std::fs::read_to_string(path) {
-        Ok(base) => {
-            // Cut at a previous drift section (idempotent re-runs, even when
-            // drift was the file's first key) or at the final closing brace.
-            let head = match base.find("\"drift\":") {
-                Some(i) => base[..i].trim_end().trim_end_matches(',').to_string(),
-                None => {
-                    let trimmed = base.trim_end();
-                    trimmed.strip_suffix('}').unwrap_or(trimmed).trim_end().to_string()
-                }
-            };
-            if head == "{" || head.is_empty() {
-                format!("{{\n  \"drift\": {section}\n}}\n")
-            } else {
-                format!("{head},\n  \"drift\": {section}\n}}\n")
-            }
-        }
-        Err(_) => format!("{{\n  \"drift\": {section}\n}}\n"),
-    };
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
 }

@@ -26,8 +26,7 @@
 //! 4 concurrent sessions ≥ 1.5x one session (the median of the per-pair
 //! ratios).
 
-use bench::{paired_ratio, time_reps, Pipeline};
-use estimator_core::{PredicateModelKind, RepresentationCellKind, TaskMode};
+use bench::{check_mode, env_or, out_path, paired_ratio, splice_section, time_reps, Pipeline};
 use featurize::EncodedPlan;
 use query::PlanNode;
 use serving::{ModelCatalog, TenantBackend};
@@ -36,15 +35,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use workloads::{generate_enumeration_workload, EnumerationConfig, WorkloadKind};
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
-}
-
 fn main() {
-    let queries = env_usize("E2E_SERVING_QUERIES", 8);
-    let rounds = env_usize("E2E_SERVING_ROUNDS", 3);
-    let max_candidates = env_usize("E2E_SERVING_CANDIDATES", 100);
-    let reps = env_usize("E2E_BENCH_REPS", 3).max(1);
+    let queries = env_or("E2E_SERVING_QUERIES", 8);
+    let rounds = env_or("E2E_SERVING_ROUNDS", 3);
+    let max_candidates = env_or("E2E_SERVING_CANDIDATES", 100);
+    let reps = env_or("E2E_BENCH_REPS", 3usize).max(1);
     if std::env::var("E2E_EPOCHS").is_err() {
         std::env::set_var("E2E_EPOCHS", "2");
     }
@@ -52,16 +47,6 @@ fn main() {
 
     let pipeline = Pipeline::new();
     let suite = pipeline.suite(WorkloadKind::JobLight);
-    let mk_estimator = || {
-        pipeline.tree_estimator(
-            &suite.train,
-            RepresentationCellKind::Lstm,
-            PredicateModelKind::MinMaxPool,
-            TaskMode::Multitask,
-            None,
-            true,
-        )
-    };
     let train_plans: Vec<PlanNode> = suite.train.iter().map(|s| s.plan.clone()).collect();
     let n = train_plans.len();
 
@@ -69,7 +54,7 @@ fn main() {
     // halves of the workload.  A third variant (for hot-swapping tenant A)
     // trains on the full set.
     let fit_on = |plans: &[PlanNode]| {
-        let mut est = mk_estimator();
+        let mut est = pipeline.serving_estimator(&suite.train);
         est.fit(plans);
         est
     };
@@ -113,14 +98,7 @@ fn main() {
         let train = suite.train.clone();
         Box::new(move || {
             let p = Pipeline { db: db.clone(), scale, enc_config: enc.clone() };
-            TenantBackend::tree(p.tree_estimator(
-                &train,
-                RepresentationCellKind::Lstm,
-                PredicateModelKind::MinMaxPool,
-                TaskMode::Multitask,
-                None,
-                true,
-            ))
+            TenantBackend::tree(p.serving_estimator(&train))
         })
     });
 
@@ -135,7 +113,7 @@ fn main() {
     // Pure swap: backend built + loaded outside the timed region.
     let mut publish_best = f64::INFINITY;
     for _ in 0..reps.max(3) {
-        let mut backend = mk_estimator();
+        let mut backend = pipeline.serving_estimator(&suite.train);
         backend.load_checkpoint(&ckpt).expect("load for publish timing");
         let start = std::time::Instant::now();
         catalog.publish("tenant_a", TenantBackend::tree(backend));
@@ -268,12 +246,13 @@ fn main() {
     let _ = writeln!(section, "    ]");
     section.push_str("  }");
 
-    let out_dir = std::env::var("E2E_BENCH_OUT").unwrap_or_else(|_| ".".to_string());
-    let path = format!("{out_dir}/BENCH_serving.json");
-    merge_multi_tenant_section(&path, &section);
+    let path = out_path("BENCH_serving.json");
+    let base = std::fs::read_to_string(&path).unwrap_or_default();
+    std::fs::write(&path, splice_section(&base, "multi_tenant", &section))
+        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     println!("merged multi_tenant section into {path}");
 
-    if matches!(std::env::var("E2E_CHECK").as_deref(), Ok(v) if !v.is_empty() && v != "0") {
+    if check_mode() {
         assert!(
             isolation_ratio >= 0.3,
             "tenant_b throughput ratio {isolation_ratio:.2} during tenant_a hot-swaps below the 0.3 stall floor"
@@ -288,27 +267,4 @@ fn main() {
             "check mode: multi-tenant floors hold (isolation >= 0.3, live swaps > 0, 4 concurrent sessions >= 1.5x)"
         );
     }
-}
-
-/// Splice the `multi_tenant` section into an existing `BENCH_serving.json`
-/// (written by `serving_throughput`), replacing any previous section;
-/// writes a standalone object when the file does not exist.
-fn merge_multi_tenant_section(path: &str, section: &str) {
-    let json = match std::fs::read_to_string(path) {
-        Ok(base) => {
-            // Drop a previous multi_tenant section (idempotent re-runs),
-            // then strip the final closing brace and append.
-            let base = match base.find(",\n  \"multi_tenant\":") {
-                Some(i) => base[..i].to_string(),
-                None => {
-                    let trimmed = base.trim_end();
-                    let without = trimmed.strip_suffix('}').unwrap_or(trimmed);
-                    without.trim_end().to_string()
-                }
-            };
-            format!("{base},\n  \"multi_tenant\": {section}\n}}\n")
-        }
-        Err(_) => format!("{{\n  \"multi_tenant\": {section}\n}}\n"),
-    };
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
 }

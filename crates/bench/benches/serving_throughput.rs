@@ -48,22 +48,17 @@
 //! 1-vs-4-session pairs, [`bench::paired_ratio`]) and checkpoint warm
 //! start ≥ 5x faster than a cold fit — the guards CI's smoke job runs.
 
-use bench::{paired_ratio, time_reps, PairedRatio, Pipeline};
-use estimator_core::{PredicateModelKind, RepresentationCellKind, TaskMode};
+use bench::{check_mode, env_or, out_path, paired_ratio, time_reps, PairedRatio, Pipeline};
 use featurize::EncodedPlan;
 use query::PlanNode;
 use std::fmt::Write as _;
 use workloads::{generate_enumeration_workload, EnumerationConfig, WorkloadKind};
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
-}
-
 fn main() {
-    let queries = env_usize("E2E_SERVING_QUERIES", 12);
-    let rounds = env_usize("E2E_SERVING_ROUNDS", 5);
-    let max_candidates = env_usize("E2E_SERVING_CANDIDATES", 120);
-    let reps = env_usize("E2E_BENCH_REPS", 3).max(1);
+    let queries = env_or("E2E_SERVING_QUERIES", 12);
+    let rounds = env_or("E2E_SERVING_ROUNDS", 5);
+    let max_candidates = env_or("E2E_SERVING_CANDIDATES", 120);
+    let reps = env_or("E2E_BENCH_REPS", 3usize).max(1);
     if std::env::var("E2E_EPOCHS").is_err() {
         // Serving throughput does not depend on model quality; keep the
         // training phase short unless the caller asks otherwise.
@@ -73,22 +68,12 @@ fn main() {
 
     let pipeline = Pipeline::new();
     let suite = pipeline.suite(WorkloadKind::JobLight);
-    let mk_estimator = || {
-        pipeline.tree_estimator(
-            &suite.train,
-            RepresentationCellKind::Lstm,
-            PredicateModelKind::MinMaxPool,
-            TaskMode::Multitask,
-            None,
-            true,
-        )
-    };
     let train_plans: Vec<PlanNode> = suite.train.iter().map(|s| s.plan.clone()).collect();
 
     // Fit cold — or warm-start from a persisted checkpoint when
     // E2E_SERVING_CHECKPOINT names an existing file.
     let persist = std::env::var("E2E_SERVING_CHECKPOINT").ok();
-    let mut est = mk_estimator();
+    let mut est = pipeline.serving_estimator(&suite.train);
     let mut cold_fit_secs = None;
     match persist.as_deref().filter(|p| std::path::Path::new(p).exists()) {
         Some(path) => {
@@ -366,7 +351,7 @@ fn main() {
         reps,
         || (),
         || {
-            let mut warm = mk_estimator();
+            let mut warm = pipeline.serving_estimator(&suite.train);
             warm.load_checkpoint(&ckpt).expect("load warm-start checkpoint");
             assert_eq!(warm.estimate_encoded_batch(first_plan), expected_first, "warm-start estimates diverged");
         },
@@ -443,13 +428,12 @@ fn main() {
     let _ = writeln!(json, "  ]");
     json.push_str("}\n");
 
-    let out_dir = std::env::var("E2E_BENCH_OUT").unwrap_or_else(|_| ".".to_string());
-    let path = format!("{out_dir}/BENCH_serving.json");
+    let path = out_path("BENCH_serving.json");
     std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     println!("wrote {path}");
 
     // Check mode (CI smoke): fail loudly when the serving floors regress.
-    if matches!(std::env::var("E2E_CHECK").as_deref(), Ok(v) if !v.is_empty() && v != "0") {
+    if check_mode() {
         assert!(memo_speedup >= 3.0, "memoization speedup {memo_speedup:.2}x below the 3x regression floor");
         assert!(node_hit_rate >= 0.85, "subtree-cache hit rate {node_hit_rate:.3} below the 0.85 floor");
         let four = thread_rows.iter().find(|r| r.threads == 4).expect("4-thread row");

@@ -20,7 +20,7 @@
 //! non-zero when it is violated — the mode CI's full-scale smoke job runs
 //! in.
 
-use bench::{paired_ratio, time_reps, Pipeline};
+use bench::{check_mode, env_or, out_path, paired_ratio, time_reps, Pipeline};
 use estimator_core::{PredicateModelKind, RepresentationCellKind, TaskMode};
 use mscn::{MscnConfig, MscnFeaturizer, MscnModel, MscnTrainer};
 use pgest::TraditionalEstimator;
@@ -51,7 +51,7 @@ fn main() {
     let pipeline = Pipeline::new();
     let suite = pipeline.suite(WorkloadKind::JobStrings);
     let n = suite.test.len();
-    let reps: usize = std::env::var("E2E_BENCH_REPS").ok().and_then(|s| s.parse().ok()).unwrap_or(3).max(1);
+    let reps = env_or("E2E_BENCH_REPS", 3usize).max(1);
     println!("== Table 12 — estimation efficiency ({n} queries, {reps} reps) ==");
     let mut rows: Vec<Row> = Vec::new();
 
@@ -182,14 +182,13 @@ fn main() {
     let _ = writeln!(json, "  \"speedups\": {{{speedups}\n  }}");
     json.push_str("}\n");
 
-    let out_dir = std::env::var("E2E_BENCH_OUT").unwrap_or_else(|_| ".".to_string());
-    let path = format!("{out_dir}/BENCH_table12.json");
+    let path = out_path("BENCH_table12.json");
     std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     println!("wrote {path}");
 
     // Check mode (CI smoke): fail loudly when the recorded regression
     // floor is violated, so the scale cap can never silently return.
-    if matches!(std::env::var("E2E_CHECK").as_deref(), Ok(v) if !v.is_empty() && v != "0") {
+    if check_mode() {
         for (label, vs_per_node) in &floor_checks {
             assert!(*vs_per_node >= 5.0, "{label}: batch_vs_per_node {vs_per_node:.2}x below the 5x regression floor");
         }

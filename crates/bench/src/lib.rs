@@ -10,10 +10,10 @@
 //! materialization), so the default `E2E_SCALE=1` is safe even for the
 //! skewed 4-way star joins of the JOB-style workloads.
 
-use engine::CostModel;
 use estimator_core::{CostEstimator, ModelConfig, PredicateModelKind, RepresentationCellKind, TaskMode, TrainConfig};
 use featurize::{EncodedPlan, EncodingConfig, FeatureExtractor};
 use imdb::{generate_imdb, Database, GeneratorConfig};
+use std::ops::Range;
 use std::sync::Arc;
 use strembed::{build_string_encoder, EmbedderConfig, HashBitmapEncoder, StringEncoding};
 use workloads::{workload_strings, QuerySample, SuiteConfig, WorkloadKind, WorkloadSuite};
@@ -21,6 +21,93 @@ use workloads::{workload_strings, QuerySample, SuiteConfig, WorkloadKind, Worklo
 pub mod registry;
 
 pub use registry::{run_backend, BackendRun, EstimatorRegistry};
+
+/// The environment variable `name` parsed as a `T`, or `default` when it is
+/// unset or does not parse.
+pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
+    std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
+}
+
+/// True when `E2E_CHECK` is set to anything but empty or `0`: the harness
+/// then asserts its regression floors and exits non-zero on a violation.
+pub fn check_mode() -> bool {
+    matches!(std::env::var("E2E_CHECK").as_deref(), Ok(v) if !v.is_empty() && v != "0")
+}
+
+/// Where a harness writes its artifact `file`: inside `E2E_BENCH_OUT`, or
+/// the current directory when that is unset.
+pub fn out_path(file: &str) -> String {
+    format!("{}/{file}", env_or("E2E_BENCH_OUT", ".".to_string()))
+}
+
+/// `json`, a JSON object, with its top-level `key` set to the JSON value
+/// `section`.  An existing `key` has its value replaced in place and a
+/// missing one is appended; every other key is kept byte for byte.  Text
+/// that is not a JSON object (an absent file reads as `""`) becomes an
+/// object holding `key` alone.
+pub fn splice_section(json: &str, key: &str, section: &str) -> String {
+    let members = top_level_members(json);
+    if let Some((_, value)) = members.iter().find(|(k, _)| json[k.clone()] == *key) {
+        return format!("{}{section}{}", &json[..value.start], &json[value.end..]);
+    }
+    match json.trim_end().strip_suffix('}') {
+        Some(head) if !members.is_empty() => format!("{},\n  \"{key}\": {section}\n}}\n", head.trim_end()),
+        _ => format!("{{\n  \"{key}\": {section}\n}}\n"),
+    }
+}
+
+/// The members of the outermost JSON object in `json` as `(key, value)`
+/// byte ranges: the key without its quotes, the value without surrounding
+/// whitespace.  Nested objects, arrays and string contents are skipped.
+fn top_level_members(json: &str) -> Vec<(Range<usize>, Range<usize>)> {
+    let bytes = json.as_bytes();
+    let trimmed = |r: Range<usize>| {
+        let text = &json[r.clone()];
+        let start = r.start + (text.len() - text.trim_start().len());
+        start..start + text.trim().len()
+    };
+    let mut members = Vec::new();
+    let (mut depth, mut in_string, mut escaped) = (0usize, false, false);
+    let mut string_start = 0;
+    let mut key: Option<Range<usize>> = None;
+    let mut open: Option<(Range<usize>, usize)> = None;
+    for (i, &b) in bytes.iter().enumerate() {
+        if in_string {
+            match b {
+                _ if escaped => escaped = false,
+                b'\\' => escaped = true,
+                b'"' => {
+                    in_string = false;
+                    if depth == 1 && open.is_none() {
+                        key = Some(string_start..i);
+                    }
+                }
+                _ => {}
+            }
+            continue;
+        }
+        match b {
+            b'"' => {
+                in_string = true;
+                string_start = i + 1;
+            }
+            b'{' | b'[' => depth += 1,
+            b':' if depth == 1 => open = key.take().map(|k| (k, i + 1)),
+            b',' | b'}' | b']' => {
+                if depth == 1 {
+                    if let Some((k, start)) = open.take() {
+                        members.push((k, trimmed(start..i)));
+                    }
+                }
+                if b != b',' {
+                    depth = depth.saturating_sub(1);
+                }
+            }
+            _ => {}
+        }
+    }
+    members
+}
 
 /// Best-of-`reps` wall time of `f`: one untimed warmup call first (page
 /// cache, tape buffer pools), then the fastest of `reps` timed repetitions —
@@ -160,14 +247,10 @@ impl BenchScale {
     /// Read the scale from `E2E_SCALE` / `E2E_QUERIES` / `E2E_TEST_QUERIES`
     /// / `E2E_EPOCHS`.
     pub fn from_env() -> Self {
-        let scale: f64 = std::env::var("E2E_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0);
-        let train_queries =
-            std::env::var("E2E_QUERIES").ok().and_then(|s| s.parse().ok()).unwrap_or((120.0 * scale) as usize);
-        let test_queries = std::env::var("E2E_TEST_QUERIES")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or((train_queries / 4).clamp(20, 200));
-        let epochs = std::env::var("E2E_EPOCHS").ok().and_then(|s| s.parse().ok()).unwrap_or(5);
+        let scale: f64 = env_or("E2E_SCALE", 1.0);
+        let train_queries = env_or("E2E_QUERIES", (120.0 * scale) as usize);
+        let test_queries = env_or("E2E_TEST_QUERIES", (train_queries / 4).clamp(20, 200));
+        let epochs = env_or("E2E_EPOCHS", 5);
         BenchScale { n_titles: (2000.0 * scale) as usize, train_queries: train_queries.max(40), test_queries, epochs }
     }
 }
@@ -254,6 +337,14 @@ impl Pipeline {
         CostEstimator::new(fx, model_config, train_config)
     }
 
+    /// The **unfitted** estimator the serving benches serve: the LSTM
+    /// representation cell over min/max-pooled predicates, both heads, the
+    /// hash-bitmap string encoder and sample bitmaps.
+    pub fn serving_estimator(&self, workload: &[QuerySample]) -> CostEstimator {
+        use {PredicateModelKind::MinMaxPool, RepresentationCellKind::Lstm, TaskMode::Multitask};
+        self.tree_estimator(workload, Lstm, MinMaxPool, Multitask, None, true)
+    }
+
     /// Train a tree model variant and return its fitted estimator plus the
     /// encoded test plans.
     pub fn train_tree_model(
@@ -270,11 +361,6 @@ impl Pipeline {
         estimator.fit(&train_plans);
         let test_encoded: Vec<EncodedPlan> = suite.test.iter().map(|s| estimator.encode(&s.plan)).collect();
         (estimator, test_encoded)
-    }
-
-    /// The cost model used for ground truth (exposed for efficiency benches).
-    pub fn cost_model(&self) -> CostModel {
-        CostModel::default()
     }
 }
 
@@ -328,6 +414,42 @@ mod tests {
         let doubled = r.scaled(2.0);
         assert_eq!((doubled.median, doubled.min, doubled.max), (2.0 * r.median, 2.0 * r.min, 2.0 * r.max));
         assert_eq!(doubled.best_a, r.best_a);
+    }
+
+    #[test]
+    fn splice_section_keeps_every_section_in_any_order_and_on_reruns() {
+        // `serving_throughput`'s file, with a nested key named like a
+        // section: only top-level keys are sections.
+        let base = "{\n  \"bench\": \"serving_throughput\",\n  \"encode\": { \"drift\": 0 },\n  \"threads\": [\n    \
+                    { \"threads\": 1 }\n  ]\n}\n";
+        let multi_tenant = "{\n    \"cpus\": 2,\n    \"concurrent_sessions\": [1, 4]\n  }";
+        let drift = "{\n    \"phases\": 3,\n    \"capture\": { \"ratio\": 0.99 }\n  }";
+        let section = |key: &str| if key == "drift" { drift } else { multi_tenant };
+        for order in [["multi_tenant", "drift"], ["drift", "multi_tenant"]] {
+            let mut json = base.to_string();
+            let mut want = vec![("encode", "{ \"drift\": 0 }"), ("threads", "[\n    { \"threads\": 1 }\n  ]")];
+            // Each bench runs once, then each runs again in the same order;
+            // after every run, every section written so far is there once.
+            for key in order.iter().chain(&order) {
+                json = splice_section(&json, key, section(key));
+                if !want.iter().any(|(k, _)| k == key) {
+                    want.push((key, section(key)));
+                }
+                let members = top_level_members(&json);
+                let got: Vec<(&str, &str)> =
+                    members.iter().map(|(k, v)| (&json[k.clone()], &json[v.clone()])).skip(1).collect();
+                assert_eq!(got, want, "{json}");
+                for (k, _) in &want {
+                    assert_eq!(json.matches(&format!("\n  \"{k}\": ")).count(), 1, "{k}: {json}");
+                }
+                assert!(json.starts_with("{\n  \"bench\": \"serving_throughput\",\n"), "{json}");
+                assert!(json.ends_with("\n}\n"), "{json}");
+            }
+        }
+        // A missing or empty file becomes an object holding the section.
+        for empty in ["", "{}"] {
+            assert_eq!(splice_section(empty, "drift", "{}"), "{\n  \"drift\": {}\n}\n");
+        }
     }
 
     #[test]

@@ -34,7 +34,6 @@ pub mod trainer;
 
 pub use api::{CostEstimator, ServingEstimator};
 pub use backend::{Estimator, EstimatorCapabilities, PlanEstimate, TrainableEstimator};
-pub use batch::{estimate_batch, forward_batch};
 pub use memory::SubtreeStateCache;
 pub use model::{ModelConfig, PredicateModelKind, RepresentationCellKind, TaskMode, TreeModel};
 pub use nn::checkpoint::CheckpointError;

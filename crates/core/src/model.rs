@@ -166,11 +166,6 @@ impl TreeModel {
         self.embed_dim
     }
 
-    /// Total number of trainable scalars.
-    pub fn num_parameters(&self) -> usize {
-        self.params.num_scalars()
-    }
-
     /// Every fully-connected layer of the model: the embeddings, the
     /// predicate cell, the representation cell and both heads.
     fn linears(&self) -> Vec<Linear> {
@@ -561,7 +556,7 @@ mod tests {
     fn model_has_reasonable_parameter_count() {
         let (_, cfg) = setup();
         let model = TreeModel::new(&cfg, ModelConfig::default());
-        let n = model.num_parameters();
+        let n = model.params.num_scalars();
         assert!(n > 10_000 && n < 2_000_000, "unexpected parameter count {n}");
         assert_eq!(model.embed_dim(), 64);
     }

@@ -46,8 +46,8 @@ use std::cell::RefCell;
 use std::sync::Arc;
 use strembed::StringEncoder;
 
-/// Encoded predicate tree: the min/max pooling model consumes the structure,
-/// the tree-LSTM predicate variant consumes its DFS linearization.
+/// Encoded predicate tree: both predicate models (min/max pooling and the
+/// tree-LSTM) walk its structure.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PredicateEncoding {
     /// No predicate on this node.
@@ -58,37 +58,6 @@ pub enum PredicateEncoding {
     And(Box<PredicateEncoding>, Box<PredicateEncoding>),
     /// Disjunction of two sub-predicates (max pooling).
     Or(Box<PredicateEncoding>, Box<PredicateEncoding>),
-}
-
-impl PredicateEncoding {
-    /// Number of atom vectors in the encoding.
-    pub fn num_atoms(&self) -> usize {
-        match self {
-            PredicateEncoding::None => 0,
-            PredicateEncoding::Atom(_) => 1,
-            PredicateEncoding::And(l, r) | PredicateEncoding::Or(l, r) => l.num_atoms() + r.num_atoms(),
-        }
-    }
-
-    /// DFS linearization of the atom vectors (the one-to-one sequence mapping
-    /// of Figure 4, without the explicit backtracking padding — structure is
-    /// recovered from the tree itself).
-    pub fn dfs_atoms(&self) -> Vec<&[f32]> {
-        let mut out = Vec::new();
-        self.collect(&mut out);
-        out
-    }
-
-    fn collect<'a>(&'a self, out: &mut Vec<&'a [f32]>) {
-        match self {
-            PredicateEncoding::None => {}
-            PredicateEncoding::Atom(v) => out.push(v),
-            PredicateEncoding::And(l, r) | PredicateEncoding::Or(l, r) => {
-                l.collect(out);
-                r.collect(out);
-            }
-        }
-    }
 }
 
 /// The four encoded feature groups of one plan node.
@@ -106,22 +75,6 @@ pub struct NodeFeatures {
 }
 
 impl NodeFeatures {
-    /// Assemble from the four separately-encoded groups (test/tooling
-    /// convenience; the extractor's hot path writes the slab directly).
-    pub fn from_groups(
-        operation: Vec<f32>,
-        metadata: Vec<f32>,
-        predicate: PredicateEncoding,
-        sample_bitmap: Vec<f32>,
-    ) -> Self {
-        let meta_off = operation.len() as u32;
-        let samp_off = meta_off + metadata.len() as u32;
-        let mut slab = operation;
-        slab.extend_from_slice(&metadata);
-        slab.extend_from_slice(&sample_bitmap);
-        NodeFeatures { slab, meta_off, samp_off, predicate }
-    }
-
     /// The operation one-hot.
     pub fn operation(&self) -> &[f32] {
         &self.slab[..self.meta_off as usize]
@@ -334,16 +287,8 @@ impl FeatureExtractor {
         }
     }
 
-    /// Encode the metadata bitmap of a node (tables ⧺ columns ⧺ indexes).
-    pub fn encode_metadata(&self, node: &PlanNode) -> Vec<f32> {
-        let mut v = vec![0.0f32; self.config.metadata_dim()];
-        self.encode_metadata_into(node, &mut v);
-        v
-    }
-
-    /// Write a node's metadata bitmap into a **zeroed** slice of length
-    /// [`EncodingConfig::metadata_dim`].  Bit-identical to
-    /// [`FeatureExtractor::encode_metadata`] without its allocation; every
+    /// Write a node's metadata bitmap (tables ⧺ columns ⧺ indexes) into a
+    /// **zeroed** slice of length [`EncodingConfig::metadata_dim`]; every
     /// dictionary probe is keyed by the node's names.
     pub fn encode_metadata_into(&self, node: &PlanNode, out: &mut [f32]) {
         let cfg = &self.config;
@@ -396,18 +341,10 @@ impl FeatureExtractor {
         }
     }
 
-    /// Encode the sample bitmap of a node: bit `i` is 1 when sampled row `i`
-    /// of the scanned table satisfies the node's predicate.
-    pub fn encode_sample_bitmap(&self, node: &PlanNode) -> Vec<f32> {
-        let mut bits = vec![0.0; self.config.sample_dim()];
-        self.encode_sample_bitmap_into(node, &mut bits);
-        bits
-    }
-
     /// Write a node's sample bitmap into a **zeroed** slice of length
     /// [`EncodingConfig::sample_dim`]: one sweep of the scan predicate over
-    /// the table sample.  Bit-identical to
-    /// [`FeatureExtractor::encode_sample_bitmap`] without its allocation.
+    /// the table sample, bit `i` set when sampled row `i` of the scanned
+    /// table satisfies the node's predicate.
     pub fn encode_sample_bitmap_into(&self, node: &PlanNode, out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.config.sample_dim());
         if !self.use_sample_bitmap {
@@ -639,14 +576,6 @@ mod tests {
         assert_eq!(feats.operation().len(), fx.config().operation_dim());
         assert_eq!(feats.metadata().len(), fx.config().metadata_dim());
         assert_eq!(feats.sample_bitmap().len(), fx.config().sample_dim());
-        // The groups are one contiguous slab; from_groups round-trips them.
-        let rebuilt = NodeFeatures::from_groups(
-            feats.operation().to_vec(),
-            feats.metadata().to_vec(),
-            feats.predicate.clone(),
-            feats.sample_bitmap().to_vec(),
-        );
-        assert_eq!(rebuilt, *feats);
     }
 
     #[test]
@@ -655,15 +584,14 @@ mod tests {
         let feats = fx.encode_node(&scan_with_pred());
         match &feats.predicate {
             PredicateEncoding::Or(l, r) => {
-                assert!(matches!(**l, PredicateEncoding::Atom(_)));
-                assert!(matches!(**r, PredicateEncoding::Atom(_)));
+                for side in [l, r] {
+                    match &**side {
+                        PredicateEncoding::Atom(atom) => assert_eq!(atom.len(), fx.config().atom_dim()),
+                        other => panic!("expected an atom under the OR, got {other:?}"),
+                    }
+                }
             }
             other => panic!("expected OR encoding, got {other:?}"),
-        }
-        assert_eq!(feats.predicate.num_atoms(), 2);
-        assert_eq!(feats.predicate.dfs_atoms().len(), 2);
-        for atom in feats.predicate.dfs_atoms() {
-            assert_eq!(atom.len(), fx.config().atom_dim());
         }
     }
 
@@ -713,25 +641,25 @@ mod tests {
     #[test]
     fn sample_bitmap_reflects_selectivity() {
         let fx = extractor();
-        let all = fx.encode_sample_bitmap(&PlanNode::leaf(PhysicalOp::SeqScan {
+        let all = fx.encode_node(&PlanNode::leaf(PhysicalOp::SeqScan {
             table: "movie_companies".into(),
             predicate: Some(Predicate::atom("movie_companies", "id", CompareOp::Gt, Operand::Num(0.0))),
         }));
-        let none = fx.encode_sample_bitmap(&PlanNode::leaf(PhysicalOp::SeqScan {
+        let none = fx.encode_node(&PlanNode::leaf(PhysicalOp::SeqScan {
             table: "movie_companies".into(),
             predicate: Some(Predicate::atom("movie_companies", "id", CompareOp::Lt, Operand::Num(-5.0))),
         }));
-        assert!(all.iter().sum::<f32>() > 0.9 * 64.0);
-        assert_eq!(none.iter().sum::<f32>(), 0.0);
+        assert!(all.sample_bitmap().iter().sum::<f32>() > 0.9 * 64.0);
+        assert_eq!(none.sample_bitmap().iter().sum::<f32>(), 0.0);
     }
 
     #[test]
     fn sample_bitmap_disabled_is_zero() {
         let mut fx = extractor();
         fx.use_sample_bitmap = false;
-        let bits = fx.encode_sample_bitmap(&scan_with_pred());
-        assert_eq!(bits.iter().sum::<f32>(), 0.0);
-        assert_eq!(bits.len(), 64);
+        let feats = fx.encode_node(&scan_with_pred());
+        assert_eq!(feats.sample_bitmap().iter().sum::<f32>(), 0.0);
+        assert_eq!(feats.sample_bitmap().len(), 64);
     }
 
     #[test]

@@ -184,13 +184,7 @@ impl Schema {
         edges
     }
 
-    /// Join edges incident to a table.
-    pub fn edges_for(&self, table: &str) -> Vec<JoinEdge> {
-        self.join_edges().into_iter().filter(|e| e.fk_table == table || e.pk_table == table).collect()
-    }
-
-    /// All (table, column) pairs, in schema order.  Used by the feature
-    /// encoder to assign one-hot positions.
+    /// All (table, column) pairs, in schema order.
     pub fn all_columns(&self) -> Vec<(String, String)> {
         let mut cols = Vec::new();
         for t in &self.tables {
@@ -199,19 +193,6 @@ impl Schema {
             }
         }
         cols
-    }
-
-    /// All indexed (table, column) pairs.
-    pub fn all_indexes(&self) -> Vec<(String, String)> {
-        let mut idx = Vec::new();
-        for t in &self.tables {
-            for c in &t.columns {
-                if c.indexed {
-                    idx.push((t.name.clone(), c.name.clone()));
-                }
-            }
-        }
-        idx
     }
 }
 
@@ -260,8 +241,12 @@ mod tests {
     #[test]
     fn edges_for_title_cover_fact_tables() {
         let s = Schema::imdb();
-        let edges = s.edges_for("title");
-        let fk_tables: Vec<&str> = edges.iter().map(|e| e.fk_table.as_str()).collect();
+        let edges = s.join_edges();
+        let fk_tables: Vec<&str> = edges
+            .iter()
+            .filter(|e| e.fk_table == "title" || e.pk_table == "title")
+            .map(|e| e.fk_table.as_str())
+            .collect();
         assert!(fk_tables.contains(&"movie_companies"));
         assert!(fk_tables.contains(&"movie_info_idx"));
         assert!(fk_tables.contains(&"cast_info"));
@@ -271,6 +256,6 @@ mod tests {
     fn all_columns_and_indexes_nonempty() {
         let s = Schema::imdb();
         assert!(s.all_columns().len() > 20);
-        assert!(s.all_indexes().len() >= 10);
+        assert!(s.tables.iter().flat_map(|t| &t.columns).filter(|c| c.indexed).count() >= 10);
     }
 }

@@ -63,24 +63,6 @@ impl Column {
             Column::Str(v) => Some(&v[row]),
         }
     }
-
-    /// Number of distinct values in the column.
-    pub fn distinct_count(&self) -> usize {
-        match self {
-            Column::Int(v) => {
-                let mut s: Vec<i64> = v.clone();
-                s.sort_unstable();
-                s.dedup();
-                s.len()
-            }
-            Column::Str(v) => {
-                let mut s: Vec<&String> = v.iter().collect();
-                s.sort();
-                s.dedup();
-                s.len()
-            }
-        }
-    }
 }
 
 /// An in-memory table: a definition plus one [`Column`] per column definition.
@@ -185,14 +167,6 @@ mod tests {
         assert_eq!(t.value_ref("kind", 1), Some(ValueRef::Str("distributors")));
         assert_eq!(t.value_ref("missing", 1), None);
         assert_eq!(t.name(), "company_type");
-    }
-
-    #[test]
-    fn distinct_count() {
-        let c = Column::Int(vec![1, 1, 2, 3, 3, 3]);
-        assert_eq!(c.distinct_count(), 3);
-        let s = Column::Str(vec!["a".into(), "b".into(), "a".into()]);
-        assert_eq!(s.distinct_count(), 2);
     }
 
     #[test]

@@ -55,26 +55,6 @@ pub enum ValueRef<'a> {
     Str(&'a str),
 }
 
-impl ValueRef<'_> {
-    /// An owned copy of the value.
-    pub fn to_value(self) -> Value {
-        match self {
-            ValueRef::Int(v) => Value::Int(v),
-            ValueRef::Str(s) => Value::Str(s.to_string()),
-        }
-    }
-}
-
-impl Value {
-    /// A borrowed view of this value.
-    pub fn as_value_ref(&self) -> ValueRef<'_> {
-        match self {
-            Value::Int(v) => ValueRef::Int(*v),
-            Value::Str(s) => ValueRef::Str(s),
-        }
-    }
-}
-
 impl From<i64> for Value {
     fn from(v: i64) -> Self {
         Value::Int(v)
@@ -122,15 +102,11 @@ mod tests {
     fn value_ref_round_trips_and_hashes_like_value() {
         use std::collections::HashMap;
         let owned = Value::from("abc");
-        let r = owned.as_value_ref();
-        assert_eq!(r, ValueRef::Str("abc"));
-        assert_eq!(r.to_value(), owned);
-        assert_eq!(Value::Int(7).as_value_ref(), ValueRef::Int(7));
         // Borrowed keys behave like owned ones in a hash map.
         let mut m: HashMap<ValueRef<'_>, usize> = HashMap::new();
         m.insert(ValueRef::Str("abc"), 1);
         m.insert(ValueRef::Int(7), 2);
-        assert_eq!(m.get(&owned.as_value_ref()), Some(&1));
+        assert_eq!(m.get(&ValueRef::Str(owned.as_str().expect("string value"))), Some(&1));
         assert_eq!(m.get(&ValueRef::Int(7)), Some(&2));
         assert_eq!(m.get(&ValueRef::Str("other")), None);
     }

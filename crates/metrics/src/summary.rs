@@ -53,14 +53,6 @@ impl ErrorSummary {
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         percentile(&sorted, p)
     }
-
-    /// Render the summary in the layout of the paper's tables.
-    pub fn as_row(&self, label: &str) -> String {
-        format!(
-            "{:<18} median {:>9.2}  90th {:>9.2}  95th {:>9.2}  99th {:>10.2}  max {:>11.2}  mean {:>9.2}",
-            label, self.median, self.p90, self.p95, self.p99, self.max, self.mean
-        )
-    }
 }
 
 /// Linear-interpolated percentile over an already-sorted slice.
@@ -136,12 +128,6 @@ mod tests {
         let errs: Vec<f64> = (1..=100).map(|i| i as f64).collect();
         let p25 = ErrorSummary::percentile_of(&errs, 0.25);
         assert!(p25 > 20.0 && p25 < 30.0);
-    }
-
-    #[test]
-    fn row_contains_label() {
-        let s = ErrorSummary::from_errors(&[1.0, 2.0]);
-        assert!(s.as_row("PGCard").contains("PGCard"));
     }
 }
 

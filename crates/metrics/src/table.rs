@@ -25,20 +25,9 @@ impl ReportTable {
         self
     }
 
-    /// Append a precomputed summary row.
-    pub fn add_summary(&mut self, method: impl Into<String>, summary: ErrorSummary) -> &mut Self {
-        self.rows.push((method.into(), summary));
-        self
-    }
-
     /// Rows added so far.
     pub fn rows(&self) -> &[(String, ErrorSummary)] {
         &self.rows
-    }
-
-    /// Title of the table.
-    pub fn title(&self) -> &str {
-        &self.title
     }
 
     /// Render the table as a multi-line string.
@@ -78,19 +67,5 @@ mod tests {
         assert!(r.contains("PGCard"));
         assert!(r.contains("TLSTMCard"));
         assert_eq!(t.rows().len(), 2);
-    }
-
-    #[test]
-    fn summary_row_roundtrip() {
-        let mut t = ReportTable::new("t");
-        let s = ErrorSummary::from_errors(&[2.0, 4.0]);
-        t.add_summary("m", s);
-        assert_eq!(t.rows()[0].1, s);
-    }
-
-    #[test]
-    fn title_accessor() {
-        let t = ReportTable::new("Table 12");
-        assert_eq!(t.title(), "Table 12");
     }
 }

@@ -31,23 +31,7 @@ pub struct MscnEstimator {
 impl MscnEstimator {
     /// Build an unfitted backend over the shared encoding configuration.
     pub fn new(db: Arc<Database>, enc: EncodingConfig, config: MscnConfig) -> Self {
-        Self::with_featurizer(MscnFeaturizer::new(db, enc), config)
-    }
-
-    /// Build from an already-configured featurizer (e.g. with the sample
-    /// bitmap disabled for the `MSCNNS*` variants).
-    pub fn with_featurizer(featurizer: MscnFeaturizer, config: MscnConfig) -> Self {
-        MscnEstimator { featurizer, config, trainer: None }
-    }
-
-    /// The featurizer (mutable, to toggle `use_sample_bitmap` before fit).
-    pub fn featurizer_mut(&mut self) -> &mut MscnFeaturizer {
-        &mut self.featurizer
-    }
-
-    /// The fitted trainer, if any.
-    pub fn trainer(&self) -> Option<&MscnTrainer> {
-        self.trainer.as_ref()
+        MscnEstimator { featurizer: MscnFeaturizer::new(db, enc), config, trainer: None }
     }
 
     /// Fit on annotated plans (featurize + train), replacing any prior fit.
@@ -109,23 +93,26 @@ impl MscnEstimator {
     /// the same plans and hyper-parameters.  Unlike [`MscnEstimator::fit`],
     /// nothing is re-initialized.
     ///
-    /// # Panics
-    /// Panics if there is nothing to resume: no trainer, or a trainer
-    /// without resumable training state (a model-only v1 load) — restarting
-    /// from epoch 0 would masquerade as a continuation.
-    pub fn fit_resumed(&mut self, plans: &[PlanNode]) -> Vec<EpochStats> {
+    /// # Errors
+    /// Returns [`CheckpointError::Unsupported`] when there is nothing to
+    /// resume: no trainer, or a trainer without resumable training state (a
+    /// model-only v1 load) — restarting from epoch 0 would masquerade as a
+    /// continuation.  The estimator is left untouched.
+    pub fn fit_resumed(&mut self, plans: &[PlanNode]) -> Result<Vec<EpochStats>, CheckpointError> {
+        let trainer = self.trainer.as_mut().ok_or(CheckpointError::Unsupported(
+            "fit_resumed called with nothing to resume: the estimator has never been fitted or loaded",
+        ))?;
+        if !trainer.is_resumable() {
+            return Err(CheckpointError::Unsupported(
+                "fit_resumed called with nothing to resume: the checkpoint carried no resumable training state",
+            ));
+        }
         let sets: Vec<QuerySets> = plans.iter().map(|p| self.featurizer.featurize(p)).collect();
-        let trainer = self.trainer.as_mut().expect("MscnEstimator::fit_resumed called with nothing to resume");
-        assert!(
-            trainer.is_resumable(),
-            "MscnEstimator::fit_resumed called with nothing to resume: \
-             the checkpoint carried no resumable training state"
-        );
         // The caller's epoch budget is the resumed target; every other
         // hyper-parameter comes from the checkpoint and must match the
         // interrupted run for bit-identical continuation.
         trainer.model.config.epochs = self.config.epochs;
-        trainer.train(&sets)
+        Ok(trainer.train(&sets))
     }
 
     fn fitted(&self) -> &MscnTrainer {
@@ -286,7 +273,7 @@ mod tests {
             let (mut resumed, _) = setup_with_epochs(n);
             resumed.resume_from_checkpoint(&path).expect("resume");
             let _ = std::fs::remove_file(&path);
-            let tail_stats = resumed.fit_resumed(&plans);
+            let tail_stats = resumed.fit_resumed(&plans).expect("a resumed checkpoint carries training state");
             assert_eq!(tail_stats.len(), full_stats.len() - k);
             for (tail, full) in tail_stats.iter().zip(&full_stats[k..]) {
                 assert_eq!(tail.epoch, full.epoch);

@@ -9,7 +9,6 @@ use nn::loss::NormalizationStats;
 use nn::{Graph, Matrix, MiniBatchSchedule, NodeId, ParamStore, TrainProgress};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::path::Path;
 
 /// MSCN hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -202,7 +201,7 @@ impl MscnTrainer {
     /// scaffolding the tree-model trainer runs on.  The q-error slot of the
     /// target MSCN does not train is `f64::NAN`.
     /// A fresh trainer runs epochs `0..config.epochs`; one carrying restored
-    /// progress (via [`MscnTrainer::resume_from_checkpoint`]) continues at
+    /// progress (via [`crate::MscnEstimator::resume_from_checkpoint`]) continues at
     /// `epochs_done`, replaying the schedule's RNG through the completed
     /// epochs so the resumed run is bit-identical to an uninterrupted one.
     pub fn train(&mut self, samples: &[QuerySets]) -> Vec<EpochStats> {
@@ -308,14 +307,6 @@ impl MscnTrainer {
         TrainProgress::write_block(self.progress.as_ref(), &self.model.params, w)
     }
 
-    /// [`MscnTrainer::save_checkpoint_to`] into a file.
-    pub fn save_checkpoint(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        use std::io::Write as _;
-        let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-        self.save_checkpoint_to(&mut w)?;
-        Ok(w.flush()?)
-    }
-
     /// Restore a trainer saved by [`MscnTrainer::save_checkpoint_to`]; the
     /// returned trainer serves bit-identical estimates with zero
     /// retraining.  The reader is left positioned after the parameter
@@ -359,24 +350,6 @@ impl MscnTrainer {
             None
         };
         Ok(MscnTrainer { model, normalization, progress })
-    }
-
-    /// [`MscnTrainer::load_checkpoint_from`] out of a file.
-    pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<MscnTrainer, CheckpointError> {
-        Self::load_checkpoint_from(&mut std::io::BufReader::new(std::fs::File::open(path)?))
-    }
-
-    /// Restore a trainer **with its training state** so a following
-    /// [`MscnTrainer::train`] call continues the interrupted run —
-    /// bit-identically, given the same samples and hyper-parameters (bump
-    /// `model.config.epochs` to the full target first).  Fails with
-    /// [`CheckpointError::Unsupported`] on a v1 or model-only checkpoint.
-    pub fn resume_from_checkpoint(path: impl AsRef<Path>) -> Result<MscnTrainer, CheckpointError> {
-        let trainer = Self::load_checkpoint(path)?;
-        if trainer.progress.is_none() {
-            return Err(CheckpointError::Unsupported("checkpoint carries no MSCN training state to resume from"));
-        }
-        Ok(trainer)
     }
 
     /// True when the trainer carries resumable training state.

@@ -12,7 +12,6 @@ use crate::init;
 use crate::matrix::Matrix;
 use rand::Rng;
 use std::io::{Read, Write};
-use std::path::Path;
 
 /// Identifier of a parameter inside a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,19 +129,7 @@ impl ParamStore {
     }
 
     /// Deserialize a parameter section written by [`ParamStore::save_to`]
-    /// into a fresh store (gradients and moments zeroed).
-    pub fn load_from(r: &mut impl Read) -> Result<ParamStore, CheckpointError> {
-        checkpoint::read_header(r, checkpoint::KIND_PARAMS)?;
-        let count = checkpoint::read_count(r, "parameter count")?;
-        let mut store = ParamStore::new();
-        for _ in 0..count {
-            let (name, value) = Self::read_tensor(r)?;
-            store.add(name, value);
-        }
-        Ok(store)
-    }
-
-    /// Deserialize a parameter section into an **existing** store, verifying
+    /// into an **existing** store, verifying
     /// that every tensor matches the store's registration order, name and
     /// shape — the restore path for a freshly-constructed model.  Values are
     /// overwritten, gradients and moments reset.  On any error the store is
@@ -225,18 +212,6 @@ impl ParamStore {
         Ok((name, Matrix::from_vec(rows, cols, data)))
     }
 
-    /// [`ParamStore::save_to`] into a file (buffered, created/truncated).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-        self.save_to(&mut w)?;
-        Ok(w.flush()?)
-    }
-
-    /// [`ParamStore::load_from`] out of a file (buffered).
-    pub fn load(path: impl AsRef<Path>) -> Result<ParamStore, CheckpointError> {
-        Self::load_from(&mut std::io::BufReader::new(std::fs::File::open(path)?))
-    }
-
     /// Global L2 norm of all gradients (for gradient clipping).
     pub fn grad_norm(&self) -> f32 {
         self.params.iter().map(|p| p.grad.norm().powi(2)).sum::<f32>().sqrt()
@@ -297,7 +272,15 @@ mod tests {
         let mut buf = Vec::new();
         store.save_to(&mut buf).unwrap();
 
-        let loaded = ParamStore::load_from(&mut std::io::Cursor::new(&buf)).unwrap();
+        // Load into a differently-initialized same-shape store that holds a
+        // stale gradient.
+        let mut rng2 = ChaCha8Rng::seed_from_u64(999);
+        let mut loaded = ParamStore::new();
+        loaded.add_xavier("a.w", 7, 5, &mut rng2);
+        loaded.add_zeros("a.b", 7, 1);
+        let odd = loaded.add("odd", Matrix::zeros(1, 3));
+        loaded.accumulate_grad(odd, &Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]));
+        loaded.load_values_from(&mut std::io::Cursor::new(&buf)).unwrap();
         assert_eq!(loaded.len(), store.len());
         for (a, b) in store.params().iter().zip(loaded.params().iter()) {
             assert_eq!(a.name, b.name);
@@ -305,16 +288,6 @@ mod tests {
             assert_eq!(bits(&a.value), bits(&b.value), "payload must round-trip bit-identically");
             assert!(b.grad.data().iter().all(|&g| g == 0.0));
         }
-
-        // load_values_from into a differently-initialized same-shape store.
-        let mut rng2 = ChaCha8Rng::seed_from_u64(999);
-        let mut other = ParamStore::new();
-        other.add_xavier("a.w", 7, 5, &mut rng2);
-        other.add_zeros("a.b", 7, 1);
-        other.add("odd", Matrix::zeros(1, 3));
-        other.load_values_from(&mut std::io::Cursor::new(&buf)).unwrap();
-        assert_eq!(other.value(ParamId(0)), store.value(ParamId(0)));
-        assert_eq!(other.value(ParamId(2)), store.value(ParamId(2)));
     }
 
     #[test]
@@ -324,25 +297,27 @@ mod tests {
         store.add("w", Matrix::column(&[1.0, 2.0, 3.0]));
         let mut buf = Vec::new();
         store.save_to(&mut buf).unwrap();
+        let mut target = ParamStore::new();
+        target.add("w", Matrix::column(&[0.0, 0.0, 0.0]));
 
         // Truncated mid-payload.
         let cut = &buf[..buf.len() - 5];
         assert!(matches!(
-            ParamStore::load_from(&mut std::io::Cursor::new(cut)),
+            target.load_values_from(&mut std::io::Cursor::new(cut)),
             Err(CheckpointError::Truncated { .. })
         ));
         // Wrong magic.
         let mut bad = buf.clone();
         bad[0] = b'X';
         assert!(matches!(
-            ParamStore::load_from(&mut std::io::Cursor::new(&bad)),
+            target.load_values_from(&mut std::io::Cursor::new(&bad)),
             Err(CheckpointError::BadMagic { .. })
         ));
         // Future version.
         let mut future = buf.clone();
         future[8..12].copy_from_slice(&7u32.to_le_bytes());
         assert!(matches!(
-            ParamStore::load_from(&mut std::io::Cursor::new(&future)),
+            target.load_values_from(&mut std::io::Cursor::new(&future)),
             Err(CheckpointError::UnsupportedVersion { found: 7, .. })
         ));
 

@@ -42,11 +42,6 @@ impl TraditionalEstimator {
         TraditionalEstimator { stats, table_rows, model: CostModel::default() }
     }
 
-    /// The underlying cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.model
-    }
-
     /// Number of distinct values of a column (1 when unknown).
     fn ndv(&self, table: Name, column: Name) -> f64 {
         self.stats.get(&table).and_then(|t| t.get(&column)).map(|c| c.n_distinct() as f64).unwrap_or(1.0).max(1.0)

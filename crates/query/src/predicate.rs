@@ -80,14 +80,6 @@ impl Operand {
             _ => None,
         }
     }
-
-    /// The numeric content for numeric operands.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Operand::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Operand {
@@ -265,11 +257,6 @@ impl Predicate {
         tables
     }
 
-    /// Combine an iterator of predicates with AND; returns `None` when empty.
-    pub fn conjunction(preds: impl IntoIterator<Item = Predicate>) -> Option<Predicate> {
-        preds.into_iter().reduce(|a, b| a.and(b))
-    }
-
     /// Stream this predicate's structure into a signature hasher (see
     /// [`crate::sighash`]); distinguishes AND from OR and every atom field.
     pub fn hash_signature(&self, h: &mut crate::sighash::SigHasher) {
@@ -420,17 +407,6 @@ mod tests {
         assert!(!p.matches_row(&t, 0));
         let p = Predicate::atom("company_type", "missing_col", CompareOp::Eq, Operand::Num(1.0));
         assert!(!p.matches_row(&t, 0));
-    }
-
-    #[test]
-    fn conjunction_builder() {
-        let preds = vec![
-            Predicate::atom("t", "a", CompareOp::Gt, Operand::Num(1.0)),
-            Predicate::atom("t", "b", CompareOp::Lt, Operand::Num(2.0)),
-        ];
-        let c = Predicate::conjunction(preds).expect("non-empty");
-        assert_eq!(c.num_atoms(), 2);
-        assert!(Predicate::conjunction(std::iter::empty()).is_none());
     }
 
     #[test]

@@ -144,8 +144,8 @@ pub type BackendFactory = Box<dyn Fn() -> TenantBackend + Send + Sync>;
 
 /// Per-tenant state: the swappable model slot, the generation counter and
 /// an optional backend factory for checkpoint installs.
+#[derive(Default)]
 struct Tenant {
-    name: String,
     slot: RwLock<Option<Arc<TenantModel>>>,
     generations: AtomicU64,
     factory: RwLock<Option<BackendFactory>>,
@@ -158,16 +158,6 @@ struct Tenant {
 }
 
 impl Tenant {
-    fn new(name: &str) -> Self {
-        Tenant {
-            name: name.to_string(),
-            slot: RwLock::new(None),
-            generations: AtomicU64::new(0),
-            factory: RwLock::new(None),
-            feedback: RwLock::new(None),
-        }
-    }
-
     fn publish(&self, backend: TenantBackend) -> u64 {
         // Generation allocation and the slot store happen under one write
         // lock: with them decoupled, two racing publishes could install
@@ -208,7 +198,7 @@ impl ModelCatalog {
             return t;
         }
         let mut map = self.tenants.write();
-        Arc::clone(map.entry(name.to_string()).or_insert_with(|| Arc::new(Tenant::new(name))))
+        Arc::clone(map.entry(name.to_string()).or_default())
     }
 
     /// Publish a (fitted or checkpoint-loaded) backend under a name,
@@ -288,13 +278,6 @@ impl ModelCatalog {
     pub fn feedback(&self, name: &str) -> Option<Arc<TenantFeedback>> {
         self.tenant(name).and_then(|t| t.feedback.read().clone())
     }
-
-    /// Switch feedback capture off again.  Sessions observe it at their
-    /// next call; a controller still holding the `Arc` can drain what was
-    /// captured but sees nothing new.  Returns whether capture was on.
-    pub fn disable_feedback(&self, name: &str) -> bool {
-        self.tenant(name).is_some_and(|t| t.feedback.write().take().is_some())
-    }
 }
 
 /// A client handle scoped to one tenant.  Cheap to clone and `Send + Sync`;
@@ -306,11 +289,6 @@ pub struct Session {
 }
 
 impl Session {
-    /// The tenant this session is bound to.
-    pub fn tenant_name(&self) -> &str {
-        &self.tenant.name
-    }
-
     /// Pin the tenant's current model (or `None` before the first publish /
     /// after a remove-and-recreate race).
     pub fn model(&self) -> Option<Arc<TenantModel>> {

@@ -159,16 +159,6 @@ impl RefreshController {
         &self.window
     }
 
-    /// Labeled pairs currently buffered for the next fine-tune.
-    pub fn pending_pairs(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// The training replica (read-only; fine-tunes happen inside `tick`).
-    pub fn trainer(&self) -> &CostEstimator {
-        &self.trainer
-    }
-
     /// Run one capture→sample→detect→adapt cycle.  Cheap when the log is
     /// empty; executes at most `sample_budget` plans otherwise.  Never
     /// called on the serving path.

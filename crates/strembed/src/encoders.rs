@@ -2,16 +2,15 @@
 //!
 //! The feature extractor needs a fixed-width vector for the operand of a
 //! string predicate.  The paper compares several encodings; this module
-//! implements the ones evaluated:
+//! implements the ones this reproduction builds (see
+//! [`crate::StringEncoding`]):
 //!
 //! * [`HashBitmapEncoder`] — per-character hash bitmap (`TLSTMHash*`),
-//! * [`OneHotEncoder`] — one bit per known string (no generalization),
 //! * [`EmbeddingEncoder`] — skip-gram vectors behind prefix/suffix tries
 //!   (`TLSTMEmbNR*` without rules, `TLSTMEmbR*` / `TPoolEmbR*` with rules).
 
 use crate::trie::StringTrie;
 use query::CompareOp;
-use std::collections::HashMap;
 
 /// A fixed-width encoder of string operands.
 pub trait StringEncoder: Send + Sync {
@@ -69,41 +68,6 @@ impl StringEncoder for HashBitmapEncoder {
                 *bit = 1.0;
             }
         }
-    }
-}
-
-/// One-hot encoding over a fixed dictionary of strings; unseen strings map to
-/// the all-zero vector (the generalization failure the paper points out).
-#[derive(Debug, Clone)]
-pub struct OneHotEncoder {
-    positions: HashMap<String, usize>,
-    dim: usize,
-}
-
-impl OneHotEncoder {
-    /// Build from a dictionary of known strings.
-    pub fn new(strings: impl IntoIterator<Item = String>) -> Self {
-        let mut positions = HashMap::new();
-        for s in strings {
-            let next = positions.len();
-            positions.entry(s).or_insert(next);
-        }
-        let dim = positions.len().max(1);
-        OneHotEncoder { positions, dim }
-    }
-}
-
-impl StringEncoder for OneHotEncoder {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn encode(&self, s: &str, _op: CompareOp) -> Vec<f32> {
-        let mut v = vec![0.0; self.dim];
-        if let Some(&i) = self.positions.get(s) {
-            v[i] = 1.0;
-        }
-        v
     }
 }
 
@@ -201,16 +165,6 @@ mod tests {
                 assert_eq!(*y, 1.0);
             }
         }
-    }
-
-    #[test]
-    fn one_hot_known_and_unknown() {
-        let enc = OneHotEncoder::new(["top 250 rank".to_string(), "production companies".to_string()]);
-        assert_eq!(enc.dim(), 2);
-        let known = enc.encode("top 250 rank", CompareOp::Eq);
-        assert_eq!(known.iter().sum::<f32>(), 1.0);
-        let unknown = enc.encode("top 251 rank", CompareOp::Eq);
-        assert_eq!(unknown.iter().sum::<f32>(), 0.0);
     }
 
     fn embedding_encoder() -> EmbeddingEncoder {

@@ -15,9 +15,10 @@
 //!    sentence, so embeddings carry co-occurrence information.
 //! 4. [`trie`] — prefix and suffix tries storing the dictionary with its
 //!    vectors, supporting online longest-prefix / longest-suffix lookup.
-//! 5. [`encoders`] / [`embedder`] — the encoders compared in the paper
-//!    (hash bitmap, one-hot, embedding with and without rules) and the
-//!    end-to-end builder that assembles them from a database + workload.
+//! 5. [`encoders`] / [`embedder`] — the encoders of the paper's Table 9
+//!    variants this reproduction builds (hash bitmap, embedding with and
+//!    without rules) and the end-to-end builder that assembles them from a
+//!    database + workload.
 
 pub mod embedder;
 pub mod encoders;
@@ -27,7 +28,7 @@ pub mod skipgram;
 pub mod trie;
 
 pub use embedder::{build_string_encoder, EmbedderConfig, StringEncoding};
-pub use encoders::{EmbeddingEncoder, HashBitmapEncoder, OneHotEncoder, StringEncoder};
+pub use encoders::{EmbeddingEncoder, HashBitmapEncoder, StringEncoder};
 pub use rules::{candidate_rules, PatToken, Pattern, Rule, StringFunc};
 pub use selection::{select_rules, SelectedRules};
 pub use skipgram::{SkipGramConfig, SkipGramModel};

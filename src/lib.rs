@@ -10,8 +10,9 @@
 //! harnesses reproducing every table and figure of the paper's evaluation.
 //!
 //! This crate re-exports the individual workspace crates under stable names;
-//! see the `examples/` directory for end-to-end usage and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the system inventory and the per-experiment index.
+//! see the `examples/` directory for end-to-end usage, `docs/architecture.md`
+//! for the estimator backends, the checkpoint format and the serving
+//! runtime, and `docs/perf.md` for the hot paths and their recorded numbers.
 //!
 //! ## Quick start
 //!

@@ -146,6 +146,31 @@ fn v1_checkpoints_load_but_refuse_to_resume() {
 }
 
 #[test]
+fn mscn_fit_resumed_without_training_state_returns_unsupported() {
+    let db = golden_db();
+    let plans = golden_plans(&db, 3);
+    let enc = EncodingConfig::from_database(&db, 8, 32);
+    let config = MscnConfig { epochs: 2, hidden_dim: 16, ..Default::default() };
+    // Never fitted: the same typed refusal as the tree estimator's, and
+    // the estimator stays unfitted.
+    let mut fresh = MscnEstimator::new(db.clone(), enc.clone(), config);
+    assert!(matches!(fresh.fit_resumed(&plans), Err(CheckpointError::Unsupported(_))));
+    assert!(!fresh.is_fitted());
+    // A v1 load carries no training state: refused, and the loaded model
+    // still serves its recorded estimates.
+    let mut est = MscnEstimator::new(db.clone(), enc, config);
+    est.load_checkpoint_from(&fixture("golden_mscn_v1.ckpt")).expect("v1 MSCN golden checkpoint must load");
+    assert!(matches!(est.fit_resumed(&plans), Err(CheckpointError::Unsupported(_))));
+    for (estimate, &want) in est.estimate_many(&plans).iter().zip(GOLDEN_MSCN_BITS.iter()) {
+        assert_estimate_pinned(
+            estimate.cardinality.expect("cardinality slot"),
+            want,
+            "a refused resume must leave the v1 MSCN checkpoint serving its recorded estimate",
+        );
+    }
+}
+
+#[test]
 fn v3_reader_loads_v2_tree_golden_checkpoint_bit_identically() {
     let db = golden_db();
     let plans = golden_plans(&db, 3);
