@@ -3,7 +3,7 @@
 //! vs multitask.
 //!
 //! The curves are the per-epoch statistics the registry loop returns from
-//! the shared `TrainableEstimator::fit_plans`.
+//! the shared `Estimator::fit_plans`.
 use bench::{run_backend, EstimatorRegistry, Pipeline};
 use workloads::WorkloadKind;
 

@@ -45,7 +45,7 @@ fn main() {
     }
     let cpus = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
 
-    let pipeline = Pipeline::new();
+    let pipeline = Arc::new(Pipeline::new());
     let suite = pipeline.suite(WorkloadKind::JobLight);
     let train_plans: Vec<PlanNode> = suite.train.iter().map(|s| s.plan.clone()).collect();
     let n = train_plans.len();
@@ -90,16 +90,11 @@ fn main() {
     catalog.publish("tenant_a", TenantBackend::tree(tenant_a_v1));
     catalog.publish("tenant_b", TenantBackend::tree(tenant_b));
     catalog.register_factory("tenant_a", {
-        // The factory owns cheap clones of the pipeline parts it needs to
-        // rebuild the same estimator shape the tenant was trained with.
-        let db = pipeline.db.clone();
-        let enc = pipeline.enc_config.clone();
-        let scale = pipeline.scale;
+        // The factory shares the pipeline to rebuild the same estimator
+        // shape the tenant was trained with.
+        let pipeline = Arc::clone(&pipeline);
         let train = suite.train.clone();
-        Box::new(move || {
-            let p = Pipeline { db: db.clone(), scale, enc_config: enc.clone() };
-            TenantBackend::tree(p.serving_estimator(&train))
-        })
+        Box::new(move || TenantBackend::tree(pipeline.serving_estimator(&train)))
     });
 
     // --- Hot-swap latency. ---

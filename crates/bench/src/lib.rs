@@ -13,9 +13,10 @@
 use estimator_core::{CostEstimator, ModelConfig, PredicateModelKind, RepresentationCellKind, TaskMode, TrainConfig};
 use featurize::{EncodedPlan, EncodingConfig, FeatureExtractor};
 use imdb::{generate_imdb, Database, GeneratorConfig};
+use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
-use strembed::{build_string_encoder, EmbedderConfig, HashBitmapEncoder, StringEncoding};
+use std::sync::{Arc, Mutex};
+use strembed::{build_string_encoder, EmbedderConfig, HashBitmapEncoder, StringEncoder, StringEncoding};
 use workloads::{workload_strings, QuerySample, SuiteConfig, WorkloadKind, WorkloadSuite};
 
 pub mod registry;
@@ -255,11 +256,18 @@ impl BenchScale {
     }
 }
 
+/// Workload-built string encoders by encoding and workload strings.
+type StringEncoders = HashMap<(StringEncoding, Vec<String>), Arc<dyn StringEncoder>>;
+
 /// One experiment environment: database, feature configuration, workloads.
 pub struct Pipeline {
     pub db: Arc<Database>,
     pub scale: BenchScale,
     pub enc_config: EncodingConfig,
+    /// The string encoders built so far.  A rule-embedding build selects
+    /// rules and pre-trains skip-grams; every extractor built over the same
+    /// strings shares the immutable result.
+    string_encoders: Mutex<StringEncoders>,
 }
 
 impl Pipeline {
@@ -268,7 +276,7 @@ impl Pipeline {
         let scale = BenchScale::from_env();
         let db = Arc::new(generate_imdb(GeneratorConfig { n_titles: scale.n_titles, sample_size: 128, seed: 42 }));
         let enc_config = EncodingConfig::from_database(&db, 16, 128);
-        Pipeline { db, scale, enc_config }
+        Pipeline { db, scale, enc_config, string_encoders: Mutex::default() }
     }
 
     /// Build a workload suite of the given kind.
@@ -280,23 +288,28 @@ impl Pipeline {
         )
     }
 
-    /// Construct a feature extractor with the requested string encoding.
+    /// Construct a fresh feature extractor with the requested string
+    /// encoding.  A workload-built encoder is built on the first request
+    /// for its encoding and workload strings and shared after that.
     pub fn extractor(
         &self,
         encoding: Option<StringEncoding>,
         workload: &[QuerySample],
         use_samples: bool,
     ) -> FeatureExtractor {
-        let string_encoder: Arc<dyn strembed::StringEncoder> = match encoding {
+        let string_encoder: Arc<dyn StringEncoder> = match encoding {
             None => Arc::new(HashBitmapEncoder::new(16)),
             Some(kind) => {
-                let strings = workload_strings(workload);
-                build_string_encoder(
-                    &self.db,
-                    &strings,
-                    kind,
-                    EmbedderConfig { dim: 16, max_rows_per_table: 300, epochs: 2, ..Default::default() },
-                )
+                let mut built = self.string_encoders.lock().expect("no string encoder build panicked");
+                let encoder = built.entry((kind, workload_strings(workload))).or_insert_with_key(|(kind, strings)| {
+                    build_string_encoder(
+                        &self.db,
+                        strings,
+                        *kind,
+                        EmbedderConfig { dim: 16, max_rows_per_table: 300, epochs: 2, ..Default::default() },
+                    )
+                });
+                Arc::clone(encoder)
             }
         };
         let mut fx = FeatureExtractor::new(self.db.clone(), self.enc_config.clone(), string_encoder);

@@ -4,14 +4,15 @@
 //! setup (build extractor, pick model variant, fit, encode the test set,
 //! compute q-errors) — once per backend family, with three incompatible
 //! shapes.  [`EstimatorRegistry`] replaces that with a name → builder map
-//! over `Box<dyn TrainableEstimator>`, and [`run_backend`] is the one loop
+//! over `Box<dyn Estimator>`, and [`run_backend`] is the one loop
 //! every bench drives:
 //!
 //! 1. build the named backend for a pipeline + workload suite,
 //! 2. fit it once on the suite's training plans,
 //! 3. if the backend checkpoints: save, reload into a **freshly built**
-//!    instance and assert the reload serves identical estimates (the
-//!    warm-start guarantee, exercised on every bench run),
+//!    instance (a tree backend's fresh extractor shares the pipeline's
+//!    string encoder) and assert the reload serves identical estimates
+//!    (the warm-start guarantee, exercised on every bench run),
 //! 4. evaluate the test plans through the trait and return q-errors per
 //!    target the backend actually models.
 //!
@@ -20,9 +21,7 @@
 //! multitask backend map their row label onto the canonical backend name.
 
 use crate::Pipeline;
-use estimator_core::{
-    EpochStats, PlanEstimate, PredicateModelKind, RepresentationCellKind, TaskMode, TrainableEstimator,
-};
+use estimator_core::{EpochStats, Estimator, PlanEstimate, PredicateModelKind, RepresentationCellKind, TaskMode};
 use metrics::q_error;
 use mscn::{MscnConfig, MscnEstimator};
 use pgest::TraditionalEstimator;
@@ -32,12 +31,7 @@ use strembed::StringEncoding;
 use workloads::WorkloadSuite;
 
 /// Builds one backend instance for a pipeline + suite.
-///
-/// Instances are `Send + Sync` so a built (and fitted or
-/// checkpoint-loaded) backend can go straight into a multi-tenant
-/// `serving::ModelCatalog` slot as well as through the bench loop.
-pub type BackendBuilder =
-    Box<dyn Fn(&Pipeline, &WorkloadSuite) -> Box<dyn TrainableEstimator + Send + Sync> + Send + Sync>;
+pub type BackendBuilder = Box<dyn Fn(&Pipeline, &WorkloadSuite) -> Box<dyn Estimator> + Send + Sync>;
 
 /// Name-keyed backend builders.
 pub struct EstimatorRegistry {
@@ -64,12 +58,7 @@ impl EstimatorRegistry {
     ///
     /// # Panics
     /// Panics on an unknown name, listing the registered ones.
-    pub fn build(
-        &self,
-        name: &str,
-        pipeline: &Pipeline,
-        suite: &WorkloadSuite,
-    ) -> Box<dyn TrainableEstimator + Send + Sync> {
+    pub fn build(&self, name: &str, pipeline: &Pipeline, suite: &WorkloadSuite) -> Box<dyn Estimator> {
         let builder = self
             .builders
             .get(name)
@@ -124,7 +113,7 @@ impl EstimatorRegistry {
                 name,
                 Box::new(move |p: &Pipeline, s: &WorkloadSuite| {
                     Box::new(p.tree_estimator(&s.train, cell, predicate, task, encoding, use_samples))
-                        as Box<dyn TrainableEstimator + Send + Sync>
+                        as Box<dyn Estimator>
                 }),
             );
         }

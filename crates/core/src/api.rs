@@ -24,7 +24,7 @@
 //!
 //! All of them return the same bits for the same plan and weights.
 
-use crate::backend::{Estimator, EstimatorCapabilities, PlanEstimate, TrainableEstimator};
+use crate::backend::{Estimator, EstimatorCapabilities, PlanEstimate};
 use crate::batch::{estimate_batch, estimate_batch_memo, estimate_plans_memo};
 use crate::checkpoint;
 use crate::memory::SubtreeStateCache;
@@ -362,10 +362,6 @@ impl CostEstimator {
 }
 
 impl Estimator for CostEstimator {
-    fn backend_name(&self) -> &str {
-        "tree"
-    }
-
     fn capabilities(&self) -> EstimatorCapabilities {
         EstimatorCapabilities {
             cost: matches!(self.model_config.task, TaskMode::CostOnly | TaskMode::Multitask),
@@ -374,10 +370,12 @@ impl Estimator for CostEstimator {
         }
     }
 
-    fn estimate_one(&self, plan: &PlanNode) -> PlanEstimate {
-        let caps = self.capabilities();
-        let (cost, card) = self.estimate(plan);
-        PlanEstimate { cost: caps.cost.then_some(cost), cardinality: caps.cardinality.then_some(card) }
+    fn fit_plans(&mut self, plans: &[PlanNode]) -> Vec<EpochStats> {
+        self.fit(plans)
+    }
+
+    fn is_fitted(&self) -> bool {
+        CostEstimator::is_fitted(self)
     }
 
     fn estimate_many(&self, plans: &[PlanNode]) -> Vec<PlanEstimate> {
@@ -406,16 +404,6 @@ impl Estimator for CostEstimator {
 
     fn load_checkpoint_from(&mut self, path: &Path) -> Result<(), CheckpointError> {
         self.load_checkpoint(path)
-    }
-}
-
-impl TrainableEstimator for CostEstimator {
-    fn fit_plans(&mut self, plans: &[PlanNode]) -> Vec<EpochStats> {
-        self.fit(plans)
-    }
-
-    fn is_fitted(&self) -> bool {
-        CostEstimator::is_fitted(self)
     }
 }
 

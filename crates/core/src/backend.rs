@@ -2,9 +2,8 @@
 //!
 //! The paper's evaluation is comparative: the tree-structured model against
 //! the MSCN set model and a traditional histogram estimator, on the same
-//! workloads.  [`Estimator`] and [`TrainableEstimator`] are the contract
-//! all three families implement, so the planner, the benches and the
-//! serving layer drive any backend generically:
+//! workloads.  [`Estimator`] is the contract all three families implement,
+//! so the bench registry fits and evaluates any backend generically:
 //!
 //! * `CostEstimator` (this crate) — the tree model, both targets,
 //!   checkpointable;
@@ -49,26 +48,26 @@ impl PlanEstimate {
     }
 }
 
-/// A fitted (or statistics-backed) estimator over physical plans.
+/// An estimator over physical plans, fitted from executed (annotated)
+/// plans or backed by statistics.
 pub trait Estimator {
-    /// Stable backend identifier (used by registries and reports).
-    fn backend_name(&self) -> &str;
-
     /// Which targets this backend models and whether it checkpoints.
     fn capabilities(&self) -> EstimatorCapabilities;
 
-    /// Estimate one plan.
+    /// Fit the backend on annotated plans, returning the shared per-epoch
+    /// statistics (empty for backends with nothing iterative to train).
+    fn fit_plans(&mut self, plans: &[PlanNode]) -> Vec<EpochStats>;
+
+    /// True once the backend can serve estimates.
+    fn is_fitted(&self) -> bool;
+
+    /// Estimate each plan, in order, with the backend's batched inference
+    /// path.
     ///
     /// # Panics
     /// May panic if the backend requires fitting and has not been fitted;
-    /// use [`TrainableEstimator::is_fitted`] to check first.
-    fn estimate_one(&self, plan: &PlanNode) -> PlanEstimate;
-
-    /// Estimate many plans; backends override this with their batched
-    /// inference paths.
-    fn estimate_many(&self, plans: &[PlanNode]) -> Vec<PlanEstimate> {
-        plans.iter().map(|p| self.estimate_one(p)).collect()
-    }
+    /// use [`Estimator::is_fitted`] to check first.
+    fn estimate_many(&self, plans: &[PlanNode]) -> Vec<PlanEstimate>;
 
     /// Persist the fitted model (versioned binary checkpoint).
     fn save_checkpoint_to(&self, _path: &Path) -> Result<(), CheckpointError> {
@@ -83,30 +82,23 @@ pub trait Estimator {
     }
 }
 
-/// An estimator trained from executed (annotated) plans.
-pub trait TrainableEstimator: Estimator {
-    /// Fit the backend on annotated plans, returning the shared per-epoch
-    /// statistics (empty for backends with nothing iterative to train).
-    fn fit_plans(&mut self, plans: &[PlanNode]) -> Vec<EpochStats>;
-
-    /// True once the backend can serve estimates.
-    fn is_fitted(&self) -> bool;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     struct Fixed;
     impl Estimator for Fixed {
-        fn backend_name(&self) -> &str {
-            "fixed"
-        }
         fn capabilities(&self) -> EstimatorCapabilities {
             EstimatorCapabilities { cost: false, cardinality: true, checkpointable: false }
         }
-        fn estimate_one(&self, _plan: &PlanNode) -> PlanEstimate {
-            PlanEstimate { cost: None, cardinality: Some(42.0) }
+        fn fit_plans(&mut self, _plans: &[PlanNode]) -> Vec<EpochStats> {
+            Vec::new()
+        }
+        fn is_fitted(&self) -> bool {
+            true
+        }
+        fn estimate_many(&self, plans: &[PlanNode]) -> Vec<PlanEstimate> {
+            vec![PlanEstimate { cost: None, cardinality: Some(42.0) }; plans.len()]
         }
     }
 

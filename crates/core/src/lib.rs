@@ -16,10 +16,9 @@
 //!   each embedded sub-plan's estimate and `G‖R` state.
 //! * [`api`] — the [`CostEstimator`] façade downstream users interact with,
 //!   plus the thread-shareable [`ServingEstimator`] handle.
-//! * [`backend`] — the pluggable-backend contract ([`Estimator`] /
-//!   [`TrainableEstimator`]) the tree model, MSCN and the traditional
-//!   estimator all implement, so benches and serving drive any of them
-//!   generically.
+//! * [`backend`] — the pluggable-backend contract ([`Estimator`]) the tree
+//!   model, MSCN and the traditional estimator all implement, so the bench
+//!   registry fits and evaluates any of them generically.
 //! * [`checkpoint`] — the versioned binary tree-estimator checkpoint
 //!   (model config + normalization + extractor vocab + parameters) behind
 //!   [`CostEstimator::save_checkpoint`] / `load_checkpoint`.
@@ -33,7 +32,7 @@ pub mod model;
 pub mod trainer;
 
 pub use api::{CostEstimator, ServingEstimator};
-pub use backend::{Estimator, EstimatorCapabilities, PlanEstimate, TrainableEstimator};
+pub use backend::{Estimator, EstimatorCapabilities, PlanEstimate};
 pub use memory::SubtreeStateCache;
 pub use model::{ModelConfig, PredicateModelKind, RepresentationCellKind, TaskMode, TreeModel};
 pub use nn::checkpoint::CheckpointError;

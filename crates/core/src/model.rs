@@ -18,10 +18,9 @@ use nn::cells::CellOutput;
 use nn::{Graph, Linear, NodeId, PackedWeights, ParamStore, TreeLstmCell, TreeNnCell, Weights};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Which representation cell the representation layer uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepresentationCellKind {
     /// LSTM-style cell with the long-memory channel (the paper's design).
     Lstm,
@@ -30,7 +29,7 @@ pub enum RepresentationCellKind {
 }
 
 /// Which predicate embedding model is used.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredicateModelKind {
     /// Min/max tree pooling (AND → min, OR → max) — `TPool*`.
     MinMaxPool,
@@ -39,7 +38,7 @@ pub enum PredicateModelKind {
 }
 
 /// Which estimation targets are trained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskMode {
     CardinalityOnly,
     CostOnly,
@@ -48,7 +47,7 @@ pub enum TaskMode {
 }
 
 /// Hyper-parameters of the tree model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ModelConfig {
     pub cell: RepresentationCellKind,
     pub predicate: PredicateModelKind,

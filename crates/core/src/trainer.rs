@@ -16,11 +16,10 @@ pub use metrics::EpochStats;
 use nn::checkpoint::CheckpointError;
 use nn::loss::NormalizationStats;
 use nn::{Graph, Matrix, MiniBatchSchedule, TrainProgress};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Training hyper-parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TrainConfig {
     pub epochs: usize,
     pub batch_size: usize,
@@ -47,7 +46,7 @@ impl Default for TrainConfig {
 }
 
 /// Target normalization fitted on the training set.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TargetNormalization {
     pub cost: NormalizationStats,
     pub cardinality: NormalizationStats,

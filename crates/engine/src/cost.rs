@@ -9,13 +9,11 @@
 //! cost" used as the training target; applied to estimated cardinalities it
 //! is the traditional estimator's cost output (`PGCost`).
 
-use serde::{Deserialize, Serialize};
-
 /// Tuples per page used to convert row counts into page counts.
 const TUPLES_PER_PAGE: f64 = 64.0;
 
 /// Cost-model constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     pub seq_page_cost: f64,
     pub random_page_cost: f64,

@@ -84,7 +84,7 @@ mod tests {
     }
 
     #[test]
-    fn table_names_cover_schema() {
+    fn every_schema_table_is_generated() {
         let db = generate_imdb(GeneratorConfig::tiny());
         assert!(db.schema().tables.iter().all(|t| db.table(&t.name).is_some()));
         assert_eq!(db.table_rows("does_not_exist"), 0);

@@ -1,16 +1,14 @@
 //! Schema of the synthetic IMDB-like database and its PK-FK join graph.
 
-use serde::{Deserialize, Serialize};
-
 /// Data type of a column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColumnType {
     Int,
     Str,
 }
 
 /// Definition of a single column.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnDef {
     pub name: String,
     pub ty: ColumnType,
@@ -47,7 +45,7 @@ impl ColumnDef {
 }
 
 /// Definition of a table: its name and ordered column definitions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableDef {
     pub name: String,
     pub columns: Vec<ColumnDef>,
@@ -71,7 +69,7 @@ impl TableDef {
 }
 
 /// An undirected PK-FK join edge of the schema's join graph.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct JoinEdge {
     pub fk_table: String,
     pub fk_column: String,
@@ -80,7 +78,7 @@ pub struct JoinEdge {
 }
 
 /// The database schema: table definitions plus the derived join graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     pub tables: Vec<TableDef>,
 }
@@ -239,7 +237,7 @@ mod tests {
     }
 
     #[test]
-    fn edges_for_title_cover_fact_tables() {
+    fn join_edges_link_title_to_fact_tables() {
         let s = Schema::imdb();
         let edges = s.join_edges();
         let fk_tables: Vec<&str> = edges
@@ -253,7 +251,7 @@ mod tests {
     }
 
     #[test]
-    fn all_columns_and_indexes_nonempty() {
+    fn schema_has_columns_and_indexed_columns() {
         let s = Schema::imdb();
         assert!(s.all_columns().len() > 20);
         assert!(s.tables.iter().flat_map(|t| &t.columns).filter(|c| c.indexed).count() >= 10);

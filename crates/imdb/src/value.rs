@@ -1,13 +1,12 @@
 //! Scalar values stored in the synthetic database.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single cell value: either a 64-bit integer or a string.
 ///
 /// The IMDB schema used by the paper only needs these two types (years, ids,
 /// counts are integers; titles, notes, info strings are text).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Value {
     Int(i64),
     Str(String),
@@ -99,7 +98,7 @@ mod tests {
     }
 
     #[test]
-    fn value_ref_round_trips_and_hashes_like_value() {
+    fn value_ref_keys_hash_like_borrowed_values() {
         use std::collections::HashMap;
         let owned = Value::from("abc");
         // Borrowed keys behave like owned ones in a hash map.

@@ -8,13 +8,11 @@
 //! record both produce: the mean training loss, the mean validation q-error
 //! per target, and the epoch's wall time.
 
-use serde::{Deserialize, Serialize};
-
 /// Statistics of one training epoch (the validation curves of Figures 7/8).
 ///
 /// Single-task backends fill only the q-error field of the target they
 /// train; the other field is `f64::NAN` ("not trained"), never silently 1.0.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EpochStats {
     /// Epoch index, starting at 0.
     pub epoch: usize,

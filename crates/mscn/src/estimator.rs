@@ -2,9 +2,8 @@
 //!
 //! [`MscnEstimator`] packages the featurizer, the model configuration and a
 //! (possibly absent) fitted trainer into one object implementing
-//! [`estimator_core::Estimator`] / [`estimator_core::TrainableEstimator`],
-//! so the registry-driven bench loop and the serving layer treat MSCN
-//! exactly like the tree model — fit from annotated plans, batched
+//! [`estimator_core::Estimator`], so the registry-driven bench loop treats
+//! MSCN exactly like the tree model — fit from annotated plans, batched
 //! estimation, versioned checkpointing.  MSCN is single-task: the
 //! capability flags advertise only the target selected by
 //! [`MscnConfig::predict_cost`], and the other estimate slot stays `None`.
@@ -12,7 +11,7 @@
 use crate::featurize_query::{MscnFeaturizer, QuerySets};
 use crate::model::{MscnConfig, MscnModel, MscnTrainer};
 use estimator_core::checkpoint as vocab_ckpt;
-use estimator_core::{Estimator, EstimatorCapabilities, PlanEstimate, TrainableEstimator};
+use estimator_core::{Estimator, EstimatorCapabilities, PlanEstimate};
 use featurize::EncodingConfig;
 use imdb::Database;
 use metrics::EpochStats;
@@ -129,10 +128,6 @@ impl MscnEstimator {
 }
 
 impl Estimator for MscnEstimator {
-    fn backend_name(&self) -> &str {
-        "mscn"
-    }
-
     fn capabilities(&self) -> EstimatorCapabilities {
         EstimatorCapabilities {
             cost: self.config.predict_cost,
@@ -141,8 +136,12 @@ impl Estimator for MscnEstimator {
         }
     }
 
-    fn estimate_one(&self, plan: &PlanNode) -> PlanEstimate {
-        self.wrap(self.fitted().estimate(&self.featurizer.featurize(plan)))
+    fn fit_plans(&mut self, plans: &[PlanNode]) -> Vec<EpochStats> {
+        self.fit(plans)
+    }
+
+    fn is_fitted(&self) -> bool {
+        self.trainer.is_some()
     }
 
     fn estimate_many(&self, plans: &[PlanNode]) -> Vec<PlanEstimate> {
@@ -163,16 +162,6 @@ impl Estimator for MscnEstimator {
 
     fn load_checkpoint_from(&mut self, path: &Path) -> Result<(), CheckpointError> {
         self.load_impl(path, false)
-    }
-}
-
-impl TrainableEstimator for MscnEstimator {
-    fn fit_plans(&mut self, plans: &[PlanNode]) -> Vec<EpochStats> {
-        self.fit(plans)
-    }
-
-    fn is_fitted(&self) -> bool {
-        self.trainer.is_some()
     }
 }
 
@@ -218,7 +207,7 @@ mod tests {
     #[test]
     fn trait_driven_fit_and_estimate_respects_capabilities() {
         let (mut est, plans) = setup(false);
-        assert!(!TrainableEstimator::is_fitted(&est));
+        assert!(!Estimator::is_fitted(&est));
         let stats = est.fit_plans(&plans);
         assert_eq!(stats.len(), 3);
         assert!(stats.iter().all(|s| s.train_loss.is_finite()));
@@ -228,11 +217,9 @@ mod tests {
 
         let caps = est.capabilities();
         assert!(caps.cardinality && !caps.cost && caps.checkpointable);
-        let one = est.estimate_one(&plans[0]);
-        assert!(one.cost.is_none());
-        assert!(one.cardinality.expect("card slot").is_finite());
         let many = est.estimate_many(&plans);
         assert_eq!(many.len(), plans.len());
+        assert!(many.iter().all(|e| e.cost.is_none() && e.cardinality.expect("card slot").is_finite()));
     }
 
     mod resume_property {
@@ -326,7 +313,7 @@ mod tests {
 
         // Fresh-context reload.
         let (mut warm, _) = setup(true);
-        assert!(!TrainableEstimator::is_fitted(&warm));
+        assert!(!Estimator::is_fitted(&warm));
         warm.load_checkpoint_from(&path).expect("load");
         let after: Vec<u64> = warm.estimate_many(&plans).iter().map(|e| e.cost.expect("cost slot").to_bits()).collect();
         assert_eq!(before, after, "reloaded MSCN checkpoint must serve bit-identical estimates");

@@ -120,10 +120,6 @@ impl TraditionalEstimator {
 }
 
 impl estimator_core::Estimator for TraditionalEstimator {
-    fn backend_name(&self) -> &str {
-        "pgest"
-    }
-
     fn capabilities(&self) -> estimator_core::EstimatorCapabilities {
         // Histograms estimate both targets; there is no learned state to
         // persist — "training" is ANALYZE, which rebuilds from the database
@@ -131,14 +127,6 @@ impl estimator_core::Estimator for TraditionalEstimator {
         estimator_core::EstimatorCapabilities { cost: true, cardinality: true, checkpointable: false }
     }
 
-    fn estimate_one(&self, plan: &PlanNode) -> estimator_core::PlanEstimate {
-        let mut annotated = plan.clone();
-        let (card, cost) = self.estimate_plan(&mut annotated);
-        estimator_core::PlanEstimate::both(cost, card)
-    }
-}
-
-impl estimator_core::TrainableEstimator for TraditionalEstimator {
     /// Nothing iterative to train: the statistics were built by
     /// [`TraditionalEstimator::analyze`].  Returns no epochs.
     fn fit_plans(&mut self, _plans: &[PlanNode]) -> Vec<metrics::EpochStats> {
@@ -147,6 +135,18 @@ impl estimator_core::TrainableEstimator for TraditionalEstimator {
 
     fn is_fitted(&self) -> bool {
         true
+    }
+
+    /// Each plan through [`TraditionalEstimator::estimate_plan`] on a copy,
+    /// so the caller's plans stay unannotated.
+    fn estimate_many(&self, plans: &[PlanNode]) -> Vec<estimator_core::PlanEstimate> {
+        plans
+            .iter()
+            .map(|plan| {
+                let (card, cost) = self.estimate_plan(&mut plan.clone());
+                estimator_core::PlanEstimate::both(cost, card)
+            })
+            .collect()
     }
 }
 
@@ -253,24 +253,23 @@ mod tests {
 
     #[test]
     fn trait_driven_estimation_fills_both_slots() {
-        use estimator_core::{Estimator, TrainableEstimator};
+        use estimator_core::Estimator;
         let db = db();
         let mut est = TraditionalEstimator::analyze(&db);
-        assert!(TrainableEstimator::is_fitted(&est));
+        assert!(est.is_fitted());
         assert!(est.fit_plans(&[]).is_empty());
         let caps = est.capabilities();
         assert!(caps.cost && caps.cardinality && !caps.checkpointable);
 
         let pred = Predicate::atom("title", "production_year", CompareOp::Gt, Operand::Num(1990.0));
         let plan = PlanNode::leaf(PhysicalOp::SeqScan { table: "title".into(), predicate: Some(pred) });
-        let one = est.estimate_one(&plan);
+        let one = est.estimate_many(std::slice::from_ref(&plan))[0];
         // Trait estimates agree with the inherent (annotating) path, and the
         // input plan is left unannotated.
         let (card, cost) = est.estimate_plan(&mut plan.clone());
         assert_eq!(one.cost, Some(cost));
         assert_eq!(one.cardinality, Some(card));
         assert!(plan.annotations.estimated_cardinality.is_none());
-        assert_eq!(est.estimate_many(std::slice::from_ref(&plan)), vec![one]);
         // Checkpointing is a typed refusal, not a panic.
         assert!(matches!(
             est.save_checkpoint_to(std::path::Path::new("/tmp/pg.ckpt")),

@@ -6,12 +6,11 @@
 
 use crate::name::Name;
 use crate::predicate::Predicate;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// An equi-join predicate between two tables' integer columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JoinPredicate {
     pub left_table: Name,
     pub left_column: Name,
@@ -54,7 +53,7 @@ impl fmt::Display for JoinPredicate {
 }
 
 /// Aggregate function applied to a projected column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Aggregate {
     None,
     Min,
@@ -63,7 +62,7 @@ pub enum Aggregate {
 }
 
 /// A projected output column with an optional aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Projection {
     pub table: Name,
     pub column: Name,
@@ -71,7 +70,7 @@ pub struct Projection {
 }
 
 /// A logical SPJA query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogicalQuery {
     /// Tables involved, in no particular order.
     pub tables: Vec<Name>,

@@ -8,11 +8,10 @@
 use crate::like::like_match;
 use crate::name::Name;
 use imdb::{Table, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Comparison operator of an atomic predicate (Table 2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompareOp {
     Eq,
     Ne,
@@ -65,7 +64,7 @@ impl fmt::Display for CompareOp {
 }
 
 /// Right-hand side of an atomic predicate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Operand {
     Num(f64),
     Str(String),
@@ -102,7 +101,7 @@ impl fmt::Display for Operand {
 }
 
 /// An atomic predicate `table.column op operand`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AtomPredicate {
     pub table: Name,
     pub column: Name,
@@ -170,7 +169,7 @@ impl fmt::Display for AtomPredicate {
 }
 
 /// A predicate expression tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     Atom(AtomPredicate),
     And(Box<Predicate>, Box<Predicate>),

@@ -11,77 +11,46 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One catalog entry's backend: either the tree estimator (which brings the
-/// encoded fast path and the owned serving handle) or any other
-/// [`Estimator`] behind the generic trait.
-pub enum TenantBackend {
-    /// The paper's tree model — full serving feature set.  Boxed: the tree
-    /// estimator is an order of magnitude larger than a trait-object
-    /// pointer, and the backend is moved around during publish.
-    Tree(Box<CostEstimator>),
-    /// Any other backend (MSCN, the traditional estimator, ...), served
-    /// through [`Estimator::estimate_many`].
-    Dyn(Box<dyn Estimator + Send + Sync>),
-}
+/// One catalog entry's backend: the paper's tree estimator, which brings
+/// the encoded fast path and the owned serving handle.
+pub struct TenantBackend(CostEstimator);
 
 impl TenantBackend {
-    /// Wrap a tree estimator (convenience over boxing at every call site).
+    /// Wrap a tree estimator.
     pub fn tree(estimator: CostEstimator) -> Self {
-        TenantBackend::Tree(Box::new(estimator))
-    }
-
-    fn as_estimator(&self) -> &(dyn Estimator + Send + Sync) {
-        match self {
-            TenantBackend::Tree(est) => est.as_ref(),
-            TenantBackend::Dyn(b) => b.as_ref(),
-        }
-    }
-
-    fn load_checkpoint(&mut self, path: &Path) -> Result<(), CheckpointError> {
-        match self {
-            TenantBackend::Tree(est) => est.load_checkpoint(path),
-            TenantBackend::Dyn(b) => b.load_checkpoint_from(path),
-        }
+        TenantBackend(estimator)
     }
 }
 
-/// One immutable published model: the backend, its generation number and —
-/// for fitted tree backends — the owned serving handle minted at publish
-/// time.  Sessions pin an `Arc<TenantModel>` per call; a
+/// One immutable published model: the tree estimator, its generation number
+/// and — once fitted — the owned serving handle minted at publish time.
+/// Sessions pin an `Arc<TenantModel>` per call; a
 /// hot-swap replaces the tenant's slot with a new `TenantModel` and never
 /// mutates this one, so an in-flight batch completes on exactly the weights
 /// and caches it started with.
 pub struct TenantModel {
-    backend: TenantBackend,
+    tree: CostEstimator,
     generation: u64,
     aggregator: Option<BatchAggregator>,
 }
 
 impl TenantModel {
-    fn new(backend: TenantBackend, generation: u64) -> Self {
-        let aggregator = match &backend {
-            TenantBackend::Tree(est) if est.is_fitted() => Some(BatchAggregator::new(est.serving())),
-            _ => None,
-        };
-        TenantModel { backend, generation, aggregator }
+    fn new(TenantBackend(tree): TenantBackend, generation: u64) -> Self {
+        let aggregator = tree.is_fitted().then(|| BatchAggregator::new(tree.serving()));
+        TenantModel { tree, generation, aggregator }
     }
 
-    /// The generic estimator view of this model.
-    pub fn estimator(&self) -> &(dyn Estimator + Send + Sync) {
-        self.backend.as_estimator()
-    }
-
-    /// The tree backend, when this tenant serves one (the encoded fast
-    /// path: `encode`, owned serving handles, per-model caches).
+    /// The tree estimator this tenant serves (the encoded fast path:
+    /// `encode`, owned serving handles, per-model caches).  Always `Some`,
+    /// since the catalog serves only the tree model; the `Option` stays
+    /// because optbench reads it, until ROADMAP item 2's benchmark change
+    /// may make it plain.
     pub fn tree(&self) -> Option<&CostEstimator> {
-        match &self.backend {
-            TenantBackend::Tree(est) => Some(est),
-            TenantBackend::Dyn(_) => None,
-        }
+        Some(&self.tree)
     }
 
-    /// The publish-time serving handle and its call count (fitted tree
-    /// backends only).
+    /// The publish-time serving handle and its call count (fitted models
+    /// only).
     pub fn aggregator(&self) -> Option<&BatchAggregator> {
         self.aggregator.as_ref()
     }
@@ -233,7 +202,7 @@ impl ModelCatalog {
                 factory.as_ref().ok_or(CheckpointError::Unsupported("tenant has no backend factory registered"))?;
             build()
         };
-        backend.load_checkpoint(path.as_ref())?;
+        backend.0.load_checkpoint(path.as_ref())?;
         Ok(tenant.publish(backend))
     }
 
@@ -300,22 +269,18 @@ impl Session {
         self.model().map(|m| m.generation())
     }
 
-    /// Estimate physical plans through the pinned model's generic trait
-    /// path.  `None` when the tenant has no published model or serves an
-    /// unfitted tree model.
+    /// Estimate physical plans through the pinned model's
+    /// [`Estimator::estimate_many`].  `None` when the tenant has no
+    /// published model or serves an unfitted one.
     pub fn estimate_plans(&self, plans: &[PlanNode]) -> Option<Vec<PlanEstimate>> {
         let model = self.model()?;
-        if model.tree().is_some_and(|est| !est.is_fitted()) {
-            return None;
-        }
-        Some(model.estimator().estimate_many(plans))
+        model.tree.is_fitted().then(|| model.tree.estimate_many(plans))
     }
 
-    /// Tree-backend fast path: estimate already-encoded plans with the
-    /// pinned model's [`ServingEstimator::estimate_encoded_batch`], on the
-    /// calling thread, then record them for feedback when capture is on.
-    /// `None` when no model is published or the backend is not a fitted tree
-    /// estimator.
+    /// The fast path: estimate already-encoded plans with the pinned model's
+    /// [`ServingEstimator::estimate_encoded_batch`], on the calling thread,
+    /// then record them for feedback when capture is on.  `None` when no
+    /// model is published or it is not fitted.
     ///
     /// Encoded plans are tied to the feature vocabulary they were encoded
     /// under; across a hot-swap of a model with the *same* vocabulary
@@ -335,8 +300,7 @@ impl Session {
     /// also registered (annotations cleared) under its signature so the
     /// refresh loop can execute it for ground truth later.
     pub fn encode(&self, plan: &PlanNode) -> Option<EncodedPlan> {
-        let model = self.model()?;
-        let encoded = model.tree()?.encode(plan);
+        let encoded = self.model()?.tree.encode(plan);
         if let Some(feedback) = self.tenant.feedback.read().as_ref() {
             feedback.registry().register(encoded.signature, plan);
         }
@@ -352,10 +316,9 @@ impl Session {
     /// takes the roots as they are.  Feedback registration is preserved:
     /// with capture enabled, each plan is registered under its signature
     /// exactly as the one-at-a-time path does.  `None` when no model is
-    /// published or the backend is not the tree estimator.
+    /// published.
     pub fn encode_batch(&self, plans: &[PlanNode]) -> Option<Vec<Arc<EncodedPlan>>> {
-        let model = self.model()?;
-        let encoded = model.tree()?.encode_plans(plans);
+        let encoded = self.model()?.tree.encode_plans(plans);
         if let Some(feedback) = self.tenant.feedback.read().as_ref() {
             for (enc, plan) in encoded.iter().zip(plans) {
                 feedback.registry().register(enc.signature, plan);
@@ -365,8 +328,8 @@ impl Session {
     }
 
     /// Record a served batch into the tenant's feedback log, when capture is
-    /// enabled.  One uncontended `RwLock` read per batch on the hot path;
-    /// the log pushes themselves are sharded ring-buffer appends.
+    /// enabled.  One uncontended `RwLock` read per batch on the hot path,
+    /// then one lock of the log for the whole batch.
     fn capture<P: Borrow<EncodedPlan>>(&self, plans: &[P], estimates: &[(f64, f64)]) {
         if let Some(feedback) = self.tenant.feedback.read().as_ref() {
             feedback.log().record_batch(plans.iter().map(|p| &p.borrow().signature).zip(estimates.iter()));
@@ -446,6 +409,12 @@ mod tests {
         assert_eq!(card_bits(&sa.estimate_plans(&plans).expect("a")), card_bits(&want_a));
         assert_eq!(card_bits(&sb.estimate_plans(&plans).expect("b")), card_bits(&want_b));
         assert!(catalog.session("nope").is_none());
+        // A removed tenant is no longer found, and a session that holds it
+        // keeps serving.
+        assert!(catalog.remove("tenant_b"));
+        assert!(catalog.session("tenant_b").is_none());
+        assert_eq!(catalog.names(), vec!["tenant_a".to_string()]);
+        assert_eq!(card_bits(&sb.estimate_plans(&plans).expect("b")), card_bits(&want_b));
     }
 
     #[test]
@@ -475,7 +444,7 @@ mod tests {
         // A pinned model survives the swap it predates...
         let pinned_b1 = sb.model().expect("pinned");
         catalog.publish("b", TenantBackend::tree(b2));
-        assert_eq!(card_bits(&pinned_b1.estimator().estimate_many(&plans)), want_b1);
+        assert_eq!(card_bits(&pinned_b1.tree().expect("tree").estimate_many(&plans)), want_b1);
         // ...while the session observes the swap at its next call.
         assert_eq!(sb.generation(), Some(2));
         assert_eq!(card_bits(&sb.estimate_plans(&plans).expect("b")), want_b2);
@@ -586,15 +555,16 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Review regression: generation allocation and the slot store must be
-    /// one atomic step — with them decoupled, racing publishes could
-    /// install models in the opposite order of their generation numbers
-    /// and leave the tenant serving an older model than `publish` reported.
+    /// Generation allocation and the slot store must be one atomic step —
+    /// with them decoupled, racing publishes could install models in the
+    /// opposite order of their generation numbers and leave the tenant
+    /// serving an older model than `publish` reported.  The published
+    /// estimators are unfitted: only the generations matter here.
     #[test]
     fn concurrent_publishes_never_regress_the_served_generation() {
         let db = Arc::new(generate_imdb(GeneratorConfig::tiny()));
         let catalog = ModelCatalog::new();
-        catalog.publish("m", TenantBackend::Dyn(Box::new(pgest::TraditionalEstimator::analyze(&db))));
+        catalog.publish("m", TenantBackend::tree(make_estimator(&db, 1)));
         const THREADS: usize = 8;
         const PER_THREAD: usize = 20;
         std::thread::scope(|scope| {
@@ -603,8 +573,7 @@ mod tests {
                 scope.spawn(move || {
                     let mut last_seen = 0;
                     for _ in 0..PER_THREAD {
-                        let mine = catalog
-                            .publish("m", TenantBackend::Dyn(Box::new(pgest::TraditionalEstimator::analyze(db))));
+                        let mine = catalog.publish("m", TenantBackend::tree(make_estimator(db, 1)));
                         // The served generation may already be past ours,
                         // but it must never move backwards.
                         let served = catalog.current("m").expect("published").generation();
@@ -746,22 +715,5 @@ mod tests {
         assert_eq!(estimate_bits(&served), estimate_bits(&expected));
         // Both calls count, the one that panicked included.
         assert_eq!(served_calls(&catalog), 2);
-    }
-
-    #[test]
-    fn dyn_backends_serve_through_the_catalog() {
-        let db = Arc::new(generate_imdb(GeneratorConfig::tiny()));
-        let plans = executed_plans(&db, 8);
-        let pg = pgest::TraditionalEstimator::analyze(&db);
-        let want = pg.estimate_many(&plans);
-        let catalog = ModelCatalog::new();
-        catalog.publish("pg", TenantBackend::Dyn(Box::new(pg)));
-        let s = catalog.session("pg").expect("pg");
-        assert_eq!(s.estimate_plans(&plans).expect("pg"), want);
-        // No tree fast path on a dyn backend.
-        assert!(s.encode(&plans[0]).is_none());
-        assert!(s.estimate_encoded::<EncodedPlan>(&[]).is_none());
-        assert!(catalog.remove("pg"));
-        assert!(catalog.session("pg").is_none());
     }
 }

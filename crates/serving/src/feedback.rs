@@ -7,13 +7,12 @@
 //! compare truth against the recorded estimate, and decide whether the
 //! model has drifted.
 //!
-//! Two pieces, both bounded and sharded so the hot path never blocks on a
-//! global lock and memory cannot grow with traffic:
+//! Two pieces, each bounded and behind one mutex, so memory cannot grow
+//! with traffic and a served batch takes each lock at most once:
 //!
-//! * [`FeedbackLog`] — a sharded ring buffer of [`FeedbackRecord`]s.
-//!   Writers take one shard mutex (selected by signature bits) for a push
-//!   onto a `VecDeque`; when a shard is full the oldest record is
-//!   overwritten, never the writer blocked.
+//! * [`FeedbackLog`] — a ring buffer of [`FeedbackRecord`]s.  A served
+//!   batch is pushed under one lock; once the ring is full the oldest
+//!   record is overwritten, never the writer blocked.
 //! * [`PlanRegistry`] — a bounded signature → plan map, filled by
 //!   [`crate::Session::encode`].  The log stores 8-byte signatures, not
 //!   plans; the registry turns a sampled signature back into an executable
@@ -30,7 +29,6 @@ use query::plan::NodeAnnotations;
 use query::PlanNode;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One served estimate, as remembered by the [`FeedbackLog`].
@@ -45,128 +43,61 @@ pub struct FeedbackRecord {
     pub cardinality: f64,
 }
 
-/// Number of independently-locked shards.  Requests hash across shards by
-/// signature, so concurrent writers from different sessions rarely contend;
-/// a power of two keeps shard selection a mask.
-const LOG_SHARDS: usize = 8;
-// `record_batch` marks the shards a batch touches in a `u32`.
-const _: () = assert!(LOG_SHARDS <= 32);
-
-struct LogShard {
-    buf: VecDeque<FeedbackRecord>,
+/// The ring and its counters, guarded together by the log's mutex.
+struct Ring {
+    records: VecDeque<FeedbackRecord>,
+    recorded: u64,
+    overwritten: u64,
 }
 
-/// A bounded, sharded ring buffer of served-estimate records.
+/// A bounded ring buffer of served-estimate records.
 ///
 /// Total memory is `capacity * size_of::<FeedbackRecord>()` regardless of
-/// how much traffic is served: once a shard fills, each push overwrites that
-/// shard's oldest record.  [`FeedbackLog::total_recorded`] and
-/// [`FeedbackLog::total_overwritten`] expose the pressure so operators can
-/// size the log against their sampling cadence.
+/// how much traffic is served: the log holds the newest `capacity` records,
+/// and once it is full each push overwrites the oldest.
+/// [`FeedbackLog::total_recorded`] and [`FeedbackLog::total_overwritten`]
+/// expose the pressure so operators can size the log against their
+/// sampling cadence.
 pub struct FeedbackLog {
-    shards: Vec<Mutex<LogShard>>,
-    shard_capacity: usize,
-    recorded: AtomicU64,
-    overwritten: AtomicU64,
+    ring: Mutex<Ring>,
+    capacity: usize,
 }
 
 impl FeedbackLog {
-    /// A log holding at most (about) `capacity` records; `capacity` is
-    /// rounded up to a multiple of the shard count.
+    /// A log holding the newest `capacity` records (at least one).
     pub fn new(capacity: usize) -> Self {
-        let shard_capacity = capacity.div_ceil(LOG_SHARDS).max(1);
-        FeedbackLog {
-            shards: (0..LOG_SHARDS)
-                .map(|_| Mutex::new(LogShard { buf: VecDeque::with_capacity(shard_capacity) }))
-                .collect(),
-            shard_capacity,
-            recorded: AtomicU64::new(0),
-            overwritten: AtomicU64::new(0),
-        }
+        let capacity = capacity.max(1);
+        let ring = Ring { records: VecDeque::with_capacity(capacity), recorded: 0, overwritten: 0 };
+        FeedbackLog { ring: Mutex::new(ring), capacity }
     }
 
-    /// Bits 0–2 xor bits 32–34, the same fold as the plan registry's; the
-    /// sharded caches pick their shards from bits 32–35.
-    #[inline]
-    fn shard_index(signature: u64) -> usize {
-        ((signature >> 32) ^ signature) as usize & (LOG_SHARDS - 1)
-    }
-
-    #[inline]
-    fn shard_of(&self, signature: u64) -> &Mutex<LogShard> {
-        &self.shards[Self::shard_index(signature)]
-    }
-
-    /// Record one served estimate.  O(1), one shard mutex, never blocks on
-    /// capacity: the shard's oldest record is overwritten instead.
-    pub fn record(&self, record: FeedbackRecord) {
-        let mut shard = self.shard_of(record.signature).lock();
-        if shard.buf.len() >= self.shard_capacity {
-            shard.buf.pop_front();
-            self.overwritten.fetch_add(1, Ordering::Relaxed);
-        }
-        shard.buf.push_back(record);
-        drop(shard);
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a whole served batch.  The batch costs at most one lock per
-    /// *shard* (not per record) and two counter updates total — the
-    /// difference between ~1% and ~10% overhead when the serving path is all
-    /// cache hits — and no allocation: records are grouped in place, one
-    /// pass to find the shards the batch touches, then one pass per touched
-    /// shard under its lock, so each shard receives its records in batch
-    /// order.
+    /// Record a whole served batch, in order, under one lock.  Never blocks
+    /// on capacity (the oldest records are overwritten instead) and never
+    /// allocates: the ring is sized at construction.
     pub fn record_batch<'a, I>(&self, estimates: I)
     where
         I: IntoIterator<Item = (&'a u64, &'a (f64, f64))>,
-        I::IntoIter: Clone,
     {
-        let estimates = estimates.into_iter();
-        let mut touched = 0u32;
-        let mut total = 0u64;
-        for (&signature, _) in estimates.clone() {
-            touched |= 1 << Self::shard_index(signature);
-            total += 1;
-        }
-        let mut overwritten = 0u64;
-        while touched != 0 {
-            let idx = touched.trailing_zeros() as usize;
-            touched &= touched - 1;
-            let mut shard = self.shards[idx].lock();
-            for (&signature, &(cost, cardinality)) in estimates.clone() {
-                if Self::shard_index(signature) != idx {
-                    continue;
-                }
-                if shard.buf.len() >= self.shard_capacity {
-                    shard.buf.pop_front();
-                    overwritten += 1;
-                }
-                shard.buf.push_back(FeedbackRecord { signature, cost, cardinality });
+        let mut ring = self.ring.lock();
+        for (&signature, &(cost, cardinality)) in estimates {
+            if ring.records.len() == self.capacity {
+                ring.records.pop_front();
+                ring.overwritten += 1;
             }
-        }
-        if total > 0 {
-            self.recorded.fetch_add(total, Ordering::Relaxed);
-        }
-        if overwritten > 0 {
-            self.overwritten.fetch_add(overwritten, Ordering::Relaxed);
+            ring.records.push_back(FeedbackRecord { signature, cost, cardinality });
+            ring.recorded += 1;
         }
     }
 
-    /// Take every currently-held record out of the log (the sampling
-    /// policy's consumption step).  Shards are drained one at a time, so
-    /// records racing in during the drain land in the next cycle.
+    /// Take every currently-held record out of the log, oldest first (the
+    /// sampling policy's consumption step).
     pub fn drain(&self) -> Vec<FeedbackRecord> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.lock().buf.drain(..));
-        }
-        out
+        self.ring.lock().records.drain(..).collect()
     }
 
     /// Number of records currently held.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().buf.len()).sum()
+        self.ring.lock().records.len()
     }
 
     /// True when no records are held.
@@ -176,17 +107,17 @@ impl FeedbackLog {
 
     /// Upper bound on records held at any instant.
     pub fn capacity(&self) -> usize {
-        self.shard_capacity * LOG_SHARDS
+        self.capacity
     }
 
     /// Total records ever pushed (including later-overwritten ones).
     pub fn total_recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
+        self.ring.lock().recorded
     }
 
     /// Records lost to ring overwrite since creation.
     pub fn total_overwritten(&self) -> u64 {
-        self.overwritten.load(Ordering::Relaxed)
+        self.ring.lock().overwritten
     }
 }
 
@@ -198,52 +129,30 @@ impl FeedbackLog {
 /// [`PlanRegistry::remove`]); signatures are structural hashes, so the plan
 /// under a signature never changes and overwriting would be pure churn.
 pub struct PlanRegistry {
-    shards: Vec<Mutex<HashMap<u64, Arc<PlanNode>>>>,
+    plans: Mutex<HashMap<u64, Arc<PlanNode>>>,
     capacity: usize,
-    len: AtomicU64,
 }
-
-/// Shard count for the registry; see [`LOG_SHARDS`].
-const REGISTRY_SHARDS: usize = 8;
 
 impl PlanRegistry {
     /// A registry remembering at most `capacity` distinct plans.
     pub fn new(capacity: usize) -> Self {
-        PlanRegistry {
-            shards: (0..REGISTRY_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            capacity,
-            len: AtomicU64::new(0),
-        }
-    }
-
-    #[inline]
-    fn shard_of(&self, signature: u64) -> &Mutex<HashMap<u64, Arc<PlanNode>>> {
-        let idx = ((signature >> 32) ^ signature) as usize & (REGISTRY_SHARDS - 1);
-        &self.shards[idx]
+        PlanRegistry { plans: Mutex::new(HashMap::new()), capacity }
     }
 
     /// Remember `plan` under `signature` unless the signature is already
-    /// registered or the registry is full.  The stored copy has **all
-    /// annotations cleared**: a sampled plan must be re-executed for ground
-    /// truth, not trusted to carry an up-to-date label from whenever it was
-    /// first seen.  Returns whether the plan was newly inserted.
-    ///
-    /// A new plan reserves its place in `len` before it is inserted, so
-    /// registrants racing on different shards can never together pass the
-    /// bound; a reservation over the bound is given back.
+    /// registered or the registry is full; the bound is checked under the
+    /// registry's lock.  The stored copy has **all annotations cleared**: a
+    /// sampled plan must be re-executed for ground truth, not trusted to
+    /// carry an up-to-date label from whenever it was first seen.  Returns
+    /// whether the plan was newly inserted.
     pub fn register(&self, signature: u64, plan: &PlanNode) -> bool {
-        let capacity = self.capacity as u64;
-        if self.len.load(Ordering::Relaxed) >= capacity {
+        let mut plans = self.plans.lock();
+        if plans.len() >= self.capacity {
             return false;
         }
-        let mut shard = self.shard_of(signature).lock();
-        let Entry::Vacant(slot) = shard.entry(signature) else {
+        let Entry::Vacant(slot) = plans.entry(signature) else {
             return false;
         };
-        if self.len.fetch_add(1, Ordering::Relaxed) >= capacity {
-            self.len.fetch_sub(1, Ordering::Relaxed);
-            return false;
-        }
         let mut clean = plan.clone();
         clean.visit_postorder_mut(&mut |n| n.annotations = NodeAnnotations::default());
         slot.insert(Arc::new(clean));
@@ -252,21 +161,17 @@ impl PlanRegistry {
 
     /// Look up the plan registered under `signature`.
     pub fn get(&self, signature: u64) -> Option<Arc<PlanNode>> {
-        self.shard_of(signature).lock().get(&signature).cloned()
+        self.plans.lock().get(&signature).cloned()
     }
 
     /// Forget a signature, freeing capacity.
     pub fn remove(&self, signature: u64) -> bool {
-        let removed = self.shard_of(signature).lock().remove(&signature).is_some();
-        if removed {
-            self.len.fetch_sub(1, Ordering::Relaxed);
-        }
-        removed
+        self.plans.lock().remove(&signature).is_some()
     }
 
     /// Number of registered plans.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed) as usize
+        self.plans.lock().len()
     }
 
     /// True when nothing is registered.
@@ -326,39 +231,46 @@ impl TenantFeedback {
 mod tests {
     use super::*;
     use query::PhysicalOp;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn record(signature: u64) -> FeedbackRecord {
-        FeedbackRecord { signature, cost: 10.0, cardinality: 20.0 }
+    /// Record one estimate for `signature` as a batch of one.
+    fn push(log: &FeedbackLog, signature: u64) {
+        log.record_batch([(&signature, &(10.0, 20.0))]);
     }
 
     #[test]
     fn log_round_trips_records() {
         let log = FeedbackLog::new(64);
-        log.record(FeedbackRecord { signature: 7, cost: 1.5, cardinality: 2.5 });
+        log.record_batch([(&7, &(1.5, 2.5))]);
         assert_eq!(log.len(), 1);
         let drained = log.drain();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].signature, 7);
+        assert_eq!(drained, vec![FeedbackRecord { signature: 7, cost: 1.5, cardinality: 2.5 }]);
         assert!(log.is_empty(), "drain must empty the log");
         assert_eq!(log.total_recorded(), 1);
     }
 
+    /// Batches of 16 mixed signatures overflow a log whose capacity is no
+    /// multiple of the batch: it must hold exactly the newest `capacity`
+    /// records, in push order.
     #[test]
-    fn record_batch_matches_one_record_at_a_time() {
-        // One slot per shard forces overwrites, so the survivor of each
-        // shard shows whether the batch kept its order within the shard.
-        let (batched, single) = (FeedbackLog::new(LOG_SHARDS), FeedbackLog::new(LOG_SHARDS));
-        let signatures: Vec<u64> = (0..40u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
-        let estimates: Vec<(f64, f64)> = (0..40).map(|i| (i as f64, 2.0 * i as f64 + 1.0)).collect();
+    fn log_keeps_exactly_the_newest_records_in_push_order() {
+        const CAPACITY: usize = 40;
+        const PUSHED: usize = 150;
+        let log = FeedbackLog::new(CAPACITY);
+        let signatures: Vec<u64> = (0..PUSHED as u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+        let estimates: Vec<(f64, f64)> = (0..PUSHED).map(|i| (i as f64, 2.0 * i as f64 + 1.0)).collect();
         for (sigs, ests) in signatures.chunks(16).zip(estimates.chunks(16)) {
-            batched.record_batch(sigs.iter().zip(ests));
-            for (&signature, &(cost, cardinality)) in sigs.iter().zip(ests) {
-                single.record(FeedbackRecord { signature, cost, cardinality });
-            }
+            log.record_batch(sigs.iter().zip(ests));
         }
-        assert_eq!(batched.total_recorded(), 40);
-        assert_eq!(batched.total_overwritten(), single.total_overwritten());
-        assert_eq!(batched.drain(), single.drain());
+        let newest: Vec<FeedbackRecord> = signatures
+            .iter()
+            .zip(&estimates)
+            .skip(PUSHED - CAPACITY)
+            .map(|(&signature, &(cost, cardinality))| FeedbackRecord { signature, cost, cardinality })
+            .collect();
+        assert_eq!(log.total_recorded(), PUSHED as u64);
+        assert_eq!(log.total_overwritten(), (PUSHED - CAPACITY) as u64);
+        assert_eq!(log.drain(), newest);
     }
 
     #[test]
@@ -366,7 +278,7 @@ mod tests {
         let log = FeedbackLog::new(32);
         let cap = log.capacity();
         for sig in 0..10_000u64 {
-            log.record(record(sig));
+            push(&log, sig);
         }
         assert!(log.len() <= cap, "log held {} records, capacity {cap}", log.len());
         assert_eq!(log.total_recorded(), 10_000);
@@ -386,7 +298,7 @@ mod tests {
                 let log = Arc::clone(&log);
                 scope.spawn(move || {
                     for i in 0..PER_WRITER {
-                        log.record(record(w * PER_WRITER + i));
+                        push(&log, w * PER_WRITER + i);
                     }
                 });
             }
@@ -407,7 +319,7 @@ mod tests {
                 let log = Arc::clone(&log);
                 scope.spawn(move || {
                     for i in 0..5_000 {
-                        log.record(record(w * 5_000 + i));
+                        push(&log, w * 5_000 + i);
                     }
                 });
             }
@@ -436,9 +348,9 @@ mod tests {
         assert_eq!(reg.len(), 4);
     }
 
-    /// Registrants racing on different shards at the bound: each round,
-    /// eight threads register distinct signatures into a small registry at
-    /// once.  The bound must hold, and every counted plan must resolve.
+    /// Registrants racing at the bound: each round, eight threads register
+    /// distinct signatures into a small registry at once.  The bound must
+    /// hold, and every counted plan must resolve.
     #[test]
     fn concurrent_registrants_never_exceed_the_capacity() {
         const THREADS: u64 = 8;

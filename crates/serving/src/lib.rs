@@ -4,12 +4,12 @@
 //! the production posture the paper's estimator needs inside a real
 //! database.  Two pieces:
 //!
-//! * [`ModelCatalog`] — a named catalog of checkpoint-loaded backends (any
-//!   [`estimator_core::Estimator`]).  Publishing a new model under an
-//!   existing name is an **atomic hot-swap**: the tenant's `Arc` slot is
-//!   replaced under a per-tenant lock held for nanoseconds, in-flight
-//!   sessions finish on the model they pinned, and sessions on *other*
-//!   tenants never touch the swapped tenant's lock at all.  Each published
+//! * [`ModelCatalog`] — a named catalog of fitted or checkpoint-loaded
+//!   tree estimators ([`estimator_core::CostEstimator`]).  Publishing a new
+//!   model under an existing name is an **atomic hot-swap**: the tenant's
+//!   `Arc` slot is replaced under a per-tenant lock held for nanoseconds,
+//!   in-flight sessions finish on the model they pinned, and sessions on
+//!   *other* tenants never touch the swapped tenant's lock at all.  Each published
 //!   model owns its own sharded caches: its served generation's
 //!   subtree-state cache, built with the weights it serves, and its
 //!   extractor's encode cache.  So tenants cannot evict each other, and a
@@ -32,12 +32,12 @@
 //! it.  Nothing here blocks on a global lock —
 //! the catalog map is only write-locked to add/remove tenant *names*.
 //!
-//! On top of the frozen-model runtime sits the **online learning loop**
-//! (PR 7): [`ModelCatalog::enable_feedback`] makes a tenant's sessions
-//! record `(plan signature, estimate)` into a bounded, sharded
-//! [`FeedbackLog`] and remember encoded plans in a bounded
-//! [`PlanRegistry`]; a [`RefreshController`], ticked from a background
-//! thread, executes a sampled subset for exact ground truth
+//! On top of the frozen-model runtime sits the **online learning loop**:
+//! [`ModelCatalog::enable_feedback`] makes a tenant's sessions record
+//! `(plan signature, estimate)` into a bounded ring, the [`FeedbackLog`],
+//! and remember encoded plans in a bounded [`PlanRegistry`], each behind
+//! one lock; a [`RefreshController`], ticked from a background thread,
+//! executes a sampled subset for exact ground truth
 //! (`engine::ExecMode::Count`), watches windowed q-error against a frozen
 //! baseline ([`metrics::QErrorWindow`]), and on drift fine-tunes a training
 //! replica and republishes it through the catalog's ordinary zero-downtime

@@ -21,8 +21,9 @@
 //!    `baseline * drift_factor` and enough labeled pairs have accumulated,
 //!    extend the replica's epoch budget, fine-tune with
 //!    `CostEstimator::fit_resumed_encoded` (falling back to a full
-//!    `fit_encoded` when the replica carries no resumable state — the typed
-//!    error this PR introduced), save a v3 checkpoint and republish through
+//!    `fit_encoded` when the replica carries no resumable state and the
+//!    resume fails with `CheckpointError::Unsupported`), save a v3
+//!    checkpoint and republish through
 //!    [`crate::ModelCatalog::install_checkpoint`].
 //!
 //! The republish is the catalog's ordinary atomic hot-swap: in-flight
@@ -212,10 +213,10 @@ impl RefreshController {
         self.trainer.extend_training_epochs(self.config.fine_tune_epochs);
         let refit_fallback = match self.trainer.fit_resumed_encoded(&pairs) {
             Ok(_) => false,
-            // The satellite bugfix in action: a replica without resumable
-            // training state (e.g. restored from a model-only checkpoint)
-            // now yields a typed error instead of aborting the server, and
-            // the controller falls back to a full refit on the fresh pairs.
+            // A replica without resumable training state (e.g. restored
+            // from a model-only checkpoint) yields a typed error instead of
+            // aborting the server, and the controller falls back to a full
+            // refit on the fresh pairs.
             Err(CheckpointError::Unsupported(_)) => {
                 self.trainer.fit_encoded(&pairs);
                 true
@@ -246,11 +247,10 @@ fn next_rand(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Dedup drained records by signature (newest estimate wins — shards drain
-/// oldest-first, and one signature always lands in one shard), resolve each
-/// through `registry` (`None` when the plan was never registered) and pick
-/// at most `budget` of them, uniformly via a partial Fisher–Yates driven by
-/// the seeded `rng`.
+/// Dedup drained records by signature (newest estimate wins — the log
+/// drains oldest first), resolve each through `registry` (`None` when the
+/// plan was never registered) and pick at most `budget` of them, uniformly
+/// via a partial Fisher–Yates driven by the seeded `rng`.
 ///
 /// The frame the draw runs over is ordered by plan content, the textual
 /// [`PlanNode::signature`], so which plans a tick executes, and the order

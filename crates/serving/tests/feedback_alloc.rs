@@ -1,5 +1,5 @@
-//! Recording a served batch allocates nothing once the feedback log's rings
-//! exist: `FeedbackLog::record_batch` groups the batch by shard in place.
+//! Recording a served batch allocates nothing once the feedback log's ring
+//! exists: `FeedbackLog::record_batch` pushes the batch into it in place.
 //!
 //! The allocator below is process-global, so this file holds one test, and
 //! it counts only the allocations of the thread that asks it to.

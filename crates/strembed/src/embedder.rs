@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Which string encoding to build (the `String` column of Table 9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StringEncoding {
     /// Per-character hash bitmap.
     Hash,
@@ -205,6 +205,35 @@ mod tests {
         // should give it a non-zero representation.
         let v = enc.encode("top 250 rank list", CompareOp::Eq);
         assert!(v.iter().any(|&x| x != 0.0), "unseen string did not generalize");
+    }
+
+    /// A checkpoint verifies its string encoder by the bits it gives a probe
+    /// set, so an encoder rebuilt from the same database and strings must
+    /// give the same bits: two builds of each encoding must agree.
+    #[test]
+    fn every_encoding_builds_the_same_encoder_twice() {
+        let db = db();
+        let cfg = EmbedderConfig { max_rows_per_table: 60, epochs: 1, ..Default::default() };
+        let probes = [
+            ("%(co-production)%", CompareOp::Like),
+            ("%Pictures)", CompareOp::NotLike),
+            ("production companies", CompareOp::Eq),
+            ("top 250 rank list", CompareOp::Eq),
+            ("never seen", CompareOp::Ne),
+            ("", CompareOp::Eq),
+        ];
+        for encoding in [StringEncoding::Hash, StringEncoding::EmbedNoRule, StringEncoding::EmbedRule] {
+            let probe_bits = || {
+                let enc = build_string_encoder(&db, &workload_strings(), encoding, cfg);
+                probes
+                    .iter()
+                    .map(|&(s, op)| enc.encode(s, op).iter().map(|x| x.to_bits()).collect::<Vec<u32>>())
+                    .collect::<Vec<_>>()
+            };
+            let first = probe_bits();
+            assert!(first.iter().flatten().any(|&b| b != 0), "{encoding:?}: every probe encoded to zeros");
+            assert_eq!(first, probe_bits(), "{encoding:?}: two builds encode the probes differently");
+        }
     }
 
     #[test]

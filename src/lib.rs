@@ -53,7 +53,7 @@ pub mod prelude {
     pub use engine::{execute_plan, plan_query, CostModel, PlannerConfig};
     pub use estimator_core::{
         CheckpointError, CostEstimator, Estimator, EstimatorCapabilities, ModelConfig, PlanEstimate,
-        PredicateModelKind, RepresentationCellKind, TaskMode, TrainConfig, TrainableEstimator,
+        PredicateModelKind, RepresentationCellKind, TaskMode, TrainConfig,
     };
     pub use featurize::{EncodedPlan, EncodingConfig, FeatureExtractor};
     pub use imdb::{generate_imdb, Database, GeneratorConfig};
