@@ -20,6 +20,12 @@
 //! the memo-free bits and that every warm pass returns them again without
 //! embedding a node.
 //!
+//! Beside the warm pass, which costs a signature walk and a probe per
+//! candidate, it times the walk alone (`PlanNode::signature_hash`, the
+//! hashing the served path's state-first walk runs) in ns per plan and per
+//! node: over the same candidates, and over optbench `dp_hot`'s candidate
+//! sets at seed 1 (256 4-join queries).
+//!
 //! `cargo run -p estimator_core --release --example profile_fresh`
 //! (`E2E_FORCE_SCALAR=1` runs the scalar kernels.)
 
@@ -30,6 +36,7 @@ use estimator_core::{
 use featurize::{EncodedPlan, EncodingConfig, FeatureExtractor};
 use imdb::{generate_imdb, Database, GeneratorConfig};
 use query::PlanNode;
+use std::hint::black_box;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -40,6 +47,8 @@ use workloads::{generate_enumeration_workload, EnumerationConfig, SuiteConfig, W
 const QUERIES: usize = 600;
 /// Seed of their enumeration; the training set uses its own.
 const ENUMERATION_SEED: u64 = 5;
+/// Timed repetitions of each signature walk.
+const WALK_REPS: usize = 15;
 
 /// optbench's main model: the configuration its enumeration workloads serve.
 fn main_estimator(db: &Arc<Database>) -> CostEstimator {
@@ -122,6 +131,32 @@ fn report(lane: &str, pass: &str, secs: f64, candidates: usize, embedded: u64, c
     );
 }
 
+/// Time the signature walk over `plans`, [`WALK_REPS`] times after one
+/// untimed pass, and print the best and the median repetition.
+fn walk(label: &str, plans: &[PlanNode]) {
+    let nodes: usize = plans.iter().map(PlanNode::size).sum();
+    let sweep = || {
+        let t = Instant::now();
+        for plan in plans {
+            black_box(black_box(plan).signature_hash());
+        }
+        t.elapsed().as_secs_f64() * 1e9
+    };
+    sweep();
+    let mut reps: Vec<f64> = (0..WALK_REPS).map(|_| sweep()).collect();
+    reps.sort_by(f64::total_cmp);
+    let (best, median) = (reps[0], reps[WALK_REPS / 2]);
+    println!(
+        "{label:>9} {:>11}  {:>7.1} ns/plan  {:>5.2} ns/node  (median {:.1} ns/plan; {} plans, {nodes} nodes, best of \
+         {WALK_REPS})",
+        "walk",
+        best / plans.len() as f64,
+        best / nodes as f64,
+        median / plans.len() as f64,
+        plans.len(),
+    );
+}
+
 fn main() {
     println!("f32 dispatch: {}", nn::simd::f32_path_name());
     let db = Arc::new(generate_imdb(GeneratorConfig { n_titles: 2000, sample_size: 128, seed: 42 }));
@@ -185,5 +220,11 @@ fn main() {
         }
     }
     report("memo-free", "level batch", memo_free_secs, candidates.len(), nodes as u64, &mut calls);
+    walk("served", &candidates);
+    let dp_hot =
+        EnumerationConfig { num_queries: 256, min_joins: 4, max_joins: 4, max_candidates_per_query: 120, seed: 1 };
+    let dp_hot: Vec<PlanNode> =
+        generate_enumeration_workload(&db, dp_hot).into_iter().flat_map(|q| q.candidates).collect();
+    walk("dp_hot", &dp_hot);
     let _ = std::fs::remove_file(&checkpoint);
 }

@@ -135,6 +135,38 @@ fn axpy_scalar(a: f32, b: &[f32], out: &mut [f32]) {
     }
 }
 
+/// The fold of [`axpy_scalar`] over a whole output row narrower than its
+/// 8-wide body (`1 <= out_row.len() < 8`): `out_row += Σ coef · row` over
+/// `coefs` and the matching `out_row.len()`-wide rows of `rows`, skipping
+/// zero coefficients.  The partial sums stay in locals instead of going
+/// back to `out_row` once per coefficient.  Each element adds its products
+/// in ascending order, so its bits are those of one `axpy_scalar` call per
+/// coefficient.
+#[inline]
+fn fold_narrow_row(coefs: impl Iterator<Item = f32>, rows: &[f32], out_row: &mut [f32]) {
+    fn fold<const N: usize>(coefs: impl Iterator<Item = f32>, rows: &[f32], out_row: &mut [f32]) {
+        let mut acc: [f32; N] = out_row.try_into().expect("N columns");
+        for (coef, row) in coefs.zip(rows.chunks_exact(N)) {
+            if coef != 0.0 {
+                for (a, &v) in acc.iter_mut().zip(row) {
+                    *a += coef * v;
+                }
+            }
+        }
+        out_row.copy_from_slice(&acc);
+    }
+    match out_row.len() {
+        1 => fold::<1>(coefs, rows, out_row),
+        2 => fold::<2>(coefs, rows, out_row),
+        3 => fold::<3>(coefs, rows, out_row),
+        4 => fold::<4>(coefs, rows, out_row),
+        5 => fold::<5>(coefs, rows, out_row),
+        6 => fold::<6>(coefs, rows, out_row),
+        7 => fold::<7>(coefs, rows, out_row),
+        n => unreachable!("fold_narrow_row takes 1 to 7 columns, not {n}"),
+    }
+}
+
 /// 8-accumulator unrolled scalar dot product of equal-length slices (the
 /// original kernel), the inner loop of [`gemm_f32_nt_scalar`].  The
 /// reduction order — remainder tail summed first, then the eight lane
@@ -248,8 +280,10 @@ pub fn gemm_f32(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f
 
 /// Scalar fallback for [`gemm_f32`]: the cache-blocked kernel `Matrix::matmul`
 /// shipped with (tiles of `b` packed into a 16 KiB stack buffer, 8-wide
-/// unrolled axpy inner loop, zero-coefficient rows skipped).  Kept verbatim —
-/// the forced-scalar CI lane's golden-checkpoint bits depend on it.
+/// unrolled axpy inner loop, zero-coefficient rows skipped).  Its arithmetic
+/// is kept verbatim — the forced-scalar CI lane's golden-checkpoint bits
+/// depend on it; below 8 columns a row folds in locals
+/// (`fold_narrow_row`), with the same sums in the same order.
 pub fn gemm_f32_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -265,6 +299,10 @@ pub fn gemm_f32_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: 
         for i in 0..m {
             let a_row = &a[i * k..(i + 1) * k];
             let out_row = &mut out[i * n..(i + 1) * n];
+            if n < 8 {
+                fold_narrow_row(a_row.iter().copied(), b, out_row);
+                continue;
+            }
             for (kk, &coef) in a_row.iter().enumerate() {
                 if coef == 0.0 {
                     continue;
@@ -287,6 +325,10 @@ pub fn gemm_f32_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: 
             for i in 0..m {
                 let a_row = &a[i * k + kb..i * k + kb + kc];
                 let out_row = &mut out[i * n + nb..i * n + nb + nc];
+                if nc < 8 {
+                    fold_narrow_row(a_row.iter().copied(), &pack[..kc * nc], out_row);
+                    continue;
+                }
                 for (kk, &coef) in a_row.iter().enumerate() {
                     // One-hot feature vectors make zero coefficients
                     // common; skipping them skips whole axpy rows.
@@ -514,7 +556,8 @@ fn assert_linear_shape(
 /// The scalar fold of [`gemm_f32_scalar`], one 8-row panel at a time: each
 /// nonzero coefficient adds its row of `x` into its output row
 /// ([`axpy_scalar`]) in ascending `kk`, reading the panel in order, then the
-/// bias is added once.
+/// bias is added once.  Below 8 columns each output row folds on its own
+/// ([`fold_narrow_row`]), with the same sums in the same order.
 fn linear_packed_scalar_impl(panels: &[f32], bias: &[f32], m: usize, k: usize, x: &[f32], n: usize, out: &mut [f32]) {
     if n == 0 {
         return;
@@ -522,10 +565,16 @@ fn linear_packed_scalar_impl(panels: &[f32], bias: &[f32], m: usize, k: usize, x
     for (p, block) in out.chunks_mut(GEMM_NR * n).enumerate() {
         let panel = &panels[p * k * GEMM_NR..(p + 1) * k * GEMM_NR];
         block.fill(0.0);
-        for (coefs, x_row) in panel.chunks_exact(GEMM_NR).zip(x.chunks_exact(n)) {
-            for (out_row, &coef) in block.chunks_exact_mut(n).zip(coefs) {
-                if coef != 0.0 {
-                    axpy_scalar(coef, x_row, out_row);
+        if n < 8 {
+            for (r, out_row) in block.chunks_exact_mut(n).enumerate() {
+                fold_narrow_row(panel.chunks_exact(GEMM_NR).map(|coefs| coefs[r]), x, out_row);
+            }
+        } else {
+            for (coefs, x_row) in panel.chunks_exact(GEMM_NR).zip(x.chunks_exact(n)) {
+                for (out_row, &coef) in block.chunks_exact_mut(n).zip(coefs) {
+                    if coef != 0.0 {
+                        axpy_scalar(coef, x_row, out_row);
+                    }
                 }
             }
         }
@@ -1377,6 +1426,43 @@ mod prop_tests {
             prop_assert_eq!(
                 got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 want.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
+        }
+
+        /// Below 8 columns the scalar arms fold each output row in locals
+        /// (`fold_narrow_row`): bit for bit what one `axpy_scalar` per
+        /// nonzero coefficient leaves in the row, from any starting row (the
+        /// tiled GEMM carries rows across depth tiles), with exact and signed
+        /// zeros among the coefficients and signed zeros, large magnitudes
+        /// and infinities among the rows.
+        #[test]
+        fn narrow_rows_fold_like_one_axpy_per_coefficient(
+            n in 1usize..8,
+            k in 0usize..=130,
+            seed in 0u32..1_000_000,
+        ) {
+            let mut s = seed;
+            let mut unit = move || {
+                s = s.wrapping_mul(1664525).wrapping_add(1013904223);
+                (s >> 8) as f32 / (1u32 << 24) as f32 * 2.0 - 1.0
+            };
+            let coefs: Vec<f32> = (0..k).map(|kk| match kk % 5 { 0 => 0.0, 1 => -0.0, _ => unit() }).collect();
+            let specials = [0.0f32, -0.0, 1e30, -1e30, 1e37, -1e37, f32::INFINITY, f32::NEG_INFINITY];
+            let rows: Vec<f32> =
+                (0..k * n).map(|i| if (i / n) % 7 == 3 { specials[(i / n / 7 + i % n) % 8] } else { unit() }).collect();
+            let start: Vec<f32> = (0..n).map(|j| if j % 3 == 0 { -0.0 } else { unit() }).collect();
+
+            let mut want = start.clone();
+            for (&coef, row) in coefs.iter().zip(rows.chunks_exact(n)) {
+                if coef != 0.0 {
+                    axpy_scalar(coef, row, &mut want);
+                }
+            }
+            let mut got = start;
+            fold_narrow_row(coefs.iter().copied(), &rows, &mut got);
+            prop_assert_eq!(
+                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             );
         }
 

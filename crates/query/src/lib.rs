@@ -16,8 +16,9 @@
 //!   strings (160 bytes instead of 224), so an optimizer's candidate plans
 //!   take about half the memory and clone without allocating per name;
 //! * [`sighash`] — the allocation-free 64-bit structural signatures that key
-//!   the serving caches.  They hash each name's text, so they do not depend
-//!   on how names are stored;
+//!   the serving caches.  A node enters as 64-bit words, two per fold, and
+//!   each name as its text's key, computed once when the name is interned,
+//!   so signatures depend on names' texts alone, not on how they are stored;
 //! * [`sigcache`] — [`SigCache`], the one bounded, sharded cache those
 //!   signatures key: the node memo, the encode cache and the subtree-state
 //!   cache are each one.  It lives here because its shard selection and its

@@ -15,6 +15,15 @@
 //! can be probed with a `&str` and sorted names keep the byte order of
 //! their texts.  `Display` and `Debug` print the text as a `String` would.
 //!
+//! # Signature word
+//!
+//! Each record also holds its text's signature key (the
+//! [`SigHasher`](crate::SigHasher) key of the text alone), computed once
+//! when the text is interned.  A plan signature feeds a name as that one
+//! word (see [`crate::sighash`]), so the walk reads no byte of the text,
+//! and the key depends on the text alone: it is equal across processes and
+//! however the name was created.
+//!
 //! # Lifetime and bound
 //!
 //! The interner is append-only: a record is leaked on first sight of its
@@ -35,9 +44,11 @@ use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::{OnceLock, PoisonError, RwLock};
 
-/// One interned text; leaked, so every handle is `'static`.
+/// One interned text and its signature word; leaked, so every handle is
+/// `'static`.
 struct Interned {
     text: Box<str>,
+    sig_hash: u64,
 }
 
 /// A table or column name: a `Copy` handle to a process-wide interned
@@ -64,7 +75,8 @@ impl Name {
         if let Some(&name) = map.get(text) {
             return name;
         }
-        let record: &'static Interned = Box::leak(Box::new(Interned { text: text.into() }));
+        let record: &'static Interned =
+            Box::leak(Box::new(Interned { text: text.into(), sig_hash: crate::sighash::hash_str(text) }));
         let name = Name(record);
         map.insert(&record.text, name);
         name
@@ -74,6 +86,13 @@ impl Name {
     #[inline]
     pub fn as_str(&self) -> &'static str {
         &self.0.text
+    }
+
+    /// The text's signature key, `hash_str` of [`Name::as_str`], computed
+    /// when the text was interned.
+    #[inline]
+    pub(crate) fn sig_hash(&self) -> u64 {
+        self.0.sig_hash
     }
 }
 

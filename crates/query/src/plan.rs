@@ -7,6 +7,7 @@
 use crate::logical::JoinPredicate;
 use crate::name::Name;
 use crate::predicate::Predicate;
+use crate::sighash::{SigHasher, Words};
 use std::fmt;
 
 /// Identifier of a node within one plan (pre-order position).
@@ -96,43 +97,47 @@ impl PhysicalOp {
     /// its own, apart from its children.  [`PlanNode::signature_hash`]
     /// composes it with the children's signatures, and the featurizer keys
     /// its per-node memo by it (a node's features depend on nothing else).
-    pub fn hash_signature(&self, h: &mut crate::sighash::SigHasher) {
-        h.write_u8(self.one_hot_index() as u8);
+    ///
+    /// The content goes in as paired words (see [`crate::sighash`]): a tag
+    /// word (the kind, whether a predicate follows, how many columns follow)
+    /// XORed into the first name, the other names, then the predicate's
+    /// words, with an odd last word fed alone.
+    pub fn hash_signature(&self, h: &mut SigHasher) {
+        let mut words = Words::new(h);
+        let kind = self.one_hot_index() as u64;
+        let listed = |columns: &[Name]| (columns.len() as u64) << 32;
         match self {
             PhysicalOp::SeqScan { table, predicate } => {
-                h.write_str(table);
+                words.push(table.sig_hash() ^ kind ^ (predicate.is_some() as u64) << 8);
                 if let Some(p) = predicate {
-                    p.hash_signature(h);
+                    p.hash_signature(&mut words);
                 }
             }
             PhysicalOp::IndexScan { table, index_column, predicate } => {
-                h.write_str(table);
-                h.write_str(index_column);
+                words.push(table.sig_hash() ^ kind ^ (predicate.is_some() as u64) << 8);
+                words.push(index_column.sig_hash());
                 if let Some(p) = predicate {
-                    p.hash_signature(h);
+                    p.hash_signature(&mut words);
                 }
             }
             PhysicalOp::HashJoin { condition }
             | PhysicalOp::MergeJoin { condition }
             | PhysicalOp::NestedLoopJoin { condition } => {
-                h.write_str(&condition.left_table);
-                h.write_str(&condition.left_column);
-                h.write_str(&condition.right_table);
-                h.write_str(&condition.right_column);
+                words.push(condition.left_table.sig_hash() ^ kind);
+                words.push(condition.left_column.sig_hash());
+                words.push(condition.right_table.sig_hash());
+                words.push(condition.right_column.sig_hash());
             }
             PhysicalOp::Sort { table, columns } => {
-                h.write_str(table);
-                for c in columns {
-                    h.write_str(c);
-                }
+                words.push(table.sig_hash() ^ kind ^ listed(columns));
+                columns.iter().for_each(|c| words.push(c.sig_hash()));
             }
             PhysicalOp::Aggregate { hash, group_columns } => {
-                h.write_u8(*hash as u8);
-                for c in group_columns {
-                    h.write_str(c);
-                }
+                words.push(kind ^ (*hash as u64) << 8 ^ listed(group_columns));
+                group_columns.iter().for_each(|c| words.push(c.sig_hash()));
             }
         }
+        words.flush();
     }
 }
 
@@ -312,26 +317,20 @@ impl PlanNode {
     ///
     /// `child_hashes` must yield the children's signatures in order.
     pub fn signature_hash_from_children(&self, child_hashes: impl IntoIterator<Item = u64>) -> u64 {
-        let mut op = crate::sighash::SigHasher::new();
+        let mut op = SigHasher::new();
         self.op.hash_signature(&mut op);
         Self::signature_hash_from_op(op, child_hashes)
     }
 
     /// The last step of [`PlanNode::signature_hash_from_children`]: `op` is
-    /// a fresh [`crate::sighash::SigHasher`] fed this node's
-    /// [`PhysicalOp::hash_signature`], and the children's signatures are
-    /// appended to it.  Exposed so a caller that also keys something by the
-    /// operator alone (the featurizer's node memo) hashes its content once.
-    pub fn signature_hash_from_op(
-        mut op: crate::sighash::SigHasher,
-        child_hashes: impl IntoIterator<Item = u64>,
-    ) -> u64 {
-        let mut n_children = 0u8;
-        for ch in child_hashes {
-            op.write_u64(ch);
-            n_children += 1;
-        }
-        op.write_u8(n_children);
+    /// a fresh [`SigHasher`] fed this node's [`PhysicalOp::hash_signature`],
+    /// and the children's signatures are appended to it, two per fold.
+    /// Exposed so a caller that also keys something by the operator alone
+    /// (the featurizer's node memo) hashes its content once.
+    pub fn signature_hash_from_op(mut op: SigHasher, child_hashes: impl IntoIterator<Item = u64>) -> u64 {
+        let mut children = Words::new(&mut op);
+        child_hashes.into_iter().for_each(|ch| children.push(ch));
+        children.flush();
         op.finish()
     }
 
@@ -406,18 +405,20 @@ mod tests {
         PlanNode::inner(PhysicalOp::Aggregate { hash: true, group_columns: vec!["kind_id".into()] }, vec![sort])
     }
 
-    /// The subtree-state cache, the node memo and the refresh frame are
-    /// keyed by these values: a change to how names are stored or hashed
-    /// must leave every key where it was.
+    /// The subtree-state cache, the node memo and the feedback log are
+    /// keyed by these values.  Keys move only on purpose: a change that
+    /// moves one here changes the signature scheme, and re-pins all three
+    /// in the same change.  Nothing persists a key, so a move costs one
+    /// cold cache and no estimate.
     #[test]
     fn signature_hashes_are_pinned() {
         let sample = sample_plan();
-        assert_eq!(sample.signature_hash(), 0x858c_cc5c_f3a1_f6f9);
+        assert_eq!(sample.signature_hash(), 0xec95_3997_1f1c_7824);
         let compound = compound_plan();
-        assert_eq!(compound.signature_hash(), 0x775c_6129_a211_0633);
+        assert_eq!(compound.signature_hash(), 0x5e1d_f22f_94a2_f6b4);
         let mut op = crate::sighash::SigHasher::new();
         compound.children[0].children[0].children[0].op.hash_signature(&mut op);
-        assert_eq!(op.finish(), 0xba45_b5b2_7f61_fd88);
+        assert_eq!(op.finish(), 0xc208_eab2_ac2c_080f);
         assert_eq!(
             compound.signature(),
             "(Aggregate:hash:kind_id(Sort:title:production_year:kind_id(Nested Loop:movie_companies.movie_id = \
@@ -500,6 +501,44 @@ mod tests {
         let lr = PlanNode::inner(PhysicalOp::HashJoin { condition: cond }, vec![l.clone(), r.clone()]);
         let rl = PlanNode::inner(PhysicalOp::HashJoin { condition: cond }, vec![r, l]);
         assert_ne!(lr.signature_hash(), rl.signature_hash());
+    }
+
+    /// Names are single words in the signature, each its text's key, so the
+    /// scheme must keep their positions apart: the same names in swapped
+    /// places hash apart.
+    #[test]
+    fn names_swapped_between_positions_hash_apart() {
+        for text in ["title", "kind_id", "a name interned by this test"] {
+            let mut h = crate::SigHasher::new();
+            h.write_str(text);
+            assert_eq!(Name::new(text).sig_hash(), h.finish(), "{text:?}");
+        }
+        let leaf = |op| PlanNode::leaf(op).signature_hash();
+        let scan = |table: &str| PlanNode::leaf(PhysicalOp::SeqScan { table: table.into(), predicate: None });
+        let join = |condition| {
+            PlanNode::inner(PhysicalOp::HashJoin { condition }, vec![scan("title"), scan("movie_companies")])
+                .signature_hash()
+        };
+        assert_ne!(
+            join(JoinPredicate::new("movie_companies", "movie_id", "title", "id")),
+            join(JoinPredicate::new("title", "id", "movie_companies", "movie_id")),
+            "join sides"
+        );
+        let filtered = |table: &str, column: &str| {
+            leaf(PhysicalOp::SeqScan {
+                table: "title".into(),
+                predicate: Some(Predicate::atom(table, column, CompareOp::Eq, Operand::Num(1.0))),
+            })
+        };
+        assert_ne!(filtered("title", "kind_id"), filtered("kind_id", "title"), "table and column of an atom");
+        let indexed = |index_column: &str, column: &str| {
+            leaf(PhysicalOp::IndexScan {
+                table: "title".into(),
+                index_column: index_column.into(),
+                predicate: Some(Predicate::atom("title", column, CompareOp::Eq, Operand::Num(1.0))),
+            })
+        };
+        assert_ne!(indexed("id", "kind_id"), indexed("kind_id", "id"), "index column and atom column");
     }
 
     /// Collision sanity for the 64-bit subplan signature (the key of the

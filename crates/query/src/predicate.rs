@@ -7,6 +7,7 @@
 
 use crate::like::like_match;
 use crate::name::Name;
+use crate::sighash::{hash_str, Words};
 use imdb::{Table, Value};
 use std::fmt;
 
@@ -256,42 +257,32 @@ impl Predicate {
         tables
     }
 
-    /// Stream this predicate's structure into a signature hasher (see
-    /// [`crate::sighash`]); distinguishes AND from OR and every atom field.
-    pub fn hash_signature(&self, h: &mut crate::sighash::SigHasher) {
+    /// Feed this predicate's structure, in prefix order, as signature words
+    /// (see [`crate::sighash`]).  An atom is one tag word (comparison
+    /// operator, operand kind and list length) XORed into its table's word,
+    /// then its column and its operand: a number's bits, or each string's
+    /// key.  AND and OR are a tag word of their own, then both sides.
+    pub(crate) fn hash_signature(&self, words: &mut Words<'_>) {
         match self {
             Predicate::Atom(a) => {
-                h.write_u8(0);
-                h.write_str(&a.table);
-                h.write_str(&a.column);
-                h.write_u8(a.op.index() as u8);
+                let (operand_kind, len) = match &a.operand {
+                    Operand::Num(_) => (0, 0),
+                    Operand::Str(_) => (1, 0),
+                    Operand::StrList(items) => (2, items.len() as u64),
+                };
+                let tag = (a.op.index() as u64) << 8 | operand_kind << 16 | len << 32;
+                words.push(a.table.sig_hash() ^ tag);
+                words.push(a.column.sig_hash());
                 match &a.operand {
-                    Operand::Num(v) => {
-                        h.write_u8(0);
-                        h.write_f64(*v);
-                    }
-                    Operand::Str(s) => {
-                        h.write_u8(1);
-                        h.write_str(s);
-                    }
-                    Operand::StrList(items) => {
-                        h.write_u8(2);
-                        for s in items {
-                            h.write_str(s);
-                        }
-                        h.write_u8(items.len() as u8);
-                    }
+                    Operand::Num(v) => words.push(v.to_bits()),
+                    Operand::Str(s) => words.push(hash_str(s)),
+                    Operand::StrList(items) => items.iter().for_each(|s| words.push(hash_str(s))),
                 }
             }
-            Predicate::And(l, r) => {
-                h.write_u8(1);
-                l.hash_signature(h);
-                r.hash_signature(h);
-            }
-            Predicate::Or(l, r) => {
-                h.write_u8(2);
-                l.hash_signature(h);
-                r.hash_signature(h);
+            Predicate::And(l, r) | Predicate::Or(l, r) => {
+                words.push(if matches!(self, Predicate::And(..)) { 1 } else { 2 });
+                l.hash_signature(words);
+                r.hash_signature(words);
             }
         }
     }

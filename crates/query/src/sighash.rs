@@ -22,15 +22,46 @@
 //! costs one multiply per 16 bytes instead of one per byte.  The old
 //! state also enters outside the multiply, so no input can zero it.  The
 //! length mix separates `("ab", "c")` from `("a", "bc")` and an empty write
-//! from none, so strings need no terminator.  `write_u8`, `write_u64` and
-//! `write_f64` are one fold each and hash exactly like `write` of their
-//! little-endian bytes.  The constants are fixed: signatures are equal
+//! from none, so strings need no terminator.  `write_u8`, `write_u64`,
+//! `write_f64` and [`SigHasher::write_pair`] are one fold each and hash
+//! exactly like `write` of their little-endian bytes (`write_pair(a, b)`
+//! like the 16 bytes `a‖b`).  The constants are fixed: signatures are equal
 //! across processes, and no seed is drawn.
+//!
+//! # Plans as paired words
+//!
+//! The folds of one signature form a dependent chain, one multiply after
+//! another, so a plan node costs as many multiplies as it has folds.  The
+//! plan hashers ([`PhysicalOp::hash_signature`](crate::PhysicalOp::hash_signature)
+//! and [`PlanNode::signature_hash_from_op`](crate::PlanNode::signature_hash_from_op))
+//! therefore feed a node as a stream of 64-bit words, two per fold:
+//!
+//! * **Names** enter as their text's key (the [`SigHasher`] key of the text
+//!   alone), which [`Name`](crate::Name) computes once when the text is
+//!   interned, so a name costs half a fold and no byte of its text is read
+//!   on the walk.  The key is a function of the text alone, so signatures
+//!   do not depend on how names are stored, and are equal across processes.
+//! * **Tags** (the operator kind, a predicate node's kind, comparison
+//!   operator and operand kind, presence flags and list lengths) are packed
+//!   into one tag word per operator or predicate node, and that word is
+//!   XORed into the node's first name when it has one.
+//! * **Literals** enter as one word each: a number by its bits, a string by
+//!   its own key, which does not depend on the chain and so overlaps it.
+//! * **Children** enter as their signatures, two per fold.
+//!
+//! The operator's words close with a lone fold when their count is odd, so
+//! the operator's state, which also keys the featurizer's node memo, is a
+//! plain [`SigHasher`].  A join costs 3 folds (its four names, then its two
+//! children) and a scan with one numeric atom 2, each plus the finalizer.
+//! Every word's meaning follows from the tag words before it, so two
+//! distinct sub-plans feed equal words only where words of different
+//! content coincide by chance (two tagged names' keys, or a key and a
+//! child's signature), which is within the collision posture below.
 //!
 //! The splitmix64 finalizer stays.  [`SigCache`](crate::SigCache) selects
 //! shards from the middle bits of the key and hashbrown probes with the top
 //! bits, so every bit range must be well mixed, even between keys that
-//! differ in one tag byte; the finalizer gives each key a whole-word
+//! differ in one tag bit; the finalizer gives each key a whole-word
 //! avalanche whatever the last fold left.  It runs once per key, so it
 //! costs one step per sub-plan, not one per write.  The same avalanche lets
 //! every map keyed by finished keys use [`IdentityHasher`] instead of
@@ -129,6 +160,15 @@ impl SigHasher {
         self.0 = mix(self.0, v, v ^ 8);
     }
 
+    /// Feed two words in one fold, hashed exactly like `write` of the 16
+    /// little-endian bytes `a‖b`.
+    #[inline]
+    pub fn write_pair(&mut self, a: u64, b: u64) {
+        // `write` of 16 bytes: no full block, and the tail's two 8-byte
+        // loads read `a` and `b`.
+        self.0 = mix(self.0, a, b ^ 16);
+    }
+
     /// Feed an `f64` by bit pattern (`-0.0` and `0.0` hash differently; the
     /// generators never emit `-0.0`, and NaN payloads are preserved).
     #[inline]
@@ -158,6 +198,45 @@ impl SigHasher {
 impl Default for SigHasher {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// The finished key of `text` alone: the word a name or a string literal
+/// feeds a plan signature ([`Name`](crate::Name) stores it for its text).
+pub(crate) fn hash_str(text: &str) -> u64 {
+    let mut h = SigHasher::new();
+    h.write_str(text);
+    h.finish()
+}
+
+/// A stream of words fed to a [`SigHasher`] two per fold
+/// ([`SigHasher::write_pair`]); [`Words::flush`] feeds an odd last word
+/// alone.  A word pushed and not flushed is lost, so every stream ends in
+/// `flush`.
+pub(crate) struct Words<'a> {
+    h: &'a mut SigHasher,
+    pending: Option<u64>,
+}
+
+impl<'a> Words<'a> {
+    #[inline]
+    pub(crate) fn new(h: &'a mut SigHasher) -> Self {
+        Words { h, pending: None }
+    }
+
+    #[inline]
+    pub(crate) fn push(&mut self, word: u64) {
+        match self.pending.take() {
+            Some(first) => self.h.write_pair(first, word),
+            None => self.pending = Some(word),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn flush(self) {
+        if let Some(last) = self.pending {
+            self.h.write_u64(last);
+        }
     }
 }
 
@@ -301,8 +380,35 @@ mod tests {
             typed.write_u8(v);
             assert_eq!(typed.finish(), hash_writes(&[&[v]]), "write_u8({v})");
         }
+        for (a, b) in [(0u64, 0u64), (1, 2), (u64::MAX, 0), (0x0123_4567_89ab_cdef, 1 << 63)] {
+            let mut typed = SigHasher::new();
+            typed.write_pair(a, b);
+            let bytes = [a.to_le_bytes(), b.to_le_bytes()].concat();
+            assert_eq!(typed.finish(), hash_writes(&[&bytes]), "write_pair({a:#x}, {b:#x})");
+        }
         let mut typed = SigHasher::new();
         typed.write_str("title");
         assert_eq!(typed.finish(), hash_writes(&[b"title"]));
+        assert_eq!(hash_str("title"), hash_writes(&[b"title"]));
+    }
+
+    #[test]
+    fn words_pair_up_and_flush_an_odd_last_word() {
+        let fed = |words: &[u64]| {
+            let mut h = SigHasher::new();
+            let mut w = Words::new(&mut h);
+            for &word in words {
+                w.push(word);
+            }
+            w.flush();
+            h.finish()
+        };
+        let mut pairs = SigHasher::new();
+        pairs.write_pair(1, 2);
+        pairs.write_u64(3);
+        assert_eq!(fed(&[1, 2, 3]), pairs.finish());
+        assert_eq!(fed(&[]), SigHasher::new().finish());
+        assert_ne!(fed(&[1, 2]), fed(&[1, 2, 0]));
+        assert_ne!(fed(&[1, 2]), fed(&[2, 1]));
     }
 }

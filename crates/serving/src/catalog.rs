@@ -68,7 +68,7 @@ impl TenantModel {
 ///
 /// The `BatchAggregator`, [`WaveStats`] and [`TenantModel::aggregator`]
 /// names remain only because optbench reads them (`wave_stats().waves`);
-/// ROADMAP item 3's benchmark change deletes them.
+/// ROADMAP item 2's benchmark change deletes them.
 pub struct BatchAggregator {
     serving: ServingEstimator,
     waves: AtomicU64,
