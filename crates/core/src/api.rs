@@ -521,7 +521,6 @@ mod tests {
     }
 
     fn executed_plans(db: &imdb::Database, n: usize) -> Vec<PlanNode> {
-        let cost = engine::CostModel::default();
         (0..n)
             .map(|i| {
                 let scan_t = PlanNode::leaf(PhysicalOp::SeqScan {
@@ -540,7 +539,7 @@ mod tests {
                     },
                     vec![scan_t, scan_mc],
                 );
-                engine::execute_plan(db, &mut join, &cost);
+                engine::execute_plan(db, &mut join);
                 join
             })
             .collect()

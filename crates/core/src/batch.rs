@@ -596,7 +596,6 @@ mod tests {
         let db = Arc::new(generate_imdb(GeneratorConfig::tiny()));
         let cfg = EncodingConfig::from_database(&db, 8, 32);
         let fx = Arc::new(FeatureExtractor::new(db.clone(), cfg, Arc::new(HashBitmapEncoder::new(8))));
-        let cost = engine::CostModel::default();
         let mut out = Vec::new();
         for i in 0..n {
             let scan_t = PlanNode::leaf(PhysicalOp::SeqScan {
@@ -613,7 +612,7 @@ mod tests {
                 PhysicalOp::HashJoin { condition: JoinPredicate::new("movie_companies", "movie_id", "title", "id") },
                 vec![scan_t, scan_mc],
             );
-            engine::execute_plan(&db, &mut join, &cost);
+            engine::execute_plan(&db, &mut join);
             out.push(fx.encode_plan(&join));
         }
         (out, fx)
@@ -1001,7 +1000,7 @@ mod tests {
         let cfg = EncodingConfig::from_database(&db, 8, 32);
         let fx = FeatureExtractor::new(db.clone(), cfg.clone(), Arc::new(HashBitmapEncoder::new(8)));
         let mut scan = PlanNode::leaf(PhysicalOp::SeqScan { table: "keyword".into(), predicate: None });
-        engine::execute_plan(&db, &mut scan, &engine::CostModel::default());
+        engine::execute_plan(&db, &mut scan);
         let plan = fx.encode_plan(&scan);
         let model = TreeModel::new(
             &cfg,

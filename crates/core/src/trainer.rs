@@ -293,7 +293,6 @@ mod tests {
         let db = Arc::new(generate_imdb(GeneratorConfig::tiny()));
         let cfg = EncodingConfig::from_database(&db, 8, 32);
         let fx = FeatureExtractor::new(db.clone(), cfg.clone(), Arc::new(HashBitmapEncoder::new(8)));
-        let model = engine::CostModel::default();
         let mut out = Vec::new();
         for i in 0..n {
             let year = 1940 + (i * 7) % 75;
@@ -307,7 +306,7 @@ mod tests {
                 PhysicalOp::HashJoin { condition: JoinPredicate::new(other, "movie_id", "title", "id") },
                 vec![scan_t, scan_o],
             );
-            engine::execute_plan(&db, &mut join, &model);
+            engine::execute_plan(&db, &mut join);
             out.push(fx.encode_plan(&join));
         }
         (out, cfg)

@@ -1,10 +1,11 @@
 //! Ground-truth plan execution.
 //!
 //! Executes a physical plan against the in-memory [`Database`], producing the
-//! *true* per-node output cardinality and the *true* cumulative cost (the
-//! cost-model formulas of [`crate::cost`] applied to the true cardinalities).
-//! The resulting annotated plan is exactly the training triple of the paper:
-//! `<plan, real cost, real cardinality>` for the root and for every sub-plan.
+//! *true* per-node output cardinality, then runs the one cost pass,
+//! [`crate::cost::annotate_costs`], over those cardinalities for the *true*
+//! cumulative cost.  The resulting annotated plan is exactly the training
+//! triple of the paper: `<plan, real cost, real cardinality>` for the root
+//! and for every sub-plan.
 //!
 //! Two execution modes share the scan layer but differ in how joins produce
 //! cardinalities:
@@ -25,10 +26,11 @@
 //! table scanned twice, non-binary joins) fall back to the materializing
 //! path, so `execute_plan` is exact for every input.
 
-use crate::cost::CostModel;
+use crate::cost::{annotate_costs, Annotation};
 use imdb::{Database, ValueRef};
 use query::{CompareOp, JoinPredicate, Name, Operand, PhysicalOp, PlanNode, Predicate};
 use std::collections::{HashMap, HashSet};
+use std::sync::Mutex;
 
 /// How plan execution produces intermediate cardinalities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,41 +55,35 @@ pub struct ExecutionResult {
 /// `annotations.true_cardinality` and `annotations.true_cost` in place, and
 /// return the root's result.  Uses the counting mode (with a materializing
 /// fallback for plan shapes the counting executor does not model).
-pub fn execute_plan(db: &Database, plan: &mut PlanNode, model: &CostModel) -> ExecutionResult {
-    execute_plan_mode(db, plan, model, ExecMode::Count)
+pub fn execute_plan(db: &Database, plan: &mut PlanNode) -> ExecutionResult {
+    execute_plan_mode(db, plan, ExecMode::Count)
 }
 
 /// Execute `plan` in an explicit [`ExecMode`].
-pub fn execute_plan_mode(db: &Database, plan: &mut PlanNode, model: &CostModel, mode: ExecMode) -> ExecutionResult {
-    match mode {
-        ExecMode::Count if plan_is_countable(plan) => {
-            let (rel, cost) = exec_count(db, plan, model);
-            ExecutionResult { cardinality: rel.card, cost }
-        }
-        _ => {
-            let (rel, cost) = exec_materialize(db, plan, model);
-            ExecutionResult { cardinality: rel.len as f64, cost }
-        }
-    }
+pub fn execute_plan_mode(db: &Database, plan: &mut PlanNode, mode: ExecMode) -> ExecutionResult {
+    let cardinality = match mode {
+        ExecMode::Count if plan_is_countable(plan) => exec_count(db, plan).card,
+        _ => exec_materialize(db, plan).len as f64,
+    };
+    let cost = annotate_costs(plan, Annotation::True, &|table| db.table_rows(&table) as f64);
+    ExecutionResult { cardinality, cost }
 }
 
 /// Execute a batch of independent plans in parallel, annotating each in
-/// place; results come back in input order.  This is the ground-truth
-/// counterpart of the estimator's level-batched inference: workload
-/// generation and the bench harnesses execute whole query batches through it.
-pub fn execute_plans(db: &Database, plans: &mut [PlanNode], model: &CostModel) -> Vec<ExecutionResult> {
-    execute_plans_mode(db, plans, model, ExecMode::Count)
-}
-
-/// Batch execution in an explicit [`ExecMode`].
-pub fn execute_plans_mode(
-    db: &Database,
-    plans: &mut [PlanNode],
-    model: &CostModel,
-    mode: ExecMode,
-) -> Vec<ExecutionResult> {
-    use rayon::prelude::*;
-    plans.par_iter_mut().map(|plan| execute_plan_mode(db, plan, model, mode)).collect()
+/// place: one scoped worker per available core pulls the next plan from a
+/// shared queue until none is left.  Workload generation labels whole query
+/// batches through it.
+pub fn execute_plans(db: &Database, plans: &mut [PlanNode]) {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(plans.len());
+    let queue = Mutex::new(plans.iter_mut());
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let Some(plan) = queue.lock().expect("no worker panics while it holds the queue").next() else { break };
+                execute_plan(db, plan);
+            });
+        }
+    });
 }
 
 // --------------------------------------------------------------------------
@@ -154,33 +150,24 @@ fn index_scan_rows(db: &Database, table: Name, index_column: Name, predicate: Op
     index.lookup(key).iter().copied().filter(|&r| residual.iter().all(|p| p.matches_row(t, r))).collect()
 }
 
-/// Execute a scan operator: `(table, surviving rows, cost)`.
-fn exec_scan(db: &Database, op: &PhysicalOp, model: &CostModel) -> (Name, Vec<usize>, f64) {
+/// Execute a scan operator: `(table, surviving rows)`.
+fn exec_scan(db: &Database, op: &PhysicalOp) -> (Name, Vec<usize>) {
     match op {
-        PhysicalOp::SeqScan { table, predicate } => {
-            let rows = filter_rows(db, table, predicate.as_ref());
-            let n_atoms = predicate.as_ref().map(|p| p.num_atoms()).unwrap_or(0);
-            let cost = model.seq_scan(db.table_rows(table) as f64, n_atoms);
-            (*table, rows, cost)
-        }
+        PhysicalOp::SeqScan { table, predicate } => (*table, filter_rows(db, table, predicate.as_ref())),
         PhysicalOp::IndexScan { table, index_column, predicate } => {
-            let rows = index_scan_rows(db, *table, *index_column, predicate.as_ref());
-            let n_atoms = predicate.as_ref().map(|p| p.num_atoms()).unwrap_or(0);
-            let cost = model.index_scan(db.table_rows(table) as f64, rows.len() as f64, n_atoms);
-            (*table, rows, cost)
+            (*table, index_scan_rows(db, *table, *index_column, predicate.as_ref()))
         }
         _ => unreachable!("exec_scan called on a non-scan operator"),
     }
 }
 
-/// Join cost shared by both modes; `right_cost` is the right child's
-/// cumulative cost (the rescan cost of a nested loop's inner side).
-fn join_cost(model: &CostModel, op: &PhysicalOp, l: f64, r: f64, o: f64, right_cost: f64) -> f64 {
-    match op {
-        PhysicalOp::HashJoin { .. } => model.hash_join(l, r, o),
-        PhysicalOp::MergeJoin { .. } => model.merge_join(l, r, o),
-        PhysicalOp::NestedLoopJoin { .. } => model.nested_loop(l, right_cost, o),
-        _ => unreachable!("join_cost called on a non-join operator"),
+/// Output rows of an aggregate over `input` rows: one row without GROUP BY
+/// (the workloads only use global MIN/MAX/COUNT aggregates).
+fn aggregate_rows(input: f64, group_columns: &[Name]) -> f64 {
+    if group_columns.is_empty() {
+        1.0
+    } else {
+        input.max(1.0).sqrt().ceil()
     }
 }
 
@@ -295,55 +282,40 @@ fn count_join_tree(db: &Database, rel: &CountRel) -> f64 {
     weights[0].take().expect("root weights remain").iter().sum()
 }
 
-fn exec_count(db: &Database, node: &mut PlanNode, model: &CostModel) -> (CountRel, f64) {
-    let (relation, cost): (CountRel, f64) = match &node.op {
+fn exec_count(db: &Database, node: &mut PlanNode) -> CountRel {
+    let relation = match &node.op {
         PhysicalOp::SeqScan { .. } | PhysicalOp::IndexScan { .. } => {
-            let (table, rows, cost) = exec_scan(db, &node.op, model);
+            let (table, rows) = exec_scan(db, &node.op);
             let card = rows.len() as f64;
-            (CountRel { tables: vec![table], sel: vec![rows], edges: Vec::new(), card, dead: false }, cost)
+            CountRel { tables: vec![table], sel: vec![rows], edges: Vec::new(), card, dead: false }
         }
         PhysicalOp::HashJoin { condition }
         | PhysicalOp::MergeJoin { condition }
         | PhysicalOp::NestedLoopJoin { condition } => {
             let condition = *condition;
-            let op_kind = node.op.clone();
             assert_eq!(node.children.len(), 2, "join node must have two children");
-            let (left, left_cost) = exec_count(db, &mut node.children[0], model);
-            let (right, right_cost) = exec_count(db, &mut node.children[1], model);
-            let (l, r) = (left.card, right.card);
-
+            let left = exec_count(db, &mut node.children[0]);
+            let right = exec_count(db, &mut node.children[1]);
             let mut rel = merge_count_rels(left, right, &condition);
             rel.card = if rel.dead { 0.0 } else { count_join_tree(db, &rel) };
-            let own_cost = join_cost(model, &op_kind, l, r, rel.card, right_cost);
-            (rel, left_cost + right_cost + own_cost)
+            rel
         }
         PhysicalOp::Sort { .. } => {
             assert_eq!(node.children.len(), 1, "sort node must have one child");
-            let (rel, child_cost) = exec_count(db, &mut node.children[0], model);
-            let own = model.sort(rel.card);
-            (rel, child_cost + own)
+            exec_count(db, &mut node.children[0])
         }
-        PhysicalOp::Aggregate { hash, group_columns } => {
-            let hash = *hash;
-            let n_group_cols = group_columns.len();
+        PhysicalOp::Aggregate { group_columns, .. } => {
             assert_eq!(node.children.len(), 1, "aggregate node must have one child");
-            let (rel, child_cost) = exec_count(db, &mut node.children[0], model);
-            let input = rel.card;
-            // Without GROUP BY the aggregate produces a single row; the
-            // workloads only use global MIN/MAX/COUNT aggregates.
-            let out_rows = if n_group_cols == 0 { 1.0 } else { input.max(1.0).sqrt().ceil() };
-            let own = model.aggregate(input, out_rows, hash);
+            let card = aggregate_rows(exec_count(db, &mut node.children[0]).card, group_columns);
             // The aggregate erases the tuple structure; mark the relation
             // dead so an (unsupported) join above it matches the
             // materializing executor's empty result.
-            let out = CountRel { tables: Vec::new(), sel: Vec::new(), edges: Vec::new(), card: out_rows, dead: true };
-            (out, child_cost + own)
+            CountRel { tables: Vec::new(), sel: Vec::new(), edges: Vec::new(), card, dead: true }
         }
     };
 
     node.annotations.true_cardinality = Some(relation.card);
-    node.annotations.true_cost = Some(cost);
-    (relation, cost)
+    relation
 }
 
 /// Merge two factorized relations with the join condition as a new edge.
@@ -388,21 +360,20 @@ struct MatRel {
     len: usize,
 }
 
-fn exec_materialize(db: &Database, node: &mut PlanNode, model: &CostModel) -> (MatRel, f64) {
-    let (relation, cost): (MatRel, f64) = match &node.op {
+fn exec_materialize(db: &Database, node: &mut PlanNode) -> MatRel {
+    let relation = match &node.op {
         PhysicalOp::SeqScan { .. } | PhysicalOp::IndexScan { .. } => {
-            let (table, rows, cost) = exec_scan(db, &node.op, model);
+            let (table, rows) = exec_scan(db, &node.op);
             let len = rows.len();
-            (MatRel { tables: vec![table], cols: vec![rows], len }, cost)
+            MatRel { tables: vec![table], cols: vec![rows], len }
         }
         PhysicalOp::HashJoin { condition }
         | PhysicalOp::MergeJoin { condition }
         | PhysicalOp::NestedLoopJoin { condition } => {
             let condition = *condition;
-            let op_kind = node.op.clone();
             assert_eq!(node.children.len(), 2, "join node must have two children");
-            let (left, left_cost) = exec_materialize(db, &mut node.children[0], model);
-            let (right, right_cost) = exec_materialize(db, &mut node.children[1], model);
+            let left = exec_materialize(db, &mut node.children[0]);
+            let right = exec_materialize(db, &mut node.children[1]);
 
             // Determine which side holds which join column (as the original
             // executor did: orientation follows the left child).
@@ -449,31 +420,21 @@ fn exec_materialize(db: &Database, node: &mut PlanNode, model: &CostModel) -> (M
             let mut tables = left.tables;
             tables.extend(right.tables);
             let len = out_cols.first().map(|c| c.len()).unwrap_or(0);
-            let own_cost = join_cost(model, &op_kind, left.len as f64, right.len as f64, len as f64, right_cost);
-            (MatRel { tables, cols: out_cols, len }, left_cost + right_cost + own_cost)
+            MatRel { tables, cols: out_cols, len }
         }
         PhysicalOp::Sort { .. } => {
             assert_eq!(node.children.len(), 1, "sort node must have one child");
-            let (rel, child_cost) = exec_materialize(db, &mut node.children[0], model);
-            let own = model.sort(rel.len as f64);
-            (rel, child_cost + own)
+            exec_materialize(db, &mut node.children[0])
         }
-        PhysicalOp::Aggregate { hash, group_columns } => {
-            let hash = *hash;
-            let n_group_cols = group_columns.len();
+        PhysicalOp::Aggregate { group_columns, .. } => {
             assert_eq!(node.children.len(), 1, "aggregate node must have one child");
-            let (rel, child_cost) = exec_materialize(db, &mut node.children[0], model);
-            let input = rel.len as f64;
-            let out_rows = if n_group_cols == 0 { 1.0 } else { input.max(1.0).sqrt().ceil() };
-            let own = model.aggregate(input, out_rows, hash);
-            let out = MatRel { tables: Vec::new(), cols: Vec::new(), len: out_rows as usize };
-            (out, child_cost + own)
+            let input = exec_materialize(db, &mut node.children[0]).len as f64;
+            MatRel { tables: Vec::new(), cols: Vec::new(), len: aggregate_rows(input, group_columns) as usize }
         }
     };
 
     node.annotations.true_cardinality = Some(relation.len as f64);
-    node.annotations.true_cost = Some(cost);
-    (relation, cost)
+    relation
 }
 
 #[cfg(test)]
@@ -490,7 +451,7 @@ mod tests {
     fn seq_scan_without_predicate_returns_all_rows() {
         let db = db();
         let mut plan = PlanNode::leaf(PhysicalOp::SeqScan { table: "title".into(), predicate: None });
-        let res = execute_plan(&db, &mut plan, &CostModel::default());
+        let res = execute_plan(&db, &mut plan);
         assert_eq!(res.cardinality, db.table_rows("title") as f64);
         assert!(plan.annotations.true_cost.expect("cost set") > 0.0);
     }
@@ -500,7 +461,7 @@ mod tests {
         let db = db();
         let pred = Predicate::atom("title", "production_year", CompareOp::Gt, Operand::Num(2010.0));
         let mut plan = PlanNode::leaf(PhysicalOp::SeqScan { table: "title".into(), predicate: Some(pred.clone()) });
-        let res = execute_plan(&db, &mut plan, &CostModel::default());
+        let res = execute_plan(&db, &mut plan);
         let title = db.table("title").expect("exists");
         let expected = (0..title.n_rows()).filter(|&r| pred.matches_row(title, r)).count();
         assert_eq!(res.cardinality, expected as f64);
@@ -526,7 +487,7 @@ mod tests {
             },
             vec![scan_ct, scan_mc],
         );
-        let res = execute_plan(&db, &mut join, &CostModel::default());
+        let res = execute_plan(&db, &mut join);
 
         // Manual count: movie_companies rows with company_type_id == 1.
         let mc = db.table("movie_companies").expect("exists");
@@ -557,13 +518,12 @@ mod tests {
                 ],
             )
         };
-        let model = CostModel::default();
         let mut hash = mk_plan(|c| PhysicalOp::HashJoin { condition: c });
         let mut merge = mk_plan(|c| PhysicalOp::MergeJoin { condition: c });
         let mut nl = mk_plan(|c| PhysicalOp::NestedLoopJoin { condition: c });
-        let rh = execute_plan(&db, &mut hash, &model);
-        let rm = execute_plan(&db, &mut merge, &model);
-        let rn = execute_plan(&db, &mut nl, &model);
+        let rh = execute_plan(&db, &mut hash);
+        let rm = execute_plan(&db, &mut merge);
+        let rn = execute_plan(&db, &mut nl);
         assert_eq!(rh.cardinality, rm.cardinality);
         assert_eq!(rh.cardinality, rn.cardinality);
         assert!(rh.cost < rn.cost, "hash join should be cheaper than nested loop here");
@@ -574,7 +534,7 @@ mod tests {
         let db = db();
         let scan = PlanNode::leaf(PhysicalOp::SeqScan { table: "movie_companies".into(), predicate: None });
         let mut agg = PlanNode::inner(PhysicalOp::Aggregate { hash: false, group_columns: vec![] }, vec![scan]);
-        let res = execute_plan(&db, &mut agg, &CostModel::default());
+        let res = execute_plan(&db, &mut agg);
         assert_eq!(res.cardinality, 1.0);
         // Cumulative cost grows from child to parent.
         let child_cost = agg.children[0].annotations.true_cost.expect("cost");
@@ -591,7 +551,7 @@ mod tests {
             PhysicalOp::HashJoin { condition: JoinPredicate::new("movie_companies", "movie_id", "title", "id") },
             vec![scan_t, scan_mc],
         );
-        let res = execute_plan(&db, &mut join, &CostModel::default());
+        let res = execute_plan(&db, &mut join);
         assert_eq!(res.cardinality, 0.0);
         assert!(res.cost > 0.0);
     }
@@ -613,7 +573,7 @@ mod tests {
             PhysicalOp::HashJoin { condition: JoinPredicate::new("movie_info_idx", "movie_id", "title", "id") },
             vec![join1, scan_mii],
         );
-        let res = execute_plan(&db, &mut join2, &CostModel::default());
+        let res = execute_plan(&db, &mut join2);
         assert!(res.cardinality > 0.0);
         assert!(res.cost > 0.0);
         // Every node is annotated.
@@ -633,7 +593,6 @@ mod tests {
         let key = mc.int("movie_id", 3).expect("int");
         let pred = Predicate::atom("movie_companies", "movie_id", CompareOp::Eq, Operand::Num(key as f64))
             .and(Predicate::atom("movie_companies", "company_type_id", CompareOp::Gt, Operand::Num(1.0)));
-        let model = CostModel::default();
         let mut idx = PlanNode::leaf(PhysicalOp::IndexScan {
             table: "movie_companies".into(),
             index_column: "movie_id".into(),
@@ -641,8 +600,8 @@ mod tests {
         });
         let mut seq =
             PlanNode::leaf(PhysicalOp::SeqScan { table: "movie_companies".into(), predicate: Some(pred.clone()) });
-        let ri = execute_plan(&db, &mut idx, &model);
-        let rs = execute_plan(&db, &mut seq, &model);
+        let ri = execute_plan(&db, &mut idx);
+        let rs = execute_plan(&db, &mut seq);
         assert_eq!(ri.cardinality, rs.cardinality, "index path must return the filter-scan result");
         // Manual count through the index.
         let index = db.index("movie_companies", "movie_id").expect("index exists");
@@ -658,15 +617,14 @@ mod tests {
         // conjunct and must not drive the index probe.
         let pred = Predicate::atom("movie_companies", "movie_id", CompareOp::Eq, Operand::Num(5.0))
             .or(Predicate::atom("movie_companies", "company_type_id", CompareOp::Eq, Operand::Num(2.0)));
-        let model = CostModel::default();
         let mut idx = PlanNode::leaf(PhysicalOp::IndexScan {
             table: "movie_companies".into(),
             index_column: "movie_id".into(),
             predicate: Some(pred.clone()),
         });
         let mut seq = PlanNode::leaf(PhysicalOp::SeqScan { table: "movie_companies".into(), predicate: Some(pred) });
-        let ri = execute_plan(&db, &mut idx, &model);
-        let rs = execute_plan(&db, &mut seq, &model);
+        let ri = execute_plan(&db, &mut idx);
+        let rs = execute_plan(&db, &mut seq);
         assert_eq!(ri.cardinality, rs.cardinality);
         assert!(ri.cardinality > 0.0);
     }
@@ -680,7 +638,7 @@ mod tests {
             index_column: "movie_id".into(),
             predicate: Some(pred),
         });
-        let res = execute_plan(&db, &mut idx, &CostModel::default());
+        let res = execute_plan(&db, &mut idx);
         assert_eq!(res.cardinality, 0.0);
     }
 
@@ -693,7 +651,6 @@ mod tests {
         use rand_chacha::ChaCha8Rng;
 
         let db = db();
-        let model = CostModel::default();
         let edges: Vec<JoinPredicate> = db
             .schema()
             .join_edges()
@@ -772,11 +729,13 @@ mod tests {
 
             let mut counted = plan.clone();
             let mut materialized = plan.clone();
-            let rc = execute_plan_mode(&db, &mut counted, &model, ExecMode::Count);
-            let rm = execute_plan_mode(&db, &mut materialized, &model, ExecMode::Materialize);
+            let rc = execute_plan_mode(&db, &mut counted, ExecMode::Count);
+            let rm = execute_plan_mode(&db, &mut materialized, ExecMode::Materialize);
             assert_eq!(rc.cardinality, rm.cardinality, "root cardinality diverged for {}", plan.explain());
-            assert!((rc.cost - rm.cost).abs() < 1e-6 * rm.cost.max(1.0), "root cost diverged");
-            // Every sub-plan must agree exactly as well.
+            assert_eq!(rc.cost.to_bits(), rm.cost.to_bits(), "root cost diverged for {}", plan.explain());
+            // Every sub-plan must agree exactly as well: both modes run the
+            // one cost pass over equal cardinalities, so costs match bit
+            // for bit.
             let cn = counted.nodes_preorder();
             let mn = materialized.nodes_preorder();
             assert_eq!(cn.len(), mn.len());
@@ -787,9 +746,87 @@ mod tests {
                     "node cardinality diverged for {}",
                     plan.explain()
                 );
+                assert_eq!(
+                    c.annotations.true_cost.map(f64::to_bits),
+                    m.annotations.true_cost.map(f64::to_bits),
+                    "node cost diverged for {}",
+                    plan.explain()
+                );
             }
         }
         assert!(join_plans > 20, "randomized suite degenerated to single scans");
+    }
+
+    /// Hand-built plans that reach every arm of the cost pass: a two-atom
+    /// SeqScan, an IndexScan, hash, merge and index nested-loop joins, a Sort,
+    /// and an Aggregate without and with GROUP BY.  The planner emits neither
+    /// a Sort nor a grouped Aggregate.
+    fn every_operator_plans() -> [PlanNode; 2] {
+        let scan = |table: &str, predicate| PlanNode::leaf(PhysicalOp::SeqScan { table: table.into(), predicate });
+        let num = |table: &str, column: &str, op, v| Predicate::atom(table, column, op, Operand::Num(v));
+        let on = |fk: &str, column: &str, pk: &str| JoinPredicate::new(fk, column, pk, "id");
+        let two_atoms =
+            num("title", "production_year", CompareOp::Gt, 1990.0).and(num("title", "kind_id", CompareOp::Lt, 3.0));
+        let hash = PlanNode::inner(
+            PhysicalOp::HashJoin { condition: on("movie_companies", "movie_id", "title") },
+            vec![scan("title", Some(two_atoms)), scan("movie_companies", None)],
+        );
+        let merge = PlanNode::inner(
+            PhysicalOp::MergeJoin { condition: on("movie_info_idx", "movie_id", "title") },
+            vec![hash, scan("movie_info_idx", None)],
+        );
+        let sort = PlanNode::inner(
+            PhysicalOp::Sort { table: "title".into(), columns: vec!["production_year".into()] },
+            vec![merge],
+        );
+        let kind = Predicate::atom("company_type", "kind", CompareOp::Eq, Operand::Str("production companies".into()));
+        let probe = PhysicalOp::IndexScan {
+            table: "movie_companies".into(),
+            index_column: "company_type_id".into(),
+            predicate: Some(num("movie_companies", "company_type_id", CompareOp::Eq, 1.0)),
+        };
+        let index_nested_loop = PlanNode::inner(
+            PhysicalOp::NestedLoopJoin { condition: on("movie_companies", "company_type_id", "company_type") },
+            vec![scan("company_type", Some(kind)), PlanNode::leaf(probe)],
+        );
+        [
+            PlanNode::inner(PhysicalOp::Aggregate { hash: false, group_columns: vec![] }, vec![sort]),
+            PlanNode::inner(
+                PhysicalOp::Aggregate { hash: true, group_columns: vec!["company_id".into()] },
+                vec![index_nested_loop],
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_operator_keeps_its_true_cost_bits() {
+        // Per-node `true_cost` bits in pre-order: any change to a formula,
+        // a constant or the order of a cumulative sum moves them.
+        let expected: [&[u64]; 2] = [
+            &[
+                0x406c43a6af215bf2,
+                0x406bd22190690a06,
+                0x406a61574ac34c1e,
+                0x40564147ae147ae1,
+                0x4039000000000000,
+                0x4044800000000000,
+                0x403f000000000000,
+            ],
+            &[0x4082a99b9309db8b, 0x408263e3411e566c, 0x3ff0cccccccccccd, 0x40722e49a784bcd2],
+        ];
+        let db = db();
+        for (plan, bits) in every_operator_plans().into_iter().zip(expected) {
+            for mode in [ExecMode::Count, ExecMode::Materialize] {
+                let mut plan = plan.clone();
+                execute_plan_mode(&db, &mut plan, mode);
+                let got: Vec<u64> = plan
+                    .nodes_preorder()
+                    .iter()
+                    .map(|n| n.annotations.true_cost.expect("annotated").to_bits())
+                    .collect();
+                assert_eq!(got, bits, "{mode:?}: {}", plan.explain());
+            }
+        }
     }
 
     #[test]
@@ -805,7 +842,7 @@ mod tests {
         assert!(!plan_is_countable(&join));
         // Count mode silently uses the materializing path, which joins every
         // title row with itself on the unique id.
-        let res = execute_plan(&db, &mut join, &CostModel::default());
+        let res = execute_plan(&db, &mut join);
         assert_eq!(res.cardinality, db.table_rows("title") as f64);
     }
 
@@ -831,7 +868,7 @@ mod tests {
             PhysicalOp::HashJoin { condition: JoinPredicate::new("cast_info", "movie_id", "title", "id") },
             vec![j2, scan_ci],
         );
-        let res = execute_plan(&db, &mut j3, &CostModel::default());
+        let res = execute_plan(&db, &mut j3);
         // Exact expected count: sum over movies of the product of fan-outs.
         let count_by = |table: &str| {
             let t = db.table(table).expect("exists");

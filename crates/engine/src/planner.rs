@@ -342,7 +342,7 @@ mod tests {
         let db = db();
         let q = job_light_style_query();
         let mut plan = plan_query(&db, &q, &PlannerConfig::default());
-        let res = crate::executor::execute_plan(&db, &mut plan, &crate::cost::CostModel::default());
+        let res = crate::executor::execute_plan(&db, &mut plan);
         assert!(res.cost > 0.0);
         assert_eq!(res.cardinality, 1.0, "aggregate plan must return one row");
         // The join below the aggregate has a real cardinality.
@@ -411,7 +411,7 @@ mod tests {
         let db = db();
         let q = job_light_style_query();
         for mut plan in enumerate_join_orders(&db, &q, &PlannerConfig::default(), 8) {
-            let res = crate::executor::execute_plan(&db, &mut plan, &crate::cost::CostModel::default());
+            let res = crate::executor::execute_plan(&db, &mut plan);
             assert!(res.cost > 0.0);
         }
     }

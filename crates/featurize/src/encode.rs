@@ -525,7 +525,7 @@ impl FeatureExtractor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engine::{execute_plan, CostModel};
+    use engine::execute_plan;
     use imdb::{generate_imdb, GeneratorConfig};
     use query::{CompareOp, JoinPredicate};
     use strembed::HashBitmapEncoder;
@@ -715,7 +715,7 @@ mod tests {
             PhysicalOp::HashJoin { condition: JoinPredicate::new("movie_companies", "movie_id", "title", "id") },
             vec![scan_t, scan_mc],
         );
-        execute_plan(db, &mut join, &CostModel::default());
+        execute_plan(db, &mut join);
         join
     }
 

@@ -168,7 +168,7 @@ impl Estimator for MscnEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engine::{execute_plan, CostModel};
+    use engine::execute_plan;
     use imdb::{generate_imdb, GeneratorConfig};
     use nn::checkpoint as ckpt;
     use query::{CompareOp, JoinPredicate, Operand, PhysicalOp, Predicate};
@@ -178,7 +178,6 @@ mod tests {
         let enc = EncodingConfig::from_database(&db, 8, 32);
         let config = MscnConfig { epochs: 3, hidden_dim: 16, predict_cost, ..Default::default() };
         let est = MscnEstimator::new(db.clone(), enc, config);
-        let cost = CostModel::default();
         let plans: Vec<PlanNode> = (0..24)
             .map(|i| {
                 let scan_t = PlanNode::leaf(PhysicalOp::SeqScan {
@@ -197,7 +196,7 @@ mod tests {
                     },
                     vec![scan_t, scan_mc],
                 );
-                execute_plan(&db, &mut join, &cost);
+                execute_plan(&db, &mut join);
                 join
             })
             .collect();

@@ -153,7 +153,7 @@ impl MscnFeaturizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engine::{execute_plan, CostModel};
+    use engine::execute_plan;
     use imdb::{generate_imdb, GeneratorConfig};
     use query::{CompareOp, JoinPredicate, Predicate};
 
@@ -173,7 +173,7 @@ mod tests {
             PhysicalOp::HashJoin { condition: JoinPredicate::new("movie_companies", "movie_id", "title", "id") },
             vec![scan_t, scan_mc],
         );
-        execute_plan(db, &mut join, &CostModel::default());
+        execute_plan(db, &mut join);
         join
     }
 
@@ -213,7 +213,7 @@ mod tests {
     fn plan_without_joins_gets_padding_elements() {
         let (fx, db) = featurizer();
         let mut scan = PlanNode::leaf(PhysicalOp::SeqScan { table: "keyword".into(), predicate: None });
-        execute_plan(&db, &mut scan, &CostModel::default());
+        execute_plan(&db, &mut scan);
         let sets = fx.featurize(&scan);
         assert_eq!(sets.joins.len(), 1);
         assert_eq!(sets.joins[0].iter().sum::<f32>(), 0.0);

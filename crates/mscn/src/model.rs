@@ -370,7 +370,7 @@ impl MscnTrainer {
 mod tests {
     use super::*;
     use crate::featurize_query::MscnFeaturizer;
-    use engine::{execute_plan, CostModel};
+    use engine::execute_plan;
     use featurize::EncodingConfig;
     use imdb::{generate_imdb, GeneratorConfig};
     use query::{CompareOp, JoinPredicate, Operand, PhysicalOp, PlanNode, Predicate};
@@ -380,7 +380,6 @@ mod tests {
         let db = Arc::new(generate_imdb(GeneratorConfig::tiny()));
         let cfg = EncodingConfig::from_database(&db, 8, 32);
         let fx = MscnFeaturizer::new(db.clone(), cfg);
-        let cost = CostModel::default();
         let mut out = Vec::new();
         for i in 0..n {
             let scan_t = PlanNode::leaf(PhysicalOp::SeqScan {
@@ -397,7 +396,7 @@ mod tests {
                 PhysicalOp::HashJoin { condition: JoinPredicate::new("movie_companies", "movie_id", "title", "id") },
                 vec![scan_t, scan_mc],
             );
-            execute_plan(&db, &mut join, &cost);
+            execute_plan(&db, &mut join);
             out.push(fx.featurize(&join));
         }
         (out, fx)
@@ -452,7 +451,6 @@ mod tests {
         let db = Arc::new(generate_imdb(GeneratorConfig::tiny()));
         let cfg = EncodingConfig::from_database(&db, 8, 32);
         let fx = MscnFeaturizer::new(db.clone(), cfg);
-        let cost = CostModel::default();
         let mut samples = Vec::new();
         for i in 0..6 {
             let mut scan = PlanNode::leaf(PhysicalOp::SeqScan {
@@ -464,7 +462,7 @@ mod tests {
                     Operand::Num((1950 + i * 5) as f64),
                 )),
             });
-            execute_plan(&db, &mut scan, &cost);
+            execute_plan(&db, &mut scan);
             samples.push(fx.featurize(&scan));
         }
         let (joined, _) = dataset(6);

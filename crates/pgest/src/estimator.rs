@@ -2,24 +2,23 @@
 //!
 //! Estimates cardinality bottom-up over the physical plan: scans use
 //! histogram selectivities, joins use `|L| * |R| / max(ndv, ndv)`, aggregates
-//! produce one row.  Costs are computed with the same work-unit cost model as
-//! the ground truth but fed with the *estimated* cardinalities — so cost
-//! errors are driven by cardinality errors, matching the finding of Leis et
-//! al. that the paper cites.
+//! produce one row.  The cost is the ground truth's own cost pass,
+//! [`engine::annotate_costs`], run over the *estimated* cardinalities — so
+//! cost errors are driven by cardinality errors alone, matching the finding
+//! of Leis et al. that the paper cites.
 
 use crate::histogram::ColumnStats;
 use crate::selectivity::{predicate_selectivity, TableStats};
-use engine::CostModel;
+use engine::{annotate_costs, Annotation};
 use imdb::Database;
 use query::{Name, PhysicalOp, PlanNode};
 use std::collections::HashMap;
 
-/// The traditional estimator: per-table column statistics plus the cost model.
+/// The traditional estimator: per-table column statistics and row counts.
 #[derive(Debug, Clone)]
 pub struct TraditionalEstimator {
     stats: HashMap<Name, TableStats>,
     table_rows: HashMap<Name, f64>,
-    model: CostModel,
 }
 
 impl TraditionalEstimator {
@@ -39,7 +38,7 @@ impl TraditionalEstimator {
             }
             stats.insert(name, per_table);
         }
-        TraditionalEstimator { stats, table_rows, model: CostModel::default() }
+        TraditionalEstimator { stats, table_rows }
     }
 
     /// Number of distinct values of a column (1 when unknown).
@@ -56,66 +55,43 @@ impl TraditionalEstimator {
     /// `estimated_cost` into every node's annotations, and return the root
     /// estimates `(cardinality, cost)`.
     pub fn estimate_plan(&self, plan: &mut PlanNode) -> (f64, f64) {
-        self.estimate_node(plan)
+        let card = self.estimate_node(plan);
+        (card, annotate_costs(plan, Annotation::Estimated, &|table| self.rows(table)))
     }
 
-    fn estimate_node(&self, node: &mut PlanNode) -> (f64, f64) {
-        let (card, cost) = match &node.op {
-            PhysicalOp::SeqScan { table, predicate } => {
-                let rows = self.rows(*table);
+    fn estimate_node(&self, node: &mut PlanNode) -> f64 {
+        let card = match &node.op {
+            PhysicalOp::SeqScan { table, predicate } | PhysicalOp::IndexScan { table, predicate, .. } => {
                 let sel = predicate
                     .as_ref()
                     .map(|p| self.stats.get(table).map(|s| predicate_selectivity(s, p)).unwrap_or(0.33))
                     .unwrap_or(1.0);
-                let out = (rows * sel).max(1.0);
-                let n_atoms = predicate.as_ref().map(|p| p.num_atoms()).unwrap_or(0);
-                (out, self.model.seq_scan(rows, n_atoms))
-            }
-            PhysicalOp::IndexScan { table, predicate, .. } => {
-                let rows = self.rows(*table);
-                let sel = predicate
-                    .as_ref()
-                    .map(|p| self.stats.get(table).map(|s| predicate_selectivity(s, p)).unwrap_or(0.33))
-                    .unwrap_or(1.0);
-                let out = (rows * sel).max(1.0);
-                let n_atoms = predicate.as_ref().map(|p| p.num_atoms()).unwrap_or(0);
-                (out, self.model.index_scan(rows, out, n_atoms))
+                (self.rows(*table) * sel).max(1.0)
             }
             PhysicalOp::HashJoin { condition }
             | PhysicalOp::MergeJoin { condition }
             | PhysicalOp::NestedLoopJoin { condition } => {
                 let condition = *condition;
-                let op = node.op.clone();
-                let (lc, lcost) = self.estimate_node(&mut node.children[0]);
-                let (rc, rcost) = self.estimate_node(&mut node.children[1]);
+                let lc = self.estimate_node(&mut node.children[0]);
+                let rc = self.estimate_node(&mut node.children[1]);
                 // Classic equi-join estimate with the independence assumption.
                 let ndv = self
                     .ndv(condition.left_table, condition.left_column)
                     .max(self.ndv(condition.right_table, condition.right_column));
-                let out = (lc * rc / ndv).max(1.0);
-                let own = match op {
-                    PhysicalOp::HashJoin { .. } => self.model.hash_join(lc, rc, out),
-                    PhysicalOp::MergeJoin { .. } => self.model.merge_join(lc, rc, out),
-                    PhysicalOp::NestedLoopJoin { .. } => self.model.nested_loop(lc, rcost, out),
-                    _ => unreachable!("join arm"),
-                };
-                (out, lcost + rcost + own)
+                (lc * rc / ndv).max(1.0)
             }
-            PhysicalOp::Sort { .. } => {
-                let (c, cost) = self.estimate_node(&mut node.children[0]);
-                (c, cost + self.model.sort(c))
-            }
-            PhysicalOp::Aggregate { hash, group_columns } => {
-                let hash = *hash;
-                let groups = group_columns.len();
-                let (c, cost) = self.estimate_node(&mut node.children[0]);
-                let out = if groups == 0 { 1.0 } else { c.sqrt().max(1.0) };
-                (out, cost + self.model.aggregate(c, out, hash))
+            PhysicalOp::Sort { .. } => self.estimate_node(&mut node.children[0]),
+            PhysicalOp::Aggregate { group_columns, .. } => {
+                let c = self.estimate_node(&mut node.children[0]);
+                if group_columns.is_empty() {
+                    1.0
+                } else {
+                    c.sqrt().max(1.0)
+                }
             }
         };
         node.annotations.estimated_cardinality = Some(card);
-        node.annotations.estimated_cost = Some(cost);
-        (card, cost)
+        card
     }
 }
 
@@ -170,7 +146,7 @@ mod tests {
         let mut plan = PlanNode::leaf(PhysicalOp::SeqScan { table: "title".into(), predicate: Some(pred) });
         let (card, cost) = est.estimate_plan(&mut plan);
         let mut real_plan = plan.clone();
-        let res = execute_plan(&db, &mut real_plan, &CostModel::default());
+        let res = execute_plan(&db, &mut real_plan);
         // Histograms are good at single-column ranges: q-error should be small.
         assert!(q_error(card, res.cardinality) < 2.0, "card {card} vs {}", res.cardinality);
         assert!(cost > 0.0);
@@ -189,7 +165,7 @@ mod tests {
         let mut plan = PlanNode::leaf(PhysicalOp::SeqScan { table: "movie_companies".into(), predicate: Some(pred) });
         let (card, _) = est.estimate_plan(&mut plan);
         let mut real_plan = plan.clone();
-        let res = execute_plan(&db, &mut real_plan, &CostModel::default());
+        let res = execute_plan(&db, &mut real_plan);
         assert!(res.cardinality > 0.0);
         assert!(card < res.cardinality, "expected underestimate: est {card} vs real {}", res.cardinality);
     }
@@ -220,7 +196,6 @@ mod tests {
         // (with correlated keys) are added.
         let db = db();
         let est = TraditionalEstimator::analyze(&db);
-        let model = CostModel::default();
 
         let pred = Predicate::atom("title", "production_year", CompareOp::Lt, Operand::Num(1975.0));
         let scan_t = PlanNode::leaf(PhysicalOp::SeqScan { table: "title".into(), predicate: Some(pred) });
@@ -242,9 +217,9 @@ mod tests {
         let mut two_join = join2;
 
         let (est1, _) = est.estimate_plan(&mut one_join);
-        let real1 = execute_plan(&db, &mut one_join.clone(), &model).cardinality;
+        let real1 = execute_plan(&db, &mut one_join.clone()).cardinality;
         let (est2, _) = est.estimate_plan(&mut two_join);
-        let real2 = execute_plan(&db, &mut two_join.clone(), &model).cardinality;
+        let real2 = execute_plan(&db, &mut two_join.clone()).cardinality;
 
         let q1 = q_error(est1, real1);
         let q2 = q_error(est2, real2);
@@ -275,6 +250,76 @@ mod tests {
             est.save_checkpoint_to(std::path::Path::new("/tmp/pg.ckpt")),
             Err(estimator_core::CheckpointError::Unsupported(_))
         ));
+    }
+
+    /// Hand-built plans that reach every arm of the cost pass: a two-atom
+    /// SeqScan, an IndexScan, hash, merge and index nested-loop joins, a Sort,
+    /// and an Aggregate without and with GROUP BY.  The planner emits neither
+    /// a Sort nor a grouped Aggregate.
+    fn every_operator_plans() -> [PlanNode; 2] {
+        let scan = |table: &str, predicate| PlanNode::leaf(PhysicalOp::SeqScan { table: table.into(), predicate });
+        let num = |table: &str, column: &str, op, v| Predicate::atom(table, column, op, Operand::Num(v));
+        let on = |fk: &str, column: &str, pk: &str| JoinPredicate::new(fk, column, pk, "id");
+        let two_atoms =
+            num("title", "production_year", CompareOp::Gt, 1990.0).and(num("title", "kind_id", CompareOp::Lt, 3.0));
+        let hash = PlanNode::inner(
+            PhysicalOp::HashJoin { condition: on("movie_companies", "movie_id", "title") },
+            vec![scan("title", Some(two_atoms)), scan("movie_companies", None)],
+        );
+        let merge = PlanNode::inner(
+            PhysicalOp::MergeJoin { condition: on("movie_info_idx", "movie_id", "title") },
+            vec![hash, scan("movie_info_idx", None)],
+        );
+        let sort = PlanNode::inner(
+            PhysicalOp::Sort { table: "title".into(), columns: vec!["production_year".into()] },
+            vec![merge],
+        );
+        let kind = Predicate::atom("company_type", "kind", CompareOp::Eq, Operand::Str("production companies".into()));
+        let probe = PhysicalOp::IndexScan {
+            table: "movie_companies".into(),
+            index_column: "company_type_id".into(),
+            predicate: Some(num("movie_companies", "company_type_id", CompareOp::Eq, 1.0)),
+        };
+        let index_nested_loop = PlanNode::inner(
+            PhysicalOp::NestedLoopJoin { condition: on("movie_companies", "company_type_id", "company_type") },
+            vec![scan("company_type", Some(kind)), PlanNode::leaf(probe)],
+        );
+        [
+            PlanNode::inner(PhysicalOp::Aggregate { hash: false, group_columns: vec![] }, vec![sort]),
+            PlanNode::inner(
+                PhysicalOp::Aggregate { hash: true, group_columns: vec!["company_id".into()] },
+                vec![index_nested_loop],
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_operator_keeps_its_estimated_cost_bits() {
+        // Per-node `estimated_cost` bits in pre-order: any change to a
+        // formula, a constant, the order of a cumulative sum or a
+        // cardinality rule (the grouped aggregate's `sqrt`) moves them.
+        let expected: [&[u64]; 2] = [
+            &[
+                0x4071f9141dcd58c9,
+                0x407150203f334632,
+                0x406d7f94a53d42c6,
+                0x4056f628ba9c0c0f,
+                0x4039000000000000,
+                0x4044800000000000,
+                0x403f000000000000,
+            ],
+            &[0x407a04f9b56fe00a, 0x4079eb601bd64670, 0x3ff0cccccccccccd, 0x4069ca934f0979a3],
+        ];
+        let est = TraditionalEstimator::analyze(&db());
+        for (mut plan, bits) in every_operator_plans().into_iter().zip(expected) {
+            est.estimate_plan(&mut plan);
+            let got: Vec<u64> = plan
+                .nodes_preorder()
+                .iter()
+                .map(|n| n.annotations.estimated_cost.expect("annotated").to_bits())
+                .collect();
+            assert_eq!(got, bits, "{}", plan.explain());
+        }
     }
 
     #[test]

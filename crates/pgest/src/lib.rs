@@ -9,9 +9,11 @@
 //!   independence** assumption (`AND` multiplies, `OR` adds-minus-product)
 //!   in [`selectivity`];
 //! * join cardinalities estimated with the classic
-//!   `|L| * |R| / max(ndv(L.a), ndv(R.b))` formula, and plan costs computed
-//!   with the same cost-model formulas as the ground truth but fed with the
-//!   *estimated* cardinalities, in [`estimator`].
+//!   `|L| * |R| / max(ndv(L.a), ndv(R.b))` formula, in [`estimator`];
+//! * plan costs from the ground truth's own cost pass,
+//!   [`engine::annotate_costs`], run over the *estimated* cardinalities and
+//!   the ANALYZE row counts: `PGCost` differs from the true cost only
+//!   through its cardinalities.
 //!
 //! Because the synthetic data is deliberately correlated across columns and
 //! tables, this estimator exhibits the same error-amplification-with-joins

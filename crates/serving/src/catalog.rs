@@ -3,13 +3,12 @@
 use crate::feedback::{FeedbackConfig, TenantFeedback};
 use estimator_core::{CheckpointError, CostEstimator, Estimator, PlanEstimate, ServingEstimator};
 use featurize::EncodedPlan;
-use parking_lot::RwLock;
 use query::PlanNode;
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// One catalog entry's backend: the paper's tree estimator, which brings
 /// the encoded fast path and the owned serving handle.
@@ -113,6 +112,11 @@ pub type BackendFactory = Box<dyn Fn() -> TenantBackend + Send + Sync>;
 
 /// Per-tenant state: the swappable model slot, the generation counter and
 /// an optional backend factory for checkpoint installs.
+///
+/// Every lock in the catalog is taken through `PoisonError::into_inner`:
+/// each write is one store or one map edit, so the data stays valid even if
+/// its holder panics, and one panic never poisons a tenant for every later
+/// caller.
 #[derive(Default)]
 struct Tenant {
     slot: RwLock<Option<Arc<TenantModel>>>,
@@ -133,7 +137,7 @@ impl Tenant {
         // their models in the opposite order of their generation numbers
         // and leave the tenant permanently serving the older model.  The
         // lock is held only to wrap the backend and store one Arc.
-        let mut slot = self.slot.write();
+        let mut slot = self.slot.write().unwrap_or_else(PoisonError::into_inner);
         let generation = self.generations.fetch_add(1, Ordering::Relaxed) + 1;
         *slot = Some(Arc::new(TenantModel::new(backend, generation)));
         generation
@@ -159,14 +163,14 @@ impl ModelCatalog {
     }
 
     fn tenant(&self, name: &str) -> Option<Arc<Tenant>> {
-        self.tenants.read().get(name).cloned()
+        self.tenants.read().unwrap_or_else(PoisonError::into_inner).get(name).cloned()
     }
 
     fn tenant_or_create(&self, name: &str) -> Arc<Tenant> {
         if let Some(t) = self.tenant(name) {
             return t;
         }
-        let mut map = self.tenants.write();
+        let mut map = self.tenants.write().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(map.entry(name.to_string()).or_default())
     }
 
@@ -180,7 +184,7 @@ impl ModelCatalog {
     /// Register the factory that builds fresh backend instances for
     /// [`ModelCatalog::install_checkpoint`] under this name.
     pub fn register_factory(&self, name: &str, factory: BackendFactory) {
-        *self.tenant_or_create(name).factory.write() = Some(factory);
+        *self.tenant_or_create(name).factory.write().unwrap_or_else(PoisonError::into_inner) = Some(factory);
     }
 
     /// Build a fresh backend via the tenant's registered factory, load the
@@ -197,7 +201,7 @@ impl ModelCatalog {
             // Hold the factory read lock only for the build itself — the
             // checkpoint load below can be long, and a concurrent
             // register_factory must not block behind it.
-            let factory = tenant.factory.read();
+            let factory = tenant.factory.read().unwrap_or_else(PoisonError::into_inner);
             let build =
                 factory.as_ref().ok_or(CheckpointError::Unsupported("tenant has no backend factory registered"))?;
             build()
@@ -208,7 +212,7 @@ impl ModelCatalog {
 
     /// The tenant's current model, if any is published.
     pub fn current(&self, name: &str) -> Option<Arc<TenantModel>> {
-        self.tenant(name).and_then(|t| t.slot.read().clone())
+        self.tenant(name).and_then(|t| t.slot.read().unwrap_or_else(PoisonError::into_inner).clone())
     }
 
     /// Open a session on a tenant (it need not have a model yet; calls
@@ -219,7 +223,8 @@ impl ModelCatalog {
 
     /// All tenant names, sorted.
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tenants.read().keys().cloned().collect();
+        let mut names: Vec<String> =
+            self.tenants.read().unwrap_or_else(PoisonError::into_inner).keys().cloned().collect();
         names.sort();
         names
     }
@@ -227,7 +232,7 @@ impl ModelCatalog {
     /// Remove a tenant entirely.  In-flight sessions holding the tenant or
     /// a pinned model finish undisturbed; new lookups no longer find it.
     pub fn remove(&self, name: &str) -> bool {
-        self.tenants.write().remove(name).is_some()
+        self.tenants.write().unwrap_or_else(PoisonError::into_inner).remove(name).is_some()
     }
 
     /// Switch on serving-time feedback capture for a tenant (creating the
@@ -239,13 +244,13 @@ impl ModelCatalog {
     pub fn enable_feedback(&self, name: &str, config: FeedbackConfig) -> Arc<TenantFeedback> {
         let tenant = self.tenant_or_create(name);
         let feedback = Arc::new(TenantFeedback::new(config));
-        *tenant.feedback.write() = Some(Arc::clone(&feedback));
+        *tenant.feedback.write().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&feedback));
         feedback
     }
 
     /// The tenant's capture state, if feedback is enabled.
     pub fn feedback(&self, name: &str) -> Option<Arc<TenantFeedback>> {
-        self.tenant(name).and_then(|t| t.feedback.read().clone())
+        self.tenant(name).and_then(|t| t.feedback.read().unwrap_or_else(PoisonError::into_inner).clone())
     }
 }
 
@@ -261,7 +266,7 @@ impl Session {
     /// Pin the tenant's current model (or `None` before the first publish /
     /// after a remove-and-recreate race).
     pub fn model(&self) -> Option<Arc<TenantModel>> {
-        self.tenant.slot.read().clone()
+        self.tenant.slot.read().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// The current model generation, for observing hot-swaps.
@@ -301,7 +306,7 @@ impl Session {
     /// refresh loop can execute it for ground truth later.
     pub fn encode(&self, plan: &PlanNode) -> Option<EncodedPlan> {
         let encoded = self.model()?.tree.encode(plan);
-        if let Some(feedback) = self.tenant.feedback.read().as_ref() {
+        if let Some(feedback) = self.tenant.feedback.read().unwrap_or_else(PoisonError::into_inner).as_ref() {
             feedback.registry().register(encoded.signature, plan);
         }
         Some(encoded)
@@ -319,7 +324,7 @@ impl Session {
     /// published.
     pub fn encode_batch(&self, plans: &[PlanNode]) -> Option<Vec<Arc<EncodedPlan>>> {
         let encoded = self.model()?.tree.encode_plans(plans);
-        if let Some(feedback) = self.tenant.feedback.read().as_ref() {
+        if let Some(feedback) = self.tenant.feedback.read().unwrap_or_else(PoisonError::into_inner).as_ref() {
             for (enc, plan) in encoded.iter().zip(plans) {
                 feedback.registry().register(enc.signature, plan);
             }
@@ -331,7 +336,7 @@ impl Session {
     /// enabled.  One uncontended `RwLock` read per batch on the hot path,
     /// then one lock of the log for the whole batch.
     fn capture<P: Borrow<EncodedPlan>>(&self, plans: &[P], estimates: &[(f64, f64)]) {
-        if let Some(feedback) = self.tenant.feedback.read().as_ref() {
+        if let Some(feedback) = self.tenant.feedback.read().unwrap_or_else(PoisonError::into_inner).as_ref() {
             feedback.log().record_batch(plans.iter().map(|p| &p.borrow().signature).zip(estimates.iter()));
         }
     }
@@ -340,7 +345,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engine::{execute_plan, CostModel};
+    use engine::execute_plan;
     use estimator_core::{ModelConfig, TrainConfig};
     use featurize::{EncodingConfig, FeatureExtractor};
     use imdb::{generate_imdb, GeneratorConfig};
@@ -358,7 +363,6 @@ mod tests {
     }
 
     fn executed_plans(db: &Arc<imdb::Database>, n: usize) -> Vec<PlanNode> {
-        let cost = CostModel::default();
         (0..n)
             .map(|i| {
                 let scan_t = PlanNode::leaf(PhysicalOp::SeqScan {
@@ -377,7 +381,7 @@ mod tests {
                     },
                     vec![scan_t, scan_mc],
                 );
-                execute_plan(db, &mut join, &cost);
+                execute_plan(db, &mut join);
                 join
             })
             .collect()

@@ -24,12 +24,11 @@
 //! it behind an `RwLock<Option<Arc<..>>>` so tenants that never opt in pay
 //! a single uncontended read per batch.
 
-use parking_lot::Mutex;
 use query::plan::NodeAnnotations;
 use query::PlanNode;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One served estimate, as remembered by the [`FeedbackLog`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,7 +42,10 @@ pub struct FeedbackRecord {
     pub cardinality: f64,
 }
 
-/// The ring and its counters, guarded together by the log's mutex.
+/// The ring and its counters, guarded together by the log's mutex.  Both
+/// feedback mutexes are taken through `PoisonError::into_inner`: every step
+/// of an update leaves the data valid, so a panic under the lock cannot
+/// stop the tenant's capture.
 struct Ring {
     records: VecDeque<FeedbackRecord>,
     recorded: u64,
@@ -78,7 +80,7 @@ impl FeedbackLog {
     where
         I: IntoIterator<Item = (&'a u64, &'a (f64, f64))>,
     {
-        let mut ring = self.ring.lock();
+        let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
         for (&signature, &(cost, cardinality)) in estimates {
             if ring.records.len() == self.capacity {
                 ring.records.pop_front();
@@ -92,12 +94,12 @@ impl FeedbackLog {
     /// Take every currently-held record out of the log, oldest first (the
     /// sampling policy's consumption step).
     pub fn drain(&self) -> Vec<FeedbackRecord> {
-        self.ring.lock().records.drain(..).collect()
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner).records.drain(..).collect()
     }
 
     /// Number of records currently held.
     pub fn len(&self) -> usize {
-        self.ring.lock().records.len()
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner).records.len()
     }
 
     /// True when no records are held.
@@ -112,12 +114,12 @@ impl FeedbackLog {
 
     /// Total records ever pushed (including later-overwritten ones).
     pub fn total_recorded(&self) -> u64 {
-        self.ring.lock().recorded
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner).recorded
     }
 
     /// Records lost to ring overwrite since creation.
     pub fn total_overwritten(&self) -> u64 {
-        self.ring.lock().overwritten
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner).overwritten
     }
 }
 
@@ -146,7 +148,7 @@ impl PlanRegistry {
     /// carry an up-to-date label from whenever it was first seen.  Returns
     /// whether the plan was newly inserted.
     pub fn register(&self, signature: u64, plan: &PlanNode) -> bool {
-        let mut plans = self.plans.lock();
+        let mut plans = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
         if plans.len() >= self.capacity {
             return false;
         }
@@ -161,17 +163,17 @@ impl PlanRegistry {
 
     /// Look up the plan registered under `signature`.
     pub fn get(&self, signature: u64) -> Option<Arc<PlanNode>> {
-        self.plans.lock().get(&signature).cloned()
+        self.plans.lock().unwrap_or_else(PoisonError::into_inner).get(&signature).cloned()
     }
 
     /// Forget a signature, freeing capacity.
     pub fn remove(&self, signature: u64) -> bool {
-        self.plans.lock().remove(&signature).is_some()
+        self.plans.lock().unwrap_or_else(PoisonError::into_inner).remove(&signature).is_some()
     }
 
     /// Number of registered plans.
     pub fn len(&self) -> usize {
-        self.plans.lock().len()
+        self.plans.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// True when nothing is registered.

@@ -14,7 +14,8 @@
 //! 2. **sample**: resolve each signature through the
 //!    [`crate::PlanRegistry`], draw a seeded subset within the ground-truth
 //!    execution budget from a frame ordered by plan content, and execute it
-//!    with `engine::ExecMode::Count` — cheap exact cardinalities;
+//!    with [`engine::execute_plan`], the counting executor — cheap exact
+//!    cardinalities;
 //! 3. **observe**: push each plan's cardinality q-error into the window;
 //!    the first full window freezes the tenant's healthy baseline;
 //! 4. **adapt**: when the windowed mean degrades past
@@ -32,7 +33,7 @@
 
 use crate::catalog::ModelCatalog;
 use crate::feedback::{FeedbackRecord, PlanRegistry, TenantFeedback};
-use engine::{execute_plan_mode, CostModel, ExecMode};
+use engine::execute_plan;
 use estimator_core::{CheckpointError, CostEstimator};
 use featurize::EncodedPlan;
 use imdb::Database;
@@ -179,10 +180,10 @@ impl RefreshController {
                 continue;
             };
             let mut plan = PlanNode::clone(plan);
-            let truth = execute_plan_mode(&self.db, &mut plan, &CostModel::default(), ExecMode::Count);
+            let truth = execute_plan(&self.db, &mut plan);
             sampled += 1;
             self.window.push(q_error(record.cardinality, truth.cardinality));
-            // `execute_plan_mode` annotated the plan in place; encoding it
+            // `execute_plan` annotated the plan in place; encoding it
             // now captures the fresh labels for fine-tuning.
             self.pending.push_back(self.trainer.encode(&plan));
             while self.pending.len() > self.config.max_pending {

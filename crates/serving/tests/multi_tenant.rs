@@ -4,7 +4,7 @@
 //! session on the other model** keeps serving bit-identical estimates
 //! throughout — never blocked, never corrupted.
 
-use engine::{execute_plan, CostModel};
+use engine::execute_plan;
 use estimator_core::{CostEstimator, Estimator, ModelConfig, PlanEstimate, TrainConfig};
 use featurize::{EncodingConfig, FeatureExtractor};
 use imdb::{generate_imdb, GeneratorConfig};
@@ -25,7 +25,6 @@ fn make_estimator(db: &Arc<imdb::Database>, seed: u64) -> CostEstimator {
 }
 
 fn executed_plans(db: &Arc<imdb::Database>, n: usize) -> Vec<PlanNode> {
-    let cost = CostModel::default();
     (0..n)
         .map(|i| {
             let scan_t = PlanNode::leaf(PhysicalOp::SeqScan {
@@ -42,7 +41,7 @@ fn executed_plans(db: &Arc<imdb::Database>, n: usize) -> Vec<PlanNode> {
                 PhysicalOp::HashJoin { condition: JoinPredicate::new("movie_companies", "movie_id", "title", "id") },
                 vec![scan_t, scan_mc],
             );
-            execute_plan(db, &mut join, &cost);
+            execute_plan(db, &mut join);
             join
         })
         .collect()

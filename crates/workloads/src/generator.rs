@@ -7,14 +7,13 @@
 //! annotated physical plan — the `<plan, real cost, real cardinality>`
 //! training triple.
 
-use engine::{plan_query, CostModel, PlannerConfig};
+use engine::{plan_query, PlannerConfig};
 use imdb::{Database, Value};
 use query::{Aggregate, CompareOp, JoinPredicate, LogicalQuery, Name, Operand, PlanNode, Predicate, Projection};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use std::collections::HashMap;
 
 /// Configuration of the query generator.
@@ -271,16 +270,15 @@ impl<'a> QueryGenerator<'a> {
     }
 }
 
-/// Plan and execute a batch of logical queries in parallel, producing
-/// annotated training samples: planning fans out per query, then the whole
-/// plan batch goes through [`engine::execute_plans`] — the counting executor,
-/// so ground-truth labels never materialize join tuples and full-scale star
-/// joins stay cheap.
+/// Plan and execute a batch of logical queries, producing annotated training
+/// samples: the queries are planned on the calling thread (planning is about
+/// a hundredth of execution), then the whole plan batch executes in parallel
+/// through [`engine::execute_plans`] — the counting executor, so ground-truth
+/// labels never materialize join tuples and full-scale star joins stay cheap.
 pub fn execute_workload(db: &Database, queries: Vec<LogicalQuery>) -> Vec<QuerySample> {
     let planner_cfg = PlannerConfig::default();
-    let cost_model = CostModel::default();
-    let mut plans: Vec<PlanNode> = queries.par_iter().map(|q| plan_query(db, q, &planner_cfg)).collect();
-    engine::execute_plans(db, &mut plans, &cost_model);
+    let mut plans: Vec<PlanNode> = queries.iter().map(|q| plan_query(db, q, &planner_cfg)).collect();
+    engine::execute_plans(db, &mut plans);
     queries.into_iter().zip(plans).map(|(query, plan)| QuerySample { query, plan }).collect()
 }
 
@@ -377,7 +375,7 @@ mod tests {
         // Workload labeling rides the counting executor; on generated
         // JOB-style plans (joins + string predicates + index scans) every
         // node's label must equal the tuple-materializing oracle's.
-        use engine::{execute_plan_mode, CostModel, ExecMode};
+        use engine::{execute_plan_mode, ExecMode};
         let db = db();
         let cfg = WorkloadConfig {
             num_queries: 25,
@@ -389,11 +387,10 @@ mod tests {
             ..Default::default()
         };
         let samples = generate_workload(&db, cfg);
-        let model = CostModel::default();
         for s in &samples {
             let mut oracle = s.plan.clone();
             oracle.visit_postorder_mut(&mut |n| n.annotations = Default::default());
-            execute_plan_mode(&db, &mut oracle, &model, ExecMode::Materialize);
+            execute_plan_mode(&db, &mut oracle, ExecMode::Materialize);
             let counted = s.plan.nodes_preorder();
             let materialized = oracle.nodes_preorder();
             assert_eq!(counted.len(), materialized.len());

@@ -50,7 +50,7 @@ pub use workloads;
 
 /// Commonly used types, re-exported for examples and downstream users.
 pub mod prelude {
-    pub use engine::{execute_plan, plan_query, CostModel, PlannerConfig};
+    pub use engine::{execute_plan, plan_query, PlannerConfig};
     pub use estimator_core::{
         CheckpointError, CostEstimator, Estimator, EstimatorCapabilities, ModelConfig, PlanEstimate,
         PredicateModelKind, RepresentationCellKind, TaskMode, TrainConfig,

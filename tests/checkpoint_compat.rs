@@ -52,7 +52,6 @@ fn golden_db() -> Arc<Database> {
 }
 
 fn golden_plans(db: &Arc<Database>, n: usize) -> Vec<PlanNode> {
-    let cost = CostModel::default();
     (0..n)
         .map(|i| {
             let scan_t = PlanNode::leaf(PhysicalOp::SeqScan {
@@ -69,7 +68,7 @@ fn golden_plans(db: &Arc<Database>, n: usize) -> Vec<PlanNode> {
                 PhysicalOp::HashJoin { condition: JoinPredicate::new("movie_companies", "movie_id", "title", "id") },
                 vec![scan_t, scan_mc],
             );
-            execute_plan(db, &mut join, &cost);
+            execute_plan(db, &mut join);
             join
         })
         .collect()
